@@ -7,7 +7,7 @@
 //! Each client gets a 50 pps probe stream alongside its bulk TCP
 //! download. The interferer switches on at t=2s; probe delay and loss
 //! blow up, per-client QoE scores collapse, and the `qoe-degraded`
-//! detector raises with a causal id that `healthctl explain --trace`
+//! detector raises with a causal id that `wifictl health explain --trace`
 //! resolves into the probe flow's own records.
 //!
 //! Artifacts: `--metrics`/`--trace`/`--health` dumps are deterministic;

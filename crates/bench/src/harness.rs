@@ -1,8 +1,8 @@
 //! Shared experiment plumbing: result recording, paper-vs-measured
 //! comparison rows, and JSON series dumps.
 //!
-//! The JSON dump is hand-rolled (see [`json_string`]) so the harness
-//! has no registry dependencies and builds offline; the emitted shape
+//! The JSON dump is hand-rolled (over `telemetry::json`'s writers) so the
+//! harness has no registry dependencies and builds offline; the emitted shape
 //! matches what `serde_json` produced for these types historically:
 //! tuples as two-element arrays, structs as objects in field order.
 
@@ -10,7 +10,10 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;
 use wifi_core::sim::SimDuration;
-use wifi_core::telemetry::{runprof, FlightDump, HealthReport, Registry, Timeline, TimelineConfig};
+use wifi_core::telemetry::json::{f64_display_or_null, write_str};
+use wifi_core::telemetry::{
+    runprof, FlightDump, HealthReport, Registry, SamplePoint, Timeline, TimelineConfig,
+};
 
 /// A recorded experiment: named scalar comparisons plus named series.
 #[derive(Debug, Default)]
@@ -27,36 +30,23 @@ pub struct Experiment {
     /// absorbed (see [`Experiment::absorb_flight`]). Dumped in the
     /// deterministic binary format when the binary is invoked with
     /// `--trace <path>` (optionally `--trace-filter <prefix>`); inspect
-    /// with `tracectl`.
+    /// with `wifictl trace`.
     pub flight: FlightDump,
     /// Merged health reports from every run the experiment absorbed
     /// (see [`Experiment::absorb_health`]). Dumped as canonical JSON
     /// when the binary is invoked with `--health <path>`; inspect with
-    /// `healthctl`.
+    /// `wifictl health`.
     pub health: HealthReport,
     /// Wall-clock throughput samples (see [`Experiment::perf`]).
     /// Written as `BENCH_simperf.json`-style JSON when the binary is
     /// invoked with `--perf <path>`. Unlike every other artifact this
     /// one is *not* deterministic — it records host wall-clock speed.
-    pub perf_samples: Vec<PerfSample>,
+    pub perf_samples: Vec<SamplePoint>,
     /// Merged timeline stores from every run the experiment absorbed
     /// (see [`Experiment::absorb_timeline`]). Dumped in the `TSL1`
     /// binary format when the binary is invoked with
-    /// `--timeline <path>`; inspect with `timectl`.
+    /// `--timeline <path>`; inspect with `wifictl time`.
     pub timeline: Timeline,
-}
-
-/// One wall-clock throughput measurement: how fast the host simulated
-/// `events` discrete events (or another workload unit named by the
-/// label) in `wall_s` seconds of real time, and how much resident
-/// memory the process had claimed by then (kernel `VmHWM`; `None` on
-/// hosts without procfs).
-#[derive(Debug)]
-pub struct PerfSample {
-    pub label: String,
-    pub events: u64,
-    pub wall_s: f64,
-    pub peak_rss_bytes: Option<u64>,
 }
 
 /// One paper-vs-measured scalar.
@@ -74,37 +64,6 @@ pub struct Comparison {
 pub struct Series {
     pub name: String,
     pub points: Vec<(f64, f64)>,
-}
-
-/// Escape a string for a JSON string literal.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// JSON number token: finite floats as-is, non-finite as `null` (what
-/// strict JSON requires; serde_json errors on these, we degrade).
-pub fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_owned()
-    }
 }
 
 impl Experiment {
@@ -200,7 +159,7 @@ impl Experiment {
     /// growth across a scaling sweep (`fleet_1000x1` → `fleet_5000x8`)
     /// is visible in the same artifact as the speed.
     pub fn perf(&mut self, label: impl Into<String>, events: u64, wall_s: f64) {
-        self.perf_samples.push(PerfSample {
+        self.perf_samples.push(SamplePoint {
             label: label.into(),
             events,
             wall_s,
@@ -213,28 +172,12 @@ impl Experiment {
     fn perf_json(&self) -> String {
         let mut o = String::new();
         o.push_str("{\n");
-        let _ = writeln!(o, "  \"bench\": {},", json_string(&self.id));
-        o.push_str("  \"samples\": [");
+        o.push_str("  \"bench\": ");
+        write_str(&mut o, &self.id);
+        o.push_str(",\n  \"samples\": [");
         for (i, s) in self.perf_samples.iter().enumerate() {
-            let rate = if s.wall_s > 0.0 {
-                s.events as f64 / s.wall_s
-            } else {
-                0.0
-            };
-            let rss = match s.peak_rss_bytes {
-                Some(b) => format!("{b}"),
-                None => "null".to_owned(),
-            };
-            let _ = write!(
-                o,
-                "{}\n    {{ \"label\": {}, \"events\": {}, \"wall_s\": {}, \"events_per_s\": {}, \"peak_rss_bytes\": {} }}",
-                if i == 0 { "" } else { "," },
-                json_string(&s.label),
-                s.events,
-                json_f64(s.wall_s),
-                json_f64(rate),
-                rss
-            );
+            o.push_str(if i == 0 { "\n    " } else { ",\n    " });
+            s.write_json(&mut o);
         }
         if !self.perf_samples.is_empty() {
             o.push_str("\n  ");
@@ -286,91 +229,35 @@ impl Experiment {
         // metrics registry snapshot. `--trace <path>` (with an optional
         // `--trace-filter <component-prefix>`): write the merged flight
         // dump. `--health <path>`: write the merged health report as
-        // canonical JSON. All three are deterministic by construction,
-        // so two invocations of the same binary must produce identical
-        // files — scripts/ci.sh enforces exactly that. `--perf <path>`
-        // is the exception: it records wall-clock events/sec and is
-        // never byte-compared.
-        let mut trace_out: Option<String> = None;
-        let mut trace_filter: Option<String> = None;
-        let mut argv = std::env::args().skip(1);
-        while let Some(arg) = argv.next() {
-            let metrics_target = if arg == "--metrics" {
-                argv.next()
-            } else {
-                arg.strip_prefix("--metrics=").map(str::to_owned)
-            };
-            if let Some(p) = metrics_target {
-                if let Err(e) = fs::write(&p, self.metrics.to_json()) {
+        // canonical JSON. `--timeline <path>`: the merged `TSL1` dump.
+        // All four are deterministic by construction, so two
+        // invocations of the same binary must produce identical files —
+        // scripts/ci.sh enforces exactly that. `--perf <path>` is the
+        // exception: it records wall-clock events/sec and is never
+        // byte-compared.
+        let dump = |flag: &str, bytes: &dyn Fn() -> Vec<u8>| {
+            if let Some(p) = arg_value(flag) {
+                if let Err(e) = fs::write(&p, bytes()) {
                     eprintln!("warning: could not write {p}: {e}");
                 }
-                continue;
             }
-            let health_target = if arg == "--health" {
-                argv.next()
-            } else {
-                arg.strip_prefix("--health=").map(str::to_owned)
-            };
-            if let Some(p) = health_target {
-                if let Err(e) = fs::write(&p, self.health.to_json()) {
-                    eprintln!("warning: could not write {p}: {e}");
-                }
-                continue;
-            }
-            let timeline_target = if arg == "--timeline" {
-                argv.next()
-            } else {
-                arg.strip_prefix("--timeline=").map(str::to_owned)
-            };
-            if let Some(p) = timeline_target {
-                if let Err(e) = fs::write(&p, self.timeline.to_bytes()) {
-                    eprintln!("warning: could not write {p}: {e}");
-                }
-                continue;
-            }
-            let perf_target = if arg == "--perf" {
-                argv.next()
-            } else {
-                arg.strip_prefix("--perf=").map(str::to_owned)
-            };
-            if let Some(p) = perf_target {
-                if let Err(e) = fs::write(&p, self.perf_json()) {
-                    eprintln!("warning: could not write {p}: {e}");
-                }
-            } else if arg == "--trace" {
-                trace_out = argv.next();
-            } else if let Some(p) = arg.strip_prefix("--trace=") {
-                trace_out = Some(p.to_owned());
-            } else if arg == "--trace-filter" {
-                trace_filter = argv.next();
-            } else if let Some(p) = arg.strip_prefix("--trace-filter=") {
-                trace_filter = Some(p.to_owned());
-            }
-        }
-        if let Some(p) = trace_out {
-            let dump = self.flight.filtered(trace_filter.as_deref());
-            if let Err(e) = fs::write(&p, dump.to_bytes()) {
-                eprintln!("warning: could not write {p}: {e}");
-            }
-        }
+        };
+        dump("--metrics", &|| self.metrics.to_json().into_bytes());
+        dump("--health", &|| self.health.to_json().into_bytes());
+        dump("--timeline", &|| self.timeline.to_bytes());
+        dump("--perf", &|| self.perf_json().into_bytes());
+        dump("--trace", &|| {
+            let filter = arg_value("--trace-filter");
+            self.flight.filtered(filter.as_deref()).to_bytes()
+        });
 
         // `--runprof <path>`: the host-side observability sidecar.
         // Closed out last so the report stage's own wall time makes it
-        // into the profile; inspect with `perfctl summary`.
+        // into the profile; inspect with `wifictl perf summary`.
         drop(report_prof);
         if let Some(p) = runprof_path() {
-            let samples: Vec<runprof::SamplePoint> = self
-                .perf_samples
-                .iter()
-                .map(|s| runprof::SamplePoint {
-                    label: s.label.clone(),
-                    events: s.events,
-                    wall_s: s.wall_s,
-                    peak_rss_bytes: s.peak_rss_bytes,
-                })
-                .collect();
             let prof = runprof::snapshot();
-            if let Err(e) = fs::write(&p, prof.to_json(&self.id, &samples)) {
+            if let Err(e) = fs::write(&p, prof.to_json(&self.id, &self.perf_samples)) {
                 eprintln!("warning: could not write {p}: {e}");
             }
         }
@@ -386,38 +273,43 @@ impl Experiment {
     pub fn to_json(&self) -> String {
         let mut o = String::new();
         o.push_str("{\n");
-        let _ = writeln!(o, "  \"id\": {},", json_string(&self.id));
-        let _ = writeln!(o, "  \"title\": {},", json_string(&self.title));
-        o.push_str("  \"comparisons\": [");
+        o.push_str("  \"id\": ");
+        write_str(&mut o, &self.id);
+        o.push_str(",\n  \"title\": ");
+        write_str(&mut o, &self.title);
+        o.push_str(",\n  \"comparisons\": [");
         for (i, c) in self.comparisons.iter().enumerate() {
-            let _ = write!(
-                o,
-                "{}\n    {{ \"metric\": {}, \"paper\": {}, \"measured\": {}, \"ok\": {} }}",
-                if i == 0 { "" } else { "," },
-                json_string(&c.metric),
-                json_string(&c.paper),
-                json_string(&c.measured),
-                c.ok
-            );
+            o.push_str(if i == 0 {
+                "\n    { \"metric\": "
+            } else {
+                ",\n    { \"metric\": "
+            });
+            write_str(&mut o, &c.metric);
+            o.push_str(", \"paper\": ");
+            write_str(&mut o, &c.paper);
+            o.push_str(", \"measured\": ");
+            write_str(&mut o, &c.measured);
+            let _ = write!(o, ", \"ok\": {} }}", c.ok);
         }
         if !self.comparisons.is_empty() {
             o.push_str("\n  ");
         }
         o.push_str("],\n  \"series\": [");
         for (i, s) in self.series.iter().enumerate() {
-            let _ = write!(
-                o,
-                "{}\n    {{ \"name\": {}, \"points\": [",
-                if i == 0 { "" } else { "," },
-                json_string(&s.name)
-            );
+            o.push_str(if i == 0 {
+                "\n    { \"name\": "
+            } else {
+                ",\n    { \"name\": "
+            });
+            write_str(&mut o, &s.name);
+            o.push_str(", \"points\": [");
             for (j, (x, y)) in s.points.iter().enumerate() {
                 let _ = write!(
                     o,
                     "{}[{}, {}]",
                     if j == 0 { "" } else { ", " },
-                    json_f64(*x),
-                    json_f64(*y)
+                    f64_display_or_null(*x),
+                    f64_display_or_null(*y)
                 );
             }
             o.push_str("] }");
@@ -430,18 +322,23 @@ impl Experiment {
     }
 }
 
-/// `--timeline <path>` / `--timeline=<path>` from this process's argv.
-pub fn timeline_path() -> Option<String> {
+/// The value of `--flag <v>` / `--flag=<v>` in this process's argv.
+fn arg_value(flag: &str) -> Option<String> {
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
-        if arg == "--timeline" {
+        if arg == flag {
             return argv.next();
         }
-        if let Some(p) = arg.strip_prefix("--timeline=") {
-            return Some(p.to_owned());
+        if let Some(v) = arg.strip_prefix(flag).and_then(|r| r.strip_prefix('=')) {
+            return Some(v.to_owned());
         }
     }
     None
+}
+
+/// `--timeline <path>` / `--timeline=<path>` from this process's argv.
+pub fn timeline_path() -> Option<String> {
+    arg_value("--timeline")
 }
 
 /// Timeline sampler config from this process's argv: `Some` iff
@@ -452,35 +349,17 @@ pub fn timeline_path() -> Option<String> {
 /// present.
 pub fn timeline_cfg() -> Option<TimelineConfig> {
     timeline_path()?;
-    let mut every = SimDuration::from_millis(100);
-    let mut argv = std::env::args().skip(1);
-    while let Some(arg) = argv.next() {
-        let v = if arg == "--timeline-every" {
-            argv.next()
-        } else {
-            arg.strip_prefix("--timeline-every=").map(str::to_owned)
-        };
-        if let Some(ms) = v {
-            let ms: u64 = ms.parse().expect("--timeline-every wants milliseconds");
-            assert!(ms > 0, "--timeline-every wants a positive interval");
-            every = SimDuration::from_millis(ms);
-        }
-    }
-    Some(TimelineConfig::sampling(every))
+    let ms = arg_value("--timeline-every").map_or(100, |ms| {
+        ms.parse::<u64>()
+            .expect("--timeline-every wants milliseconds")
+    });
+    assert!(ms > 0, "--timeline-every wants a positive interval");
+    Some(TimelineConfig::sampling(SimDuration::from_millis(ms)))
 }
 
 /// `--runprof <path>` / `--runprof=<path>` from this process's argv.
 fn runprof_path() -> Option<String> {
-    let mut argv = std::env::args().skip(1);
-    while let Some(arg) = argv.next() {
-        if arg == "--runprof" {
-            return argv.next();
-        }
-        if let Some(p) = arg.strip_prefix("--runprof=") {
-            return Some(p.to_owned());
-        }
-    }
-    None
+    arg_value("--runprof")
 }
 
 /// Relative agreement check: |measured − paper| ≤ tol·|paper|.

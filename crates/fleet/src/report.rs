@@ -3,6 +3,7 @@
 
 use sim::{SimDuration, SimTime};
 use std::fmt;
+use telemetry::codec::Fnv1a;
 
 /// What one managed network reports up to the fleet controller at the
 /// end of a run.
@@ -96,19 +97,22 @@ impl fmt::Display for FleetReport {
 /// f64 values are folded by bit pattern, so "equal checksum" means
 /// bit-identical results, not approximately-equal ones.
 #[derive(Debug, Clone, Copy)]
-pub struct Checksum(u64);
+pub struct Checksum(Fnv1a);
+
+/// The multiplier this checksum has folded with since PR 1 (one digit
+/// longer than [`Fnv1a::PRIME`]). Every committed fleet checksum and
+/// the benchmark's pinned digests depend on it, so it is wire format.
+const CHECKSUM_PRIME: u64 = 0x1000_0000_01b3;
 
 impl Checksum {
+    #[inline]
     pub fn new() -> Checksum {
-        Checksum(0xcbf2_9ce4_8422_2325)
+        Checksum(Fnv1a::with_prime(CHECKSUM_PRIME))
     }
 
     #[inline]
     pub fn mix_u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
-        }
+        self.0.write(&v.to_le_bytes());
     }
 
     #[inline]
@@ -116,8 +120,9 @@ impl Checksum {
         self.mix_u64(v.to_bits());
     }
 
+    #[inline]
     pub fn finish(self) -> u64 {
-        self.0
+        self.0.finish()
     }
 }
 
@@ -201,6 +206,19 @@ mod tests {
         let mut d = Checksum::new();
         mix_network_report(&mut d, &r3);
         assert_ne!(a.finish(), d.finish(), "bit-level sensitivity");
+    }
+
+    #[test]
+    fn checksum_values_are_wire_format() {
+        // Computed independently (FNV-1a fold, multiplier
+        // 0x1000_0000_01b3): a changed value here breaks every committed
+        // fleet checksum and the benchmark's pinned digests.
+        let mut c = Checksum::new();
+        for v in [1, 2, 3] {
+            c.mix_u64(v);
+        }
+        c.mix_f64(-1.5);
+        assert_eq!(c.finish(), 0x6618_ca41_1495_c4e0);
     }
 
     #[test]

@@ -126,85 +126,6 @@ impl PerCache {
     }
 }
 
-/// Quantized SNR → PER lookup table, one row per MCS.
-///
-/// The *approximate* fast path for workloads that tolerate bounded error
-/// (capacity planning sweeps, what-if explorers): SNR quantized to
-/// [`PerLut::STEP_DB`] steps over [`PerLut::MIN_SNR_DB`] ..
-/// [`PerLut::MAX_SNR_DB`], PER precomputed per (MCS, step) at build
-/// time. Lookups are two integer ops and a load — no float transcendentals.
-///
-/// Deliberately **not** used by the deterministic simulation paths: a
-/// quantized PER differs from the exact value by up to the waterfall
-/// slope × step/2 near threshold, which would change `rng.chance` draws
-/// and break byte-identical replay. Exact hot paths use [`PerCache`].
-/// The table-vs-exact tolerance is pinned by a unit test.
-#[derive(Debug, Clone)]
-pub struct PerLut {
-    width: Width,
-    frame_bytes: usize,
-    /// `rows[mcs][step]` = PER at `MIN_SNR_DB + step × STEP_DB`.
-    rows: Vec<Vec<f64>>,
-}
-
-impl PerLut {
-    /// Quantization step, dB. At the waterfall's steepest point the PER
-    /// slope is WATERFALL_SLOPE/4 per dB (≈0.375), so a 0.25 dB step
-    /// bounds the mid-curve interpolation-free error near 0.05 for
-    /// 1024-byte frames; longer frames scale it by len/1024.
-    pub const STEP_DB: f64 = 0.25;
-    pub const MIN_SNR_DB: f64 = -10.0;
-    pub const MAX_SNR_DB: f64 = 60.0;
-
-    pub fn new(width: Width, frame_bytes: usize) -> PerLut {
-        let steps = ((Self::MAX_SNR_DB - Self::MIN_SNR_DB) / Self::STEP_DB) as usize + 1;
-        let rows = (0..=9u8)
-            .map(|m| {
-                (0..steps)
-                    .map(|s| {
-                        let snr = Self::MIN_SNR_DB + s as f64 * Self::STEP_DB;
-                        mpdu_error_rate(snr, Mcs(m), width, frame_bytes)
-                    })
-                    .collect()
-            })
-            .collect();
-        PerLut {
-            width,
-            frame_bytes,
-            rows,
-        }
-    }
-
-    /// PER at the nearest quantized SNR (clamped to the table range).
-    pub fn error_rate(&self, snr_db: f64, mcs: Mcs) -> f64 {
-        let row = &self.rows[usize::from(mcs.0.min(9))];
-        let pos = (snr_db - Self::MIN_SNR_DB) / Self::STEP_DB;
-        // Round-to-nearest step, clamped into the table.
-        let idx = if pos <= 0.0 {
-            0
-        } else {
-            ((pos + 0.5) as usize).min(row.len() - 1)
-        };
-        row[idx]
-    }
-
-    /// Worst-case |table − exact| over a dense SNR sweep — the bound the
-    /// tolerance test enforces, exposed so callers can check their error
-    /// budget against their own frame length.
-    pub fn max_abs_error(&self) -> f64 {
-        let mut worst: f64 = 0.0;
-        for m in 0..=9u8 {
-            let mut snr = Self::MIN_SNR_DB;
-            while snr <= Self::MAX_SNR_DB {
-                let exact = mpdu_error_rate(snr, Mcs(m), self.width, self.frame_bytes);
-                worst = worst.max((self.error_rate(snr, Mcs(m)) - exact).abs());
-                snr += 0.01;
-            }
-        }
-        worst
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,36 +243,5 @@ mod tests {
         // Hits resolve without growing the cache.
         let _ = c.error_rate(15.0, Mcs(5));
         assert_eq!(c.len(), resolved);
-    }
-
-    #[test]
-    fn per_lut_tracks_exact_within_tolerance() {
-        // Table-vs-exact: the quantized LUT must stay within the
-        // documented bound of the exact waterfall everywhere in range.
-        // Worst case is mid-waterfall: d(PER)/d(SNR) ≈ slope/4 per dB
-        // scaled by len/1024, times half a step of quantization error.
-        for (len, tol) in [(1024usize, 0.06), (1500, 0.09)] {
-            let lut = PerLut::new(Width::W80, len);
-            let worst = lut.max_abs_error();
-            assert!(worst <= tol, "len={len}: worst error {worst} > {tol}");
-            // And the table is not trivially exact — quantization is real.
-            assert!(worst > 0.0, "len={len}: suspiciously exact table");
-        }
-    }
-
-    #[test]
-    fn per_lut_clamps_out_of_range_snr() {
-        let lut = PerLut::new(Width::W20, 1024);
-        assert_eq!(
-            lut.error_rate(-100.0, Mcs(0)),
-            lut.error_rate(PerLut::MIN_SNR_DB, Mcs(0))
-        );
-        assert_eq!(
-            lut.error_rate(200.0, Mcs(9)),
-            lut.error_rate(PerLut::MAX_SNR_DB, Mcs(9))
-        );
-        // Saturated ends of the table are exactly 1 and 0.
-        assert_eq!(lut.error_rate(-100.0, Mcs(9)), 1.0);
-        assert_eq!(lut.error_rate(200.0, Mcs(0)), 0.0);
     }
 }

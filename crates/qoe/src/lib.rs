@@ -27,6 +27,7 @@
 use sim::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 use telemetry::health::HealthReport;
+use telemetry::json::{f64_exact, write_str, Cursor};
 use telemetry::streaming::RollingWindow;
 
 /// First probe flow id. Probe ids must fit the flight recorder's
@@ -424,7 +425,7 @@ impl QoeRollup {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\"qoe\":{");
         out.push_str(&format!("\"n\":{},", self.n));
-        out.push_str(&format!("\"mean_score\":{:?},", self.mean_score));
+        out.push_str(&format!("\"mean_score\":{},", f64_exact(self.mean_score)));
         out.push_str(&format!("\"degraded\":{},", self.degraded));
         out.push_str(&format!("\"critical\":{},", self.critical));
         out.push_str("\"by_rule\":[");
@@ -432,14 +433,18 @@ impl QoeRollup {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("[{},{}]", json_string(rule), count));
+            out.push('[');
+            write_str(&mut out, rule);
+            out.push_str(&format!(",{count}]"));
         }
         out.push_str("],\"worst\":[");
         for (i, (label, score)) in self.worst.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("[{},{:?}]", json_string(label), score));
+            out.push('[');
+            write_str(&mut out, label);
+            out.push_str(&format!(",{}]", f64_exact(*score)));
         }
         out.push_str("]}}");
         out
@@ -447,7 +452,7 @@ impl QoeRollup {
 
     /// Strict inverse of [`to_json`].
     pub fn parse(s: &str) -> Result<QoeRollup, String> {
-        let mut cur = Cursor::new(s);
+        let mut cur = Cursor::new("qoe json", s);
         cur.lit("{\"qoe\":{\"n\":")?;
         let n = cur.u64()?;
         cur.lit(",\"mean_score\":")?;
@@ -458,36 +463,22 @@ impl QoeRollup {
         let critical = cur.u64()?;
         cur.lit(",\"by_rule\":[")?;
         let mut by_rule = Vec::new();
-        if !cur.eat("]") {
-            loop {
-                cur.lit("[")?;
-                let rule = cur.string()?;
-                cur.lit(",")?;
-                let count = cur.u64()?;
-                cur.lit("]")?;
-                by_rule.push((rule, count));
-                if cur.eat("]") {
-                    break;
-                }
-                cur.lit(",")?;
-            }
-        }
+        cur.list("]", |cur| {
+            cur.lit("[")?;
+            let rule = cur.string()?;
+            cur.lit(",")?;
+            by_rule.push((rule, cur.u64()?));
+            cur.lit("]")
+        })?;
         cur.lit(",\"worst\":[")?;
         let mut worst = Vec::new();
-        if !cur.eat("]") {
-            loop {
-                cur.lit("[")?;
-                let label = cur.string()?;
-                cur.lit(",")?;
-                let score = cur.f64()?;
-                cur.lit("]")?;
-                worst.push((label, score));
-                if cur.eat("]") {
-                    break;
-                }
-                cur.lit(",")?;
-            }
-        }
+        cur.list("]", |cur| {
+            cur.lit("[")?;
+            let label = cur.string()?;
+            cur.lit(",")?;
+            worst.push((label, cur.f64()?));
+            cur.lit("]")
+        })?;
         cur.lit("}}")?;
         cur.end()?;
         Ok(QoeRollup {
@@ -498,126 +489,6 @@ impl QoeRollup {
             by_rule,
             worst,
         })
-    }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Minimal strict parser over the canonical JSON (same approach as
-/// `telemetry::health`'s: the format is machine-written, so anything
-/// unexpected is an error, not something to recover from).
-struct Cursor<'a> {
-    s: &'a str,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(s: &'a str) -> Cursor<'a> {
-        Cursor { s }
-    }
-
-    fn lit(&mut self, expect: &str) -> Result<(), String> {
-        match self.s.strip_prefix(expect) {
-            Some(rest) => {
-                self.s = rest;
-                Ok(())
-            }
-            None => Err(format!(
-                "expected `{expect}` at `{}`",
-                &self.s[..self.s.len().min(32)]
-            )),
-        }
-    }
-
-    fn eat(&mut self, tok: &str) -> bool {
-        if let Some(rest) = self.s.strip_prefix(tok) {
-            self.s = rest;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn take_while(&mut self, pred: impl Fn(char) -> bool) -> &'a str {
-        let end = self
-            .s
-            .char_indices()
-            .find(|&(_, c)| !pred(c))
-            .map_or(self.s.len(), |(i, _)| i);
-        let (tok, rest) = self.s.split_at(end);
-        self.s = rest;
-        tok
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        let tok = self.take_while(|c| c.is_ascii_digit());
-        tok.parse().map_err(|e| format!("bad integer `{tok}`: {e}"))
-    }
-
-    fn f64(&mut self) -> Result<f64, String> {
-        let tok = self.take_while(|c| {
-            c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E' | 'i' | 'n' | 'f' | 'N')
-        });
-        tok.parse().map_err(|e| format!("bad float `{tok}`: {e}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.lit("\"")?;
-        let mut out = String::new();
-        let mut chars = self.s.char_indices();
-        loop {
-            let Some((i, c)) = chars.next() else {
-                return Err("unterminated string".into());
-            };
-            match c {
-                '"' => {
-                    self.s = &self.s[i + 1..];
-                    return Ok(out);
-                }
-                '\\' => match chars.next() {
-                    Some((_, '"')) => out.push('"'),
-                    Some((_, '\\')) => out.push('\\'),
-                    Some((_, 'n')) => out.push('\n'),
-                    Some((_, 'u')) => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let Some((_, h)) = chars.next() else {
-                                return Err("truncated \\u escape".into());
-                            };
-                            code = code * 16
-                                + h.to_digit(16).ok_or_else(|| "bad \\u escape".to_string())?;
-                        }
-                        out.push(char::from_u32(code).ok_or("bad codepoint")?);
-                    }
-                    other => return Err(format!("bad escape {other:?}")),
-                },
-                c => out.push(c),
-            }
-        }
-    }
-
-    fn end(&mut self) -> Result<(), String> {
-        if self.s.is_empty() {
-            Ok(())
-        } else {
-            Err(format!(
-                "trailing data `{}`",
-                &self.s[..self.s.len().min(32)]
-            ))
-        }
     }
 }
 
@@ -850,6 +721,15 @@ mod tests {
         // Corruption is an error, not a silent default.
         assert!(QoeRollup::parse(&js[..js.len() - 1]).is_err());
         assert!(QoeRollup::parse(&format!("{js} ")).is_err());
+    }
+
+    #[test]
+    fn parse_error_context_survives_multibyte_input() {
+        // 31 ASCII bytes then a two-byte `é`: the old 32-byte error
+        // context sliced it mid-codepoint and panicked.
+        let hostile = format!("{}é", "x".repeat(31));
+        assert!(QoeRollup::parse(&hostile).is_err());
+        assert!(QoeRollup::parse("xxxxxxxxxxxxxxxxxxxxxxxé").is_err());
     }
 
     proptest! {

@@ -212,7 +212,7 @@ mod tests {
             "telemetry",
             "fleet",
             "simcheck",
-            "healthctl",
+            "wifictl",
             "imc17-ac",
         ] {
             assert!(!rules_for(cold).contains(&Rule::UnwrapInLib), "{cold}");

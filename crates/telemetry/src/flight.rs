@@ -25,7 +25,7 @@
 //! * **Deterministic dumps** — [`FlightDump::to_bytes`] serializes
 //!   length-prefixed records in sorted component order, little-endian
 //!   throughout. Identical runs produce byte-identical dumps — the same
-//!   contract as `Registry::to_json`, and the artifact `tracectl diff`
+//!   contract as `Registry::to_json`, and the artifact `wifictl trace diff`
 //!   triages.
 //! * **Violation-triggered dumps** — [`install_violation_dump`] arms
 //!   `sim::sanitize` so any invariant panic first writes the last-N
@@ -47,6 +47,7 @@
 //! assert_eq!(dump.chain(7).len(), 1);
 //! ```
 
+use crate::codec::{put_name, Reader};
 use sim::{SimDuration, SimTime};
 use std::cell::RefCell;
 use std::fmt;
@@ -357,7 +358,7 @@ impl Inner {
 }
 
 /// Cloneable handle to a shared flight recorder. Single-threaded by
-/// design (like [`sim::Tracer`]): `Rc<RefCell<…>>`, no locks. A
+/// design: `Rc<RefCell<…>>`, no locks. A
 /// capacity of 0 disables recording entirely — [`FlightRecorder::emit`]
 /// is then a single branch.
 #[derive(Debug, Clone, Default)]
@@ -570,13 +571,7 @@ impl FlightDump {
         let mut sorted: Vec<&ComponentTrace> = self.components.iter().collect();
         sorted.sort_by(|a, b| a.name.cmp(&b.name));
         for comp in sorted {
-            let name = comp.name.as_bytes();
-            out.extend_from_slice(
-                &u16::try_from(name.len())
-                    .expect("component name length")
-                    .to_le_bytes(),
-            );
-            out.extend_from_slice(name);
+            put_name(&mut out, &comp.name);
             out.extend_from_slice(&comp.capacity.to_le_bytes());
             out.extend_from_slice(&comp.dropped.to_le_bytes());
             out.extend_from_slice(
@@ -600,21 +595,19 @@ impl FlightDump {
     /// Parse a dump produced by [`FlightDump::to_bytes`]. Strict: any
     /// truncation, unknown tag, or trailing garbage is an error.
     pub fn parse(bytes: &[u8]) -> Result<FlightDump, String> {
-        let mut r = Reader { bytes, off: 0 };
+        let mut r = Reader::new(bytes);
         let magic = r.take(4)?;
         if magic != MAGIC {
             return Err(format!("bad magic {magic:02x?}, want {MAGIC:02x?}"));
         }
-        let n_components = r.u32()? as usize;
-        let mut components = Vec::with_capacity(n_components);
+        let n_components = r.u32()?;
+        let mut components = Vec::with_capacity(r.count(n_components.into(), MIN_COMPONENT_BYTES)?);
         for _ in 0..n_components {
-            let name_len = r.u16()? as usize;
-            let name = String::from_utf8(r.take(name_len)?.to_vec())
-                .map_err(|e| format!("component name not UTF-8: {e}"))?;
+            let name = r.name("component")?;
             let capacity = r.u64()?;
             let dropped = r.u64()?;
-            let n_records = r.u32()? as usize;
-            let mut records = Vec::with_capacity(n_records);
+            let n_records = r.u32()?;
+            let mut records = Vec::with_capacity(r.count(n_records.into(), MIN_RECORD_BYTES)?);
             for _ in 0..n_records {
                 let len = r.u16()? as usize;
                 let payload = r.take(len)?;
@@ -627,55 +620,15 @@ impl FlightDump {
                 records,
             });
         }
-        if r.off != bytes.len() {
-            return Err(format!(
-                "trailing garbage: {} bytes after the last component",
-                bytes.len() - r.off
-            ));
-        }
+        r.end("the last component")?;
         Ok(FlightDump { components })
     }
 }
 
-struct Reader<'a> {
-    bytes: &'a [u8],
-    off: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self
-            .off
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| format!("truncated dump at offset {}", self.off))?;
-        let s = &self.bytes[self.off..end];
-        self.off = end;
-        Ok(s)
-    }
-
-    fn u16(&mut self) -> Result<u16, String> {
-        Ok(u16::from_le_bytes(
-            self.take(2)?.try_into().expect("2 bytes"),
-        ))
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-}
+/// Smallest encoded component: empty name, capacity, dropped, count.
+const MIN_COMPONENT_BYTES: usize = 2 + 8 + 8 + 4;
+/// Smallest encoded record: length prefix, `at`, `cause`, tag.
+const MIN_RECORD_BYTES: usize = 2 + 8 + 8 + 1;
 
 fn encode_event(ev: &FlightEvent) -> Vec<u8> {
     let mut p = Vec::with_capacity(40);
@@ -755,10 +708,7 @@ fn encode_event(ev: &FlightEvent) -> Vec<u8> {
 }
 
 fn decode_event(payload: &[u8]) -> Result<FlightEvent, String> {
-    let mut r = Reader {
-        bytes: payload,
-        off: 0,
-    };
+    let mut r = Reader::new(payload);
     let at = SimTime::from_nanos(r.u64()?);
     let cause = CauseId(r.u64()?);
     let tag = r.u8()?;
@@ -804,10 +754,10 @@ fn decode_event(payload: &[u8]) -> Result<FlightEvent, String> {
         },
         t => return Err(format!("unknown record tag {t}")),
     };
-    if r.off != payload.len() {
+    if r.remaining() != 0 {
         return Err(format!(
             "record payload has {} trailing bytes",
-            payload.len() - r.off
+            r.remaining()
         ));
     }
     Ok(FlightEvent { at, cause, record })
@@ -816,7 +766,7 @@ fn decode_event(payload: &[u8]) -> Result<FlightEvent, String> {
 /// Arm flight-recorder mode: on the next sim-sanitizer violation, write
 /// the recorder's snapshot to `path` before the panic unwinds. The dump
 /// is the post-mortem artifact — parse it with [`FlightDump::parse`] or
-/// inspect it with `tracectl`.
+/// inspect it with `wifictl trace`.
 pub fn install_violation_dump(recorder: &FlightRecorder, path: PathBuf) {
     let rec = recorder.clone();
     sim::sanitize::set_violation_hook(Box::new(move || {
@@ -1012,6 +962,22 @@ mod tests {
         let tag_off = 4 + 4 + 2 + 3 + 8 + 8 + 4 + 2 + 16;
         bad_tag[tag_off] = 250;
         assert!(FlightDump::parse(&bad_tag).is_err());
+    }
+
+    #[test]
+    fn parse_rejects_inflated_counts_without_allocating() {
+        // Component count: 4G components declared, zero bytes follow.
+        let mut hostile = b"FLT1".to_vec();
+        hostile.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(FlightDump::parse(&hostile).is_err());
+        // A valid one-component header whose record count is all-ones.
+        let rec = FlightRecorder::new(4);
+        rec.emit("c", SimTime::ZERO, CauseId::NONE, seg(1, 0));
+        let mut bytes = rec.snapshot().to_bytes();
+        let count_off = 4 + 4 + 2 + 1 + 8 + 8;
+        assert_eq!(bytes[count_off..count_off + 4], 1u32.to_le_bytes());
+        bytes[count_off..count_off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(FlightDump::parse(&bytes).is_err());
     }
 
     #[test]

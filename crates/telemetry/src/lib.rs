@@ -17,7 +17,10 @@
 //! trajectory, and a deterministic time-series sampler ([`timeline`])
 //! that snapshots registry counters/gauges every fixed sim-time
 //! interval into delta-encoded per-series columns with bounded ring
-//! retention and `TSL1` binary dumps (`timectl` reads those).
+//! retention and `TSL1` binary dumps (`wifictl time` reads those).
+//! Underneath all of them sit the two wire-format modules: [`codec`]
+//! (bounds-checked binary reader, varints, FNV-1a) and [`json`] (the one
+//! JSON escaper and strict reader).
 //!
 //! ```
 //! use telemetry::stats::{Cdf, jain_fairness};
@@ -27,8 +30,10 @@
 //! assert_eq!(jain_fairness(&[5.0, 5.0]), Some(1.0));
 //! ```
 
+pub mod codec;
 pub mod flight;
 pub mod health;
+pub mod json;
 pub mod littletable;
 pub mod metrics;
 pub mod runprof;

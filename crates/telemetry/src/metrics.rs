@@ -51,6 +51,7 @@
 //! assert!(m.to_json().contains("\"mac.txop\""));
 //! ```
 
+use crate::json;
 use crate::stats::Histogram;
 use sim::{sanitize, SimDuration, SimTime};
 use std::collections::BTreeMap;
@@ -361,11 +362,12 @@ impl Registry {
         out.push_str("},\"histograms\":{");
         push_entries(&mut out, &self.hist_ids, |o, id| {
             let h = &self.hists[id as usize];
+            debug_assert!(h.lo.is_finite() && h.hi.is_finite());
             let _ = write!(
                 o,
                 "{{\"lo\":{},\"hi\":{},\"total\":{},\"nan_count\":{},\"counts\":[",
-                json_f64(h.lo),
-                json_f64(h.hi),
+                json::f64_exact(h.lo),
+                json::f64_exact(h.hi),
                 h.total,
                 h.nan_count
             );
@@ -403,27 +405,10 @@ fn push_entries(
         if i > 0 {
             out.push(',');
         }
-        out.push('"');
-        for ch in path.chars() {
-            match ch {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                c if (c as u32) < 0x20 => {
-                    let _ = write!(out, "\\u{:04x}", c as u32);
-                }
-                c => out.push(c),
-            }
-        }
-        out.push_str("\":");
+        json::write_str(out, path);
+        out.push(':');
         value(out, id);
     }
-}
-
-/// Shortest-roundtrip f64 formatting (Rust's `{:?}`), which is
-/// deterministic and valid JSON for finite values.
-fn json_f64(x: f64) -> String {
-    debug_assert!(x.is_finite());
-    format!("{x:?}")
 }
 
 #[cfg(test)]

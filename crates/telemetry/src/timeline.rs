@@ -55,6 +55,7 @@
 //! assert_eq!(tl.last("mac.frames"), Some(35.0));
 //! ```
 
+use crate::codec::{put_name, put_varint, unzigzag, zigzag, Reader};
 use crate::littletable::Agg;
 use crate::metrics::Registry;
 use crate::streaming::RollingWindow;
@@ -93,7 +94,7 @@ impl SeriesKind {
         }
     }
 
-    /// Short human label (`timectl summary`).
+    /// Short human label (`wifictl time summary`).
     pub fn label(self) -> &'static str {
         match self {
             SeriesKind::Counter => "counter",
@@ -326,7 +327,7 @@ impl Tier {
     }
 }
 
-/// Read-only view of one tier (for `timectl summary`/queries).
+/// Read-only view of one tier (for `wifictl time summary`/queries).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TierView<'a> {
     tier: &'a Tier,
@@ -578,7 +579,7 @@ impl Timeline {
     }
 
     /// Raw samples in `[from, to)` with their exact bit patterns —
-    /// what `timectl diff` compares so divergence is never masked by
+    /// what `wifictl time diff` compares so divergence is never masked by
     /// float printing.
     pub fn range_bits(
         &self,
@@ -814,7 +815,7 @@ impl Timeline {
     /// mismatch, or trailing garbage is an error. The parsed timeline
     /// is frozen (query/serialize only).
     pub fn parse(bytes: &[u8]) -> Result<Timeline, String> {
-        let mut r = Reader { bytes, off: 0 };
+        let mut r = Reader::new(bytes);
         let magic = r.take(4)?;
         if magic != MAGIC {
             return Err(format!("bad magic {magic:02x?}, want {MAGIC:02x?}"));
@@ -827,10 +828,9 @@ impl Timeline {
                 return Err("tick count > 0 with zero sampling interval".to_owned());
             }
             let first = r.u64()?;
-            if first != base * every_ns {
+            if base.checked_mul(every_ns) != Some(first) {
                 return Err(format!(
-                    "first timestamp {first}ns off the nominal grid ({}ns)",
-                    base * every_ns
+                    "first timestamp {first}ns off the nominal grid (tick {base} x {every_ns}ns)"
                 ));
             }
             for _ in 1..len {
@@ -842,18 +842,9 @@ impl Timeline {
                 }
             }
         }
-        let n_series = r.u32()? as usize;
-        let mut series = BTreeMap::new();
-        let mut prev_name = String::new();
-        for i in 0..n_series {
-            let (name, kind, start, vals) = take_series(&mut r)?;
-            if i > 0 && name <= prev_name {
-                return Err(format!("series {name} out of order"));
-            }
-            prev_name = name.clone();
-            series.insert(name, Series { kind, start, vals });
-        }
-        let n_tiers = r.u32()? as usize;
+        let series = take_series_map(&mut r, |kind, start, vals| Series { kind, start, vals })?;
+        let n_tiers = r.u32()?;
+        let n_tiers = r.count(n_tiers.into(), MIN_TIER_BYTES)?;
         let mut tiers = Vec::with_capacity(n_tiers);
         for _ in 0..n_tiers {
             let bucket_ns = r.u64()?;
@@ -863,25 +854,12 @@ impl Timeline {
             let agg = agg_from_tag(r.u8()?)?;
             let t_base = r.u64()?;
             let t_len = u64::from(r.u32()?);
-            let n = r.u32()? as usize;
-            let mut tser = BTreeMap::new();
-            let mut prev = String::new();
-            for i in 0..n {
-                let (name, kind, start, vals) = take_series(&mut r)?;
-                if i > 0 && name <= prev {
-                    return Err(format!("tier series {name} out of order"));
-                }
-                prev = name.clone();
-                tser.insert(
-                    name,
-                    TierSeries {
-                        kind,
-                        start,
-                        vals,
-                        acc: None,
-                    },
-                );
-            }
+            let tser = take_series_map(&mut r, |kind, start, vals| TierSeries {
+                kind,
+                start,
+                vals,
+                acc: None,
+            })?;
             tiers.push(Tier {
                 bucket_ns,
                 agg,
@@ -892,12 +870,7 @@ impl Timeline {
                 series: tser,
             });
         }
-        if r.off != bytes.len() {
-            return Err(format!(
-                "trailing garbage: {} bytes after the last tier",
-                bytes.len() - r.off
-            ));
-        }
+        r.end("the last tier")?;
         Ok(Timeline {
             every_ns,
             capacity: usize::MAX,
@@ -935,7 +908,7 @@ fn agg_from_tag(tag: u8) -> Result<Agg, String> {
     }
 }
 
-/// Human label for an aggregation (`timectl summary`/`query --agg`).
+/// Human label for an aggregation (`wifictl time summary`/`query --agg`).
 pub fn agg_label(agg: Agg) -> &'static str {
     match agg {
         Agg::Mean => "mean",
@@ -962,24 +935,12 @@ pub fn agg_from_name(name: &str) -> Option<Agg> {
 
 // ---- codec --------------------------------------------------------
 
-/// LEB128 unsigned varint.
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        out.push((v & 0x7f) as u8 | 0x80);
-        v >>= 7;
-    }
-    out.push(v as u8);
-}
-
-fn zigzag(v: i64) -> u64 {
-    u64::from_le_bytes(((v << 1) ^ (v >> 63)).to_le_bytes())
-}
-
-fn unzigzag(z: u64) -> i64 {
-    let half = i64::from_le_bytes((z >> 1).to_le_bytes());
-    let sign = -i64::from_le_bytes((z & 1).to_le_bytes());
-    half ^ sign
-}
+/// Smallest encoded series: empty name, kind, start, value count,
+/// payload length.
+const MIN_SERIES_BYTES: usize = 2 + 1 + 8 + 4 + 4;
+/// Smallest encoded tier: bucket, agg tag, evicted rows, row count,
+/// series count.
+const MIN_TIER_BYTES: usize = 8 + 1 + 8 + 4 + 4;
 
 fn i64_bits(v: i64) -> u64 {
     u64::from_le_bytes(v.to_le_bytes())
@@ -1010,13 +971,7 @@ fn encode_vals(kind: SeriesKind, vals: &VecDeque<u64>) -> Vec<u8> {
 }
 
 fn put_series(out: &mut Vec<u8>, name: &str, kind: SeriesKind, start: u64, vals: &VecDeque<u64>) {
-    let bytes = name.as_bytes();
-    out.extend_from_slice(
-        &u16::try_from(bytes.len())
-            .expect("series name length")
-            .to_le_bytes(),
-    );
-    out.extend_from_slice(bytes);
+    put_name(out, name);
     out.push(kind.tag());
     out.extend_from_slice(&start.to_le_bytes());
     out.extend_from_slice(
@@ -1033,98 +988,60 @@ fn put_series(out: &mut Vec<u8>, name: &str, kind: SeriesKind, start: u64, vals:
     out.extend_from_slice(&payload);
 }
 
+/// A `u32` series count, then that many series in strictly ascending
+/// name order.
+fn take_series_map<T>(
+    r: &mut Reader<'_>,
+    make: impl Fn(SeriesKind, u64, VecDeque<u64>) -> T,
+) -> Result<BTreeMap<String, T>, String> {
+    let n = r.u32()?;
+    let n = r.count(n.into(), MIN_SERIES_BYTES)?;
+    let mut map = BTreeMap::new();
+    for _ in 0..n {
+        let (name, kind, start, vals) = take_series(r)?;
+        if map.last_key_value().is_some_and(|(prev, _)| name <= *prev) {
+            return Err(format!("series {name} out of order"));
+        }
+        map.insert(name, make(kind, start, vals));
+    }
+    Ok(map)
+}
+
 fn take_series(r: &mut Reader<'_>) -> Result<(String, SeriesKind, u64, VecDeque<u64>), String> {
-    let name_len = r.u16()? as usize;
-    let name = String::from_utf8(r.take(name_len)?.to_vec())
-        .map_err(|e| format!("series name not UTF-8: {e}"))?;
+    let name = r.name("series")?;
     let kind = SeriesKind::from_tag(r.u8()?)?;
     let start = r.u64()?;
-    let count = r.u32()? as usize;
+    let count = r.u32()?;
     let payload_len = r.u32()? as usize;
-    let end = r
-        .off
-        .checked_add(payload_len)
-        .filter(|&e| e <= r.bytes.len())
-        .ok_or_else(|| format!("truncated payload for series {name}"))?;
+    let mut p = Reader::new(
+        r.take(payload_len)
+            .map_err(|_| format!("truncated payload for series {name}"))?,
+    );
+    // Every encoded value takes at least one payload byte.
+    let count = p.count(count.into(), 1)?;
     let mut vals = VecDeque::with_capacity(count);
     let mut prev: Option<u64> = None;
     for _ in 0..count {
         let bits = match (kind, prev) {
-            (SeriesKind::Counter, None) => r.varint()?,
-            (SeriesKind::Counter, Some(p)) => p.wrapping_add(r.varint()?),
-            (SeriesKind::Gauge, None) => i64_bits(unzigzag(r.varint()?)),
-            (SeriesKind::Gauge, Some(p)) => {
-                i64_bits(bits_i64(p).wrapping_add(unzigzag(r.varint()?)))
+            (SeriesKind::Counter, None) => p.varint()?,
+            (SeriesKind::Counter, Some(prev)) => prev.wrapping_add(p.varint()?),
+            (SeriesKind::Gauge, None) => i64_bits(unzigzag(p.varint()?)),
+            (SeriesKind::Gauge, Some(prev)) => {
+                i64_bits(bits_i64(prev).wrapping_add(unzigzag(p.varint()?)))
             }
-            (SeriesKind::F64, None) => r.u64()?,
-            (SeriesKind::F64, Some(p)) => p ^ r.varint()?,
+            (SeriesKind::F64, None) => p.u64()?,
+            (SeriesKind::F64, Some(prev)) => prev ^ p.varint()?,
         };
         vals.push_back(bits);
         prev = Some(bits);
     }
-    if r.off != end {
+    if p.remaining() != 0 {
         return Err(format!(
-            "payload length mismatch for series {name}: declared {payload_len} bytes, decode ended at offset {} (expected {end})",
-            r.off
+            "payload length mismatch for series {name}: {count} values end {} bytes short of the declared {payload_len}",
+            p.remaining()
         ));
     }
     Ok((name, kind, start, vals))
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    off: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self
-            .off
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| format!("truncated dump at offset {}", self.off))?;
-        let s = &self.bytes[self.off..end];
-        self.off = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, String> {
-        Ok(u16::from_le_bytes(
-            self.take(2)?.try_into().expect("2 bytes"),
-        ))
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn varint(&mut self) -> Result<u64, String> {
-        let mut v: u64 = 0;
-        let mut shift = 0u32;
-        loop {
-            let b = self.u8()?;
-            if shift >= 64 || (shift == 63 && b > 1) {
-                return Err(format!("varint overflow at offset {}", self.off));
-            }
-            v |= u64::from(b & 0x7f) << shift;
-            if b & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1200,6 +1117,33 @@ mod tests {
         let parsed = Timeline::parse(&bytes).expect("parse");
         assert_eq!(parsed.to_bytes(), bytes);
         assert!(parsed.is_empty());
+    }
+
+    #[test]
+    fn parse_rejects_inflated_counts_without_allocating() {
+        let all_ones = |bytes: &[u8], off: usize, was: u32| {
+            let mut b = bytes.to_vec();
+            assert_eq!(b[off..off + 4], was.to_le_bytes(), "layout moved");
+            b[off..off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            b
+        };
+        // Empty timeline: magic, cadence, base, tick count, then the
+        // series count, the tier count and tier 0's header.
+        let empty = Timeline::new(&cfg(100)).to_bytes();
+        let series_count = 4 + 8 + 8 + 4;
+        let tier_count = series_count + 4;
+        let tier0_series_count = tier_count + 4 + 8 + 1 + 8 + 4;
+        for (off, was) in [(series_count, 0), (tier_count, 2), (tier0_series_count, 0)] {
+            assert!(Timeline::parse(&all_ones(&empty, off, was)).is_err());
+        }
+        // One tick of one counter named "c": the per-series value count.
+        let mut reg = Registry::new();
+        reg.count("c", 1);
+        let mut tl = Timeline::new(&cfg(100));
+        tl.sample(SimTime::ZERO, &reg);
+        tl.seal();
+        let value_count = 4 + 8 + 8 + 4 + 8 + 4 + 2 + 1 + 1 + 8;
+        assert!(Timeline::parse(&all_ones(&tl.to_bytes(), value_count, 1)).is_err());
     }
 
     #[test]
@@ -1345,13 +1289,6 @@ mod tests {
         let reg = Registry::new();
         let mut tl = Timeline::new(&cfg(100));
         tl.sample(SimTime::from_millis(50), &reg);
-    }
-
-    #[test]
-    fn zigzag_covers_extremes() {
-        for v in [0i64, 1, -1, i64::MAX, i64::MIN, 42, -4242] {
-            assert_eq!(unzigzag(zigzag(v)), v);
-        }
     }
 
     proptest! {

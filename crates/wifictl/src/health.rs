@@ -1,29 +1,32 @@
-//! `healthctl` — triage health snapshots produced by `telemetry::health`.
+//! `wifictl health` — triage health snapshots produced by
+//! `telemetry::health`.
 //!
 //! The health engine serializes each run's alert stream to canonical
 //! JSON: a [`HealthReport`] (`{"steps":…`) from a single testbed run,
-//! or a [`HealthRollup`] (`{"by_rule":…`) from a fleet run. This crate
-//! is the reader side: a library of renderers plus a thin CLI
-//! (`src/main.rs`) exposing them:
+//! or a [`HealthRollup`] (`{"by_rule":…`) from a fleet run. This module
+//! is the reader side:
 //!
-//! * `healthctl summary <health.json>` — steps, score, alert counts by
-//!   rule and severity, and (for rollups) the worst-N networks;
-//! * `healthctl alerts <health.json> [--rule <r>] [--network <n>]
+//! * `wifictl health summary <health.json>` — steps, score, alert counts
+//!   by rule and severity, and (for rollups) the worst-N networks;
+//! * `wifictl health alerts <health.json> [--rule <r>] [--network <n>]
 //!   [--severity <s>]` — filtered alert listing;
 //! * both take `--json` for a machine-readable rendering (one JSON
 //!   object, byte-stable for a given snapshot);
-//! * `healthctl explain <health.json> [<idx>] [--trace <dump.bin>]` —
-//!   one alert in detail. With no index, picks the worst alert
+//! * `wifictl health explain <health.json> [<idx>] [--trace <dump.bin>]`
+//!   — one alert in detail. With no index, picks the worst alert
 //!   (highest severity, earliest raise). With `--trace`, resolves the
 //!   alert's causal link through the flight dump and prints the full
-//!   `tracectl chain` for its flow;
-//! * `healthctl diff <a> <b>` — determinism triage: exits 1 when the
-//!   two snapshots diverge, pointing at the first difference.
+//!   `wifictl trace chain` for its flow;
+//! * `wifictl health diff <a> <b>` — determinism triage: exits 1 when
+//!   the two snapshots diverge, pointing at the first difference.
 //!
 //! Every renderer returns a `String` so tests assert on output
 //! verbatim; only `main` prints.
 
+use crate::cli::{self, Args, Outcome};
+use crate::trace;
 use telemetry::flight::FlightDump;
+use telemetry::health::write_count_map;
 use telemetry::{Alert, HealthReport, HealthRollup};
 
 /// A parsed snapshot file — either kind, distinguished by the first
@@ -71,63 +74,9 @@ impl Loaded {
 
 // ---- JSON renderers -----------------------------------------------
 //
-// `Alert::to_json` is private to telemetry (it is a fragment of the
-// canonical snapshot grammar), so the machine-readable listings here
-// are built from the public fields with the same conventions: fixed
-// key order, `{:?}` floats, minimal escaping. Output is byte-stable
-// for a given snapshot — ci.sh smoke-tests it.
-
-fn json_escape(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn alert_json(a: &Alert, out: &mut String) {
-    out.push_str("{\"component\":");
-    json_escape(&a.component, out);
-    out.push_str(",\"rule\":");
-    json_escape(&a.rule, out);
-    out.push_str(",\"severity\":\"");
-    out.push_str(a.severity.as_str());
-    out.push_str("\",\"raised_at_ns\":");
-    out.push_str(&a.raised_at.as_nanos().to_string());
-    out.push_str(",\"cleared_at_ns\":");
-    match a.cleared_at {
-        Some(t) => out.push_str(&t.as_nanos().to_string()),
-        None => out.push_str("null"),
-    }
-    out.push_str(",\"flow\":");
-    match a.cause_flow() {
-        Some(f) => out.push_str(&f.to_string()),
-        None => out.push_str("null"),
-    }
-    out.push_str(",\"value\":");
-    out.push_str(&format!("{:?}", a.value));
-    out.push_str(",\"threshold\":");
-    out.push_str(&format!("{:?}", a.threshold));
-    out.push('}');
-}
-
-fn count_map_json(counts: &std::collections::BTreeMap<String, u64>, out: &mut String) {
-    out.push('{');
-    for (i, (k, v)) in counts.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        json_escape(k, out);
-        out.push(':');
-        out.push_str(&v.to_string());
-    }
-    out.push('}');
-}
+// Built from the canonical snapshot grammar's own fragments
+// (`Alert::write_json`, `write_count_map`, `write_worst`), so the
+// listings are byte-stable for a given snapshot — ci.sh smoke-tests it.
 
 /// `summary` as one JSON object (`--json`).
 pub fn summary_json(loaded: &Loaded) -> String {
@@ -144,22 +93,12 @@ pub fn summary_json(loaded: &Loaded) -> String {
     out.push_str(",\"score\":");
     out.push_str(&r.score().to_string());
     out.push_str(",\"by_rule\":");
-    count_map_json(&r.counts_by_rule(), &mut out);
+    write_count_map(&mut out, &r.counts_by_rule());
     out.push_str(",\"by_severity\":");
-    count_map_json(&r.counts_by_severity(), &mut out);
+    write_count_map(&mut out, &r.counts_by_severity());
     if let Loaded::Rollup(roll) = loaded {
-        out.push_str(",\"worst\":[");
-        for (i, (label, score)) in roll.worst.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('[');
-            json_escape(label, &mut out);
-            out.push(',');
-            out.push_str(&score.to_string());
-            out.push(']');
-        }
-        out.push(']');
+        out.push_str(",\"worst\":");
+        roll.write_worst(&mut out);
     }
     out.push_str("}\n");
     out
@@ -175,7 +114,7 @@ pub fn alerts_json(loaded: &Loaded, filter: &AlertFilter) -> String {
             if n > 0 {
                 out.push(',');
             }
-            alert_json(a, &mut out);
+            a.write_json(&mut out, "flow", a.cause_flow());
             n += 1;
         }
     }
@@ -296,7 +235,7 @@ pub fn worst_alert(r: &HealthReport) -> Option<usize> {
 /// One alert in detail. `idx` indexes the canonical alert order (as
 /// printed by `alerts`); `None` picks the worst alert. When a flight
 /// dump is supplied and the alert carries a causal link, the full
-/// `tracectl chain` for its flow is appended — the complete story from
+/// `wifictl trace chain` for its flow is appended — the complete story from
 /// TCP segment to airtime for the transmission that tripped the rule.
 pub fn explain(loaded: &Loaded, idx: Option<usize>, dump: Option<&FlightDump>) -> String {
     let r = loaded.report();
@@ -313,8 +252,10 @@ pub fn explain(loaded: &Loaded, idx: Option<usize>, dump: Option<&FlightDump>) -
             "causal flow {f} — rerun with --trace <dump.bin> to resolve the chain\n"
         )),
         (Some(f), Some(d)) => {
+            // The label predates `wifictl`; it is kept because this
+            // output is byte-compared against the old `healthctl`.
             out.push_str(&format!("causal chain (tracectl chain {f}):\n"));
-            out.push_str(&tracectl::chain(d, Some(f)));
+            out.push_str(&trace::chain(d, Some(f)));
         }
     }
     out
@@ -367,48 +308,31 @@ pub fn diff(a: &Loaded, b: &Loaded) -> (String, bool) {
 }
 
 /// CLI usage text.
-pub fn usage() -> String {
-    [
-        "healthctl — triage health snapshots",
-        "",
-        "usage:",
-        "  healthctl summary <health.json> [--json]",
-        "  healthctl alerts <health.json> [--rule <r>] [--network <n>] [--severity <s>] [--json]",
-        "  healthctl explain <health.json> [<idx>] [--trace <dump.bin>]",
-        "  healthctl diff <a.json> <b.json>",
-        "",
-    ]
-    .join("\n")
-}
+pub const USAGE: &str = "wifictl health — triage health snapshots
+
+usage:
+  wifictl health summary <health.json> [--json]
+  wifictl health alerts <health.json> [--rule <r>] [--network <n>] [--severity <s>] [--json]
+  wifictl health explain <health.json> [<idx>] [--trace <dump.bin>]
+  wifictl health diff <a.json> <b.json>
+";
 
 fn load(path: &str) -> Result<Loaded, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    Loaded::from_json(&text).map_err(|e| format!("cannot parse {path}: {e}"))
+    Loaded::from_json(&cli::read_text(path)?).map_err(|e| format!("cannot parse {path}: {e}"))
 }
 
-fn load_dump(path: &str) -> Result<FlightDump, String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    FlightDump::parse(&bytes).map_err(|e| format!("cannot parse {path}: {e}"))
-}
-
-/// Dispatch a full argv (without the program name). Returns the output
-/// to print and the process exit code; `Err` is a usage/IO error whose
-/// message goes to stderr with exit code 2.
-pub fn run(args: &[String]) -> Result<(String, i32), String> {
+/// Dispatch `wifictl health <args>`.
+pub fn run(args: &[String]) -> Outcome {
     let cmd = args.first().map(String::as_str);
+    let rest = args.get(1..).unwrap_or_default();
     match cmd {
         Some("summary") => {
-            let path = args.get(1).ok_or_else(usage)?;
-            let mut json = false;
-            for a in &args[2..] {
-                if a == "--json" {
-                    json = true;
-                } else {
-                    return Err(format!("unknown summary argument {a}\n{}", usage()));
-                }
-            }
+            let a = Args::parse(rest, &[], &["--json"], USAGE)?;
+            let [path] = a.positional.as_slice() else {
+                return Err(USAGE.to_owned());
+            };
             let loaded = load(path)?;
-            let out = if json {
+            let out = if a.switch("--json") {
                 summary_json(&loaded)
             } else {
                 summary(&loaded)
@@ -416,31 +340,18 @@ pub fn run(args: &[String]) -> Result<(String, i32), String> {
             Ok((out, 0))
         }
         Some("alerts") => {
-            let path = args.get(1).ok_or_else(usage)?;
-            let mut filter = AlertFilter::default();
-            let mut json = false;
-            let mut it = args[2..].iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--rule" => filter.rule = it.next().cloned(),
-                    "--network" => filter.network = it.next().cloned(),
-                    "--severity" => filter.severity = it.next().cloned(),
-                    "--json" => json = true,
-                    other => {
-                        if let Some(p) = other.strip_prefix("--rule=") {
-                            filter.rule = Some(p.to_owned());
-                        } else if let Some(p) = other.strip_prefix("--network=") {
-                            filter.network = Some(p.to_owned());
-                        } else if let Some(p) = other.strip_prefix("--severity=") {
-                            filter.severity = Some(p.to_owned());
-                        } else {
-                            return Err(format!("unknown alerts argument {other}\n{}", usage()));
-                        }
-                    }
-                }
-            }
+            let valued = ["--rule", "--network", "--severity"];
+            let a = Args::parse(rest, &valued, &["--json"], USAGE)?;
+            let [path] = a.positional.as_slice() else {
+                return Err(USAGE.to_owned());
+            };
+            let filter = AlertFilter {
+                rule: a.value("--rule").map(str::to_owned),
+                network: a.value("--network").map(str::to_owned),
+                severity: a.value("--severity").map(str::to_owned),
+            };
             let loaded = load(path)?;
-            let out = if json {
+            let out = if a.switch("--json") {
                 alerts_json(&loaded, &filter)
             } else {
                 alerts(&loaded, &filter)
@@ -448,46 +359,38 @@ pub fn run(args: &[String]) -> Result<(String, i32), String> {
             Ok((out, 0))
         }
         Some("explain") => {
-            let path = args.get(1).ok_or_else(usage)?;
-            let mut idx: Option<usize> = None;
-            let mut trace: Option<String> = None;
-            let mut it = args[2..].iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--trace" => trace = it.next().cloned(),
-                    other => {
-                        if let Some(p) = other.strip_prefix("--trace=") {
-                            trace = Some(p.to_owned());
-                        } else if idx.is_none() && !other.starts_with("--") {
-                            idx = Some(
-                                other
-                                    .parse()
-                                    .map_err(|e| format!("bad alert index {other}: {e}"))?,
-                            );
-                        } else {
-                            return Err(format!("unknown explain argument {other}\n{}", usage()));
-                        }
-                    }
+            let a = Args::parse(rest, &["--trace"], &[], USAGE)?;
+            let (path, idx) = match a.positional.as_slice() {
+                [path] => (path, None),
+                [path, idx] => {
+                    let idx = idx
+                        .parse()
+                        .map_err(|e| format!("bad alert index {idx}: {e}"));
+                    (path, Some(idx?))
                 }
-            }
-            let dump = trace.as_deref().map(load_dump).transpose()?;
+                _ => return Err(USAGE.to_owned()),
+            };
+            let dump = a.value("--trace").map(trace::load).transpose()?;
             Ok((explain(&load(path)?, idx, dump.as_ref()), 0))
         }
         Some("diff") => {
-            let pa = args.get(1).ok_or_else(usage)?;
-            let pb = args.get(2).ok_or_else(usage)?;
+            let a = Args::parse(rest, &[], &[], USAGE)?;
+            let [pa, pb] = a.positional.as_slice() else {
+                return Err(USAGE.to_owned());
+            };
             let (out, same) = diff(&load(pa)?, &load(pb)?);
-            Ok((out, if same { 0 } else { 1 }))
+            Ok((out, i32::from(!same)))
         }
-        _ => Err(usage()),
+        _ => Err(USAGE.to_owned()),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim::{SimDuration, SimTime};
-    use telemetry::flight::{cause_for, AirKind, FlightRecorder, TraceRecord};
+    use crate::trace::tests::sample as sample_dump;
+    use sim::SimTime;
+    use telemetry::flight::cause_for;
     use telemetry::health::RULE_AMPDU_COLLAPSE;
     use telemetry::{CauseId, Severity};
 
@@ -526,73 +429,6 @@ mod tests {
             ],
             5,
         )
-    }
-
-    fn sample_dump() -> FlightDump {
-        let rec = FlightRecorder::new(16);
-        let t = SimTime::from_micros;
-        let c = cause_for(3, 1460);
-        rec.emit(
-            "tcp.wire",
-            t(1),
-            c,
-            TraceRecord::TcpSeg {
-                flow: 3,
-                seq: 1460,
-                len: 1460,
-                retransmit: false,
-            },
-        );
-        rec.emit(
-            "mac.ampdu",
-            t(2),
-            c,
-            TraceRecord::AmpduBuild {
-                flow: 3,
-                frames: 8,
-                bytes: 11_680,
-            },
-        );
-        rec.emit(
-            "mac.tx",
-            t(3),
-            c,
-            TraceRecord::MacTx {
-                flow: 3,
-                seq: 1460,
-                delivered: true,
-            },
-        );
-        rec.emit(
-            "mac.back",
-            t(4),
-            c,
-            TraceRecord::BlockAck {
-                flow: 3,
-                acked: 8,
-                lost: 0,
-            },
-        );
-        rec.emit(
-            "fastack.synth",
-            t(5),
-            c,
-            TraceRecord::FastAckSynth {
-                flow: 3,
-                ack: 2920,
-                synthetic: true,
-            },
-        );
-        rec.emit(
-            "air",
-            t(5),
-            CauseId::NONE,
-            TraceRecord::AirtimeSpan {
-                kind: AirKind::Beacon,
-                dur: SimDuration::from_micros(120),
-            },
-        );
-        rec.snapshot()
     }
 
     #[test]
@@ -751,7 +587,7 @@ mod tests {
         assert!(run(&[]).is_err());
         assert!(run(&["nonsense".to_owned()]).is_err());
 
-        let dir = std::env::temp_dir().join("healthctl-test");
+        let dir = std::env::temp_dir().join("wifictl-health-test");
         std::fs::create_dir_all(&dir).unwrap();
         let p = dir.join("health.json");
         std::fs::write(&p, mk_rollup().to_json()).unwrap();

@@ -1,18 +1,17 @@
-//! `perfctl` — inspect run profiles and gate on the perf baseline.
+//! `wifictl perf` — inspect run profiles and gate on the perf baseline.
 //!
 //! The write side lives in `telemetry::runprof` (the `--runprof`
 //! sidecar every bench binary can emit) and in the bench harness's
-//! `--perf` fragments merged into `BENCH_simperf.json`. This crate is
-//! the reader side: a library of renderers plus a thin CLI
-//! (`src/main.rs`) in the `tracectl` house style:
+//! `--perf` fragments merged into `BENCH_simperf.json`. This module is
+//! the reader side, over `telemetry::json` values:
 //!
-//! * `perfctl summary <runprof.json>` — watermarks, stage wall times,
-//!   allocation counters, peak RSS, and throughput samples;
-//! * `perfctl diff <a.json> <b.json>` — determinism triage: the
+//! * `wifictl perf summary <runprof.json>` — watermarks, stage wall
+//!   times, allocation counters, peak RSS, and throughput samples;
+//! * `wifictl perf diff <a.json> <b.json>` — determinism triage: the
 //!   `deterministic` sections must match structurally (exit 1 naming
 //!   the first diverging path otherwise); wall-clock sections are
 //!   reported as deltas, never compared for equality;
-//! * `perfctl regress <current>... --baseline BENCH_simperf.json
+//! * `wifictl perf regress <current>... --baseline BENCH_simperf.json
 //!   [--tolerance 30%]` — the CI perf gate: every throughput label
 //!   present in both current and baseline must stay above
 //!   `(1 − tolerance) × baseline` events/sec. Multiple current files
@@ -27,242 +26,10 @@
 //! verbatim; only `main` prints. Exit codes: 0 ok, 1 regression or
 //! deterministic divergence, 2 usage/parse errors.
 
+use crate::cli::{self, Args, Outcome};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-
-// ---- minimal JSON value --------------------------------------------
-
-/// Parsed JSON. Objects keep sorted key order (BTreeMap) — every JSON
-/// writer in this workspace sorts keys anyway, and it makes structural
-/// diffs deterministic.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Value>),
-    Obj(BTreeMap<String, Value>),
-}
-
-impl Value {
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Obj(m) => m.get(key),
-            _ => None,
-        }
-    }
-
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    pub fn as_arr(&self) -> Option<&[Value]> {
-        match self {
-            Value::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-/// Parse one JSON document (strict enough for this workspace's
-/// hand-rolled writers; rejects trailing garbage).
-pub fn parse_json(text: &str) -> Result<Value, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing data at byte {}", p.pos));
-    }
-    Ok(v)
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, String> {
-        self.skip_ws();
-        self.bytes
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| "unexpected end of input".to_owned())
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek()? == b {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", char::from(b), self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, String> {
-        match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Ok(Value::Str(self.string()?)),
-            b't' => self.literal("true", Value::Bool(true)),
-            b'f' => self.literal("false", Value::Bool(false)),
-            b'n' => self.literal("null", Value::Null),
-            _ => self.number(),
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Value) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, String> {
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        let s = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "bad number".to_owned())?;
-        s.parse::<f64>()
-            .map(Value::Num)
-            .map_err(|_| format!("bad number {s:?} at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let b = self
-                .bytes
-                .get(self.pos)
-                .copied()
-                .ok_or("unterminated string")?;
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let e = self
-                        .bytes
-                        .get(self.pos)
-                        .copied()
-                        .ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
-                            let cp = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape {hex:?}"))?;
-                            self.pos += 4;
-                            // Surrogates don't appear in this
-                            // workspace's ASCII-escaped output.
-                            out.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos - 1)),
-                    }
-                }
-                _ => {
-                    // Re-decode multi-byte UTF-8 starting here.
-                    let start = self.pos - 1;
-                    let mut end = self.pos;
-                    while self.bytes.get(end).is_some_and(|&b| b & 0xC0 == 0x80) {
-                        end += 1;
-                    }
-                    let s = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| "invalid utf-8 in string")?;
-                    out.push_str(s);
-                    self.pos = end;
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek()? == b']' {
-            self.pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, String> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(Value::Obj(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            map.insert(key, self.value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Ok(Value::Obj(map));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-}
+use telemetry::json::Value;
 
 // ---- sample extraction ---------------------------------------------
 
@@ -657,68 +424,56 @@ pub fn regress(
 
 // ---- CLI ------------------------------------------------------------
 
-const USAGE: &str = "usage:
-  perfctl summary <runprof.json>
-  perfctl diff <a.json> <b.json>
-  perfctl regress <current.json>... --baseline <BENCH_simperf.json> [--tolerance 30%] [--strict]
+pub const USAGE: &str = "usage:
+  wifictl perf summary <runprof.json>
+  wifictl perf diff <a.json> <b.json>
+  wifictl perf regress <current.json>... --baseline <BENCH_simperf.json> [--tolerance 30%] [--strict]
 ";
 
 fn load(path: &str) -> Result<Value, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    parse_json(&text).map_err(|e| format!("{path}: {e}"))
+    telemetry::json::parse(&cli::read_text(path)?).map_err(|e| format!("{path}: {e}"))
 }
 
-/// CLI entry: returns (stdout, exit code); Err means usage/IO/parse
-/// failure (`main` prints it to stderr and exits 2).
-pub fn run(args: &[String]) -> Result<(String, i32), String> {
-    match args.first().map(String::as_str) {
+/// Dispatch `wifictl perf <args>`.
+pub fn run(args: &[String]) -> Outcome {
+    let cmd = args.first().map(String::as_str);
+    let rest = args.get(1..).unwrap_or_default();
+    match cmd {
         Some("summary") => {
-            let [path] = &args[1..] else {
+            let a = Args::parse(rest, &[], &[], USAGE)?;
+            let [path] = a.positional.as_slice() else {
                 return Err(USAGE.to_owned());
             };
             Ok((summary(&load(path)?)?, 0))
         }
         Some("diff") => {
-            let [a, b] = &args[1..] else {
+            let a = Args::parse(rest, &[], &[], USAGE)?;
+            let [pa, pb] = a.positional.as_slice() else {
                 return Err(USAGE.to_owned());
             };
-            diff(&load(a)?, &load(b)?)
+            diff(&load(pa)?, &load(pb)?)
         }
         Some("regress") => {
-            let mut baseline: Option<String> = None;
-            let mut tolerance = 0.30;
-            let mut strict = false;
-            let mut current: Vec<String> = Vec::new();
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--baseline" => {
-                        baseline = Some(it.next().ok_or(USAGE)?.clone());
-                    }
-                    "--tolerance" => {
-                        tolerance = parse_tolerance(it.next().ok_or(USAGE)?)?;
-                    }
-                    "--strict" => strict = true,
-                    _ => current.push(a.clone()),
-                }
-            }
-            let baseline = baseline.ok_or(USAGE)?;
-            if current.is_empty() {
+            let a = Args::parse(rest, &["--baseline", "--tolerance"], &["--strict"], USAGE)?;
+            let baseline = a.value("--baseline").ok_or(USAGE)?;
+            let tolerance = a.value("--tolerance").map_or(Ok(0.30), parse_tolerance)?;
+            if a.positional.is_empty() {
                 return Err(USAGE.to_owned());
             }
-            let base_samples = extract_samples(&load(&baseline)?);
-            if base_samples.is_empty() {
-                return Err(format!("{baseline}: no samples found"));
-            }
-            let mut cur = Vec::new();
-            for p in &current {
-                let s = extract_samples(&load(p)?);
+            let samples = |path: &str| {
+                let s = extract_samples(&load(path)?);
                 if s.is_empty() {
-                    return Err(format!("{p}: no samples found"));
+                    return Err(format!("{path}: no samples found"));
                 }
-                cur.push(s);
-            }
-            regress(&cur, &base_samples, tolerance, strict)
+                Ok(s)
+            };
+            let base = samples(baseline)?;
+            let cur = a
+                .positional
+                .iter()
+                .map(|p| samples(p))
+                .collect::<Result<Vec<_>, _>>()?;
+            regress(&cur, &base, tolerance, a.switch("--strict"))
         }
         _ => Err(USAGE.to_owned()),
     }
@@ -727,6 +482,7 @@ pub fn run(args: &[String]) -> Result<(String, i32), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use telemetry::json::parse as parse_json;
 
     const FRAGMENT: &str = r#"{
   "bench": "fig18",

@@ -1,28 +1,28 @@
-//! `timectl` — inspect deterministic TSL1 timeline dumps.
+//! `wifictl time` — inspect deterministic TSL1 timeline dumps.
 //!
 //! The timeline sampler (`telemetry::timeline`) serializes each run's
 //! periodic counter/gauge/f64 snapshots to a delta-encoded binary dump.
-//! This crate is the reader side: a library of renderers over parsed
-//! [`Timeline`]s plus a thin CLI (`src/main.rs`) exposing them:
+//! This module is the reader side, renderers over parsed [`Timeline`]s:
 //!
-//! * `timectl summary <dump>` — cadence, tick retention/eviction, time
-//!   range, per-series table, and the downsampled tiers;
-//! * `timectl query <dump> <series> [--from <ms>] [--to <ms>]
+//! * `wifictl time summary <dump>` — cadence, tick retention/eviction,
+//!   time range, per-series table, and the downsampled tiers;
+//! * `wifictl time query <dump> <series> [--from <ms>] [--to <ms>]
 //!   [--bucket <ms>] [--agg <mean|max|min|sum|count|last>]` — one
 //!   `seconds value` line per sample (or per bucket with `--bucket`),
 //!   printed with shortest-roundtrip floats so the fig14 cwnd curve
 //!   comes back token-identical to what the bench harness dumped;
-//! * `timectl plot <dump> <series> [--from/--to/--width]` — ASCII
+//! * `wifictl time plot <dump> <series> [--from/--to/--width]` — ASCII
 //!   sparkline, deterministic for a given dump;
-//! * `timectl export <dump> --csv [--series <prefix>]` — CSV
+//! * `wifictl time export <dump> --csv [--series <prefix>]` — CSV
 //!   (`series,kind,t_ns,value`) of every series, sorted by name;
-//! * `timectl diff <a> <b>` — determinism triage: byte-compares two
-//!   dumps and, when they differ, names the first diverging series and
-//!   timestamp (exit 1).
+//! * `wifictl time diff <a> <b>` — determinism triage: byte-compares
+//!   two dumps and, when they differ, names the first diverging series
+//!   and timestamp (exit 1).
 //!
 //! Every renderer returns a `String` so tests assert on output
 //! verbatim; only `main` prints.
 
+use crate::cli::{self, Args, Outcome};
 use sim::{SimDuration, SimTime};
 use std::fmt::Write as _;
 use telemetry::timeline::{agg_from_name, agg_label, Timeline};
@@ -113,7 +113,7 @@ pub fn query(
 ) -> Result<String, String> {
     if tl.kind(series).is_none() {
         return Err(format!(
-            "no series {series} in dump (try `timectl summary`)"
+            "no series {series} in dump (try `wifictl time summary`)"
         ));
     }
     let pts = match bucket {
@@ -135,7 +135,7 @@ const BARS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█']
 pub fn plot(tl: &Timeline, series: &str, w: Window, width: usize) -> Result<String, String> {
     if tl.kind(series).is_none() {
         return Err(format!(
-            "no series {series} in dump (try `timectl summary`)"
+            "no series {series} in dump (try `wifictl time summary`)"
         ));
     }
     let width = width.max(1);
@@ -286,144 +286,93 @@ fn f64_or_raw(kind: &str, bits: u64) -> String {
 }
 
 /// CLI usage text.
-pub fn usage() -> String {
-    [
-        "timectl — inspect TSL1 timeline dumps",
-        "",
-        "usage:",
-        "  timectl summary <dump.bin>",
-        "  timectl query <dump.bin> <series> [--from <ms>] [--to <ms>]",
-        "                [--bucket <ms>] [--agg <mean|max|min|sum|count|last>]",
-        "  timectl plot <dump.bin> <series> [--from <ms>] [--to <ms>] [--width <cols>]",
-        "  timectl export <dump.bin> --csv [--series <prefix>]",
-        "  timectl diff <a.bin> <b.bin>",
-        "",
-    ]
-    .join("\n")
-}
+pub const USAGE: &str = "wifictl time — inspect TSL1 timeline dumps
+
+usage:
+  wifictl time summary <dump.bin>
+  wifictl time query <dump.bin> <series> [--from <ms>] [--to <ms>]
+                     [--bucket <ms>] [--agg <mean|max|min|sum|count|last>]
+  wifictl time plot <dump.bin> <series> [--from <ms>] [--to <ms>] [--width <cols>]
+  wifictl time export <dump.bin> --csv [--series <prefix>]
+  wifictl time diff <a.bin> <b.bin>
+";
 
 fn load(path: &str) -> Result<Timeline, String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    Timeline::parse(&bytes).map_err(|e| format!("cannot parse {path}: {e}"))
+    Timeline::parse(&cli::read_bytes(path)?).map_err(|e| format!("cannot parse {path}: {e}"))
 }
 
-fn parse_ms(v: &str, flag: &str) -> Result<SimDuration, String> {
-    let ms: u64 = v
-        .parse()
-        .map_err(|e| format!("bad {flag} value {v} (want milliseconds): {e}"))?;
-    Ok(SimDuration::from_millis(ms))
+fn ms(a: &Args, flag: &str) -> Result<Option<SimDuration>, String> {
+    a.value(flag)
+        .map(|v| {
+            v.parse()
+                .map(SimDuration::from_millis)
+                .map_err(|e| format!("bad {flag} value {v} (want milliseconds): {e}"))
+        })
+        .transpose()
 }
 
-/// `--from/--to/--bucket/--agg/--width/--series` shared option parser.
-#[derive(Debug, Default)]
-struct QueryOpts {
-    window: Window,
-    bucket: Option<SimDuration>,
-    agg: Option<Agg>,
-    width: Option<usize>,
-    csv: bool,
-    series_prefix: Option<String>,
-    positional: Vec<String>,
-}
-
-fn parse_opts(args: &[String]) -> Result<QueryOpts, String> {
-    let mut o = QueryOpts::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut take = |flag: &str| -> Result<Option<String>, String> {
-            if a == flag {
-                Ok(Some(
-                    it.next()
-                        .ok_or_else(|| format!("{flag} needs a value"))?
-                        .clone(),
-                ))
-            } else {
-                Ok(a.strip_prefix(&format!("{flag}=")).map(str::to_owned))
-            }
-        };
-        if let Some(v) = take("--from")? {
-            o.window.from = SimTime::ZERO + parse_ms(&v, "--from")?;
-        } else if let Some(v) = take("--to")? {
-            o.window.to = SimTime::ZERO + parse_ms(&v, "--to")?;
-        } else if let Some(v) = take("--bucket")? {
-            o.bucket = Some(parse_ms(&v, "--bucket")?);
-        } else if let Some(v) = take("--agg")? {
-            o.agg = Some(agg_from_name(&v).ok_or_else(|| format!("unknown --agg {v}"))?);
-        } else if let Some(v) = take("--width")? {
-            o.width = Some(v.parse().map_err(|e| format!("bad --width {v}: {e}"))?);
-        } else if let Some(v) = take("--series")? {
-            o.series_prefix = Some(v);
-        } else if a == "--csv" {
-            o.csv = true;
-        } else if a.starts_with("--") {
-            return Err(format!("unknown argument {a}\n{}", usage()));
-        } else {
-            o.positional.push(a.clone());
-        }
+/// `--from`/`--to`, defaulting to everything.
+fn window(a: &Args) -> Result<Window, String> {
+    let mut w = Window::default();
+    if let Some(d) = ms(a, "--from")? {
+        w.from = SimTime::ZERO + d;
     }
-    Ok(o)
+    if let Some(d) = ms(a, "--to")? {
+        w.to = SimTime::ZERO + d;
+    }
+    Ok(w)
 }
 
-/// Dispatch a full argv (without the program name). Returns the output
-/// to print and the process exit code; `Err` is a usage/IO error whose
-/// message goes to stderr with exit code 2.
-pub fn run(args: &[String]) -> Result<(String, i32), String> {
+/// Dispatch `wifictl time <args>`. The flag set is shared: a subcommand
+/// tolerates (and ignores) the flags only another one reads.
+pub fn run(args: &[String]) -> Outcome {
     let cmd = args.first().map(String::as_str);
-    let rest = args.get(1..).unwrap_or_default();
-    match cmd {
-        Some("summary") => {
-            let o = parse_opts(rest)?;
-            let [path] = o.positional.as_slice() else {
-                return Err(usage());
-            };
-            Ok((summary(&load(path)?), 0))
-        }
-        Some("query") => {
-            let o = parse_opts(rest)?;
-            let [path, series] = o.positional.as_slice() else {
-                return Err(usage());
-            };
-            if o.agg.is_some() && o.bucket.is_none() {
+    let valued = ["--from", "--to", "--bucket", "--agg", "--width", "--series"];
+    let a = Args::parse(
+        args.get(1..).unwrap_or_default(),
+        &valued,
+        &["--csv"],
+        USAGE,
+    )?;
+    match (cmd, a.positional.as_slice()) {
+        (Some("summary"), [path]) => Ok((summary(&load(path)?), 0)),
+        (Some("query"), [path, series]) => {
+            let bucket = ms(&a, "--bucket")?;
+            let agg = a
+                .value("--agg")
+                .map(|v| agg_from_name(v).ok_or_else(|| format!("unknown --agg {v}")))
+                .transpose()?;
+            if agg.is_some() && bucket.is_none() {
                 return Err("--agg needs --bucket".to_owned());
             }
             let out = query(
                 &load(path)?,
                 series,
-                o.window,
-                o.bucket,
-                o.agg.unwrap_or(Agg::Mean),
+                window(&a)?,
+                bucket,
+                agg.unwrap_or(Agg::Mean),
             )?;
             Ok((out, 0))
         }
-        Some("plot") => {
-            let o = parse_opts(rest)?;
-            let [path, series] = o.positional.as_slice() else {
-                return Err(usage());
-            };
-            Ok((
-                plot(&load(path)?, series, o.window, o.width.unwrap_or(72))?,
-                0,
-            ))
+        (Some("plot"), [path, series]) => {
+            let width = a
+                .value("--width")
+                .map(|v| v.parse().map_err(|e| format!("bad --width {v}: {e}")))
+                .transpose()?;
+            let out = plot(&load(path)?, series, window(&a)?, width.unwrap_or(72))?;
+            Ok((out, 0))
         }
-        Some("export") => {
-            let o = parse_opts(rest)?;
-            let [path] = o.positional.as_slice() else {
-                return Err(usage());
-            };
-            if !o.csv {
-                return Err(format!("export wants --csv\n{}", usage()));
+        (Some("export"), [path]) => {
+            if !a.switch("--csv") {
+                return Err(format!("export wants --csv\n{USAGE}"));
             }
-            Ok((export_csv(&load(path)?, o.series_prefix.as_deref()), 0))
+            Ok((export_csv(&load(path)?, a.value("--series")), 0))
         }
-        Some("diff") => {
-            let o = parse_opts(rest)?;
-            let [pa, pb] = o.positional.as_slice() else {
-                return Err(usage());
-            };
+        (Some("diff"), [pa, pb]) => {
             let (out, same) = diff(&load(pa)?, &load(pb)?);
-            Ok((out, if same { 0 } else { 1 }))
+            Ok((out, i32::from(!same)))
         }
-        _ => Err(usage()),
+        _ => Err(USAGE.to_owned()),
     }
 }
 
@@ -570,7 +519,7 @@ mod tests {
         assert!(run(&[]).is_err());
         assert!(run(&["nonsense".to_owned()]).is_err());
 
-        let dir = std::env::temp_dir().join("timectl-test");
+        let dir = std::env::temp_dir().join("wifictl-time-test");
         std::fs::create_dir_all(&dir).unwrap();
         let p = dir.join("dump.bin");
         std::fs::write(&p, sample().to_bytes()).unwrap();

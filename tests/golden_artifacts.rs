@@ -21,17 +21,15 @@
 
 use wifi_core::netsim::testbed::{InterfererFault, Traffic};
 use wifi_core::prelude::*;
+use wifi_core::telemetry::codec::Fnv1a;
 use wifi_core::telemetry::{FlightDump, HealthReport, Registry};
 
 /// FNV-1a 64 over the artifact bytes: stable, dependency-free, and more
 /// than enough to detect drift (these are equality pins, not security).
 fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let mut h = Fnv1a::new();
+    h.write(bytes);
+    h.finish()
 }
 
 const GOLDEN_PATH: &str = concat!(

@@ -1,0 +1,218 @@
+//! Hostile-input sweep over every artifact parser.
+//!
+//! One small fig15-style run with every sink on produces the six
+//! artifact kinds the stack writes (metrics JSON, health JSON, a
+//! `HealthRollup`, a `QoeRollup`, the `FLT1` flight dump, the `TSL1`
+//! timeline dump). Each is then fed back to its strict parser
+//! truncated, with single bits flipped, and — for the binary formats —
+//! with every kind of length field set to all-ones. A parser may answer
+//! `Ok` or `Err`; it may never panic, and it may never abort on an
+//! allocation sized by a hostile length (an abort kills this process,
+//! so merely finishing is the assertion).
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use wifi_core::netsim::testbed::InterfererFault;
+use wifi_core::prelude::*;
+use wifi_core::telemetry::codec::Reader;
+use wifi_core::telemetry::{json, FlightDump, HealthReport, HealthRollup};
+
+/// ~256 evenly spaced offsets plus the first and last 64 bytes.
+fn offsets(len: usize) -> Vec<usize> {
+    let stride = (len / 256).max(1);
+    let mut offs: Vec<usize> = (0..len).step_by(stride).collect();
+    offs.extend(0..len.min(64));
+    offs.extend(len.saturating_sub(64)..len);
+    offs.sort_unstable();
+    offs.dedup();
+    offs
+}
+
+/// Run one parse, turning a panic into a test failure that names the
+/// mutation which provoked it. Returns whether the parser said `Err`.
+fn attempt<T>(what: &str, mutation: &str, parse: impl FnOnce() -> Result<T, String>) -> bool {
+    match catch_unwind(AssertUnwindSafe(parse)) {
+        Ok(verdict) => verdict.is_err(),
+        Err(_) => panic!("{what} parser panicked on {mutation}"),
+    }
+}
+
+/// Truncations and single-bit flips of `bytes` through `parse`.
+fn sweep<T>(what: &str, bytes: &[u8], parse: impl Fn(&[u8]) -> Result<T, String>) {
+    for off in offsets(bytes.len()) {
+        attempt(what, &format!("truncation to {off} bytes"), || {
+            parse(&bytes[..off])
+        });
+        let mut flipped = bytes.to_vec();
+        flipped[off] ^= 1 << (off % 8);
+        attempt(what, &format!("bit flip at byte {off}"), || parse(&flipped));
+    }
+}
+
+/// The same sweep for a text format. A flipped high bit leaves invalid
+/// UTF-8; the lossy decode turns it into a multi-byte replacement
+/// character, which is exactly the input error contexts must survive.
+fn sweep_text<T>(what: &str, text: &str, parse: impl Fn(&str) -> Result<T, String>) {
+    sweep(what, text.as_bytes(), |b| {
+        parse(&String::from_utf8_lossy(b))
+    });
+}
+
+/// Overwrite each listed little-endian length field with all-ones: no
+/// such dump is valid, so here the parser must answer `Err`.
+fn inflate<T>(
+    what: &str,
+    bytes: &[u8],
+    fields: &[(usize, usize)],
+    parse: impl Fn(&[u8]) -> Result<T, String>,
+) {
+    assert!(!fields.is_empty(), "{what}: no length fields located");
+    for &(off, width) in fields {
+        let mut hostile = bytes.to_vec();
+        hostile[off..off + width].fill(0xff);
+        let mutation = format!("all-ones {width}-byte length at byte {off}");
+        assert!(
+            attempt(what, &mutation, || parse(&hostile)),
+            "{what} parser accepted {mutation}"
+        );
+    }
+}
+
+/// `(offset, width)` of the length fields of an `FLT1` dump: component
+/// count, then per component the name length, the record count and the
+/// first and last record's length prefix.
+fn flt1_length_fields(bytes: &[u8]) -> Vec<(usize, usize)> {
+    let mut r = Reader::new(bytes);
+    let mut fields = Vec::new();
+    r.take(4).unwrap();
+    fields.push((r.offset(), 4));
+    for _ in 0..r.u32().unwrap() {
+        fields.push((r.offset(), 2));
+        let name_len = r.u16().unwrap();
+        r.take(usize::from(name_len) + 8 + 8).unwrap();
+        fields.push((r.offset(), 4));
+        let n_records = r.u32().unwrap();
+        for i in 0..n_records {
+            if i == 0 || i == n_records - 1 {
+                fields.push((r.offset(), 2));
+            }
+            let len = r.u16().unwrap();
+            r.take(usize::from(len)).unwrap();
+        }
+    }
+    r.end("the walk").unwrap();
+    fields
+}
+
+/// `(offset, width)` of the length fields of a `TSL1` dump: tick count,
+/// series counts, tier count, and per (tier) series the name length,
+/// value count and payload length.
+fn tsl1_length_fields(bytes: &[u8]) -> Vec<(usize, usize)> {
+    fn series(r: &mut Reader<'_>, fields: &mut Vec<(usize, usize)>) {
+        fields.push((r.offset(), 4));
+        for _ in 0..r.u32().unwrap() {
+            fields.push((r.offset(), 2));
+            let name_len = r.u16().unwrap();
+            r.take(usize::from(name_len) + 1 + 8).unwrap();
+            fields.push((r.offset(), 4));
+            r.u32().unwrap();
+            fields.push((r.offset(), 4));
+            let payload_len = r.u32().unwrap();
+            r.take(payload_len as usize).unwrap();
+        }
+    }
+    let mut r = Reader::new(bytes);
+    let mut fields = Vec::new();
+    r.take(4 + 8 + 8).unwrap();
+    fields.push((r.offset(), 4));
+    let ticks = r.u32().unwrap();
+    if ticks > 0 {
+        r.u64().unwrap();
+        for _ in 1..ticks {
+            r.varint().unwrap();
+        }
+    }
+    series(&mut r, &mut fields);
+    fields.push((r.offset(), 4));
+    for _ in 0..r.u32().unwrap() {
+        // Bucket, agg tag, evicted rows, and the retained-row count: a
+        // reported number that sizes nothing, so not a length field.
+        r.take(8 + 1 + 8 + 4).unwrap();
+        series(&mut r, &mut fields);
+    }
+    r.end("the walk").unwrap();
+    fields
+}
+
+#[test]
+fn every_parser_survives_truncation_bitflips_and_inflated_lengths() {
+    let report = Testbed::new(TestbedConfig {
+        clients_per_ap: 4,
+        fastack: vec![true],
+        seed: 1212,
+        flight_capacity: 96,
+        interferer: Some(InterfererFault {
+            at: SimTime::from_millis(500),
+            ..InterfererFault::default()
+        }),
+        qoe: Some(ProbeConfig::default()),
+        timeline: Some(TimelineConfig::sampling(SimDuration::from_millis(50))),
+        ..TestbedConfig::default()
+    })
+    .run(SimDuration::from_secs(3));
+    assert!(
+        !report.health.alerts.is_empty(),
+        "the interferer must alert"
+    );
+
+    let metrics = report.metrics.to_json();
+    let health = report.health.to_json();
+    let quiet = HealthReport::default();
+    let health_rollup = HealthRollup::rollup(
+        [
+            ("net0".to_owned(), &report.health),
+            ("net1".to_owned(), &quiet),
+        ],
+        5,
+    )
+    .to_json();
+    let qoe_rollup = QoeRollup::rollup(
+        report
+            .qoe
+            .iter()
+            .map(|c| (format!("client{}", c.client), c.score(), &report.health)),
+        8,
+    )
+    .to_json();
+    let flight = report.flight.to_bytes();
+    let timeline = report.timeline.as_ref().expect("sampled").to_bytes();
+
+    // Untouched bytes round-trip byte-identically.
+    assert!(json::parse(&metrics).is_ok());
+    assert_eq!(HealthReport::parse(&health).unwrap().to_json(), health);
+    assert_eq!(
+        HealthRollup::parse(&health_rollup).unwrap().to_json(),
+        health_rollup
+    );
+    assert_eq!(QoeRollup::parse(&qoe_rollup).unwrap().to_json(), qoe_rollup);
+    assert_eq!(FlightDump::parse(&flight).unwrap().to_bytes(), flight);
+    assert_eq!(Timeline::parse(&timeline).unwrap().to_bytes(), timeline);
+
+    sweep_text("metrics json", &metrics, json::parse);
+    sweep_text("health json", &health, HealthReport::parse);
+    sweep_text("health rollup", &health_rollup, HealthRollup::parse);
+    sweep_text("qoe rollup", &qoe_rollup, QoeRollup::parse);
+    sweep("FLT1", &flight, FlightDump::parse);
+    sweep("TSL1", &timeline, Timeline::parse);
+    inflate(
+        "FLT1",
+        &flight,
+        &flt1_length_fields(&flight),
+        FlightDump::parse,
+    );
+    inflate(
+        "TSL1",
+        &timeline,
+        &tsl1_length_fields(&timeline),
+        Timeline::parse,
+    );
+}
