@@ -6,38 +6,24 @@ use bench::harness::{f, Experiment};
 use wifi_core::prelude::*;
 
 fn main() {
-    let mut exp = Experiment::new("abl_bad_hints", "bad-hint rate sweep 0-10%");
-    let run_prof = exp.stage("run");
-    // Wall-clock sample for `--perf` (clippy.toml disallows
-    // `Instant::now` in sim code; the bench harness is host-side).
-    #[allow(clippy::disallowed_methods)]
-    let wall_start = std::time::Instant::now();
+    let mut exp = Experiment::from_args("abl_bad_hints", "bad-hint rate sweep 0-10%");
     let mut series = Vec::new();
     let mut retx_series = Vec::new();
     for &bh in &[0.0, 0.001, 0.002, 0.005, 0.01, 0.03, 0.10] {
-        let r = Testbed::new(TestbedConfig {
+        let cfg = TestbedConfig {
             clients_per_ap: 10,
             fastack: vec![true],
             seed: 61,
             bad_hint_rate: bh,
-            timeline: bench::harness::timeline_cfg(),
             ..TestbedConfig::default()
-        })
-        .run(SimDuration::from_secs(4));
-        exp.absorb(&r.metrics);
-        exp.absorb_flight("fast", &r.flight);
-        if let Some(tl) = &r.timeline {
-            // Per-rate label (in tenths of a percent): timeline series
-            // must not collide across absorbs.
-            exp.absorb_timeline(&format!("bh{:04}", (bh * 1000.0) as u64), tl);
-        }
+        };
+        // Per-rate label (in tenths of a percent): one simulation per
+        // flight component and timeline series.
+        let label = format!("bh{:04}", (bh * 1000.0) as u64);
+        let r = exp.run_arm(&label, cfg, SimDuration::from_secs(4));
         series.push((bh, r.total_mbps()));
         retx_series.push((bh, r.agent_stats[0].local_retransmits as f64));
     }
-    let wall_s = wall_start.elapsed().as_secs_f64();
-    drop(run_prof);
-    let events = exp.metrics.counter_value("sim.queue.popped").unwrap_or(0);
-    exp.perf("abl_bad_hints", events, wall_s);
     let clean = series[0].1;
     // Exact key lookup against the literal used to build the series.
     let at_1pct = series.iter().find(|(b, _)| *b == 0.01).unwrap().1; // simcheck: allow(float-eq)
@@ -66,5 +52,5 @@ fn main() {
     );
     exp.series("mbps-vs-badhint", series);
     exp.series("local-retx-vs-badhint", retx_series);
-    std::process::exit(if exp.finish() { 0 } else { 1 });
+    exp.exit();
 }

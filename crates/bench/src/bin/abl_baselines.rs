@@ -14,35 +14,34 @@ use wifi_core::netsim::topology;
 use wifi_core::prelude::*;
 
 fn main() {
-    let mut exp = Experiment::new("abl_baselines", "planner comparison incl. channel hopping");
-    let run_prof = exp.stage("run");
-    // Wall-clock sample for `--perf`; the workload unit here is one
-    // planner producing a full-floor plan (clippy.toml disallows
-    // `Instant::now` in sim code; the bench harness is host-side).
-    #[allow(clippy::disallowed_methods)]
-    let wall_start = std::time::Instant::now();
-    let mut rng = Rng::new(71);
-    let topo = topology::grid(6, 5, 12.0, 2.0, Band::Band5, &mut rng);
-    let (view, caps) = to_view(&topo, &ViewOptions::default(), &mut rng);
+    let mut exp =
+        Experiment::from_args("abl_baselines", "planner comparison incl. channel hopping");
+    // The `--perf` workload unit here is one planner producing a
+    // full-floor plan (floor set-up included, as it always was).
+    let ((view, caps, plans), _) = exp.timed(
+        "abl_baselines_plans",
+        || {
+            let mut rng = Rng::new(71);
+            let topo = topology::grid(6, 5, 12.0, 2.0, Band::Band5, &mut rng);
+            let (view, caps) = to_view(&topo, &ViewOptions::default(), &mut rng);
+            let mut hop = ChannelHopping::new(Width::W40, SimDuration::from_mins(5), 72);
+            let plans = vec![
+                ("random", random_plan(&view, Width::W40, &mut Rng::new(73))),
+                ("least-congested", least_congested(&view, Width::W40)),
+                ("hopping (one epoch)", hop.next_epoch(&view)),
+                ("ReservedCA", ReservedCa::new(Width::W40).run(&view)),
+                (
+                    "TurboCA",
+                    TurboCa::new(74).run(&view, ScheduleTier::Slow).plan,
+                ),
+            ];
+            (view, caps, plans)
+        },
+        |(_, _, plans)| plans.len() as u64,
+    );
     let clients: Vec<usize> = caps.iter().map(|c| c.len()).collect();
     let params = MetricParams::default();
     let model = DisruptionModel::default();
-
-    let mut hop = ChannelHopping::new(Width::W40, SimDuration::from_mins(5), 72);
-    let plans = vec![
-        ("random", random_plan(&view, Width::W40, &mut Rng::new(73))),
-        ("least-congested", least_congested(&view, Width::W40)),
-        ("hopping (one epoch)", hop.next_epoch(&view)),
-        ("ReservedCA", ReservedCa::new(Width::W40).run(&view)),
-        (
-            "TurboCA",
-            TurboCa::new(74).run(&view, ScheduleTier::Slow).plan,
-        ),
-    ];
-
-    let wall_s = wall_start.elapsed().as_secs_f64();
-    drop(run_prof);
-    exp.perf("abl_baselines_plans", plans.len() as u64, wall_s);
 
     let mut scores = Vec::new();
     for (name, plan) in &plans {
@@ -81,5 +80,5 @@ fn main() {
         ),
         hourly_hop > turbo.2.client_seconds,
     );
-    std::process::exit(if exp.finish() { 0 } else { 1 });
+    exp.exit();
 }

@@ -13,7 +13,7 @@ use wifi_core::fastack::AgentConfig;
 use wifi_core::prelude::*;
 
 fn main() {
-    let mut exp = Experiment::new("abl_fastack_cache", "retransmission cache disabled");
+    let mut exp = Experiment::from_args("abl_fastack_cache", "retransmission cache disabled");
     // Direct agent-level demonstration: with a tiny cache, segments are
     // forwarded uncached, never fast-ACKed, and the flow degrades to
     // plain end-to-end TCP (no acceleration at all).
@@ -55,36 +55,19 @@ fn main() {
 
     // End-to-end: a FastACK AP that cannot serve local retransmissions
     // loses its edge under bad hints.
-    let run = |cache: u64| {
-        Testbed::new(TestbedConfig {
+    let mut run = |label: &str, cache: u64| {
+        let cfg = TestbedConfig {
             clients_per_ap: 10,
             fastack: vec![true],
             seed: 51,
             bad_hint_rate: 0.004,
             agent_cache_bytes: Some(cache),
-            timeline: bench::harness::timeline_cfg(),
             ..TestbedConfig::default()
-        })
-        .run(SimDuration::from_secs(4))
+        };
+        exp.run_arm(label, cfg, SimDuration::from_secs(4))
     };
-    let run_prof = exp.stage("run");
-    // Wall-clock sample for `--perf` (clippy.toml disallows
-    // `Instant::now` in sim code; the bench harness is host-side).
-    #[allow(clippy::disallowed_methods)]
-    let wall_start = std::time::Instant::now();
-    let full = run(16 << 20);
-    let none = run(1_000);
-    let wall_s = wall_start.elapsed().as_secs_f64();
-    drop(run_prof);
-    exp.absorb(&full.metrics);
-    exp.absorb(&none.metrics);
-    for (label, r) in [("cache", &full), ("nocache", &none)] {
-        if let Some(tl) = &r.timeline {
-            exp.absorb_timeline(label, tl);
-        }
-    }
-    let events = exp.metrics.counter_value("sim.queue.popped").unwrap_or(0);
-    exp.perf("abl_fastack_cache", events, wall_s);
+    let full = run("cache", 16 << 20);
+    let none = run("nocache", 1_000);
     exp.compare(
         "throughput, cache vs no cache (0.4% bad hints)",
         "cache recovers locally",
@@ -98,5 +81,5 @@ fn main() {
             / full.agent_stats[0].fast_acks_sent.max(1) as f64),
         full.agent_stats[0].local_retransmits > 0 && none.agent_stats[0].local_retransmits == 0,
     );
-    std::process::exit(if exp.finish() { 0 } else { 1 });
+    exp.exit();
 }

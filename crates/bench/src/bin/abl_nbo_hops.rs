@@ -11,7 +11,7 @@ use wifi_core::netsim::topology;
 use wifi_core::prelude::*;
 
 fn main() {
-    let mut exp = Experiment::new("abl_nbo_hops", "NBO hop limit: plan quality vs churn");
+    let mut exp = Experiment::from_args("abl_nbo_hops", "NBO hop limit: plan quality vs churn");
     let mut rng = Rng::new(31);
     // A crowded floor whose APs all sit on one channel (fresh deploy).
     let topo = topology::grid(6, 5, 12.0, 2.0, Band::Band5, &mut rng);
@@ -25,32 +25,30 @@ fn main() {
     );
     let params = MetricParams::default();
     let runs = 6;
-    let run_prof = exp.stage("run");
-    // Wall-clock sample for `--perf`; the workload unit is one NBO
-    // optimization pass (clippy.toml disallows `Instant::now` in sim
-    // code; the bench harness is host-side).
-    #[allow(clippy::disallowed_methods)]
-    let wall_start = std::time::Instant::now();
-    let mut nbo_passes = 0u64;
-    let mut rows = Vec::new();
-    for i in 0..=2usize {
-        let mut best = f64::NEG_INFINITY;
-        let mut switches = 0usize;
-        let mut r = Rng::new(32 + i as u64);
-        for _ in 0..runs {
-            let plan = nbo(&params, &view, i, &mut r);
-            let score = net_p_ln(&params, &view, &plan);
-            nbo_passes += 1;
-            if score > best {
-                best = score;
-                switches = plan.switches_from_current(&view);
+    // The `--perf` workload unit is one NBO optimization pass: `runs`
+    // per hop limit.
+    let (rows, _) = exp.timed(
+        "abl_nbo_passes",
+        || {
+            let mut rows = Vec::new();
+            for i in 0..=2usize {
+                let mut best = f64::NEG_INFINITY;
+                let mut switches = 0usize;
+                let mut r = Rng::new(32 + i as u64);
+                for _ in 0..runs {
+                    let plan = nbo(&params, &view, i, &mut r);
+                    let score = net_p_ln(&params, &view, &plan);
+                    if score > best {
+                        best = score;
+                        switches = plan.switches_from_current(&view);
+                    }
+                }
+                rows.push((i, best, switches));
             }
-        }
-        rows.push((i, best, switches));
-    }
-    let wall_s = wall_start.elapsed().as_secs_f64();
-    drop(run_prof);
-    exp.perf("abl_nbo_passes", nbo_passes, wall_s);
+            rows
+        },
+        |rows| (rows.len() * runs) as u64,
+    );
     for &(i, score, switches) in &rows {
         exp.compare(
             format!("i={i}: ln NetP / switches"),
@@ -69,5 +67,5 @@ fn main() {
         "netp-by-hop",
         rows.iter().map(|&(i, s, _)| (i as f64, s)).collect(),
     );
-    std::process::exit(if exp.finish() { 0 } else { 1 });
+    exp.exit();
 }

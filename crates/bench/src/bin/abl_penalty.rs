@@ -27,7 +27,7 @@ fn switches_with(params: MetricParams, seed: u64) -> (usize, usize) {
 }
 
 fn main() {
-    let mut exp = Experiment::new(
+    let mut exp = Experiment::from_args(
         "abl_penalty",
         "switch penalty on/off: churn on client-carrying APs",
     );
@@ -39,23 +39,21 @@ fn main() {
         high_util_extra: 0.0,
         ..MetricParams::default()
     };
-    let mut churn_with = 0usize;
-    let mut churn_without = 0usize;
-    let run_prof = exp.stage("run");
-    // Wall-clock sample for `--perf`; the workload unit is one full
-    // TurboCA planning run (clippy.toml disallows `Instant::now` in
-    // sim code; the bench harness is host-side).
-    #[allow(clippy::disallowed_methods)]
-    let wall_start = std::time::Instant::now();
-    let mut plans = 0u64;
-    for seed in [41u64, 42, 43, 44] {
-        churn_with += switches_with(with.clone(), seed).1;
-        churn_without += switches_with(without.clone(), seed).1;
-        plans += 2;
-    }
-    let wall_s = wall_start.elapsed().as_secs_f64();
-    drop(run_prof);
-    exp.perf("abl_penalty_plans", plans, wall_s);
+    // The `--perf` workload unit is one full TurboCA planning run: two
+    // per seed.
+    let seeds = [41u64, 42, 43, 44];
+    let ((churn_with, churn_without), _) = exp.timed(
+        "abl_penalty_plans",
+        || {
+            let (mut churn_with, mut churn_without) = (0usize, 0usize);
+            for seed in seeds {
+                churn_with += switches_with(with.clone(), seed).1;
+                churn_without += switches_with(without.clone(), seed).1;
+            }
+            (churn_with, churn_without)
+        },
+        |_| 2 * seeds.len() as u64,
+    );
     exp.compare(
         "client-carrying switches, penalty off vs on",
         "penalty protects connected clients",
@@ -66,5 +64,5 @@ fn main() {
         "loaded-switches",
         vec![(0.0, churn_with as f64), (1.0, churn_without as f64)],
     );
-    std::process::exit(if exp.finish() { 0 } else { 1 });
+    exp.exit();
 }

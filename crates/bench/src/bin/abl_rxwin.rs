@@ -10,37 +10,37 @@ use wifi_core::prelude::*;
 use wifi_core::tcp::DataSegment;
 
 fn main() {
-    let mut exp = Experiment::new("abl_rxwin", "rx'_win clamping on/off");
+    let mut exp = Experiment::from_args("abl_rxwin", "rx'_win clamping on/off");
     // Agent-level: feed N segments without any client ACK progress and
     // inspect the advertised windows in the fast ACKs.
     let mut agent = Agent::new(AgentConfig {
         initial_client_rwnd: 64 * 1460,
         ..AgentConfig::default()
     });
-    let run_prof = exp.stage("run");
-    // Wall-clock sample for `--perf`; the workload unit is one segment
-    // pushed through the agent (clippy.toml disallows `Instant::now`
-    // in sim code; the bench harness is host-side).
-    #[allow(clippy::disallowed_methods)]
-    let wall_start = std::time::Instant::now();
-    let mut advertised = Vec::new();
-    for i in 0..96u64 {
-        let seg = DataSegment {
-            flow: FlowId(1),
-            seq: i * 1460,
-            len: 1460,
-            retransmit: false,
-        };
-        agent.on_wire_data(&seg);
-        for act in agent.on_mac_ack(FlowId(1), i * 1460, 1460) {
-            if let Action::SendAckUpstream(a) = act {
-                advertised.push(a.rwnd);
+    // The `--perf` workload unit is one segment pushed through the
+    // agent.
+    let (advertised, _) = exp.timed(
+        "abl_rxwin_segments",
+        || {
+            let mut advertised = Vec::new();
+            for i in 0..96u64 {
+                let seg = DataSegment {
+                    flow: FlowId(1),
+                    seq: i * 1460,
+                    len: 1460,
+                    retransmit: false,
+                };
+                agent.on_wire_data(&seg);
+                for act in agent.on_mac_ack(FlowId(1), i * 1460, 1460) {
+                    if let Action::SendAckUpstream(a) = act {
+                        advertised.push(a.rwnd);
+                    }
+                }
             }
-        }
-    }
-    let wall_s = wall_start.elapsed().as_secs_f64();
-    drop(run_prof);
-    exp.perf("abl_rxwin_segments", 96, wall_s);
+            advertised
+        },
+        |_| 96,
+    );
     let min_adv = *advertised.iter().min().unwrap();
     let first = advertised[0];
     exp.compare(
@@ -65,5 +65,5 @@ fn main() {
         f(overflow as f64),
         overflow > 0,
     );
-    std::process::exit(if exp.finish() { 0 } else { 1 });
+    exp.exit();
 }

@@ -10,7 +10,7 @@ use wifi_core::netsim::population::{measure, PopulationProfile};
 use wifi_core::sim::Rng;
 
 fn main() {
-    let mut exp = Experiment::new("fig01", "advertised client capabilities 2015 vs 2017");
+    let mut exp = Experiment::from_args("fig01", "advertised client capabilities 2015 vs 2017");
     let mut rng = Rng::new(101);
     let s15 = measure(&PopulationProfile::Y2015.generate(200_000, &mut rng));
     let s17 = measure(&PopulationProfile::Y2017.generate(200_000, &mut rng));
@@ -43,5 +43,5 @@ fn main() {
             (5.0, s17.w80_share),
         ],
     );
-    std::process::exit(if exp.finish() { 0 } else { 1 });
+    exp.exit();
 }

@@ -9,7 +9,7 @@ use wifi_core::sim::Rng;
 use wifi_core::telemetry::stats::Cdf;
 
 fn main() {
-    let mut exp = Experiment::new("fig02", "CDF of channel utilization, fleet vs HQ office");
+    let mut exp = Experiment::from_args("fig02", "CDF of channel utilization, fleet vs HQ office");
     let mut rng = Rng::new(202);
     let (u24, u5) = fleet_utilization_samples(
         1_000,
@@ -45,5 +45,5 @@ fn main() {
         format!("{} vs {}", pct(hq_m), pct(fleet_m)),
         hq_m > 3.0 * fleet_m,
     );
-    std::process::exit(if exp.finish() { 0 } else { 1 });
+    exp.exit();
 }

@@ -78,7 +78,7 @@ fn interferer_samples(band: Band, seed: u64) -> Vec<f64> {
 }
 
 fn main() {
-    let mut exp = Experiment::new("fig03", "CDF of interfering APs per band");
+    let mut exp = Experiment::from_args("fig03", "CDF of interfering APs per band");
     let i24 = interferer_samples(Band::Band2_4, 303);
     let i5 = interferer_samples(Band::Band5, 304);
     let c24 = Cdf::new(&i24);
@@ -106,5 +106,5 @@ fn main() {
     );
     exp.series("cdf-2.4GHz", c24.series(40));
     exp.series("cdf-5GHz", c5.series(40));
-    std::process::exit(if exp.finish() { 0 } else { 1 });
+    exp.exit();
 }

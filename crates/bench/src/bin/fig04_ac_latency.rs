@@ -27,7 +27,7 @@ struct AcProfile {
 }
 
 fn main() {
-    let mut exp = Experiment::new("fig04", "latency and loss by access category");
+    let mut exp = Experiment::from_args("fig04", "latency and loss by access category");
     let profiles = [
         AcProfile {
             ac: AccessCategory::Background,
@@ -195,5 +195,5 @@ fn main() {
             && med[&AccessCategory::Video] <= med[&AccessCategory::BestEffort]
             && med[&AccessCategory::BestEffort] <= med[&AccessCategory::Background],
     );
-    std::process::exit(if exp.finish() { 0 } else { 1 });
+    exp.exit();
 }

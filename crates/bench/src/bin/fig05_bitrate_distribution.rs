@@ -9,7 +9,7 @@ use wifi_core::prelude::*;
 use wifi_core::telemetry::stats::Histogram;
 
 fn main() {
-    let mut exp = Experiment::new("fig05", "bit-rate distribution, 5 GHz clients");
+    let mut exp = Experiment::from_args("fig05", "bit-rate distribution, 5 GHz clients");
     let mut rng = Rng::new(505);
     let prop = Propagation::indoor(Band::Band5);
     let pop = PopulationProfile::Y2017.generate(40_000, &mut rng);
@@ -63,5 +63,5 @@ fn main() {
         mid > 0.2,
     );
     exp.series("pdf-mbps", hist.pdf());
-    std::process::exit(if exp.finish() { 0 } else { 1 });
+    exp.exit();
 }

@@ -7,7 +7,8 @@ use wifi_core::netsim::diurnal::OfficeDay;
 use wifi_core::sim::Rng;
 
 fn main() {
-    let mut exp = Experiment::new("fig06", "day-long AP snapshot (clients/usage/utilization)");
+    let mut exp =
+        Experiment::from_args("fig06", "day-long AP snapshot (clients/usage/utilization)");
     let day = OfficeDay::default().generate(&mut Rng::new(606));
 
     let window =
@@ -74,5 +75,5 @@ fn main() {
             .map(|s| (s.at.as_secs_f64() / 3600.0, s.utilization))
             .collect(),
     );
-    std::process::exit(if exp.finish() { 0 } else { 1 });
+    exp.exit();
 }

@@ -8,7 +8,7 @@ use wifi_core::netsim::deployment::DeploymentProfile;
 use wifi_core::telemetry::stats::{summarize, Histogram};
 
 fn main() {
-    let mut exp = Experiment::new("fig07", "RSSI PDF, peak vs non-peak hours (MNet)");
+    let mut exp = Experiment::from_args("fig07", "RSSI PDF, peak vs non-peak hours (MNet)");
     // Peak and non-peak hours draw from the same physical placement:
     // different client subsets (non-peak ≈ half the visitors), same
     // propagation. Model with two independent evaluation runs.
@@ -59,5 +59,5 @@ fn main() {
     exp.compare("PDF total-variation distance", "~0", f(tv), tv < 0.08);
     exp.series("pdf-peak", h_peak.pdf());
     exp.series("pdf-nonpeak", h_non.pdf());
-    std::process::exit(if exp.finish() { 0 } else { 1 });
+    exp.exit();
 }

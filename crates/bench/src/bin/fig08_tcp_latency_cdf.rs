@@ -8,7 +8,7 @@ use wifi_core::netsim::deployment::DeploymentProfile;
 use wifi_core::telemetry::stats::Cdf;
 
 fn main() {
-    let mut exp = Experiment::new("fig08", "TCP latency CDF, ReservedCA vs TurboCA (MNet)");
+    let mut exp = Experiment::from_args("fig08", "TCP latency CDF, ReservedCA vs TurboCA (MNet)");
     let ev = evaluate_profile(DeploymentProfile::MNET, 81);
     let c_res = Cdf::new(&ev.reserved.tcp_latency_ms);
     let c_turbo = Cdf::new(&ev.turbo.tcp_latency_ms);
@@ -40,5 +40,5 @@ fn main() {
     );
     exp.series("cdf-reservedca", c_res.series(50));
     exp.series("cdf-turboca", c_turbo.series(50));
-    std::process::exit(if exp.finish() { 0 } else { 1 });
+    exp.exit();
 }

@@ -7,7 +7,7 @@ use wifi_core::netsim::deployment::DeploymentProfile;
 use wifi_core::telemetry::stats::Cdf;
 
 fn main() {
-    let mut exp = Experiment::new(
+    let mut exp = Experiment::from_args(
         "fig09",
         "bit-rate efficiency CDF, ReservedCA vs TurboCA (MNet)",
     );
@@ -39,5 +39,5 @@ fn main() {
     );
     exp.series("cdf-reservedca", c_res.series(50));
     exp.series("cdf-turboca", c_turbo.series(50));
-    std::process::exit(if exp.finish() { 0 } else { 1 });
+    exp.exit();
 }

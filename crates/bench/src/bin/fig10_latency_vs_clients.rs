@@ -7,7 +7,7 @@ use bench::harness::{f, Experiment};
 use wifi_core::prelude::*;
 
 fn main() {
-    let mut exp = Experiment::new("fig10", "802.11 latency vs TCP latency vs client count");
+    let mut exp = Experiment::from_args("fig10", "802.11 latency vs TCP latency vs client count");
     let mut mac_series = Vec::new();
     let mut tcp_series = Vec::new();
     let mut ok_monotone = true;
@@ -19,16 +19,10 @@ fn main() {
             clients_per_ap: n,
             fastack: vec![false],
             seed: 1010,
-            timeline: bench::harness::timeline_cfg(),
             ..TestbedConfig::default()
         };
-        let r = Testbed::new(cfg).run(SimDuration::from_secs(4));
-        exp.absorb(&r.metrics);
-        exp.absorb_flight("base", &r.flight);
-        if let Some(tl) = &r.timeline {
-            // Per-count label: timeline series must not collide.
-            exp.absorb_timeline(&format!("c{n}"), tl);
-        }
+        // Per-count label: one simulation per flight component.
+        let r = exp.run_arm(&format!("c{n}"), cfg, SimDuration::from_secs(4));
         let mac = mean(&r.mac_latencies);
         let tcp = mean(&r.tcp_latencies);
         mac_series.push((n as f64, mac));
@@ -77,5 +71,5 @@ fn main() {
     );
     exp.series("mac-latency-ms", mac_series);
     exp.series("tcp-latency-ms", tcp_series);
-    std::process::exit(if exp.finish() { 0 } else { 1 });
+    exp.exit();
 }

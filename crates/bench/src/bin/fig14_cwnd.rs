@@ -2,36 +2,13 @@
 //! baseline TCP not every flow opens to the OS cap of 770 segments;
 //! with FastACK every flow does, quickly.
 
+use bench::arms;
 use bench::harness::{f, Experiment};
 use wifi_core::prelude::*;
 
-fn run(fastack: bool) -> TestbedReport {
-    Testbed::new(TestbedConfig {
-        clients_per_ap: 10,
-        fastack: vec![fastack],
-        seed: 1414,
-        // The cwnd curves come off the timeline sampler (always on for
-        // this figure: the CSV series need it regardless of argv; the
-        // `--timeline` flag only controls whether the TSL1 store is
-        // dumped). 250 ms matches the retired ad-hoc cwnd probe, so
-        // the figure's series are byte-identical before/after.
-        timeline: Some(TimelineConfig::sampling(SimDuration::from_millis(250))),
-        ..TestbedConfig::default()
-    })
-    .run(SimDuration::from_secs(10))
-}
-
 fn main() {
-    let mut exp = Experiment::new("fig14", "TCP cwnd traces, baseline vs FastACK (10 flows)");
-    let run_prof = exp.stage("run");
-    // Wall-clock sample for `--perf` (clippy.toml disallows
-    // `Instant::now` in sim code; the bench harness is host-side).
-    #[allow(clippy::disallowed_methods)]
-    let wall_start = std::time::Instant::now();
-    let base = run(false);
-    let fast = run(true);
-    let wall_s = wall_start.elapsed().as_secs_f64();
-    drop(run_prof);
+    let mut exp = Experiment::from_args("fig14", "TCP cwnd traces, baseline vs FastACK (10 flows)");
+    let [base, fast] = exp.run_arms(arms::fig14());
 
     // Final-second cwnd per flow.
     let final_cwnd = |r: &TestbedReport| -> Vec<f64> {
@@ -105,13 +82,5 @@ fn main() {
                 .collect(),
         );
     }
-    exp.absorb(&base.metrics);
-    exp.absorb(&fast.metrics);
-    exp.absorb_flight("base", &base.flight);
-    exp.absorb_flight("fast", &fast.flight);
-    exp.absorb_timeline("base", base.timeline.as_ref().expect("timeline on"));
-    exp.absorb_timeline("fast", fast.timeline.as_ref().expect("timeline on"));
-    let events = exp.metrics.counter_value("sim.queue.popped").unwrap_or(0);
-    exp.perf("fig14_cwnd", events, wall_s);
-    std::process::exit(if exp.finish() { 0 } else { 1 });
+    exp.exit();
 }

@@ -2,32 +2,13 @@
 //! FastACK 33–56 MPDUs vs baseline 17–41 (+36–94 %), with UDP as the
 //! connectionless upper bound.
 
+use bench::arms;
 use bench::harness::{f, pct, Experiment};
-use wifi_core::netsim::testbed::Traffic;
 use wifi_core::prelude::*;
 
-fn run(fastack: bool) -> TestbedReport {
-    Testbed::new(TestbedConfig {
-        clients_per_ap: 30,
-        fastack: vec![fastack],
-        seed: 1515,
-        timeline: bench::harness::timeline_cfg(),
-        ..TestbedConfig::default()
-    })
-    .run(SimDuration::from_secs(8))
-}
-
 fn main() {
-    let mut exp = Experiment::new("fig15", "802.11 aggregation size per client (30 clients)");
-    let run_prof = exp.stage("run");
-    // Wall-clock sample for `--perf` (clippy.toml disallows
-    // `Instant::now` in sim code; the bench harness is host-side).
-    #[allow(clippy::disallowed_methods)]
-    let wall_start = std::time::Instant::now();
-    let base = run(false);
-    let fast = run(true);
-    let tcp_wall_s = wall_start.elapsed().as_secs_f64();
-    drop(run_prof);
+    let mut exp = Experiment::from_args("fig15", "802.11 aggregation size per client (30 clients)");
+    let [base, fast, udp] = exp.run_arms(arms::fig15());
 
     let sorted = |r: &TestbedReport| {
         let mut v = r.client_aggregation.clone();
@@ -64,18 +45,6 @@ fn main() {
         mean(&fa) > mean(&b) && fa[29] > b[29],
     );
     // UDP upper bound: connectionless saturation, measured.
-    #[allow(clippy::disallowed_methods)]
-    let udp_start = std::time::Instant::now();
-    let udp = Testbed::new(TestbedConfig {
-        clients_per_ap: 30,
-        fastack: vec![false],
-        seed: 1515,
-        traffic: Traffic::UdpSaturate,
-        timeline: bench::harness::timeline_cfg(),
-        ..TestbedConfig::default()
-    })
-    .run(SimDuration::from_secs(4));
-    let wall_s = tcp_wall_s + udp_start.elapsed().as_secs_f64();
     let udp_mean = udp.client_aggregation.iter().sum::<f64>() / 30.0;
     exp.compare(
         "UDP upper bound",
@@ -91,18 +60,5 @@ fn main() {
         "agg-fastack-sorted",
         fa.iter().enumerate().map(|(i, &v)| (i as f64, v)).collect(),
     );
-    exp.absorb(&base.metrics);
-    exp.absorb(&fast.metrics);
-    exp.absorb(&udp.metrics);
-    exp.absorb_flight("base", &base.flight);
-    exp.absorb_flight("fast", &fast.flight);
-    exp.absorb_flight("udp", &udp.flight);
-    for (label, r) in [("base", &base), ("fast", &fast), ("udp", &udp)] {
-        if let Some(tl) = &r.timeline {
-            exp.absorb_timeline(label, tl);
-        }
-    }
-    let events = exp.metrics.counter_value("sim.queue.popped").unwrap_or(0);
-    exp.perf("fig15_aggregation", events, wall_s);
-    std::process::exit(if exp.finish() { 0 } else { 1 });
+    exp.exit();
 }

@@ -6,50 +6,30 @@ use bench::harness::{f, pct, Experiment};
 use wifi_core::prelude::*;
 
 fn main() {
-    let mut exp = Experiment::new("fig16", "aggregate throughput vs client count");
-    let run_prof = exp.stage("run");
-    // Wall-clock sample for `--perf` (clippy.toml disallows
-    // `Instant::now` in sim code; the bench harness is host-side).
-    #[allow(clippy::disallowed_methods)]
-    let wall_start = std::time::Instant::now();
+    let mut exp = Experiment::from_args("fig16", "aggregate throughput vs client count");
     let mut base_series = Vec::new();
     let mut fast_series = Vec::new();
     let mut gains = Vec::new();
     for &n in &[1usize, 5, 10, 20, 30] {
-        let run = |fa: bool| {
-            Testbed::new(TestbedConfig {
+        // Labels carry the client count: one simulation per flight
+        // component and timeline series.
+        let mut run = |arm: &str, fa: bool| {
+            let cfg = TestbedConfig {
                 clients_per_ap: n,
                 fastack: vec![fa],
                 seed: 1616,
-                timeline: bench::harness::timeline_cfg(),
                 ..TestbedConfig::default()
-            })
-            .run(SimDuration::from_secs(6))
+            };
+            exp.run_arm(&format!("{arm}{n}"), cfg, SimDuration::from_secs(6))
         };
-        let base = run(false);
-        let fast = run(true);
-        let (b, fa) = (base.total_mbps(), fast.total_mbps());
-        exp.absorb(&base.metrics);
-        exp.absorb(&fast.metrics);
-        // Label by arm only: client counts share a component namespace
-        // so the dump stays bounded as the sweep widens.
-        exp.absorb_flight("base", &base.flight);
-        exp.absorb_flight("fast", &fast.flight);
-        // Timeline labels carry the client count: unlike flight
-        // components, series must not collide across absorbs.
-        for (arm, r) in [("base", &base), ("fast", &fast)] {
-            if let Some(tl) = &r.timeline {
-                exp.absorb_timeline(&format!("{arm}{n}"), tl);
-            }
-        }
+        let (b, fa) = (
+            run("base", false).total_mbps(),
+            run("fast", true).total_mbps(),
+        );
         base_series.push((n as f64, b));
         fast_series.push((n as f64, fa));
         gains.push((n, fa / b - 1.0));
     }
-    let wall_s = wall_start.elapsed().as_secs_f64();
-    drop(run_prof);
-    let events = exp.metrics.counter_value("sim.queue.popped").unwrap_or(0);
-    exp.perf("fig16_throughput", events, wall_s);
     for &(n, g) in &gains {
         exp.compare(
             format!("gain at {n} clients"),
@@ -85,5 +65,5 @@ fn main() {
     );
     exp.series("throughput-baseline", base_series);
     exp.series("throughput-fastack", fast_series);
-    std::process::exit(if exp.finish() { 0 } else { 1 });
+    exp.exit();
 }

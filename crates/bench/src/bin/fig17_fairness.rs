@@ -6,8 +6,8 @@
 use bench::harness::{f, pct, Experiment};
 use wifi_core::prelude::*;
 
-fn run(fastack: bool) -> TestbedReport {
-    Testbed::new(TestbedConfig {
+fn cfg(fastack: bool) -> TestbedConfig {
+    TestbedConfig {
         clients_per_ap: 30,
         fastack: vec![fastack],
         seed: 1717,
@@ -16,23 +16,14 @@ fn run(fastack: bool) -> TestbedReport {
         // low MCS rates (the paper's explanation for the bottom of the
         // curve).
         snr_spread_db: 21.0,
-        timeline: bench::harness::timeline_cfg(),
         ..TestbedConfig::default()
-    })
-    .run(SimDuration::from_secs(8))
+    }
 }
 
 fn main() {
-    let mut exp = Experiment::new("fig17", "throughput fairness across 30 clients");
-    let run_prof = exp.stage("run");
-    // Wall-clock sample for `--perf` (clippy.toml disallows
-    // `Instant::now` in sim code; the bench harness is host-side).
-    #[allow(clippy::disallowed_methods)]
-    let wall_start = std::time::Instant::now();
-    let base = run(false);
-    let fast = run(true);
-    let wall_s = wall_start.elapsed().as_secs_f64();
-    drop(run_prof);
+    let mut exp = Experiment::from_args("fig17", "throughput fairness across 30 clients");
+    let base = exp.run_arm("base", cfg(false), SimDuration::from_secs(8));
+    let fast = exp.run_arm("fast", cfg(true), SimDuration::from_secs(8));
     let sorted = |r: &TestbedReport| {
         let mut v = r.client_mbps.clone();
         v.sort_by(|a, b| a.total_cmp(b));
@@ -97,16 +88,5 @@ fn main() {
         "sorted-throughput-fastack",
         fa.iter().enumerate().map(|(i, &v)| (i as f64, v)).collect(),
     );
-    exp.absorb(&base.metrics);
-    exp.absorb(&fast.metrics);
-    exp.absorb_flight("base", &base.flight);
-    exp.absorb_flight("fast", &fast.flight);
-    for (label, r) in [("base", &base), ("fast", &fast)] {
-        if let Some(tl) = &r.timeline {
-            exp.absorb_timeline(label, tl);
-        }
-    }
-    let events = exp.metrics.counter_value("sim.queue.popped").unwrap_or(0);
-    exp.perf("fig17_fairness", events, wall_s);
-    std::process::exit(if exp.finish() { 0 } else { 1 });
+    exp.exit();
 }

@@ -3,38 +3,12 @@
 //! ≈ 325 (the FastACK AP jumps 132 → 240 while the baseline AP drops
 //! 127 → 85), (iii) FastACK+FastACK ≈ 395 Mbps (+51 % over (i)).
 
+use bench::arms;
 use bench::harness::{f, pct, Experiment};
-use wifi_core::prelude::*;
-
-fn run(fa1: bool, fa2: bool) -> TestbedReport {
-    Testbed::new(TestbedConfig {
-        n_aps: 2,
-        clients_per_ap: 10,
-        fastack: vec![fa1, fa2],
-        seed: 1818,
-        // Two APs in one collision domain each get roughly half the
-        // airtime, so per-flow queue residency doubles and the era's
-        // ~512-frame firmware buffer pools bind the baseline arm (the
-        // single-AP experiments use a roomier host-side default).
-        ap_buffer_pool_frames: 512,
-        timeline: bench::harness::timeline_cfg(),
-        ..TestbedConfig::default()
-    })
-    .run(SimDuration::from_secs(6))
-}
 
 fn main() {
-    let mut exp = Experiment::new("fig18", "two co-channel APs: baseline/FastACK matrix");
-    let run_prof = exp.stage("run");
-    // Wall-clock sample for `--perf` (clippy.toml disallows
-    // `Instant::now` in sim code; the bench harness is host-side).
-    #[allow(clippy::disallowed_methods)]
-    let wall_start = std::time::Instant::now();
-    let bb = run(false, false);
-    let bf = run(false, true);
-    let ff = run(true, true);
-    let wall_s = wall_start.elapsed().as_secs_f64();
-    drop(run_prof);
+    let mut exp = Experiment::from_args("fig18", "two co-channel APs: baseline/FastACK matrix");
+    let [bb, bf, ff] = exp.run_arms(arms::fig18());
 
     let gain_ff = ff.total_mbps() / bb.total_mbps() - 1.0;
     let gain_bf = bf.total_mbps() / bb.total_mbps() - 1.0;
@@ -82,21 +56,5 @@ fn main() {
             (2.0, ff.total_mbps()),
         ],
     );
-    exp.absorb(&bb.metrics);
-    exp.absorb(&bf.metrics);
-    exp.absorb(&ff.metrics);
-    exp.absorb_flight("bb", &bb.flight);
-    exp.absorb_flight("bf", &bf.flight);
-    exp.absorb_flight("ff", &ff.flight);
-    exp.absorb_health("bb", &bb.health);
-    exp.absorb_health("bf", &bf.health);
-    exp.absorb_health("ff", &ff.health);
-    for (label, r) in [("bb", &bb), ("bf", &bf), ("ff", &ff)] {
-        if let Some(tl) = &r.timeline {
-            exp.absorb_timeline(label, tl);
-        }
-    }
-    let events = exp.metrics.counter_value("sim.queue.popped").unwrap_or(0);
-    exp.perf("fig18_multi_ap", events, wall_s);
-    std::process::exit(if exp.finish() { 0 } else { 1 });
+    exp.exit();
 }

@@ -13,23 +13,11 @@
 //! Artifacts: `--metrics`/`--trace`/`--health` dumps are deterministic;
 //! scripts/ci.sh runs this binary twice and byte-compares them.
 
+use bench::arms;
 use bench::harness::{f, Experiment};
 use wifi_core::netsim::testbed::InterfererFault;
 use wifi_core::prelude::*;
 use wifi_core::qoe;
-
-fn run(fastack: bool) -> TestbedReport {
-    Testbed::new(TestbedConfig {
-        clients_per_ap: 6,
-        fastack: vec![fastack],
-        seed: 1919,
-        interferer: Some(InterfererFault::default()),
-        qoe: Some(ProbeConfig::default()),
-        timeline: bench::harness::timeline_cfg(),
-        ..TestbedConfig::default()
-    })
-    .run(SimDuration::from_secs(5))
-}
 
 fn worst_score(r: &TestbedReport) -> f64 {
     r.qoe
@@ -43,19 +31,11 @@ fn degraded_alert(r: &TestbedReport) -> Option<&wifi_core::telemetry::Alert> {
 }
 
 fn main() {
-    let mut exp = Experiment::new(
+    let mut exp = Experiment::from_args(
         "fig19_qoe",
         "application-layer QoE under interference: baseline vs FastACK",
     );
-    let run_prof = exp.stage("run");
-    // Wall-clock sample for `--perf` (clippy.toml disallows
-    // `Instant::now` in sim code; the bench harness is host-side).
-    #[allow(clippy::disallowed_methods)]
-    let wall_start = std::time::Instant::now();
-    let base = run(false);
-    let fast = run(true);
-    let wall_s = wall_start.elapsed().as_secs_f64();
-    drop(run_prof);
+    let [base, fast] = exp.run_arms(arms::fig19());
 
     for (label, r) in [("baseline", &base), ("fastack", &fast)] {
         let alert = degraded_alert(r);
@@ -107,19 +87,5 @@ fn main() {
             .map(|c| (c.client as f64, c.score()))
             .collect(),
     );
-
-    exp.absorb(&base.metrics);
-    exp.absorb(&fast.metrics);
-    exp.absorb_flight("base", &base.flight);
-    exp.absorb_flight("fast", &fast.flight);
-    exp.absorb_health("base", &base.health);
-    exp.absorb_health("fast", &fast.health);
-    for (label, r) in [("base", &base), ("fast", &fast)] {
-        if let Some(tl) = &r.timeline {
-            exp.absorb_timeline(label, tl);
-        }
-    }
-    let events = exp.metrics.counter_value("sim.queue.popped").unwrap_or(0);
-    exp.perf("fig19_qoe", events, wall_s);
-    std::process::exit(if exp.finish() { 0 } else { 1 });
+    exp.exit();
 }

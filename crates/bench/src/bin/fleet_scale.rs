@@ -7,11 +7,10 @@
 //! seed) must be bit-identical for every thread count.
 
 use bench::harness::{close, f, pct, Experiment};
-use std::time::Instant;
 use wifi_core::fleet::{run_fleet, FleetConfig, FleetRun};
 use wifi_core::sim::SimDuration;
 
-fn config(n_networks: usize, threads: usize) -> FleetConfig {
+fn config(n_networks: usize, threads: usize, timeline: bool) -> FleetConfig {
     FleetConfig {
         n_networks,
         threads,
@@ -25,20 +24,27 @@ fn config(n_networks: usize, threads: usize) -> FleetConfig {
         // Per-epoch controller timeline rides along when `--timeline`
         // asks for a dump (cadence is the epoch itself, so
         // `--timeline-every` does not apply to fleet runs).
-        timeline: bench::harness::timeline_path().is_some(),
+        timeline,
         ..FleetConfig::default()
     }
+}
+
+/// One `run_fleet` under the harness clock: its wall time, and a
+/// `fleet_<networks>x<threads>_plans` `--perf` sample of plans run.
+fn timed_fleet(exp: &mut Experiment, cfg: &FleetConfig) -> (FleetRun, f64) {
+    exp.timed(
+        format!("fleet_{}x{}_plans", cfg.n_networks, cfg.threads),
+        || run_fleet(cfg),
+        |run| run.report.plans_run as u64,
+    )
 }
 
 /// `--networks N --threads T`: focused thread-scaling regression. Runs
 /// the same fleet at 1 thread and at T threads; T must stay
 /// bit-identical and must not be slower beyond noise (the clamped shard
 /// executor makes oversubscription a no-op rather than a slowdown).
-fn scaling_regression(networks: usize, threads: usize) -> bool {
-    let mut exp = Experiment::new(
-        "fleet_scale",
-        "fleet thread-scaling regression: T threads must not lose to 1",
-    );
+fn scaling_regression(mut exp: Experiment, networks: usize, threads: usize) -> ! {
+    exp.title = "fleet thread-scaling regression: T threads must not lose to 1".to_owned();
     let mut walls = Vec::new();
     let mut sums = Vec::new();
     for &t in &[1usize, threads] {
@@ -52,12 +58,9 @@ fn scaling_regression(networks: usize, threads: usize) -> bool {
             horizon: SimDuration::from_mins(15),
             ..FleetConfig::default()
         };
-        #[allow(clippy::disallowed_methods)]
         let wall = (0..3)
             .map(|_| {
-                let start = Instant::now();
-                let run = run_fleet(&cfg);
-                let w = start.elapsed().as_secs_f64();
+                let (run, w) = timed_fleet(&mut exp, &cfg);
                 sums.push(run.report.checksum);
                 w
             })
@@ -84,30 +87,19 @@ fn scaling_regression(networks: usize, threads: usize) -> bool {
         format!("{:.3}s", walls[1]),
         ok,
     );
-    exp.finish()
+    exp.exit()
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let flag = |name: &str| -> Option<usize> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse().ok())
-    };
-    if let Some(networks) = flag("--networks") {
-        let threads = flag("--threads").unwrap_or(8);
-        std::process::exit(if scaling_regression(networks, threads) {
-            0
-        } else {
-            1
-        });
-    }
-
-    let mut exp = Experiment::new(
+    let mut exp = Experiment::from_args_with(
         "fleet_scale",
         "fleet controller scaling: size x threads, determinism + Fig. 2 ingest",
+        &["--networks", "--threads"],
     );
+    if let Some(networks) = exp.num("--networks") {
+        let threads = exp.num("--threads").unwrap_or(8);
+        scaling_regression(exp, networks as usize, threads as usize);
+    }
     let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!("host parallelism: {host_threads} hardware thread(s)\n");
     println!(
@@ -115,18 +107,13 @@ fn main() {
         "networks", "threads", "wall s", "planned/s", "checksum"
     );
 
-    let run_prof = exp.stage("run");
     let mut fig2_run: Option<FleetRun> = None;
     for &n in &[10usize, 100, 1000] {
         let mut checksums: Vec<u64> = Vec::new();
         let mut rates: Vec<f64> = Vec::new();
         for &t in &[1usize, 4, 8] {
-            // Wall-clock throughput is the point of this bench
-            // (clippy.toml disallows `Instant::now` elsewhere).
-            #[allow(clippy::disallowed_methods)]
-            let start = Instant::now();
-            let run = run_fleet(&config(n, t));
-            let wall = start.elapsed().as_secs_f64();
+            let cfg = config(n, t, exp.flag("--timeline").is_some());
+            let (run, wall) = timed_fleet(&mut exp, &cfg);
             let rate = run.report.plans_run as f64 / wall;
             println!(
                 "{:>9} {:>8} {:>10.2} {:>16.1} {:>18}",
@@ -138,11 +125,6 @@ fn main() {
             );
             checksums.push(run.report.checksum);
             rates.push(rate);
-            exp.perf(
-                format!("fleet_{n}x{t}_plans"),
-                run.report.plans_run as u64,
-                wall,
-            );
             if n == 1000 && t == 8 {
                 fig2_run = Some(run);
             }
@@ -177,7 +159,6 @@ fn main() {
         }
     }
 
-    drop(run_prof);
     // Fig. 2 through the fleet path: the 1000-network run's ingest
     // store must reproduce the paper's fleet-wide utilization medians.
     let run = fig2_run.expect("1000-network sweep ran");
@@ -211,13 +192,8 @@ fn main() {
     );
     exp.series("fig2_util_2_4_cdf", run.aggregate.util_2_4.series(50));
     exp.series("fig2_util_5_cdf", run.aggregate.util_5.series(50));
-    exp.absorb(&run.metrics);
-    exp.absorb_flight("", &run.flight);
-    exp.absorb_health("", &run.health.report);
-    if let Some(tl) = &run.timeline {
-        exp.absorb_timeline("", tl);
-    }
+    exp.absorb("", &run);
     println!("\n{}", run.report);
 
-    std::process::exit(if exp.finish() { 0 } else { 1 });
+    exp.exit();
 }

@@ -7,7 +7,7 @@ use wifi_core::phy::channels::Width;
 use wifi_core::sim::Rng;
 
 fn main() {
-    let mut exp = Experiment::new("tab01", "configured channel width distribution");
+    let mut exp = Experiment::from_args("tab01", "configured channel width distribution");
     let mut rng = Rng::new(401);
     let measure = |n_aps: usize, rng: &mut Rng| {
         let n = 200_000;
@@ -43,5 +43,5 @@ fn main() {
         format!("{} vs {}", pct(1.0 - large[2]), pct(1.0 - all[2])),
         large[2] < all[2],
     );
-    std::process::exit(if exp.finish() { 0 } else { 1 });
+    exp.exit();
 }

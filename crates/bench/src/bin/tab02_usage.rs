@@ -46,7 +46,7 @@ fn deliver(
 }
 
 fn main() {
-    let mut exp = Experiment::new("tab02", "daily and peak-hour usage (TB), UNet & MNet");
+    let mut exp = Experiment::from_args("tab02", "daily and peak-hour usage (TB), UNet & MNet");
 
     // -- MNet: capacity-limited at peak ---------------------------------
     let mnet = evaluate_profile(DeploymentProfile::MNET, 21);
@@ -132,5 +132,5 @@ fn main() {
         pct(ut_daily / ur_daily - 1.0),
         (ut_daily / ur_daily - 1.0).abs() < 0.1,
     );
-    std::process::exit(if exp.finish() { 0 } else { 1 });
+    exp.exit();
 }

@@ -6,47 +6,72 @@
 //! matches what `serde_json` produced for these types historically:
 //! tuples as two-element arrays, structs as objects in field order.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use wifi_core::fleet::FleetRun;
+use wifi_core::netsim::testbed::{Testbed, TestbedConfig, TestbedReport};
 use wifi_core::sim::SimDuration;
 use wifi_core::telemetry::json::{f64_display_or_null, write_str};
 use wifi_core::telemetry::{
     runprof, FlightDump, HealthReport, Registry, SamplePoint, Timeline, TimelineConfig,
 };
 
-/// A recorded experiment: named scalar comparisons plus named series.
+/// `--flag <value>` options every bench binary accepts.
+const PATH_FLAGS: [&str; 7] = [
+    "--metrics",
+    "--trace",
+    "--trace-filter",
+    "--health",
+    "--timeline",
+    "--perf",
+    "--runprof",
+];
+
+/// A recorded experiment: named scalar comparisons plus named series,
+/// and the one way to run things (see DESIGN.md §6, "Harness: one arm
+/// runner"): [`Experiment::run_arm`] / [`Experiment::timed`] run and
+/// time the work, [`Experiment::absorb`] merges a run's sinks,
+/// [`Experiment::artifacts`] serializes them and [`Experiment::exit`]
+/// reports.
 #[derive(Debug, Default)]
 pub struct Experiment {
     pub id: String,
     pub title: String,
     pub comparisons: Vec<Comparison>,
     pub series: Vec<Series>,
-    /// Merged metrics registries from every run the experiment absorbed
-    /// (see [`Experiment::absorb`]). Dumped verbatim when the binary is
-    /// invoked with `--metrics <path>`.
+    /// Merged metrics registries from every absorbed run. Dumped
+    /// verbatim when the binary is invoked with `--metrics <path>`.
     pub metrics: Registry,
-    /// Merged flight-recorder dumps from every run the experiment
-    /// absorbed (see [`Experiment::absorb_flight`]). Dumped in the
-    /// deterministic binary format when the binary is invoked with
+    /// Merged flight-recorder dumps from every absorbed run. Dumped in
+    /// the deterministic binary format when the binary is invoked with
     /// `--trace <path>` (optionally `--trace-filter <prefix>`); inspect
     /// with `wifictl trace`.
     pub flight: FlightDump,
-    /// Merged health reports from every run the experiment absorbed
-    /// (see [`Experiment::absorb_health`]). Dumped as canonical JSON
-    /// when the binary is invoked with `--health <path>`; inspect with
-    /// `wifictl health`.
+    /// Merged health reports from every absorbed run. Dumped as
+    /// canonical JSON when the binary is invoked with `--health
+    /// <path>`; inspect with `wifictl health`.
     pub health: HealthReport,
-    /// Wall-clock throughput samples (see [`Experiment::perf`]).
-    /// Written as `BENCH_simperf.json`-style JSON when the binary is
-    /// invoked with `--perf <path>`. Unlike every other artifact this
-    /// one is *not* deterministic — it records host wall-clock speed.
-    pub perf_samples: Vec<SamplePoint>,
-    /// Merged timeline stores from every run the experiment absorbed
-    /// (see [`Experiment::absorb_timeline`]). Dumped in the `TSL1`
-    /// binary format when the binary is invoked with
+    /// Merged timeline stores from every absorbed run. Dumped in the
+    /// `TSL1` binary format when the binary is invoked with
     /// `--timeline <path>`; inspect with `wifictl time`.
     pub timeline: Timeline,
+    /// Wall-clock throughput samples (see [`Experiment::timed`] and
+    /// [`Experiment::exit`]). Written as `BENCH_simperf.json`-style
+    /// JSON when the binary is invoked with `--perf <path>`. Unlike
+    /// every other artifact this one is *not* deterministic — it
+    /// records host wall-clock speed.
+    pub perf_samples: Vec<SamplePoint>,
+    /// File stem of `argv[0]`: the label of the arms' perf sample.
+    bin: String,
+    /// Accepted flag -> its value, first occurrence winning.
+    flags: BTreeMap<String, String>,
+    /// Labels already absorbed: a second run under the same label would
+    /// interleave two simulations' records in one flight component.
+    labels: BTreeSet<String>,
+    /// Host seconds spent inside [`Experiment::run_arm`], all arms.
+    arm_wall_s: f64,
 }
 
 /// One paper-vs-measured scalar.
@@ -66,31 +91,178 @@ pub struct Series {
     pub points: Vec<(f64, f64)>,
 }
 
+/// The four sinks of one finished run, as [`Experiment::absorb`] takes
+/// them. Built `From` a `&TestbedReport` or a `&FleetRun`.
+pub struct Sinks<'a> {
+    pub metrics: &'a Registry,
+    pub flight: &'a FlightDump,
+    pub health: &'a HealthReport,
+    pub timeline: Option<&'a Timeline>,
+}
+
+impl<'a> From<&'a TestbedReport> for Sinks<'a> {
+    fn from(r: &'a TestbedReport) -> Self {
+        Sinks {
+            metrics: &r.metrics,
+            flight: &r.flight,
+            health: &r.health,
+            timeline: r.timeline.as_ref(),
+        }
+    }
+}
+
+impl<'a> From<&'a FleetRun> for Sinks<'a> {
+    fn from(r: &'a FleetRun) -> Self {
+        Sinks {
+            metrics: &r.metrics,
+            flight: &r.flight,
+            health: &r.health.report,
+            timeline: r.timeline.as_ref(),
+        }
+    }
+}
+
 impl Experiment {
-    pub fn new(id: &str, title: &str) -> Experiment {
+    /// The experiment for this process: parses argv once (see
+    /// [`Experiment::parse`]); on a bad command line prints the usage
+    /// line to stderr and exits 2 before anything runs.
+    pub fn from_args(id: &str, title: &str) -> Experiment {
+        Experiment::from_args_with(id, title, &[])
+    }
+
+    /// [`Experiment::from_args`] for a binary with `numeric` flags of
+    /// its own (read back with [`Experiment::num`]).
+    pub fn from_args_with(id: &str, title: &str, numeric: &[&str]) -> Experiment {
+        let argv: Vec<String> = std::env::args().collect();
+        Experiment::parse(id, title, &argv, numeric).unwrap_or_else(|usage| {
+            eprintln!("{usage}");
+            std::process::exit(2)
+        })
+    }
+
+    /// Parse `argv` (program name first) against the harness flags plus
+    /// the binary's own `numeric` flags. `--flag v` and `--flag=v` are
+    /// both accepted. An unknown argument, a flag without its value, or
+    /// a numeric flag (`--timeline-every` and every `numeric` one) that
+    /// is not a positive integer is an `Err` holding the one-line usage
+    /// text, so nothing is run on a typo.
+    pub fn parse(
+        id: &str,
+        title: &str,
+        argv: &[String],
+        numeric: &[&str],
+    ) -> Result<Experiment, String> {
+        let bin = argv.first().map_or("bench", |p| {
+            let stem = Path::new(p).file_stem();
+            stem.and_then(|s| s.to_str()).unwrap_or(p)
+        });
+        let numeric = [&["--timeline-every"], numeric].concat();
+        let usage = |problem: String| {
+            let accepted = PATH_FLAGS.iter().chain(&numeric);
+            let accepted: Vec<String> = accepted.map(|f| format!("[{f} <value>]")).collect();
+            format!("{bin}: {problem}; usage: {bin} {}", accepted.join(" "))
+        };
+        let mut flags = BTreeMap::new();
+        let mut rest = argv.iter().skip(1);
+        while let Some(arg) = rest.next() {
+            let (flag, inline) = match arg.split_once('=') {
+                Some((f, v)) => (f, Some(v.to_owned())),
+                None => (arg.as_str(), None),
+            };
+            if !PATH_FLAGS.contains(&flag) && !numeric.contains(&flag) {
+                return Err(usage(format!("unknown argument {arg}")));
+            }
+            let Some(value) = inline.or_else(|| rest.next().cloned()) else {
+                return Err(usage(format!("{flag} wants a value")));
+            };
+            if numeric.contains(&flag) && !value.parse::<u64>().is_ok_and(|n| n > 0) {
+                return Err(usage(format!(
+                    "{flag} wants a positive integer, got {value}"
+                )));
+            }
+            flags.entry(flag.to_owned()).or_insert(value);
+        }
         // Arm the host-side run profiler as early as possible so setup
         // work lands in the profile too. `--runprof` is the only flag
         // that changes harness behavior before `finish` — and it only
         // turns on observation, never the trajectory (the golden
         // artifact tests run with it enabled to prove that).
-        if runprof_path().is_some() {
+        if flags.contains_key("--runprof") {
             runprof::set_enabled(true);
         }
-        Experiment {
+        Ok(Experiment {
             id: id.to_owned(),
             title: title.to_owned(),
+            bin: bin.to_owned(),
+            flags,
             ..Experiment::default()
-        }
+        })
     }
 
-    /// Open a wall-clock stage span named `<bench-id>.<name>` (e.g.
-    /// `fig18.setup` / `fig18.run` / `fig18.report`). Hold the returned
-    /// guard for the duration of the phase; a no-op without `--runprof`.
-    pub fn stage(&self, name: &str) -> runprof::WallSpan {
-        if !runprof::enabled() {
-            return runprof::WallSpan::disabled();
+    /// The value given for `flag`, if it was on the command line.
+    pub fn flag(&self, flag: &str) -> Option<&str> {
+        self.flags.get(flag).map(String::as_str)
+    }
+
+    /// The value of a numeric flag.
+    pub fn num(&self, flag: &str) -> Option<u64> {
+        let v = self.flag(flag)?;
+        Some(v.parse().expect("numeric flags are validated at parse"))
+    }
+
+    /// Run `f` inside the `<bench-id>.run` wall span (a no-op without
+    /// `--runprof`) and hand back its value with the host seconds it
+    /// took. The one audited wall-clock read of the bench crate:
+    /// clippy.toml disallows `Instant::now` in sim code; the harness is
+    /// host-side and the reading only ever reaches `--perf`/`--runprof`.
+    fn wall<T>(&self, f: impl FnOnce() -> T) -> (T, f64) {
+        let _span = runprof::span(&format!("{}.run", self.id));
+        #[allow(clippy::disallowed_methods)]
+        let start = std::time::Instant::now();
+        let out = f();
+        (out, start.elapsed().as_secs_f64())
+    }
+
+    /// Run one testbed arm: the sampler comes from `--timeline` /
+    /// `--timeline-every <ms>` (default 100 ms) unless the arm brings
+    /// its own, so it is off — and the run provably byte-identical to
+    /// an unsampled one — without the flag. Every sink of the finished
+    /// run is absorbed under `label`.
+    pub fn run_arm(
+        &mut self,
+        label: &str,
+        mut cfg: TestbedConfig,
+        duration: SimDuration,
+    ) -> TestbedReport {
+        if cfg.timeline.is_none() && self.flag("--timeline").is_some() {
+            let ms = self.num("--timeline-every").unwrap_or(100);
+            cfg.timeline = Some(TimelineConfig::sampling(SimDuration::from_millis(ms)));
         }
-        runprof::span(&format!("{}.{name}", self.id))
+        let (report, wall_s) = self.wall(|| Testbed::new(cfg).run(duration));
+        self.arm_wall_s += wall_s;
+        self.absorb(label, &report);
+        report
+    }
+
+    /// [`Experiment::run_arm`] over an experiment's arm list (see
+    /// [`crate::arms`]), reports in arm order.
+    pub fn run_arms<const N: usize>(&mut self, arms: [crate::arms::Arm; N]) -> [TestbedReport; N] {
+        arms.map(|a| self.run_arm(a.label, a.cfg, a.duration))
+    }
+
+    /// Run non-testbed work `f` (a planner sweep, an agent loop, a
+    /// fleet) under the run span and record a `--perf` sample for it:
+    /// `units(&result)` workload units in the measured wall time.
+    /// Returns `f`'s value and that wall time.
+    pub fn timed<T>(
+        &mut self,
+        label: impl Into<String>,
+        f: impl FnOnce() -> T,
+        units: impl FnOnce(&T) -> u64,
+    ) -> (T, f64) {
+        let (out, wall_s) = self.wall(f);
+        self.perf(label, units(&out), wall_s);
+        (out, wall_s)
     }
 
     /// Record a paper-vs-measured row.
@@ -117,40 +289,43 @@ impl Experiment {
         });
     }
 
-    /// Merge one run's metrics registry (a `TestbedReport::metrics` or
-    /// `FleetRun::metrics`) into the experiment's snapshot. Counters and
-    /// histogram bins sum across absorbed runs; absorb order does not
-    /// change the JSON because paths are sorted at serialization.
-    pub fn absorb(&mut self, run_metrics: &Registry) {
-        self.metrics.merge_from(run_metrics);
+    /// Merge one finished run (a `&TestbedReport` or a `&FleetRun`)
+    /// into the experiment under `label`: counters and histogram bins
+    /// sum into the metrics snapshot; flight components, alert
+    /// components and timeline series are prefixed `label.` so arms
+    /// (`base.` vs `fast.`) stay distinguishable (an empty label merges
+    /// verbatim). Every merged sink re-sorts at serialization, so absorb
+    /// order does not change any artifact. A label can be used once:
+    /// `CauseId`s (`flow << 48 | seq`) and series names collide across
+    /// runs.
+    pub fn absorb<'a>(&mut self, label: &str, run: impl Into<Sinks<'a>>) {
+        assert!(
+            self.labels.insert(label.to_owned()),
+            "{}: label {label:?} absorbed twice",
+            self.id
+        );
+        let run = run.into();
+        self.metrics.merge_from(run.metrics);
+        self.flight.absorb(label, run.flight);
+        self.health.absorb(label, run.health);
+        if let Some(tl) = run.timeline {
+            self.timeline.absorb(label, tl);
+        }
     }
 
-    /// Merge one run's flight dump (a `TestbedReport::flight` or
-    /// `FleetRun::flight`) into the experiment's trace, prefixing its
-    /// component names with `label.` so chains from different arms
-    /// (e.g. `base.` vs `fast.`) stay distinguishable. An empty label
-    /// merges verbatim.
-    pub fn absorb_flight(&mut self, label: &str, dump: &FlightDump) {
-        self.flight.absorb(label, dump);
-    }
-
-    /// Merge one run's health report (a `TestbedReport::health` or
-    /// `FleetRun::health.report`) into the experiment's alert stream,
-    /// prefixing alert components with `label.` (empty label merges
-    /// verbatim). Absorb order does not change the JSON because alerts
-    /// re-sort into canonical order on every absorb.
-    pub fn absorb_health(&mut self, label: &str, report: &HealthReport) {
-        self.health.absorb(label, report);
-    }
-
-    /// Merge one run's sealed timeline (a `TestbedReport::timeline` or
-    /// `FleetRun::timeline`) into the experiment's store, prefixing its
-    /// series names with `label.` so samples from different arms (e.g.
-    /// `base.` vs `fast.`) stay distinguishable. An empty label merges
-    /// verbatim. Absorb order does not change the dump because series
-    /// stay sorted by name.
-    pub fn absorb_timeline(&mut self, label: &str, tl: &Timeline) {
-        self.timeline.absorb(label, tl);
+    /// The deterministic artifacts by name — exactly the bytes `finish`
+    /// writes for `--metrics` / `--trace` (after `--trace-filter`) /
+    /// `--health` / `--timeline`. Two invocations of the same binary
+    /// must produce identical blobs; scripts/ci.sh and
+    /// tests/golden_artifacts.rs enforce exactly that.
+    pub fn artifacts(&self) -> Vec<(&'static str, Vec<u8>)> {
+        let filter = self.flag("--trace-filter");
+        vec![
+            ("metrics", self.metrics.to_json().into_bytes()),
+            ("trace", self.flight.filtered(filter).to_bytes()),
+            ("health", self.health.to_json().into_bytes()),
+            ("timeline", self.timeline.to_bytes()),
+        ]
     }
 
     /// Record a wall-clock throughput sample: `events` workload units
@@ -158,7 +333,7 @@ impl Experiment {
     /// The process's peak RSS at sampling time rides along, so memory
     /// growth across a scaling sweep (`fleet_1000x1` → `fleet_5000x8`)
     /// is visible in the same artifact as the speed.
-    pub fn perf(&mut self, label: impl Into<String>, events: u64, wall_s: f64) {
+    fn perf(&mut self, label: impl Into<String>, events: u64, wall_s: f64) {
         self.perf_samples.push(SamplePoint {
             label: label.into(),
             events,
@@ -186,10 +361,22 @@ impl Experiment {
         o
     }
 
-    /// Print the report and write the JSON dump. Returns `true` if every
-    /// comparison agreed.
-    pub fn finish(&self) -> bool {
-        let report_prof = self.stage("report");
+    /// Report and leave: record the testbed arms' perf sample — the
+    /// merged `sim.queue.popped` events over the summed arm wall time,
+    /// labelled with the binary's name as BENCH_simperf.json has it —
+    /// then [`Experiment::finish`]; exit 0 iff every comparison agreed.
+    pub fn exit(mut self) -> ! {
+        if self.arm_wall_s > 0.0 {
+            let events = self.metrics.counter_value("sim.queue.popped").unwrap_or(0);
+            self.perf(self.bin.clone(), events, self.arm_wall_s);
+        }
+        std::process::exit(if self.finish() { 0 } else { 1 })
+    }
+
+    /// Print the report, write the JSON dump and every artifact a flag
+    /// asked for. Returns `true` if every comparison agreed.
+    fn finish(&self) -> bool {
+        let report_prof = runprof::span(&format!("{}.report", self.id));
         let mut out = String::new();
         let _ = writeln!(out, "== {} — {} ==", self.id, self.title);
         if !self.comparisons.is_empty() {
@@ -221,45 +408,27 @@ impl Experiment {
         if let Some(parent) = path.parent() {
             let _ = fs::create_dir_all(parent);
         }
-        if let Err(e) = fs::write(&path, self.to_json()) {
-            eprintln!("warning: could not write {}: {e}", path.display());
-        }
+        write_or_warn(&path.to_string_lossy(), self.to_json());
 
-        // `--metrics <path>` (or `--metrics=<path>`): write the merged
-        // metrics registry snapshot. `--trace <path>` (with an optional
-        // `--trace-filter <component-prefix>`): write the merged flight
-        // dump. `--health <path>`: write the merged health report as
-        // canonical JSON. `--timeline <path>`: the merged `TSL1` dump.
-        // All four are deterministic by construction, so two
-        // invocations of the same binary must produce identical files —
-        // scripts/ci.sh enforces exactly that. `--perf <path>` is the
-        // exception: it records wall-clock events/sec and is never
-        // byte-compared.
-        let dump = |flag: &str, bytes: &dyn Fn() -> Vec<u8>| {
-            if let Some(p) = arg_value(flag) {
-                if let Err(e) = fs::write(&p, bytes()) {
-                    eprintln!("warning: could not write {p}: {e}");
-                }
+        // The four deterministic artifacts, each under the flag bearing
+        // its name. `--perf <path>` is the exception: it records
+        // wall-clock events/sec and is never byte-compared.
+        for (name, bytes) in self.artifacts() {
+            if let Some(p) = self.flag(&format!("--{name}")) {
+                write_or_warn(p, bytes);
             }
-        };
-        dump("--metrics", &|| self.metrics.to_json().into_bytes());
-        dump("--health", &|| self.health.to_json().into_bytes());
-        dump("--timeline", &|| self.timeline.to_bytes());
-        dump("--perf", &|| self.perf_json().into_bytes());
-        dump("--trace", &|| {
-            let filter = arg_value("--trace-filter");
-            self.flight.filtered(filter.as_deref()).to_bytes()
-        });
+        }
+        if let Some(p) = self.flag("--perf") {
+            write_or_warn(p, self.perf_json());
+        }
 
         // `--runprof <path>`: the host-side observability sidecar.
         // Closed out last so the report stage's own wall time makes it
         // into the profile; inspect with `wifictl perf summary`.
         drop(report_prof);
-        if let Some(p) = runprof_path() {
+        if let Some(p) = self.flag("--runprof") {
             let prof = runprof::snapshot();
-            if let Err(e) = fs::write(&p, prof.to_json(&self.id, &self.perf_samples)) {
-                eprintln!("warning: could not write {p}: {e}");
-            }
+            write_or_warn(p, prof.to_json(&self.id, &self.perf_samples));
         }
 
         let all_ok = self.comparisons.iter().all(|c| c.ok);
@@ -322,44 +491,10 @@ impl Experiment {
     }
 }
 
-/// The value of `--flag <v>` / `--flag=<v>` in this process's argv.
-fn arg_value(flag: &str) -> Option<String> {
-    let mut argv = std::env::args().skip(1);
-    while let Some(arg) = argv.next() {
-        if arg == flag {
-            return argv.next();
-        }
-        if let Some(v) = arg.strip_prefix(flag).and_then(|r| r.strip_prefix('=')) {
-            return Some(v.to_owned());
-        }
+fn write_or_warn(path: &str, bytes: impl AsRef<[u8]>) {
+    if let Err(e) = fs::write(path, bytes) {
+        eprintln!("warning: could not write {path}: {e}");
     }
-    None
-}
-
-/// `--timeline <path>` / `--timeline=<path>` from this process's argv.
-pub fn timeline_path() -> Option<String> {
-    arg_value("--timeline")
-}
-
-/// Timeline sampler config from this process's argv: `Some` iff
-/// `--timeline <path>` was given, sampling every `--timeline-every <ms>`
-/// (default 100 ms). Bins thread the result straight into
-/// `TestbedConfig::timeline`, so the sampler is off — and the run
-/// provably byte-identical to an unsampled one — unless the flag is
-/// present.
-pub fn timeline_cfg() -> Option<TimelineConfig> {
-    timeline_path()?;
-    let ms = arg_value("--timeline-every").map_or(100, |ms| {
-        ms.parse::<u64>()
-            .expect("--timeline-every wants milliseconds")
-    });
-    assert!(ms > 0, "--timeline-every wants a positive interval");
-    Some(TimelineConfig::sampling(SimDuration::from_millis(ms)))
-}
-
-/// `--runprof <path>` / `--runprof=<path>` from this process's argv.
-fn runprof_path() -> Option<String> {
-    arg_value("--runprof")
 }
 
 /// Relative agreement check: |measured − paper| ≤ tol·|paper|.
@@ -387,6 +522,26 @@ pub fn pct(v: f64) -> String {
 mod tests {
     use super::*;
 
+    fn parse(argv: &[&str]) -> Result<Experiment, String> {
+        let argv: Vec<String> = argv.iter().map(|a| (*a).to_owned()).collect();
+        Experiment::parse("t", "test", &argv, &["--networks"])
+    }
+
+    fn exp(argv: &[&str]) -> Experiment {
+        parse(argv).unwrap()
+    }
+
+    /// A 4-client FastACK arm, half a simulated second.
+    fn small_arm() -> (TestbedConfig, SimDuration) {
+        let cfg = TestbedConfig {
+            clients_per_ap: 4,
+            fastack: vec![true],
+            seed: 7,
+            ..TestbedConfig::default()
+        };
+        (cfg, SimDuration::from_millis(500))
+    }
+
     #[test]
     fn close_tolerance() {
         assert!(close(10.5, 10.0, 0.1));
@@ -396,7 +551,7 @@ mod tests {
 
     #[test]
     fn experiment_roundtrip() {
-        let mut e = Experiment::new("test", "demo");
+        let mut e = exp(&["t"]);
         e.compare("m", "1", "1.02", true);
         e.series("s", vec![(0.0, 0.0), (1.0, 1.0)]);
         std::env::set_var("IMC_RESULTS_DIR", std::env::temp_dir().join("imc-test"));
@@ -406,29 +561,92 @@ mod tests {
     }
 
     #[test]
-    fn absorb_sums_counters_across_runs() {
-        let mut e = Experiment::new("t", "absorb");
-        let mut m = Registry::new();
-        m.count("sub.events", 2);
-        e.absorb(&m);
-        e.absorb(&m);
-        assert_eq!(e.metrics.counter_value("sub.events"), Some(4));
-        // Snapshot order-independence: same JSON as a single 4-count.
-        let mut want = Registry::new();
-        want.count("sub.events", 4);
-        assert_eq!(e.metrics.to_json(), want.to_json());
+    fn args_accept_both_spellings_first_occurrence_winning() {
+        let e = exp(&[
+            "target/release/fig15_aggregation",
+            "--metrics",
+            "m.json",
+            "--trace=t.bin",
+            "--metrics=other.json",
+            "--timeline-every",
+            "250",
+            "--networks=12",
+        ]);
+        assert_eq!(e.bin, "fig15_aggregation");
+        assert_eq!(e.flag("--metrics"), Some("m.json"));
+        assert_eq!(e.flag("--trace"), Some("t.bin"));
+        assert_eq!(e.flag("--health"), None);
+        assert_eq!(e.num("--timeline-every"), Some(250));
+        assert_eq!(e.num("--networks"), Some(12));
     }
 
     #[test]
-    fn absorb_health_prefixes_and_resorts() {
+    fn args_reject_typos_missing_values_and_bad_numbers() {
+        for bad in [
+            &["b", "--metric", "out.json"][..],
+            &["b", "out.json"],
+            &["b", "--threads", "4"],
+            &["b", "--metrics"],
+            &["b", "--timeline-every", "abc"],
+            &["b", "--timeline-every=0"],
+            &["b", "--networks", "-3"],
+        ] {
+            let usage = parse(bad).expect_err(&format!("{bad:?} parsed"));
+            assert!(!usage.contains('\n'), "usage is one line: {usage}");
+            for flag in PATH_FLAGS.iter().chain(&["--timeline-every", "--networks"]) {
+                assert!(usage.contains(flag), "usage omits {flag}: {usage}");
+            }
+        }
+    }
+
+    #[test]
+    fn run_arm_fills_every_sink() {
+        let mut e = exp(&["fig00_demo", "--timeline", "unused.bin"]);
+        let (cfg, duration) = small_arm();
+        let report = e.run_arm("fast", cfg, duration);
+        assert!(report.timeline.is_some(), "--timeline turns the sampler on");
+        assert!(e.metrics.counter_value("sim.queue.popped") > Some(0));
+        assert!(e.flight.total_records() > 0);
+        assert!(e
+            .flight
+            .components
+            .iter()
+            .all(|c| c.name.starts_with("fast.")));
+        assert!(e.health.steps > 0);
+        assert!(e.timeline.ticks() > 0);
+        assert!(e.timeline.series_names().all(|n| n.starts_with("fast.")));
+        assert!(e.arm_wall_s > 0.0);
+        for (name, bytes) in e.artifacts() {
+            assert!(!bytes.is_empty(), "{name} artifact is empty");
+        }
+
+        // Without the flag the sampler stays off and the store empty.
+        let mut e = exp(&["fig00_demo"]);
+        let (cfg, duration) = small_arm();
+        assert!(e.run_arm("fast", cfg, duration).timeline.is_none());
+        assert!(e.timeline.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "absorbed twice")]
+    fn a_label_absorbs_once() {
+        let mut e = exp(&["t"]);
+        let (cfg, duration) = small_arm();
+        let report = e.run_arm("fast", cfg, duration);
+        e.absorb("fast", &report);
+    }
+
+    #[test]
+    fn absorb_sums_counters_and_prefixes_alerts() {
         use wifi_core::sim::SimTime;
         use wifi_core::telemetry::health::{Alert, Severity, RULE_RTO_STORM};
-        let mut e = Experiment::new("t", "health");
-        let mut r = HealthReport {
+        let mut metrics = Registry::new();
+        metrics.count("sub.events", 2);
+        let mut health = HealthReport {
             steps: 3,
             ..HealthReport::default()
         };
-        r.alerts.push(Alert {
+        health.alerts.push(Alert {
             component: "tcp".to_owned(),
             rule: RULE_RTO_STORM.to_owned(),
             severity: Severity::Warning,
@@ -438,8 +656,23 @@ mod tests {
             value: 7.0,
             threshold: 6.0,
         });
-        e.absorb_health("base", &r);
-        e.absorb_health("", &r);
+        let flight = FlightDump::default();
+        let mut e = exp(&["t"]);
+        for label in ["base", ""] {
+            e.absorb(
+                label,
+                Sinks {
+                    metrics: &metrics,
+                    flight: &flight,
+                    health: &health,
+                    timeline: None,
+                },
+            );
+        }
+        // Snapshot order-independence: same JSON as a single 4-count.
+        let mut want = Registry::new();
+        want.count("sub.events", 4);
+        assert_eq!(e.metrics.to_json(), want.to_json());
         assert_eq!(e.health.steps, 6);
         let comps: Vec<&str> = e
             .health
@@ -454,10 +687,14 @@ mod tests {
     }
 
     #[test]
-    fn perf_json_reports_rate() {
-        let mut e = Experiment::new("t", "perf");
-        e.perf("arm-a", 1_000_000, 2.0);
+    fn timed_samples_report_rate() {
+        let mut e = exp(&["t"]);
+        let (value, wall_s) = e.timed("arm-a", || 1_000_000, |v| *v);
+        assert_eq!(value, 1_000_000);
+        e.perf("rate", 1_000_000, 2.0);
         e.perf("degenerate", 5, 0.0);
+        assert_eq!(e.perf_samples[0].events, 1_000_000);
+        assert_eq!(e.perf_samples[0].wall_s.to_bits(), wall_s.to_bits());
         let j = e.perf_json();
         assert!(j.contains("\"bench\": \"t\""), "{j}");
         assert!(j.contains("\"label\": \"arm-a\""), "{j}");
@@ -466,7 +703,7 @@ mod tests {
         assert!(j.contains("\"events_per_s\": 0"), "{j}");
         // Peak RSS rides along in every sample (numeric on Linux,
         // null where procfs is unavailable — never absent).
-        assert_eq!(j.matches("\"peak_rss_bytes\":").count(), 2, "{j}");
+        assert_eq!(j.matches("\"peak_rss_bytes\":").count(), 3, "{j}");
     }
 
     #[test]

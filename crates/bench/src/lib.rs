@@ -5,6 +5,7 @@
 //! reports and optionally dump raw series as JSON under `results/`
 //! (set `IMC_RESULTS_DIR` to override the directory).
 
+pub mod arms;
 pub mod harness;
 pub mod turboca_eval;
 

@@ -811,7 +811,8 @@ impl Timeline {
     }
 
     /// Parse a dump produced by [`Timeline::to_bytes`]. Strict: any
-    /// truncation, bad tag, off-grid timestamp, payload-length
+    /// truncation, bad tag, off-grid timestamp, tick/series/tier grid
+    /// whose last instant overflows `u64` nanoseconds, payload-length
     /// mismatch, or trailing garbage is an error. The parsed timeline
     /// is frozen (query/serialize only).
     pub fn parse(bytes: &[u8]) -> Result<Timeline, String> {
@@ -842,7 +843,12 @@ impl Timeline {
                 }
             }
         }
-        let series = take_series_map(&mut r, |kind, start, vals| Series { kind, start, vals })?;
+        grid_fits("tick column", base, len, every_ns)?;
+        let series = take_series_map(&mut r, every_ns, |kind, start, vals| Series {
+            kind,
+            start,
+            vals,
+        })?;
         let n_tiers = r.u32()?;
         let n_tiers = r.count(n_tiers.into(), MIN_TIER_BYTES)?;
         let mut tiers = Vec::with_capacity(n_tiers);
@@ -854,7 +860,8 @@ impl Timeline {
             let agg = agg_from_tag(r.u8()?)?;
             let t_base = r.u64()?;
             let t_len = u64::from(r.u32()?);
-            let tser = take_series_map(&mut r, |kind, start, vals| TierSeries {
+            grid_fits("tier rows", t_base, t_len, bucket_ns)?;
+            let tser = take_series_map(&mut r, bucket_ns, |kind, start, vals| TierSeries {
                 kind,
                 start,
                 vals,
@@ -988,10 +995,29 @@ fn put_series(out: &mut Vec<u8>, name: &str, kind: SeriesKind, start: u64, vals:
     out.extend_from_slice(&payload);
 }
 
+/// `count` grid points from index `first`, `step_ns` apart, must end on
+/// an instant `u64` nanoseconds can hold: the stamp accessors
+/// (`last_stamp`, `range_bits`, `TierView::series`) multiply these out
+/// unchecked, so a dump that fails here is rejected at parse instead of
+/// overflowing on the first query.
+fn grid_fits(what: &str, first: u64, count: u64, step_ns: u64) -> Result<(), String> {
+    if count == 0 {
+        return Ok(());
+    }
+    first
+        .checked_add(count)
+        .and_then(|end| (end - 1).checked_mul(step_ns))
+        .map(drop)
+        .ok_or_else(|| {
+            format!("{what}: {count} points from index {first} at {step_ns}ns overflow the clock")
+        })
+}
+
 /// A `u32` series count, then that many series in strictly ascending
-/// name order.
+/// name order, each on the `step_ns` grid (see [`grid_fits`]).
 fn take_series_map<T>(
     r: &mut Reader<'_>,
+    step_ns: u64,
     make: impl Fn(SeriesKind, u64, VecDeque<u64>) -> T,
 ) -> Result<BTreeMap<String, T>, String> {
     let n = r.u32()?;
@@ -999,6 +1025,7 @@ fn take_series_map<T>(
     let mut map = BTreeMap::new();
     for _ in 0..n {
         let (name, kind, start, vals) = take_series(r)?;
+        grid_fits(&name, start, vals.len() as u64, step_ns)?;
         if map.last_key_value().is_some_and(|(prev, _)| name <= *prev) {
             return Err(format!("series {name} out of order"));
         }

@@ -26,7 +26,7 @@ fn two_aps(fa1: bool, fa2: bool) -> TestbedReport {
         seed: 1818,
         // Two APs share the collision domain: queue residency doubles,
         // and era-realistic ~512-frame firmware pools bind the baseline
-        // (see crates/bench/src/bin/fig18_multi_ap.rs).
+        // (see `fig18` in crates/bench/src/arms.rs).
         ap_buffer_pool_frames: 512,
         ..TestbedConfig::default()
     })

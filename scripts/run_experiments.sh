@@ -9,7 +9,7 @@ cd "$(dirname "$0")/.."
 
 OUTDIR="${1:-results}"
 mkdir -p "$OUTDIR"
-# Picked up by bench::harness::Experiment::finish for the JSON dumps.
+# Picked up by bench::harness::Experiment's report step for the JSON dumps.
 export IMC_RESULTS_DIR="$OUTDIR"
 
 EXPERIMENTS=(

@@ -1,28 +1,33 @@
-//! Byte-identity pins for the perf-campaign experiments.
+//! Byte-identity pins for the packet-level experiments.
 //!
-//! The hot-path speed work (arena event store, batched DCF stepping,
-//! PHY lookup tables) is only allowed to make the simulator *faster*,
-//! never to change what it computes: the determinism guarantee says the
-//! fig18 and fig15 `--metrics`/`--trace`/`--health` artifacts must stay
-//! byte-identical across such changes. These tests reproduce exactly
-//! the artifact bytes the bench binaries emit (same runs, same absorb
-//! order, same serialization calls) and pin their hashes against
-//! `tests/golden/artifact_hashes.txt`, so any trajectory drift fails
-//! tier-1 rather than slipping silently into a perf PR.
+//! Perf work is only allowed to make the simulator *faster*, and
+//! observation (`--runprof`, `--timeline`) is only allowed to watch:
+//! neither may change what a run computes. Each test here runs one
+//! experiment's arm list (`bench::arms`) through the harness path its
+//! binary uses — `Experiment::run_arms`, then `Experiment::artifacts`,
+//! the very bytes `--metrics`/`--trace`/`--health`/`--timeline` write —
+//! and pins their hashes against `tests/golden/artifact_hashes.txt`,
+//! so any trajectory drift fails tier-1 rather than slipping silently
+//! into a perf PR.
+//!
+//! Every run has the host-side profiler **and** the timeline sampler
+//! on (100 ms; fig14 keeps its own 250 ms one). The fig15/18/19
+//! metrics/trace/health hashes were pinned from unobserved runs, so
+//! their not moving is the tier-1 proof that both are
+//! trajectory-neutral; scripts/ci.sh repeats it on the binaries.
 //!
 //! Refreshing after an *intentional* behaviour change:
 //!
 //! ```text
-//! IMC_UPDATE_GOLDENS=1 cargo test --test golden_artifacts
+//! IMC_UPDATE_GOLDENS=1 cargo test --test golden_artifacts -- --test-threads=1
 //! ```
 //!
-//! then commit the rewritten hash file together with the change that
-//! explains it.
+//! (one thread: every test rewrites its own lines of the one file) then
+//! the rewritten hash file together with the change that explains it.
 
-use wifi_core::netsim::testbed::{InterfererFault, Traffic};
-use wifi_core::prelude::*;
+use bench::arms::{self, Arm};
+use bench::harness::Experiment;
 use wifi_core::telemetry::codec::Fnv1a;
-use wifi_core::telemetry::{FlightDump, HealthReport, Registry};
 
 /// FNV-1a 64 over the artifact bytes: stable, dependency-free, and more
 /// than enough to detect drift (these are equality pins, not security).
@@ -41,7 +46,7 @@ const GOLDEN_PATH: &str = concat!(
 /// rewrite the file when `IMC_UPDATE_GOLDENS` is set. Entries missing
 /// from the file fail (pin everything), and per-entry drift reports the
 /// artifact name so the failure says *what* diverged.
-fn check_goldens(entries: &[(&str, u64)]) {
+fn check_goldens(entries: &[(String, u64)]) {
     let rendered: String = entries
         .iter()
         .map(|(name, h)| format!("{name} {h:016x}\n"))
@@ -84,125 +89,44 @@ fn check_goldens(entries: &[(&str, u64)]) {
     }
 }
 
-/// Exactly `fig18_multi_ap`'s three runs and artifact assembly. Runs
-/// with the host-side profiler enabled: the pinned hashes double as
-/// proof that `--runprof` is trajectory-neutral (same bytes whether or
-/// not wall-clock spans are being recorded).
-#[test]
-fn fig18_artifacts_match_goldens() {
-    wifi_core::telemetry::runprof::set_enabled(true);
-    let run = |fa1: bool, fa2: bool| {
-        Testbed::new(TestbedConfig {
-            n_aps: 2,
-            clients_per_ap: 10,
-            fastack: vec![fa1, fa2],
-            seed: 1818,
-            ap_buffer_pool_frames: 512,
-            ..TestbedConfig::default()
-        })
-        .run(SimDuration::from_secs(6))
-    };
-    let bb = run(false, false);
-    let bf = run(false, true);
-    let ff = run(true, true);
-
-    let mut metrics = Registry::default();
-    metrics.merge_from(&bb.metrics);
-    metrics.merge_from(&bf.metrics);
-    metrics.merge_from(&ff.metrics);
-    let mut flight = FlightDump::default();
-    flight.absorb("bb", &bb.flight);
-    flight.absorb("bf", &bf.flight);
-    flight.absorb("ff", &ff.flight);
-    let mut health = HealthReport::default();
-    health.absorb("bb", &bb.health);
-    health.absorb("bf", &bf.health);
-    health.absorb("ff", &ff.health);
-
-    check_goldens(&[
-        ("fig18.metrics", fnv1a(metrics.to_json().as_bytes())),
-        ("fig18.trace", fnv1a(&flight.to_bytes())),
-        ("fig18.health", fnv1a(health.to_json().as_bytes())),
-    ]);
+/// Run `arms` the way the `fig` binary does under `--timeline x
+/// --runprof y` and pin all four artifacts as `<fig>.<artifact>`.
+fn pin<const N: usize>(fig: &str, arms: [Arm; N]) {
+    let argv = [fig, "--timeline", "unwritten", "--runprof", "unwritten"].map(str::to_owned);
+    let mut exp = Experiment::parse(fig, "golden pin", &argv, &[]).unwrap();
+    exp.run_arms(arms);
+    let entries: Vec<(String, u64)> = exp
+        .artifacts()
+        .iter()
+        .map(|(name, bytes)| (format!("{fig}.{name}"), fnv1a(bytes)))
+        .collect();
+    check_goldens(&entries);
 }
 
-/// Exactly `fig15_aggregation`'s three runs and artifact assembly (the
-/// bench binary absorbs no health reports, so its `--health` artifact
-/// is the canonical empty report — pinned all the same).
+/// `fig14_cwnd`'s two runs: the always-on 250 ms sampler that feeds the
+/// figure's cwnd curves.
+#[test]
+fn fig14_artifacts_match_goldens() {
+    pin("fig14", arms::fig14());
+}
+
+/// `fig15_aggregation`'s three runs (TCP baseline, FastACK, UDP bound).
 #[test]
 fn fig15_artifacts_match_goldens() {
-    wifi_core::telemetry::runprof::set_enabled(true);
-    let run = |fastack: bool| {
-        Testbed::new(TestbedConfig {
-            clients_per_ap: 30,
-            fastack: vec![fastack],
-            seed: 1515,
-            ..TestbedConfig::default()
-        })
-        .run(SimDuration::from_secs(8))
-    };
-    let base = run(false);
-    let fast = run(true);
-    let udp = Testbed::new(TestbedConfig {
-        clients_per_ap: 30,
-        fastack: vec![false],
-        seed: 1515,
-        traffic: Traffic::UdpSaturate,
-        ..TestbedConfig::default()
-    })
-    .run(SimDuration::from_secs(4));
-
-    let mut metrics = Registry::default();
-    metrics.merge_from(&base.metrics);
-    metrics.merge_from(&fast.metrics);
-    metrics.merge_from(&udp.metrics);
-    let mut flight = FlightDump::default();
-    flight.absorb("base", &base.flight);
-    flight.absorb("fast", &fast.flight);
-    flight.absorb("udp", &udp.flight);
-    let health = HealthReport::default();
-
-    check_goldens(&[
-        ("fig15.metrics", fnv1a(metrics.to_json().as_bytes())),
-        ("fig15.trace", fnv1a(&flight.to_bytes())),
-        ("fig15.health", fnv1a(health.to_json().as_bytes())),
-    ]);
+    pin("fig15", arms::fig15());
 }
 
-/// Exactly `fig19_qoe`'s two runs and artifact assembly — the QoE
-/// subsystem (probe flows, per-client scoring, the `qoe-degraded`
-/// detector) joins fig15/fig18 under the byte-identity pin, so probe
-/// scheduling or scoring drift fails tier-1 instead of shipping.
+/// `fig18_multi_ap`'s three runs.
+#[test]
+fn fig18_artifacts_match_goldens() {
+    pin("fig18", arms::fig18());
+}
+
+/// `fig19_qoe`'s two runs — the QoE subsystem (probe flows, per-client
+/// scoring, the `qoe-degraded` detector) under the byte-identity pin,
+/// so probe scheduling or scoring drift fails tier-1 instead of
+/// shipping.
 #[test]
 fn fig19_artifacts_match_goldens() {
-    wifi_core::telemetry::runprof::set_enabled(true);
-    let run = |fastack: bool| {
-        Testbed::new(TestbedConfig {
-            clients_per_ap: 6,
-            fastack: vec![fastack],
-            seed: 1919,
-            interferer: Some(InterfererFault::default()),
-            qoe: Some(ProbeConfig::default()),
-            ..TestbedConfig::default()
-        })
-        .run(SimDuration::from_secs(5))
-    };
-    let base = run(false);
-    let fast = run(true);
-
-    let mut metrics = Registry::default();
-    metrics.merge_from(&base.metrics);
-    metrics.merge_from(&fast.metrics);
-    let mut flight = FlightDump::default();
-    flight.absorb("base", &base.flight);
-    flight.absorb("fast", &fast.flight);
-    let mut health = HealthReport::default();
-    health.absorb("base", &base.health);
-    health.absorb("fast", &fast.health);
-
-    check_goldens(&[
-        ("fig19.metrics", fnv1a(metrics.to_json().as_bytes())),
-        ("fig19.trace", fnv1a(&flight.to_bytes())),
-        ("fig19.health", fnv1a(health.to_json().as_bytes())),
-    ]);
+    pin("fig19", arms::fig19());
 }

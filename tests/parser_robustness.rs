@@ -13,7 +13,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use wifi_core::netsim::testbed::InterfererFault;
 use wifi_core::prelude::*;
-use wifi_core::telemetry::codec::Reader;
+use wifi_core::telemetry::codec::{put_varint, Reader};
 use wifi_core::telemetry::{json, FlightDump, HealthReport, HealthRollup};
 
 /// ~256 evenly spaced offsets plus the first and last 64 bytes.
@@ -143,6 +143,66 @@ fn tsl1_length_fields(bytes: &[u8]) -> Vec<(usize, usize)> {
     fields
 }
 
+/// Touch every stamp accessor of a parsed timeline: "parses" has to
+/// mean "safe to query", so a dump whose grid overflows the clock must
+/// have been rejected before it gets here.
+fn query_all(tl: &Timeline) {
+    let _ = (tl.ticks(), tl.first_stamp(), tl.last_stamp());
+    for name in tl.series_names() {
+        let _ = tl.range(name, SimTime::ZERO, SimTime::MAX);
+        for tier in tl.tiers() {
+            let _ = tier.series(name);
+        }
+    }
+}
+
+/// `TSL1` header: magic, cadence, evicted ticks, retained ticks and —
+/// when any are retained — the shared timestamp column.
+fn tsl1_header(every_ns: u64, base: u64, len: u32) -> Vec<u8> {
+    let mut b = b"TSL1".to_vec();
+    b.extend_from_slice(&every_ns.to_le_bytes());
+    b.extend_from_slice(&base.to_le_bytes());
+    b.extend_from_slice(&len.to_le_bytes());
+    if len > 0 {
+        b.extend_from_slice(&(base * every_ns).to_le_bytes());
+        for _ in 1..len {
+            put_varint(&mut b, every_ns);
+        }
+    }
+    b
+}
+
+/// Well-formed dumps whose last tick / last tier row lies past what
+/// `u64` nanoseconds can hold used to parse `Ok` and then overflow in
+/// `last_stamp` / `TierView::series`; they are rejected at parse now.
+#[test]
+fn tsl1_grids_that_overflow_the_clock_are_rejected() {
+    // Ticks 3 and 4 at 2^62 ns: the first stamp fits, the last does not.
+    let mut ticks = tsl1_header(1 << 62, 3, 2);
+    ticks.extend_from_slice(&[0; 8]); // no series, no tiers
+    assert_eq!(ticks.len(), 49);
+    let verdict = Timeline::parse(&ticks).map(|tl| query_all(&tl));
+    assert!(verdict.is_err(), "tick column past the clock parsed");
+
+    // An empty raw ring, one tier whose only series holds row 4 of a
+    // 2^62 ns bucket.
+    let mut tier = tsl1_header(1, 0, 0);
+    tier.extend_from_slice(&0u32.to_le_bytes()); // series
+    tier.extend_from_slice(&1u32.to_le_bytes()); // tiers
+    tier.extend_from_slice(&(1u64 << 62).to_le_bytes());
+    tier.push(0); // mean
+    tier.extend_from_slice(&0u64.to_le_bytes()); // evicted rows
+    tier.extend_from_slice(&0u32.to_le_bytes()); // retained rows
+    tier.extend_from_slice(&1u32.to_le_bytes()); // tier series
+    tier.extend_from_slice(&[1, 0, b'x', 2]); // name, f64 kind
+    tier.extend_from_slice(&4u64.to_le_bytes()); // start row
+    tier.extend_from_slice(&1u32.to_le_bytes()); // one value
+    tier.extend_from_slice(&8u32.to_le_bytes()); // payload bytes
+    tier.extend_from_slice(&1.0f64.to_bits().to_le_bytes());
+    let verdict = Timeline::parse(&tier).map(|tl| tl.tiers().for_each(|t| drop(t.series("x"))));
+    assert!(verdict.is_err(), "tier row past the clock parsed");
+}
+
 #[test]
 fn every_parser_survives_truncation_bitflips_and_inflated_lengths() {
     let report = Testbed::new(TestbedConfig {
@@ -202,7 +262,9 @@ fn every_parser_survives_truncation_bitflips_and_inflated_lengths() {
     sweep_text("health rollup", &health_rollup, HealthRollup::parse);
     sweep_text("qoe rollup", &qoe_rollup, QoeRollup::parse);
     sweep("FLT1", &flight, FlightDump::parse);
-    sweep("TSL1", &timeline, Timeline::parse);
+    sweep("TSL1", &timeline, |b| {
+        Timeline::parse(b).map(|tl| query_all(&tl))
+    });
     inflate(
         "FLT1",
         &flight,

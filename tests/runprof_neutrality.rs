@@ -6,53 +6,30 @@
 //! only sound if profiling can never steer the simulation: every
 //! deterministic artifact must be byte-identical whether the profiler
 //! is off, on, or toggled between runs. This test pins that property
-//! directly on the fig15- and fig18-shaped runs (the same shapes the
-//! golden-artifact pins cover), and checks the sidecar itself splits
-//! cleanly into reproducible and wall-clock halves.
+//! directly on one fig18 and one fig15 arm (`bench::arms`, the lists
+//! the golden-artifact pins cover in full), and checks the sidecar
+//! itself splits cleanly into reproducible and wall-clock halves.
 //!
 //! Everything lives in one `#[test]` because `runprof` state is
 //! process-global: parallel test threads toggling `set_enabled` would
 //! race each other's measurements (never the simulation — that is the
 //! point — but the assertions below compare profiler state too).
 
-use wifi_core::netsim::testbed::Traffic;
-use wifi_core::prelude::*;
+use bench::arms;
+use bench::harness::Experiment;
 use wifi_core::telemetry::runprof;
-use wifi_core::telemetry::{FlightDump, Registry};
 
-/// One fig18-shaped run (two co-channel APs, mixed FastACK).
-fn fig18_run() -> TestbedReport {
-    Testbed::new(TestbedConfig {
-        n_aps: 2,
-        clients_per_ap: 10,
-        fastack: vec![false, true],
-        seed: 1818,
-        ap_buffer_pool_frames: 512,
-        ..TestbedConfig::default()
-    })
-    .run(SimDuration::from_secs(6))
-}
-
-/// One fig15-shaped run (UDP saturation arm).
-fn fig15_run() -> TestbedReport {
-    Testbed::new(TestbedConfig {
-        clients_per_ap: 30,
-        fastack: vec![false],
-        seed: 1515,
-        traffic: Traffic::UdpSaturate,
-        ..TestbedConfig::default()
-    })
-    .run(SimDuration::from_secs(4))
-}
-
-/// The deterministic artifact bytes a bench binary would emit for one
-/// report: metrics JSON and the flight-recorder dump.
-fn artifacts(report: &TestbedReport, tag: &str) -> (String, Vec<u8>) {
-    let mut metrics = Registry::default();
-    metrics.merge_from(&report.metrics);
-    let mut flight = FlightDump::default();
-    flight.absorb(tag, &report.flight);
-    (metrics.to_json(), flight.to_bytes())
+/// The four deterministic artifacts a bench binary would emit after
+/// fig18's mixed arm (two co-channel APs, baseline + FastACK) and
+/// fig15's UDP-saturation arm, run through the harness path.
+fn artifacts() -> Vec<(&'static str, Vec<u8>)> {
+    let mut exp = Experiment::parse("neutrality", "profiler on/off", &[], &[]).unwrap();
+    let [_, bf, _] = arms::fig18();
+    let [_, _, udp] = arms::fig15();
+    for arm in [bf, udp] {
+        exp.run_arm(arm.label, arm.cfg, arm.duration);
+    }
+    exp.artifacts()
 }
 
 #[test]
@@ -60,8 +37,7 @@ fn profiler_on_off_produces_identical_artifacts() {
     // Pass 1: profiler off (and any stale state cleared).
     runprof::set_enabled(false);
     runprof::reset();
-    let off18 = artifacts(&fig18_run(), "bf");
-    let off15 = artifacts(&fig15_run(), "udp");
+    let off = artifacts();
     let off_snapshot = runprof::snapshot();
     assert!(
         off_snapshot.watermarks.is_empty() && off_snapshot.stages.is_empty(),
@@ -71,14 +47,12 @@ fn profiler_on_off_produces_identical_artifacts() {
     // Pass 2: profiler on. Same seeds, same configs — every
     // deterministic artifact must not move by a byte.
     runprof::set_enabled(true);
-    let on18 = artifacts(&fig18_run(), "bf");
-    let on15 = artifacts(&fig15_run(), "udp");
+    let on = artifacts();
     runprof::set_enabled(false);
 
-    assert_eq!(off18.0, on18.0, "fig18 metrics drifted under profiling");
-    assert_eq!(off18.1, on18.1, "fig18 trace drifted under profiling");
-    assert_eq!(off15.0, on15.0, "fig15 metrics drifted under profiling");
-    assert_eq!(off15.1, on15.1, "fig15 trace drifted under profiling");
+    for ((name, off), (_, on)) in off.iter().zip(&on) {
+        assert!(off == on, "fig18/fig15 {name} drifted under profiling");
+    }
 
     // The profiled pass must actually have measured something, and the
     // deterministic half of its sidecar must reproduce: same runs,
@@ -103,11 +77,9 @@ fn profiler_on_off_produces_identical_artifacts() {
 
     runprof::reset();
     runprof::set_enabled(true);
-    let rerun18 = artifacts(&fig18_run(), "bf");
-    let rerun15 = artifacts(&fig15_run(), "udp");
+    let rerun = artifacts();
     runprof::set_enabled(false);
-    assert_eq!(on18, rerun18, "fig18 artifacts drifted across reruns");
-    assert_eq!(on15, rerun15, "fig15 artifacts drifted across reruns");
+    assert!(on == rerun, "fig18/fig15 artifacts drifted across reruns");
     assert_eq!(
         first,
         det(&runprof::snapshot()),
