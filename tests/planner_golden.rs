@@ -1,0 +1,204 @@
+//! Bit-identity pins for the channel planner.
+//!
+//! Perf work on `chanassign` may change how a plan is computed, never
+//! which plan comes out: every line here hashes planner *outputs* —
+//! channels, fallbacks, `ln NetP` bit patterns, NBO run counts, fleet
+//! checksums — on seeded views, and pins them in
+//! `tests/golden/artifact_hashes.txt` beside the packet-level pins of
+//! `golden_artifacts.rs`. The lines were generated on the planner as it
+//! stood before the dense view index; a representation change that
+//! reorders one f64 operation or one RNG draw fails here.
+//!
+//! Refreshing after an *intentional* behaviour change:
+//!
+//! ```text
+//! IMC_UPDATE_GOLDENS=1 cargo test --test planner_golden -- --test-threads=1
+//! ```
+
+mod common;
+
+use common::check_goldens;
+use wifi_core::chanassign::metrics::{net_p_ln, MetricParams};
+use wifi_core::chanassign::model::{NetworkView, Plan};
+use wifi_core::chanassign::turboca::{nbo, PlanResult, ScheduleTier, TurboCa};
+use wifi_core::chanassign::{least_congested, ReservedCa};
+use wifi_core::fleet::{run_fleet, FleetConfig};
+use wifi_core::netsim::deployment::{to_view, SeedChannels, ViewOptions};
+use wifi_core::netsim::topology;
+use wifi_core::phy::channels::{Band, Width};
+use wifi_core::sim::{Rng, SimDuration};
+use wifi_core::telemetry::codec::Fnv1a;
+
+const TIERS: [(ScheduleTier, &str); 3] = [
+    (ScheduleTier::Fast, "fast"),
+    (ScheduleTier::Medium, "medium"),
+    (ScheduleTier::Slow, "slow"),
+];
+
+/// A seeded `n`-AP random area at the fleet's 350 m² per AP.
+fn area_view(n: usize, band: Band, opts: &ViewOptions, seed: u64) -> NetworkView {
+    let mut rng = Rng::new(seed);
+    let side = (n as f64 * 350.0).sqrt();
+    let topo = topology::random_area(n, side, side, band, &mut rng);
+    to_view(&topo, opts, &mut rng).0
+}
+
+/// `abl_nbo_hops`' crowded floor: a 6 × 5 grid, everyone on one channel.
+fn all_default_grid() -> NetworkView {
+    let mut rng = Rng::new(31);
+    let topo = topology::grid(6, 5, 12.0, 2.0, Band::Band5, &mut rng);
+    let opts = ViewOptions {
+        seed_channels: SeedChannels::AllDefault,
+        ..ViewOptions::default()
+    };
+    to_view(&topo, &opts, &mut rng).0
+}
+
+fn fold_plan(h: &mut Fnv1a, plan: &Plan) {
+    for c in &plan.channels {
+        h.write(&c.primary.to_le_bytes());
+        h.write(&c.width.mhz().to_le_bytes());
+    }
+    for f in &plan.fallback {
+        match f {
+            Some(c) => {
+                h.write(&c.primary.to_le_bytes());
+                h.write(&c.width.mhz().to_le_bytes());
+            }
+            None => h.write(&[0]),
+        }
+    }
+}
+
+fn hash_plan(plan: &Plan) -> u64 {
+    let mut h = Fnv1a::new();
+    fold_plan(&mut h, plan);
+    h.finish()
+}
+
+fn hash_result(r: &PlanResult) -> u64 {
+    let mut h = Fnv1a::new();
+    fold_plan(&mut h, &r.plan);
+    h.write(&r.net_p_ln.to_bits().to_le_bytes());
+    h.write(&r.incumbent_net_p_ln.to_bits().to_le_bytes());
+    h.write(&(r.runs as u64).to_le_bytes());
+    h.finish()
+}
+
+/// `TurboCa::run` at every tier on each of `views`.
+fn turboca_entries(owner: &str, views: &[(&str, NetworkView)]) -> Vec<(String, u64)> {
+    let mut entries = Vec::new();
+    for (name, view) in views {
+        for (tier, tier_name) in TIERS {
+            let result = TurboCa::new(0x7ca + view.len() as u64).run(view, tier);
+            entries.push((format!("{owner}.{name}.{tier_name}"), hash_result(&result)));
+        }
+    }
+    entries
+}
+
+/// 5 GHz views from the degenerate (1, 2 APs) to fleet-sized.
+#[test]
+fn turboca_plans_on_5ghz_views_match_goldens() {
+    let owner = "planner.turboca5";
+    let opts = ViewOptions::default();
+    let views: Vec<(&str, NetworkView)> = [("n1", 1), ("n2", 2), ("n16", 16), ("n40", 40)]
+        .into_iter()
+        .map(|(name, n)| (name, area_view(n, Band::Band5, &opts, 100 + n as u64)))
+        .collect();
+    check_goldens(owner, &turboca_entries(owner, &views));
+}
+
+/// The regimes the 5 GHz default never reaches: 2.4 GHz (overlap by
+/// channel distance, one width), no DFS certification (15 candidates,
+/// no fallbacks), and a fresh deployment with every AP on channel 36.
+#[test]
+fn turboca_plans_on_other_regimes_match_goldens() {
+    let owner = "planner.turboca";
+    let no_dfs = ViewOptions {
+        dfs_certified: false,
+        ..ViewOptions::default()
+    };
+    let views = [
+        (
+            "band24",
+            area_view(16, Band::Band2_4, &ViewOptions::default(), 24),
+        ),
+        ("nodfs", area_view(16, Band::Band5, &no_dfs, 52)),
+        ("alldefault", all_default_grid()),
+    ];
+    check_goldens(owner, &turboca_entries(owner, &views));
+}
+
+/// One campus-sized Fast plan, the shape `planner_campus` times.
+#[test]
+fn turboca_fast_plan_on_100_aps_matches_golden() {
+    let view = area_view(100, Band::Band5, &ViewOptions::default(), 1000);
+    let result = TurboCa::new(1000).run(&view, ScheduleTier::Fast);
+    check_goldens(
+        "planner.campus",
+        &[("planner.campus.n100.fast".to_owned(), hash_result(&result))],
+    );
+}
+
+/// One NBO pass per hop limit, plus the two deterministic baselines.
+#[test]
+fn nbo_passes_and_baselines_match_goldens() {
+    let owner = "planner.pass";
+    let params = MetricParams::default();
+    let views = [
+        (
+            "n40",
+            area_view(40, Band::Band5, &ViewOptions::default(), 140),
+        ),
+        ("alldefault", all_default_grid()),
+    ];
+    let mut entries = Vec::new();
+    for (name, view) in &views {
+        for hop in 0..=2usize {
+            let plan = nbo(&params, view, hop, &mut Rng::new(32 + hop as u64));
+            let mut h = Fnv1a::new();
+            fold_plan(&mut h, &plan);
+            h.write(&net_p_ln(&params, view, &plan).to_bits().to_le_bytes());
+            entries.push((format!("{owner}.{name}.nbo_hop{hop}"), h.finish()));
+        }
+        entries.push((
+            format!("{owner}.{name}.reserved_w40"),
+            hash_plan(&ReservedCa::new(Width::W40).run(view)),
+        ));
+        entries.push((
+            format!("{owner}.{name}.least_congested_w80"),
+            hash_plan(&least_congested(view, Width::W80)),
+        ));
+    }
+    check_goldens(owner, &entries);
+}
+
+/// The fleet's determinism checksum — every network's plans, switches
+/// and final `ln NetP` — sequential and sharded.
+#[test]
+fn fleet_checksum_matches_golden_at_1_and_2_threads() {
+    let owner = "planner.fleet";
+    let entries: Vec<(String, u64)> = [1usize, 2]
+        .into_iter()
+        .map(|threads| {
+            let run = run_fleet(&FleetConfig {
+                n_networks: 6,
+                threads,
+                aps_min: 16,
+                aps_max: 16,
+                horizon: SimDuration::from_hours(1),
+                ..FleetConfig::default()
+            });
+            (
+                format!("{owner}.6x16x1h.threads{threads}"),
+                run.report.checksum,
+            )
+        })
+        .collect();
+    assert_eq!(
+        entries[0].1, entries[1].1,
+        "checksum depends on thread count"
+    );
+    check_goldens(owner, &entries);
+}
