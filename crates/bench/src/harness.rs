@@ -339,6 +339,7 @@ impl Experiment {
             events,
             wall_s,
             peak_rss_bytes: runprof::peak_rss_bytes(),
+            cores: runprof::cores(),
         });
     }
 

@@ -10,9 +10,9 @@
 //!   the lowest observed utilization, ignoring in-network coordination.
 
 use crate::metrics::{node_p_ln, MetricParams};
-use crate::model::{NetworkView, Plan};
+use crate::model::{ApReport, NetworkView, Plan};
 use crate::turboca::fallback_channels;
-use phy80211::channels::{all_channels, Channel, Width};
+use phy80211::channels::{all_channels, channels, Band, Channel, Width};
 use sim::{Rng, SimDuration};
 
 /// The ReservedCA baseline.
@@ -78,19 +78,33 @@ impl ReservedCa {
     }
 }
 
-/// Uniform random assignment at a fixed width.
+/// The channels of `width` `ap` may be put on without looking at anyone
+/// else: every legal one, minus DFS channels for an uncertified AP.
+/// Empty when the band has none that wide — 160 MHz without DFS,
+/// anything above 20 MHz in 2.4 GHz.
+fn usable_channels(band: Band, ap: &ApReport, width: Width) -> impl Iterator<Item = Channel> + '_ {
+    channels(band, width).filter(|c| !c.requires_dfs() || ap.dfs_certified)
+}
+
+/// One uniform draw from [`usable_channels`]; an AP with none stays put
+/// and consumes no draw.
+fn random_channel(band: Band, ap: &ApReport, width: Width, rng: &mut Rng) -> Channel {
+    let pool: Vec<Channel> = usable_channels(band, ap, width).collect();
+    if pool.is_empty() {
+        return ap.current;
+    }
+    pool[rng.below(pool.len() as u64) as usize]
+}
+
+/// Uniform random assignment at a fixed width. The width is taken as
+/// given, not capped by `max_width` like the other baselines' — it is a
+/// floor to compare against, and `abl_baselines`' `random` row is drawn
+/// this way.
 pub fn random_plan(view: &NetworkView, width: Width, rng: &mut Rng) -> Plan {
-    let pool = all_channels(view.band, width);
     let channels: Vec<Channel> = view
         .aps
         .iter()
-        .map(|ap| {
-            let usable: Vec<&Channel> = pool
-                .iter()
-                .filter(|c| !c.requires_dfs() || ap.dfs_certified)
-                .collect();
-            *usable[rng.below(usable.len() as u64) as usize]
-        })
+        .map(|ap| random_channel(view.band, ap, width, rng))
         .collect();
     let fallback = fallback_channels(view, &channels);
     Plan { channels, fallback }
@@ -125,13 +139,7 @@ impl ChannelHopping {
         let channels: Vec<Channel> = view
             .aps
             .iter()
-            .map(|ap| {
-                let pool: Vec<Channel> = all_channels(view.band, self.width.min(ap.max_width))
-                    .into_iter()
-                    .filter(|c| !c.requires_dfs() || ap.dfs_certified)
-                    .collect();
-                pool[self.rng.below(pool.len() as u64) as usize]
-            })
+            .map(|ap| random_channel(view.band, ap, self.width.min(ap.max_width), &mut self.rng))
             .collect();
         let fallback = fallback_channels(view, &channels);
         Plan { channels, fallback }
@@ -151,19 +159,15 @@ pub fn least_congested(view: &NetworkView, width: Width) -> Plan {
         .aps
         .iter()
         .map(|ap| {
-            all_channels(view.band, width.min(ap.max_width))
-                .into_iter()
-                .filter(|c| !c.requires_dfs() || ap.dfs_certified)
-                .min_by(|a, b| {
-                    let busy = |c: &Channel| {
-                        c.subchannel_numbers()
-                            .unwrap()
-                            .iter()
-                            .map(|&s| ap.external_busy_on(s))
-                            .fold(0.0f64, f64::max)
-                    };
-                    busy(a).total_cmp(&busy(b))
-                })
+            let busy = |c: &Channel| {
+                c.subchannels()
+                    .expect("enumerated channels are legal")
+                    .iter()
+                    .map(|&s| ap.external_busy_on(s))
+                    .fold(0.0f64, f64::max)
+            };
+            usable_channels(view.band, ap, width.min(ap.max_width))
+                .min_by(|a, b| busy(a).total_cmp(&busy(b)))
                 .unwrap_or(ap.current)
         })
         .collect();
@@ -175,9 +179,8 @@ pub fn least_congested(view: &NetworkView, width: Width) -> Plan {
 mod tests {
     use super::*;
     use crate::metrics::net_p_ln;
-    use crate::model::{ApLoad, ApReport};
+    use crate::model::ApLoad;
     use crate::turboca::{ScheduleTier, TurboCa};
-    use phy80211::channels::Band;
 
     fn loaded_ap(ch: Channel, neighbors: Vec<usize>) -> ApReport {
         let mut a = ApReport::idle_on(ch);
@@ -238,6 +241,39 @@ mod tests {
         assert_eq!(plan.channels.len(), 10);
         assert!(plan.channels.iter().all(|c| c.width == Width::W40));
         assert!(!plan.channels[3].requires_dfs());
+    }
+
+    /// No non-DFS 160 MHz channel exists, and 2.4 GHz has nothing above
+    /// 20 MHz: an AP whose pool is empty stays where it is and draws
+    /// nothing, so the APs after it see the stream they would have seen
+    /// without it.
+    #[test]
+    fn random_plan_keeps_an_ap_with_no_usable_channel_in_place() {
+        let mut view = clique(4, Channel::five(36));
+        view.aps[1].dfs_certified = false;
+        let plan = random_plan(&view, Width::W160, &mut Rng::new(9));
+        assert_eq!(plan.channels[1], Channel::five(36));
+        assert!(plan.channels[0].width == Width::W160 && plan.channels[2].width == Width::W160);
+        let mut without = view.clone();
+        without.aps.remove(1);
+        let shorter = random_plan(&without, Width::W160, &mut Rng::new(9));
+        assert_eq!(plan.channels[2..], shorter.channels[1..]);
+
+        let mut two4 = clique(3, Channel::two4(6));
+        two4.band = Band::Band2_4;
+        let plan = random_plan(&two4, Width::W40, &mut Rng::new(9));
+        assert_eq!(plan.channels, vec![Channel::two4(6); 3]);
+    }
+
+    #[test]
+    fn hopping_keeps_an_ap_with_no_usable_channel_in_place() {
+        let mut view = clique(3, Channel::five(36));
+        for ap in &mut view.aps {
+            ap.max_width = Width::W160;
+            ap.dfs_certified = false;
+        }
+        let mut hop = ChannelHopping::new(Width::W160, SimDuration::from_mins(5), 17);
+        assert_eq!(hop.next_epoch(&view).channels, vec![Channel::five(36); 3]);
     }
 
     #[test]

@@ -5,11 +5,17 @@
 //!
 //! * [`model`] — the planner's input (per-AP reports: neighbors,
 //!   utilization, quality, load) and the output [`model::Plan`];
-//! * [`metrics`] — NodeP / NetP in the log domain;
+//! * [`metrics`] — NodeP / NetP in the log domain, as one-shot
+//!   functions of a view;
+//! * `dense` (private) — the representation the planner works in: a
+//!   report as per-slot arrays carrying the one NodeP formula, and a
+//!   partial plan with maintained per-slot contender counts. Built from
+//!   the `&NetworkView` a call receives, dropped when it returns;
 //! * [`turboca`] — `ACC(v, ψ)`, the NBO pass (Algorithm 1) and the
 //!   15-min / 3-hour / daily runtime schedule;
+//! * [`scheduler`] — the service loop driving those tiers over time;
 //! * [`baselines`] — ReservedCA (the paper's §4.6.1 incumbent), random
-//!   assignment and least-congested scan.
+//!   assignment, channel hopping and least-congested scan.
 //!
 //! ```
 //! use chanassign::model::{ApLoad, ApReport, NetworkView};
@@ -29,8 +35,11 @@
 //! ```
 
 pub mod baselines;
+mod dense;
 pub mod metrics;
 pub mod model;
+#[cfg(test)]
+mod reference;
 pub mod scheduler;
 pub mod turboca;
 

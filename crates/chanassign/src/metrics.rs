@@ -12,9 +12,15 @@
 //! neighbor-crowded channel drives `NodeP → 0` (here: `ln NodeP → −∞`),
 //! sinking the whole plan; (ii) widths beyond what clients support add
 //! zero weight and thus change nothing.
+//!
+//! The formula itself lives on [`crate::dense::ApRow`]; the functions
+//! here are its one-shot form — build the row(s) a single question
+//! needs, count contenders off one neighbour list, ask. The planner's
+//! loops ask the same row the same question against maintained counts.
 
+use crate::dense::{count, rows, ApRow, Partial};
 use crate::model::{NetworkView, Plan};
-use phy80211::channels::{Channel, Width};
+use phy80211::channels::Channel;
 
 /// Tunables for the metric. Defaults reflect the behaviours §4.5 calls
 /// out (high 2.4 GHz switch penalties, extra penalty above 90 %
@@ -53,9 +59,9 @@ impl Default for MetricParams {
     }
 }
 
-/// Estimated share of airtime AP `v` would get on the `b`-wide bond at
-/// `cand`'s primary, given everyone else's channels in `plan_channels`
-/// (entries for APs in the ignore-set ψ are `None`).
+/// Estimated share of airtime AP `v` would get on `bond`, given everyone
+/// else's channels in `plan_channels` (entries for APs in the ignore-set
+/// ψ are `None`; channels of the other band never contend).
 ///
 /// Per 20 MHz sub-channel: `(1 − external_busy) / (1 + overlapping
 /// in-network neighbors)`; the bond's airtime is the **minimum** across
@@ -68,65 +74,22 @@ pub fn airtime(
     bond: Channel,
 ) -> f64 {
     let ap = &view.aps[v];
-    let subs = bond
-        .subchannel_numbers()
-        .expect("candidate channels are validated");
-    let mut worst: f64 = 1.0;
-    for s in subs {
-        let sub = Channel::new(bond.band, s, Width::W20).expect("valid subchannel");
-        let ext = ap.external_busy_on(s);
-        let mut contenders = 0usize;
-        for &n in &ap.neighbors {
-            if let Some(Some(nc)) = plan_channels.get(n) {
-                if nc.overlaps(&sub) {
-                    contenders += 1;
-                }
-            }
-        }
-        let share = (1.0 - ext).max(0.0) / (1.0 + contenders as f64);
-        worst = worst.min(share);
-    }
-    worst
+    let slots = bond.slots().expect("candidate channels are validated");
+    let counts = count(view.band, &ap.neighbors, plan_channels, None);
+    ApRow::new(view.band, ap).airtime(slots, |slot| counts[slot] as usize)
 }
 
 /// Estimated capacity factor of the bond: mean per-sub-channel quality
 /// (non-WiFi interference) scaled by the width gain.
 pub fn capacity(view: &NetworkView, v: usize, bond: Channel) -> f64 {
-    let ap = &view.aps[v];
-    let subs = bond.subchannel_numbers().expect("validated");
-    let q: f64 = subs.iter().map(|&s| ap.quality_on(s)).sum::<f64>() / subs.len() as f64;
-    q * (bond.width.mhz() as f64 / 20.0)
+    let slots = bond.slots().expect("validated");
+    ApRow::new(view.band, &view.aps[v]).capacity(slots, bond.width)
 }
 
 /// The switch penalty for AP `v` moving to `cand` (0 when staying).
 pub fn switch_penalty(params: &MetricParams, view: &NetworkView, v: usize, cand: Channel) -> f64 {
     let ap = &view.aps[v];
-    if cand == ap.current {
-        return 0.0;
-    }
-    let mut p = if ap.has_clients {
-        params.switch_penalty_with_clients
-    } else {
-        params.switch_penalty_idle
-    };
-    if view.band == phy80211::channels::Band::Band2_4 && ap.has_clients {
-        p += params.penalty_2_4ghz_extra;
-    }
-    // §4.5.1: hysteresis under very high utilization — a near-saturated
-    // *candidate* costs extra, because above ~90 % utilization small
-    // variations halve NetP and would otherwise cause switch flapping.
-    let cand_util: f64 = cand
-        .subchannel_numbers()
-        .map(|subs| {
-            subs.iter()
-                .map(|&s| ap.external_busy_on(s))
-                .fold(0.0, f64::max)
-        })
-        .unwrap_or(0.0);
-    if cand_util > params.high_util_threshold {
-        p += params.high_util_extra;
-    }
-    p
+    ApRow::new(view.band, ap).switch_penalty(params, ap.current, cand)
 }
 
 /// `ln NodeP(v, cand)` under the partial assignment `plan_channels`.
@@ -140,48 +103,27 @@ pub fn node_p_ln(
     cand: Channel,
 ) -> f64 {
     let ap = &view.aps[v];
-    let penalty = switch_penalty(params, view, v, cand);
-    let mut total = 0.0;
-    for &b in cand.width.up_to() {
-        let mut load = ap.load.at_width(b);
-        if b == Width::W20 {
-            load = load.max(params.idle_epsilon_load);
-        }
-        if load <= 0.0 {
-            continue; // property (ii): unreachable widths contribute nothing
-        }
-        let bond = match Channel::new(cand.band, cand.primary, b) {
-            Ok(c) => c,
-            Err(_) => return f64::NEG_INFINITY,
-        };
-        let metric = airtime(view, plan_channels, v, bond) * capacity(view, v, bond) - penalty;
-        if metric <= 0.0 {
-            return f64::NEG_INFINITY;
-        }
-        total += load * metric.ln();
-    }
-    total
+    let counts = count(view.band, &ap.neighbors, plan_channels, None);
+    ApRow::new(view.band, ap).node_p_ln(params, ap.current, cand, |slot| counts[slot] as usize)
 }
 
 /// `ln NetP` of a complete plan.
 pub fn net_p_ln(params: &MetricParams, view: &NetworkView, plan: &Plan) -> f64 {
-    let channels: Vec<Option<Channel>> = plan.channels.iter().copied().map(Some).collect();
-    let mut total = 0.0;
-    for v in 0..view.len() {
-        let np = node_p_ln(params, view, &channels, v, plan.channels[v]);
-        if np == f64::NEG_INFINITY {
-            return f64::NEG_INFINITY;
-        }
-        total += np;
-    }
-    total
+    let rows = rows(view);
+    let current: Vec<Channel> = view.aps.iter().map(|ap| ap.current).collect();
+    Partial::over(
+        view,
+        &rows,
+        plan.channels.iter().copied().map(Some).collect(),
+    )
+    .net_p_ln(params, &current)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::{ApLoad, ApReport};
-    use phy80211::channels::Band;
+    use phy80211::channels::{Band, Width};
 
     fn ap_on(ch: Channel) -> ApReport {
         let mut a = ApReport::idle_on(ch);

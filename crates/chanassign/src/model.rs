@@ -8,8 +8,14 @@
 //! `netsim` produces these reports from its world, and the planner
 //! consumes them — the same division of labour as AP ↔ backend in the
 //! paper's architecture.
+//!
+//! These are the *exchange* types: maps keyed by channel number, lists
+//! of neighbour indices, public fields anyone may fill in. The planner
+//! does not compute on them directly — `dense` re-indexes a view by
+//! 20 MHz slot at the start of every call — so nothing here needs to be
+//! fast, only faithful.
 
-use phy80211::channels::{all_channels, Band, Channel, Width};
+use phy80211::channels::{channels, Band, Channel, Width};
 use std::collections::BTreeMap;
 
 /// Per-width client load on an AP: the paper's `load(b)` is
@@ -95,6 +101,38 @@ impl ApReport {
     pub fn quality_on(&self, ch20: u16) -> f64 {
         self.quality.get(&ch20).copied().unwrap_or(1.0)
     }
+
+    /// [`NetworkView::candidates`] for this AP as if it sat on `current`
+    /// (the planner's working assignment moves between NBO tiers; the
+    /// report does not).
+    pub(crate) fn candidates_from(&self, band: Band, current: Channel) -> Vec<Channel> {
+        let width_cap = self
+            .load
+            .max_client_width()
+            .unwrap_or(Width::W20)
+            .min(self.max_width);
+        let mut out = Vec::new();
+        for w in Width::ALL {
+            if w > width_cap {
+                break;
+            }
+            for ch in channels(band, w) {
+                if ch.requires_dfs() {
+                    if !self.dfs_certified {
+                        continue;
+                    }
+                    if self.has_clients && !ch.overlaps(&current) {
+                        continue; // no switching onto DFS with clients
+                    }
+                }
+                out.push(ch);
+            }
+        }
+        if !out.contains(&current) {
+            out.push(current);
+        }
+        out
+    }
 }
 
 /// The planner's input: every AP of one band of one network
@@ -119,51 +157,42 @@ impl NetworkView {
     /// An AP with connected clients is additionally barred from
     /// *switching onto* a DFS channel (§4.5.2), though it may stay on one.
     pub fn candidates(&self, v: usize) -> Vec<Channel> {
-        let ap = &self.aps[v];
-        let width_cap = ap
-            .load
-            .max_client_width()
-            .unwrap_or(Width::W20)
-            .min(ap.max_width);
-        let mut out = Vec::new();
-        for w in Width::ALL {
-            if w > width_cap {
-                break;
-            }
-            for ch in all_channels(self.band, w) {
-                if ch.requires_dfs() {
-                    if !ap.dfs_certified {
-                        continue;
-                    }
-                    if ap.has_clients && !ch.overlaps(&ap.current) {
-                        continue; // no switching onto DFS with clients
-                    }
-                }
-                out.push(ch);
-            }
-        }
-        if !out.contains(&ap.current) {
-            out.push(ap.current);
-        }
-        out
+        self.aps[v].candidates_from(self.band, self.aps[v].current)
     }
 
     /// Hop distances from `v` in the interference graph (BFS). Entry is
     /// `usize::MAX` for unreachable APs.
     pub fn hop_distances(&self, v: usize) -> Vec<usize> {
         let mut dist = vec![usize::MAX; self.aps.len()];
-        let mut queue = std::collections::VecDeque::new();
+        self.reach(
+            v,
+            usize::MAX,
+            &mut dist,
+            &mut Vec::with_capacity(self.aps.len()),
+        );
+        dist
+    }
+
+    /// Breadth-first search from `v`, at most `limit` hops deep: `ball`
+    /// becomes the APs reached, in visiting order, and `dist` — which
+    /// must be all `usize::MAX` on entry — their hop counts.
+    pub(crate) fn reach(&self, v: usize, limit: usize, dist: &mut [usize], ball: &mut Vec<usize>) {
+        ball.clear();
         dist[v] = 0;
-        queue.push_back(v);
-        while let Some(u) = queue.pop_front() {
+        ball.push(v);
+        let mut head = 0;
+        while let Some(&u) = ball.get(head) {
+            head += 1;
+            if dist[u] == limit {
+                continue;
+            }
             for &n in &self.aps[u].neighbors {
                 if dist[n] == usize::MAX {
                     dist[n] = dist[u] + 1;
-                    queue.push_back(n);
+                    ball.push(n);
                 }
             }
         }
-        dist
     }
 }
 

@@ -12,46 +12,79 @@
 //!   network size; a proposed plan replaces the assigned plan only when
 //!   it raises NetP.
 
-use crate::metrics::{net_p_ln, node_p_ln, MetricParams};
+use crate::dense::{count, hears_back, ApRow, Partial, ViewIndex};
+use crate::metrics::MetricParams;
 use crate::model::{NetworkView, Plan};
-use phy80211::channels::{non_dfs_channels, Channel, Width};
+use phy80211::channels::{channels as channels_of, Channel, Width};
 use sim::{Rng, SimDuration};
 
 /// AP Channel Calculation: pick the channel for `v` that maximizes the
 /// local NetP contribution (NodeP of `v` plus NodeP of its neighbours,
 /// the only terms `v`'s channel can affect). `assigned` holds the
 /// partial plan: `None` entries are APs in ψ (or not yet assigned) whose
-/// current channel must be ignored.
+/// current channel must be ignored; `assigned[v]` itself is ignored.
 pub fn acc(
     params: &MetricParams,
     view: &NetworkView,
     assigned: &[Option<Channel>],
     v: usize,
 ) -> Channel {
-    let mut best: Option<(f64, Channel)> = None;
-    let mut trial: Vec<Option<Channel>> = assigned.to_vec();
-    for cand in view.candidates(v) {
-        trial[v] = Some(cand);
-        let mut score = node_p_ln(params, view, &trial, v, cand);
-        if score > f64::NEG_INFINITY {
-            for &n in &view.aps[v].neighbors {
-                if let Some(nc) = trial[n] {
-                    let np = node_p_ln(params, view, &trial, n, nc);
-                    if np == f64::NEG_INFINITY {
-                        score = f64::NEG_INFINITY;
-                        break;
-                    }
-                    score += np;
-                }
-            }
-        }
-        match best {
-            Some((bs, _)) if bs >= score => {}
-            _ => best = Some((score, cand)),
+    // All ACC reads is the star around `v`: itself (local index 0) and
+    // the APs it hears (1.., in list order), each with the contenders
+    // everyone but `v` puts on it.
+    let heard = &view.aps[v].neighbors;
+    let star: Vec<usize> = std::iter::once(v).chain(heard.iter().copied()).collect();
+    let rows: Vec<ApRow> = star
+        .iter()
+        .map(|&u| ApRow::new(view.band, &view.aps[u]))
+        .collect();
+    let mut channels: Vec<Option<Channel>> = star.iter().map(|&u| assigned[u]).collect();
+    channels[0] = None;
+    let contenders = star
+        .iter()
+        .map(|&u| count(view.band, &view.aps[u].neighbors, assigned, Some(v)))
+        .collect();
+    let current: Vec<Channel> = star.iter().map(|&u| view.aps[u].current).collect();
+    let local: Vec<usize> = (0..heard.len())
+        .map(|k| if heard[k] == v { 0 } else { k + 1 })
+        .collect();
+    Partial::new(view.band, &rows, channels, contenders).acc(
+        params,
+        &current,
+        0,
+        &view.candidates(v),
+        &local,
+        &hears_back(view, v),
+    )
+}
+
+/// The assignment NBO starts from and the candidate list it implies for
+/// each AP. [`TurboCa::run`] moves it as proposals are accepted; the
+/// view it came from is never touched.
+struct Working {
+    current: Vec<Channel>,
+    candidates: Vec<Vec<Channel>>,
+}
+
+impl Working {
+    fn new(view: &NetworkView) -> Working {
+        Working {
+            current: view.aps.iter().map(|ap| ap.current).collect(),
+            candidates: (0..view.len()).map(|v| view.candidates(v)).collect(),
         }
     }
-    trial[v] = None;
-    best.map(|(_, c)| c).unwrap_or(view.aps[v].current)
+
+    /// Move onto `channels`; only an AP whose channel changed needs its
+    /// candidates rebuilt (the DFS-with-clients rule and the "current is
+    /// always eligible" rule read it).
+    fn adopt(&mut self, view: &NetworkView, channels: &[Channel]) {
+        for (v, &ch) in channels.iter().enumerate() {
+            if self.current[v] != ch {
+                self.current[v] = ch;
+                self.candidates[v] = view.aps[v].candidates_from(view.band, ch);
+            }
+        }
+    }
 }
 
 /// Network Basic Operation — the paper's Algorithm 1.
@@ -62,58 +95,87 @@ pub fn acc(
 /// order (heavier APs first with higher probability, so they get first
 /// pick of clean channels).
 pub fn nbo(params: &MetricParams, view: &NetworkView, hop_limit: usize, rng: &mut Rng) -> Plan {
+    let index = ViewIndex::new(view);
+    let pass = nbo_pass(params, &index, &Working::new(view), hop_limit, rng);
+    plan_of(view, &pass)
+}
+
+/// One NBO pass from `working`, returned as the (complete) partial plan
+/// it ends on — channels plus the contender counts NetP needs.
+fn nbo_pass<'a>(
+    params: &MetricParams,
+    index: &'a ViewIndex,
+    working: &Working,
+    hop_limit: usize,
+    rng: &mut Rng,
+) -> Partial<'a> {
+    let view = index.view;
     let n = view.len();
-    let mut assigned: Vec<Option<Channel>> = vec![None; n];
     // With i = 0 the CSN is just {n} and every other AP's *current*
     // channel is visible; the paper expresses that by seeding the plan
     // with current assignments and overwriting one at a time. We model
     // both regimes uniformly: unassigned APs outside the active group
     // contribute their current channel.
+    let mut visible = Partial::over(
+        view,
+        &index.rows,
+        working.current.iter().copied().map(Some).collect(),
+    );
     let mut remaining: Vec<usize> = (0..n).collect();
-    let mut visible: Vec<Option<Channel>> = view.aps.iter().map(|a| Some(a.current)).collect();
+    let mut dist = vec![usize::MAX; n];
+    let (mut ball, mut group, mut weights) = (vec![], vec![], vec![]);
 
     while !remaining.is_empty() {
         // Line 4: random unassigned AP.
         let pick = rng.below(remaining.len() as u64) as usize;
         let seed = remaining[pick];
-        // Line 5: the group = seed plus APs within i hops, unassigned.
-        let dist = view.hop_distances(seed);
-        let mut group: Vec<usize> = remaining
-            .iter()
-            .copied()
-            .filter(|&u| dist[u] <= hop_limit)
-            .collect();
-        remaining.retain(|u| !group.contains(u));
+        // Line 5: the group = seed plus APs within i hops, unassigned,
+        // in index order.
+        view.reach(seed, hop_limit, &mut dist, &mut ball);
+        group.clear();
+        group.extend(remaining.iter().filter(|&&u| dist[u] != usize::MAX));
+        remaining.retain(|&u| dist[u] == usize::MAX);
+        for &u in &ball {
+            dist[u] = usize::MAX;
+        }
         // The group's current channels are ignored (ψ = CSN): presume
         // they all change.
         for &g in &group {
-            visible[g] = None;
+            visible.lift(g, &index.heard_by[g]);
         }
         // Lines 7–11: assign group members in load-weighted random order.
         while !group.is_empty() {
-            let weights: Vec<f64> = group
-                .iter()
-                .map(|&g| view.aps[g].load.total().max(1e-3))
-                .collect();
-            let idx = rng.weighted_index(&weights);
-            let m = group.swap_remove(idx);
-            let ch = acc(params, view, &visible, m);
-            visible[m] = Some(ch);
-            assigned[m] = Some(ch);
+            weights.clear();
+            weights.extend(group.iter().map(|&g| index.weight[g]));
+            let m = group.swap_remove(rng.weighted_index(&weights));
+            let ch = visible.acc(
+                params,
+                &working.current,
+                m,
+                &working.candidates[m],
+                &view.aps[m].neighbors,
+                &index.hears_back[m],
+            );
+            visible.place(m, ch, &index.heard_by[m]);
         }
     }
+    visible
+}
 
-    let channels: Vec<Channel> = assigned
-        .into_iter()
-        .enumerate()
-        .map(|(v, c)| c.unwrap_or(view.aps[v].current))
+/// The plan a finished pass proposes, fallbacks attached.
+fn plan_of(view: &NetworkView, pass: &Partial) -> Plan {
+    let channels: Vec<Channel> = pass
+        .channels
+        .iter()
+        .map(|c| c.expect("every AP is in exactly one group"))
         .collect();
     let fallback = fallback_channels(view, &channels);
     Plan { channels, fallback }
 }
 
 /// §4.5.2: every AP on a DFS channel carries a non-DFS fallback it can
-/// jump to instantly on a radar event (no CAC on non-DFS channels).
+/// jump to instantly on a radar event (no CAC on non-DFS channels): the
+/// least externally busy non-DFS 20 MHz channel, the first of equals.
 pub fn fallback_channels(view: &NetworkView, channels: &[Channel]) -> Vec<Option<Channel>> {
     channels
         .iter()
@@ -122,11 +184,9 @@ pub fn fallback_channels(view: &NetworkView, channels: &[Channel]) -> Vec<Option
             if !ch.requires_dfs() {
                 return None;
             }
-            // Cheapest sensible fallback: the least externally busy
-            // non-DFS 20 MHz channel.
             let ap = &view.aps[v];
-            non_dfs_channels(view.band, Width::W20)
-                .into_iter()
+            channels_of(view.band, Width::W20)
+                .filter(|c| !c.requires_dfs())
                 .min_by(|a, b| {
                     ap.external_busy_on(a.primary)
                         .total_cmp(&ap.external_busy_on(b.primary))
@@ -205,31 +265,36 @@ impl TurboCa {
     /// proportional to the network size"), keeps the best proposal, and
     /// accepts it only if it beats the incumbent plan's NetP.
     pub fn run(&mut self, view: &NetworkView, tier: ScheduleTier) -> PlanResult {
-        let incumbent = Plan::current(view);
-        let incumbent_score = net_p_ln(&self.params, view, &incumbent);
+        let index = ViewIndex::new(view);
+        // "Whenever a single run of NBO increases NetP, the new proposed
+        // channel plan replaces the assigned channel plan for the
+        // following rounds": the best-so-far plan is the assignment the
+        // next passes start from, while NetP keeps charging switches
+        // against the channels the APs are really on.
+        let mut working = Working::new(view);
+        let on_air: Vec<Channel> = view.aps.iter().map(|ap| ap.current).collect();
+        let incumbent_score = Partial::over(
+            view,
+            &index.rows,
+            on_air.iter().copied().map(Some).collect(),
+        )
+        .net_p_ln(&self.params, &on_air);
         // Runs proportional to network size (log-scaled to stay cheap on
         // 600-AP networks), at least runs_per_tier.
         let runs = self.runs_per_tier + (view.len() as f64).log2().ceil().max(0.0) as usize;
 
-        let mut best_plan = incumbent.clone();
+        let mut best_plan = Plan::current(view);
         let mut best_score = incumbent_score;
         let mut total_runs = 0;
-        // "Whenever a single run of NBO increases NetP, the new proposed
-        // channel plan replaces the assigned channel plan for the
-        // following rounds": we emulate by applying the best-so-far plan
-        // as the working view's current assignment between hop tiers.
-        let mut working = view.clone();
         for &i in tier.hop_sequence() {
             for _ in 0..runs {
                 total_runs += 1;
-                let proposal = nbo(&self.params, &working, i, &mut self.rng);
-                let score = net_p_ln(&self.params, view, &proposal);
+                let pass = nbo_pass(&self.params, &index, &working, i, &mut self.rng);
+                let score = pass.net_p_ln(&self.params, &on_air);
                 if score > best_score {
                     best_score = score;
-                    best_plan = proposal;
-                    for (ap, &ch) in working.aps.iter_mut().zip(best_plan.channels.iter()) {
-                        ap.current = ch;
-                    }
+                    best_plan = plan_of(view, &pass);
+                    working.adopt(view, &best_plan.channels);
                 }
             }
         }
@@ -247,7 +312,7 @@ impl TurboCa {
 mod tests {
     use super::*;
     use crate::model::{ApLoad, ApReport};
-    use phy80211::channels::Band;
+    use phy80211::channels::{Band, Width};
 
     fn loaded_ap(ch: Channel, neighbors: Vec<usize>) -> ApReport {
         let mut a = ApReport::idle_on(ch);

@@ -143,14 +143,6 @@ impl ManagedNetwork {
             self.sched.tick(now, &mut self.view);
         }
         self.sync_switches();
-        if std::env::var_os("IMC_HEALTH_DEBUG").is_some() {
-            eprintln!(
-                "[net{} {:>6}m] switches={}",
-                self.id,
-                now.as_millis() / 60_000,
-                self.counted_switches
-            );
-        }
         if let Some(eng) = self.health.as_mut() {
             eng.step(now, &self.metrics);
         }

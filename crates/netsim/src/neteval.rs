@@ -101,7 +101,7 @@ pub fn evaluate(
             .filter(|&&n| plan.channels[n].overlaps(&ch))
             .count();
         let ext_busy: f64 = ch
-            .subchannel_numbers()
+            .subchannels()
             .map(|subs| {
                 subs.iter()
                     .map(|&s| view.aps[v].external_busy_on(s))

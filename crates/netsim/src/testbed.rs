@@ -1247,16 +1247,6 @@ impl Testbed {
             self.g_busy,
             i64::try_from(self.busy.as_nanos()).unwrap_or(i64::MAX),
         );
-        if std::env::var_os("IMC_HEALTH_DEBUG").is_some() {
-            eprintln!(
-                "[health {:>6}ms] aggs={:?} frames={:?} busy={:?} timeouts={:?}",
-                at.as_millis(),
-                self.metrics.counter_value("mac.ap0.ampdu.aggregates"),
-                self.metrics.counter_value("mac.ap0.ampdu.frames"),
-                self.metrics.gauge_value("health.air.busy_ns"),
-                self.metrics.gauge_value("health.tcp.timeouts"),
-            );
-        }
         if !self.qoe.is_empty() {
             for (c, q) in self.qoe.iter().enumerate() {
                 let score = q.score(qoe::OPERATIONAL_WINDOW);

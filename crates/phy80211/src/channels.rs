@@ -8,6 +8,7 @@
 //! Unit tests pin each of those counts.
 
 use std::fmt;
+use std::ops::Range;
 
 /// Radio band.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -126,6 +127,40 @@ pub fn center_freq_mhz(band: Band, ch: u16) -> u32 {
     }
 }
 
+/// The band's 20 MHz channel numbers, ascending: [`US_2_4GHZ`] or
+/// [`US_5GHZ_20`]. A *slot* is an index into this table.
+pub fn channel_numbers(band: Band) -> &'static [u16] {
+    match band {
+        Band::Band2_4 => &US_2_4GHZ,
+        Band::Band5 => &US_5GHZ_20,
+    }
+}
+
+/// Slot of a 20 MHz channel number: its index in
+/// [`channel_numbers`]`(band)`, or `None` for a number the band lacks.
+pub fn slot_of(band: Band, ch20: u16) -> Option<usize> {
+    let (first, first_slot) = match (band, ch20) {
+        (Band::Band2_4, 1..=11) => return Some(ch20 as usize - 1),
+        (Band::Band5, 36..=64) => (36, SEGMENTS_5GHZ[0].start),
+        (Band::Band5, 100..=144) => (100, SEGMENTS_5GHZ[1].start),
+        (Band::Band5, 149..=165) => (149, SEGMENTS_5GHZ[2].start),
+        _ => return None,
+    };
+    (ch20 - first)
+        .is_multiple_of(4)
+        .then(|| first_slot + usize::from((ch20 - first) / 4))
+}
+
+/// The slots of `slots` as a bit mask (bit `s` = slot `s`), the form
+/// [`Channel::footprint`] takes.
+pub fn slot_mask(slots: Range<usize>) -> u32 {
+    ((1u32 << slots.end) - 1) & !((1u32 << slots.start) - 1)
+}
+
+/// Slot ranges of the three runs of [`US_5GHZ_20`] that are contiguous
+/// in frequency (36–64, 100–144, 149–165); a bond never crosses one.
+const SEGMENTS_5GHZ: [Range<usize>; 3] = [0..8, 8..20, 20..25];
+
 impl Channel {
     /// Construct a channel, validating that the (band, primary, width)
     /// triple is a legal US configuration.
@@ -168,7 +203,7 @@ impl Channel {
                 if !US_5GHZ_20.contains(&self.primary) {
                     return Err(ChannelError::UnknownPrimary(self.primary));
                 }
-                if self.subchannel_numbers().is_none() {
+                if self.slots().is_none() {
                     return Err(ChannelError::InvalidBond(self.primary, self.width));
                 }
                 Ok(())
@@ -176,49 +211,72 @@ impl Channel {
         }
     }
 
-    /// The 20 MHz channel numbers covered by this (possibly bonded)
-    /// channel, or `None` if the bond is not a legal US configuration
-    /// (e.g. an 80 MHz bond straddling 144/149, or 160 MHz anywhere
-    /// except 36–64 / 100–128).
-    pub fn subchannel_numbers(&self) -> Option<Vec<u16>> {
+    /// The slots (indices into [`channel_numbers`]) this possibly bonded
+    /// channel covers — always one contiguous run of the table — or
+    /// `None` if the bond is not a legal US configuration (e.g. an
+    /// 80 MHz bond straddling 144/149, or 160 MHz anywhere except
+    /// 36–64 / 100–128, or anything but 20 MHz in 2.4 GHz): `Some` iff
+    /// [`Channel::new`] accepts the triple. Allocation-free: everything
+    /// geometric below is derived from this.
+    pub fn slots(&self) -> Option<Range<usize>> {
+        let slot = slot_of(self.band, self.primary)?;
         if self.band == Band::Band2_4 {
-            return Some(vec![self.primary]);
+            return (self.width == Width::W20).then_some(slot..slot + 1);
         }
-        let n = self.width.subchannels() as u16;
-        // A bonded block starts at a channel number aligned to the block:
-        // blocks are consecutive runs of n 20MHz channels within one
-        // contiguous U-NII segment.
-        let segments: [&[u16]; 3] = [
-            &US_5GHZ_20[0..8],   // 36..64 contiguous
-            &US_5GHZ_20[8..20],  // 100..144 contiguous
-            &US_5GHZ_20[20..25], // 149..165 contiguous
-        ];
-        for seg in segments {
-            if let Some(pos) = seg.iter().position(|&c| c == self.primary) {
-                let block_start = pos - pos % n as usize;
-                let block = &seg[block_start..];
-                if block.len() < n as usize {
-                    return None;
-                }
-                let block = &block[..n as usize];
-                // 160 MHz is only legal in 36–64 and 100–128; channel 165
-                // cannot be part of any bond.
-                if self.width != Width::W20 && block.contains(&165) {
-                    return None;
-                }
-                if self.width == Width::W160 && block[0] != 36 && block[0] != 100 {
-                    return None;
-                }
-                // Channels 132–144 support 40/80 bonding (132+136, 140+144,
-                // 132–144 is only 4 channels which is not 80-aligned in the
-                // real table; the real 80MHz block is 132-144? Actually the
-                // FCC 80MHz blocks are 36-48,52-64,100-112,116-128,132-144,
-                // 149-161 — six blocks). Our segment arithmetic yields
-                // exactly those.
-                return Some(block.to_vec());
-            }
+        let n = self.width.subchannels() as usize;
+        // A bonded block is a run of n 20 MHz channels, aligned to n
+        // within its segment: that yields exactly the FCC blocks
+        // (80 MHz: 36–48, 52–64, 100–112, 116–128, 132–144, 149–161).
+        let seg = SEGMENTS_5GHZ
+            .iter()
+            .find(|seg| seg.contains(&slot))
+            .expect("every 5 GHz slot is in a segment");
+        let pos = slot - seg.start;
+        let start = seg.start + (pos - pos % n);
+        let block = start..start + n;
+        if block.end > seg.end {
+            return None;
         }
-        None
+        // Channel 165 cannot be part of any bond.
+        if self.width != Width::W20 && US_5GHZ_20[block.clone()].contains(&165) {
+            return None;
+        }
+        // 160 MHz is only legal in 36–64 and 100–128.
+        if self.width == Width::W160 && start != seg.start {
+            return None;
+        }
+        Some(block)
+    }
+
+    /// The 20 MHz channel numbers under [`Channel::slots`], as a slice
+    /// of the band's table.
+    pub fn subchannels(&self) -> Option<&'static [u16]> {
+        self.slots().map(|r| &channel_numbers(self.band)[r])
+    }
+
+    /// [`Channel::subchannels`] as an owned `Vec`.
+    pub fn subchannel_numbers(&self) -> Option<Vec<u16>> {
+        match self.band {
+            // Has always echoed the primary, on the table or not.
+            Band::Band2_4 => Some(vec![self.primary]),
+            Band::Band5 => self.subchannels().map(<[u16]>::to_vec),
+        }
+    }
+
+    /// Bit `s` is set iff this channel shares spectrum with the 20 MHz
+    /// channel in slot `s` — [`Channel::overlaps`] against every slot
+    /// at once. In 5 GHz that is the channel's own block; in 2.4 GHz
+    /// the 22 MHz mask reaches four channel numbers either side. Zero
+    /// for an illegal channel.
+    pub fn footprint(&self) -> u32 {
+        let Some(slots) = self.slots() else { return 0 };
+        let reach = match self.band {
+            Band::Band2_4 => 4,
+            Band::Band5 => 0,
+        };
+        let lo = slots.start.saturating_sub(reach);
+        let hi = (slots.end + reach).min(channel_numbers(self.band).len());
+        slot_mask(lo..hi)
     }
 
     /// Frequency range [low, high) in MHz covered by this channel.
@@ -232,10 +290,10 @@ impl Channel {
             }
             Band::Band5 => {
                 let subs = self
-                    .subchannel_numbers()
+                    .subchannels()
                     .expect("validated channel has subchannels");
                 let lo = center_freq_mhz(self.band, subs[0]) - 10;
-                let hi = center_freq_mhz(self.band, *subs.last().unwrap()) + 10;
+                let hi = center_freq_mhz(self.band, subs[subs.len() - 1]) + 10;
                 (lo, hi)
             }
         }
@@ -257,9 +315,8 @@ impl Channel {
     pub fn requires_dfs(&self) -> bool {
         self.band == Band::Band5
             && self
-                .subchannel_numbers()
-                .map(|subs| subs.iter().any(|&c| is_dfs_20(c)))
-                .unwrap_or(false)
+                .subchannels()
+                .is_some_and(|subs| subs.iter().any(|&c| is_dfs_20(c)))
     }
 
     /// Same channel narrowed one step (keeps the primary).
@@ -298,31 +355,18 @@ impl fmt::Display for ChannelError {
 
 impl std::error::Error for ChannelError {}
 
-/// Enumerate every legal US channel of the given band and width.
+/// Every legal US channel of the given band and width, ascending: one
+/// per bonded block, named by the block's first channel.
+pub fn channels(band: Band, width: Width) -> impl Iterator<Item = Channel> {
+    channel_numbers(band).iter().filter_map(move |&c| {
+        let ch = Channel::new(band, c, width).ok()?;
+        (ch.subchannels()?[0] == c).then_some(ch)
+    })
+}
+
+/// [`channels`] collected.
 pub fn all_channels(band: Band, width: Width) -> Vec<Channel> {
-    match band {
-        Band::Band2_4 => {
-            if width == Width::W20 {
-                US_2_4GHZ.iter().map(|&c| Channel::two4(c)).collect()
-            } else {
-                Vec::new()
-            }
-        }
-        Band::Band5 => {
-            let mut out = Vec::new();
-            let mut seen_blocks: Vec<Vec<u16>> = Vec::new();
-            for &c in &US_5GHZ_20 {
-                if let Ok(ch) = Channel::new(Band::Band5, c, width) {
-                    let block = ch.subchannel_numbers().unwrap();
-                    if !seen_blocks.contains(&block) {
-                        seen_blocks.push(block);
-                        out.push(ch);
-                    }
-                }
-            }
-            out
-        }
-    }
+    channels(band, width).collect()
 }
 
 /// Enumerate legal channels, excluding DFS-gated ones (the choice set for
@@ -372,6 +416,129 @@ mod tests {
         assert!(Channel::two4(1).overlaps(&Channel::two4(3)));
         assert!(Channel::two4(4).overlaps(&Channel::two4(6)));
         assert!(!Channel::two4(1).overlaps(&Channel::two4(6)));
+    }
+
+    /// `subchannel_numbers` as it was before the geometry went
+    /// allocation-free: a `Vec` per call, found by scanning segments.
+    fn old_subchannel_numbers(ch: &Channel) -> Option<Vec<u16>> {
+        if ch.band == Band::Band2_4 {
+            return Some(vec![ch.primary]);
+        }
+        let n = ch.width.subchannels() as usize;
+        let segments: [&[u16]; 3] = [&US_5GHZ_20[0..8], &US_5GHZ_20[8..20], &US_5GHZ_20[20..25]];
+        for seg in segments {
+            if let Some(pos) = seg.iter().position(|&c| c == ch.primary) {
+                let block = &seg[pos - pos % n..];
+                if block.len() < n {
+                    return None;
+                }
+                let block = &block[..n];
+                if ch.width != Width::W20 && block.contains(&165) {
+                    return None;
+                }
+                if ch.width == Width::W160 && block[0] != 36 && block[0] != 100 {
+                    return None;
+                }
+                return Some(block.to_vec());
+            }
+        }
+        None
+    }
+
+    /// Every (band, primary, width), legal or not.
+    fn every_triple() -> impl Iterator<Item = Channel> {
+        [Band::Band2_4, Band::Band5].into_iter().flat_map(|band| {
+            (0..=200u16).flat_map(move |primary| {
+                Width::ALL.into_iter().map(move |width| Channel {
+                    band,
+                    primary,
+                    width,
+                })
+            })
+        })
+    }
+
+    #[test]
+    fn slice_geometry_equals_the_old_vec_geometry_everywhere() {
+        for ch in every_triple() {
+            let old = old_subchannel_numbers(&ch);
+            assert_eq!(ch.subchannel_numbers(), old, "{ch}");
+            let legal = match ch.band {
+                Band::Band2_4 => US_2_4GHZ.contains(&ch.primary) && ch.width == Width::W20,
+                Band::Band5 => US_5GHZ_20.contains(&ch.primary) && old.is_some(),
+            };
+            assert_eq!(Channel::new(ch.band, ch.primary, ch.width).is_ok(), legal);
+            // The slice is `Some` exactly on legal triples; echoing an
+            // illegal 2.4 GHz primary stays `subchannel_numbers`' quirk.
+            let strict = old.clone().filter(|_| legal || ch.band == Band::Band5);
+            assert_eq!(ch.subchannels().map(<[u16]>::to_vec), strict, "{ch}");
+            let dfs = ch.band == Band::Band5
+                && old
+                    .as_ref()
+                    .is_some_and(|subs| subs.iter().any(|&c| is_dfs_20(c)));
+            assert_eq!(ch.requires_dfs(), dfs, "{ch}");
+            if let (true, Band::Band5, Some(subs)) = (legal, ch.band, &old) {
+                let lo = center_freq_mhz(ch.band, subs[0]) - 10;
+                let hi = center_freq_mhz(ch.band, *subs.last().unwrap()) + 10;
+                assert_eq!(ch.freq_range_mhz(), (lo, hi), "{ch}");
+            }
+        }
+    }
+
+    #[test]
+    fn slots_index_the_band_table() {
+        for band in [Band::Band2_4, Band::Band5] {
+            let table = channel_numbers(band);
+            for ch20 in 0..=200u16 {
+                assert_eq!(
+                    slot_of(band, ch20),
+                    table.iter().position(|&c| c == ch20),
+                    "{band} {ch20}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn footprint_is_overlaps_against_every_slot() {
+        for ch in every_triple().filter(|c| Channel::new(c.band, c.primary, c.width).is_ok()) {
+            for (slot, &ch20) in channel_numbers(ch.band).iter().enumerate() {
+                let sub = Channel::new(ch.band, ch20, Width::W20).unwrap();
+                assert_eq!(
+                    ch.footprint() >> slot & 1 == 1,
+                    ch.overlaps(&sub),
+                    "{ch} vs {sub}"
+                );
+            }
+            assert_eq!(ch.footprint() >> channel_numbers(ch.band).len(), 0, "{ch}");
+        }
+        let illegal = Channel {
+            band: Band::Band5,
+            primary: 165,
+            width: Width::W40,
+        };
+        assert_eq!(illegal.footprint(), 0);
+    }
+
+    #[test]
+    fn channels_name_each_block_once_by_its_first_channel() {
+        for band in [Band::Band2_4, Band::Band5] {
+            for width in Width::ALL {
+                // The old enumeration: first primary seen per distinct block.
+                let mut seen: Vec<Vec<u16>> = Vec::new();
+                let mut old = Vec::new();
+                for &c in channel_numbers(band) {
+                    if let Ok(ch) = Channel::new(band, c, width) {
+                        let block = old_subchannel_numbers(&ch).unwrap();
+                        if !seen.contains(&block) {
+                            seen.push(block);
+                            old.push(ch);
+                        }
+                    }
+                }
+                assert_eq!(all_channels(band, width), old, "{band} {width}");
+            }
+        }
     }
 
     #[test]

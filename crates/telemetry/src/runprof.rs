@@ -304,6 +304,15 @@ pub struct SamplePoint {
     pub wall_s: f64,
     /// Peak RSS observed when the sample was taken, if available.
     pub peak_rss_bytes: Option<u64>,
+    /// Cores the host offered ([`cores`]): a rate is only comparable to
+    /// one taken with as many, and a thread sweep that reads flat may
+    /// simply have had one.
+    pub cores: usize,
+}
+
+/// `available_parallelism`, 1 when the host will not say.
+pub fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 impl SamplePoint {
@@ -319,11 +328,12 @@ impl SamplePoint {
         write_str(o, &self.label);
         let _ = write!(
             o,
-            ", \"events\": {}, \"wall_s\": {}, \"events_per_s\": {}, \"peak_rss_bytes\": {} }}",
+            ", \"events\": {}, \"wall_s\": {}, \"events_per_s\": {}, \"peak_rss_bytes\": {}, \"cores\": {} }}",
             self.events,
             f64_display_or_null(self.wall_s),
             f64_display_or_null(rate),
-            opt_u64(self.peak_rss_bytes)
+            opt_u64(self.peak_rss_bytes),
+            self.cores
         );
     }
 }
@@ -512,6 +522,7 @@ mod tests {
             events: 10,
             wall_s: 2.0,
             peak_rss_bytes: None,
+            cores: 2,
         }];
         let a = prof.to_json("fig", &samples);
         let b = prof.to_json("fig", &samples);
@@ -524,6 +535,7 @@ mod tests {
         assert!(a[det..wall].contains("sim.queue.arena_peak"));
         assert!(!a[det..wall].contains("total_ns"));
         assert!(a.contains("\"events_per_s\": 5"));
+        assert!(a.contains("\"peak_rss_bytes\": null, \"cores\": 2 }"));
         assert!(a.contains("\"peak_rss_bytes\": 2048"));
         assert!(a.contains("never byte-compare"));
     }

@@ -117,22 +117,27 @@ chain complete|trace chain $art/fig15.a.trace
 EOF
 
 echo "=== perf smoke (wifictl perf regress vs committed baseline) ==="
-# Three short fig18 `--perf` runs gated by `wifictl perf regress`: fail if
-# the best-of-3 events/s for any shared label lands more than 30% below
-# the committed BENCH_simperf.json baseline. Wall-clock on shared CI
-# hosts is noisy, so the gate exists to catch real hot-path regressions
-# (an accidental allocation or O(n) scan per event), not jitter.
-for i in 1 2 3; do
-  target/release/fig18_multi_ap --perf "$art/perf-smoke-$i.json" > /dev/null
-  for key in '"bench"' '"samples"' '"label"' '"events"' '"wall_s"' '"events_per_s"' '"peak_rss_bytes"'; do
-    grep -q "$key" "$art/perf-smoke-$i.json" \
-      || { echo "perf sample JSON missing required key $key"; exit 1; }
+# Three short `--perf` runs each of fig18 (the packet path) and of
+# abl_penalty and abl_nbo_hops (the planner: whole TurboCA plans, single
+# NBO passes), gated by `wifictl perf regress`: fail if the best-of-3
+# rate for any shared label lands more than 30% below the committed
+# BENCH_simperf.json baseline. Wall-clock on shared CI hosts is noisy,
+# so the gate exists to catch real hot-path regressions (an accidental
+# allocation or O(n) scan per event, a per-call geometry rebuild in the
+# planner's inner loop), not jitter.
+for bin in fig18_multi_ap abl_penalty abl_nbo_hops; do
+  for i in 1 2 3; do
+    "target/release/$bin" --perf "$art/perf-smoke-$bin-$i.json" > /dev/null
+    for key in '"bench"' '"samples"' '"label"' '"events"' '"wall_s"' '"events_per_s"' '"peak_rss_bytes"' '"cores"'; do
+      grep -q "$key" "$art/perf-smoke-$bin-$i.json" \
+        || { echo "perf sample JSON missing required key $key"; exit 1; }
+    done
   done
 done
 target/release/wifictl perf regress \
-  "$art"/perf-smoke-{1,2,3}.json \
+  "$art"/perf-smoke-*.json \
   --baseline BENCH_simperf.json --tolerance 30% \
-  || { echo "wifictl perf regress: fig18 events/s regressed >30% vs committed baseline"; exit 1; }
+  || { echo "wifictl perf regress: a smoke label regressed >30% vs committed baseline"; exit 1; }
 
 echo "=== perf merge determinism ==="
 # scripts/merge_perf.sh is the only writer of BENCH_simperf.json and
@@ -140,7 +145,7 @@ echo "=== perf merge determinism ==="
 # byte-identical output (same contract as every other artifact above).
 for i in 1 2; do
   scripts/merge_perf.sh "$art/perf-merged-$i.json" \
-    "$art/perf-smoke-1.json" "$art/perf-smoke-2.json"
+    "$art/perf-smoke-fig18_multi_ap-1.json" "$art/perf-smoke-abl_penalty-1.json"
 done
 cmp "$art/perf-merged-1.json" "$art/perf-merged-2.json" \
   || { echo "merge_perf.sh output diverged between identical runs"; exit 1; }
