@@ -30,6 +30,11 @@ mod common;
 use bench::arms::{self, Arm};
 use bench::harness::Experiment;
 use common::{check_goldens, fnv1a};
+use wifi_core::netsim::testbed::{InterfererFault, Testbed, TestbedConfig};
+use wifi_core::qoe::{ClientReport, DimSummary, ProbeConfig};
+use wifi_core::sim::SimDuration;
+use wifi_core::telemetry::codec::Fnv1a;
+use wifi_core::telemetry::TimelineConfig;
 
 /// Run `arms` the way the `fig` binary does under `--timeline x
 /// --runprof y` and pin all four artifacts as `<fig>.<artifact>`.
@@ -71,4 +76,72 @@ fn fig18_artifacts_match_goldens() {
 #[test]
 fn fig19_artifacts_match_goldens() {
     pin("fig19", arms::fig19());
+}
+
+/// Every field of every QoE client report, bit for bit.
+fn qoe_hash(reports: &[ClientReport]) -> u64 {
+    let mut h = Fnv1a::new();
+    let dim = |h: &mut Fnv1a, d: Option<DimSummary>| match d {
+        None => h.write(&[0]),
+        Some(d) => {
+            h.write(&[1]);
+            for v in [d.min, d.p50, d.p99, d.max] {
+                h.write(&v.to_bits().to_le_bytes());
+            }
+        }
+    };
+    for r in reports {
+        for v in [r.client as u64, r.sent, r.delivered, r.lost, r.reordered] {
+            h.write(&v.to_le_bytes());
+        }
+        for w in &r.windows {
+            h.write(&(w.samples as u64).to_le_bytes());
+            dim(&mut h, w.delay_ms);
+            dim(&mut h, w.jitter_ms);
+            for v in [w.loss, w.reorder, w.score] {
+                h.write(&v.to_bits().to_le_bytes());
+            }
+        }
+    }
+    h.finish()
+}
+
+/// The benchmark's `obs_full` shape cut down to debug tier-1 size: the
+/// dense FastACK arm with every sink on and each sink past its
+/// steady-state edge — the 64k `mac.tx` ring wraps, the 256-tick raw
+/// timeline ring and the 32-row first tier evict, both tiers flush,
+/// the 1 s QoE windows roll, and the interferer (on at 2 s of 8) trips
+/// the health rules. Pins what the sinks write, so reworking how they
+/// hold their data cannot move a byte.
+#[test]
+fn obs_dense_artifacts_match_goldens() {
+    let mut timeline = TimelineConfig::sampling(SimDuration::from_millis(10));
+    timeline.capacity = 256;
+    timeline.tiers[0].capacity = 32;
+    let cfg = TestbedConfig {
+        n_aps: 2,
+        clients_per_ap: 20,
+        fastack: vec![true; 2],
+        flight_capacity: 65_536,
+        timeline: Some(timeline),
+        qoe: Some(ProbeConfig::default()),
+        interferer: Some(InterfererFault::default()),
+        ..TestbedConfig::default()
+    };
+    let r = Testbed::new(cfg).run(SimDuration::from_secs(8));
+    let tl = r.timeline.as_ref().expect("timeline enabled");
+    assert!(r.flight.total_dropped() > 0, "a flight ring must wrap");
+    assert!(tl.dropped() > 0, "the raw timeline ring must evict");
+    assert!(tl.tiers().all(|t| t.rows() > 0), "both tiers must flush");
+    assert!(tl.tiers().next().is_some_and(|t| t.dropped_rows() > 0));
+    assert!(!r.health.alerts.is_empty(), "the interferer must alert");
+    let entries = [
+        ("metrics", fnv1a(r.metrics.to_json().as_bytes())),
+        ("trace", fnv1a(&r.flight.to_bytes())),
+        ("health", fnv1a(r.health.to_json().as_bytes())),
+        ("timeline", fnv1a(&tl.to_bytes())),
+        ("qoe", qoe_hash(&r.qoe)),
+    ]
+    .map(|(name, h)| (format!("obs.dense.{name}"), h));
+    check_goldens("obs", &entries);
 }
