@@ -36,7 +36,7 @@ use tcpsim::{
 use telemetry::health::{standard_ap_detectors, AirtimeSlo, QoeDegraded, RtoStorm};
 use telemetry::{
     AirKind, CauseId, CounterId, FlightDump, FlightRecorder, GaugeId, HealthEngine, HealthReport,
-    HealthRules, HistId, Registry, SpanId, Timeline, TimelineConfig, TraceRecord,
+    HealthRules, HistId, Registry, SpanId, StagedId, Timeline, TimelineConfig, TraceRecord,
 };
 
 /// Transport driving the downlink flows.
@@ -378,17 +378,19 @@ pub struct Testbed {
     /// Time-series sampler (None when `cfg.timeline` is None); ticked
     /// on its nominal grid in the run loop, sealed into the report.
     timeline: Option<Timeline>,
+    /// Per-flow handles of the staged `tcp.flow{c}.cwnd_segments`
+    /// series (empty without a timeline).
+    tl_cwnd: Vec<StagedId>,
     next_timeline: SimTime,
     udp_seq: u64,
     next_beacon: SimTime,
-    dbg_next_ms: u64,
     /// Per-flow (last seq_tcp seen, when it last advanced) — drives the
     /// bad-hint liveness repair (see `fastack::Agent::force_repair`).
     repair_watch: Vec<(u64, SimTime)>,
     /// Hot-path metric handles (registered once in `new`); the registry
     /// itself moves into the report at `finish`.
     metrics: Registry,
-    /// Causal flight recorder; snapshotted into the report at `finish`.
+    /// Causal flight recorder; its rings move into the report at `finish`.
     flight: FlightRecorder,
     /// Health-detector engine (None when `health_rules` is None);
     /// stepped every `sample_every` of sim time in the run loop.
@@ -449,6 +451,27 @@ enum Who {
 impl Testbed {
     pub fn new(cfg: TestbedConfig) -> Testbed {
         assert!(cfg.n_aps >= 1 && cfg.n_aps == cfg.fastack.len());
+        // Cadences the run loop catches up on by repeated addition: a
+        // zero step would never get past `now`.
+        if let Some(rules) = &cfg.health_rules {
+            assert!(
+                rules.sample_every > SimDuration::ZERO,
+                "health_rules.sample_every must be > 0"
+            );
+        }
+        if let Some(intf) = &cfg.interferer {
+            assert!(
+                intf.period > SimDuration::ZERO,
+                "interferer.period must be > 0"
+            );
+        }
+        if let Some(probe) = &cfg.qoe {
+            assert!(
+                probe.interval() > SimDuration::ZERO,
+                "qoe.pps = {} leaves a probe interval of 0 ns",
+                probe.pps
+            );
+        }
         let mut rng = Rng::new(cfg.seed);
         let n_clients = cfg.n_aps * cfg.clients_per_ap;
 
@@ -611,7 +634,12 @@ impl Testbed {
             .map_or(SimTime::MAX, |p| SimTime::ZERO + p.interval());
 
         let width = cfg.width;
-        let timeline = cfg.timeline.as_ref().map(Timeline::new);
+        let mut timeline = cfg.timeline.as_ref().map(Timeline::new);
+        let tl_cwnd: Vec<StagedId> = timeline.as_mut().map_or_else(Vec::new, |tl| {
+            (0..n_clients)
+                .map(|c| tl.stage_f64(&format!("tcp.flow{c}.cwnd_segments")))
+                .collect()
+        });
         Testbed {
             cfg,
             queue: EventQueue::new(),
@@ -623,10 +651,10 @@ impl Testbed {
             report: TestbedReport::default(),
             busy: SimDuration::ZERO,
             timeline,
+            tl_cwnd,
             next_timeline: SimTime::ZERO,
             udp_seq: 0,
             next_beacon: SimTime::ZERO,
-            dbg_next_ms: 0,
             repair_watch: vec![(0, SimTime::ZERO); n_clients],
             metrics,
             flight,
@@ -671,8 +699,6 @@ impl Testbed {
         // a disabled no-op unless the binary was started with --runprof.
         let _prof = telemetry::runprof::span("testbed.run");
         let end = SimTime::ZERO + duration;
-        // Resolved once: an env probe per medium round is measurable.
-        let dbg_timeline = std::env::var_os("IMC_DEBUG").is_some();
         match self.cfg.traffic {
             Traffic::Tcp => {
                 // Kick every sender.
@@ -824,25 +850,6 @@ impl Testbed {
                     _ => break,
                 }
             }
-            // Debug timeline (env IMC_DEBUG=1): 100 ms snapshots.
-            if dbg_timeline {
-                let now = self.queue.now();
-                if now.as_millis() >= self.dbg_next_ms {
-                    self.dbg_next_ms = now.as_millis() + 100;
-                    let q0: usize = self.aps[0].queues.iter().map(|q| q.len()).sum();
-                    let p0: usize = self.aps[0].prio.iter().map(|q| q.len()).sum();
-                    let st = self.aps[0].agent.flow_state(FlowId(1));
-                    eprintln!(
-                        "[{:>6}ms] q={q0} prio={p0} snd(una={} nxt-una={} rwnd={} cwnd={:.0}) st={:?}",
-                        now.as_millis(),
-                        self.senders[0].acked_bytes(),
-                        self.senders[0].flight_size(),
-                        self.senders[0].peer_rwnd(),
-                        self.senders[0].cwnd_segments(),
-                        st.map(|s| (s.seq_high, s.seq_exp, s.seq_fack, s.seq_tcp, s.q_seq.len(), s.holes.len()))
-                    );
-                }
-            }
             // 4. Timeline tick (subsumes the old ad-hoc Fig. 14 cwnd
             // probe): catch up to now on the nominal grid, staging the
             // per-flow cwnd series and snapshotting the registry at
@@ -875,7 +882,7 @@ impl Testbed {
         for (c, s) in self.senders.iter().enumerate() {
             let w = s.cwnd_segments();
             self.report.cwnd_trace.push((c, t, w));
-            tl.set_f64(&format!("tcp.flow{c}.cwnd_segments"), w);
+            tl.set(self.tl_cwnd[c], w);
         }
         tl.sample(at, &self.metrics);
     }
@@ -919,11 +926,12 @@ impl Testbed {
             })
             .collect();
         self.report.medium_utilization = self.busy.as_secs_f64() / dur;
-        // Flight-recorder snapshot; wraparound losses become visible in
-        // the registry as `trace.dropped`.
+        // The flight rings move into the report (nothing records after
+        // this); wraparound losses become visible in the registry as
+        // `trace.dropped`.
         self.metrics
             .count("trace.dropped", self.flight.total_dropped());
-        self.report.flight = self.flight.snapshot();
+        self.report.flight = self.flight.take();
 
         // Health verdict: resolve every alert's causal id against the
         // flight dump (and drop alerts the dump refutes).
@@ -2246,6 +2254,51 @@ mod tests {
         // And the health verdict is part of the determinism contract.
         let again = Testbed::new(cfg).run(SimDuration::from_secs(5));
         assert_eq!(r.health.to_json(), again.health.to_json());
+    }
+
+    // Three one-field configs the run loop's catch-up `while now >=
+    // next { next += step }` loops cannot survive; `new` names the field
+    // instead of letting `run` spin (or, for the probe rate, letting the
+    // QoE windows ask for 160 GB).
+
+    #[test]
+    #[should_panic(expected = "health_rules.sample_every must be > 0")]
+    fn zero_health_cadence_is_rejected_up_front() {
+        let cfg = TestbedConfig {
+            health_rules: Some(HealthRules {
+                sample_every: SimDuration::ZERO,
+                ..HealthRules::default()
+            }),
+            ..TestbedConfig::default()
+        };
+        let _ = Testbed::new(cfg).run(SimDuration::from_millis(100));
+    }
+
+    #[test]
+    #[should_panic(expected = "interferer.period must be > 0")]
+    fn zero_interferer_period_is_rejected_up_front() {
+        let cfg = TestbedConfig {
+            interferer: Some(InterfererFault {
+                at: SimTime::from_millis(10),
+                period: SimDuration::ZERO,
+                ..InterfererFault::default()
+            }),
+            ..TestbedConfig::default()
+        };
+        let _ = Testbed::new(cfg).run(SimDuration::from_millis(100));
+    }
+
+    #[test]
+    #[should_panic(expected = "qoe.pps = 2000000000 leaves a probe interval of 0 ns")]
+    fn probe_rate_past_one_per_nanosecond_is_rejected_up_front() {
+        let cfg = TestbedConfig {
+            qoe: Some(qoe::ProbeConfig {
+                pps: 2_000_000_000,
+                ..qoe::ProbeConfig::default()
+            }),
+            ..TestbedConfig::default()
+        };
+        let _ = Testbed::new(cfg).run(SimDuration::from_millis(100));
     }
 
     #[test]

@@ -190,10 +190,13 @@ struct SpanWindows {
 }
 
 impl SpanWindows {
+    /// Delay and jitter are read as min/p50/p99/max on every scoring
+    /// call, so they carry the window's sorted mirror; the two rate
+    /// windows are read through `mean` alone and stay plain rings.
     fn new(cap: usize) -> SpanWindows {
         SpanWindows {
-            delay_ms: RollingWindow::new(cap),
-            jitter_ms: RollingWindow::new(cap),
+            delay_ms: RollingWindow::with_quantiles(cap),
+            jitter_ms: RollingWindow::with_quantiles(cap),
             outcome: RollingWindow::new(cap),
             order: RollingWindow::new(cap),
         }
@@ -295,34 +298,38 @@ impl ClientQoe {
         self.pending.len()
     }
 
+    /// The scored dimensions of window span `w`: three reads of the
+    /// sorted mirrors and two ring means (0 where a window is empty).
+    fn dims(&self, w: usize) -> QoeDims {
+        let s = &self.spans[w];
+        QoeDims {
+            delay_p50_ms: s.delay_ms.quantile(0.5).unwrap_or(0.0),
+            delay_p99_ms: s.delay_ms.quantile(0.99).unwrap_or(0.0),
+            jitter_p50_ms: s.jitter_ms.quantile(0.5).unwrap_or(0.0),
+            loss: s.outcome.mean().unwrap_or(0.0),
+            reorder: s.order.mean().unwrap_or(0.0),
+        }
+    }
+
     /// Summarize window span `w` (index into [`WINDOW_SECS`]).
     pub fn summary(&self, w: usize) -> QoeSummary {
         let s = &self.spans[w];
-        let delay = dim(&s.delay_ms);
-        let jitter = dim(&s.jitter_ms);
-        let loss = s.outcome.mean().unwrap_or(0.0);
-        let reorder = s.order.mean().unwrap_or(0.0);
-        let dims = QoeDims {
-            delay_p50_ms: delay.map_or(0.0, |d| d.p50),
-            delay_p99_ms: delay.map_or(0.0, |d| d.p99),
-            jitter_p50_ms: jitter.map_or(0.0, |d| d.p50),
-            loss,
-            reorder,
-        };
+        let dims = self.dims(w);
         QoeSummary {
             samples: s.delay_ms.len(),
-            delay_ms: delay,
-            jitter_ms: jitter,
-            loss,
-            reorder,
+            delay_ms: dim(&s.delay_ms),
+            jitter_ms: dim(&s.jitter_ms),
+            loss: dims.loss,
+            reorder: dims.reorder,
             score: score(&dims),
         }
     }
 
     /// The 0–100 score over window span `w`. A client with no
     /// observations yet scores 100 (no evidence of degradation).
+    /// Skips the min/max folds only [`ClientQoe::summary`] reports.
     pub fn score(&self, w: usize) -> f64 {
-        self.summary(w).score
+        score(&self.dims(w))
     }
 }
 
@@ -732,7 +739,156 @@ mod tests {
         assert!(QoeRollup::parse("xxxxxxxxxxxxxxxxxxxxxxxé").is_err());
     }
 
+    /// What `ClientQoe` computed before its windows kept a sorted
+    /// mirror, spelled out naively: every sample pushed per dimension
+    /// is kept, and a span's summary copies the last `cap` of them and
+    /// sorts the copy for each order statistic.
+    #[derive(Default)]
+    struct ReferenceQoe {
+        next_seq: u64,
+        pending: BTreeMap<u64, SimTime>,
+        highest: Option<u64>,
+        prev_delay_ms: Option<f64>,
+        jitter: f64,
+        delay_ms: Vec<f64>,
+        jitter_ms: Vec<f64>,
+        outcome: Vec<f64>,
+        order: Vec<f64>,
+    }
+
+    impl ReferenceQoe {
+        fn on_sent(&mut self, at: SimTime) -> u64 {
+            self.pending.insert(self.next_seq, at);
+            self.next_seq += 1;
+            self.next_seq - 1
+        }
+
+        fn on_delivered(&mut self, seq: u64, now: SimTime) {
+            let Some(sent_at) = self.pending.remove(&seq) else {
+                return;
+            };
+            let delay_ms = now.saturating_since(sent_at).as_secs_f64() * 1e3;
+            if let Some(prev) = self.prev_delay_ms {
+                self.jitter += ((delay_ms - prev).abs() - self.jitter) / 16.0;
+            }
+            self.prev_delay_ms = Some(delay_ms);
+            let out_of_order = self.highest.is_some_and(|h| seq < h);
+            if !out_of_order {
+                self.highest = Some(seq);
+            }
+            self.delay_ms.push(delay_ms);
+            self.jitter_ms.push(self.jitter);
+            self.outcome.push(0.0);
+            self.order.push(if out_of_order { 1.0 } else { 0.0 });
+        }
+
+        fn on_lost(&mut self, seq: u64) {
+            if self.pending.remove(&seq).is_some() {
+                self.outcome.push(1.0);
+            }
+        }
+
+        fn summary(&self, cap: usize) -> QoeSummary {
+            let tail = |all: &[f64]| all[all.len().saturating_sub(cap)..].to_vec();
+            let dim = |all: &[f64]| {
+                let w = tail(all);
+                Some(DimSummary {
+                    min: w.iter().copied().reduce(f64::min)?,
+                    p50: telemetry::stats::quantile(&w, 0.5)?,
+                    p99: telemetry::stats::quantile(&w, 0.99)?,
+                    max: w.iter().copied().reduce(f64::max)?,
+                })
+            };
+            let mean = |all: &[f64]| {
+                let w = tail(all);
+                if w.is_empty() {
+                    0.0
+                } else {
+                    w.iter().sum::<f64>() / w.len() as f64
+                }
+            };
+            let (delay, jitter) = (dim(&self.delay_ms), dim(&self.jitter_ms));
+            let (loss, reorder) = (mean(&self.outcome), mean(&self.order));
+            QoeSummary {
+                samples: tail(&self.delay_ms).len(),
+                delay_ms: delay,
+                jitter_ms: jitter,
+                loss,
+                reorder,
+                score: score(&QoeDims {
+                    delay_p50_ms: delay.map_or(0.0, |d| d.p50),
+                    delay_p99_ms: delay.map_or(0.0, |d| d.p99),
+                    jitter_p50_ms: jitter.map_or(0.0, |d| d.p50),
+                    loss,
+                    reorder,
+                }),
+            }
+        }
+    }
+
+    /// A summary as the bit patterns of its fields, so `-0.0` vs `0.0`
+    /// or a one-ulp interpolation difference cannot hide behind `==`.
+    fn summary_bits(s: &QoeSummary) -> Vec<u64> {
+        let dim = |d: Option<DimSummary>| match d {
+            None => vec![0],
+            Some(d) => vec![
+                1,
+                d.min.to_bits(),
+                d.p50.to_bits(),
+                d.p99.to_bits(),
+                d.max.to_bits(),
+            ],
+        };
+        let mut out = vec![s.samples as u64];
+        out.extend(dim(s.delay_ms));
+        out.extend(dim(s.jitter_ms));
+        out.extend([s.loss.to_bits(), s.reorder.to_bits(), s.score.to_bits()]);
+        out
+    }
+
     proptest! {
+        /// Every field of every span's summary equals the naive
+        /// copy-and-sort reference, bit for bit, under arbitrary
+        /// interleavings of sends, deliveries and losses — reordered,
+        /// duplicate and never-sent sequence numbers included.
+        #[test]
+        fn summaries_match_copy_and_sort_reference(
+            pps in 1u64..4,
+            ops in vec(0u32..4_000_000, 1..350),
+        ) {
+            let cfg = ProbeConfig { pps, payload_bytes: 64 };
+            let mut q = ClientQoe::new(&cfg);
+            let mut r = ReferenceQoe::default();
+            let mut now = SimTime::ZERO;
+            for (i, &op) in ops.iter().enumerate() {
+                now += SimDuration::from_micros(u64::from(op / 8 % 9_000));
+                // Any sequence up to two past the newest one sent.
+                let seq = u64::from(op / 8) % (r.next_seq + 2);
+                match op % 8 {
+                    0..=3 => prop_assert_eq!(q.on_sent(now), r.on_sent(now)),
+                    4..=6 => {
+                        q.on_delivered(seq, now);
+                        r.on_delivered(seq, now);
+                    }
+                    _ => {
+                        q.on_lost(seq);
+                        r.on_lost(seq);
+                    }
+                }
+                if i % 7 == 0 || i + 1 == ops.len() {
+                    for w in 0..WINDOW_SECS.len() {
+                        let want = r.summary(cfg.window_cap(w));
+                        prop_assert_eq!(
+                            summary_bits(&q.summary(w)),
+                            summary_bits(&want),
+                            "span {} after op {}", w, i
+                        );
+                        prop_assert_eq!(q.score(w).to_bits(), want.score.to_bits());
+                    }
+                }
+            }
+        }
+
         /// The satellite determinism property: windowed p50/p99 of the
         /// delay dimension must equal a naive sort-based recompute of
         /// the last `cap` samples, for arbitrary arrival orders,

@@ -316,16 +316,13 @@ impl Ring {
         }
     }
 
-    /// Records in chronological order (oldest kept first).
-    fn ordered(&self) -> Vec<FlightEvent> {
-        let mut out = Vec::with_capacity(self.buf.len());
-        if self.buf.len() == self.cap && self.cap > 0 {
-            out.extend_from_slice(&self.buf[self.next..]);
-            out.extend_from_slice(&self.buf[..self.next]);
-        } else {
-            out.extend_from_slice(&self.buf);
+    /// Records in chronological order (oldest kept first): the ring's
+    /// own buffer, rotated in place.
+    fn into_ordered(mut self) -> Vec<FlightEvent> {
+        if self.buf.len() == self.cap {
+            self.buf.rotate_left(self.next);
         }
-        out
+        self.buf
     }
 }
 
@@ -412,22 +409,18 @@ impl FlightRecorder {
     }
 
     /// Immutable snapshot of every ring, in sorted component order.
+    /// Copies every record; a recorder that is done recording hands
+    /// its rings over with [`FlightRecorder::take`] instead.
     pub fn snapshot(&self) -> FlightDump {
-        let inner = self.inner.borrow();
-        let mut components: Vec<ComponentTrace> = inner
-            .rings
-            .iter()
-            .map(|&(name, ref ring)| ComponentTrace {
-                name: name.to_owned(),
-                capacity: ring.cap as u64,
-                dropped: ring.dropped,
-                records: ring.ordered(),
-            })
-            .collect();
-        // Rings live in first-emit order; the dump format (and every
-        // byte-identity pin downstream) requires sorted component order.
-        components.sort_by(|a, b| a.name.cmp(&b.name));
-        FlightDump { components }
+        FlightDump::from_rings(self.inner.borrow().rings.clone())
+    }
+
+    /// The same dump as [`FlightRecorder::snapshot`], made of the rings
+    /// themselves: each buffer is rotated into order in place and moved
+    /// out, so nothing is copied. Every handle to this recorder is left
+    /// with no components (and `total_dropped` 0), still recording.
+    pub fn take(&self) -> FlightDump {
+        FlightDump::from_rings(std::mem::take(&mut self.inner.borrow_mut().rings))
     }
 }
 
@@ -453,6 +446,22 @@ pub struct FlightDump {
 const MAGIC: &[u8; 4] = b"FLT1";
 
 impl FlightDump {
+    /// Rings live in first-emit order; the dump format (and every
+    /// byte-identity pin downstream) requires sorted component order.
+    fn from_rings(rings: Vec<(&'static str, Ring)>) -> FlightDump {
+        let mut components: Vec<ComponentTrace> = rings
+            .into_iter()
+            .map(|(name, ring)| ComponentTrace {
+                name: name.to_owned(),
+                capacity: ring.cap as u64,
+                dropped: ring.dropped,
+                records: ring.into_ordered(),
+            })
+            .collect();
+        components.sort_by(|a, b| a.name.cmp(&b.name));
+        FlightDump { components }
+    }
+
     /// Merge `other` into this dump, prefixing its component names with
     /// `label.` (empty label = verbatim). Same-named components merge
     /// record lists time-ordered; the result stays sorted by name, so
@@ -580,13 +589,7 @@ impl FlightDump {
                     .to_le_bytes(),
             );
             for ev in &comp.records {
-                let payload = encode_event(ev);
-                out.extend_from_slice(
-                    &u16::try_from(payload.len())
-                        .expect("record length")
-                        .to_le_bytes(),
-                );
-                out.extend_from_slice(&payload);
+                encode_event(&mut out, ev);
             }
         }
         out
@@ -630,8 +633,11 @@ const MIN_COMPONENT_BYTES: usize = 2 + 8 + 8 + 4;
 /// Smallest encoded record: length prefix, `at`, `cause`, tag.
 const MIN_RECORD_BYTES: usize = 2 + 8 + 8 + 1;
 
-fn encode_event(ev: &FlightEvent) -> Vec<u8> {
-    let mut p = Vec::with_capacity(40);
+/// Append one length-prefixed record: the payload goes straight into
+/// the dump buffer and its `u16` length is patched in behind it.
+fn encode_event(p: &mut Vec<u8>, ev: &FlightEvent) {
+    let len_at = p.len();
+    p.extend_from_slice(&[0; 2]);
     p.extend_from_slice(&ev.at.as_nanos().to_le_bytes());
     p.extend_from_slice(&ev.cause.0.to_le_bytes());
     match ev.record {
@@ -704,7 +710,8 @@ fn encode_event(ev: &FlightEvent) -> Vec<u8> {
             p.extend_from_slice(&delay_ns.to_le_bytes());
         }
     }
-    p
+    let len = u16::try_from(p.len() - len_at - 2).expect("record length");
+    p[len_at..len_at + 2].copy_from_slice(&len.to_le_bytes());
 }
 
 fn decode_event(payload: &[u8]) -> Result<FlightEvent, String> {
@@ -837,6 +844,39 @@ mod tests {
             })
             .collect();
         assert_eq!(seqs, vec![6, 7, 8, 9]);
+    }
+
+    #[test]
+    fn take_moves_out_what_snapshot_copies() {
+        // One ring wrapped mid-buffer, one exactly full, one part-full,
+        // emitted in unsorted component order.
+        let rec = FlightRecorder::new(4);
+        for i in 0..10u64 {
+            rec.emit(
+                "tcp.wire",
+                SimTime::from_micros(i),
+                cause_for(1, i),
+                seg(1, i),
+            );
+        }
+        for i in 0..4u64 {
+            rec.emit(
+                "mac.tx",
+                SimTime::from_micros(i),
+                cause_for(2, i),
+                seg(2, i),
+            );
+        }
+        rec.emit("air", SimTime::from_micros(3), CauseId::NONE, seg(3, 0));
+        let copied = rec.snapshot();
+        assert_eq!(rec.take(), copied);
+        assert_eq!(rec.snapshot(), FlightDump::default());
+        assert_eq!(rec.total_dropped(), 0);
+        // Still a recorder of the same capacity.
+        for i in 0..6u64 {
+            rec.emit("air", SimTime::from_micros(i), CauseId::NONE, seg(3, i));
+        }
+        assert_eq!(rec.take().components[0].dropped, 2);
     }
 
     #[test]

@@ -994,7 +994,8 @@ impl AmpduCollapse {
             flows,
             d_aggs: Delta::default(),
             d_frames: Delta::default(),
-            window: RollingWindow::new(rule.window),
+            // The one detector that reads a median.
+            window: RollingWindow::with_quantiles(rule.window),
             baseline: Ewma::new(rule.baseline_alpha),
             trig: Trigger::new(rule.raise_ratio, rule.clear_ratio, rule.critical_ratio),
             min_aggregates: rule.min_aggregates,

@@ -54,4 +54,4 @@ pub use metrics::{CounterId, GaugeId, HistId, Registry, Span, SpanId, SpanStat};
 pub use runprof::{AllocStats, CountingAlloc, RunProfile, SamplePoint, StageStat, WallSpan};
 pub use stats::{jain_fairness, median, quantile, summarize, Cdf, Histogram, Summary};
 pub use streaming::{Ewma, P2Quantile, RateCounter, RollingWindow};
-pub use timeline::{SeriesKind, TierConfig, Timeline, TimelineConfig};
+pub use timeline::{SeriesKind, StagedId, TierConfig, Timeline, TimelineConfig};

@@ -12,7 +12,7 @@
 //! * [`RateCounter`] — windowed event/byte rates;
 //! * [`RollingWindow`] — a fixed-capacity ring of recent samples with
 //!   exact windowed statistics (the basis of `telemetry::health`
-//!   detector levels).
+//!   detector levels and of the `qoe` crate's per-client windows).
 
 use sim::{sanitize, SimDuration, SimTime};
 
@@ -159,24 +159,47 @@ impl Ewma {
 
 /// Fixed-capacity ring of the most recent samples, with exact windowed
 /// statistics. Unlike [`P2Quantile`] this stores the window, so its
-/// quantiles are exact — the right trade for the health detectors,
-/// whose windows are a handful of collection epochs, not per-packet
-/// streams. Once full, each push overwrites the oldest sample.
+/// quantiles are exact. Windows run from a handful of collection epochs
+/// (the health detectors) to thousands of per-packet samples (QoE keeps
+/// 50 / 500 / 3 000 probe delays per client and reads p50/p99 of them
+/// on every health tick), so nothing here costs more than the window's
+/// data: the ring grows as samples arrive, `sum` / `min` / `max` fold
+/// it in place, and a window whose owner reads quantiles
+/// ([`RollingWindow::with_quantiles`]) keeps a sorted mirror of the
+/// ring up to date on every push, which makes [`RollingWindow::quantile`]
+/// two indexed reads. Once full, each push overwrites the oldest sample.
 #[derive(Debug, Clone)]
 pub struct RollingWindow {
+    capacity: usize,
+    /// The ring; grows one sample at a time up to `capacity`.
     buf: Vec<f64>,
-    /// Next write position in `buf` once the ring has wrapped.
+    /// Oldest sample (== next write position) once the ring is full;
+    /// 0 while it is still growing.
     head: usize,
-    len: usize,
+    /// The ring's samples ordered by `total_cmp`, for windows built
+    /// [`RollingWindow::with_quantiles`].
+    sorted: Option<Vec<f64>>,
 }
 
 impl RollingWindow {
+    /// A window read through `sum` / `mean` / `min` / `max` only.
     pub fn new(capacity: usize) -> RollingWindow {
         assert!(capacity > 0, "rolling window needs capacity >= 1");
         RollingWindow {
-            buf: vec![0.0; capacity],
+            capacity,
+            buf: Vec::new(),
             head: 0,
-            len: 0,
+            sorted: None,
+        }
+    }
+
+    /// A window whose owner also reads [`RollingWindow::quantile`]:
+    /// every push pays one binary search and a short shift to keep the
+    /// sorted mirror current.
+    pub fn with_quantiles(capacity: usize) -> RollingWindow {
+        RollingWindow {
+            sorted: Some(Vec::new()),
+            ..RollingWindow::new(capacity)
         }
     }
 
@@ -188,80 +211,110 @@ impl RollingWindow {
             sanitize::check(false, "NaN sample pushed into rolling window");
             return;
         }
-        self.buf[self.head] = x;
-        self.head = (self.head + 1) % self.buf.len();
-        self.len = (self.len + 1).min(self.buf.len());
+        let below_x = |v: &f64| v.total_cmp(&x).is_lt();
+        if self.buf.len() < self.capacity {
+            self.buf.push(x);
+            if let Some(sorted) = &mut self.sorted {
+                let at = sorted.partition_point(below_x);
+                sorted.insert(at, x);
+            }
+            return;
+        }
+        let evicted = std::mem::replace(&mut self.buf[self.head], x);
+        self.head = (self.head + 1) % self.capacity;
+        if let Some(sorted) = &mut self.sorted {
+            // `total_cmp`-equal samples are bit-identical, so whichever
+            // equal element the search lands on is the evicted one.
+            let out = sorted
+                .binary_search_by(|v| v.total_cmp(&evicted))
+                .expect("the mirror holds every ring sample");
+            // Slide the samples between the hole and `x`'s place over
+            // by one instead of a full remove + insert.
+            let at = sorted.partition_point(below_x);
+            if at > out {
+                sorted[out..at].rotate_left(1);
+                sorted[at - 1] = x;
+            } else {
+                sorted[at..=out].rotate_right(1);
+                sorted[at] = x;
+            }
+        }
     }
 
     pub fn capacity(&self) -> usize {
-        self.buf.len()
+        self.capacity
     }
 
     pub fn len(&self) -> usize {
-        self.len
+        self.buf.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.buf.is_empty()
     }
 
     /// True once the ring holds `capacity` samples (pushes keep
     /// working; they evict the oldest).
     pub fn is_full(&self) -> bool {
-        self.len == self.buf.len()
+        self.buf.len() == self.capacity
     }
 
     /// Forget every sample (capacity is retained).
     pub fn clear(&mut self) {
+        self.buf.clear();
         self.head = 0;
-        self.len = 0;
+        if let Some(sorted) = &mut self.sorted {
+            sorted.clear();
+        }
+    }
+
+    /// The retained samples oldest first, as the ring's two runs.
+    fn iter(&self) -> impl Iterator<Item = f64> + '_ {
+        let (newer, older) = self.buf.split_at(self.head);
+        older.iter().chain(newer).copied()
     }
 
     /// The retained samples, oldest first.
     pub fn values(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.len);
-        let start = if self.len == self.buf.len() {
-            self.head
-        } else {
-            0
-        };
-        for i in 0..self.len {
-            out.push(self.buf[(start + i) % self.buf.len()]);
-        }
-        out
+        self.iter().collect()
     }
 
     pub fn sum(&self) -> f64 {
-        let start = if self.len == self.buf.len() {
-            self.head
-        } else {
-            0
-        };
-        (0..self.len)
-            .map(|i| self.buf[(start + i) % self.buf.len()])
-            .sum()
+        self.iter().sum()
     }
 
     pub fn mean(&self) -> Option<f64> {
-        if self.len == 0 {
+        if self.is_empty() {
             None
         } else {
-            Some(self.sum() / self.len as f64)
+            Some(self.sum() / self.len() as f64)
         }
     }
 
     pub fn min(&self) -> Option<f64> {
-        self.values().into_iter().reduce(f64::min)
+        self.iter().reduce(f64::min)
     }
 
     pub fn max(&self) -> Option<f64> {
-        self.values().into_iter().reduce(f64::max)
+        self.iter().reduce(f64::max)
     }
 
     /// Exact q-th quantile of the retained samples (linear
     /// interpolation, same convention as [`crate::stats::quantile`]).
+    /// Only on a window built [`RollingWindow::with_quantiles`].
     pub fn quantile(&self, q: f64) -> Option<f64> {
-        crate::stats::quantile(&self.values(), q)
+        let sorted = self
+            .sorted
+            .as_ref()
+            .expect("quantile() needs a window built with_quantiles()");
+        if q.is_nan() {
+            sanitize::check(false, "quantile called with q = NaN");
+            return None;
+        }
+        if sorted.is_empty() {
+            return None;
+        }
+        Some(crate::stats::quantile_sorted(sorted, q))
     }
 }
 
@@ -399,7 +452,7 @@ mod tests {
 
     #[test]
     fn rolling_window_empty_has_no_statistics() {
-        let w = RollingWindow::new(4);
+        let w = RollingWindow::with_quantiles(4);
         assert_eq!(w.capacity(), 4);
         assert_eq!(w.len(), 0);
         assert!(w.is_empty());
@@ -414,7 +467,7 @@ mod tests {
 
     #[test]
     fn rolling_window_single_sample_is_every_statistic() {
-        let mut w = RollingWindow::new(4);
+        let mut w = RollingWindow::with_quantiles(4);
         w.push(3.5);
         assert_eq!(w.len(), 1);
         assert!(!w.is_empty());
@@ -430,7 +483,7 @@ mod tests {
 
     #[test]
     fn rolling_window_exactly_at_capacity_then_evicts_oldest() {
-        let mut w = RollingWindow::new(3);
+        let mut w = RollingWindow::with_quantiles(3);
         for x in [1.0, 2.0, 3.0] {
             w.push(x);
         }
@@ -461,6 +514,101 @@ mod tests {
         assert_eq!(r, 0.0, "stale buckets cleared: {r}");
     }
 
+    #[test]
+    fn rolling_window_grows_with_its_samples_not_its_capacity() {
+        // 160 GB up front under the old `vec![0.0; capacity]`.
+        let mut w = RollingWindow::with_quantiles(20_000_000_000);
+        w.push(2.0);
+        w.push(1.0);
+        assert_eq!(w.capacity(), 20_000_000_000);
+        assert_eq!(w.values(), vec![2.0, 1.0]);
+        assert_eq!(w.quantile(0.5), Some(1.5));
+        assert!(!w.is_full());
+    }
+
+    #[test]
+    #[should_panic(expected = "needs a window built with_quantiles()")]
+    fn quantile_on_a_mean_only_window_is_a_caller_bug() {
+        let mut w = RollingWindow::new(4);
+        w.push(1.0);
+        let _ = w.quantile(0.5);
+    }
+
+    /// The window this module shipped before the sorted mirror, kept
+    /// verbatim as the reference the new one is compared against: a
+    /// zeroed ring allocated up front, and every order statistic a
+    /// `values()` copy (plus a full sort for `quantile`).
+    struct CopySortWindow {
+        buf: Vec<f64>,
+        head: usize,
+        len: usize,
+    }
+
+    impl CopySortWindow {
+        fn new(capacity: usize) -> CopySortWindow {
+            CopySortWindow {
+                buf: vec![0.0; capacity],
+                head: 0,
+                len: 0,
+            }
+        }
+
+        fn push(&mut self, x: f64) {
+            self.buf[self.head] = x;
+            self.head = (self.head + 1) % self.buf.len();
+            self.len = (self.len + 1).min(self.buf.len());
+        }
+
+        fn clear(&mut self) {
+            self.head = 0;
+            self.len = 0;
+        }
+
+        fn values(&self) -> Vec<f64> {
+            let mut out = Vec::with_capacity(self.len);
+            let start = if self.len == self.buf.len() {
+                self.head
+            } else {
+                0
+            };
+            for i in 0..self.len {
+                out.push(self.buf[(start + i) % self.buf.len()]);
+            }
+            out
+        }
+
+        fn sum(&self) -> f64 {
+            let start = if self.len == self.buf.len() {
+                self.head
+            } else {
+                0
+            };
+            (0..self.len)
+                .map(|i| self.buf[(start + i) % self.buf.len()])
+                .sum()
+        }
+
+        fn mean(&self) -> Option<f64> {
+            if self.len == 0 {
+                None
+            } else {
+                Some(self.sum() / self.len as f64)
+            }
+        }
+
+        fn min(&self) -> Option<f64> {
+            self.values().into_iter().reduce(f64::min)
+        }
+
+        fn max(&self) -> Option<f64> {
+            self.values().into_iter().reduce(f64::max)
+        }
+
+        fn quantile(&self, q: f64) -> Option<f64> {
+            crate::stats::quantile(&self.values(), q)
+        }
+    }
+
     mod rolling_window_props {
         use super::*;
         use proptest::collection::vec;
@@ -476,7 +624,7 @@ mod tests {
                 samples in vec(-1.0e6f64..1.0e6, 1..40),
                 q in 0.0f64..1.0,
             ) {
-                let mut w = RollingWindow::new(cap);
+                let mut w = RollingWindow::with_quantiles(cap);
                 for (i, &x) in samples.iter().enumerate() {
                     w.push(x);
                     let naive: Vec<f64> =
@@ -497,6 +645,56 @@ mod tests {
                         (mean - naive_mean).abs() <= 1e-9 * naive_mean.abs().max(1.0),
                         "mean {} vs naive {}", mean, naive_mean
                     );
+                }
+            }
+
+            // The mirrored window against the old copy-and-sort one,
+            // bit for bit, after every push. Samples come from a small
+            // palette so duplicates, both zeros and both infinities
+            // meet each other; code 0 clears mid-stream.
+            fn mirrored_window_matches_copy_and_sort_reference(
+                cap in 1usize..7,
+                codes in vec(0u8..40, 1..90),
+                q in -0.5f64..1.5,
+            ) {
+                const PALETTE: [f64; 9] = [
+                    0.0, -0.0, 1.0, -1.0, 2.5, 2.5,
+                    f64::INFINITY, f64::NEG_INFINITY, 1e-300,
+                ];
+                let bits = |v: Option<f64>| v.map(f64::to_bits);
+                let mut new = RollingWindow::with_quantiles(cap);
+                let mut old = CopySortWindow::new(cap);
+                for (step, &code) in codes.iter().enumerate() {
+                    if code == 0 {
+                        new.clear();
+                        old.clear();
+                    } else {
+                        let x = match PALETTE.get(usize::from(code) - 1) {
+                            Some(&x) => x,
+                            None => f64::from(code) * 0.37 - 9.0,
+                        };
+                        new.push(x);
+                        old.push(x);
+                    }
+                    let ctx = format!("cap {cap} step {step} code {code}");
+                    prop_assert_eq!(new.len(), old.len, "{}", ctx);
+                    let (nv, ov) = (new.values(), old.values());
+                    prop_assert_eq!(
+                        nv.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                        ov.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                        "values, {}", ctx
+                    );
+                    prop_assert_eq!(bits(new.min()), bits(old.min()), "min, {}", ctx);
+                    prop_assert_eq!(bits(new.max()), bits(old.max()), "max, {}", ctx);
+                    prop_assert_eq!(bits(new.mean()), bits(old.mean()), "mean, {}", ctx);
+                    prop_assert_eq!(new.sum().to_bits(), old.sum().to_bits(), "sum, {}", ctx);
+                    for probe in [0.0, 0.5, 0.99, 1.0, q] {
+                        prop_assert_eq!(
+                            bits(new.quantile(probe)),
+                            bits(old.quantile(probe)),
+                            "q {}, {}", probe, ctx
+                        );
+                    }
                 }
             }
         }

@@ -28,12 +28,34 @@
 //! * **f64** — explicitly staged floating-point signals (e.g. the
 //!   Fig. 14 cwnd curve), XOR-of-bits + varint.
 //!
+//! Counters and gauges are found by walking the registry; an f64
+//! signal is pushed by its owner. [`Timeline::stage_f64`] registers a
+//! path once and returns a [`StagedId`]; [`Timeline::set`] refreshes
+//! the value through the handle with no string work, and every tick
+//! from then on samples the latest value. [`Timeline::set_f64`] does
+//! both by name for callers that stage a signal or two off the hot
+//! path.
+//!
+//! ## What a tick costs
+//!
+//! Series live in one dense column table (raw values plus each
+//! tier's accumulator per column); a name index resolves names for
+//! queries, `absorb`, `parse` and the sorted dump order only.
+//! [`Timeline::sample`] remembers, per registry section, the sorted
+//! list of paths it has met and merge-joins it against the registry's
+//! own path-sorted iteration: one string compare and a few indexed
+//! pushes per series per tick, a map insert only for a path met for
+//! the first time. Nothing is cached about the registry itself, so a
+//! fresh (merged) registry every tick — the fleet's — samples the same
+//! way. DESIGN.md §6 "Sinks: what a tick costs" has the rules this
+//! keeps so no dump byte moves.
+//!
 //! ## Determinism contract
 //!
 //! The sampler only *reads* the registry — enabling a timeline never
 //! schedules events, draws randomness, or writes a metric, so every
 //! other artifact of a run is byte-identical with sampling on or off.
-//! All iteration is over `BTreeMap`s; [`Timeline::to_bytes`] is
+//! Dump order comes from ordered maps only; [`Timeline::to_bytes`] is
 //! byte-identical for identical runs and `scripts/ci.sh` double-runs
 //! and `cmp`s exactly those dumps.
 //!
@@ -60,6 +82,7 @@ use crate::littletable::Agg;
 use crate::metrics::Registry;
 use crate::streaming::RollingWindow;
 use sim::{SimDuration, SimTime};
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, VecDeque};
 
 /// Dump file magic: "TSL" + format version.
@@ -72,7 +95,7 @@ pub enum SeriesKind {
     Counter,
     /// Signed `i64` gauge level.
     Gauge,
-    /// Explicitly staged `f64` signal (see [`Timeline::set_f64`]).
+    /// Explicitly staged `f64` signal (see [`Timeline::stage_f64`]).
     F64,
 }
 
@@ -239,7 +262,9 @@ struct Tier {
     len: u64,
     /// Absolute index of the in-progress (unflushed) bucket.
     cur: Option<u64>,
-    series: BTreeMap<String, TierSeries>,
+    /// This tier's series by column id (see [`Columns`]); `None` where
+    /// the column has no series in this tier.
+    cols: Vec<Option<TierSeries>>,
 }
 
 impl Tier {
@@ -251,7 +276,7 @@ impl Tier {
             base: 0,
             len: 0,
             cur: None,
-            series: BTreeMap::new(),
+            cols: Vec::new(),
         }
     }
 
@@ -269,23 +294,12 @@ impl Tier {
         }
     }
 
-    fn feed(&mut self, path: &str, kind: SeriesKind, v: f64) {
-        if let Some(s) = self.series.get_mut(path) {
-            debug_assert_eq!(s.kind, kind, "tier series kind changed: {path}");
-            s.acc.get_or_insert_with(Acc::new).feed(v);
-        } else {
-            let mut acc = Acc::new();
-            acc.feed(v);
-            self.series.insert(
-                path.to_owned(),
-                TierSeries {
-                    kind,
-                    start: 0,
-                    vals: VecDeque::new(),
-                    acc: Some(acc),
-                },
-            );
-        }
+    fn feed(&mut self, col: usize, kind: SeriesKind, v: f64) {
+        let s = self.cols[col]
+            .as_mut()
+            .expect("a sampled column holds a series in every tier");
+        debug_assert_eq!(s.kind, kind, "tier series kind changed: column {col}");
+        s.acc.get_or_insert_with(Acc::new).feed(v);
     }
 
     /// Flush completed bucket `row` into every accumulating series.
@@ -299,7 +313,8 @@ impl Tier {
                 "tier rows must stay dense (bucket < sampling interval?)"
             );
         }
-        for (path, s) in self.series.iter_mut() {
+        for (col, s) in self.cols.iter_mut().enumerate() {
+            let Some(s) = s else { continue };
             let Some(acc) = s.acc.take() else { continue };
             if s.vals.is_empty() {
                 s.start = row;
@@ -307,7 +322,7 @@ impl Tier {
                 assert_eq!(
                     s.start + s.vals.len() as u64,
                     row,
-                    "tier series {path} skipped a bucket"
+                    "tier series in column {col} skipped a bucket"
                 );
             }
             s.vals.push_back(acc.finish(self.agg).to_bits());
@@ -317,7 +332,7 @@ impl Tier {
             let evicted = self.base;
             self.base += 1;
             self.len -= 1;
-            for s in self.series.values_mut() {
+            for s in self.cols.iter_mut().flatten() {
                 if s.start == evicted && !s.vals.is_empty() {
                     s.vals.pop_front();
                     s.start += 1;
@@ -327,10 +342,142 @@ impl Tier {
     }
 }
 
+/// The column table: every series the timeline holds, raw and per
+/// tier, under one dense column id. `raw[c]` and each `tiers[t].cols[c]`
+/// are column `c`'s raw series and its row in tier `t`; `index` maps a
+/// series name to its column and is touched only when a name has to be
+/// resolved — a path the sampler has not met before, a query, `absorb`,
+/// `parse`, and the name-ordered walk of `to_bytes` — never per series
+/// per tick. A column the sampler opened holds a series in every
+/// table; `None` entries only come out of `parse` / `absorb`, where a
+/// dump may name a series in one table and not another.
+#[derive(Debug, Clone, PartialEq, Default)]
+struct Columns {
+    index: BTreeMap<String, usize>,
+    raw: Vec<Option<Series>>,
+    tiers: Vec<Tier>,
+}
+
+impl Columns {
+    /// The column named `name`, added (empty in every table) if new.
+    fn id(&mut self, name: &str) -> usize {
+        if let Some(&col) = self.index.get(name) {
+            return col;
+        }
+        let col = self.raw.len();
+        self.index.insert(name.to_owned(), col);
+        self.raw.push(None);
+        for t in &mut self.tiers {
+            t.cols.push(None);
+        }
+        col
+    }
+
+    /// First sight of `path` by the sampler, at tick `idx`: its column,
+    /// with a series starting here in every table. A column that
+    /// already holds one (the same path under another kind) is left
+    /// as it is for [`Columns::record`] to reject.
+    fn open(&mut self, path: &str, kind: SeriesKind, idx: u64) -> usize {
+        let col = self.id(path);
+        if self.raw[col].is_none() {
+            self.raw[col] = Some(Series {
+                kind,
+                start: idx,
+                vals: VecDeque::with_capacity(16),
+            });
+            for t in &mut self.tiers {
+                t.cols[col] = Some(TierSeries {
+                    kind,
+                    start: 0,
+                    vals: VecDeque::new(),
+                    acc: None,
+                });
+            }
+        }
+        col
+    }
+
+    /// Append tick `idx`'s value to column `col` and feed every tier's
+    /// accumulator, in tier order.
+    fn record(&mut self, col: usize, path: &str, kind: SeriesKind, bits: u64, idx: u64) {
+        let s = self.raw[col]
+            .as_mut()
+            .expect("a sampled column holds a raw series");
+        assert_eq!(s.kind, kind, "series kind changed: {path}");
+        assert_eq!(
+            s.start + s.vals.len() as u64,
+            idx,
+            "series {path} skipped a tick"
+        );
+        s.vals.push_back(bits);
+        let v = bits_to_f64(kind, bits);
+        for t in &mut self.tiers {
+            t.feed(col, kind, v);
+        }
+    }
+
+    fn series(&self, name: &str) -> Option<&Series> {
+        self.raw[*self.index.get(name)?].as_ref()
+    }
+}
+
+/// One path the sampler has met in a registry section, in path order
+/// (see [`Timeline::sample`]).
+#[derive(Debug, Clone, PartialEq)]
+struct Walk {
+    path: String,
+    /// The path's column; `None` when `select` turned it away.
+    col: Option<usize>,
+}
+
+/// Snapshot one path-sorted registry section (all counters, or all
+/// gauges) at tick `idx`: a merge join of `section` against `walk`,
+/// the same section's paths as the sampler last saw them. On the steady
+/// path each series costs one string compare and indexed pushes; a path
+/// not met before is resolved once (`select`, then the name index) and
+/// spliced into `walk`; a path the registry no longer lists is stepped
+/// over. Nothing identifies the registry but the paths it yields, so a
+/// fresh merged registry per tick (the fleet's) walks the same way.
+fn sample_section<'a>(
+    cols: &mut Columns,
+    walk: &mut Vec<Walk>,
+    select: &[String],
+    kind: SeriesKind,
+    idx: u64,
+    section: impl Iterator<Item = (&'a str, u64)>,
+) {
+    let mut k = 0;
+    for (path, bits) in section {
+        let col = loop {
+            match walk.get(k).map(|w| w.path.as_str().cmp(path)) {
+                Some(Ordering::Equal) => break walk[k].col,
+                Some(Ordering::Less) => k += 1,
+                Some(Ordering::Greater) | None => {
+                    let take = select.is_empty() || select.iter().any(|p| path.starts_with(p));
+                    let col = take.then(|| cols.open(path, kind, idx));
+                    walk.insert(
+                        k,
+                        Walk {
+                            path: path.to_owned(),
+                            col,
+                        },
+                    );
+                    break col;
+                }
+            }
+        };
+        k += 1;
+        if let Some(col) = col {
+            cols.record(col, path, kind, bits, idx);
+        }
+    }
+}
+
 /// Read-only view of one tier (for `wifictl time summary`/queries).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TierView<'a> {
     tier: &'a Tier,
+    index: &'a BTreeMap<String, usize>,
 }
 
 impl<'a> TierView<'a> {
@@ -356,7 +503,11 @@ impl<'a> TierView<'a> {
 
     /// Completed-bucket values of one series as `(bucket start, value)`.
     pub fn series(&self, name: &str) -> Vec<(SimTime, f64)> {
-        let Some(s) = self.tier.series.get(name) else {
+        let Some(s) = self
+            .index
+            .get(name)
+            .and_then(|&c| self.tier.cols[c].as_ref())
+        else {
             return Vec::new();
         };
         s.vals
@@ -373,6 +524,21 @@ impl<'a> TierView<'a> {
     }
 }
 
+/// One explicitly staged f64 signal (see [`Timeline::stage_f64`]).
+#[derive(Debug, Clone, PartialEq)]
+struct Staged {
+    path: String,
+    /// Latest staged value; `None` until the first [`Timeline::set`].
+    bits: Option<u64>,
+    /// The signal's column, opened by the first tick that samples it.
+    col: Option<usize>,
+}
+
+/// Handle to a staged f64 signal, issued by [`Timeline::stage_f64`]
+/// and valid only for the timeline that issued it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StagedId(u32);
+
 /// The timeline sampler + store (see module docs).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Timeline {
@@ -383,10 +549,13 @@ pub struct Timeline {
     base: u64,
     /// Retained tick count.
     len: u64,
+    cols: Columns,
+    /// Every counter path met so far, path-sorted ([`sample_section`]).
+    counter_walk: Vec<Walk>,
+    /// Every gauge path met so far, path-sorted.
+    gauge_walk: Vec<Walk>,
     /// Explicitly staged f64 signals, re-sampled every tick.
-    staged: BTreeMap<String, u64>,
-    series: BTreeMap<String, Series>,
-    tiers: Vec<Tier>,
+    staged: Vec<Staged>,
     /// Set by `absorb`/`parse`: the tick grid is no longer this
     /// sampler's own, so further `sample` calls are a bug.
     frozen: bool,
@@ -410,27 +579,51 @@ impl Timeline {
             every_ns: cfg.every.as_nanos(),
             capacity: cfg.capacity.max(1),
             select: cfg.select.clone(),
-            base: 0,
-            len: 0,
-            staged: BTreeMap::new(),
-            series: BTreeMap::new(),
-            tiers: cfg.tiers.iter().map(Tier::new).collect(),
-            frozen: false,
+            cols: Columns {
+                tiers: cfg.tiers.iter().map(Tier::new).collect(),
+                ..Columns::default()
+            },
+            ..Timeline::default()
         }
     }
 
     // ---- sampling -------------------------------------------------
 
-    /// Stage (or refresh) an f64 signal; every subsequent tick samples
-    /// the latest staged value. NaN is rejected at the door so tier
+    /// Register an f64 signal and return its handle; a path staged
+    /// before gets the handle it got then. The signal joins the ticks
+    /// once a value has been [`set`](Timeline::set). Call once at
+    /// setup and keep the handle: this resolves the name by scanning
+    /// the staged signals.
+    pub fn stage_f64(&mut self, path: &str) -> StagedId {
+        let slot = self
+            .staged
+            .iter()
+            .position(|s| s.path == path)
+            .unwrap_or_else(|| {
+                self.staged.push(Staged {
+                    path: path.to_owned(),
+                    bits: None,
+                    col: None,
+                });
+                self.staged.len() - 1
+            });
+        StagedId(u32::try_from(slot).expect("staged id space exhausted"))
+    }
+
+    /// Stage (or refresh) a signal's value; every subsequent tick
+    /// samples the latest one. NaN is rejected at the door so tier
     /// aggregates can never be poisoned.
+    pub fn set(&mut self, id: StagedId, v: f64) {
+        let s = &mut self.staged[id.0 as usize];
+        assert!(!v.is_nan(), "NaN staged for timeline series {}", s.path);
+        s.bits = Some(v.to_bits());
+    }
+
+    /// [`stage_f64`](Timeline::stage_f64) + [`set`](Timeline::set) by
+    /// name, for callers off the hot path.
     pub fn set_f64(&mut self, path: &str, v: f64) {
-        assert!(!v.is_nan(), "NaN staged for timeline series {path}");
-        if let Some(slot) = self.staged.get_mut(path) {
-            *slot = v.to_bits();
-        } else {
-            self.staged.insert(path.to_owned(), v.to_bits());
-        }
+        let id = self.stage_f64(path);
+        self.set(id, v);
     }
 
     /// Record tick `base + len` at its nominal instant: snapshot every
@@ -449,61 +642,39 @@ impl Timeline {
             idx * self.every_ns,
             "timeline tick off the nominal grid"
         );
-        for t in &mut self.tiers {
+        let cols = &mut self.cols;
+        for t in &mut cols.tiers {
             t.roll(stamp_ns);
         }
-        // Split borrows: selection reads self.select while the record
-        // closure mutates self.series/self.tiers.
-        let select = &self.select;
-        let selected =
-            |path: &str| select.is_empty() || select.iter().any(|p| path.starts_with(p.as_str()));
-        let series = &mut self.series;
-        let tiers = &mut self.tiers;
-        let mut record = |path: &str, kind: SeriesKind, bits: u64| {
-            if let Some(s) = series.get_mut(path) {
-                assert_eq!(s.kind, kind, "series kind changed: {path}");
-                assert_eq!(
-                    s.start + s.vals.len() as u64,
-                    idx,
-                    "series {path} skipped a tick"
-                );
-                s.vals.push_back(bits);
-            } else {
-                let mut vals = VecDeque::with_capacity(16);
-                vals.push_back(bits);
-                series.insert(
-                    path.to_owned(),
-                    Series {
-                        kind,
-                        start: idx,
-                        vals,
-                    },
-                );
-            }
-            let v = bits_to_f64(kind, bits);
-            for t in tiers.iter_mut() {
-                t.feed(path, kind, v);
-            }
-        };
-        for (path, v) in reg.counters() {
-            if selected(path) {
-                record(path, SeriesKind::Counter, v);
-            }
-        }
-        for (path, v) in reg.gauges() {
-            if selected(path) {
-                record(path, SeriesKind::Gauge, u64::from_le_bytes(v.to_le_bytes()));
-            }
-        }
-        for (path, &bits) in &self.staged {
-            record(path, SeriesKind::F64, bits);
+        sample_section(
+            cols,
+            &mut self.counter_walk,
+            &self.select,
+            SeriesKind::Counter,
+            idx,
+            reg.counters(),
+        );
+        sample_section(
+            cols,
+            &mut self.gauge_walk,
+            &self.select,
+            SeriesKind::Gauge,
+            idx,
+            reg.gauges().map(|(path, v)| (path, i64_bits(v))),
+        );
+        for s in &mut self.staged {
+            let Some(bits) = s.bits else { continue };
+            let col = *s
+                .col
+                .get_or_insert_with(|| cols.open(&s.path, SeriesKind::F64, idx));
+            cols.record(col, &s.path, SeriesKind::F64, bits, idx);
         }
         self.len += 1;
         if self.len > self.capacity as u64 {
             let evicted = self.base;
             self.base += 1;
             self.len -= 1;
-            for s in self.series.values_mut() {
+            for s in cols.raw.iter_mut().flatten() {
                 if s.start == evicted && !s.vals.is_empty() {
                     s.vals.pop_front();
                     s.start += 1;
@@ -516,7 +687,7 @@ impl Timeline {
     /// `sample` and before `to_bytes` — dumps carry completed buckets
     /// only, so an unsealed trailing bucket would silently vanish.
     pub fn seal(&mut self) {
-        for t in &mut self.tiers {
+        for t in &mut self.cols.tiers {
             if let Some(p) = t.cur.take() {
                 t.flush_row(p);
             }
@@ -542,7 +713,7 @@ impl Timeline {
 
     /// True when nothing has ever been sampled or absorbed.
     pub fn is_empty(&self) -> bool {
-        self.every_ns == 0 || (self.len == 0 && self.series.is_empty())
+        self.every_ns == 0 || (self.len == 0 && self.cols.raw.iter().all(Option::is_none))
     }
 
     /// Instant of the first retained tick (none while empty).
@@ -557,17 +728,22 @@ impl Timeline {
 
     /// Series names, ascending.
     pub fn series_names(&self) -> impl Iterator<Item = &str> {
-        self.series.keys().map(String::as_str)
+        let raw = &self.cols.raw;
+        self.cols
+            .index
+            .iter()
+            .filter(|&(_, &col)| raw[col].is_some())
+            .map(|(name, _)| name.as_str())
     }
 
     /// Kind of a series, if present.
     pub fn kind(&self, name: &str) -> Option<SeriesKind> {
-        self.series.get(name).map(|s| s.kind)
+        self.cols.series(name).map(|s| s.kind)
     }
 
     /// Retained sample count of a series.
     pub fn series_len(&self, name: &str) -> usize {
-        self.series.get(name).map_or(0, |s| s.vals.len())
+        self.cols.series(name).map_or(0, |s| s.vals.len())
     }
 
     /// Raw samples of a series in `[from, to)` as `(instant, value)`.
@@ -587,7 +763,7 @@ impl Timeline {
         from: SimTime,
         to: SimTime,
     ) -> Vec<(SimTime, SeriesKind, u64)> {
-        let Some(s) = self.series.get(name) else {
+        let Some(s) = self.cols.series(name) else {
             return Vec::new();
         };
         s.vals
@@ -602,7 +778,7 @@ impl Timeline {
 
     /// Latest retained value of a series.
     pub fn last(&self, name: &str) -> Option<f64> {
-        let s = self.series.get(name)?;
+        let s = self.cols.series(name)?;
         s.vals.back().map(|&bits| bits_to_f64(s.kind, bits))
     }
 
@@ -645,8 +821,8 @@ impl Timeline {
     /// `HealthRules::sample_every`, this is the window the health
     /// detectors consumed (modulo run-loop phase; see DESIGN.md §6).
     pub fn window(&self, name: &str, n: usize) -> RollingWindow {
-        let mut w = RollingWindow::new(n);
-        if let Some(s) = self.series.get(name) {
+        let mut w = RollingWindow::with_quantiles(n);
+        if let Some(s) = self.cols.series(name) {
             let skip = s.vals.len().saturating_sub(n);
             for &bits in s.vals.iter().skip(skip) {
                 w.push(bits_to_f64(s.kind, bits));
@@ -657,7 +833,10 @@ impl Timeline {
 
     /// Read-only tier views, in config order.
     pub fn tiers(&self) -> impl Iterator<Item = TierView<'_>> {
-        self.tiers.iter().map(|tier| TierView { tier })
+        self.cols.tiers.iter().map(|tier| TierView {
+            tier,
+            index: &self.cols.index,
+        })
     }
 
     // ---- merging --------------------------------------------------
@@ -677,7 +856,9 @@ impl Timeline {
             self.capacity = other.capacity;
             self.base = other.base;
             self.len = other.len;
-            self.tiers = other
+            let n_cols = self.cols.raw.len();
+            self.cols.tiers = other
+                .cols
                 .tiers
                 .iter()
                 .map(|t| Tier {
@@ -687,7 +868,7 @@ impl Timeline {
                     base: t.base,
                     len: t.len,
                     cur: None,
-                    series: BTreeMap::new(),
+                    cols: vec![None; n_cols],
                 })
                 .collect();
         } else {
@@ -700,21 +881,12 @@ impl Timeline {
             self.len = end - self.base;
         }
         self.frozen = true;
-        for (name, s) in &other.series {
-            let key = if label.is_empty() {
-                name.clone()
-            } else {
-                format!("{label}.{name}")
-            };
-            let prev = self.series.insert(key.clone(), s.clone());
-            assert!(prev.is_none(), "absorb: series collision on {key}");
-        }
         assert_eq!(
-            self.tiers.len(),
-            other.tiers.len(),
+            self.cols.tiers.len(),
+            other.cols.tiers.len(),
             "absorb: tier shape mismatch"
         );
-        for (dst, src) in self.tiers.iter_mut().zip(&other.tiers) {
+        for (dst, src) in self.cols.tiers.iter_mut().zip(&other.cols.tiers) {
             assert_eq!(dst.bucket_ns, src.bucket_ns, "absorb: tier bucket mismatch");
             assert_eq!(dst.agg, src.agg, "absorb: tier agg mismatch");
             if dst.len == 0 {
@@ -725,14 +897,23 @@ impl Timeline {
                 dst.base = dst.base.min(src.base);
                 dst.len = end - dst.base;
             }
-            for (name, s) in &src.series {
-                let key = if label.is_empty() {
-                    name.clone()
-                } else {
-                    format!("{label}.{name}")
-                };
-                let prev = dst.series.insert(key.clone(), s.clone());
-                assert!(prev.is_none(), "absorb: tier series collision on {key}");
+        }
+        for (name, &from) in &other.cols.index {
+            let key = if label.is_empty() {
+                name.clone()
+            } else {
+                format!("{label}.{name}")
+            };
+            let to = self.cols.id(&key);
+            if let Some(s) = &other.cols.raw[from] {
+                let prev = self.cols.raw[to].replace(s.clone());
+                assert!(prev.is_none(), "absorb: series collision on {key}");
+            }
+            for (dst, src) in self.cols.tiers.iter_mut().zip(&other.cols.tiers) {
+                if let Some(s) = &src.cols[from] {
+                    let prev = dst.cols[to].replace(s.clone());
+                    assert!(prev.is_none(), "absorb: tier series collision on {key}");
+                }
             }
         }
     }
@@ -780,32 +961,21 @@ impl Timeline {
                 put_varint(&mut out, self.every_ns);
             }
         }
+        let index = &self.cols.index;
+        put_table(&mut out, index, &self.cols.raw, |s| {
+            (s.kind, s.start, &s.vals)
+        });
         out.extend_from_slice(
-            &u32::try_from(self.series.len())
-                .expect("series count")
-                .to_le_bytes(),
-        );
-        for (name, s) in &self.series {
-            put_series(&mut out, name, s.kind, s.start, &s.vals);
-        }
-        out.extend_from_slice(
-            &u32::try_from(self.tiers.len())
+            &u32::try_from(self.cols.tiers.len())
                 .expect("tier count")
                 .to_le_bytes(),
         );
-        for t in &self.tiers {
+        for t in &self.cols.tiers {
             out.extend_from_slice(&t.bucket_ns.to_le_bytes());
             out.push(agg_tag(t.agg));
             out.extend_from_slice(&t.base.to_le_bytes());
             out.extend_from_slice(&u32::try_from(t.len).expect("row count").to_le_bytes());
-            out.extend_from_slice(
-                &u32::try_from(t.series.len())
-                    .expect("tier series count")
-                    .to_le_bytes(),
-            );
-            for (name, s) in &t.series {
-                put_series(&mut out, name, s.kind, s.start, &s.vals);
-            }
+            put_table(&mut out, index, &t.cols, |s| (s.kind, s.start, &s.vals));
         }
         out
     }
@@ -844,15 +1014,14 @@ impl Timeline {
             }
         }
         grid_fits("tick column", base, len, every_ns)?;
-        let series = take_series_map(&mut r, every_ns, |kind, start, vals| Series {
-            kind,
-            start,
-            vals,
-        })?;
+        let mut cols = Columns::default();
+        for (name, kind, start, vals) in take_table(&mut r, every_ns)? {
+            let col = cols.id(&name);
+            cols.raw[col] = Some(Series { kind, start, vals });
+        }
         let n_tiers = r.u32()?;
         let n_tiers = r.count(n_tiers.into(), MIN_TIER_BYTES)?;
-        let mut tiers = Vec::with_capacity(n_tiers);
-        for _ in 0..n_tiers {
+        for tier in 0..n_tiers {
             let bucket_ns = r.u64()?;
             if bucket_ns == 0 {
                 return Err("tier bucket must be > 0".to_owned());
@@ -861,33 +1030,34 @@ impl Timeline {
             let t_base = r.u64()?;
             let t_len = u64::from(r.u32()?);
             grid_fits("tier rows", t_base, t_len, bucket_ns)?;
-            let tser = take_series_map(&mut r, bucket_ns, |kind, start, vals| TierSeries {
-                kind,
-                start,
-                vals,
-                acc: None,
-            })?;
-            tiers.push(Tier {
+            cols.tiers.push(Tier {
                 bucket_ns,
                 agg,
                 capacity: usize::MAX,
                 base: t_base,
                 len: t_len,
                 cur: None,
-                series: tser,
+                cols: vec![None; cols.raw.len()],
             });
+            for (name, kind, start, vals) in take_table(&mut r, bucket_ns)? {
+                let col = cols.id(&name);
+                cols.tiers[tier].cols[col] = Some(TierSeries {
+                    kind,
+                    start,
+                    vals,
+                    acc: None,
+                });
+            }
         }
         r.end("the last tier")?;
         Ok(Timeline {
             every_ns,
             capacity: usize::MAX,
-            select: Vec::new(),
             base,
             len,
-            staged: BTreeMap::new(),
-            series,
-            tiers,
+            cols,
             frozen: true,
+            ..Timeline::default()
         })
     }
 }
@@ -957,26 +1127,27 @@ fn bits_i64(bits: u64) -> i64 {
     i64::from_le_bytes(bits.to_le_bytes())
 }
 
-/// Delta-encode one column of raw series bits.
-fn encode_vals(kind: SeriesKind, vals: &VecDeque<u64>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(vals.len() * 2 + 8);
-    let mut prev: Option<u64> = None;
-    for &bits in vals {
-        match (kind, prev) {
-            (SeriesKind::Counter, None) => put_varint(&mut out, bits),
-            (SeriesKind::Counter, Some(p)) => put_varint(&mut out, bits.wrapping_sub(p)),
-            (SeriesKind::Gauge, None) => put_varint(&mut out, zigzag(bits_i64(bits))),
-            (SeriesKind::Gauge, Some(p)) => {
-                put_varint(&mut out, zigzag(bits_i64(bits).wrapping_sub(bits_i64(p))));
-            }
-            (SeriesKind::F64, None) => out.extend_from_slice(&bits.to_le_bytes()),
-            (SeriesKind::F64, Some(p)) => put_varint(&mut out, bits ^ p),
+/// One table of the dump: a `u32` series count, then the table's
+/// series in name order. `cols` is indexed by column id; columns with
+/// no series in this table are skipped.
+fn put_table<T>(
+    out: &mut Vec<u8>,
+    index: &BTreeMap<String, usize>,
+    cols: &[Option<T>],
+    parts: impl Fn(&T) -> (SeriesKind, u64, &VecDeque<u64>),
+) {
+    let present = cols.iter().flatten().count();
+    out.extend_from_slice(&u32::try_from(present).expect("series count").to_le_bytes());
+    for (name, &col) in index {
+        if let Some(s) = &cols[col] {
+            let (kind, start, vals) = parts(s);
+            put_series(out, name, kind, start, vals);
         }
-        prev = Some(bits);
     }
-    out
 }
 
+/// One series: header, then its values delta-encoded straight into
+/// `out`, the payload length patched in once it is known.
 fn put_series(out: &mut Vec<u8>, name: &str, kind: SeriesKind, start: u64, vals: &VecDeque<u64>) {
     put_name(out, name);
     out.push(kind.tag());
@@ -986,13 +1157,24 @@ fn put_series(out: &mut Vec<u8>, name: &str, kind: SeriesKind, start: u64, vals:
             .expect("value count")
             .to_le_bytes(),
     );
-    let payload = encode_vals(kind, vals);
-    out.extend_from_slice(
-        &u32::try_from(payload.len())
-            .expect("payload length")
-            .to_le_bytes(),
-    );
-    out.extend_from_slice(&payload);
+    let len_at = out.len();
+    out.extend_from_slice(&[0; 4]);
+    let mut prev: Option<u64> = None;
+    for &bits in vals {
+        match (kind, prev) {
+            (SeriesKind::Counter, None) => put_varint(out, bits),
+            (SeriesKind::Counter, Some(p)) => put_varint(out, bits.wrapping_sub(p)),
+            (SeriesKind::Gauge, None) => put_varint(out, zigzag(bits_i64(bits))),
+            (SeriesKind::Gauge, Some(p)) => {
+                put_varint(out, zigzag(bits_i64(bits).wrapping_sub(bits_i64(p))));
+            }
+            (SeriesKind::F64, None) => out.extend_from_slice(&bits.to_le_bytes()),
+            (SeriesKind::F64, Some(p)) => put_varint(out, bits ^ p),
+        }
+        prev = Some(bits);
+    }
+    let payload = u32::try_from(out.len() - len_at - 4).expect("payload length");
+    out[len_at..len_at + 4].copy_from_slice(&payload.to_le_bytes());
 }
 
 /// `count` grid points from index `first`, `step_ns` apart, must end on
@@ -1013,28 +1195,28 @@ fn grid_fits(what: &str, first: u64, count: u64, step_ns: u64) -> Result<(), Str
         })
 }
 
+/// One decoded series: name, kind, start index, values.
+type TakenSeries = (String, SeriesKind, u64, VecDeque<u64>);
+
 /// A `u32` series count, then that many series in strictly ascending
 /// name order, each on the `step_ns` grid (see [`grid_fits`]).
-fn take_series_map<T>(
-    r: &mut Reader<'_>,
-    step_ns: u64,
-    make: impl Fn(SeriesKind, u64, VecDeque<u64>) -> T,
-) -> Result<BTreeMap<String, T>, String> {
+fn take_table(r: &mut Reader<'_>, step_ns: u64) -> Result<Vec<TakenSeries>, String> {
     let n = r.u32()?;
     let n = r.count(n.into(), MIN_SERIES_BYTES)?;
-    let mut map = BTreeMap::new();
+    let mut table: Vec<TakenSeries> = Vec::with_capacity(n);
     for _ in 0..n {
-        let (name, kind, start, vals) = take_series(r)?;
-        grid_fits(&name, start, vals.len() as u64, step_ns)?;
-        if map.last_key_value().is_some_and(|(prev, _)| name <= *prev) {
+        let taken = take_series(r)?;
+        let (name, _, start, vals) = &taken;
+        grid_fits(name, *start, vals.len() as u64, step_ns)?;
+        if table.last().is_some_and(|(prev, ..)| name <= prev) {
             return Err(format!("series {name} out of order"));
         }
-        map.insert(name, make(kind, start, vals));
+        table.push(taken);
     }
-    Ok(map)
+    Ok(table)
 }
 
-fn take_series(r: &mut Reader<'_>) -> Result<(String, SeriesKind, u64, VecDeque<u64>), String> {
+fn take_series(r: &mut Reader<'_>) -> Result<TakenSeries, String> {
     let name = r.name("series")?;
     let kind = SeriesKind::from_tag(r.u8()?)?;
     let start = r.u64()?;
@@ -1070,6 +1252,9 @@ fn take_series(r: &mut Reader<'_>) -> Result<(String, SeriesKind, u64, VecDeque<
     }
     Ok((name, kind, start, vals))
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -1316,6 +1501,118 @@ mod tests {
         let reg = Registry::new();
         let mut tl = Timeline::new(&cfg(100));
         tl.sample(SimTime::from_millis(50), &reg);
+    }
+
+    /// Candidate paths for the equivalence proptest: counters and
+    /// gauges under prefixes a `select` can split, two of them sharing
+    /// a prefix with each other (`mac.ap1` / `mac.ap10`) so sorted
+    /// position is not just first-letter order.
+    const COUNTERS: [&str; 8] = [
+        "fleet.epochs",
+        "mac.ap0.frames",
+        "mac.ap1.frames",
+        "mac.ap10.frames",
+        "mac.collisions",
+        "qoe.client0.sent",
+        "tcp.retransmits",
+        "trace.dropped",
+    ];
+    const GAUGES: [&str; 6] = [
+        "health.air.busy_ns",
+        "health.ap0.backlog",
+        "mac.ap0.inflight",
+        "qoe.client0.score",
+        "sim.queue.depth",
+        "tcp.backlog",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        // The column-table sampler against the map-probing one it
+        // replaced (`reference::Timeline`), on the dump bytes after
+        // every tick: paths appear mid-run (late registration) and, when
+        // each tick reads a fresh registry, drop out for good; the
+        // registry lists its paths in whatever order they were
+        // registered that tick; `select` may be non-empty; the raw ring
+        // and both tiers are small enough to evict; one f64 signal is
+        // staged by handle, one by name, one starts late. Then the
+        // sealed dump must survive parse -> to_bytes unchanged.
+        fn column_sampler_matches_map_probing_reference(
+            births in vec(0u64..14, 14..15),
+            deaths in vec(0u64..60, 14..15),
+            n_ticks in 1u64..48,
+            capacity in 1usize..9,
+            tier_caps in vec(1usize..5, 2..3),
+            select_mode in 0u8..3,
+            fresh in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let every = SimDuration::from_millis(10);
+            let config = TimelineConfig {
+                every,
+                select: match select_mode {
+                    0 => Vec::new(),
+                    1 => vec!["mac.".to_owned()],
+                    _ => vec!["tcp.".to_owned(), "mac.ap1".to_owned(), "nothing".to_owned()],
+                },
+                capacity,
+                tiers: vec![
+                    TierConfig { bucket: every * 3, agg: Agg::Mean, capacity: tier_caps[0] },
+                    TierConfig { bucket: every * 7, agg: Agg::Max, capacity: tier_caps[1] },
+                ],
+            };
+            let mut new = Timeline::new(&config);
+            let mut old = reference::Timeline::new(&config);
+            let by_handle = new.stage_f64("tcp.flow0.cwnd_segments");
+            let mut persistent = Registry::new();
+            let mut rng = sim::Rng::new(seed);
+            for i in 0..n_ticks {
+                // Alive this tick: born by now and, on a fresh registry,
+                // not yet dead (a persistent one cannot unregister).
+                let alive = |k: usize| births[k] <= i && (!fresh || i < births[k] + deaths[k]);
+                let mut reg = Registry::new();
+                let reg = if fresh { &mut reg } else { &mut persistent };
+                let mut order: Vec<usize> = (0..COUNTERS.len() + GAUGES.len()).collect();
+                if i % 2 == 1 {
+                    order.reverse();
+                }
+                for k in order.into_iter().filter(|&k| alive(k)) {
+                    if let Some(path) = COUNTERS.get(k) {
+                        let c = reg.counter(path);
+                        reg.add(c, rng.next_u64() >> 40);
+                    } else {
+                        let g = reg.gauge(GAUGES[k - COUNTERS.len()]);
+                        let v = i64::try_from(rng.next_u64() >> 44).expect("fits");
+                        reg.gauge_set(g, v - (1 << 19));
+                    }
+                }
+                let cwnd = 10.0 + (rng.next_u64() % 64) as f64 * 0.25;
+                new.set(by_handle, cwnd);
+                old.set_f64("tcp.flow0.cwnd_segments", cwnd);
+                new.set_f64("fleet.load", -cwnd);
+                old.set_f64("fleet.load", -cwnd);
+                if i >= 5 {
+                    new.set_f64("late.signal", cwnd * 1e-3);
+                    old.set_f64("late.signal", cwnd * 1e-3);
+                }
+                let at = SimTime::ZERO + every * i;
+                new.sample(at, reg);
+                old.sample(at, reg);
+                prop_assert_eq!(new.to_bytes(), old.to_bytes(), "after tick {}", i);
+            }
+            // The walks are what keeps the name index off the steady
+            // path: each met path once, in path order.
+            for walk in [&new.counter_walk, &new.gauge_walk] {
+                prop_assert!(walk.windows(2).all(|w| w[0].path < w[1].path));
+            }
+            new.seal();
+            old.seal();
+            let bytes = new.to_bytes();
+            prop_assert_eq!(&bytes, &old.to_bytes(), "sealed");
+            let parsed = Timeline::parse(&bytes).expect("own dump parses");
+            prop_assert_eq!(parsed.to_bytes(), bytes, "parse -> to_bytes");
+        }
     }
 
     proptest! {

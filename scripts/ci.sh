@@ -117,15 +117,17 @@ chain complete|trace chain $art/fig15.a.trace
 EOF
 
 echo "=== perf smoke (wifictl perf regress vs committed baseline) ==="
-# Three short `--perf` runs each of fig18 (the packet path) and of
-# abl_penalty and abl_nbo_hops (the planner: whole TurboCA plans, single
-# NBO passes), gated by `wifictl perf regress`: fail if the best-of-3
-# rate for any shared label lands more than 30% below the committed
-# BENCH_simperf.json baseline. Wall-clock on shared CI hosts is noisy,
-# so the gate exists to catch real hot-path regressions (an accidental
-# allocation or O(n) scan per event, a per-call geometry rebuild in the
-# planner's inner loop), not jitter.
-for bin in fig18_multi_ap abl_penalty abl_nbo_hops; do
+# Three short `--perf` runs each of fig18 (the packet path), of
+# fig19_qoe (the one bin with probing and health scoring of QoE windows
+# on its default path: the sinks) and of abl_penalty and abl_nbo_hops
+# (the planner: whole TurboCA plans, single NBO passes), gated by
+# `wifictl perf regress`: fail if the best-of-3 rate for any shared
+# label lands more than 30% below the committed BENCH_simperf.json
+# baseline. Wall-clock on shared CI hosts is noisy, so the gate exists
+# to catch real hot-path regressions (an accidental allocation or O(n)
+# scan per event, a copy-and-sort per score, a per-call geometry
+# rebuild in the planner's inner loop), not jitter.
+for bin in fig18_multi_ap fig19_qoe abl_penalty abl_nbo_hops; do
   for i in 1 2 3; do
     "target/release/$bin" --perf "$art/perf-smoke-$bin-$i.json" > /dev/null
     for key in '"bench"' '"samples"' '"label"' '"events"' '"wall_s"' '"events_per_s"' '"peak_rss_bytes"' '"cores"'; do
