@@ -30,7 +30,7 @@ mod common;
 use bench::arms::{self, Arm};
 use bench::harness::Experiment;
 use common::{check_goldens, fnv1a};
-use wifi_core::netsim::testbed::{InterfererFault, Testbed, TestbedConfig};
+use wifi_core::netsim::testbed::{InterfererFault, Testbed, TestbedConfig, TestbedReport};
 use wifi_core::qoe::{ClientReport, DimSummary, ProbeConfig};
 use wifi_core::sim::SimDuration;
 use wifi_core::telemetry::codec::Fnv1a;
@@ -144,4 +144,89 @@ fn obs_dense_artifacts_match_goldens() {
     ]
     .map(|(name, h)| (format!("obs.dense.{name}"), h));
     check_goldens("obs", &entries);
+}
+
+/// Every field of every per-flow sender report, per-AP agent report and
+/// per-client byte count, bit for bit.
+fn stats_hash(r: &TestbedReport) -> u64 {
+    let mut h = Fnv1a::new();
+    for s in &r.sender_stats {
+        for v in [
+            s.acked_bytes,
+            s.cwnd_segments.to_bits(),
+            s.retransmits,
+            s.fast_retransmits,
+            s.timeouts,
+            s.srtt_ms.to_bits(),
+        ] {
+            h.write(&v.to_le_bytes());
+        }
+    }
+    for a in &r.agent_stats {
+        for v in [
+            a.fast_acks_sent,
+            a.client_acks_suppressed,
+            a.client_acks_forwarded,
+            a.local_retransmits,
+            a.spurious_drops,
+            a.priority_forwards,
+            a.holes_detected,
+            a.hole_dupacks_sent,
+            a.cache_bypasses,
+            a.queue_drops,
+        ] {
+            h.write(&v.to_le_bytes());
+        }
+    }
+    for b in &r.client_bytes {
+        h.write(&b.to_le_bytes());
+    }
+    h.finish()
+}
+
+/// The benchmark's `lossy_recovery` shape cut down to debug tier-1
+/// size, both arms: 1% upstream loss, 5% bad hints and low SNR put the
+/// run on the slow paths of every sequence-keyed container — SACK
+/// marking and mid-window retransmits at the sender, `ooo` merges at
+/// the receiver, holes, `q_seq` merges, `lookup_range` and cache
+/// release at the agent. Pins what those paths compute, so reworking
+/// how the containers hold their data cannot move a byte.
+#[test]
+fn lossy_artifacts_match_goldens() {
+    let mut entries = Vec::new();
+    let (mut fast_retx, mut timeouts) = (0, 0);
+    for (arm, fastack) in [("base", false), ("fastack", true)] {
+        let cfg = TestbedConfig {
+            n_aps: 1,
+            clients_per_ap: 3,
+            fastack: vec![fastack],
+            upstream_loss: 0.01,
+            bad_hint_rate: 0.05,
+            base_snr_db: 24.0,
+            snr_spread_db: 10.0,
+            ..TestbedConfig::default()
+        };
+        let r = Testbed::new(cfg).run(SimDuration::from_secs(20));
+        fast_retx += r
+            .sender_stats
+            .iter()
+            .map(|s| s.fast_retransmits)
+            .sum::<u64>();
+        timeouts += r.sender_stats.iter().map(|s| s.timeouts).sum::<u64>();
+        if fastack {
+            assert!(r.agent_stats[0].holes_detected > 0, "no hole opened");
+            assert!(r.agent_stats[0].local_retransmits > 0, "no local repair");
+        }
+        entries.extend([
+            (
+                format!("lossy.{arm}.metrics"),
+                fnv1a(r.metrics.to_json().as_bytes()),
+            ),
+            (format!("lossy.{arm}.trace"), fnv1a(&r.flight.to_bytes())),
+            (format!("lossy.{arm}.stats"), stats_hash(&r)),
+        ]);
+    }
+    assert!(fast_retx > 0, "no fast retransmit");
+    assert!(timeouts > 0, "no RTO fired");
+    check_goldens("lossy", &entries);
 }
