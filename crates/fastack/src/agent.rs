@@ -18,8 +18,8 @@
 use crate::cache::{CachedSegment, RetransmissionCache};
 use crate::classifier::{Classifier, FlowPolicy};
 use crate::state::FlowState;
-use std::collections::{BTreeMap, BTreeSet};
 use tcpsim::segment::{AckSegment, DataSegment, FlowId};
+use tcpsim::SeqWindow;
 
 /// What the forwarding plane must do with a packet.
 #[derive(Debug, Clone, PartialEq)]
@@ -159,7 +159,7 @@ struct Flow {
     /// Segment starts forwarded without caching (cache full): these must
     /// never be fast-ACKed, so continuity intentionally stalls on them
     /// and the flow degrades to ordinary end-to-end TCP.
-    uncached: BTreeSet<u64>,
+    uncached: SeqWindow<()>,
 }
 
 /// The FastACK agent: one per AP, holding state for every accelerated
@@ -167,9 +167,10 @@ struct Flow {
 #[derive(Clone)]
 pub struct Agent {
     cfg: AgentConfig,
-    // Ordered map: any iteration over flows must happen in FlowId order
-    // or replay determinism is lost (simcheck: hash-collections).
-    flows: BTreeMap<FlowId, Flow>,
+    // Sorted by FlowId (see `slot`): a lookup is a binary search over a
+    // few dozen entries, and any iteration over flows happens in FlowId
+    // order, which replay determinism needs.
+    flows: Vec<(FlowId, Flow)>,
     classifier: Classifier,
     pub stats: AgentStats,
 }
@@ -179,7 +180,7 @@ impl Agent {
         Agent {
             classifier: Classifier::new(cfg.flow_policy),
             cfg,
-            flows: BTreeMap::new(),
+            flows: Vec::new(),
             stats: AgentStats::default(),
         }
     }
@@ -194,9 +195,38 @@ impl Agent {
         self.cfg.enabled = enabled;
     }
 
-    /// Read-only view of a flow's Table-3 state (tests, debugging).
+    /// `Ok(index)` of `flow` in `flows`, or `Err(index)` where it
+    /// would be inserted.
+    fn slot(&self, flow: FlowId) -> Result<usize, usize> {
+        self.flows.binary_search_by_key(&flow, |&(id, _)| id)
+    }
+
+    /// Read-only view of a flow's Table-3 state (the forwarding plane's
+    /// liveness watch, tests, debugging).
     pub fn flow_state(&self, flow: FlowId) -> Option<&FlowState> {
-        self.flows.get(&flow).map(|f| &f.state)
+        self.slot(flow).ok().map(|i| &self.flows[i].1.state)
+    }
+
+    /// State for a flow adopted at stream offset `baseline` (0 for a
+    /// fresh flow, the current segment for a mid-stream adoption). Until
+    /// the client proves it holds everything below the baseline, fast
+    /// ACKs stay gated: a cumulative ACK at baseline+len would otherwise
+    /// vouch for pre-baseline bytes the agent never saw (and could never
+    /// repair — they are not in the cache).
+    fn adopt(&self, baseline: u64) -> Flow {
+        let mut state = FlowState::new(self.cfg.initial_client_rwnd);
+        state.seq_exp = baseline;
+        state.seq_fack = baseline;
+        state.seq_tcp = baseline;
+        state.seq_high = baseline;
+        if baseline > 0 {
+            state.gate_until = Some(baseline);
+        }
+        Flow {
+            state,
+            cache: RetransmissionCache::new(self.cfg.cache_capacity_bytes),
+            uncached: SeqWindow::new(),
+        }
     }
 
     /// Window to advertise for a flow: the paper's rx'_win, additionally
@@ -238,39 +268,24 @@ impl Agent {
         // through untouched; a flow crossing the elephant threshold is
         // adopted mid-stream, with the current segment as its baseline
         // (everything before it is treated as already TCP-acknowledged).
-        if !self.flows.contains_key(&seg.flow) && !self.classifier.observe(seg.flow, seg.len) {
-            out.push(Action::Forward {
-                seg: *seg,
-                priority: false,
-            });
-            return;
-        }
+        let slot = match self.slot(seg.flow) {
+            Ok(slot) => slot,
+            Err(_) if !self.classifier.observe(seg.flow, seg.len) => {
+                out.push(Action::Forward {
+                    seg: *seg,
+                    priority: false,
+                });
+                return;
+            }
+            Err(slot) => {
+                self.flows.insert(slot, (seg.flow, self.adopt(seg.seq)));
+                slot
+            }
+        };
         let emulate_holes = self.cfg.emulate_holes;
-        // Field-disjoint borrow of `self.flows` (entry API inline so the
+        // Field-disjoint borrow of `self.flows` (indexed inline so the
         // stats counters stay writable below).
-        let initial_rwnd = self.cfg.initial_client_rwnd;
-        let cache_cap = self.cfg.cache_capacity_bytes;
-        let baseline = seg.seq;
-        let flow = self.flows.entry(seg.flow).or_insert_with(|| {
-            let mut state = FlowState::new(initial_rwnd);
-            // Mid-stream adoption baseline (0 for fresh flows). Until the
-            // client proves it holds everything below the baseline, fast
-            // ACKs stay gated: a cumulative ACK at baseline+len would
-            // otherwise vouch for pre-baseline bytes the agent never saw
-            // (and could never repair — they are not in the cache).
-            state.seq_exp = baseline;
-            state.seq_fack = baseline;
-            state.seq_tcp = baseline;
-            state.seq_high = baseline;
-            if baseline > 0 {
-                state.gate_until = Some(baseline);
-            }
-            Flow {
-                state,
-                cache: RetransmissionCache::new(cache_cap),
-                uncached: BTreeSet::new(),
-            }
-        });
+        let flow = &mut self.flows[slot].1;
         let (start, end) = (seg.seq, seg.end());
 
         if let Some(gate) = flow.state.gate_until {
@@ -322,7 +337,7 @@ impl Agent {
         // Case (iii) (and the tail of (iv)): in-sequence new data.
         let cached = flow.cache.insert(start, seg.len);
         if !cached {
-            flow.uncached.insert(start);
+            flow.uncached.insert(start, ());
             self.stats.cache_bypasses += 1;
         }
         flow.state.seq_exp = end;
@@ -362,10 +377,11 @@ impl Agent {
         if !self.cfg.enabled {
             return;
         }
-        let Some(flow) = self.flows.get_mut(&flow_id) else {
+        let Ok(slot) = self.slot(flow_id) else {
             return;
         };
-        if flow.uncached.contains(&seq) {
+        let flow = &mut self.flows[slot].1;
+        if flow.uncached.get(seq).is_some() {
             // Forwarded without a cached copy: unsafe to fast-ACK
             // (a client dupACK could not be served locally).
             return;
@@ -404,10 +420,11 @@ impl Agent {
             out.push(Action::SendAckUpstream(ack.clone()));
             return;
         }
-        let Some(flow) = self.flows.get_mut(&ack.flow) else {
+        let Ok(slot) = self.slot(ack.flow) else {
             out.push(Action::SendAckUpstream(ack.clone()));
             return;
         };
+        let flow = &mut self.flows[slot].1;
         flow.state.client_rwnd = ack.rwnd;
         let threshold = self.cfg.local_retx_dupack_threshold;
 
@@ -449,10 +466,7 @@ impl Agent {
             flow.state.client_dup_acks = 0;
             flow.state.last_fire_dup = 0;
             flow.cache.release_below(ack.ack);
-            // Head pops: released keys are exactly the set's prefix.
-            while flow.uncached.first().is_some_and(|&k| k < ack.ack) {
-                flow.uncached.pop_first();
-            }
+            flow.uncached.retain_below(ack.ack, |_, _| false);
 
             if ack.ack > flow.state.seq_fack {
                 // The client is ahead of our fast-ACK point (bad hints or
@@ -553,9 +567,10 @@ impl Agent {
         if !self.cfg.enabled {
             return Vec::new();
         }
-        let Some(flow) = self.flows.get_mut(&flow_id) else {
+        let Ok(slot) = self.slot(flow_id) else {
             return Vec::new();
         };
+        let flow = &mut self.flows[slot].1;
         flow.state.add_hole(seq, seq + len as u64);
         self.stats.queue_drops += 1;
         if !self.cfg.emulate_holes {
@@ -585,9 +600,10 @@ impl Agent {
         if !self.cfg.enabled {
             return Vec::new();
         }
-        let Some(flow) = self.flows.get_mut(&flow_id) else {
+        let Ok(slot) = self.slot(flow_id) else {
             return Vec::new();
         };
+        let flow = &mut self.flows[slot].1;
         if flow.state.seq_tcp >= flow.state.seq_fack {
             return Vec::new(); // client is caught up; nothing to repair
         }
@@ -603,28 +619,30 @@ impl Agent {
     /// §5.5.4 roaming: extract a flow's state for transfer to the
     /// roam-to AP. Removes the flow from this agent.
     pub fn export_flow(&mut self, flow: FlowId) -> Option<(FlowState, Vec<CachedSegment>)> {
-        self.flows
-            .remove(&flow)
-            .map(|f| (f.state, f.cache.export()))
+        let (_, f) = self.flows.remove(self.slot(flow).ok()?);
+        Some((f.state, f.cache.export()))
     }
 
     /// §5.5.4 roaming: adopt a flow exported by the roam-from AP.
     pub fn import_flow(&mut self, flow: FlowId, state: FlowState, cache: Vec<CachedSegment>) {
         let mut c = RetransmissionCache::new(self.cfg.cache_capacity_bytes);
         c.import(&cache);
-        self.flows.insert(
-            flow,
-            Flow {
-                state,
-                cache: c,
-                uncached: BTreeSet::new(),
-            },
-        );
+        let adopted = Flow {
+            state,
+            cache: c,
+            uncached: SeqWindow::new(),
+        };
+        match self.slot(flow) {
+            Ok(slot) => self.flows[slot].1 = adopted,
+            Err(slot) => self.flows.insert(slot, (flow, adopted)),
+        }
     }
 
     /// Drop a completed flow's state.
     pub fn remove_flow(&mut self, flow: FlowId) {
-        self.flows.remove(&flow);
+        if let Ok(slot) = self.slot(flow) {
+            self.flows.remove(slot);
+        }
         self.classifier.forget(flow);
     }
 

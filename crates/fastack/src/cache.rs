@@ -7,8 +7,8 @@
 //! being forwarded downstream, and evicted only when the *client's* TCP
 //! ACK (not the fast ACK) covers it.
 
-use std::collections::BTreeMap;
 use tcpsim::segment::{DataSegment, FlowId};
+use tcpsim::SeqWindow;
 
 /// A cached segment (payload bytes are not materialized in the simulator;
 /// length is what matters for airtime and window math).
@@ -21,7 +21,7 @@ pub struct CachedSegment {
 /// Per-flow retransmission cache with a byte budget.
 #[derive(Debug, Clone)]
 pub struct RetransmissionCache {
-    segments: BTreeMap<u64, u32>,
+    segments: SeqWindow<u32>,
     bytes: u64,
     capacity_bytes: u64,
 }
@@ -29,7 +29,7 @@ pub struct RetransmissionCache {
 impl RetransmissionCache {
     pub fn new(capacity_bytes: u64) -> RetransmissionCache {
         RetransmissionCache {
-            segments: BTreeMap::new(),
+            segments: SeqWindow::new(),
             bytes: 0,
             capacity_bytes,
         }
@@ -74,7 +74,7 @@ impl RetransmissionCache {
     /// Fetch the cached segment that *contains* offset `seq`, for serving
     /// a duplicate ACK (the client asks for the byte at its rcv_nxt).
     pub fn lookup_containing(&self, seq: u64) -> Option<CachedSegment> {
-        let (&start, &len) = self.segments.range(..=seq).next_back()?;
+        let &(start, len) = self.segments.floor(seq)?;
         if seq < start + len as u64 {
             Some(CachedSegment { seq: start, len })
         } else {
@@ -83,14 +83,18 @@ impl RetransmissionCache {
     }
 
     /// All cached segments overlapping `[from, to)` — used for
-    /// SACK-driven hole retransmission.
+    /// SACK-driven hole retransmission. An inverted or empty range
+    /// overlaps nothing.
     pub fn lookup_range(&self, from: u64, to: u64) -> Vec<CachedSegment> {
         let mut out = Vec::new();
+        if from >= to {
+            return out;
+        }
         // A segment starting before `from` may still overlap it.
         if let Some(seg) = self.lookup_containing(from) {
             out.push(seg);
         }
-        for (&start, &len) in self.segments.range(from..to) {
+        for &(start, len) in self.segments.range(from..to) {
             if out.last().map(|s| s.seq == start).unwrap_or(false) {
                 continue;
             }
@@ -102,19 +106,14 @@ impl RetransmissionCache {
     /// Evict everything below `acked` (cumulatively acknowledged by the
     /// client at the TCP layer). Returns evicted byte count.
     pub fn release_below(&mut self, acked: u64) -> u64 {
-        let keys: Vec<u64> = self
-            .segments
-            .range(..acked)
-            .filter(|(&s, &l)| s + l as u64 <= acked)
-            .map(|(&s, _)| s)
-            .collect();
         let mut freed = 0u64;
-        for k in keys {
-            // `k` was just collected from this same map.
-            // simcheck: allow(unwrap-in-lib)
-            let len = self.segments.remove(&k).expect("present");
-            freed += len as u64;
-        }
+        self.segments.retain_below(acked, |seq, &len| {
+            let covered = seq + len as u64 <= acked;
+            if covered {
+                freed += len as u64;
+            }
+            !covered
+        });
         self.bytes -= freed;
         freed
     }
@@ -139,7 +138,7 @@ impl RetransmissionCache {
     pub fn export(&self) -> Vec<CachedSegment> {
         self.segments
             .iter()
-            .map(|(&seq, &len)| CachedSegment { seq, len })
+            .map(|&(seq, len)| CachedSegment { seq, len })
             .collect()
     }
 
@@ -230,6 +229,15 @@ mod tests {
         let hits = c.lookup_range(1460, 2920);
         let starts: Vec<u64> = hits.iter().map(|s| s.seq).collect();
         assert_eq!(starts, vec![1460]);
+    }
+
+    #[test]
+    fn inverted_and_empty_range_lookups_find_nothing() {
+        let mut c = mk();
+        c.insert(0, 1460);
+        c.insert(1460, 1460);
+        assert!(c.lookup_range(2000, 1000).is_empty(), "inverted");
+        assert!(c.lookup_range(1000, 1000).is_empty(), "empty");
     }
 
     #[test]

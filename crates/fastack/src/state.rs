@@ -13,7 +13,7 @@
 //! hold the *next expected byte* convention (so `seq_fack` is one past
 //! the last fast-ACKed byte, matching cumulative-ACK semantics).
 
-use std::collections::BTreeMap;
+use tcpsim::SeqWindow;
 
 /// A gap in the sequence stream as seen by the AP: `[start, end)` never
 /// arrived from the wire (dropped upstream, §5.5.3).
@@ -38,7 +38,7 @@ pub struct FlowState {
     pub seq_tcp: u64,
     /// 802.11-acknowledged ranges waiting for fast-ACK continuity:
     /// start → end, non-overlapping, sorted.
-    pub q_seq: BTreeMap<u64, u64>,
+    pub q_seq: SeqWindow<u64>,
     /// Latest receive window advertised by the client (bytes).
     pub client_rwnd: u64,
     /// The rx'_win value last advertised to the sender in a fast ACK /
@@ -90,26 +90,32 @@ impl FlowState {
 
     /// Remove/shrink holes fully covered by a retransmission `[s, e)`.
     pub fn fill_hole(&mut self, s: u64, e: u64) {
-        let mut next = Vec::with_capacity(self.holes.len());
-        for h in self.holes.drain(..) {
+        let mut i = 0;
+        while let Some(&h) = self.holes.get(i) {
             if e <= h.start || s >= h.end {
-                next.push(h); // disjoint
+                i += 1; // disjoint
                 continue;
             }
-            if s > h.start {
-                next.push(Hole {
-                    start: h.start,
-                    end: s,
-                });
-            }
-            if e < h.end {
-                next.push(Hole {
-                    start: e,
-                    end: h.end,
-                });
+            // What survives of `h`: the part below `s`, the part from `e`.
+            match (s > h.start, e < h.end) {
+                (false, false) => {
+                    self.holes.remove(i);
+                }
+                (true, false) => {
+                    self.holes[i].end = s;
+                    i += 1;
+                }
+                (false, true) => {
+                    self.holes[i].start = e;
+                    i += 1;
+                }
+                (true, true) => {
+                    self.holes[i].end = s;
+                    self.holes.insert(i + 1, Hole { start: e, ..h });
+                    i += 2;
+                }
             }
         }
-        self.holes = next;
     }
 
     /// True if `[s, e)` overlaps any recorded hole.
@@ -129,25 +135,11 @@ impl FlowState {
     /// Enqueue an 802.11-acknowledged range into `q_seq`, merging with
     /// neighbours (802.11 ACKs arrive out of order; TCP ACKs are
     /// cumulative, so contiguity must be reconstructed here).
-    pub fn enqueue_acked(&mut self, mut start: u64, mut end: u64) {
+    pub fn enqueue_acked(&mut self, start: u64, end: u64) {
         if end <= self.seq_fack {
             return; // already fast-ACKed
         }
-        start = start.max(self.seq_fack);
-        let overlapping: Vec<u64> = self
-            .q_seq
-            .range(..=end)
-            .filter(|(&s, &e)| e >= start && s <= end)
-            .map(|(&s, _)| s)
-            .collect();
-        for s in overlapping {
-            // `s` was just collected from this same map.
-            // simcheck: allow(unwrap-in-lib)
-            let e = self.q_seq.remove(&s).expect("present");
-            start = start.min(s);
-            end = end.max(e);
-        }
-        self.q_seq.insert(start, end);
+        self.q_seq.merge_range(start.max(self.seq_fack), end);
     }
 
     /// Drain `q_seq` as far as continuity from `seq_fack` allows,
@@ -159,11 +151,11 @@ impl FlowState {
     /// continuity breaks.
     pub fn drain_contiguous(&mut self) -> Option<u64> {
         let before = self.seq_fack;
-        while let Some((&s, &e)) = self.q_seq.first_key_value() {
+        while let Some(&(s, e)) = self.q_seq.front() {
             if s > self.seq_fack {
                 break; // continuity broken: wait for missing 802.11 ACKs
             }
-            self.q_seq.remove(&s);
+            self.q_seq.pop_front();
             self.seq_fack = self.seq_fack.max(e);
         }
         (self.seq_fack > before).then_some(self.seq_fack)
@@ -209,6 +201,17 @@ mod tests {
         s.fill_hole(1000, 1500);
         s.fill_hole(2000, 3000);
         assert!(s.holes.is_empty());
+    }
+
+    #[test]
+    fn fill_spanning_several_holes_trims_the_ends_in_place() {
+        let mut s = FlowState::default();
+        for (a, b) in [(10, 20), (30, 40), (50, 60)] {
+            s.add_hole(a, b);
+        }
+        s.fill_hole(15, 55);
+        let left: Vec<(u64, u64)> = s.holes.iter().map(|h| (h.start, h.end)).collect();
+        assert_eq!(left, vec![(10, 15), (55, 60)]);
     }
 
     #[test]
@@ -262,8 +265,7 @@ mod tests {
         s.enqueue_acked(1500, 2500);
         s.enqueue_acked(2500, 3000); // adjacent
         assert_eq!(s.q_seq.len(), 1);
-        assert_eq!(*s.q_seq.first_key_value().unwrap().0, 1000);
-        assert_eq!(*s.q_seq.first_key_value().unwrap().1, 3000);
+        assert_eq!(s.q_seq.front(), Some(&(1000, 3000)));
     }
 
     #[test]

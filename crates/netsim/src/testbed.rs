@@ -30,8 +30,8 @@ use phy80211::rate::RateCache;
 use sim::{EventQueue, Rng, SimDuration, SimTime};
 use std::collections::VecDeque;
 use tcpsim::{
-    AckSegment, CcAlgorithm, DataSegment, FlowId, ReceiverConfig, SenderConfig, TcpReceiver,
-    TcpSender,
+    AckSegment, CcAlgorithm, DataSegment, FlowId, ReceiverConfig, SenderConfig, SeqWindow,
+    TcpReceiver, TcpSender,
 };
 use telemetry::health::{standard_ap_detectors, AirtimeSlo, QoeDegraded, RtoStorm};
 use telemetry::{
@@ -340,10 +340,27 @@ struct ApState {
     queues: Vec<VecDeque<(QueuedMpdu, SimTime)>>,
     /// Priority (head-of-line) stage per client.
     prio: Vec<VecDeque<(QueuedMpdu, SimTime)>>,
+    /// MPDUs held across `queues` and `prio` — what the contender scan
+    /// and the health sampler read instead of walking every deque.
+    backlog: usize,
     backoff: Backoff,
     /// Round-robin pointer over clients.
     rr: usize,
     bytes_delivered: u64,
+}
+
+impl ApState {
+    /// Queue an MSDU for client `slot`, behind the bulk traffic or in
+    /// the head-of-line stage.
+    fn enqueue(&mut self, slot: usize, priority: bool, mpdu: QueuedMpdu, at: SimTime) {
+        let q = if priority {
+            &mut self.prio[slot]
+        } else {
+            &mut self.queues[slot]
+        };
+        q.push_back((mpdu, at));
+        self.backlog += 1;
+    }
 }
 
 /// Key for mapping an MPDU id back to its TCP segment. This is exactly
@@ -365,14 +382,11 @@ pub struct Testbed {
     clients: Vec<ClientState>,
     aps: Vec<ApState>,
     /// Data-segment send times at the AP for TCP-latency accounting,
-    /// one sorted deque per flow (index `flow.0 - 1`) of
-    /// (end-offset, forward time). New data arrives in order, so the
-    /// hot path is a `push_back`; a cumulative client ACK drains every
-    /// entry at or below it from the front. Retransmissions (rare)
-    /// splice into the sorted position, first write wins — exactly the
-    /// `BTreeMap<(flow, end), time>` + `or_insert` semantics this
-    /// replaces, at O(1) per segment instead of a map probe.
-    tcp_lat_pending: Vec<VecDeque<(u64, SimTime)>>,
+    /// one window per flow (index `flow.0 - 1`) of end-offset → forward
+    /// time. New data extends the tail; a cumulative client ACK drains
+    /// every entry at or below it from the front; a retransmission
+    /// (rare) lands mid-window, first write wins.
+    tcp_lat_pending: Vec<SeqWindow<SimTime>>,
     report: TestbedReport,
     busy: SimDuration,
     /// Time-series sampler (None when `cfg.timeline` is None); ticked
@@ -529,6 +543,7 @@ impl Testbed {
                 }),
                 queues: vec![VecDeque::new(); cfg.clients_per_ap],
                 prio: vec![VecDeque::new(); cfg.clients_per_ap],
+                backlog: 0,
                 backoff: Backoff::new(EdcaParams::for_ac(AccessCategory::BestEffort)),
                 rr: 0,
                 bytes_delivered: 0,
@@ -647,7 +662,7 @@ impl Testbed {
             senders,
             clients,
             aps,
-            tcp_lat_pending: vec![VecDeque::new(); n_clients],
+            tcp_lat_pending: vec![SeqWindow::new(); n_clients],
             report: TestbedReport::default(),
             busy: SimDuration::ZERO,
             timeline,
@@ -699,6 +714,12 @@ impl Testbed {
         // a disabled no-op unless the binary was started with --runprof.
         let _prof = telemetry::runprof::span("testbed.run");
         let end = SimTime::ZERO + duration;
+        self.run_until(end);
+        self.finish(end)
+    }
+
+    /// The event loop of [`Testbed::run`], up to simulated time `end`.
+    fn run_until(&mut self, end: SimTime) {
         match self.cfg.traffic {
             Traffic::Tcp => {
                 // Kick every sender.
@@ -867,8 +888,6 @@ impl Testbed {
                 }
             }
         }
-
-        self.finish(end)
     }
 
     /// One timeline tick at its nominal instant: emit the legacy
@@ -1095,30 +1114,17 @@ impl Testbed {
                         // recovery; dropping a repair would livelock).
                         continue;
                     }
+                    // First write wins: a retransmission of a segment
+                    // still pending does not restart its clock.
                     let lat = &mut self.tcp_lat_pending[(seg.flow.0 - 1) as usize];
-                    let end = seg.end();
-                    match lat.back() {
-                        // Retransmission below the tail: splice into the
-                        // sorted position unless already pending (first
-                        // write wins, like the or_insert it replaces).
-                        Some(&(last, _)) if last >= end => {
-                            let pos = lat.partition_point(|&(e, _)| e < end);
-                            if lat.get(pos).is_none_or(|&(e, _)| e != end) {
-                                lat.insert(pos, (end, now));
-                            }
-                        }
-                        _ => lat.push_back((end, now)),
+                    if lat.get(seg.end()).is_none() {
+                        lat.insert(seg.end(), now);
                     }
                     let mpdu = QueuedMpdu {
                         id: mpdu_id(seg.flow, seg.seq),
                         bytes: seg.len as usize + 40, // + IP/TCP headers
                     };
-                    let q = if priority {
-                        &mut self.aps[ap].prio[client_slot]
-                    } else {
-                        &mut self.aps[ap].queues[client_slot]
-                    };
-                    q.push_back((mpdu, now));
+                    self.aps[ap].enqueue(client_slot, priority, mpdu, now);
                 }
                 Action::DropData(_) => {}
                 Action::SendAckUpstream(ack) => {
@@ -1130,7 +1136,7 @@ impl Testbed {
                         id: mpdu_id(seg.flow, seg.seq),
                         bytes: seg.len as usize + 40,
                     };
-                    self.aps[ap].prio[client_slot].push_back((mpdu, now));
+                    self.aps[ap].enqueue(client_slot, true, mpdu, now);
                 }
                 Action::SuppressClientAck(_) => {}
             }
@@ -1157,7 +1163,7 @@ impl Testbed {
                         id: mpdu_id(flow, n * 1460),
                         bytes: 1500,
                     };
-                    self.aps[a].queues[slot].push_back((mpdu, now));
+                    self.aps[a].enqueue(slot, false, mpdu, now);
                 }
             }
         }
@@ -1203,7 +1209,7 @@ impl Testbed {
                             id: mpdu_id(seg.flow, seg.seq),
                             bytes: seg.len as usize + 40,
                         };
-                        self.aps[ap].prio[slot].push_back((mpdu, now));
+                        self.aps[ap].enqueue(slot, true, mpdu, now);
                     }
                 }
             }
@@ -1225,15 +1231,9 @@ impl Testbed {
     fn health_sample(&mut self, at: SimTime) {
         let nc = self.cfg.clients_per_ap;
         for a in 0..self.aps.len() {
-            let backlog: usize = self.aps[a]
-                .queues
-                .iter()
-                .chain(self.aps[a].prio.iter())
-                .map(|q| q.len())
-                .sum();
             self.metrics.gauge_set(
                 self.g_backlog[a],
-                i64::try_from(backlog).unwrap_or(i64::MAX),
+                i64::try_from(self.aps[a].backlog).unwrap_or(i64::MAX),
             );
             self.metrics.gauge_set(
                 self.g_fast_acks[a],
@@ -1292,7 +1292,7 @@ impl Testbed {
                 id: cause.0,
                 bytes: pcfg.payload_bytes as usize + 40, // + IP/UDP headers
             };
-            self.aps[ap].queues[slot].push_back((mpdu, at));
+            self.aps[ap].enqueue(slot, false, mpdu, at);
         }
     }
 
@@ -1337,7 +1337,16 @@ impl Testbed {
         let mut who = std::mem::take(&mut self.who_buf);
         who.clear();
         for (a, ap) in self.aps.iter().enumerate() {
-            if ap.queues.iter().any(|q| !q.is_empty()) || ap.prio.iter().any(|q| !q.is_empty()) {
+            debug_assert_eq!(
+                ap.backlog,
+                ap.queues
+                    .iter()
+                    .chain(&ap.prio)
+                    .map(|q| q.len())
+                    .sum::<usize>(),
+                "AP backlog count out of step with its queues"
+            );
+            if ap.backlog > 0 {
                 who.push(Who::Ap(a));
             }
         }
@@ -1475,6 +1484,8 @@ impl Testbed {
         while let Some(x) = self.aps[a].queues[slot].pop_front() {
             staged.push(x);
         }
+        // Whatever does not fly goes back below, with its count.
+        self.aps[a].backlog -= staged.len();
         raw.extend(staged.iter().map(|(m, _)| *m));
         let Some(ampdu) = build_ampdu(
             &mut raw,
@@ -1485,6 +1496,7 @@ impl Testbed {
             AggLimits::default(),
         ) else {
             // Rate invalid (cannot happen with IdealSelector) — restore.
+            self.aps[a].backlog += staged.len();
             for x in staged.drain(..).rev() {
                 self.aps[a].queues[slot].push_front(x);
             }
@@ -1495,6 +1507,7 @@ impl Testbed {
         };
         let taken = ampdu.size();
         // Anything beyond the aggregate goes back to the queue front.
+        self.aps[a].backlog += staged.len() - taken;
         for x in staged.drain(taken..).rev() {
             self.aps[a].queues[slot].push_front(x);
         }
@@ -1553,7 +1566,7 @@ impl Testbed {
             if !delivered {
                 // MAC retransmission: back to the priority stage so it
                 // leads the next TXOP for this client.
-                self.aps[a].prio[slot].push_back((mpdu, enq));
+                self.aps[a].enqueue(slot, true, mpdu, enq);
                 continue;
             }
             delivered_count += 1;
@@ -1663,6 +1676,7 @@ impl Testbed {
                 // as lost. Draining equals the old `clear()` when no
                 // probes are queued.
                 while let Some((m, _)) = self.aps[a].prio[slot].pop_front() {
+                    self.aps[a].backlog -= 1;
                     if self.qoe.is_empty() {
                         continue;
                     }
@@ -1757,7 +1771,7 @@ impl Testbed {
                             id: mpdu_id(seg.flow, seg.seq),
                             bytes: seg.len as usize + 40,
                         };
-                        self.aps[ap].prio[slot].push_back((mpdu, now));
+                        self.aps[ap].enqueue(slot, true, mpdu, now);
                     }
                     _ => {}
                 }
@@ -1789,6 +1803,29 @@ mod tests {
         assert!(r.client_bytes[0] > 1_000_000, "{:?}", r.client_bytes);
         assert!(r.total_mbps() > 50.0, "{}", r.total_mbps());
         assert!(r.medium_utilization > 0.1);
+    }
+
+    #[test]
+    fn dense_run_schedules_into_the_queue_lanes() {
+        // Every wire event is scheduled at `now + wired_latency` off a
+        // clock that only moves forward, so the event queue's sorted-run
+        // lanes must take (nearly) all of them; a schedule site that
+        // breaks the pattern would quietly put the heap back on the
+        // packet path.
+        let mut tb = Testbed::new(TestbedConfig {
+            n_aps: 2,
+            clients_per_ap: 20,
+            fastack: vec![true; 2],
+            ..TestbedConfig::default()
+        });
+        tb.run_until(SimTime::ZERO + SimDuration::from_secs(2));
+        let scheduled = tb.queue.stats().scheduled;
+        let heap = tb.queue.heap_fallbacks();
+        assert!(scheduled > 10_000, "only {scheduled} events scheduled");
+        assert!(
+            heap * 100 <= scheduled,
+            "{heap} of {scheduled} events fell back to the heap"
+        );
     }
 
     #[test]

@@ -15,19 +15,34 @@
 //! ## Arena payload store
 //!
 //! Payloads live in a slab (`Vec<Option<(seq, E)>>`) with a free-list, not
-//! inside the heap entries. Heap entries are three plain words
-//! `(at, seq, slot)`, so every sift during push/pop moves 24 bytes instead
-//! of a whole event enum, and a popped or cancelled payload's slot is
-//! reused by the next `schedule` — steady-state simulation allocates
-//! nothing per event. Stale heap entries left behind by lazy cancellation
-//! never touch the payload: liveness is decided by the seq tag stored in
-//! the slab slot, so an entry (or an [`EventId`]) pointing at a reused
-//! slot sees a different tag and is discarded. No auxiliary map — every
-//! queue operation is the heap op plus O(1) slab bookkeeping.
+//! inside the ordering entries. An entry is three plain words
+//! `(at, seq, slot)`, and a popped or cancelled payload's slot is reused
+//! by the next `schedule` — steady-state simulation allocates nothing per
+//! event. Stale entries left behind by lazy cancellation never touch the
+//! payload: liveness is decided by the seq tag stored in the slab slot,
+//! so an entry (or an [`EventId`]) pointing at a reused slot sees a
+//! different tag and is discarded. No auxiliary map.
+//!
+//! ## Sorted-run lanes in front of the heap
+//!
+//! A packet simulation schedules almost everything at `now + constant`,
+//! and `now` only moves forward: the timestamps arrive already sorted.
+//! Entries therefore go first to one of `LANES` FIFO lanes
+//! (`VecDeque<Entry>`). **Lane invariant: every lane is a sorted run** —
+//! `schedule` appends to the first lane whose back is `<= at` (seq tags
+//! only grow, so the run is sorted by `(at, seq)`), and only an entry no
+//! lane can take falls back to the binary heap. `pop` and `peek_time`
+//! take the `(at, seq)`-minimum over the lane fronts and the heap top,
+//! which is exactly the order one heap over all entries would produce:
+//! pop order, tie-break, every [`QueueStats`] counter and the arena's
+//! slot assignment do not depend on where an entry waited. Cost: an
+//! entry that rides a lane is O(1) in and out (a `push_back`, a
+//! `pop_front` and a compare per lane); an out-of-order entry pays the
+//! heap's O(log n) over the *out-of-order* entries only.
 
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Handle identifying a scheduled event; used to cancel timers
 /// (e.g. a TCP retransmission timer that is re-armed on every ACK).
@@ -59,8 +74,16 @@ pub struct QueueStats {
     pub depth_peak: u64,
 }
 
-/// One heap entry: ordering key plus the slab slot holding the payload.
-/// Deliberately payload-free and `Copy` — heap sifts move 24 bytes.
+/// Sorted-run lanes in front of the heap. A driver that schedules at
+/// `now + d` fills one lane per distinct delay `d` (the packet testbed
+/// has one, its wired latency); two cover a second delay or a stray
+/// far-future timer parked at a lane's back. Anything else is the
+/// heap's.
+const LANES: usize = 2;
+
+/// One pending entry: ordering key plus the slab slot holding the
+/// payload. Deliberately payload-free and `Copy` — heap sifts and lane
+/// pushes move 24 bytes.
 #[derive(Clone, Copy)]
 struct Entry {
     at: SimTime,
@@ -68,14 +91,18 @@ struct Entry {
     slot: usize,
 }
 
+impl Entry {
+    /// Pop order: earliest first, ties by ascending sequence number.
+    fn key(&self) -> (SimTime, u64) {
+        (self.at, self.seq)
+    }
+}
+
 // BinaryHeap is a max-heap; invert the ordering to pop earliest first,
 // breaking timestamp ties by ascending sequence number.
 impl Ord for Entry {
     fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
+        other.key().cmp(&self.key())
     }
 }
 
@@ -87,7 +114,7 @@ impl PartialOrd for Entry {
 
 impl PartialEq for Entry {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.key() == other.key()
     }
 }
 
@@ -95,23 +122,29 @@ impl Eq for Entry {}
 
 /// A time-ordered queue of future events.
 pub struct EventQueue<E> {
+    // Each lane is a run sorted by `(at, seq)`; see the module docs.
+    lanes: [VecDeque<Entry>; LANES],
+    // Entries no lane could take (scheduled before every lane's back).
     heap: BinaryHeap<Entry>,
+    // How many entries that was, ever — a driver whose schedule is
+    // monotone should see this stay near zero.
+    heap_fallbacks: u64,
     // Arena of pending payloads. `Some((seq, payload))` while the event
-    // is live; the seq tag lets the sanitizer prove a heap entry and its
+    // is live; the seq tag lets the sanitizer prove an entry and its
     // slot still describe the same event.
     slab: Vec<Option<(u64, E)>>,
     // Vacant slab indices, reused LIFO by the next schedule.
     free: Vec<usize>,
     now: SimTime,
     next_seq: u64,
-    // Cancelled events stay in the heap (lazy deletion) and are skipped
-    // on pop; cancellation itself is an O(1) slab probe through the
-    // handle's (slot, seq) pair. This counter keeps `len`/`is_empty`
-    // honest without a side map.
+    // Cancelled events keep their lane or heap entry (lazy deletion)
+    // and are skipped on pop; cancellation itself is an O(1) slab probe
+    // through the handle's (slot, seq) pair. This counter keeps
+    // `len`/`is_empty` honest without a side map.
     live_count: usize,
     stats: QueueStats,
     // Timestamp of the most recently popped event, used by the
-    // sim-sanitizer to re-verify pop order from outside the heap.
+    // sim-sanitizer to re-verify pop order from outside the containers.
     last_popped_at: SimTime,
 }
 
@@ -125,7 +158,9 @@ impl<E> EventQueue<E> {
     /// Empty queue positioned at time zero.
     pub fn new() -> Self {
         EventQueue {
+            lanes: std::array::from_fn(|_| VecDeque::new()),
             heap: BinaryHeap::new(),
+            heap_fallbacks: 0,
             slab: Vec::new(),
             free: Vec::new(),
             now: SimTime::ZERO,
@@ -169,6 +204,13 @@ impl<E> EventQueue<E> {
         self.free.len()
     }
 
+    /// Events ever scheduled that no sorted-run lane could take and the
+    /// heap ordered instead (diagnostics: `stats().scheduled` minus this
+    /// rode a lane at O(1)).
+    pub fn heap_fallbacks(&self) -> u64 {
+        self.heap_fallbacks
+    }
+
     /// Schedule `payload` at absolute time `at`. Returns a handle usable
     /// with [`EventQueue::cancel`].
     ///
@@ -198,7 +240,18 @@ impl<E> EventQueue<E> {
                 self.slab.len() - 1
             }
         };
-        self.heap.push(Entry { at, seq, slot });
+        let entry = Entry { at, seq, slot };
+        match self
+            .lanes
+            .iter_mut()
+            .find(|lane| lane.back().is_none_or(|b| b.at <= at))
+        {
+            Some(lane) => lane.push_back(entry),
+            None => {
+                self.heap.push(entry);
+                self.heap_fallbacks += 1;
+            }
+        }
         self.live_count += 1;
         self.stats.scheduled += 1;
         self.stats.depth_peak = self.stats.depth_peak.max(self.live_count as u64);
@@ -215,10 +268,10 @@ impl<E> EventQueue<E> {
     /// was still pending. O(1): the handle names its arena slot, and the
     /// slot's seq tag says whether it still holds this event (a popped or
     /// cancelled event's slot either went vacant or was reused under a
-    /// different seq). The heap entry stays behind (lazy deletion) and is
-    /// discarded when it reaches the top. A TCP RTO re-arm (one cancel
-    /// per ACK) used to pay a full-heap existence scan here, quadratic in
-    /// flight size.
+    /// different seq). The lane or heap entry stays behind (lazy deletion)
+    /// and is discarded when it becomes the minimum. A TCP RTO re-arm (one
+    /// cancel per ACK) used to pay a full-heap existence scan here,
+    /// quadratic in flight size.
     pub fn cancel(&mut self, id: EventId) -> bool {
         let live = id.slot < self.slab.len()
             && self.slab[id.slot]
@@ -233,58 +286,76 @@ impl<E> EventQueue<E> {
         live
     }
 
+    /// Liveness: the slot must still carry the entry's seq tag — a
+    /// cancelled event left the slot vacant (or reused under a newer
+    /// seq), so a stale entry can never surface a payload that is not
+    /// its own.
+    fn is_live(&self, entry: &Entry) -> bool {
+        self.slab[entry.slot]
+            .as_ref()
+            .is_some_and(|&(seq, _)| seq == entry.seq)
+    }
+
+    /// The `(at, seq)`-minimum live entry and where it waits (a lane
+    /// index, or `LANES` for the heap), discarding cancelled entries as
+    /// they surface.
+    fn next_live(&mut self) -> Option<(usize, Entry)> {
+        loop {
+            let mut min: Option<(usize, Entry)> = self.heap.peek().map(|&e| (LANES, e));
+            for (i, lane) in self.lanes.iter().enumerate() {
+                if let Some(&e) = lane.front() {
+                    if min.is_none_or(|(_, m)| e.key() < m.key()) {
+                        min = Some((i, e));
+                    }
+                }
+            }
+            let (src, entry) = min?;
+            if self.is_live(&entry) {
+                return Some((src, entry));
+            }
+            self.discard(src);
+        }
+    }
+
+    /// Drop the minimum entry of source `src` (see [`Self::next_live`]).
+    fn discard(&mut self, src: usize) {
+        match self.lanes.get_mut(src) {
+            Some(lane) => lane.pop_front(),
+            None => self.heap.pop(),
+        };
+    }
+
     /// Pop the earliest live event, advancing `now` to its timestamp.
     /// Returns `None` when the queue is empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(entry) = self.heap.pop() {
-            // Liveness: the slot must still carry this entry's seq tag.
-            // A cancelled event left the slot vacant (or reused under a
-            // newer seq), so a stale entry can never surface a payload
-            // that is not its own.
-            if self.slab[entry.slot]
-                .as_ref()
-                .is_none_or(|&(seq, _)| seq != entry.seq)
-            {
-                continue; // cancelled; skip the stale entry
-            }
-            let (_, payload) = self.slab[entry.slot]
-                .take()
-                // Guarded by the tag check just above.
-                // simcheck: allow(unwrap-in-lib)
-                .expect("live event missing from arena");
-            self.free.push(entry.slot);
-            self.live_count -= 1;
-            crate::sanitize::check_event_order(self.last_popped_at, entry.at);
-            self.last_popped_at = entry.at;
-            // If the clock was advanced past this event (a driver that
-            // models busy periods with `advance_to`), the event fires
-            // late, at the current clock — time never runs backwards.
-            let next_now = self.now.max(entry.at);
-            crate::sanitize::check_time_monotonic(self.now, next_now);
-            self.now = next_now;
-            self.stats.popped += 1;
-            return Some((self.now, payload));
-        }
-        None
+        let (src, entry) = self.next_live()?;
+        self.discard(src);
+        let (_, payload) = self.slab[entry.slot]
+            .take()
+            // `next_live` just matched this slot's tag.
+            // simcheck: allow(unwrap-in-lib)
+            .expect("live event missing from arena");
+        self.free.push(entry.slot);
+        self.live_count -= 1;
+        crate::sanitize::check_event_order(self.last_popped_at, entry.at);
+        self.last_popped_at = entry.at;
+        // If the clock was advanced past this event (a driver that
+        // models busy periods with `advance_to`), the event fires
+        // late, at the current clock — time never runs backwards.
+        let next_now = self.now.max(entry.at);
+        crate::sanitize::check_time_monotonic(self.now, next_now);
+        self.now = next_now;
+        self.stats.popped += 1;
+        Some((self.now, payload))
     }
 
     /// Timestamp of the next live event without popping it.
     ///
-    /// Takes `&mut self` so cancelled entries sitting on top of the heap
-    /// can be discarded as they are found — amortized O(log n) against
-    /// the old full-heap filter, which re-scanned every entry times
-    /// every outstanding cancellation on each run-loop bounds check.
+    /// Takes `&mut self` so cancelled entries sitting at the minimum can
+    /// be discarded as they are found, instead of being re-skipped on
+    /// every run-loop bounds check.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some(top) = self.heap.peek() {
-            if self.slab[top.slot]
-                .as_ref()
-                .is_some_and(|&(seq, _)| seq == top.seq)
-            {
-                return Some(top.at);
-            }
-            self.heap.pop();
-        }
-        None
+        self.next_live().map(|(_, entry)| entry.at)
     }
 
     /// Advance the clock with no event — used by drivers that model
@@ -298,10 +369,11 @@ impl<E> EventQueue<E> {
 
     /// Sanitizer audit of the arena bookkeeping as a whole: occupied +
     /// free slots cover the slab with no overlap, occupancy equals the
-    /// live count, no free slot still holds a payload, and every
-    /// occupied slot has exactly one live heap entry naming it (its seq
-    /// tag). O(n log n) — called from tests and the property suite, not
-    /// from the hot path. No-op unless the sim-sanitizer is active.
+    /// live count, no free slot still holds a payload, every lane is a
+    /// sorted run, and every occupied slot has exactly one live lane or
+    /// heap entry naming it (its seq tag). O(n log n) — called from tests
+    /// and the property suite, not from the hot path. No-op unless the
+    /// sim-sanitizer is active.
     pub fn audit_arena(&self) {
         if !crate::sanitize::enabled() {
             return;
@@ -321,24 +393,30 @@ impl<E> EventQueue<E> {
                 "free-list references an occupied arena slot",
             );
         }
-        // Each occupied slot's tag must be backed by exactly one heap
-        // entry carrying that (seq, slot) pair — a live event with no
-        // entry would never fire; a duplicate would fire twice.
+        for lane in &self.lanes {
+            crate::sanitize::check(
+                lane.iter()
+                    .zip(lane.iter().skip(1))
+                    .all(|(a, b)| a.key() < b.key()),
+                "event lane is not a sorted run",
+            );
+        }
+        // Each occupied slot's tag must be backed by exactly one entry
+        // carrying that (seq, slot) pair — a live event with no entry
+        // would never fire; a duplicate would fire twice.
         let mut tags: Vec<(u64, usize)> = self
-            .heap
+            .lanes
             .iter()
-            .filter(|e| {
-                self.slab[e.slot]
-                    .as_ref()
-                    .is_some_and(|&(seq, _)| seq == e.seq)
-            })
+            .flatten()
+            .chain(self.heap.iter())
+            .filter(|e| self.is_live(e))
             .map(|e| (e.seq, e.slot))
             .collect();
         tags.sort_unstable();
         tags.dedup();
         crate::sanitize::check(
             tags.len() == occupied,
-            "live events and backing heap entries disagree",
+            "live events and backing entries disagree",
         );
     }
 }
@@ -599,11 +677,10 @@ mod tests {
 
 #[cfg(test)]
 mod model_tests {
-    //! Cancel-heavy property tests: the queue must agree, operation by
-    //! operation, with a naive model (a plain Vec scanned for the
-    //! minimum) on `len`, cancel results, peek times and pop order —
-    //! and the arena bookkeeping must stay internally consistent
-    //! throughout (see `audit_arena`).
+    //! The queue must agree, operation by operation, with a naive model
+    //! (a plain Vec scanned for the minimum) on `len`, cancel results,
+    //! peek times, pop order and counters — and the arena bookkeeping
+    //! must stay internally consistent throughout (see `audit_arena`).
 
     use super::*;
     use proptest::prelude::*;
@@ -615,6 +692,7 @@ mod model_tests {
         pending: Vec<(SimTime, u64, u64)>,
         now: SimTime,
         next_seq: u64,
+        stats: QueueStats,
     }
 
     impl NaiveQueue {
@@ -622,12 +700,15 @@ mod model_tests {
             let seq = self.next_seq;
             self.next_seq += 1;
             self.pending.push((at.max(self.now), seq, payload));
+            self.stats.scheduled += 1;
+            self.stats.depth_peak = self.stats.depth_peak.max(self.pending.len() as u64);
             seq
         }
 
         fn cancel(&mut self, seq: u64) -> bool {
             if let Some(pos) = self.pending.iter().position(|&(_, s, _)| s == seq) {
                 self.pending.remove(pos);
+                self.stats.cancelled += 1;
                 true
             } else {
                 false
@@ -647,120 +728,78 @@ mod model_tests {
                 .map(|(i, _)| i)?;
             let (at, _, payload) = self.pending.remove(pos);
             self.now = self.now.max(at);
+            self.stats.popped += 1;
             Some((self.now, payload))
         }
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
+        #![proptest_config(ProptestConfig::with_cases(128))]
 
+        /// Every way an entry can reach a lane or the heap, mixed: runs
+        /// that extend a lane, repeats of one timestamp, inserts below
+        /// every lane's back (heap), `advance_to` past pending events
+        /// (late fires), cancels of whatever is pending — lane and heap
+        /// entries alike — and reschedules into the slot a cancel just
+        /// freed (LIFO free-list) while the cancelled entry is still
+        /// pending discard. `peek_time` runs after only half of the
+        /// operations, so a stale minimum is evicted sometimes by a peek
+        /// and sometimes by the pop itself. Pop order, peek, `len` and
+        /// all four counters must track the model throughout.
         #[test]
-        fn cancel_heavy_ops_match_naive_model(
-            ops in proptest::collection::vec(any::<u64>(), 1..300),
+        fn mixed_schedules_match_naive_model(
+            ops in proptest::collection::vec(any::<u64>(), 1..400),
         ) {
             let mut q = EventQueue::new();
             let mut model = NaiveQueue::default();
             let mut ids: Vec<(EventId, u64)> = Vec::new();
+            let mut last_at = SimTime::ZERO;
 
             for op in ops {
-                // Decode each word into an operation; bias toward
-                // cancellation so the lazy-deletion path stays busy.
-                match op % 5 {
-                    0 | 1 => {
-                        let dt = SimDuration::from_micros((op >> 3) % 1000);
-                        let at = q.now() + dt;
-                        let payload = op >> 3;
-                        let id = q.schedule(at, payload);
-                        let seq = model.schedule(at, payload);
-                        ids.push((id, seq));
-                    }
-                    2 | 3 => {
+                let arg = op >> 4;
+                let schedule_at = match op % 16 {
+                    // Monotone run: at or after the previous schedule.
+                    0..=4 => Some(last_at.max(q.now()) + SimDuration::from_micros(arg % 4)),
+                    // Anywhere ahead of the clock: usually out of order.
+                    5 | 6 => Some(q.now() + SimDuration::from_micros(arg % 1000)),
+                    7 | 8 => {
                         if !ids.is_empty() {
-                            let (id, seq) = ids[(op as usize >> 3) % ids.len()];
+                            let (id, seq) = ids[arg as usize % ids.len()];
                             prop_assert_eq!(q.cancel(id), model.cancel(seq));
                         }
+                        // Odd: the next schedule reuses the freed slot.
+                        (op % 16 == 8).then(|| q.now() + SimDuration::from_micros(arg % 300))
+                    }
+                    9 => {
+                        let to = q.now() + SimDuration::from_micros(arg % 200);
+                        q.advance_to(to);
+                        model.now = model.now.max(to);
+                        None
                     }
                     _ => {
                         prop_assert_eq!(q.pop(), model.pop());
+                        None
                     }
+                };
+                if let Some(at) = schedule_at {
+                    last_at = at;
+                    ids.push((q.schedule(at, arg), model.schedule(at, arg)));
                 }
+                prop_assert_eq!(q.now(), model.now);
                 prop_assert_eq!(q.len(), model.pending.len());
-                prop_assert_eq!(q.peek_time(), model.peek_time());
-            }
-
-            // Drain: remaining pop order must match exactly.
-            loop {
-                let (a, b) = (q.pop(), model.pop());
-                prop_assert_eq!(a, b);
-                if a.is_none() {
-                    break;
+                if op >> 63 == 0 {
+                    prop_assert_eq!(q.peek_time(), model.peek_time());
                 }
-            }
-            prop_assert!(q.is_empty());
-        }
-
-        /// Cancel-then-immediately-reschedule interleaved with the eager
-        /// peek-discard: the regression surface for the arena rewrite.
-        /// Cancelling frees a slot that the very next schedule reuses
-        /// (LIFO free-list) while the cancelled event's heap entry is
-        /// still pending discard; a `peek_time` may or may not have
-        /// evicted that stale entry in between. Whatever the
-        /// interleaving, the queue must track the naive model exactly
-        /// and the live-map/slab/free-list triple must stay coherent.
-        #[test]
-        fn cancel_reschedule_races_peek_discard(
-            ops in proptest::collection::vec(any::<u64>(), 1..300),
-        ) {
-            let mut q = EventQueue::new();
-            let mut model = NaiveQueue::default();
-            let mut ids: Vec<(EventId, u64)> = Vec::new();
-
-            for op in ops {
-                match op % 6 {
-                    0 => {
-                        let dt = SimDuration::from_micros((op >> 3) % 500);
-                        let at = q.now() + dt;
-                        let payload = op >> 3;
-                        let id = q.schedule(at, payload);
-                        let seq = model.schedule(at, payload);
-                        ids.push((id, seq));
-                    }
-                    // Cancel-then-reschedule as one compound op: the new
-                    // event lands in the just-vacated arena slot with a
-                    // fresh id, while the old heap entry goes stale.
-                    1 | 2 => {
-                        if !ids.is_empty() {
-                            let (id, seq) = ids[(op as usize >> 3) % ids.len()];
-                            prop_assert_eq!(q.cancel(id), model.cancel(seq));
-                            let dt = SimDuration::from_micros((op >> 7) % 500);
-                            let at = q.now() + dt;
-                            let payload = op >> 7;
-                            let id = q.schedule(at, payload);
-                            let seq = model.schedule(at, payload);
-                            ids.push((id, seq));
-                        }
-                    }
-                    // Bare peek: drives the eager discard of stale tops
-                    // at arbitrary points between cancels and pops.
-                    3 => {
-                        prop_assert_eq!(q.peek_time(), model.peek_time());
-                    }
-                    _ => {
-                        prop_assert_eq!(q.pop(), model.pop());
-                    }
-                }
-                prop_assert_eq!(q.len(), model.pending.len());
+                prop_assert_eq!(q.stats(), model.stats);
                 q.audit_arena();
             }
 
-            loop {
-                let (a, b) = (q.pop(), model.pop());
-                prop_assert_eq!(a, b);
-                if a.is_none() {
-                    break;
-                }
+            while let Some(popped) = model.pop() {
+                prop_assert_eq!(q.pop(), Some(popped));
             }
-            prop_assert!(q.is_empty());
+            prop_assert_eq!(q.pop(), None);
+            prop_assert_eq!(q.stats(), model.stats);
+            prop_assert!(q.heap_fallbacks() <= q.stats().scheduled);
             q.audit_arena();
         }
     }

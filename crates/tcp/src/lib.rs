@@ -6,7 +6,8 @@
 //! retransmission timeouts ([`rto`]), a self-clocking bulk sender with
 //! NewReno + SACK loss recovery ([`sender`]), and a receiver with
 //! delayed ACKs, reassembly and a finite advertised window
-//! ([`receiver`]).
+//! ([`receiver`]). Every sequence-keyed table of the packet path, here
+//! and in `fastack` / `netsim`, is one sorted deque ([`window`]).
 //!
 //! Endpoints own no clock and do no I/O: the network simulation calls
 //! them with events and transmits whatever they return. This is also
@@ -36,6 +37,7 @@ pub mod rto;
 pub mod segment;
 pub mod sender;
 pub mod seq;
+pub mod window;
 
 pub use cc::{CcAlgorithm, CongestionController};
 pub use receiver::{ReceiverConfig, TcpReceiver};
@@ -43,3 +45,4 @@ pub use rto::RtoEstimator;
 pub use segment::{AckSegment, DataSegment, FlowId};
 pub use sender::{SenderConfig, TcpSender};
 pub use seq::{Unwrapper, WireSeq};
+pub use window::SeqWindow;

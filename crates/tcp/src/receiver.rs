@@ -8,8 +8,8 @@
 //! real client buffer.
 
 use crate::segment::{AckSegment, DataSegment, FlowId};
+use crate::window::SeqWindow;
 use sim::{SimDuration, SimTime};
-use std::collections::BTreeMap;
 
 /// Receiver configuration.
 #[derive(Debug, Clone)]
@@ -48,7 +48,7 @@ pub struct TcpReceiver {
     /// Next expected in-order byte.
     rcv_nxt: u64,
     /// Out-of-order ranges: start → end (exclusive), non-overlapping.
-    ooo: BTreeMap<u64, u64>,
+    ooo: SeqWindow<u64>,
     /// In-order segments since the last ACK was emitted.
     unacked_segments: u32,
     /// When the pending delayed ACK must fire.
@@ -65,7 +65,7 @@ impl TcpReceiver {
             flow,
             cfg,
             rcv_nxt: 0,
-            ooo: BTreeMap::new(),
+            ooo: SeqWindow::new(),
             unacked_segments: 0,
             delack_deadline: None,
             delivered_bytes: 0,
@@ -123,7 +123,7 @@ impl TcpReceiver {
         // Out of order: store and emit an immediate duplicate ACK with
         // SACK info (this is what drives fast retransmit at the sender).
         //= spec: rfc5681:4.2:ooo-immediate-dupack
-        self.insert_ooo(start, end);
+        self.ooo.merge_range(start, end);
         Some(self.emit_ack())
     }
 
@@ -149,33 +149,15 @@ impl TcpReceiver {
     /// Pull any now-contiguous out-of-order ranges into the in-order
     /// stream.
     fn absorb_ooo(&mut self) {
-        while let Some((&s, &e)) = self.ooo.first_key_value() {
+        while let Some(&(s, e)) = self.ooo.front() {
             if s > self.rcv_nxt {
                 break;
             }
-            self.ooo.remove(&s);
+            self.ooo.pop_front();
             if e > self.rcv_nxt {
                 self.advance_to(e);
             }
         }
-    }
-
-    fn insert_ooo(&mut self, mut start: u64, mut end: u64) {
-        // Merge with overlapping/adjacent ranges.
-        let overlapping: Vec<u64> = self
-            .ooo
-            .range(..=end)
-            .filter(|(&s, &e)| e >= start && s <= end)
-            .map(|(&s, _)| s)
-            .collect();
-        for s in overlapping {
-            // `s` was just collected from this same map.
-            // simcheck: allow(unwrap-in-lib)
-            let e = self.ooo.remove(&s).expect("present");
-            start = start.min(s);
-            end = end.max(e);
-        }
-        self.ooo.insert(start, end);
     }
 
     fn emit_ack(&mut self) -> AckSegment {
@@ -193,7 +175,7 @@ impl TcpReceiver {
             // above `rcv_nxt`.
             //= spec: rfc2018:4:three-block-limit
             //= spec: rfc2018:4:blocks-above-ack
-            self.ooo.iter().take(3).map(|(&s, &e)| (s, e)).collect()
+            self.ooo.iter().take(3).copied().collect()
         } else {
             Vec::new()
         };

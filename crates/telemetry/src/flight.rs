@@ -308,11 +308,13 @@ impl Ring {
     fn push(&mut self, ev: FlightEvent) {
         if self.buf.len() < self.cap {
             self.buf.push(ev);
-            self.next = self.buf.len() % self.cap;
         } else {
             self.buf[self.next] = ev;
-            self.next = (self.next + 1) % self.cap;
             self.dropped += 1;
+        }
+        self.next += 1;
+        if self.next == self.cap {
+            self.next = 0;
         }
     }
 
