@@ -18,6 +18,7 @@
 use crate::cache::{CachedSegment, RetransmissionCache};
 use crate::classifier::{Classifier, FlowPolicy};
 use crate::state::FlowState;
+use std::collections::btree_map::{BTreeMap, Entry};
 use tcpsim::segment::{AckSegment, DataSegment, FlowId};
 use tcpsim::SeqWindow;
 
@@ -167,10 +168,9 @@ struct Flow {
 #[derive(Clone)]
 pub struct Agent {
     cfg: AgentConfig,
-    // Sorted by FlowId (see `slot`): a lookup is a binary search over a
-    // few dozen entries, and any iteration over flows happens in FlowId
-    // order, which replay determinism needs.
-    flows: Vec<(FlowId, Flow)>,
+    // Ordered map: any iteration over flows must happen in FlowId order
+    // or replay determinism is lost (simcheck: hash-collections).
+    flows: BTreeMap<FlowId, Flow>,
     classifier: Classifier,
     pub stats: AgentStats,
 }
@@ -180,7 +180,7 @@ impl Agent {
         Agent {
             classifier: Classifier::new(cfg.flow_policy),
             cfg,
-            flows: Vec::new(),
+            flows: BTreeMap::new(),
             stats: AgentStats::default(),
         }
     }
@@ -195,16 +195,10 @@ impl Agent {
         self.cfg.enabled = enabled;
     }
 
-    /// `Ok(index)` of `flow` in `flows`, or `Err(index)` where it
-    /// would be inserted.
-    fn slot(&self, flow: FlowId) -> Result<usize, usize> {
-        self.flows.binary_search_by_key(&flow, |&(id, _)| id)
-    }
-
     /// Read-only view of a flow's Table-3 state (the forwarding plane's
     /// liveness watch, tests, debugging).
     pub fn flow_state(&self, flow: FlowId) -> Option<&FlowState> {
-        self.slot(flow).ok().map(|i| &self.flows[i].1.state)
+        self.flows.get(&flow).map(|f| &f.state)
     }
 
     /// State for a flow adopted at stream offset `baseline` (0 for a
@@ -213,8 +207,8 @@ impl Agent {
     /// ACKs stay gated: a cumulative ACK at baseline+len would otherwise
     /// vouch for pre-baseline bytes the agent never saw (and could never
     /// repair — they are not in the cache).
-    fn adopt(&self, baseline: u64) -> Flow {
-        let mut state = FlowState::new(self.cfg.initial_client_rwnd);
+    fn adopt(cfg: &AgentConfig, baseline: u64) -> Flow {
+        let mut state = FlowState::new(cfg.initial_client_rwnd);
         state.seq_exp = baseline;
         state.seq_fack = baseline;
         state.seq_tcp = baseline;
@@ -224,7 +218,7 @@ impl Agent {
         }
         Flow {
             state,
-            cache: RetransmissionCache::new(self.cfg.cache_capacity_bytes),
+            cache: RetransmissionCache::new(cfg.cache_capacity_bytes),
             uncached: SeqWindow::new(),
         }
     }
@@ -268,24 +262,22 @@ impl Agent {
         // through untouched; a flow crossing the elephant threshold is
         // adopted mid-stream, with the current segment as its baseline
         // (everything before it is treated as already TCP-acknowledged).
-        let slot = match self.slot(seg.flow) {
-            Ok(slot) => slot,
-            Err(_) if !self.classifier.observe(seg.flow, seg.len) => {
-                out.push(Action::Forward {
-                    seg: *seg,
-                    priority: false,
-                });
-                return;
-            }
-            Err(slot) => {
-                self.flows.insert(slot, (seg.flow, self.adopt(seg.seq)));
-                slot
+        // Field-disjoint borrow of `self.flows` (entry API inline so the
+        // classifier and the stats counters stay writable).
+        let flow = match self.flows.entry(seg.flow) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                if !self.classifier.observe(seg.flow, seg.len) {
+                    out.push(Action::Forward {
+                        seg: *seg,
+                        priority: false,
+                    });
+                    return;
+                }
+                e.insert(Self::adopt(&self.cfg, seg.seq))
             }
         };
         let emulate_holes = self.cfg.emulate_holes;
-        // Field-disjoint borrow of `self.flows` (indexed inline so the
-        // stats counters stay writable below).
-        let flow = &mut self.flows[slot].1;
         let (start, end) = (seg.seq, seg.end());
 
         if let Some(gate) = flow.state.gate_until {
@@ -377,10 +369,9 @@ impl Agent {
         if !self.cfg.enabled {
             return;
         }
-        let Ok(slot) = self.slot(flow_id) else {
+        let Some(flow) = self.flows.get_mut(&flow_id) else {
             return;
         };
-        let flow = &mut self.flows[slot].1;
         if flow.uncached.get(seq).is_some() {
             // Forwarded without a cached copy: unsafe to fast-ACK
             // (a client dupACK could not be served locally).
@@ -420,11 +411,10 @@ impl Agent {
             out.push(Action::SendAckUpstream(ack.clone()));
             return;
         }
-        let Ok(slot) = self.slot(ack.flow) else {
+        let Some(flow) = self.flows.get_mut(&ack.flow) else {
             out.push(Action::SendAckUpstream(ack.clone()));
             return;
         };
-        let flow = &mut self.flows[slot].1;
         flow.state.client_rwnd = ack.rwnd;
         let threshold = self.cfg.local_retx_dupack_threshold;
 
@@ -567,10 +557,9 @@ impl Agent {
         if !self.cfg.enabled {
             return Vec::new();
         }
-        let Ok(slot) = self.slot(flow_id) else {
+        let Some(flow) = self.flows.get_mut(&flow_id) else {
             return Vec::new();
         };
-        let flow = &mut self.flows[slot].1;
         flow.state.add_hole(seq, seq + len as u64);
         self.stats.queue_drops += 1;
         if !self.cfg.emulate_holes {
@@ -600,10 +589,9 @@ impl Agent {
         if !self.cfg.enabled {
             return Vec::new();
         }
-        let Ok(slot) = self.slot(flow_id) else {
+        let Some(flow) = self.flows.get_mut(&flow_id) else {
             return Vec::new();
         };
-        let flow = &mut self.flows[slot].1;
         if flow.state.seq_tcp >= flow.state.seq_fack {
             return Vec::new(); // client is caught up; nothing to repair
         }
@@ -619,30 +607,28 @@ impl Agent {
     /// §5.5.4 roaming: extract a flow's state for transfer to the
     /// roam-to AP. Removes the flow from this agent.
     pub fn export_flow(&mut self, flow: FlowId) -> Option<(FlowState, Vec<CachedSegment>)> {
-        let (_, f) = self.flows.remove(self.slot(flow).ok()?);
-        Some((f.state, f.cache.export()))
+        self.flows
+            .remove(&flow)
+            .map(|f| (f.state, f.cache.export()))
     }
 
     /// §5.5.4 roaming: adopt a flow exported by the roam-from AP.
     pub fn import_flow(&mut self, flow: FlowId, state: FlowState, cache: Vec<CachedSegment>) {
         let mut c = RetransmissionCache::new(self.cfg.cache_capacity_bytes);
         c.import(&cache);
-        let adopted = Flow {
-            state,
-            cache: c,
-            uncached: SeqWindow::new(),
-        };
-        match self.slot(flow) {
-            Ok(slot) => self.flows[slot].1 = adopted,
-            Err(slot) => self.flows.insert(slot, (flow, adopted)),
-        }
+        self.flows.insert(
+            flow,
+            Flow {
+                state,
+                cache: c,
+                uncached: SeqWindow::new(),
+            },
+        );
     }
 
     /// Drop a completed flow's state.
     pub fn remove_flow(&mut self, flow: FlowId) {
-        if let Ok(slot) = self.slot(flow) {
-            self.flows.remove(slot);
-        }
+        self.flows.remove(&flow);
         self.classifier.forget(flow);
     }
 

@@ -94,7 +94,7 @@ impl RetransmissionCache {
         if let Some(seg) = self.lookup_containing(from) {
             out.push(seg);
         }
-        for &(start, len) in self.segments.range(from..to) {
+        for &(start, len) in self.segments.range(from, to) {
             if out.last().map(|s| s.seq == start).unwrap_or(false) {
                 continue;
             }

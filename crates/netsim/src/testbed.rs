@@ -1806,10 +1806,10 @@ mod tests {
     }
 
     #[test]
-    fn dense_run_schedules_into_the_queue_lanes() {
+    fn dense_run_schedules_into_the_queue_lane() {
         // Every wire event is scheduled at `now + wired_latency` off a
         // clock that only moves forward, so the event queue's sorted-run
-        // lanes must take (nearly) all of them; a schedule site that
+        // lane must take (nearly) all of them; a schedule site that
         // breaks the pattern would quietly put the heap back on the
         // packet path.
         let mut tb = Testbed::new(TestbedConfig {

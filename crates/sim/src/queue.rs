@@ -23,22 +23,24 @@
 //! so an entry (or an [`EventId`]) pointing at a reused slot sees a
 //! different tag and is discarded. No auxiliary map.
 //!
-//! ## Sorted-run lanes in front of the heap
+//! ## A sorted-run lane in front of the heap
 //!
 //! A packet simulation schedules almost everything at `now + constant`,
 //! and `now` only moves forward: the timestamps arrive already sorted.
-//! Entries therefore go first to one of `LANES` FIFO lanes
-//! (`VecDeque<Entry>`). **Lane invariant: every lane is a sorted run** —
-//! `schedule` appends to the first lane whose back is `<= at` (seq tags
-//! only grow, so the run is sorted by `(at, seq)`), and only an entry no
-//! lane can take falls back to the binary heap. `pop` and `peek_time`
-//! take the `(at, seq)`-minimum over the lane fronts and the heap top,
+//! Entries therefore go first to a FIFO lane (`VecDeque<Entry>`).
+//! **Lane invariant: the lane is a sorted run** — `schedule` appends
+//! to it when its back is `<= at` (seq tags only grow, so the run is
+//! sorted by `(at, seq)`), and only an entry scheduled before the
+//! lane's back falls back to the binary heap. `pop` and `peek_time`
+//! take the `(at, seq)`-minimum of the lane front and the heap top,
 //! which is exactly the order one heap over all entries would produce:
 //! pop order, tie-break, every [`QueueStats`] counter and the arena's
 //! slot assignment do not depend on where an entry waited. Cost: an
-//! entry that rides a lane is O(1) in and out (a `push_back`, a
-//! `pop_front` and a compare per lane); an out-of-order entry pays the
-//! heap's O(log n) over the *out-of-order* entries only.
+//! entry that rides the lane is O(1) in and out (a `push_back`, a
+//! `pop_front` and one compare); an out-of-order entry pays the heap's
+//! O(log n) over the *out-of-order* entries only. One lane, because
+//! the one driver with a monotone schedule (`netsim::testbed`) has one
+//! delay; a second lane belongs with the first workload that has two.
 
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Ordering;
@@ -73,13 +75,6 @@ pub struct QueueStats {
     /// capacity-sizing number for the ROADMAP's bounded-memory claims.
     pub depth_peak: u64,
 }
-
-/// Sorted-run lanes in front of the heap. A driver that schedules at
-/// `now + d` fills one lane per distinct delay `d` (the packet testbed
-/// has one, its wired latency); two cover a second delay or a stray
-/// far-future timer parked at a lane's back. Anything else is the
-/// heap's.
-const LANES: usize = 2;
 
 /// One pending entry: ordering key plus the slab slot holding the
 /// payload. Deliberately payload-free and `Copy` — heap sifts and lane
@@ -122,9 +117,9 @@ impl Eq for Entry {}
 
 /// A time-ordered queue of future events.
 pub struct EventQueue<E> {
-    // Each lane is a run sorted by `(at, seq)`; see the module docs.
-    lanes: [VecDeque<Entry>; LANES],
-    // Entries no lane could take (scheduled before every lane's back).
+    // A run sorted by `(at, seq)`; see the module docs.
+    lane: VecDeque<Entry>,
+    // Entries the lane could not take (scheduled before its back).
     heap: BinaryHeap<Entry>,
     // How many entries that was, ever — a driver whose schedule is
     // monotone should see this stay near zero.
@@ -158,7 +153,7 @@ impl<E> EventQueue<E> {
     /// Empty queue positioned at time zero.
     pub fn new() -> Self {
         EventQueue {
-            lanes: std::array::from_fn(|_| VecDeque::new()),
+            lane: VecDeque::new(),
             heap: BinaryHeap::new(),
             heap_fallbacks: 0,
             slab: Vec::new(),
@@ -204,9 +199,10 @@ impl<E> EventQueue<E> {
         self.free.len()
     }
 
-    /// Events ever scheduled that no sorted-run lane could take and the
-    /// heap ordered instead (diagnostics: `stats().scheduled` minus this
-    /// rode a lane at O(1)).
+    /// Events ever scheduled that the sorted-run lane could not take and
+    /// the heap ordered instead (`stats().scheduled` minus this rode the
+    /// lane at O(1)). Test diagnostics, not API: exported nowhere.
+    #[doc(hidden)]
     pub fn heap_fallbacks(&self) -> u64 {
         self.heap_fallbacks
     }
@@ -241,16 +237,11 @@ impl<E> EventQueue<E> {
             }
         };
         let entry = Entry { at, seq, slot };
-        match self
-            .lanes
-            .iter_mut()
-            .find(|lane| lane.back().is_none_or(|b| b.at <= at))
-        {
-            Some(lane) => lane.push_back(entry),
-            None => {
-                self.heap.push(entry);
-                self.heap_fallbacks += 1;
-            }
+        if self.lane.back().is_none_or(|b| b.at <= at) {
+            self.lane.push_back(entry);
+        } else {
+            self.heap.push(entry);
+            self.heap_fallbacks += 1;
         }
         self.live_count += 1;
         self.stats.scheduled += 1;
@@ -296,40 +287,39 @@ impl<E> EventQueue<E> {
             .is_some_and(|&(seq, _)| seq == entry.seq)
     }
 
-    /// The `(at, seq)`-minimum live entry and where it waits (a lane
-    /// index, or `LANES` for the heap), discarding cancelled entries as
-    /// they surface.
-    fn next_live(&mut self) -> Option<(usize, Entry)> {
+    /// The `(at, seq)`-minimum live entry and whether it waits in the
+    /// lane (else the heap), discarding cancelled entries as they
+    /// surface.
+    fn next_live(&mut self) -> Option<(bool, Entry)> {
         loop {
-            let mut min: Option<(usize, Entry)> = self.heap.peek().map(|&e| (LANES, e));
-            for (i, lane) in self.lanes.iter().enumerate() {
-                if let Some(&e) = lane.front() {
-                    if min.is_none_or(|(_, m)| e.key() < m.key()) {
-                        min = Some((i, e));
-                    }
-                }
-            }
-            let (src, entry) = min?;
+            let (in_lane, entry) = match (self.lane.front(), self.heap.peek()) {
+                (Some(&l), Some(&h)) if h.key() < l.key() => (false, h),
+                (Some(&l), _) => (true, l),
+                (None, Some(&h)) => (false, h),
+                (None, None) => return None,
+            };
             if self.is_live(&entry) {
-                return Some((src, entry));
+                return Some((in_lane, entry));
             }
-            self.discard(src);
+            self.discard(in_lane);
         }
     }
 
-    /// Drop the minimum entry of source `src` (see [`Self::next_live`]).
-    fn discard(&mut self, src: usize) {
-        match self.lanes.get_mut(src) {
-            Some(lane) => lane.pop_front(),
-            None => self.heap.pop(),
-        };
+    /// Drop the front of the lane or the top of the heap (see
+    /// [`Self::next_live`]).
+    fn discard(&mut self, in_lane: bool) {
+        if in_lane {
+            self.lane.pop_front();
+        } else {
+            self.heap.pop();
+        }
     }
 
     /// Pop the earliest live event, advancing `now` to its timestamp.
     /// Returns `None` when the queue is empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let (src, entry) = self.next_live()?;
-        self.discard(src);
+        let (in_lane, entry) = self.next_live()?;
+        self.discard(in_lane);
         let (_, payload) = self.slab[entry.slot]
             .take()
             // `next_live` just matched this slot's tag.
@@ -369,7 +359,7 @@ impl<E> EventQueue<E> {
 
     /// Sanitizer audit of the arena bookkeeping as a whole: occupied +
     /// free slots cover the slab with no overlap, occupancy equals the
-    /// live count, no free slot still holds a payload, every lane is a
+    /// live count, no free slot still holds a payload, the lane is a
     /// sorted run, and every occupied slot has exactly one live lane or
     /// heap entry naming it (its seq tag). O(n log n) — called from tests
     /// and the property suite, not from the hot path. No-op unless the
@@ -393,21 +383,19 @@ impl<E> EventQueue<E> {
                 "free-list references an occupied arena slot",
             );
         }
-        for lane in &self.lanes {
-            crate::sanitize::check(
-                lane.iter()
-                    .zip(lane.iter().skip(1))
-                    .all(|(a, b)| a.key() < b.key()),
-                "event lane is not a sorted run",
-            );
-        }
+        crate::sanitize::check(
+            self.lane
+                .iter()
+                .zip(self.lane.iter().skip(1))
+                .all(|(a, b)| a.key() < b.key()),
+            "event lane is not a sorted run",
+        );
         // Each occupied slot's tag must be backed by exactly one entry
         // carrying that (seq, slot) pair — a live event with no entry
         // would never fire; a duplicate would fire twice.
         let mut tags: Vec<(u64, usize)> = self
-            .lanes
+            .lane
             .iter()
-            .flatten()
             .chain(self.heap.iter())
             .filter(|e| self.is_live(e))
             .map(|e| (e.seq, e.slot))
@@ -736,9 +724,9 @@ mod model_tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// Every way an entry can reach a lane or the heap, mixed: runs
-        /// that extend a lane, repeats of one timestamp, inserts below
-        /// every lane's back (heap), `advance_to` past pending events
+        /// Every way an entry can reach the lane or the heap, mixed: runs
+        /// that extend the lane, repeats of one timestamp, inserts below
+        /// the lane's back (heap), `advance_to` past pending events
         /// (late fires), cancels of whatever is pending — lane and heap
         /// entries alike — and reschedules into the slot a cancel just
         /// freed (LIFO free-list) while the cancelled entry is still
@@ -800,6 +788,122 @@ mod model_tests {
             prop_assert_eq!(q.pop(), None);
             prop_assert_eq!(q.stats(), model.stats);
             prop_assert!(q.heap_fallbacks() <= q.stats().scheduled);
+            q.audit_arena();
+        }
+    }
+
+    // Cancel-dense mixes: 2 of every 5 (resp. 6) operations cancel, so
+    // lazy deletion and slot reuse stay busy on live entries.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn cancel_heavy_ops_match_naive_model(
+            ops in proptest::collection::vec(any::<u64>(), 1..300),
+        ) {
+            let mut q = EventQueue::new();
+            let mut model = NaiveQueue::default();
+            let mut ids: Vec<(EventId, u64)> = Vec::new();
+
+            for op in ops {
+                // Decode each word into an operation; bias toward
+                // cancellation so the lazy-deletion path stays busy.
+                match op % 5 {
+                    0 | 1 => {
+                        let dt = SimDuration::from_micros((op >> 3) % 1000);
+                        let at = q.now() + dt;
+                        let payload = op >> 3;
+                        let id = q.schedule(at, payload);
+                        let seq = model.schedule(at, payload);
+                        ids.push((id, seq));
+                    }
+                    2 | 3 => {
+                        if !ids.is_empty() {
+                            let (id, seq) = ids[(op as usize >> 3) % ids.len()];
+                            prop_assert_eq!(q.cancel(id), model.cancel(seq));
+                        }
+                    }
+                    _ => {
+                        prop_assert_eq!(q.pop(), model.pop());
+                    }
+                }
+                prop_assert_eq!(q.len(), model.pending.len());
+                prop_assert_eq!(q.peek_time(), model.peek_time());
+            }
+
+            // Drain: remaining pop order must match exactly.
+            loop {
+                let (a, b) = (q.pop(), model.pop());
+                prop_assert_eq!(a, b);
+                if a.is_none() {
+                    break;
+                }
+            }
+            prop_assert!(q.is_empty());
+        }
+
+        /// Cancel-then-immediately-reschedule interleaved with the eager
+        /// peek-discard: the regression surface for the arena rewrite.
+        /// Cancelling frees a slot that the very next schedule reuses
+        /// (LIFO free-list) while the cancelled event's heap entry is
+        /// still pending discard; a `peek_time` may or may not have
+        /// evicted that stale entry in between. Whatever the
+        /// interleaving, the queue must track the naive model exactly
+        /// and the live-map/slab/free-list triple must stay coherent.
+        #[test]
+        fn cancel_reschedule_races_peek_discard(
+            ops in proptest::collection::vec(any::<u64>(), 1..300),
+        ) {
+            let mut q = EventQueue::new();
+            let mut model = NaiveQueue::default();
+            let mut ids: Vec<(EventId, u64)> = Vec::new();
+
+            for op in ops {
+                match op % 6 {
+                    0 => {
+                        let dt = SimDuration::from_micros((op >> 3) % 500);
+                        let at = q.now() + dt;
+                        let payload = op >> 3;
+                        let id = q.schedule(at, payload);
+                        let seq = model.schedule(at, payload);
+                        ids.push((id, seq));
+                    }
+                    // Cancel-then-reschedule as one compound op: the new
+                    // event lands in the just-vacated arena slot with a
+                    // fresh id, while the old heap entry goes stale.
+                    1 | 2 => {
+                        if !ids.is_empty() {
+                            let (id, seq) = ids[(op as usize >> 3) % ids.len()];
+                            prop_assert_eq!(q.cancel(id), model.cancel(seq));
+                            let dt = SimDuration::from_micros((op >> 7) % 500);
+                            let at = q.now() + dt;
+                            let payload = op >> 7;
+                            let id = q.schedule(at, payload);
+                            let seq = model.schedule(at, payload);
+                            ids.push((id, seq));
+                        }
+                    }
+                    // Bare peek: drives the eager discard of stale tops
+                    // at arbitrary points between cancels and pops.
+                    3 => {
+                        prop_assert_eq!(q.peek_time(), model.peek_time());
+                    }
+                    _ => {
+                        prop_assert_eq!(q.pop(), model.pop());
+                    }
+                }
+                prop_assert_eq!(q.len(), model.pending.len());
+                q.audit_arena();
+            }
+
+            loop {
+                let (a, b) = (q.pop(), model.pop());
+                prop_assert_eq!(a, b);
+                if a.is_none() {
+                    break;
+                }
+            }
+            prop_assert!(q.is_empty());
             q.audit_arena();
         }
     }

@@ -12,7 +12,7 @@
 //! of the shorter side.
 
 use std::collections::VecDeque;
-use std::ops::{Bound, RangeBounds};
+use std::ops::Range;
 
 /// Map from sequence offset to `V`, held as a sorted deque.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,7 +56,7 @@ impl<V> SeqWindow<V> {
     }
 
     /// Entries in ascending key order.
-    pub fn iter(&self) -> impl DoubleEndedIterator<Item = &(u64, V)> {
+    pub fn iter(&self) -> impl Iterator<Item = &(u64, V)> {
         self.items.iter()
     }
 
@@ -90,20 +90,11 @@ impl<V> SeqWindow<V> {
             .map_or(self.items.len(), |above| self.lower_bound(above))
     }
 
-    /// Index range covering the keys in `range`; empty when the bounds
-    /// are inverted (`BTreeMap::range` panics there).
-    fn span(&self, range: impl RangeBounds<u64>) -> (usize, usize) {
-        let lo = match range.start_bound() {
-            Bound::Unbounded => 0,
-            Bound::Included(&k) => self.lower_bound(k),
-            Bound::Excluded(&k) => self.upper_bound(k),
-        };
-        let hi = match range.end_bound() {
-            Bound::Unbounded => self.items.len(),
-            Bound::Included(&k) => self.upper_bound(k),
-            Bound::Excluded(&k) => self.lower_bound(k),
-        };
-        (lo, hi.max(lo))
+    /// Index range covering the keys in `[from, to)`; empty when the
+    /// bounds are inverted (`BTreeMap::range` panics there).
+    fn span(&self, from: u64, to: u64) -> Range<usize> {
+        let lo = self.lower_bound(from);
+        lo..self.lower_bound(to).max(lo)
     }
 
     pub fn get(&self, key: u64) -> Option<&V> {
@@ -135,19 +126,20 @@ impl<V> SeqWindow<V> {
         self.items.remove(i).map(|(_, v)| v)
     }
 
-    /// Entries whose keys fall in `range`, ascending.
-    pub fn range(
-        &self,
-        range: impl RangeBounds<u64>,
-    ) -> impl DoubleEndedIterator<Item = &(u64, V)> {
-        let (lo, hi) = self.span(range);
-        self.items.range(lo..hi)
+    /// Entries with keys in `[from, to)`, ascending.
+    pub fn range(&self, from: u64, to: u64) -> impl Iterator<Item = &(u64, V)> {
+        self.items.range(self.span(from, to))
     }
 
-    /// Values whose keys fall in `range`, ascending, mutable.
-    pub fn range_mut(&mut self, range: impl RangeBounds<u64>) -> impl Iterator<Item = &mut V> {
-        let (lo, hi) = self.span(range);
-        self.items.range_mut(lo..hi).map(|(_, v)| v)
+    /// Values with keys in `[from, to)`, ascending, mutable.
+    pub fn range_mut(&mut self, from: u64, to: u64) -> impl Iterator<Item = &mut V> {
+        let span = self.span(from, to);
+        self.items.range_mut(span).map(|(_, v)| v)
+    }
+
+    /// Entries with keys `>= from`, ascending.
+    pub fn range_from(&self, from: u64) -> impl Iterator<Item = &(u64, V)> {
+        self.items.range(self.lower_bound(from)..)
     }
 
     /// Drop every entry below `bound` that `keep` turns down. A
@@ -217,10 +209,10 @@ mod tests {
             w.insert(k, k);
         }
         let (above, below) = (25, 15);
-        assert_eq!(w.range(above..below).count(), 0);
-        assert_eq!(w.range(20..20).count(), 0);
-        assert_eq!(w.range_mut(above..below).count(), 0);
-        assert_eq!(w.range(..=u64::MAX).count(), 3);
+        assert_eq!(w.range(above, below).count(), 0);
+        assert_eq!(w.range(20, 20).count(), 0);
+        assert_eq!(w.range_mut(above, below).count(), 0);
+        assert_eq!(w.range_from(0).count(), 3);
         assert_eq!(w.floor(u64::MAX), Some(&(30, 30)));
         assert_eq!(w.floor(9), None);
     }
@@ -256,20 +248,20 @@ mod tests {
                     }
                     11 => {
                         let (a, b) = (key, (arg >> 6) % 64);
-                        let got: Vec<_> = w.range(a..b).copied().collect();
+                        let got: Vec<_> = w.range(a, b).copied().collect();
                         let want: Vec<_> = if a <= b {
                             m.range(a..b).map(|(&k, &v)| (k, v)).collect()
                         } else {
                             Vec::new()
                         };
                         prop_assert_eq!(got, want);
-                        w.range_mut(a..b).for_each(|v| *v ^= 1);
+                        w.range_mut(a, b).for_each(|v| *v ^= 1);
                         if a < b {
                             m.range_mut(a..b).for_each(|(_, v)| *v ^= 1);
                         }
                     }
                     12 => {
-                        let got: Vec<_> = w.range(key..).copied().collect();
+                        let got: Vec<_> = w.range_from(key).copied().collect();
                         let want: Vec<_> = m.range(key..).map(|(&k, &v)| (k, v)).collect();
                         prop_assert_eq!(got, want);
                     }
