@@ -227,7 +227,9 @@ impl Experiment {
     /// `--timeline-every <ms>` (default 100 ms) unless the arm brings
     /// its own, so it is off — and the run provably byte-identical to
     /// an unsampled one — without the flag. Every sink of the finished
-    /// run is absorbed under `label`.
+    /// run is absorbed under `label`. A `cfg` that does not
+    /// [`validate`](TestbedConfig::validate) ends the process like a bad
+    /// flag does: one line on stderr, exit 2.
     pub fn run_arm(
         &mut self,
         label: &str,
@@ -237,6 +239,10 @@ impl Experiment {
         if cfg.timeline.is_none() && self.flag("--timeline").is_some() {
             let ms = self.num("--timeline-every").unwrap_or(100);
             cfg.timeline = Some(TimelineConfig::sampling(SimDuration::from_millis(ms)));
+        }
+        if let Err(e) = cfg.validate() {
+            eprintln!("{}: arm {label:?}: invalid TestbedConfig: {e}", self.id);
+            std::process::exit(2)
         }
         let (report, wall_s) = self.wall(|| Testbed::new(cfg).run(duration));
         self.arm_wall_s += wall_s;

@@ -631,11 +631,6 @@ impl Agent {
         self.flows.remove(&flow);
         self.classifier.forget(flow);
     }
-
-    /// Deep copy including per-flow state — benchmark/testing helper.
-    pub fn clone_for_bench(&self) -> Agent {
-        self.clone()
-    }
 }
 
 /// SACK blocks describing what the AP *has* seen above the holes:

@@ -1,0 +1,440 @@
+//! What a testbed run is given: [`TestbedConfig`] and its typed
+//! up-front check, [`TestbedConfig::validate`].
+
+use mac80211::protection::Protection;
+use phy80211::channels::Width;
+use sim::{SimDuration, SimTime};
+use tcpsim::CcAlgorithm;
+use telemetry::{HealthRules, TimelineConfig};
+
+/// Transport driving the downlink flows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Traffic {
+    /// Bulk TCP downloads (the paper's main workload).
+    #[default]
+    Tcp,
+    /// Connectionless saturation: the sender keeps every client queue
+    /// full with no ACK clock at all — the paper's UDP upper bound for
+    /// aggregation (Fig. 15).
+    UdpSaturate,
+}
+
+/// Fault injection: a non-WiFi interferer (microwave oven, analog
+/// video sender — the §3.2.4 interference sources) that switches on
+/// mid-run. While active it occupies `duty` of every `period` with
+/// energy the MAC cannot decode, and degrades every station's
+/// effective SNR by `snr_penalty_db` — which drags rate selection and
+/// per-MPDU delivery down exactly the way shrinking A-MPDU sizes show
+/// up in the paper's aggregation CDFs.
+#[derive(Debug, Clone, Copy)]
+pub struct InterfererFault {
+    /// When the interferer switches on.
+    pub at: SimTime,
+    /// Effective SNR degradation while active, dB.
+    pub snr_penalty_db: f64,
+    /// Fraction of each period the interferer holds the medium.
+    pub duty: f64,
+    /// Burst repetition period.
+    pub period: SimDuration,
+}
+
+impl Default for InterfererFault {
+    fn default() -> Self {
+        InterfererFault {
+            at: SimTime::from_millis(2_000),
+            snr_penalty_db: 20.0,
+            duty: 0.35,
+            period: SimDuration::from_millis(25),
+        }
+    }
+}
+
+/// Per-client wireless link quality.
+#[derive(Debug, Clone, Copy)]
+pub struct ClientLink {
+    /// Downlink SNR at the client, dB.
+    pub snr_db: f64,
+    /// Max spatial streams the client supports.
+    pub max_nss: u8,
+}
+
+/// Testbed configuration.
+#[derive(Debug, Clone)]
+pub struct TestbedConfig {
+    /// Number of APs (1 or 2 — Fig. 16 vs Fig. 18).
+    pub n_aps: usize,
+    /// Clients per AP.
+    pub clients_per_ap: usize,
+    /// FastACK enabled per AP.
+    pub fastack: Vec<bool>,
+    /// Channel width used by the AP radios.
+    pub width: Width,
+    /// Wired one-way latency sender ↔ AP.
+    pub wired_latency: SimDuration,
+    /// Probability an MPDU's 802.11 delivery report is a "bad hint"
+    /// (MAC said delivered, transport never got it; paper footnote 15:
+    /// ≈ 1.5 %). Only meaningful on FastACK-enabled APs: it models the
+    /// hint channel FastACK consumes — the paper's *baseline* testbed
+    /// shows no persistent transport loss (its flows reach the cwnd cap
+    /// in Fig. 14), so on baseline APs MAC-acknowledged MPDUs always
+    /// reach the transport.
+    pub bad_hint_rate: f64,
+    /// Probability a wired segment is dropped before the AP (upstream
+    /// loss, exercises the §5.5.3 holes path).
+    pub upstream_loss: f64,
+    /// Base SNR for clients placed nearest the AP; each client's SNR is
+    /// spread downward from this to model the Fig. 13 office layout.
+    pub base_snr_db: f64,
+    /// SNR spread between best- and worst-placed client.
+    pub snr_spread_db: f64,
+    /// Congestion control on the senders.
+    pub cc: CcAlgorithm,
+    /// Medium protection (Fig. 18's co-channel APs rely on RTS/CTS).
+    pub protection: Protection,
+    /// Mean client-side delay before a generated TCP ACK is even
+    /// eligible for transmission ("many client devices take over 2 ms to
+    /// even begin transmitting TCP ACKs", §5.1), exponential.
+    pub ack_base_delay: SimDuration,
+    /// Fraction of clients that are "laggy": they experience episodic
+    /// uplink stalls (power save, background scans, driver hiccups) — the
+    /// paper's arbitrarily slow clients behind the > 400 ms latency tail
+    /// and behind Fig. 14's baseline flows that never open their cwnd.
+    pub laggy_client_fraction: f64,
+    /// Mean interval between stall episodes on a laggy client, seconds.
+    pub stall_interval_s: f64,
+    /// Stall episode duration range (uniform), ms.
+    pub stall_ms: (f64, f64),
+    /// FastACK staging target per client, frames: the agent's
+    /// queue-budget backpressure keeps about this much buffered per
+    /// client (the Click pull stage refills the driver ring from here).
+    pub ap_queue_frames: usize,
+    /// Shared driver/firmware buffer pool on the baseline arm, frames.
+    /// Per-station share = clamp(pool / clients, 24, pool); beyond it,
+    /// tail drop. A shared pool is how real NICs behave and is why
+    /// baseline aggregation shrinks as client count grows (the §5.6.3
+    /// observation that FastACK's headroom grows with contention).
+    pub ap_buffer_pool_frames: usize,
+    /// Override the FastACK agent's retransmission-cache budget
+    /// (None = agent default). Used by the cache ablation.
+    pub agent_cache_bytes: Option<u64>,
+    /// RNG seed.
+    pub seed: u64,
+    /// Time-series sampling (see [`telemetry::timeline`]): when set,
+    /// a [`telemetry::Timeline`] ticks on the config's cadence,
+    /// snapshotting the selected registry counters/gauges plus the
+    /// per-flow cwnd f64 series, and the legacy Fig. 14 `cwnd_trace` points are emitted
+    /// from the same tick. Sampling only reads — it schedules no
+    /// events, draws no randomness, and writes no metric — so every
+    /// other artifact stays byte-identical with it on or off. `None`
+    /// (the default) samples nothing.
+    pub timeline: Option<TimelineConfig>,
+    /// Workload driving the flows.
+    pub traffic: Traffic,
+    /// Beacon interval per AP (102.4 ms nominal); beacons ride the
+    /// legacy basic rate and consume airtime whether or not anyone is
+    /// listening. `None` disables beaconing.
+    pub beacon_interval: Option<SimDuration>,
+    /// Flight-recorder ring capacity per component (last-N window of
+    /// typed trace records, see `telemetry::flight`). 0 disables
+    /// recording entirely.
+    pub flight_capacity: usize,
+    /// When set, arm flight-recorder mode: any sim-sanitizer violation
+    /// writes the recorder's last-N snapshot to this path before the
+    /// panic unwinds.
+    pub flight_dump_on_violation: Option<std::path::PathBuf>,
+    /// Health-rule catalog evaluated over the run's own metrics on the
+    /// rules' sampling cadence (see [`telemetry::health`]). Sampling
+    /// draws no randomness and schedules no events, so enabling it
+    /// cannot perturb the run's trajectory. `None` disables the engine.
+    pub health_rules: Option<HealthRules>,
+    /// Optional fault injection: a non-WiFi interferer that switches on
+    /// mid-run (the health layer's acceptance scenario).
+    pub interferer: Option<InterfererFault>,
+    /// Application-layer QoE probing (see the `qoe` crate): when set,
+    /// every client receives a fixed-rate stream of tiny timestamped
+    /// probe MSDUs riding the normal downlink MAC path, and the run
+    /// reports per-client delay/jitter/loss/reorder windows reduced to
+    /// a 0–100 QoE score. `None` (the default) injects nothing and
+    /// registers nothing — existing runs keep their exact trajectory.
+    pub qoe: Option<qoe::ProbeConfig>,
+}
+
+impl Default for TestbedConfig {
+    fn default() -> Self {
+        TestbedConfig {
+            n_aps: 1,
+            clients_per_ap: 10,
+            fastack: vec![true],
+            width: Width::W80,
+            wired_latency: SimDuration::from_micros(200),
+            // Footnote 15 reports "bad hints occur ≈1.5%" without a
+            // denominator. Applied iid per MPDU at 45-60-deep aggregates
+            // that would put a transport hole in nearly every aggregate
+            // and contradict the paper's own Fig. 15/16 results, so the
+            // default models a lower effective rate; `abl_bad_hints`
+            // sweeps 0-10% to map the sensitivity.
+            bad_hint_rate: 0.002,
+            upstream_loss: 0.0,
+            base_snr_db: 38.0,
+            snr_spread_db: 16.0,
+            cc: CcAlgorithm::Cubic,
+            protection: Protection::RtsCts,
+            ack_base_delay: SimDuration::from_millis(2),
+            laggy_client_fraction: 0.25,
+            stall_interval_s: 1.5,
+            stall_ms: (60.0, 280.0),
+            ap_queue_frames: 256,
+            ap_buffer_pool_frames: 1600,
+            agent_cache_bytes: None,
+            seed: 1,
+            timeline: None,
+            traffic: Traffic::Tcp,
+            beacon_interval: Some(SimDuration::from_micros(102_400)),
+            flight_capacity: 1024,
+            flight_dump_on_violation: None,
+            health_rules: Some(HealthRules::default()),
+            interferer: None,
+            qoe: None,
+        }
+    }
+}
+
+/// Floor of the per-station share of `ap_buffer_pool_frames`.
+const MIN_STATION_SHARE: usize = 24;
+
+/// Why [`TestbedConfig::validate`] refused a configuration. `Display`
+/// names the field in one line, fit for a usage error.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ConfigError {
+    /// A count the run divides or indexes by, a period the run loop
+    /// steps by, or the mean of a delay it draws, is not positive.
+    NotPositive(&'static str),
+    /// `fastack` does not carry one flag per AP.
+    FastackLen { n_aps: usize, len: usize },
+    /// `field = value` is outside `[min, max]` (as NaN always is).
+    OutOfRange {
+        field: &'static str,
+        value: f64,
+        min: f64,
+        max: f64,
+    },
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            ConfigError::NotPositive(field) => write!(f, "{field} must be > 0"),
+            ConfigError::FastackLen { n_aps, len } => {
+                write!(f, "fastack has {len} flags for n_aps = {n_aps}")
+            }
+            ConfigError::OutOfRange {
+                field,
+                value,
+                min,
+                max,
+            } => write!(f, "{field} = {value} must be in [{min}, {max}]"),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
+impl TestbedConfig {
+    /// Check everything a run would otherwise trip over part-way: sizes
+    /// it divides or indexes by, periods it catches up on by repeated
+    /// addition (a zero step never gets past `now`), and distribution
+    /// parameters whose `debug_assert`s make debug and release disagree.
+    /// [`super::Testbed::new`] panics with the error's `Display`.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        const ZERO: Option<SimDuration> = Some(SimDuration::ZERO);
+        let interval_s = self.stall_interval_s;
+        let not_positive = [
+            ("n_aps", self.n_aps == 0),
+            ("clients_per_ap", self.clients_per_ap == 0),
+            ("ack_base_delay", Some(self.ack_base_delay) == ZERO),
+            ("beacon_interval", self.beacon_interval == ZERO),
+            (
+                "health_rules.sample_every",
+                self.health_rules.map(|r| r.sample_every) == ZERO,
+            ),
+            (
+                "interferer.period",
+                self.interferer.map(|i| i.period) == ZERO,
+            ),
+            ("stall_interval_s", interval_s.is_nan() || interval_s <= 0.0),
+            // A probe rate past one per nanosecond.
+            ("qoe.pps' interval", self.qoe.map(|p| p.interval()) == ZERO),
+        ];
+        if let Some(&(field, _)) = not_positive.iter().find(|(_, bad)| *bad) {
+            return Err(ConfigError::NotPositive(field));
+        }
+        if self.fastack.len() != self.n_aps {
+            return Err(ConfigError::FastackLen {
+                n_aps: self.n_aps,
+                len: self.fastack.len(),
+            });
+        }
+        // Flow ids stay below the probe-flow range, because an MPDU id
+        // says whether it is a probe; the pool holds at least one
+        // station's floor share.
+        let n_clients = self.n_aps.saturating_mul(self.clients_per_ap) as f64;
+        let max_clients = (qoe::PROBE_FLOW_BASE - 1) as f64;
+        let pool = self.ap_buffer_pool_frames as f64;
+        let duty = self.interferer.map_or(0.0, |i| i.duty);
+        let inf = f64::INFINITY;
+        let ranges = [
+            ("n_aps * clients_per_ap", n_clients, 1.0, max_clients),
+            ("ap_buffer_pool_frames", pool, MIN_STATION_SHARE as f64, inf),
+            ("bad_hint_rate", self.bad_hint_rate, 0.0, 1.0),
+            ("upstream_loss", self.upstream_loss, 0.0, 1.0),
+            (
+                "laggy_client_fraction",
+                self.laggy_client_fraction,
+                0.0,
+                1.0,
+            ),
+            ("interferer.duty", duty, 0.0, 1.0),
+            ("stall_ms.0", self.stall_ms.0, -inf, self.stall_ms.1),
+        ];
+        match ranges
+            .iter()
+            .find(|(_, v, min, max)| !(min..=max).contains(&v))
+        {
+            Some(&(field, value, min, max)) => Err(ConfigError::OutOfRange {
+                field,
+                value,
+                min,
+                max,
+            }),
+            None => Ok(()),
+        }
+    }
+
+    /// Baseline-arm tail-drop depth per station: an even share of the
+    /// pool, never under the floor (which `validate` keeps `<=` the pool).
+    pub(super) fn station_share(&self) -> usize {
+        (self.ap_buffer_pool_frames / self.clients_per_ap)
+            .clamp(MIN_STATION_SHARE, self.ap_buffer_pool_frames)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::Testbed;
+    use super::*;
+
+    #[test]
+    fn validate_names_every_config_a_run_cannot_survive() {
+        use ConfigError::*;
+        const ZERO: SimDuration = SimDuration::ZERO;
+        let range = |field, value, min, max| OutOfRange {
+            field,
+            value,
+            min,
+            max,
+        };
+        let inf = f64::INFINITY;
+        type Edit = fn(&mut TestbedConfig);
+        let cases: Vec<(Edit, ConfigError)> = vec![
+            (|c| (c.n_aps, c.fastack) = (0, vec![]), NotPositive("n_aps")),
+            (|c| c.clients_per_ap = 0, NotPositive("clients_per_ap")),
+            (|c| c.n_aps = 2, FastackLen { n_aps: 2, len: 1 }),
+            (|c| c.ack_base_delay = ZERO, NotPositive("ack_base_delay")),
+            (
+                |c| c.beacon_interval = Some(ZERO),
+                NotPositive("beacon_interval"),
+            ),
+            (
+                |c| c.health_rules.as_mut().unwrap().sample_every = ZERO,
+                NotPositive("health_rules.sample_every"),
+            ),
+            (
+                |c| c.interferer.as_mut().unwrap().period = ZERO,
+                NotPositive("interferer.period"),
+            ),
+            (
+                |c| c.qoe.as_mut().unwrap().pps = 2_000_000_000,
+                NotPositive("qoe.pps' interval"),
+            ),
+            (
+                |c| c.stall_interval_s = 0.0,
+                NotPositive("stall_interval_s"),
+            ),
+            (
+                |c| c.clients_per_ap = 0x4000,
+                range("n_aps * clients_per_ap", 16384.0, 1.0, 16383.0),
+            ),
+            // The mid-run `clamp(24, 16)` panic this check replaces.
+            (
+                |c| c.ap_buffer_pool_frames = 16,
+                range("ap_buffer_pool_frames", 16.0, 24.0, inf),
+            ),
+            (
+                |c| c.bad_hint_rate = 1.5,
+                range("bad_hint_rate", 1.5, 0.0, 1.0),
+            ),
+            (
+                |c| c.upstream_loss = -0.1,
+                range("upstream_loss", -0.1, 0.0, 1.0),
+            ),
+            (
+                |c| c.interferer.as_mut().unwrap().duty = 1.01,
+                range("interferer.duty", 1.01, 0.0, 1.0),
+            ),
+            (
+                |c| c.stall_ms = (300.0, 60.0),
+                range("stall_ms.0", 300.0, -inf, 60.0),
+            ),
+            (
+                |c| c.stall_interval_s = -1.0,
+                NotPositive("stall_interval_s"),
+            ),
+        ];
+        let all_on = TestbedConfig {
+            interferer: Some(InterfererFault::default()),
+            qoe: Some(qoe::ProbeConfig::default()),
+            ..TestbedConfig::default()
+        };
+        assert_eq!(all_on.validate(), Ok(()));
+        for (edit, want) in cases {
+            let mut cfg = all_on.clone();
+            edit(&mut cfg);
+            assert_eq!(cfg.validate(), Err(want.clone()), "{want}");
+            assert!(!want.to_string().contains('\n'), "one line: {want}");
+        }
+        // NaN is outside every range.
+        for edit in [
+            (|c| c.laggy_client_fraction = f64::NAN) as Edit,
+            |c| c.stall_ms.1 = f64::NAN,
+            |c| c.stall_interval_s = f64::NAN,
+        ] {
+            let mut cfg = all_on.clone();
+            edit(&mut cfg);
+            assert!(cfg.validate().is_err());
+        }
+        // Bounds are inclusive wherever a run is fine at the bound, and
+        // an absent sink or fault has nothing to check.
+        let edge = TestbedConfig {
+            clients_per_ap: 0x3fff,
+            ap_buffer_pool_frames: 24,
+            bad_hint_rate: 1.0,
+            upstream_loss: 0.0,
+            stall_ms: (60.0, 60.0),
+            beacon_interval: None,
+            health_rules: None,
+            ..TestbedConfig::default()
+        };
+        assert_eq!(edge.validate(), Ok(()));
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "invalid TestbedConfig: ap_buffer_pool_frames = 16 must be in [24, inf]"
+    )]
+    fn testbed_new_refuses_what_validate_refuses() {
+        let _ = Testbed::new(TestbedConfig {
+            ap_buffer_pool_frames: 16,
+            ..TestbedConfig::default()
+        });
+    }
+}

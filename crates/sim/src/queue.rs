@@ -319,6 +319,21 @@ impl<E> EventQueue<E> {
     /// Returns `None` when the queue is empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let (in_lane, entry) = self.next_live()?;
+        Some(self.take(in_lane, entry))
+    }
+
+    /// [`Self::pop`] iff the earliest live event is due (`at <= now()`):
+    /// a driver that moves the clock itself with [`Self::advance_to`]
+    /// drains what it skipped past with `while let Some(..) = pop_due()`,
+    /// one minimum search per event.
+    pub fn pop_due(&mut self) -> Option<(SimTime, E)> {
+        let (in_lane, entry) = self.next_live()?;
+        (entry.at <= self.now).then(|| self.take(in_lane, entry))
+    }
+
+    /// Remove the live minimum [`Self::next_live`] just found and move
+    /// the clock to it.
+    fn take(&mut self, in_lane: bool, entry: Entry) -> (SimTime, E) {
         self.discard(in_lane);
         let (_, payload) = self.slab[entry.slot]
             .take()
@@ -336,7 +351,7 @@ impl<E> EventQueue<E> {
         crate::sanitize::check_time_monotonic(self.now, next_now);
         self.now = next_now;
         self.stats.popped += 1;
-        Some((self.now, payload))
+        (self.now, payload)
     }
 
     /// Timestamp of the next live event without popping it.
@@ -719,6 +734,11 @@ mod model_tests {
             self.stats.popped += 1;
             Some((self.now, payload))
         }
+
+        fn pop_due(&mut self) -> Option<(SimTime, u64)> {
+            self.peek_time().filter(|&at| at <= self.now)?;
+            self.pop()
+        }
     }
 
     proptest! {
@@ -732,8 +752,8 @@ mod model_tests {
         /// freed (LIFO free-list) while the cancelled entry is still
         /// pending discard. `peek_time` runs after only half of the
         /// operations, so a stale minimum is evicted sometimes by a peek
-        /// and sometimes by the pop itself. Pop order, peek, `len` and
-        /// all four counters must track the model throughout.
+        /// and sometimes by the pop (or `pop_due`) itself. Pop order, peek,
+        /// `len` and all four counters must track the model throughout.
         #[test]
         fn mixed_schedules_match_naive_model(
             ops in proptest::collection::vec(any::<u64>(), 1..400),
@@ -762,6 +782,12 @@ mod model_tests {
                         let to = q.now() + SimDuration::from_micros(arg % 200);
                         q.advance_to(to);
                         model.now = model.now.max(to);
+                        None
+                    }
+                    // Due-only pop: `None` while the minimum is ahead of
+                    // the clock, however much is pending.
+                    10 | 11 => {
+                        prop_assert_eq!(q.pop_due(), model.pop_due());
                         None
                     }
                     _ => {

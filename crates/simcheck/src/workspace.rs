@@ -16,22 +16,13 @@ use std::path::{Path, PathBuf};
 /// entry is documented in DESIGN.md ("Determinism rules").
 pub fn crate_exemptions(crate_name: &str) -> BTreeSet<Rule> {
     let mut off = BTreeSet::new();
-    match crate_name {
-        // The vendored criterion shim IS the wall-clock: its entire job
-        // is timing real executions with `Instant`.
-        "criterion" => {
-            off.insert(Rule::WallClock);
-        }
-        // Benchmarks measure real elapsed time next to simulated time;
-        // results are reported, never fed back into a simulation.
-        "bench" => {
-            off.insert(Rule::WallClock);
-        }
-        // Everything else — the deterministic crates (sim, tcp,
-        // mac80211, phy80211, fastack, chanassign, netsim, fleet,
-        // telemetry, wifi-core, fleet…) plus the proptest shim and
-        // simcheck itself — gets the full catalog.
-        _ => {}
+    // Benchmarks measure real elapsed time next to simulated time;
+    // results are reported, never fed back into a simulation. Everything
+    // else — the deterministic crates (sim, tcp, mac80211, phy80211,
+    // fastack, chanassign, netsim, fleet, telemetry, wifi-core…) plus
+    // the proptest shim and simcheck itself — gets the full catalog.
+    if crate_name == "bench" {
+        off.insert(Rule::WallClock);
     }
     // `unwrap-in-lib` polices only the per-packet hot-path crates: a
     // panic there aborts a whole simulated run. Tooling, telemetry
@@ -196,7 +187,6 @@ mod tests {
     fn exemptions_only_cover_measurement_crates() {
         assert!(rules_for("sim").contains(&Rule::WallClock));
         assert!(!rules_for("bench").contains(&Rule::WallClock));
-        assert!(!rules_for("criterion").contains(&Rule::WallClock));
         // Even exempt crates keep the rest of the catalog.
         assert!(rules_for("bench").contains(&Rule::HashCollections));
         assert_eq!(rules_for("sim").len(), Rule::ALL.len());

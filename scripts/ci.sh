@@ -46,6 +46,19 @@ if grep -rnE 'fn json_escape|fn json_string|0xcbf2_9ce4_8422_2325|fn put_varint'
   echo "wire-format helper defined outside telemetry::{codec,json}"; exit 1
 fi
 
+echo "=== testbed anatomy (no god-file, taps cannot steer) ==="
+# netsim::testbed is a protocol world plus read-only taps (DESIGN.md
+# "Testbed anatomy"): no file there may grow back past 800 lines, and
+# the taps file may not so much as name the two types a sink would need
+# to change a trajectory.
+while read -r lines file; do
+  [[ $file == total ]] || (( lines <= 800 )) \
+    || { echo "$file has $lines lines (limit 800)"; exit 1; }
+done < <(wc -l crates/netsim/src/testbed/*.rs)
+if grep -nwE 'Rng|EventQueue' crates/netsim/src/testbed/taps.rs; then
+  echo "testbed/taps.rs names Rng or EventQueue"; exit 1
+fi
+
 echo "=== cargo test ==="
 cargo test --workspace -q
 
