@@ -22,7 +22,7 @@ use wifi_core::chanassign::metrics::{net_p_ln, MetricParams};
 use wifi_core::chanassign::model::{NetworkView, Plan};
 use wifi_core::chanassign::turboca::{nbo, PlanResult, ScheduleTier, TurboCa};
 use wifi_core::chanassign::{least_congested, ReservedCa};
-use wifi_core::fleet::{run_fleet, FleetConfig};
+use wifi_core::fleet::{run_fleet, FleetAggregate, FleetConfig};
 use wifi_core::netsim::deployment::{to_view, SeedChannels, ViewOptions};
 use wifi_core::netsim::topology;
 use wifi_core::phy::channels::{Band, Width};
@@ -174,12 +174,42 @@ fn nbo_passes_and_baselines_match_goldens() {
     check_goldens(owner, &entries);
 }
 
+/// Every bit `FleetIngest::aggregate` hands out: each CDF's length and
+/// 65 evenly spaced quantiles, the goodput fairness index and the
+/// switch total (the last two are order-sensitive f64 sums).
+fn hash_aggregate(agg: &FleetAggregate) -> u64 {
+    let mut h = Fnv1a::new();
+    for cdf in [
+        &agg.util_2_4,
+        &agg.util_5,
+        &agg.net_p_ln,
+        &agg.tcp_p50_ms,
+        &agg.tcp_p90_ms,
+        &agg.tcp_p99_ms,
+    ] {
+        h.write(&(cdf.len() as u64).to_le_bytes());
+        for k in 0..=64 {
+            let q = cdf.quantile(f64::from(k) / 64.0);
+            h.write(&q.map_or(u64::MAX, f64::to_bits).to_le_bytes());
+        }
+    }
+    h.write(
+        &agg.jain_goodput
+            .map_or(u64::MAX, f64::to_bits)
+            .to_le_bytes(),
+    );
+    h.write(&agg.total_switches.to_bits().to_le_bytes());
+    h.finish()
+}
+
 /// The fleet's determinism checksum — every network's plans, switches
-/// and final `ln NetP` — sequential and sharded.
+/// and final `ln NetP` — sequential and sharded, and the distributions
+/// the ingest path aggregates from the same reports.
 #[test]
 fn fleet_checksum_matches_golden_at_1_and_2_threads() {
     let owner = "planner.fleet";
-    let entries: Vec<(String, u64)> = [1usize, 2]
+    // (name, checksum, aggregate hash) per thread count.
+    let runs: Vec<(String, u64, u64)> = [1usize, 2]
         .into_iter()
         .map(|threads| {
             let run = run_fleet(&FleetConfig {
@@ -193,12 +223,16 @@ fn fleet_checksum_matches_golden_at_1_and_2_threads() {
             (
                 format!("{owner}.6x16x1h.threads{threads}"),
                 run.report.checksum,
+                hash_aggregate(&run.aggregate),
             )
         })
         .collect();
-    assert_eq!(
-        entries[0].1, entries[1].1,
-        "checksum depends on thread count"
+    assert_eq!(runs[0].1, runs[1].1, "checksum depends on thread count");
+    assert_eq!(runs[0].2, runs[1].2, "aggregate depends on thread count");
+    let checksums: Vec<(String, u64)> = runs.iter().map(|r| (r.0.clone(), r.1)).collect();
+    check_goldens(owner, &checksums);
+    check_goldens(
+        "fleet.aggregate",
+        &[("fleet.aggregate.6x16x1h".to_owned(), runs[0].2)],
     );
-    check_goldens(owner, &entries);
 }
