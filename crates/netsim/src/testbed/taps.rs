@@ -437,19 +437,19 @@ impl Taps {
         let qs = w.queue.stats();
         self.metrics.count("sim.queue.scheduled", qs.scheduled);
         self.metrics.count("sim.queue.popped", qs.popped);
-        self.metrics.count("sim.queue.cancelled", qs.cancelled);
-        // Capacity-sizing gauges: the arena's lifetime high-water mark
-        // (slab slots ever allocated) and the deepest the pending set
-        // got. Both are deterministic functions of the trajectory, so
-        // they live in the metrics snapshot proper; runprof mirrors
-        // them (with the flight-ring occupancy) into its sidecar.
-        let arena_peak = w.queue.arena_capacity() as u64;
-        let g = self.metrics.gauge("sim.queue.arena_peak");
-        self.metrics.gauge_set(g, gauge_level(arena_peak));
-        let g = self.metrics.gauge("sim.queue.depth_peak");
-        self.metrics.gauge_set(g, gauge_level(qs.depth_peak));
-        telemetry::runprof::watermark("sim.queue.arena_peak", arena_peak);
-        telemetry::runprof::watermark("sim.queue.arena_free", w.queue.arena_free() as u64);
+        // The queue cannot cancel; the path stays because the pinned
+        // metrics snapshots carry it.
+        self.metrics.count("sim.queue.cancelled", 0);
+        // Capacity-sizing gauge: the deepest the pending set got, a
+        // deterministic function of the trajectory, so it lives in the
+        // metrics snapshot proper; runprof mirrors it (with the
+        // flight-ring occupancy) into its sidecar. `arena_peak` is the
+        // same number under the name the pinned snapshots carry: the
+        // payload arena it sized only ever grew to the pending depth.
+        for path in ["sim.queue.arena_peak", "sim.queue.depth_peak"] {
+            let g = self.metrics.gauge(path);
+            self.metrics.gauge_set(g, gauge_level(qs.depth_peak));
+        }
         telemetry::runprof::watermark("sim.queue.depth_peak", qs.depth_peak);
         telemetry::runprof::watermark("flight.ring.records", report.flight.total_records() as u64);
         telemetry::runprof::watermark("flight.ring.dropped", report.flight.total_dropped());

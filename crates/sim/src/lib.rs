@@ -20,7 +20,7 @@
 //!
 //! let mut q = EventQueue::new();
 //! q.schedule(SimTime::from_micros(10), Ev::Ping);
-//! q.schedule_in(SimDuration::from_micros(5), Ev::Pong);
+//! q.schedule(q.now() + SimDuration::from_micros(5), Ev::Pong);
 //! assert_eq!(q.pop().unwrap().1, Ev::Pong); // 5us < 10us
 //! assert_eq!(q.now(), SimTime::from_micros(5));
 //! ```
@@ -30,6 +30,6 @@ pub mod rng;
 pub mod sanitize;
 pub mod time;
 
-pub use queue::{EventId, EventQueue, QueueStats};
+pub use queue::{EventQueue, QueueStats};
 pub use rng::{derive_stream_seed, Rng};
 pub use time::{SimDuration, SimTime};

@@ -63,8 +63,8 @@ fn profiler_on_off_produces_identical_artifacts() {
         "profiled pass recorded no testbed.run span"
     );
     assert!(
-        snap.watermarks.contains_key("sim.queue.arena_peak"),
-        "profiled pass recorded no arena watermark"
+        snap.watermarks.contains_key("sim.queue.depth_peak"),
+        "profiled pass recorded no queue-depth watermark"
     );
     let det = |p: &runprof::RunProfile| {
         let json = p.to_json("neutrality", &[]);
