@@ -2,9 +2,8 @@
 //!
 //! The measurement side of the reproduction: summary statistics,
 //! percentiles, empirical CDFs/PDFs, histograms and Jain's fairness
-//! index ([`stats`]), plus a LittleTable-style time-series store
-//! ([`littletable`]) standing in for the Meraki backend the paper's
-//! data-collection pipeline writes into, and a deterministic metrics
+//! index ([`stats`]), the in-memory summaries a collector keeps between
+//! polls ([`streaming`]: EWMA, rolling windows), a deterministic metrics
 //! registry + sim-time profiler ([`metrics`]) that every subsystem
 //! reports its counters through, and a causal flight recorder
 //! ([`flight`]) that captures typed, cross-layer packet traces into
@@ -17,7 +16,9 @@
 //! trajectory, and a deterministic time-series sampler ([`timeline`])
 //! that snapshots registry counters/gauges every fixed sim-time
 //! interval into delta-encoded per-series columns with bounded ring
-//! retention and `TSL1` binary dumps (`wifictl time` reads those).
+//! retention, bucketed downsampling and `TSL1` binary dumps (`wifictl
+//! time` reads those) — the one time-series store, standing in for the
+//! LittleTable backend the paper's data-collection pipeline writes into.
 //! Underneath all of them sit the two wire-format modules: [`codec`]
 //! (bounds-checked binary reader, varints, FNV-1a) and [`json`] (the one
 //! JSON escaper and strict reader).
@@ -34,7 +35,6 @@ pub mod codec;
 pub mod flight;
 pub mod health;
 pub mod json;
-pub mod littletable;
 pub mod metrics;
 pub mod runprof;
 pub mod stats;
@@ -49,9 +49,8 @@ pub use health::{
     Alert, Detector, HealthEngine, HealthReport, HealthRollup, HealthRules, QoeDegraded,
     QoeDegradedRule, Severity,
 };
-pub use littletable::{Agg, LittleTable, SeriesKey};
 pub use metrics::{CounterId, GaugeId, HistId, Registry, Span, SpanId, SpanStat};
 pub use runprof::{AllocStats, CountingAlloc, RunProfile, SamplePoint, StageStat, WallSpan};
 pub use stats::{jain_fairness, median, quantile, summarize, Cdf, Histogram, Summary};
-pub use streaming::{Ewma, P2Quantile, RateCounter, RollingWindow};
-pub use timeline::{SeriesKind, StagedId, TierConfig, Timeline, TimelineConfig};
+pub use streaming::{Ewma, RollingWindow};
+pub use timeline::{Agg, SeriesKind, StagedId, TierConfig, Timeline, TimelineConfig};

@@ -2,133 +2,15 @@
 //!
 //! An AP cannot buffer every latency sample between backend polls
 //! (§2.2: some statistics "are only stored in memory"); it keeps small
-//! sketches and counters. This module provides what the collection
-//! pipeline ships:
+//! summaries. This module provides the two the detectors use:
 //!
-//! * [`P2Quantile`] — the P² algorithm (Jain & Chlamtac 1985): one
-//!   quantile estimated online in O(1) memory, five markers;
-//! * [`Ewma`] — exponentially weighted moving averages (the smoothing
-//!   behind utilization gauges);
-//! * [`RateCounter`] — windowed event/byte rates;
+//! * [`Ewma`] — exponentially weighted moving averages (the long-run
+//!   baseline of the health engine's A-MPDU collapse detector);
 //! * [`RollingWindow`] — a fixed-capacity ring of recent samples with
 //!   exact windowed statistics (the basis of `telemetry::health`
 //!   detector levels and of the `qoe` crate's per-client windows).
 
-use sim::{sanitize, SimDuration, SimTime};
-
-/// P² single-quantile estimator: five markers, no sample storage.
-#[derive(Debug, Clone)]
-pub struct P2Quantile {
-    q: f64,
-    /// Marker heights.
-    heights: [f64; 5],
-    /// Marker positions (1-based sample counts).
-    pos: [f64; 5],
-    /// Desired marker positions.
-    desired: [f64; 5],
-    /// Desired position increments per observation.
-    inc: [f64; 5],
-    count: usize,
-}
-
-impl P2Quantile {
-    /// Estimator for the `q`-quantile (0 < q < 1).
-    pub fn new(q: f64) -> P2Quantile {
-        assert!((0.0..1.0).contains(&q) && q > 0.0);
-        P2Quantile {
-            q,
-            heights: [0.0; 5],
-            pos: [1.0, 2.0, 3.0, 4.0, 5.0],
-            desired: [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0],
-            inc: [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0],
-            count: 0,
-        }
-    }
-
-    /// Number of samples observed.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
-    /// Feed one observation.
-    pub fn observe(&mut self, x: f64) {
-        if self.count < 5 {
-            self.heights[self.count] = x;
-            self.count += 1;
-            if self.count == 5 {
-                self.heights.sort_by(|a, b| a.total_cmp(b));
-            }
-            return;
-        }
-        self.count += 1;
-
-        // Find the cell k containing x; clamp the extremes.
-        let k = if x < self.heights[0] {
-            self.heights[0] = x;
-            0
-        } else if x >= self.heights[4] {
-            self.heights[4] = x;
-            3
-        } else {
-            let mut k = 0;
-            for i in 0..4 {
-                if x >= self.heights[i] && x < self.heights[i + 1] {
-                    k = i;
-                    break;
-                }
-            }
-            k
-        };
-
-        for p in self.pos.iter_mut().skip(k + 1) {
-            *p += 1.0;
-        }
-        for (d, i) in self.desired.iter_mut().zip(self.inc.iter()) {
-            *d += i;
-        }
-
-        // Adjust interior markers with the parabolic (or linear) formula.
-        for i in 1..4 {
-            let d = self.desired[i] - self.pos[i];
-            let right = self.pos[i + 1] - self.pos[i];
-            let left = self.pos[i - 1] - self.pos[i];
-            if (d >= 1.0 && right > 1.0) || (d <= -1.0 && left < -1.0) {
-                let d = d.signum();
-                let parabolic = self.heights[i]
-                    + d / (self.pos[i + 1] - self.pos[i - 1])
-                        * ((self.pos[i] - self.pos[i - 1] + d)
-                            * (self.heights[i + 1] - self.heights[i])
-                            / right
-                            + (self.pos[i + 1] - self.pos[i] - d)
-                                * (self.heights[i] - self.heights[i - 1])
-                                / -left);
-                let new_h = if self.heights[i - 1] < parabolic && parabolic < self.heights[i + 1] {
-                    parabolic
-                } else {
-                    // Linear fallback.
-                    let j = if d > 0.0 { i + 1 } else { i - 1 };
-                    self.heights[i]
-                        + d * (self.heights[j] - self.heights[i]) / (self.pos[j] - self.pos[i])
-                };
-                self.heights[i] = new_h;
-                self.pos[i] += d;
-            }
-        }
-    }
-
-    /// Current estimate (exact below 5 samples).
-    pub fn estimate(&self) -> Option<f64> {
-        match self.count {
-            0 => None,
-            c if c < 5 => {
-                let mut v = self.heights[..c].to_vec();
-                v.sort_by(|a, b| a.total_cmp(b));
-                Some(crate::stats::quantile_sorted(&v, self.q))
-            }
-            _ => Some(self.heights[2]),
-        }
-    }
-}
+use sim::sanitize;
 
 /// Exponentially weighted moving average.
 #[derive(Debug, Clone, Copy)]
@@ -318,106 +200,9 @@ impl RollingWindow {
     }
 }
 
-/// Windowed rate counter: events (or bytes) per second over a sliding
-/// bucket pair — constant memory, the standard firmware idiom.
-#[derive(Debug, Clone)]
-pub struct RateCounter {
-    window: SimDuration,
-    bucket_start: SimTime,
-    current: f64,
-    previous: f64,
-}
-
-impl RateCounter {
-    pub fn new(window: SimDuration) -> RateCounter {
-        assert!(window > SimDuration::ZERO);
-        RateCounter {
-            window,
-            bucket_start: SimTime::ZERO,
-            current: 0.0,
-            previous: 0.0,
-        }
-    }
-
-    fn roll(&mut self, now: SimTime) {
-        while now.saturating_since(self.bucket_start) >= self.window {
-            self.previous = self.current;
-            self.current = 0.0;
-            self.bucket_start += self.window;
-            if now.saturating_since(self.bucket_start) >= self.window * 2 {
-                // Long silence: both buckets are stale.
-                self.previous = 0.0;
-                let gap =
-                    now.saturating_since(self.bucket_start).as_nanos() / self.window.as_nanos();
-                self.bucket_start += self.window * gap;
-            }
-        }
-    }
-
-    /// Record `amount` at time `now`.
-    pub fn add(&mut self, now: SimTime, amount: f64) {
-        self.roll(now);
-        self.current += amount;
-    }
-
-    /// Smoothed per-second rate at `now`: previous bucket blended with
-    /// the partially filled current one.
-    pub fn rate(&mut self, now: SimTime) -> f64 {
-        self.roll(now);
-        let frac = now.saturating_since(self.bucket_start) / self.window;
-        let blended = self.previous * (1.0 - frac) + self.current;
-        blended / self.window.as_secs_f64()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim::Rng;
-
-    #[test]
-    fn p2_matches_exact_median_on_uniform() {
-        let mut rng = Rng::new(1);
-        let mut p2 = P2Quantile::new(0.5);
-        let mut all = Vec::new();
-        for _ in 0..20_000 {
-            let x = rng.uniform(0.0, 100.0);
-            p2.observe(x);
-            all.push(x);
-        }
-        let exact = crate::stats::quantile(&all, 0.5).unwrap();
-        let est = p2.estimate().unwrap();
-        assert!((est - exact).abs() < 1.5, "est {est} vs exact {exact}");
-    }
-
-    #[test]
-    fn p2_tracks_tail_quantiles_on_skewed_data() {
-        let mut rng = Rng::new(2);
-        let mut p2 = P2Quantile::new(0.9);
-        let mut all = Vec::new();
-        for _ in 0..30_000 {
-            let x = rng.exponential(10.0);
-            p2.observe(x);
-            all.push(x);
-        }
-        let exact = crate::stats::quantile(&all, 0.9).unwrap();
-        let est = p2.estimate().unwrap();
-        assert!(
-            (est - exact).abs() / exact < 0.06,
-            "est {est} vs exact {exact}"
-        );
-    }
-
-    #[test]
-    fn p2_small_samples_are_exact() {
-        let mut p2 = P2Quantile::new(0.5);
-        assert!(p2.estimate().is_none());
-        for x in [5.0, 1.0, 3.0] {
-            p2.observe(x);
-        }
-        assert_eq!(p2.estimate(), Some(3.0));
-        assert_eq!(p2.count(), 3);
-    }
 
     #[test]
     fn ewma_converges_to_constant_input() {
@@ -435,19 +220,6 @@ mod tests {
         e.observe(0.0);
         e.observe(10.0);
         assert_eq!(e.value(), Some(5.0));
-    }
-
-    #[test]
-    fn rate_counter_measures_steady_stream() {
-        let mut rc = RateCounter::new(SimDuration::from_secs(1));
-        // 100 events/s for 3 seconds.
-        for ms in 0..3_000 {
-            if ms % 10 == 0 {
-                rc.add(SimTime::from_millis(ms), 1.0);
-            }
-        }
-        let r = rc.rate(SimTime::from_millis(3_000));
-        assert!((r - 100.0).abs() < 10.0, "{r}");
     }
 
     #[test]
@@ -501,17 +273,6 @@ mod tests {
         w.clear();
         assert!(w.is_empty());
         assert_eq!(w.capacity(), 3);
-    }
-
-    #[test]
-    fn rate_counter_decays_after_silence() {
-        let mut rc = RateCounter::new(SimDuration::from_secs(1));
-        for ms in 0..1_000 {
-            rc.add(SimTime::from_millis(ms), 1.0);
-        }
-        assert!(rc.rate(SimTime::from_millis(1_100)) > 500.0);
-        let r = rc.rate(SimTime::from_secs(10));
-        assert_eq!(r, 0.0, "stale buckets cleared: {r}");
     }
 
     #[test]

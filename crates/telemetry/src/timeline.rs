@@ -7,7 +7,7 @@
 //! gauges out of a [`Registry`](crate::metrics::Registry) every fixed
 //! sim-time interval into per-series columns, keeps a bounded ring of
 //! raw ticks plus coarse downsampled tiers (LittleTable-style
-//! [`Agg`]), and serializes to a byte-stable `TSL1` binary dump with a
+//! [`Agg`] buckets), and serializes to a byte-stable `TSL1` binary dump with a
 //! strict parser — the same idiom as the flight recorder's `FLT1`.
 //!
 //! ## Sampling model
@@ -78,9 +78,7 @@
 //! ```
 
 use crate::codec::{put_name, put_varint, unzigzag, zigzag, Reader};
-use crate::littletable::Agg;
 use crate::metrics::Registry;
-use crate::streaming::RollingWindow;
 use sim::{SimDuration, SimTime};
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, VecDeque};
@@ -133,8 +131,8 @@ pub struct TierConfig {
     /// Bucket width; must be ≥ the raw sampling interval so every
     /// bucket in range contains at least one tick (rows stay dense).
     pub bucket: SimDuration,
-    /// Aggregation applied per bucket — shares [`Agg`] semantics with
-    /// `littletable::downsample` exactly.
+    /// Aggregation applied per bucket, with [`Timeline::downsample`]'s
+    /// semantics exactly.
     pub agg: Agg,
     /// Retained rows before the oldest is evicted.
     pub capacity: usize,
@@ -197,9 +195,20 @@ fn bits_to_f64(kind: SeriesKind, bits: u64) -> f64 {
     }
 }
 
-/// Per-bucket accumulator; updates mirror the fold order of
-/// `littletable::downsample` so tier rows are bit-identical to the
-/// naive recomputation.
+/// Aggregation applied when downsampling a range into buckets.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Agg {
+    Mean,
+    Max,
+    Min,
+    Sum,
+    Count,
+    Last,
+}
+
+/// Per-bucket accumulator; updates fold a bucket's samples in time
+/// order, so tier rows are bit-identical to collecting the bucket and
+/// recomputing naively.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Acc {
     count: u64,
@@ -782,10 +791,9 @@ impl Timeline {
         s.vals.back().map(|&bits| bits_to_f64(s.kind, bits))
     }
 
-    /// Downsample a series on the fly with `littletable::downsample`
-    /// semantics: bucket grid anchored at `from`, empty buckets
-    /// omitted, identical fold order (so values are bit-identical to
-    /// the naive recomputation the tests do through `LittleTable`).
+    /// Downsample a series on the fly into fixed-width buckets: grid
+    /// anchored at `from`, empty buckets omitted, samples folded in
+    /// time order (so values are bit-identical to the tiers' rows).
     pub fn downsample(
         &self,
         name: &str,
@@ -800,7 +808,10 @@ impl Timeline {
         let mut i = 0;
         let mut bucket_start = from;
         while bucket_start < to && i < samples.len() {
-            let bucket_end = (bucket_start + bucket).min(to);
+            // A bucket that would end past the end of time ends at `to`.
+            let bucket_end = bucket_start
+                .checked_add(bucket)
+                .map_or(to, |end| end.min(to));
             let mut acc = Acc::new();
             let mut any = false;
             while i < samples.len() && samples[i].0 < bucket_end {
@@ -814,21 +825,6 @@ impl Timeline {
             bucket_start = bucket_end;
         }
         out
-    }
-
-    /// The last `n` values of a series as a detector-style
-    /// [`RollingWindow`] — when the timeline cadence matches
-    /// `HealthRules::sample_every`, this is the window the health
-    /// detectors consumed (modulo run-loop phase; see DESIGN.md §6).
-    pub fn window(&self, name: &str, n: usize) -> RollingWindow {
-        let mut w = RollingWindow::with_quantiles(n);
-        if let Some(s) = self.cols.series(name) {
-            let skip = s.vals.len().saturating_sub(n);
-            for &bits in s.vals.iter().skip(skip) {
-                w.push(bits_to_f64(s.kind, bits));
-            }
-        }
-        w
     }
 
     /// Read-only tier views, in config order.
@@ -1259,7 +1255,6 @@ mod reference;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::littletable::{LittleTable, SeriesKey};
     use proptest::collection::vec;
     use proptest::prelude::*;
 
@@ -1406,8 +1401,36 @@ mod tests {
         assert_eq!(r.last().expect("samples").1, 10_000.0);
     }
 
+    /// The independent oracle for tiers and `downsample`: collect each
+    /// bucket's values, then aggregate the collected slice.
+    fn naive_buckets(
+        samples: &[(SimTime, f64)],
+        bucket: SimDuration,
+        agg: Agg,
+    ) -> Vec<(SimTime, f64)> {
+        let mut buckets: BTreeMap<u64, Vec<f64>> = BTreeMap::new();
+        for &(at, v) in samples {
+            buckets
+                .entry(at.as_nanos() / bucket.as_nanos())
+                .or_default()
+                .push(v);
+        }
+        let fold = |vals: &[f64]| match agg {
+            Agg::Mean => vals.iter().sum::<f64>() / vals.len() as f64,
+            Agg::Max => vals.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+            Agg::Min => vals.iter().copied().fold(f64::INFINITY, f64::min),
+            Agg::Sum => vals.iter().sum(),
+            Agg::Count => vals.len() as f64,
+            Agg::Last => vals[vals.len() - 1],
+        };
+        buckets
+            .iter()
+            .map(|(&row, vals)| (SimTime::from_nanos(row * bucket.as_nanos()), fold(vals)))
+            .collect()
+    }
+
     #[test]
-    fn tiers_match_littletable_downsample() {
+    fn tiers_match_naive_downsample() {
         let mut reg = Registry::new();
         let g = reg.gauge("phy.level");
         let mut config = cfg(100);
@@ -1424,17 +1447,13 @@ mod tests {
             },
         ];
         let mut tl = Timeline::new(&config);
-        let mut lt = LittleTable::new();
-        let key = SeriesKey {
-            device: 0,
-            metric: "phy.level",
-        };
+        let mut samples = Vec::new();
         for i in 0..97u64 {
             // A wobbly deterministic trajectory with sign changes.
             let v = i64::try_from(i).expect("fits") * 13 % 41 - 20;
             reg.gauge_set(g, v);
             let at = tick(i, 100);
-            lt.insert(key.clone(), at, v as f64);
+            samples.push((at, v as f64));
             tl.sample(at, &reg);
         }
         tl.seal();
@@ -1446,7 +1465,7 @@ mod tests {
         .iter()
         .enumerate()
         {
-            let naive = lt.downsample(&key, SimTime::ZERO, horizon, *bucket, *agg);
+            let naive = naive_buckets(&samples, *bucket, *agg);
             let tier = tl.tiers().nth(i).expect("tier");
             assert_eq!(tier.series("phy.level"), naive, "tier {i}");
             // And the on-the-fly query path agrees with both.
@@ -1455,22 +1474,6 @@ mod tests {
                 naive
             );
         }
-    }
-
-    #[test]
-    fn window_returns_last_n() {
-        let tl = build(30);
-        let w = tl.window("tcp.backlog", 5);
-        assert!(w.is_full());
-        let expect: Vec<f64> = tl
-            .range("tcp.backlog", SimTime::ZERO, SimTime::MAX)
-            .iter()
-            .rev()
-            .take(5)
-            .rev()
-            .map(|&(_, v)| v)
-            .collect();
-        assert_eq!(w.values(), expect);
     }
 
     #[test]

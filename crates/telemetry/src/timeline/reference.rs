@@ -5,10 +5,9 @@
 //! `timeline::tests` compares the new sampler against, dump byte for
 //! dump byte. Test-only; only what that comparison drives is here.
 
-use super::{agg_tag, bits_i64, bits_to_f64, Acc, Series, SeriesKind, TierConfig, TierSeries};
+use super::{agg_tag, bits_i64, bits_to_f64, Acc, Agg, Series, SeriesKind, TierConfig, TierSeries};
 use super::{TimelineConfig, MAGIC};
 use crate::codec::{put_name, put_varint, zigzag};
-use crate::littletable::Agg;
 use crate::metrics::Registry;
 use sim::{SimDuration, SimTime};
 use std::collections::{BTreeMap, VecDeque};
