@@ -6,21 +6,31 @@ use bench::arms;
 use bench::harness::{f, Experiment};
 use wifi_core::prelude::*;
 
+/// One flow's cwnd curve, (seconds, segments), off the arm's timeline.
+fn cwnd(r: &TestbedReport, c: usize) -> Vec<(f64, f64)> {
+    let tl = r.timeline.as_ref().expect("fig14 arms sample a timeline");
+    tl.range(
+        &format!("tcp.flow{c}.cwnd_segments"),
+        SimTime::ZERO,
+        SimTime::MAX,
+    )
+    .into_iter()
+    .map(|(at, w)| (at.as_nanos() as f64 / 1e9, w))
+    .collect()
+}
+
 fn main() {
     let mut exp = Experiment::from_args("fig14", "TCP cwnd traces, baseline vs FastACK (10 flows)");
     let [base, fast] = exp.run_arms(arms::fig14());
+    let curves =
+        |r: &TestbedReport| -> Vec<Vec<(f64, f64)>> { (0..10).map(|c| cwnd(r, c)).collect() };
+    let (base, fast) = (curves(&base), curves(&fast));
 
     // Final-second cwnd per flow.
-    let final_cwnd = |r: &TestbedReport| -> Vec<f64> {
-        (0..10)
-            .map(|c| {
-                r.cwnd_trace
-                    .iter()
-                    .rev()
-                    .find(|(cc, _, _)| *cc == c)
-                    .map(|&(_, _, w)| w)
-                    .unwrap_or(0.0)
-            })
+    let final_cwnd = |curves: &[Vec<(f64, f64)>]| -> Vec<f64> {
+        curves
+            .iter()
+            .map(|curve| curve.last().map_or(0.0, |&(_, w)| w))
             .collect()
     };
     let base_final = final_cwnd(&base);
@@ -52,10 +62,10 @@ fn main() {
     );
     // FastACK opens fast: mean cwnd at t=2s already near cap.
     let early_fast: Vec<f64> = fast
-        .cwnd_trace
         .iter()
-        .filter(|(_, t, _)| (1.9..2.1).contains(t))
-        .map(|&(_, _, w)| w)
+        .flatten()
+        .filter(|(t, _)| (1.9..2.1).contains(t))
+        .map(|&(_, w)| w)
         .collect();
     exp.compare(
         "FastACK cwnd at t=2s",
@@ -65,22 +75,8 @@ fn main() {
     );
     // Dump traces for flows 0..3 of each.
     for c in 0..3 {
-        exp.series(
-            format!("cwnd-baseline-flow{c}"),
-            base.cwnd_trace
-                .iter()
-                .filter(|(cc, _, _)| *cc == c)
-                .map(|&(_, t, w)| (t, w))
-                .collect(),
-        );
-        exp.series(
-            format!("cwnd-fastack-flow{c}"),
-            fast.cwnd_trace
-                .iter()
-                .filter(|(cc, _, _)| *cc == c)
-                .map(|&(_, t, w)| (t, w))
-                .collect(),
-        );
+        exp.series(format!("cwnd-baseline-flow{c}"), base[c].clone());
+        exp.series(format!("cwnd-fastack-flow{c}"), fast[c].clone());
     }
     exp.exit();
 }

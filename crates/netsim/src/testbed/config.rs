@@ -122,8 +122,8 @@ pub struct TestbedConfig {
     /// Time-series sampling (see [`telemetry::timeline`]): when set,
     /// a [`telemetry::Timeline`] ticks on the config's cadence,
     /// snapshotting the selected registry counters/gauges plus the
-    /// per-flow cwnd f64 series, and the legacy Fig. 14 `cwnd_trace` points are emitted
-    /// from the same tick. Sampling only reads — it schedules no
+    /// per-flow cwnd f64 series (`tcp.flow{c}.cwnd_segments`, Fig. 14's
+    /// curves). Sampling only reads — it schedules no
     /// events, draws no randomness, and writes no metric — so every
     /// other artifact stays byte-identical with it on or off. `None`
     /// (the default) samples nothing.

@@ -29,8 +29,6 @@ pub struct TestbedReport {
     /// AP-observed TCP latencies (data forwarded → client ACK covering
     /// it arrives back at the AP), seconds — the §4.6.2 definition.
     pub tcp_latencies: Vec<f64>,
-    /// cwnd traces: (client index, time s, cwnd segments).
-    pub cwnd_trace: Vec<(usize, f64, f64)>,
     /// FastACK agent stats per AP.
     pub agent_stats: Vec<fastack::AgentStats>,
     /// Per-flow TCP sender diagnostics.

@@ -98,7 +98,6 @@ pub(super) struct Taps {
     tcp_lat_pending: Vec<SeqWindow<SimTime>>,
     mac_latencies: Vec<f64>,
     tcp_latencies: Vec<f64>,
-    cwnd_trace: Vec<(usize, f64, f64)>,
     sp_ap_txop: SpanId,
     sp_client_txop: SpanId,
     sp_beacon: SpanId,
@@ -185,7 +184,6 @@ impl Taps {
             tcp_lat_pending: vec![SeqWindow::new(); n_clients],
             mac_latencies: Vec::new(),
             tcp_latencies: Vec::new(),
-            cwnd_trace: Vec::new(),
         }
     }
 
@@ -368,19 +366,14 @@ impl Taps {
         }
     }
 
-    /// One timeline tick at its nominal instant: emit the legacy
-    /// Fig. 14 `cwnd_trace` point and stage the per-flow cwnd f64
-    /// series (exactly the values, times and order the retired
-    /// `cwnd_sample_every` probe produced), then snapshot the selected
+    /// One timeline tick at its nominal instant: stage the per-flow
+    /// cwnd f64 series (Fig. 14's curves), then snapshot the selected
     /// registry counters/gauges. Not folded into the idle wake: samples
     /// land when the loop is awake anyway, stamped nominally.
     fn timeline_tick(&mut self, at: SimTime, w: &World) {
         let (_, tl, cwnd) = self.timeline.as_mut().expect("timeline enabled");
-        let t = at.as_nanos() as f64 / 1e9;
-        for (c, s) in w.wired.senders.iter().enumerate() {
-            let segs = s.cwnd_segments();
-            self.cwnd_trace.push((c, t, segs));
-            tl.set(cwnd[c], segs);
+        for (&id, s) in cwnd.iter().zip(&w.wired.senders) {
+            tl.set(id, s.cwnd_segments());
         }
         tl.sample(at, &self.metrics);
     }
@@ -390,7 +383,6 @@ impl Taps {
         let mut report = w.summarize(end);
         report.mac_latencies = std::mem::take(&mut self.mac_latencies);
         report.tcp_latencies = std::mem::take(&mut self.tcp_latencies);
-        report.cwnd_trace = std::mem::take(&mut self.cwnd_trace);
         // The flight rings move into the report (nothing records after
         // this); wraparound losses become visible in the registry as
         // `trace.dropped`.

@@ -166,27 +166,10 @@ fn two_aps_share_the_medium() {
     assert!((0.33..3.0).contains(&ratio), "{ratio}");
 }
 
+/// The timeline carries Fig. 14's curves: one `tcp.flow{c}.cwnd_segments`
+/// f64 series per flow, a point per tick on the sampler's grid.
 #[test]
-fn cwnd_trace_is_recorded() {
-    let r = quick(
-        TestbedConfig {
-            timeline: Some(TimelineConfig::sampling(SimDuration::from_millis(100))),
-            ..one_ap(2, true)
-        },
-        2,
-    );
-    assert!(r.cwnd_trace.len() >= 2 * 15, "{}", r.cwnd_trace.len());
-    // cwnd grows over the run with FastACK.
-    let last = r.cwnd_trace.iter().rev().find(|t| t.0 == 0).unwrap();
-    assert!(last.2 > 10.0, "{last:?}");
-}
-
-/// The timeline's f64 cwnd series reproduces the legacy
-/// `cwnd_trace` points bit-for-bit: same instants (to the printed
-/// f64 second), same values, per flow — the acceptance criterion
-/// for retiring the ad-hoc cwnd sampler.
-#[test]
-fn timeline_cwnd_series_matches_cwnd_trace() {
+fn timeline_records_a_cwnd_series_per_flow() {
     let r = quick(
         TestbedConfig {
             timeline: Some(TimelineConfig::sampling(SimDuration::from_millis(100))),
@@ -201,17 +184,13 @@ fn timeline_cwnd_series_matches_cwnd_trace() {
             SimTime::ZERO,
             SimTime::MAX,
         );
-        let legacy: Vec<(f64, f64)> = r
-            .cwnd_trace
-            .iter()
-            .filter(|t| t.0 == c)
-            .map(|&(_, at, w)| (at, w))
-            .collect();
-        assert_eq!(series.len(), legacy.len(), "flow {c}");
-        for ((at, w), (lat, lw)) in series.iter().zip(&legacy) {
-            assert_eq!(at.as_nanos() as f64 / 1e9, *lat, "flow {c}");
-            assert_eq!(w.to_bits(), lw.to_bits(), "flow {c}");
+        assert!(series.len() >= 15, "flow {c}: {}", series.len());
+        for (i, (at, _)) in series.iter().enumerate() {
+            assert_eq!(*at, SimTime::from_millis(100 * i as u64), "flow {c}");
         }
+        // cwnd grows over the run with FastACK.
+        let last = series[series.len() - 1].1;
+        assert!(last > 10.0, "flow {c}: {last}");
     }
     // The registry series rode along: health gauges are visible as
     // timeline series on the same grid.

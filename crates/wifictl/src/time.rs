@@ -44,8 +44,8 @@ impl Default for Window {
     }
 }
 
-/// Seconds on the legacy bench axis: the exact expression the testbed
-/// uses for `cwnd_trace`, so query output tokens match the figure JSON.
+/// Seconds on the bench axis: the exact expression `fig14_cwnd` uses
+/// for its cwnd curves, so query output tokens match the figure JSON.
 fn secs(t: SimTime) -> f64 {
     t.as_nanos() as f64 / 1e9
 }
@@ -102,8 +102,9 @@ pub fn summary(tl: &Timeline) -> String {
 }
 
 /// One `seconds value` line per sample in the window; with `bucket`,
-/// one line per non-empty bucket downsampled via `agg` (littletable
-/// fold order). Unknown series is an error, not empty output.
+/// one line per non-empty bucket downsampled via `agg`
+/// (`Timeline::downsample`). Unknown series is an error, not empty
+/// output.
 pub fn query(
     tl: &Timeline,
     series: &str,
@@ -304,8 +305,14 @@ fn load(path: &str) -> Result<Timeline, String> {
 fn ms(a: &Args, flag: &str) -> Result<Option<SimDuration>, String> {
     a.value(flag)
         .map(|v| {
-            v.parse()
-                .map(SimDuration::from_millis)
+            v.parse::<u64>()
+                .map_err(|e| e.to_string())
+                .and_then(|ms| {
+                    // The clock counts nanoseconds in a u64.
+                    ms.checked_mul(1_000_000)
+                        .ok_or_else(|| "more than the clock holds".to_owned())
+                })
+                .map(SimDuration::from_nanos)
                 .map_err(|e| format!("bad {flag} value {v} (want milliseconds): {e}"))
         })
         .transpose()
@@ -338,6 +345,9 @@ pub fn run(args: &[String]) -> Outcome {
         (Some("summary"), [path]) => Ok((summary(&load(path)?), 0)),
         (Some("query"), [path, series]) => {
             let bucket = ms(&a, "--bucket")?;
+            if bucket == Some(SimDuration::ZERO) {
+                return Err("bad --bucket value 0 (want at least one millisecond)".to_owned());
+            }
             let agg = a
                 .value("--agg")
                 .map(|v| agg_from_name(v).ok_or_else(|| format!("unknown --agg {v}")))
@@ -542,14 +552,30 @@ mod tests {
         assert_eq!(code, 0);
         assert_eq!(out, "0.1 6\n0.2 9\n");
         assert!(run(&[own("query"), path.clone(), own("nope")]).is_err());
-        // --agg without --bucket is a usage error.
-        assert!(run(&[
+        // --agg without --bucket is a usage error; so are a bucket of
+        // no width and times the nanosecond clock cannot hold.
+        for bad in [
+            "--agg=max",
+            "--bucket=0",
+            "--from=99999999999999999",
+            "--bucket=99999999999999999",
+        ] {
+            let err = run(&[own("query"), path.clone(), own("tcp.segments"), own(bad)]);
+            let msg = err.expect_err(bad);
+            assert_eq!(msg.lines().count(), 1, "{msg}");
+        }
+        // The widest bucket the clock holds, off the origin: one bucket,
+        // not an overflow past the end of time.
+        let (out, code) = run(&[
             own("query"),
             path.clone(),
             own("tcp.segments"),
-            own("--agg=max")
+            own("--from=100"),
+            own("--bucket=18446744073709"),
+            own("--agg=count"),
         ])
-        .is_err());
+        .unwrap();
+        assert_eq!((out.as_str(), code), ("0.1 39\n", 0));
 
         let (out, code) = run(&[
             own("plot"),
