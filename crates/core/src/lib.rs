@@ -12,7 +12,7 @@
 //! | [`fastack`] | the FastACK agent: fast ACKs, suppression, local retransmission, rx'_win | §5 |
 //! | [`chanassign`] | TurboCA (NodeP/NetP, ACC, NBO, schedule) + ReservedCA and baselines | §4 |
 //! | [`netsim`] | testbed, populations, topologies, deployments, diurnal model, plan evaluation | §3, §4.6, §5.6 |
-//! | [`telemetry`] | CDF/PDF/percentiles/Jain, LittleTable-style store | §2.2, §4.6 |
+//! | [`telemetry`] | CDF/PDF/percentiles/Jain, `timeline` (the LittleTable stand-in) | §2.2, §4.6 |
 //! | [`qoe`] | application-layer QoE: probe flows, windowed scoring, fleet rollups | §2.2, §5.6 |
 //! | [`fleet`] | sharded cloud controller: collect→plan→push over N networks, fleet ingest/aggregation | §2.2, §4.5 |
 //!

@@ -12,7 +12,7 @@
 //!   `(master_seed, network_id)` alone ([`sim::derive_stream_seed`]);
 //! * [`network`] — one managed network: planner view, tiered
 //!   [`chanassign::Scheduler`], private RNG streams, telemetry buffers;
-//! * [`ingest`] — collection into the LittleTable-style store plus
+//! * [`ingest`] — per-metric pooling of the network reports plus
 //!   fleet-wide CDFs / Jain aggregation (reproducing Fig. 2's synthetic
 //!   fleet sweep as one fleet run);
 //! * [`report`] — [`NetworkReport`] / [`FleetReport`] and the FNV-based

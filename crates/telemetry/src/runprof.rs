@@ -46,8 +46,7 @@
 //!   [`peak_rss_bytes`] reads the kernel's lifetime RSS high-watermark
 //!   (`VmHWM` in `/proc/self/status`).
 //! * **Watermarks** — [`watermark`] max-folds named `u64` levels: event
-//!   arena peaks, queue depths, flight-ring occupancy, fleet shard
-//!   backlogs. These mirror deterministic simulator state, so they land
+//!   queue depths, flight-ring occupancy, fleet shard backlogs. These mirror deterministic simulator state, so they land
 //!   in the sidecar's `deterministic` section.
 //!
 //! The profiler is process-global (fleet shards run on scoped worker
@@ -155,7 +154,7 @@ pub fn span(stage: &str) -> WallSpan {
 }
 
 /// Max-fold a named high-watermark. Watermarks mirror deterministic
-/// simulator state (arena peaks, ring occupancy, shard backlogs), so
+/// simulator state (queue depths, ring occupancy, shard backlogs), so
 /// they serialize into the sidecar's `deterministic` section and CI
 /// byte-compares them across double runs.
 pub fn watermark(name: &str, value: u64) {
@@ -507,7 +506,7 @@ mod tests {
             peak_rss_bytes: Some(2048),
             ..RunProfile::default()
         };
-        prof.watermarks.insert("sim.queue.arena_peak".into(), 7);
+        prof.watermarks.insert("sim.queue.depth_peak".into(), 7);
         prof.stages.insert(
             "fig.run".into(),
             StageStat {
@@ -532,7 +531,7 @@ mod tests {
         let det = a.find("\"deterministic\"").unwrap();
         let wall = a.find("\"wall_clock\"").unwrap();
         assert!(det < wall);
-        assert!(a[det..wall].contains("sim.queue.arena_peak"));
+        assert!(a[det..wall].contains("sim.queue.depth_peak"));
         assert!(!a[det..wall].contains("total_ns"));
         assert!(a.contains("\"events_per_s\": 5"));
         assert!(a.contains("\"peak_rss_bytes\": null, \"cores\": 2 }"));

@@ -40,8 +40,8 @@ impl Ewma {
 }
 
 /// Fixed-capacity ring of the most recent samples, with exact windowed
-/// statistics. Unlike [`P2Quantile`] this stores the window, so its
-/// quantiles are exact. Windows run from a handful of collection epochs
+/// statistics: it stores the window, so its quantiles are exact.
+/// Windows run from a handful of collection epochs
 /// (the health detectors) to thousands of per-packet samples (QoE keeps
 /// 50 / 500 / 3 000 probe delays per client and reads p50/p99 of them
 /// on every health tick), so nothing here costs more than the window's

@@ -509,7 +509,7 @@ mod tests {
   "deterministic": {
     "watermarks": {
       "flight.ring.records": 3072,
-      "sim.queue.arena_peak": 512
+      "sim.queue.depth_peak": 512
     }
   },
   "wall_clock": {
@@ -556,7 +556,7 @@ mod tests {
         let v = parse_json(RUNPROF).unwrap();
         let s = summary(&v).unwrap();
         assert!(s.contains("run profile: fig18"), "{s}");
-        assert!(s.contains("sim.queue.arena_peak"), "{s}");
+        assert!(s.contains("sim.queue.depth_peak"), "{s}");
         assert!(s.contains("fig18.run"), "{s}");
         assert!(s.contains("peak rss: 100.0 MiB"), "{s}");
         assert!(s.contains("1000 allocs"), "{s}");
@@ -590,7 +590,7 @@ mod tests {
         let (out, code) = diff(&a, &b).unwrap();
         assert_eq!(code, 1);
         assert!(
-            out.contains("deterministic.watermarks.sim.queue.arena_peak"),
+            out.contains("deterministic.watermarks.sim.queue.depth_peak"),
             "{out}"
         );
     }
