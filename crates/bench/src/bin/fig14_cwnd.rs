@@ -15,7 +15,7 @@ fn cwnd(r: &TestbedReport, c: usize) -> Vec<(f64, f64)> {
         SimTime::MAX,
     )
     .into_iter()
-    .map(|(at, w)| (at.as_nanos() as f64 / 1e9, w))
+    .map(|(at, w)| (at.as_secs_f64(), w))
     .collect()
 }
 

@@ -186,7 +186,7 @@ impl<E> EventQueue<E> {
 
     /// When the `(at, seq)`-minimum entry is due and whether it waits
     /// in the lane (else the heap).
-    fn next(&self) -> Option<(SimTime, bool)> {
+    fn earliest(&self) -> Option<(SimTime, bool)> {
         match (self.lane.front(), self.heap.peek()) {
             (Some(l), Some(h)) if h.key() < l.key() => Some((h.at, false)),
             (Some(l), _) => Some((l.at, true)),
@@ -198,7 +198,7 @@ impl<E> EventQueue<E> {
     /// Pop the earliest event, advancing `now` to its timestamp.
     /// Returns `None` when the queue is empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let (_, in_lane) = self.next()?;
+        let (_, in_lane) = self.earliest()?;
         self.take(in_lane)
     }
 
@@ -207,14 +207,14 @@ impl<E> EventQueue<E> {
     /// drains what it skipped past with `while let Some(..) = pop_due()`,
     /// one minimum search per event.
     pub fn pop_due(&mut self) -> Option<(SimTime, E)> {
-        let (at, in_lane) = self.next()?;
+        let (at, in_lane) = self.earliest()?;
         if at > self.now {
             return None;
         }
         self.take(in_lane)
     }
 
-    /// Remove the minimum [`Self::next`] just found and move the clock
+    /// Remove the minimum [`Self::earliest`] just found and move the clock
     /// to it.
     fn take(&mut self, in_lane: bool) -> Option<(SimTime, E)> {
         let entry = if in_lane {
@@ -236,7 +236,7 @@ impl<E> EventQueue<E> {
 
     /// Timestamp of the next event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.next().map(|(at, _)| at)
+        self.earliest().map(|(at, _)| at)
     }
 
     /// Advance the clock with no event — used by drivers that model

@@ -1408,12 +1408,12 @@ mod tests {
         bucket: SimDuration,
         agg: Agg,
     ) -> Vec<(SimTime, f64)> {
+        // Keyed by bucket start, in nanoseconds.
+        let width = bucket.as_nanos();
         let mut buckets: BTreeMap<u64, Vec<f64>> = BTreeMap::new();
         for &(at, v) in samples {
-            buckets
-                .entry(at.as_nanos() / bucket.as_nanos())
-                .or_default()
-                .push(v);
+            let start = at.as_nanos() / width * width;
+            buckets.entry(start).or_default().push(v);
         }
         let fold = |vals: &[f64]| match agg {
             Agg::Mean => vals.iter().sum::<f64>() / vals.len() as f64,
@@ -1425,7 +1425,7 @@ mod tests {
         };
         buckets
             .iter()
-            .map(|(&row, vals)| (SimTime::from_nanos(row * bucket.as_nanos()), fold(vals)))
+            .map(|(&start, vals)| (SimTime::from_nanos(start), fold(vals)))
             .collect()
     }
 

@@ -305,15 +305,15 @@ fn load(path: &str) -> Result<Timeline, String> {
 fn ms(a: &Args, flag: &str) -> Result<Option<SimDuration>, String> {
     a.value(flag)
         .map(|v| {
-            v.parse::<u64>()
-                .map_err(|e| e.to_string())
-                .and_then(|ms| {
-                    // The clock counts nanoseconds in a u64.
-                    ms.checked_mul(1_000_000)
-                        .ok_or_else(|| "more than the clock holds".to_owned())
-                })
-                .map(SimDuration::from_nanos)
-                .map_err(|e| format!("bad {flag} value {v} (want milliseconds): {e}"))
+            let bad = |why: &dyn std::fmt::Display| {
+                format!("bad {flag} value {v} (want milliseconds): {why}")
+            };
+            let ms: u64 = v.parse().map_err(|e| bad(&e))?;
+            // The clock counts nanoseconds in a u64.
+            let ns = ms
+                .checked_mul(1_000_000)
+                .ok_or_else(|| bad(&"more than the clock holds"))?;
+            Ok(SimDuration::from_nanos(ns))
         })
         .transpose()
 }
