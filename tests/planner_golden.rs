@@ -7,7 +7,10 @@
 //! `tests/golden/artifact_hashes.txt` beside the packet-level pins of
 //! `golden_artifacts.rs`. The lines were generated on the planner as it
 //! stood before the dense view index; a representation change that
-//! reorders one f64 operation or one RNG draw fails here.
+//! reorders one f64 operation or one RNG draw fails here. So do the
+//! tables under the planner and the evaluator (`phy.*`: channel
+//! geometry, VHT rate sets) and every sample `neteval::evaluate` draws
+//! (`neteval.*`), pinned before those became const data.
 //!
 //! Refreshing after an *intentional* behaviour change:
 //!
@@ -24,8 +27,11 @@ use wifi_core::chanassign::turboca::{nbo, PlanResult, ScheduleTier, TurboCa};
 use wifi_core::chanassign::{least_congested, ReservedCa};
 use wifi_core::fleet::{run_fleet, FleetAggregate, FleetConfig};
 use wifi_core::netsim::deployment::{to_view, SeedChannels, ViewOptions};
+use wifi_core::netsim::neteval::{evaluate, EvalOptions};
+use wifi_core::netsim::population::ClientCaps;
 use wifi_core::netsim::topology;
-use wifi_core::phy::channels::{Band, Width};
+use wifi_core::phy::channels::{channels, Band, Channel, Width};
+use wifi_core::phy::mcs::{rate_table, GuardInterval};
 use wifi_core::sim::{Rng, SimDuration};
 use wifi_core::telemetry::codec::Fnv1a;
 
@@ -35,12 +41,22 @@ const TIERS: [(ScheduleTier, &str); 3] = [
     (ScheduleTier::Slow, "slow"),
 ];
 
-/// A seeded `n`-AP random area at the fleet's 350 m² per AP.
-fn area_view(n: usize, band: Band, opts: &ViewOptions, seed: u64) -> NetworkView {
+/// A seeded `n`-AP random area at the fleet's 350 m² per AP, with the
+/// clients `to_view` drew for it.
+fn area(
+    n: usize,
+    band: Band,
+    opts: &ViewOptions,
+    seed: u64,
+) -> (NetworkView, Vec<Vec<ClientCaps>>) {
     let mut rng = Rng::new(seed);
     let side = (n as f64 * 350.0).sqrt();
     let topo = topology::random_area(n, side, side, band, &mut rng);
-    to_view(&topo, opts, &mut rng).0
+    to_view(&topo, opts, &mut rng)
+}
+
+fn area_view(n: usize, band: Band, opts: &ViewOptions, seed: u64) -> NetworkView {
+    area(n, band, opts, seed).0
 }
 
 /// `abl_nbo_hops`' crowded floor: a 6 × 5 grid, everyone on one channel.
@@ -234,5 +250,100 @@ fn fleet_checksum_matches_golden_at_1_and_2_threads() {
     check_goldens(
         "fleet.aggregate",
         &[("fleet.aggregate.6x16x1h".to_owned(), runs[0].2)],
+    );
+}
+
+/// What the standard fixes, as the planner and the evaluator read it:
+/// channel geometry for every (band, primary 0..=200, width) — legal or
+/// not — with the `channels(band, width)` listings in order, and every
+/// VHT rate table in order.
+#[test]
+fn standard_tables_match_goldens() {
+    let mut geometry = Fnv1a::new();
+    for band in [Band::Band2_4, Band::Band5] {
+        for primary in 0..=200u16 {
+            for width in Width::ALL {
+                let ch = Channel {
+                    band,
+                    primary,
+                    width,
+                };
+                let (start, end) = ch.slots().map_or((u64::MAX, u64::MAX), |slots| {
+                    (slots.start as u64, slots.end as u64)
+                });
+                geometry.write(&start.to_le_bytes());
+                geometry.write(&end.to_le_bytes());
+                geometry.write(&ch.footprint().to_le_bytes());
+                geometry.write(&[
+                    u8::from(ch.requires_dfs()),
+                    u8::from(Channel::new(band, primary, width).is_ok()),
+                ]);
+            }
+        }
+        for width in Width::ALL {
+            geometry.write(&[0xff]);
+            for ch in channels(band, width) {
+                geometry.write(&ch.primary.to_le_bytes());
+                geometry.write(&ch.width.mhz().to_le_bytes());
+            }
+        }
+    }
+    let mut rates = Fnv1a::new();
+    for nss in 1..=4u8 {
+        for width in Width::ALL {
+            for gi in [GuardInterval::Long, GuardInterval::Short] {
+                rates.write(&[0xff]);
+                for &(mcs, streams, bps) in rate_table(nss, width, gi).iter() {
+                    rates.write(&[mcs.0, streams]);
+                    rates.write(&bps.to_le_bytes());
+                }
+            }
+        }
+    }
+    check_goldens(
+        "phy",
+        &[
+            ("phy.channels.catalog".to_owned(), geometry.finish()),
+            ("phy.rate_tables".to_owned(), rates.finish()),
+        ],
+    );
+}
+
+/// Every bit `neteval::evaluate` hands out — the fleet checksum sees
+/// only three latency quantiles and the mean goodput of it — for one
+/// 20-AP view under the plan it is on and under a Slow-tier plan.
+#[test]
+fn evaluate_on_20_aps_matches_golden() {
+    let (view, caps) = area(20, Band::Band5, &ViewOptions::default(), 120);
+    let planned = TurboCa::new(20).run(&view, ScheduleTier::Slow).plan;
+    assert!(
+        planned.switches_from_current(&view) > 0,
+        "two distinct plans"
+    );
+    let mut h = Fnv1a::new();
+    for plan in [Plan::current(&view), planned] {
+        let m = evaluate(
+            &view,
+            &plan,
+            &caps,
+            &EvalOptions::default(),
+            &mut Rng::new(0xe7a1),
+        );
+        for samples in [
+            &m.rssi_dbm,
+            &m.tcp_latency_ms,
+            &m.bitrate_efficiency,
+            &m.ap_goodput_mbps,
+        ] {
+            h.write(&(samples.len() as u64).to_le_bytes());
+            for x in samples {
+                h.write(&x.to_bits().to_le_bytes());
+            }
+        }
+        h.write(&(m.switches as u64).to_le_bytes());
+    }
+    check_goldens(
+        "neteval",
+        &[("neteval.evaluate.n20".to_owned(), h.finish())],
     );
 }
