@@ -17,8 +17,9 @@ fn main() {
     let mut exp =
         Experiment::from_args("abl_baselines", "planner comparison incl. channel hopping");
     // The `--perf` workload unit here is one planner producing a
-    // full-floor plan (floor set-up included, as it always was).
-    let ((view, caps, plans), _) = exp.timed(
+    // full-floor plan (floor set-up included, as it always was), for as
+    // many rounds as the sample takes.
+    let ((view, caps, plans), _) = exp.timed_repeating(
         "abl_baselines_plans",
         || {
             let mut rng = Rng::new(71);

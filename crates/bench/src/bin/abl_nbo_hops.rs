@@ -26,8 +26,8 @@ fn main() {
     let params = MetricParams::default();
     let runs = 6;
     // The `--perf` workload unit is one NBO optimization pass: `runs`
-    // per hop limit.
-    let (rows, _) = exp.timed(
+    // per hop limit, for as many rounds as the sample takes.
+    let (rows, _) = exp.timed_repeating(
         "abl_nbo_passes",
         || {
             let mut rows = Vec::new();

@@ -40,9 +40,9 @@ fn main() {
         ..MetricParams::default()
     };
     // The `--perf` workload unit is one full TurboCA planning run: two
-    // per seed.
+    // per seed, for as many rounds as the sample takes.
     let seeds = [41u64, 42, 43, 44];
-    let ((churn_with, churn_without), _) = exp.timed(
+    let ((churn_with, churn_without), _) = exp.timed_repeating(
         "abl_penalty_plans",
         || {
             let (mut churn_with, mut churn_without) = (0usize, 0usize);

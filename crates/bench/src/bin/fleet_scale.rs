@@ -30,8 +30,14 @@ fn config(n_networks: usize, threads: usize, timeline: bool) -> FleetConfig {
 }
 
 /// One `run_fleet` under the harness clock: its wall time, and a
-/// `fleet_<networks>x<threads>_plans` `--perf` sample of plans run.
+/// `fleet_<networks>x<threads>_plans` `--perf` sample of plans run. A
+/// `cfg` that does not validate ends the process like a bad flag does:
+/// one line on stderr, exit 2.
 fn timed_fleet(exp: &mut Experiment, cfg: &FleetConfig) -> (FleetRun, f64) {
+    if let Err(e) = cfg.validate() {
+        eprintln!("{}: invalid FleetConfig: {e}", exp.id);
+        std::process::exit(2)
+    }
     exp.timed(
         format!("fleet_{}x{}_plans", cfg.n_networks, cfg.threads),
         || run_fleet(cfg),

@@ -271,6 +271,30 @@ impl Experiment {
         (out, wall_s)
     }
 
+    /// [`Experiment::timed`] for seeded work too short to time in one go
+    /// (a planner arm is a few milliseconds, which a 30 % gate cannot
+    /// read): `f`, a pure function of the seeds it holds, runs again
+    /// until 100 ms of it have been timed. The sample counts every
+    /// run's units over the summed wall time; the value returned is the
+    /// last run's, equal to every other.
+    pub fn timed_repeating<T>(
+        &mut self,
+        label: impl Into<String>,
+        mut f: impl FnMut() -> T,
+        units: impl Fn(&T) -> u64,
+    ) -> (T, f64) {
+        let (mut total_units, mut total_wall_s) = (0, 0.0);
+        loop {
+            let (out, wall_s) = self.wall(&mut f);
+            total_units += units(&out);
+            total_wall_s += wall_s;
+            if total_wall_s >= 0.1 {
+                self.perf(label, total_units, total_wall_s);
+                return (out, total_wall_s);
+            }
+        }
+    }
+
     /// Record a paper-vs-measured row.
     pub fn compare(
         &mut self,

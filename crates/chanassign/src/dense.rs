@@ -9,8 +9,14 @@
 //! of its view and seed alone:
 //!
 //! * [`ApRow`] — one AP's report as flat arrays, plus **the** NodeP
-//!   formula. Everything that scores a channel, from the public
-//!   one-shot [`crate::metrics::node_p_ln`] to ACC's inner loop, calls
+//!   formula. A report does not change while a view is planned on and
+//!   the band's legal blocks never change (`phy80211::channels::blocks`),
+//!   so the row holds every term of the formula no assignment moves:
+//!   per slot what external networks leave free, per block the capacity
+//!   factor and the peak external utilization. Scoring a channel is then
+//!   a division per slot, a `min` and one `ln` per loaded width.
+//!   Everything that scores a channel, from the public one-shot
+//!   [`crate::metrics::node_p_ln`] to ACC's inner loop, calls
 //!   [`ApRow::node_p_ln`]; callers differ only in where the contender
 //!   counts come from ([`count`] over one neighbour list, or the
 //!   maintained matrix below).
@@ -20,8 +26,10 @@
 //!   in O(listeners × width) as it hides a group and fixes each member
 //!   ([`Partial::lift`] / [`Partial::place`]), so airtime is a minimum
 //!   over at most eight slots and NetP is one sweep. [`Partial::acc`]
-//!   scores every neighbour once with `v` silent and re-scores, per
-//!   candidate, only those that hear `v` on a slot the candidate covers.
+//!   scores every neighbour once with `v` silent, keeping each loaded
+//!   width's airtime and term, and per candidate re-scores only those
+//!   that hear `v` on a slot the candidate covers — and of those, takes
+//!   a new `ln` only for a width whose airtime the candidate lowers.
 //! * [`ViewIndex`] — what no assignment changes: the rows, who hears
 //!   whom (reverse adjacency, one entry per listing, since scanned
 //!   neighbour lists may be asymmetric or repeat an AP) and NBO's load
@@ -32,50 +40,85 @@
 //! f64 operation keeps the order and form it had when the formula read
 //! maps: the share is a division by `1 + n`, the quality mean sums then
 //! divides, NodeP terms add narrow → wide, ACC adds its own score then
-//! the neighbours' in list order. `reference.rs` (test-only) keeps the
-//! map-reading formula and a proptest compares the two bit for bit.
+//! the neighbours' in list order. Hoisting a term into the row computes
+//! it once with the expression it always had; reusing a width's term is
+//! safe because the term is a function of the row, the switch penalty,
+//! the load and the airtime alone, so equal airtime bits give equal term
+//! bits. `reference.rs` (test-only) keeps the map-reading formula and a
+//! proptest compares the two bit for bit.
 
 use crate::metrics::MetricParams;
 use crate::model::{ApReport, NetworkView};
-use phy80211::channels::{slot_mask, slot_of, Band, Channel, Width, US_5GHZ_20};
+use phy80211::channels::{
+    blocks, slot_mask, slot_of, Band, Block, Channel, Width, MAX_BLOCKS, US_5GHZ_20,
+};
 use std::ops::Range;
 
 /// Slots in the larger band table; 2.4 GHz uses the first eleven.
 const MAX_SLOTS: usize = US_5GHZ_20.len();
 
-/// One AP's report by slot.
+/// One AP's report by slot and by block.
 pub(crate) struct ApRow {
     band: Band,
-    /// External utilization, 0 where none was reported.
-    busy: [f64; MAX_SLOTS],
-    /// Channel quality, 1 where none was reported.
-    quality: [f64; MAX_SLOTS],
+    /// What external networks leave of each slot: `(1 − busy).max(0)`,
+    /// all of it where no utilization was reported.
+    free: [f64; MAX_SLOTS],
+    /// By `Block::index`: mean quality over the block's slots (1 where
+    /// none was reported) scaled by the width gain.
+    capacity: [f64; MAX_BLOCKS],
+    /// By `Block::index`: the highest external utilization under it.
+    peak_busy: [f64; MAX_BLOCKS],
     /// `load.at_width(b)` for `b` in `Width::ALL`.
     load: [f64; 4],
     has_clients: bool,
 }
 
+/// One loaded width of a channel's NodeP product, as scored.
+#[derive(Clone, Copy)]
+pub(crate) struct Term {
+    block: &'static Block,
+    load: f64,
+    /// Its airtime share.
+    share: f64,
+    /// `load · ln channel_metric`: what the width adds to `ln NodeP`.
+    ln: f64,
+}
+
 impl ApRow {
     pub(crate) fn new(band: Band, ap: &ApReport) -> ApRow {
+        // Numbers the band lacks can never be under a legal channel.
+        let mut busy = [0.0; MAX_SLOTS];
+        for (&ch20, &b) in &ap.external_busy {
+            if let Some(slot) = slot_of(band, ch20) {
+                busy[slot] = b;
+            }
+        }
+        let mut quality = [1.0; MAX_SLOTS];
+        for (&ch20, &q) in &ap.quality {
+            if let Some(slot) = slot_of(band, ch20) {
+                quality[slot] = q;
+            }
+        }
         let mut row = ApRow {
             band,
-            busy: [0.0; MAX_SLOTS],
-            quality: [1.0; MAX_SLOTS],
+            free: busy.map(|b| (1.0 - b).max(0.0)),
+            capacity: [0.0; MAX_BLOCKS],
+            peak_busy: [0.0; MAX_BLOCKS],
             load: Width::ALL.map(|b| ap.load.at_width(b)),
             has_clients: ap.has_clients,
         };
-        // Numbers the band lacks can never be under a legal channel.
-        for (&ch20, &busy) in &ap.external_busy {
-            if let Some(slot) = slot_of(band, ch20) {
-                row.busy[slot] = busy;
-            }
-        }
-        for (&ch20, &quality) in &ap.quality {
-            if let Some(slot) = slot_of(band, ch20) {
-                row.quality[slot] = quality;
-            }
+        for block in blocks(band) {
+            let slots = block.slots();
+            let q: f64 = quality[slots.clone()].iter().sum::<f64>() / slots.len() as f64;
+            row.capacity[block.index] = q * (block.channel.width.mhz() as f64 / 20.0);
+            row.peak_busy[block.index] = busy[slots].iter().copied().fold(0.0, f64::max);
         }
         row
+    }
+
+    /// `ch`'s block, if it is a legal channel of this row's band.
+    fn block(&self, ch: Channel) -> Option<&'static Block> {
+        ch.block().filter(|_| ch.band == self.band)
     }
 
     /// Airtime share on the bond over `slots`: per slot, what external
@@ -85,18 +128,16 @@ impl ApRow {
     pub(crate) fn airtime(&self, slots: Range<usize>, contenders: impl Fn(usize) -> usize) -> f64 {
         let mut worst: f64 = 1.0;
         for slot in slots {
-            let share = (1.0 - self.busy[slot]).max(0.0) / (1.0 + contenders(slot) as f64);
+            let share = self.free[slot] / (1.0 + contenders(slot) as f64);
             worst = worst.min(share);
         }
         worst
     }
 
-    /// Capacity factor of the `width`-wide bond over `slots`: mean
-    /// quality scaled by the width gain.
-    pub(crate) fn capacity(&self, slots: Range<usize>, width: Width) -> f64 {
-        let n = slots.len();
-        let q: f64 = self.quality[slots].iter().sum::<f64>() / n as f64;
-        q * (width.mhz() as f64 / 20.0)
+    /// Capacity factor of `bond`, which must be a legal channel of the
+    /// row's band: mean quality scaled by the width gain.
+    pub(crate) fn capacity(&self, bond: Channel) -> f64 {
+        self.capacity[self.block(bond).expect("validated").index]
     }
 
     /// Penalty for moving from `current` to `cand` (0 when staying).
@@ -120,26 +161,35 @@ impl ApRow {
         // §4.5.1: hysteresis under very high utilization — a near-saturated
         // *candidate* costs extra, because above ~90 % utilization small
         // variations halve NetP and would otherwise cause switch flapping.
-        let cand_util = cand.slots().map_or(0.0, |slots| {
-            self.busy[slots].iter().copied().fold(0.0, f64::max)
-        });
+        let cand_util = self.block(cand).map_or(0.0, |b| self.peak_busy[b.index]);
         if cand_util > params.high_util_threshold {
             p += params.high_util_extra;
         }
         p
     }
 
-    /// `ln NodeP` of this AP on `cand`, `contenders(slot)` of its
-    /// neighbours sharing each slot. `f64::NEG_INFINITY` when any loaded
-    /// width's channel_metric is non-positive (the paper's NodeP → 0).
-    pub(crate) fn node_p_ln(
+    /// What one width adds to `ln NodeP` at airtime share `share`; −∞
+    /// when its channel_metric is non-positive (the paper's NodeP → 0).
+    fn term_ln(&self, block: &Block, load: f64, penalty: f64, share: f64) -> f64 {
+        let metric = share * self.capacity[block.index] - penalty;
+        if metric <= 0.0 {
+            return f64::NEG_INFINITY;
+        }
+        load * metric.ln()
+    }
+
+    /// `ln NodeP` of this AP on `cand` for a switch penalty of `penalty`,
+    /// `contenders(slot)` of its neighbours sharing each slot; every
+    /// loaded width's term goes to `scored`, narrow → wide.
+    /// `f64::NEG_INFINITY` as soon as a loaded width's term is.
+    fn score(
         &self,
         params: &MetricParams,
-        current: Channel,
+        penalty: f64,
         cand: Channel,
         contenders: impl Fn(usize) -> usize,
+        mut scored: impl FnMut(Term),
     ) -> f64 {
-        let penalty = self.switch_penalty(params, current, cand);
         let mut total = 0.0;
         for (&b, &load) in cand.width.up_to().iter().zip(&self.load) {
             let load = if b == Width::W20 {
@@ -150,22 +200,37 @@ impl ApRow {
             if load <= 0.0 {
                 continue; // property (ii): unreachable widths contribute nothing
             }
-            let bond = Channel {
-                band: cand.band,
-                primary: cand.primary,
-                width: b,
-            };
-            let Some(slots) = bond.slots() else {
+            let Some(block) = self.block(Channel { width: b, ..cand }) else {
                 return f64::NEG_INFINITY; // not a legal channel
             };
-            let metric =
-                self.airtime(slots.clone(), &contenders) * self.capacity(slots, b) - penalty;
-            if metric <= 0.0 {
+            let share = self.airtime(block.slots(), &contenders);
+            let ln = self.term_ln(block, load, penalty, share);
+            if ln == f64::NEG_INFINITY {
                 return f64::NEG_INFINITY;
             }
-            total += load * metric.ln();
+            scored(Term {
+                block,
+                load,
+                share,
+                ln,
+            });
+            total += ln;
         }
         total
+    }
+
+    /// `ln NodeP` of this AP on `cand`, `contenders(slot)` of its
+    /// neighbours sharing each slot. `f64::NEG_INFINITY` when any loaded
+    /// width's channel_metric is non-positive.
+    pub(crate) fn node_p_ln(
+        &self,
+        params: &MetricParams,
+        current: Channel,
+        cand: Channel,
+        contenders: impl Fn(usize) -> usize,
+    ) -> f64 {
+        let penalty = self.switch_penalty(params, current, cand);
+        self.score(params, penalty, cand, contenders, |_| ())
     }
 }
 
@@ -214,8 +279,23 @@ pub(crate) struct Partial<'a> {
     pub(crate) channels: Vec<Option<Channel>>,
     /// `contenders[v]`: [`count`] over `v`'s neighbour list.
     contenders: Vec<[u32; MAX_SLOTS]>,
-    /// ACC's per-neighbour scratch, kept between calls.
-    silent: Vec<(f64, u32)>,
+    /// ACC's scratch, kept between calls.
+    silent: Vec<Silent>,
+    terms: Vec<Term>,
+}
+
+/// A neighbour of ACC's `v`, scored with `v` silent.
+struct Silent {
+    /// Its `ln NodeP`.
+    total: f64,
+    /// The slots on which `v` can change that: its channel's, if it
+    /// hears `v` at all.
+    reach: u32,
+    /// The switch penalty it pays where it sits.
+    penalty: f64,
+    /// Its loaded widths in ACC's `terms`, all of them iff `total` is
+    /// finite (scoring stops at the width that sinks it).
+    terms: Range<usize>,
 }
 
 impl<'a> Partial<'a> {
@@ -233,6 +313,7 @@ impl<'a> Partial<'a> {
             channels,
             contenders,
             silent: Vec::new(),
+            terms: Vec::new(),
         }
     }
 
@@ -301,6 +382,66 @@ impl<'a> Partial<'a> {
         total
     }
 
+    /// Neighbour `n`, on `nc`, with ACC's `v` silent; its terms go on
+    /// the end of `terms`.
+    fn silent(
+        &self,
+        params: &MetricParams,
+        current: &[Channel],
+        (n, nc): (usize, Channel),
+        hears_v: u32,
+        terms: &mut Vec<Term>,
+    ) -> Silent {
+        let (row, counts) = (&self.rows[n], &self.contenders[n]);
+        let penalty = row.switch_penalty(params, current[n], nc);
+        let first = terms.len();
+        let total = row.score(
+            params,
+            penalty,
+            nc,
+            |slot| counts[slot] as usize,
+            |term| terms.push(term),
+        );
+        Silent {
+            total,
+            reach: nc.slots().filter(|_| hears_v > 0).map_or(0, slot_mask),
+            penalty,
+            terms: first..terms.len(),
+        }
+    }
+
+    /// `ln NodeP` of neighbour `n`, finite with `v` silent as `silent`
+    /// records, once `v` puts `extra` more contenders on every slot of
+    /// `footprint`. Only a width the footprint reaches can have lost
+    /// airtime, and only one that did needs its term taken again: the
+    /// same airtime gives the same term.
+    fn rescore(
+        &self,
+        n: usize,
+        silent: &Silent,
+        terms: &[Term],
+        (footprint, extra): (u32, u32),
+    ) -> f64 {
+        let (row, counts) = (&self.rows[n], &self.contenders[n]);
+        let mut total = 0.0;
+        for term in &terms[silent.terms.clone()] {
+            let mut ln = term.ln;
+            if slot_mask(term.block.slots()) & footprint != 0 {
+                let share = row.airtime(term.block.slots(), |slot| {
+                    (counts[slot] + extra * (footprint >> slot & 1)) as usize
+                });
+                if share.to_bits() != term.share.to_bits() {
+                    ln = row.term_ln(term.block, term.load, silent.penalty, share);
+                    if ln == f64::NEG_INFINITY {
+                        return f64::NEG_INFINITY;
+                    }
+                }
+            }
+            total += ln;
+        }
+        total
+    }
+
     /// ACC(v, ψ): the first of `cands` maximizing NodeP of `v` plus NodeP
     /// of each entry of `neighbors` (the APs `v` hears, in list order,
     /// repeats and `v` itself included) that has a channel. `v` must be
@@ -320,23 +461,25 @@ impl<'a> Partial<'a> {
             .iter()
             .position(|&n| n == v)
             .map_or(0, |k| hears_v[k]);
-        // Per neighbour: its NodeP with `v` silent, and the slots on which
-        // `v` can change that — its own, if it hears `v` at all. Only a
-        // candidate covering one of those is worth a second look.
-        let mut silent = std::mem::take(&mut self.silent);
-        silent.clear();
-        silent.extend(
-            neighbors
-                .iter()
-                .zip(hears_v)
-                .map(|(&n, &hears)| match self.channels[n] {
-                    Some(nc) => (
-                        self.node_p_ln(params, current, n, nc, (0, 0)),
-                        nc.slots().filter(|_| hears > 0).map_or(0, slot_mask),
-                    ),
-                    None => (0.0, 0),
-                }),
+        // Only a candidate covering a slot a neighbour is reached on is
+        // worth a second look at that neighbour.
+        let (mut silent, mut terms) = (
+            std::mem::take(&mut self.silent),
+            std::mem::take(&mut self.terms),
         );
+        silent.clear();
+        terms.clear();
+        for (&n, &hears) in neighbors.iter().zip(hears_v) {
+            silent.push(match self.channels[n] {
+                Some(nc) => self.silent(params, current, (n, nc), hears, &mut terms),
+                None => Silent {
+                    total: 0.0,
+                    reach: 0,
+                    penalty: 0.0,
+                    terms: 0..0,
+                },
+            });
+        }
         let mut best: Option<(f64, Channel)> = None;
         for &cand in cands {
             let footprint = footprint_in(self.band, cand);
@@ -347,11 +490,14 @@ impl<'a> Partial<'a> {
                     let np = if n == v {
                         own // v lists itself: on the candidate, scored again
                     } else if let Some(nc) = self.channels[n] {
-                        let (unmoved, reach) = silent[k];
-                        if reach & footprint == 0 {
-                            unmoved
+                        let (unmoved, with_v) = (&silent[k], (footprint, hears_v[k]));
+                        if unmoved.reach & footprint == 0 {
+                            unmoved.total
+                        } else if unmoved.total == f64::NEG_INFINITY {
+                            // No terms past the width that sank it.
+                            self.node_p_ln(params, current, n, nc, with_v)
                         } else {
-                            self.node_p_ln(params, current, n, nc, (footprint, hears_v[k]))
+                            self.rescore(n, unmoved, &terms, with_v)
                         }
                     } else {
                         continue;
@@ -368,7 +514,7 @@ impl<'a> Partial<'a> {
                 _ => best = Some((score, cand)),
             }
         }
-        self.silent = silent;
+        (self.silent, self.terms) = (silent, terms);
         best.map(|(_, c)| c).unwrap_or(current[v])
     }
 }

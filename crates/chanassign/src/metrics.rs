@@ -82,8 +82,7 @@ pub fn airtime(
 /// Estimated capacity factor of the bond: mean per-sub-channel quality
 /// (non-WiFi interference) scaled by the width gain.
 pub fn capacity(view: &NetworkView, v: usize, bond: Channel) -> f64 {
-    let slots = bond.slots().expect("validated");
-    ApRow::new(view.band, &view.aps[v]).capacity(slots, bond.width)
+    ApRow::new(view.band, &view.aps[v]).capacity(bond)
 }
 
 /// The switch penalty for AP `v` moving to `cand` (0 when staying).

@@ -11,11 +11,13 @@
 //!
 //! These are the *exchange* types: maps keyed by channel number, lists
 //! of neighbour indices, public fields anyone may fill in. The planner
-//! does not compute on them directly — `dense` re-indexes a view by
-//! 20 MHz slot at the start of every call — so nothing here needs to be
-//! fast, only faithful.
+//! does not score on them directly — `dense` re-indexes a view by 20 MHz
+//! slot and by legal block at the start of every call — so the maps
+//! need only be faithful. What the planner does call per AP per accepted
+//! pass, [`ApReport::candidates_from`], reads the band's block table
+//! rather than constructing and validating channels.
 
-use phy80211::channels::{channels, Band, Channel, Width};
+use phy80211::channels::{blocks, Band, Channel, Width};
 use std::collections::BTreeMap;
 
 /// Per-width client load on an AP: the paper's `load(b)` is
@@ -111,22 +113,27 @@ impl ApReport {
             .max_client_width()
             .unwrap_or(Width::W20)
             .min(self.max_width);
+        // Where `current` is on the air. DFS exists in 5 GHz only, where
+        // sharing a slot is sharing spectrum.
+        let on_air = if current.band == band {
+            current.footprint()
+        } else {
+            0
+        };
         let mut out = Vec::new();
-        for w in Width::ALL {
-            if w > width_cap {
-                break;
+        for b in blocks(band) {
+            if b.channel.width > width_cap {
+                break; // narrow widths come first
             }
-            for ch in channels(band, w) {
-                if ch.requires_dfs() {
-                    if !self.dfs_certified {
-                        continue;
-                    }
-                    if self.has_clients && !ch.overlaps(&current) {
-                        continue; // no switching onto DFS with clients
-                    }
+            if b.dfs {
+                if !self.dfs_certified {
+                    continue;
                 }
-                out.push(ch);
+                if self.has_clients && b.footprint & on_air == 0 {
+                    continue; // no switching onto DFS with clients
+                }
             }
+            out.push(b.channel);
         }
         if !out.contains(&current) {
             out.push(current);

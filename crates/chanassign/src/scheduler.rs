@@ -27,6 +27,9 @@ pub struct Scheduler {
     next_slow: SimTime,
     /// Every accepted or rejected run, in order.
     pub history: Vec<ScheduledRun>,
+    /// Switches over all of `history`, kept as [`Scheduler::tick`]
+    /// appends: the fleet asks every epoch.
+    switches: usize,
 }
 
 impl Scheduler {
@@ -37,6 +40,7 @@ impl Scheduler {
             next_medium: SimTime::ZERO,
             next_slow: SimTime::ZERO,
             history: Vec::new(),
+            switches: 0,
         }
     }
 
@@ -92,6 +96,7 @@ impl Scheduler {
                 net_p_ln: result.incumbent_net_p_ln,
             }
         };
+        self.switches += record.switches;
         self.history.push(record.clone());
         Some(record)
     }
@@ -110,7 +115,7 @@ impl Scheduler {
 
     /// Total channel switches applied so far.
     pub fn total_switches(&self) -> usize {
-        self.history.iter().map(|r| r.switches).sum()
+        self.switches
     }
 
     /// Current NetP of the view under management.
@@ -226,6 +231,8 @@ mod tests {
         let mut s = Scheduler::new(TurboCa::new(2));
         let mut view = crowded(6);
         s.run_for(&mut view, SimDuration::from_hours(24));
+        let applied: usize = s.history.iter().map(|r| r.switches).sum();
+        assert_eq!(s.total_switches(), applied, "running total");
         // The first run untangles the co-channel mess...
         assert!(s.history[0].accepted);
         assert!(s.history[0].switches > 0);
@@ -272,6 +279,7 @@ mod tests {
         s.run_for(&mut view, SimDuration::from_hours(6));
         let after: Vec<_> = view.aps.iter().map(|a| a.current).collect();
         assert_eq!(before, after);
+        assert!(s.history.len() > 20 && s.history.iter().all(|r| !r.accepted));
         assert_eq!(s.total_switches(), 0);
     }
 }

@@ -15,7 +15,7 @@
 use crate::dense::{count, hears_back, ApRow, Partial, ViewIndex};
 use crate::metrics::MetricParams;
 use crate::model::{NetworkView, Plan};
-use phy80211::channels::{channels as channels_of, Channel, Width};
+use phy80211::channels::{blocks, Channel, Width};
 use sim::{Rng, SimDuration};
 
 /// AP Channel Calculation: pick the channel for `v` that maximizes the
@@ -185,12 +185,13 @@ pub fn fallback_channels(view: &NetworkView, channels: &[Channel]) -> Vec<Option
                 return None;
             }
             let ap = &view.aps[v];
-            channels_of(view.band, Width::W20)
-                .filter(|c| !c.requires_dfs())
-                .min_by(|a, b| {
-                    ap.external_busy_on(a.primary)
-                        .total_cmp(&ap.external_busy_on(b.primary))
-                })
+            blocks(view.band)
+                .iter()
+                .take_while(|b| b.channel.width == Width::W20)
+                .filter(|b| !b.dfs)
+                .map(|b| (ap.external_busy_on(b.channel.primary), b.channel))
+                .min_by(|a, b| a.0.total_cmp(&b.0))
+                .map(|(_, ch)| ch)
         })
         .collect()
 }

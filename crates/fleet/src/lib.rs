@@ -55,6 +55,7 @@ pub use network::ManagedNetwork;
 pub use report::{Checksum, FleetReport, NetworkReport};
 
 use netsim::deployment::UtilizationProfile;
+pub use netsim::testbed::ConfigError;
 use sim::{SimDuration, SimTime};
 use telemetry::stats::median;
 
@@ -118,6 +119,41 @@ impl Default for FleetConfig {
     }
 }
 
+impl FleetConfig {
+    /// Check what a run would otherwise trip over: a fleet or a network
+    /// with nothing in it, an AP-count range with no member, an epoch
+    /// the clock never gets past, a churn probability that is not one.
+    /// (`nbo_runs: 0` is a plan of fewer passes, not an error: the
+    /// size-scaled runs still happen.) [`run_fleet`] panics with the
+    /// error's `Display`.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let not_positive = [
+            ("n_networks", self.n_networks == 0),
+            ("aps_min", self.aps_min == 0),
+            ("collect_period", self.collect_period == SimDuration::ZERO),
+        ];
+        if let Some(&(field, _)) = not_positive.iter().find(|(_, bad)| *bad) {
+            return Err(ConfigError::NotPositive(field));
+        }
+        let ranges = [
+            ("aps_min", self.aps_min as f64, 1.0, self.aps_max as f64),
+            ("rf_churn", self.rf_churn, 0.0, 1.0),
+        ];
+        match ranges
+            .iter()
+            .find(|(_, v, min, max)| !(min..=max).contains(&v))
+        {
+            Some(&(field, value, min, max)) => Err(ConfigError::OutOfRange {
+                field,
+                value,
+                min,
+                max,
+            }),
+            None => Ok(()),
+        }
+    }
+}
+
 /// Everything a fleet run produces: the summary report, the telemetry
 /// store + aggregates, and the raw per-network reports (id order).
 pub struct FleetRun {
@@ -151,11 +187,13 @@ pub struct FleetRun {
     pub timeline: Option<telemetry::Timeline>,
 }
 
-/// Run the collect→plan→push loop over a synthesized fleet.
+/// Run the collect→plan→push loop over a synthesized fleet. Panics
+/// with the [`ConfigError`] if `cfg` does not
+/// [`validate`](FleetConfig::validate).
 pub fn run_fleet(cfg: &FleetConfig) -> FleetRun {
-    assert!(cfg.n_networks > 0, "empty fleet");
-    assert!(cfg.aps_min >= 1 && cfg.aps_min <= cfg.aps_max);
-    assert!(cfg.collect_period > SimDuration::ZERO);
+    if let Err(e) = cfg.validate() {
+        panic!("invalid FleetConfig: {e}");
+    }
 
     // Host-side wall-clock profile of the whole collect→plan→push run;
     // every probe below is a disabled no-op unless --runprof is live.
@@ -163,7 +201,8 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetRun {
     telemetry::runprof::watermark("fleet.networks", cfg.n_networks as u64);
 
     // Synthesize the fleet (sharded; generation dominates small runs).
-    let mut nets = shard::map_sharded(cfg.n_networks, cfg.threads, "fleet.shard.generate", &|i| {
+    let workers = shard::workers(cfg.threads);
+    let mut nets = shard::map_sharded(cfg.n_networks, workers, "fleet.shard.generate", &|i| {
         network::ManagedNetwork::generate(cfg, i as u64)
     });
 
@@ -180,7 +219,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetRun {
     let mut epochs = 0u64;
     while now < end {
         let epoch_prof = telemetry::runprof::span("fleet.epoch");
-        shard::for_each_mut_sharded(&mut nets, cfg.threads, "fleet.shard.tick", &|net| {
+        shard::for_each_mut_sharded(&mut nets, workers, "fleet.shard.tick", &|net| {
             net.on_tick(now, cfg)
         });
         drop(epoch_prof);
@@ -214,7 +253,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetRun {
     }
 
     // Final plan evaluation, sharded as well.
-    shard::for_each_mut_sharded(&mut nets, cfg.threads, "fleet.shard.finalize", &|net| {
+    shard::for_each_mut_sharded(&mut nets, workers, "fleet.shard.finalize", &|net| {
         net.finalize()
     });
     // Reports pending ingest on the controller thread — the structure
@@ -315,6 +354,62 @@ mod tests {
             master_seed: 0xF1EE7,
             ..FleetConfig::default()
         }
+    }
+
+    #[test]
+    fn validate_names_every_config_a_run_cannot_survive() {
+        use ConfigError::*;
+        let range = |field, value, min, max| OutOfRange {
+            field,
+            value,
+            min,
+            max,
+        };
+        type Edit = fn(&mut FleetConfig);
+        let cases: Vec<(Edit, ConfigError)> = vec![
+            (|c| c.n_networks = 0, NotPositive("n_networks")),
+            (|c| c.aps_min = 0, NotPositive("aps_min")),
+            (
+                |c| c.collect_period = SimDuration::ZERO,
+                NotPositive("collect_period"),
+            ),
+            (|c| c.aps_min = 13, range("aps_min", 13.0, 1.0, 12.0)),
+            (|c| c.rf_churn = 1.5, range("rf_churn", 1.5, 0.0, 1.0)),
+            (|c| c.rf_churn = -0.1, range("rf_churn", -0.1, 0.0, 1.0)),
+        ];
+        assert_eq!(small(1).validate(), Ok(()));
+        for (edit, want) in cases {
+            let mut cfg = small(1);
+            edit(&mut cfg);
+            assert_eq!(cfg.validate(), Err(want.clone()), "{want}");
+            assert!(!want.to_string().contains('\n'), "one line: {want}");
+        }
+        let nan = FleetConfig {
+            rf_churn: f64::NAN,
+            ..small(1)
+        };
+        assert!(nan.validate().is_err(), "NaN is outside every range");
+        // Inclusive where a run is fine at the bound; no threads, no
+        // horizon and no extra NBO runs are all runs, if short ones.
+        let edge = FleetConfig {
+            aps_min: 12,
+            rf_churn: 1.0,
+            threads: 0,
+            nbo_runs: 0,
+            horizon: SimDuration::ZERO,
+            ..small(1)
+        };
+        assert_eq!(edge.validate(), Ok(()));
+        assert_eq!(run_fleet(&edge).report.plans_run, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid FleetConfig: aps_min = 13 must be in [1, 12]")]
+    fn run_fleet_refuses_an_invalid_config() {
+        run_fleet(&FleetConfig {
+            aps_min: 13,
+            ..small(1)
+        });
     }
 
     #[test]

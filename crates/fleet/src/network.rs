@@ -130,11 +130,11 @@ impl ManagedNetwork {
             // fades on one of the channels the AP is tracking, so fast
             // ticks keep finding real work after initial convergence.
             if self.rng.chance(cfg.rf_churn) {
-                let keys: Vec<u16> = self.view.aps[ap].external_busy.keys().copied().collect();
-                if !keys.is_empty() {
-                    let ch = keys[self.rng.below(keys.len() as u64) as usize];
-                    let v = cfg.profile_5.sample(&mut self.rng);
-                    self.view.aps[ap].external_busy.insert(ch, v);
+                let tracked = &mut self.view.aps[ap].external_busy;
+                if !tracked.is_empty() {
+                    let pick = self.rng.below(tracked.len() as u64) as usize;
+                    let level = tracked.values_mut().nth(pick).expect("pick < len");
+                    *level = cfg.profile_5.sample(&mut self.rng);
                     self.metrics.inc(self.c_churn);
                 }
             }

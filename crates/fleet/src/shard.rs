@@ -20,7 +20,9 @@
 /// the `fleet_1000x8 < fleet_1000x1` inversion the perf baseline
 /// caught. Results are index-addressed either way, so the clamp cannot
 /// change any output, only how many OS threads contend for cores.
-fn effective_threads(requested: usize) -> usize {
+/// Asking the host re-reads its cgroup files (≈ 20 µs), so a run asks
+/// once and hands every stage the answer.
+pub fn workers(requested: usize) -> usize {
     let avail = std::thread::available_parallelism().map_or(1, |n| n.get());
     requested.min(avail)
 }
@@ -34,7 +36,8 @@ fn profile_chunk(stage: &str, chunk: usize) {
     }
 }
 
-/// Build a `Vec<T>` by evaluating `f(0..n)` across `threads` workers.
+/// Build a `Vec<T>` by evaluating `f(0..n)` across `threads` workers
+/// (a count [`workers`] resolved: every one of them is spawned).
 /// Equivalent to `(0..n).map(f).collect()` for any thread count.
 /// `stage` names this fan-out in the wall-clock run profiler; worker
 /// wall time accumulates under it (spans overlap across workers, so a
@@ -47,7 +50,6 @@ where
     if n == 0 {
         return Vec::new();
     }
-    let threads = effective_threads(threads);
     if threads <= 1 {
         profile_chunk(stage, n);
         let _prof = telemetry::runprof::span(stage);
@@ -83,7 +85,6 @@ where
     if items.is_empty() {
         return;
     }
-    let threads = effective_threads(threads);
     if threads <= 1 {
         profile_chunk(stage, items.len());
         let _prof = telemetry::runprof::span(stage);

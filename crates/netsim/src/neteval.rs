@@ -110,7 +110,7 @@ pub fn evaluate(
             .unwrap_or(0.0);
 
         // The AP's own max rate at the plan width.
-        let ap_sel = IdealSelector::new(ch.width, 3);
+        let ap_max_bps = IdealSelector::new(ch.width, 3).max_rate_bps();
         let mut ap_client_rates = Vec::new();
 
         for c in ap_caps.iter() {
@@ -131,7 +131,7 @@ pub fn evaluate(
             let sel = IdealSelector::new(width, c.nss.min(3));
             let achieved = sel.select(snr);
             ap_client_rates.push(achieved.bps);
-            let eff = bitrate_efficiency(achieved.bps, ap_sel.max_rate_bps(), c.max_rate_bps());
+            let eff = bitrate_efficiency(achieved.bps, ap_max_bps, c.max_rate_bps());
             out.bitrate_efficiency.push(eff);
 
             // TCP latency: queueing + access delay inflates as the

@@ -202,8 +202,9 @@ impl Default for TestbedConfig {
 /// Floor of the per-station share of `ap_buffer_pool_frames`.
 const MIN_STATION_SHARE: usize = 24;
 
-/// Why [`TestbedConfig::validate`] refused a configuration. `Display`
-/// names the field in one line, fit for a usage error.
+/// Why [`TestbedConfig::validate`] (or the fleet's
+/// `FleetConfig::validate`) refused a configuration. `Display` names
+/// the field in one line, fit for a usage error.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ConfigError {
     /// A count the run divides or indexes by, a period the run loop

@@ -6,6 +6,12 @@
 //! 2.4 GHz; DFS rules remove all but nine 20 MHz / four 40 MHz / two
 //! 80 MHz / zero 160 MHz of them for non-DFS-certified devices (§4.5.2).
 //! Unit tests pin each of those counts.
+//!
+//! None of that changes at run time, so it is data: [`blocks`] is the
+//! table of every legal (band, block, width), built at compile time by
+//! the one function that states the bonding rules, and everything
+//! geometric about a [`Channel`] — [`Channel::slots`], `footprint`,
+//! `requires_dfs`, legality itself — is a lookup in it.
 
 use std::fmt;
 use std::ops::Range;
@@ -115,8 +121,8 @@ pub const US_2_4GHZ_NON_OVERLAPPING: [u16; 3] = [1, 6, 11];
 
 /// Is this 5 GHz 20 MHz channel number subject to Dynamic Frequency
 /// Selection (radar detection + 1-minute CAC)?
-pub fn is_dfs_20(primary: u16) -> bool {
-    (52..=64).contains(&primary) || (100..=144).contains(&primary)
+pub const fn is_dfs_20(primary: u16) -> bool {
+    matches!(primary, 52..=64 | 100..=144)
 }
 
 /// Center frequency in MHz of a 20 MHz channel number.
@@ -129,7 +135,7 @@ pub fn center_freq_mhz(band: Band, ch: u16) -> u32 {
 
 /// The band's 20 MHz channel numbers, ascending: [`US_2_4GHZ`] or
 /// [`US_5GHZ_20`]. A *slot* is an index into this table.
-pub fn channel_numbers(band: Band) -> &'static [u16] {
+pub const fn channel_numbers(band: Band) -> &'static [u16] {
     match band {
         Band::Band2_4 => &US_2_4GHZ,
         Band::Band5 => &US_5GHZ_20,
@@ -138,12 +144,13 @@ pub fn channel_numbers(band: Band) -> &'static [u16] {
 
 /// Slot of a 20 MHz channel number: its index in
 /// [`channel_numbers`]`(band)`, or `None` for a number the band lacks.
+#[inline]
 pub fn slot_of(band: Band, ch20: u16) -> Option<usize> {
     let (first, first_slot) = match (band, ch20) {
         (Band::Band2_4, 1..=11) => return Some(ch20 as usize - 1),
-        (Band::Band5, 36..=64) => (36, SEGMENTS_5GHZ[0].start),
-        (Band::Band5, 100..=144) => (100, SEGMENTS_5GHZ[1].start),
-        (Band::Band5, 149..=165) => (149, SEGMENTS_5GHZ[2].start),
+        (Band::Band5, 36..=64) => (36, SEGMENT_BOUNDS_5GHZ[0]),
+        (Band::Band5, 100..=144) => (100, SEGMENT_BOUNDS_5GHZ[1]),
+        (Band::Band5, 149..=165) => (149, SEGMENT_BOUNDS_5GHZ[2]),
         _ => return None,
     };
     (ch20 - first)
@@ -153,13 +160,140 @@ pub fn slot_of(band: Band, ch20: u16) -> Option<usize> {
 
 /// The slots of `slots` as a bit mask (bit `s` = slot `s`), the form
 /// [`Channel::footprint`] takes.
-pub fn slot_mask(slots: Range<usize>) -> u32 {
+pub const fn slot_mask(slots: Range<usize>) -> u32 {
     ((1u32 << slots.end) - 1) & !((1u32 << slots.start) - 1)
 }
 
-/// Slot ranges of the three runs of [`US_5GHZ_20`] that are contiguous
-/// in frequency (36–64, 100–144, 149–165); a bond never crosses one.
-const SEGMENTS_5GHZ: [Range<usize>; 3] = [0..8, 8..20, 20..25];
+/// Where the segments of [`US_5GHZ_20`] that a bond may not leave begin,
+/// and the last one ends: the three runs contiguous in frequency (36–64,
+/// 100–144, 149–161), and channel 165 alone — it adjoins 161, but no
+/// bond may include it.
+const SEGMENT_BOUNDS_5GHZ: [usize; 5] = [0, 8, 20, 24, 25];
+
+/// A legal US operating block: the run of the band's 20 MHz table that
+/// a channel of one width occupies, whichever of its 20 MHz channels
+/// is the primary.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Block {
+    /// The block as [`channels`] lists it: named by its first channel.
+    pub channel: Channel,
+    /// Position in [`blocks`]`(band)`, below [`MAX_BLOCKS`].
+    pub index: usize,
+    /// First slot covered, and one past the last.
+    pub start: usize,
+    pub end: usize,
+    /// See [`Channel::footprint`].
+    pub footprint: u32,
+    /// See [`Channel::requires_dfs`].
+    pub dfs: bool,
+}
+
+impl Block {
+    /// The slots (indices into [`channel_numbers`]) the block covers.
+    pub fn slots(&self) -> Range<usize> {
+        self.start..self.end
+    }
+}
+
+/// Blocks in the larger band: 25 + 12 + 6 + 2 in 5 GHz (§4.1.1).
+pub const MAX_BLOCKS: usize = 45;
+
+/// One band's [`Block`]s and the index from (primary, width) into them.
+struct Catalog {
+    blocks: [Block; MAX_BLOCKS],
+    len: usize,
+    /// `of[primary][width]`: the block a `width`-wide channel on that
+    /// primary occupies, or `NO_BLOCK`.
+    of: [[u8; 4]; MAX_NUMBER + 1],
+}
+
+/// The highest 20 MHz channel number of either band.
+const MAX_NUMBER: usize = 165;
+const NO_BLOCK: u8 = u8::MAX;
+const _: () = assert!(MAX_BLOCKS <= NO_BLOCK as usize);
+
+/// The bonding rules, stated once. A bond of `n` 20 MHz channels is an
+/// `n`-aligned run within its segment, legal iff it fits there — which
+/// yields exactly the FCC blocks (80 MHz: 36–48, 52–64, 100–112,
+/// 116–128, 132–144, 149–161), leaves 160 MHz only 36–64 and 100–128
+/// (a second block in 100–144 would need channels 148 and 152) and
+/// keeps 165 out of every bond. 2.4 GHz is one segment and 20 MHz only:
+/// 40 MHz exists in the standard but always overlaps the three usable
+/// channels and Meraki never enables it; its 22 MHz mask reaches four
+/// channel numbers either side of the slot.
+const fn catalog(band: Band) -> Catalog {
+    let (bounds, widths, reach): (&[usize], usize, usize) = match band {
+        Band::Band2_4 => (&[0, US_2_4GHZ.len()], 1, 4),
+        Band::Band5 => (&SEGMENT_BOUNDS_5GHZ, Width::ALL.len(), 0),
+    };
+    let numbers = channel_numbers(band);
+    let filler = Block {
+        channel: Channel {
+            band,
+            primary: 0,
+            width: Width::W20,
+        },
+        index: 0,
+        start: 0,
+        end: 0,
+        footprint: 0,
+        dfs: false,
+    };
+    let mut cat = Catalog {
+        blocks: [filler; MAX_BLOCKS],
+        len: 0,
+        of: [[NO_BLOCK; 4]; MAX_NUMBER + 1],
+    };
+    let mut w = 0;
+    while w < widths {
+        let n = Width::ALL[w].subchannels() as usize;
+        let mut s = 0;
+        while s + 1 < bounds.len() {
+            let mut start = bounds[s];
+            while start + n <= bounds[s + 1] {
+                let end = start + n;
+                let mut dfs = false;
+                let mut slot = start;
+                while slot < end {
+                    dfs |= is_dfs_20(numbers[slot]);
+                    cat.of[numbers[slot] as usize][w] = cat.len as u8;
+                    slot += 1;
+                }
+                let reach_end = if end + reach < numbers.len() {
+                    end + reach
+                } else {
+                    numbers.len()
+                };
+                cat.blocks[cat.len] = Block {
+                    channel: Channel {
+                        band,
+                        primary: numbers[start],
+                        width: Width::ALL[w],
+                    },
+                    index: cat.len,
+                    start,
+                    end,
+                    footprint: slot_mask(start.saturating_sub(reach)..reach_end),
+                    dfs,
+                };
+                cat.len += 1;
+                start = end;
+            }
+            s += 1;
+        }
+        w += 1;
+    }
+    cat
+}
+
+static CATALOGS: [Catalog; 2] = [catalog(Band::Band2_4), catalog(Band::Band5)];
+
+/// Every legal block of `band`: narrow widths first, ascending within a
+/// width.
+pub fn blocks(band: Band) -> &'static [Block] {
+    let cat = &CATALOGS[band as usize];
+    &cat.blocks[..cat.len]
+}
 
 impl Channel {
     /// Construct a channel, validating that the (band, primary, width)
@@ -170,8 +304,14 @@ impl Channel {
             primary,
             width,
         };
-        c.validate()?;
-        Ok(c)
+        if c.block().is_some() {
+            return Ok(c);
+        }
+        Err(match (slot_of(band, primary), band) {
+            (None, _) => ChannelError::UnknownPrimary(primary),
+            (Some(_), Band::Band2_4) => ChannelError::WidthNotAllowed(width),
+            (Some(_), Band::Band5) => ChannelError::InvalidBond(primary, width),
+        })
     }
 
     /// 20 MHz channel in 5 GHz (panics on invalid number — test helper).
@@ -185,67 +325,24 @@ impl Channel {
         Channel::new(Band::Band2_4, primary, Width::W20).expect("valid 2.4 GHz channel")
     }
 
-    fn validate(&self) -> Result<(), ChannelError> {
-        match self.band {
-            Band::Band2_4 => {
-                if !US_2_4GHZ.contains(&self.primary) {
-                    return Err(ChannelError::UnknownPrimary(self.primary));
-                }
-                if self.width != Width::W20 {
-                    // 40 MHz in 2.4 GHz exists in the standard but is
-                    // rejected here by policy (it always overlaps the
-                    // three usable channels and Meraki never enables it).
-                    return Err(ChannelError::WidthNotAllowed(self.width));
-                }
-                Ok(())
-            }
-            Band::Band5 => {
-                if !US_5GHZ_20.contains(&self.primary) {
-                    return Err(ChannelError::UnknownPrimary(self.primary));
-                }
-                if self.slots().is_none() {
-                    return Err(ChannelError::InvalidBond(self.primary, self.width));
-                }
-                Ok(())
-            }
-        }
+    /// This channel's entry in the table of legal blocks: `Some` iff
+    /// [`Channel::new`] accepts the triple (an 80 MHz bond straddling
+    /// 144/149, 160 MHz anywhere except 36–64 / 100–128, or anything
+    /// but 20 MHz in 2.4 GHz has none). Everything geometric below is
+    /// read off it.
+    #[inline]
+    pub fn block(&self) -> Option<&'static Block> {
+        let cat = &CATALOGS[self.band as usize];
+        let at = cat.of.get(usize::from(self.primary))?[self.width as usize];
+        (at != NO_BLOCK).then(|| &cat.blocks[usize::from(at)])
     }
 
     /// The slots (indices into [`channel_numbers`]) this possibly bonded
     /// channel covers — always one contiguous run of the table — or
-    /// `None` if the bond is not a legal US configuration (e.g. an
-    /// 80 MHz bond straddling 144/149, or 160 MHz anywhere except
-    /// 36–64 / 100–128, or anything but 20 MHz in 2.4 GHz): `Some` iff
-    /// [`Channel::new`] accepts the triple. Allocation-free: everything
-    /// geometric below is derived from this.
+    /// `None` if the bond is not a legal US configuration.
+    #[inline]
     pub fn slots(&self) -> Option<Range<usize>> {
-        let slot = slot_of(self.band, self.primary)?;
-        if self.band == Band::Band2_4 {
-            return (self.width == Width::W20).then_some(slot..slot + 1);
-        }
-        let n = self.width.subchannels() as usize;
-        // A bonded block is a run of n 20 MHz channels, aligned to n
-        // within its segment: that yields exactly the FCC blocks
-        // (80 MHz: 36–48, 52–64, 100–112, 116–128, 132–144, 149–161).
-        let seg = SEGMENTS_5GHZ
-            .iter()
-            .find(|seg| seg.contains(&slot))
-            .expect("every 5 GHz slot is in a segment");
-        let pos = slot - seg.start;
-        let start = seg.start + (pos - pos % n);
-        let block = start..start + n;
-        if block.end > seg.end {
-            return None;
-        }
-        // Channel 165 cannot be part of any bond.
-        if self.width != Width::W20 && US_5GHZ_20[block.clone()].contains(&165) {
-            return None;
-        }
-        // 160 MHz is only legal in 36–64 and 100–128.
-        if self.width == Width::W160 && start != seg.start {
-            return None;
-        }
-        Some(block)
+        self.block().map(Block::slots)
     }
 
     /// The 20 MHz channel numbers under [`Channel::slots`], as a slice
@@ -268,15 +365,9 @@ impl Channel {
     /// at once. In 5 GHz that is the channel's own block; in 2.4 GHz
     /// the 22 MHz mask reaches four channel numbers either side. Zero
     /// for an illegal channel.
+    #[inline]
     pub fn footprint(&self) -> u32 {
-        let Some(slots) = self.slots() else { return 0 };
-        let reach = match self.band {
-            Band::Band2_4 => 4,
-            Band::Band5 => 0,
-        };
-        let lo = slots.start.saturating_sub(reach);
-        let hi = (slots.end + reach).min(channel_numbers(self.band).len());
-        slot_mask(lo..hi)
+        self.block().map_or(0, |b| b.footprint)
     }
 
     /// Frequency range [low, high) in MHz covered by this channel.
@@ -312,11 +403,9 @@ impl Channel {
     }
 
     /// True if any 20 MHz sub-channel requires DFS.
+    #[inline]
     pub fn requires_dfs(&self) -> bool {
-        self.band == Band::Band5
-            && self
-                .subchannels()
-                .is_some_and(|subs| subs.iter().any(|&c| is_dfs_20(c)))
+        self.block().is_some_and(|b| b.dfs)
     }
 
     /// Same channel narrowed one step (keeps the primary).
@@ -358,10 +447,10 @@ impl std::error::Error for ChannelError {}
 /// Every legal US channel of the given band and width, ascending: one
 /// per bonded block, named by the block's first channel.
 pub fn channels(band: Band, width: Width) -> impl Iterator<Item = Channel> {
-    channel_numbers(band).iter().filter_map(move |&c| {
-        let ch = Channel::new(band, c, width).ok()?;
-        (ch.subchannels()?[0] == c).then_some(ch)
-    })
+    blocks(band)
+        .iter()
+        .map(|b| b.channel)
+        .filter(move |c| c.width == width)
 }
 
 /// [`channels`] collected.
@@ -418,8 +507,10 @@ mod tests {
         assert!(!Channel::two4(1).overlaps(&Channel::two4(6)));
     }
 
-    /// `subchannel_numbers` as it was before the geometry went
-    /// allocation-free: a `Vec` per call, found by scanning segments.
+    /// The rule oracle: `subchannel_numbers` as it was before the
+    /// geometry became a table — a `Vec` per call, found by scanning
+    /// segments, each bonding rule its own check. Shares no code with
+    /// [`catalog`].
     fn old_subchannel_numbers(ch: &Channel) -> Option<Vec<u16>> {
         if ch.band == Band::Band2_4 {
             return Some(vec![ch.primary]);
@@ -445,6 +536,15 @@ mod tests {
         None
     }
 
+    /// The oracle's verdict on a triple: its 20 MHz numbers if legal.
+    fn old_legal(ch: &Channel) -> Option<Vec<u16>> {
+        let legal = match ch.band {
+            Band::Band2_4 => US_2_4GHZ.contains(&ch.primary) && ch.width == Width::W20,
+            Band::Band5 => US_5GHZ_20.contains(&ch.primary),
+        };
+        old_subchannel_numbers(ch).filter(|_| legal)
+    }
+
     /// Every (band, primary, width), legal or not.
     fn every_triple() -> impl Iterator<Item = Channel> {
         [Band::Band2_4, Band::Band5].into_iter().flat_map(|band| {
@@ -459,25 +559,40 @@ mod tests {
     }
 
     #[test]
-    fn slice_geometry_equals_the_old_vec_geometry_everywhere() {
+    fn the_table_equals_the_rule_oracle_everywhere() {
         for ch in every_triple() {
-            let old = old_subchannel_numbers(&ch);
-            assert_eq!(ch.subchannel_numbers(), old, "{ch}");
-            let legal = match ch.band {
-                Band::Band2_4 => US_2_4GHZ.contains(&ch.primary) && ch.width == Width::W20,
-                Band::Band5 => US_5GHZ_20.contains(&ch.primary) && old.is_some(),
-            };
-            assert_eq!(Channel::new(ch.band, ch.primary, ch.width).is_ok(), legal);
-            // The slice is `Some` exactly on legal triples; echoing an
-            // illegal 2.4 GHz primary stays `subchannel_numbers`' quirk.
-            let strict = old.clone().filter(|_| legal || ch.band == Band::Band5);
-            assert_eq!(ch.subchannels().map(<[u16]>::to_vec), strict, "{ch}");
-            let dfs = ch.band == Band::Band5
-                && old
-                    .as_ref()
-                    .is_some_and(|subs| subs.iter().any(|&c| is_dfs_20(c)));
+            let table = channel_numbers(ch.band);
+            let old = old_legal(&ch);
+            assert_eq!(
+                Channel::new(ch.band, ch.primary, ch.width).is_ok(),
+                old.is_some(),
+                "{ch}"
+            );
+            assert_eq!(ch.subchannels().map(<[u16]>::to_vec), old, "{ch}");
+            // `subchannel_numbers` echoes any 2.4 GHz primary, as ever.
+            assert_eq!(ch.subchannel_numbers(), old_subchannel_numbers(&ch), "{ch}");
+            let slot = |c: u16| table.iter().position(|&t| t == c).unwrap();
+            let slots = old
+                .as_ref()
+                .map(|subs| slot(subs[0])..slot(subs[subs.len() - 1]) + 1);
+            assert_eq!(ch.slots(), slots, "{ch}");
+            // 5 GHz energy stays in the block; the 2.4 GHz mask reaches
+            // every number within four of the primary.
+            let footprint = old.as_ref().map_or(0, |subs| {
+                let reach = |c: u16| match ch.band {
+                    Band::Band2_4 => c.abs_diff(ch.primary) <= 4,
+                    Band::Band5 => subs.contains(&c),
+                };
+                (0..table.len())
+                    .filter(|&s| reach(table[s]))
+                    .fold(0, |mask, s| mask | 1 << s)
+            });
+            assert_eq!(ch.footprint(), footprint, "{ch}");
+            let dfs = old
+                .as_ref()
+                .is_some_and(|subs| subs.iter().any(|&c| is_dfs_20(c)));
             assert_eq!(ch.requires_dfs(), dfs, "{ch}");
-            if let (true, Band::Band5, Some(subs)) = (legal, ch.band, &old) {
+            if let (Band::Band5, Some(subs)) = (ch.band, &old) {
                 let lo = center_freq_mhz(ch.band, subs[0]) - 10;
                 let hi = center_freq_mhz(ch.band, *subs.last().unwrap()) + 10;
                 assert_eq!(ch.freq_range_mhz(), (lo, hi), "{ch}");
@@ -501,7 +616,7 @@ mod tests {
 
     #[test]
     fn footprint_is_overlaps_against_every_slot() {
-        for ch in every_triple().filter(|c| Channel::new(c.band, c.primary, c.width).is_ok()) {
+        for ch in every_triple().filter(|c| old_legal(c).is_some()) {
             for (slot, &ch20) in channel_numbers(ch.band).iter().enumerate() {
                 let sub = Channel::new(ch.band, ch20, Width::W20).unwrap();
                 assert_eq!(
@@ -510,35 +625,40 @@ mod tests {
                     "{ch} vs {sub}"
                 );
             }
-            assert_eq!(ch.footprint() >> channel_numbers(ch.band).len(), 0, "{ch}");
         }
-        let illegal = Channel {
-            band: Band::Band5,
-            primary: 165,
-            width: Width::W40,
-        };
-        assert_eq!(illegal.footprint(), 0);
     }
 
     #[test]
-    fn channels_name_each_block_once_by_its_first_channel() {
+    fn blocks_list_each_legal_run_once_narrow_first_ascending() {
         for band in [Band::Band2_4, Band::Band5] {
+            // The oracle's enumeration: per width, the first primary
+            // seen of each distinct run.
+            let mut old = Vec::new();
             for width in Width::ALL {
-                // The old enumeration: first primary seen per distinct block.
                 let mut seen: Vec<Vec<u16>> = Vec::new();
-                let mut old = Vec::new();
-                for &c in channel_numbers(band) {
-                    if let Ok(ch) = Channel::new(band, c, width) {
-                        let block = old_subchannel_numbers(&ch).unwrap();
-                        if !seen.contains(&block) {
-                            seen.push(block);
-                            old.push(ch);
-                        }
+                let mut of_width = Vec::new();
+                for &primary in channel_numbers(band) {
+                    let ch = Channel {
+                        band,
+                        primary,
+                        width,
+                    };
+                    if let Some(run) = old_legal(&ch).filter(|run| !seen.contains(run)) {
+                        seen.push(run);
+                        of_width.push(ch);
                     }
                 }
-                assert_eq!(all_channels(band, width), old, "{band} {width}");
+                assert_eq!(all_channels(band, width), of_width, "{band} {width}");
+                old.extend(of_width);
+            }
+            let listed: Vec<Channel> = blocks(band).iter().map(|b| b.channel).collect();
+            assert_eq!(listed, old, "{band}");
+            for (index, b) in blocks(band).iter().enumerate() {
+                assert_eq!(b.index, index);
+                assert_eq!(b.channel.block(), Some(b));
             }
         }
+        assert_eq!(blocks(Band::Band5).len(), MAX_BLOCKS);
     }
 
     #[test]
@@ -623,9 +743,18 @@ mod tests {
 
     #[test]
     fn invalid_channels_rejected() {
-        assert!(Channel::new(Band::Band5, 37, Width::W20).is_err());
-        assert!(Channel::new(Band::Band2_4, 12, Width::W20).is_err());
-        assert!(Channel::new(Band::Band2_4, 6, Width::W40).is_err());
+        use ChannelError::*;
+        let err = |band, primary, width| Channel::new(band, primary, width).unwrap_err();
+        assert_eq!(err(Band::Band5, 37, Width::W20), UnknownPrimary(37));
+        assert_eq!(err(Band::Band2_4, 12, Width::W40), UnknownPrimary(12));
+        assert_eq!(
+            err(Band::Band2_4, 6, Width::W40),
+            WidthNotAllowed(Width::W40)
+        );
+        assert_eq!(
+            err(Band::Band5, 132, Width::W160),
+            InvalidBond(132, Width::W160)
+        );
     }
 
     #[test]

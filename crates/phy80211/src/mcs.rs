@@ -69,7 +69,7 @@ const fn data_subcarriers(width: Width) -> u32 {
 /// the standard because the interleaver doesn't fit. The two relevant to
 /// 1–4 streams: MCS9 is invalid at 20 MHz except 3SS, and MCS6 is invalid
 /// at 80 MHz for 3SS.
-pub fn vht_mcs_valid(mcs: Mcs, nss: u8, width: Width) -> bool {
+pub const fn vht_mcs_valid(mcs: Mcs, nss: u8, width: Width) -> bool {
     if mcs.0 > 9 || nss == 0 || nss > 4 {
         return false;
     }
@@ -85,7 +85,7 @@ pub fn vht_mcs_valid(mcs: Mcs, nss: u8, width: Width) -> bool {
 
 /// Data rate in bits per second for a VHT transmission.
 /// Returns `None` for invalid (MCS, NSS, width) combinations.
-pub fn vht_rate_bps(mcs: Mcs, nss: u8, width: Width, gi: GuardInterval) -> Option<u64> {
+pub const fn vht_rate_bps(mcs: Mcs, nss: u8, width: Width, gi: GuardInterval) -> Option<u64> {
     if !vht_mcs_valid(mcs, nss, width) {
         return None;
     }
@@ -123,19 +123,67 @@ pub fn snr_requirement_db(mcs: Mcs, width: Width) -> f64 {
     base + bw_penalty
 }
 
-/// The set of candidate (MCS, NSS) pairs for a device with `max_nss`
-/// streams, best-rate-last.
-pub fn rate_table(max_nss: u8, width: Width, gi: GuardInterval) -> Vec<(Mcs, u8, u64)> {
-    let mut out = Vec::new();
-    for nss in 1..=max_nss.min(4) {
-        for m in 0..=9u8 {
+/// One (MCS, NSS, bits per second) row of a [`rate_table`].
+pub type RateRow = (Mcs, u8, u64);
+
+/// A rate table with room for every (MCS, NSS) pair.
+#[derive(Clone, Copy)]
+struct RateTable {
+    rows: [RateRow; 40],
+    len: usize,
+}
+
+/// The valid (MCS, NSS) pairs up to `max_nss` streams, best-rate-last;
+/// equal rates keep (NSS, MCS) order.
+const fn build_rate_table(max_nss: u8, width: Width, gi: GuardInterval) -> RateTable {
+    let mut t = RateTable {
+        rows: [(Mcs(0), 0, 0); 40],
+        len: 0,
+    };
+    let mut nss = 1;
+    while nss <= max_nss {
+        let mut m = 0;
+        while m <= 9 {
             if let Some(bps) = vht_rate_bps(Mcs(m), nss, width, gi) {
-                out.push((Mcs(m), nss, bps));
+                // Insert behind every row that is no faster.
+                let mut at = t.len;
+                while at > 0 && t.rows[at - 1].2 > bps {
+                    t.rows[at] = t.rows[at - 1];
+                    at -= 1;
+                }
+                t.rows[at] = (Mcs(m), nss, bps);
+                t.len += 1;
             }
+            m += 1;
         }
+        nss += 1;
     }
-    out.sort_by_key(|&(_, _, bps)| bps);
-    out
+    t
+}
+
+/// `RATE_TABLES[max_nss][width][gi]`: the standard fixes them all.
+static RATE_TABLES: [[[RateTable; 2]; 4]; 5] = {
+    let mut all = [[[build_rate_table(0, Width::W20, GuardInterval::Long); 2]; 4]; 5];
+    let mut max_nss: u8 = 1;
+    while max_nss <= 4 {
+        let mut w = 0;
+        while w < 4 {
+            all[max_nss as usize][w] = [
+                build_rate_table(max_nss, Width::ALL[w], GuardInterval::Long),
+                build_rate_table(max_nss, Width::ALL[w], GuardInterval::Short),
+            ];
+            w += 1;
+        }
+        max_nss += 1;
+    }
+    all
+};
+
+/// The set of candidate (MCS, NSS) pairs for a device with `max_nss`
+/// streams (at most four count), best-rate-last.
+pub fn rate_table(max_nss: u8, width: Width, gi: GuardInterval) -> &'static [RateRow] {
+    let t = &RATE_TABLES[usize::from(max_nss.min(4))][width as usize][gi as usize];
+    &t.rows[..t.len]
 }
 
 /// Legacy (802.11a/g OFDM) rate used for control frames (ACKs, RTS/CTS)
@@ -227,6 +275,38 @@ mod tests {
         let narrow = snr_requirement_db(Mcs(5), Width::W20);
         let wide = snr_requirement_db(Mcs(5), Width::W80);
         assert!((wide - narrow - 6.02).abs() < 0.01, "80MHz needs ~6dB more");
+    }
+
+    /// `rate_table` as it was: rebuilt and sorted on every call.
+    fn old_rate_table(max_nss: u8, width: Width, gi: GuardInterval) -> Vec<RateRow> {
+        let mut out = Vec::new();
+        for nss in 1..=max_nss.min(4) {
+            for m in 0..=9u8 {
+                if let Some(bps) = vht_rate_bps(Mcs(m), nss, width, gi) {
+                    out.push((Mcs(m), nss, bps));
+                }
+            }
+        }
+        out.sort_by_key(|&(_, _, bps)| bps);
+        out
+    }
+
+    #[test]
+    fn static_rate_tables_equal_a_rebuilt_one_for_every_key() {
+        for max_nss in 0..=9u8 {
+            for width in Width::ALL {
+                for gi in [GuardInterval::Long, GuardInterval::Short] {
+                    assert_eq!(
+                        rate_table(max_nss, width, gi),
+                        old_rate_table(max_nss, width, gi),
+                        "{max_nss} streams, {width}, {gi:?}"
+                    );
+                }
+            }
+        }
+        // Ties exist, so the order among equal rates is part of the pin.
+        let t = rate_table(4, Width::W80, GuardInterval::Short);
+        assert!(t.windows(2).any(|w| w[0].2 == w[1].2));
     }
 
     #[test]

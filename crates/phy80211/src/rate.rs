@@ -16,7 +16,7 @@
 
 use crate::channels::Width;
 use crate::error_model::expected_goodput_bps;
-use crate::mcs::{rate_table, GuardInterval, Mcs};
+use crate::mcs::{rate_table, GuardInterval, Mcs, RateRow};
 use sim::Rng;
 
 /// A selected transmission rate.
@@ -53,7 +53,7 @@ impl IdealSelector {
     pub fn select(&self, snr_db: f64) -> RateChoice {
         let snr = snr_db - self.margin_db;
         let mut best: Option<(f64, RateChoice)> = None;
-        for (mcs, nss, bps) in rate_table(self.max_nss, self.width, self.gi) {
+        for &(mcs, nss, bps) in rate_table(self.max_nss, self.width, self.gi) {
             // Multi-stream transmission needs extra SNR for stream
             // separation: ~3 dB per extra stream is the standard rule.
             let eff_snr = snr - 3.0 * (nss as f64 - 1.0);
@@ -132,7 +132,7 @@ pub fn bitrate_efficiency(achieved_bps: u64, ap_max_bps: u64, client_max_bps: u6
 /// a random other rate every `probe_interval_tx` transmissions.
 #[derive(Debug, Clone)]
 pub struct MinstrelLite {
-    table: Vec<(Mcs, u8, u64)>,
+    table: &'static [RateRow],
     /// EWMA of per-rate delivery probability.
     prob: Vec<f64>,
     ewma_alpha: f64,
