@@ -244,7 +244,7 @@ fn each_slot(mut footprint: u32, mut f: impl FnMut(usize)) {
 
 /// Where `ch` contends in a view of `band`: its footprint, or nowhere
 /// for a channel of the other band.
-fn footprint_in(band: Band, ch: Channel) -> u32 {
+pub(crate) fn footprint_in(band: Band, ch: Channel) -> u32 {
     if ch.band == band {
         ch.footprint()
     } else {
@@ -279,13 +279,15 @@ pub(crate) struct Partial<'a> {
     pub(crate) channels: Vec<Option<Channel>>,
     /// `contenders[v]`: [`count`] over `v`'s neighbour list.
     contenders: Vec<[u32; MAX_SLOTS]>,
-    /// ACC's scratch, kept between calls.
-    silent: Vec<Silent>,
+    /// ACC's scratch, kept between calls: per neighbour, `None` for one
+    /// in ψ.
+    silent: Vec<Option<Silent>>,
     terms: Vec<Term>,
 }
 
 /// A neighbour of ACC's `v`, scored with `v` silent.
 struct Silent {
+    channel: Channel,
     /// Its `ln NodeP`.
     total: f64,
     /// The slots on which `v` can change that: its channel's, if it
@@ -382,16 +384,17 @@ impl<'a> Partial<'a> {
         total
     }
 
-    /// Neighbour `n`, on `nc`, with ACC's `v` silent; its terms go on
-    /// the end of `terms`.
+    /// Neighbour `n`, unless in ψ, with ACC's `v` silent; its terms go
+    /// on the end of `terms`.
     fn silent(
         &self,
         params: &MetricParams,
         current: &[Channel],
-        (n, nc): (usize, Channel),
+        n: usize,
         hears_v: u32,
         terms: &mut Vec<Term>,
-    ) -> Silent {
+    ) -> Option<Silent> {
+        let nc = self.channels[n]?;
         let (row, counts) = (&self.rows[n], &self.contenders[n]);
         let penalty = row.switch_penalty(params, current[n], nc);
         let first = terms.len();
@@ -402,12 +405,13 @@ impl<'a> Partial<'a> {
             |slot| counts[slot] as usize,
             |term| terms.push(term),
         );
-        Silent {
+        Some(Silent {
+            channel: nc,
             total,
             reach: nc.slots().filter(|_| hears_v > 0).map_or(0, slot_mask),
             penalty,
             terms: first..terms.len(),
-        }
+        })
     }
 
     /// `ln NodeP` of neighbour `n`, finite with `v` silent as `silent`
@@ -470,15 +474,7 @@ impl<'a> Partial<'a> {
         silent.clear();
         terms.clear();
         for (&n, &hears) in neighbors.iter().zip(hears_v) {
-            silent.push(match self.channels[n] {
-                Some(nc) => self.silent(params, current, (n, nc), hears, &mut terms),
-                None => Silent {
-                    total: 0.0,
-                    reach: 0,
-                    penalty: 0.0,
-                    terms: 0..0,
-                },
-            });
+            silent.push(self.silent(params, current, n, hears, &mut terms));
         }
         let mut best: Option<(f64, Channel)> = None;
         for &cand in cands {
@@ -489,13 +485,13 @@ impl<'a> Partial<'a> {
                 for (k, &n) in neighbors.iter().enumerate() {
                     let np = if n == v {
                         own // v lists itself: on the candidate, scored again
-                    } else if let Some(nc) = self.channels[n] {
-                        let (unmoved, with_v) = (&silent[k], (footprint, hears_v[k]));
+                    } else if let Some(unmoved) = &silent[k] {
+                        let with_v = (footprint, hears_v[k]);
                         if unmoved.reach & footprint == 0 {
                             unmoved.total
                         } else if unmoved.total == f64::NEG_INFINITY {
                             // No terms past the width that sank it.
-                            self.node_p_ln(params, current, n, nc, with_v)
+                            self.node_p_ln(params, current, n, unmoved.channel, with_v)
                         } else {
                             self.rescore(n, unmoved, &terms, with_v)
                         }

@@ -17,6 +17,7 @@
 //! pass, [`ApReport::candidates_from`], reads the band's block table
 //! rather than constructing and validating channels.
 
+use crate::dense::footprint_in;
 use phy80211::channels::{blocks, Band, Channel, Width};
 use std::collections::BTreeMap;
 
@@ -113,13 +114,9 @@ impl ApReport {
             .max_client_width()
             .unwrap_or(Width::W20)
             .min(self.max_width);
-        // Where `current` is on the air. DFS exists in 5 GHz only, where
-        // sharing a slot is sharing spectrum.
-        let on_air = if current.band == band {
-            current.footprint()
-        } else {
-            0
-        };
+        // DFS exists in 5 GHz only, where sharing a slot is sharing
+        // spectrum.
+        let on_air = footprint_in(band, current);
         let mut out = Vec::new();
         for b in blocks(band) {
             if b.channel.width > width_cap {

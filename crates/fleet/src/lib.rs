@@ -127,30 +127,15 @@ impl FleetConfig {
     /// size-scaled runs still happen.) [`run_fleet`] panics with the
     /// error's `Display`.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        let not_positive = [
+        ConfigError::not_positive(&[
             ("n_networks", self.n_networks == 0),
             ("aps_min", self.aps_min == 0),
             ("collect_period", self.collect_period == SimDuration::ZERO),
-        ];
-        if let Some(&(field, _)) = not_positive.iter().find(|(_, bad)| *bad) {
-            return Err(ConfigError::NotPositive(field));
-        }
-        let ranges = [
+        ])?;
+        ConfigError::in_ranges(&[
             ("aps_min", self.aps_min as f64, 1.0, self.aps_max as f64),
             ("rf_churn", self.rf_churn, 0.0, 1.0),
-        ];
-        match ranges
-            .iter()
-            .find(|(_, v, min, max)| !(min..=max).contains(&v))
-        {
-            Some(&(field, value, min, max)) => Err(ConfigError::OutOfRange {
-                field,
-                value,
-                min,
-                max,
-            }),
-            None => Ok(()),
-        }
+        ])
     }
 }
 

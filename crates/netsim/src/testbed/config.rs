@@ -240,6 +240,33 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
+impl ConfigError {
+    /// [`ConfigError::NotPositive`] for the first `(field, bad)` that is.
+    pub fn not_positive(checks: &[(&'static str, bool)]) -> Result<(), ConfigError> {
+        match checks.iter().find(|(_, bad)| *bad) {
+            Some(&(field, _)) => Err(ConfigError::NotPositive(field)),
+            None => Ok(()),
+        }
+    }
+
+    /// [`ConfigError::OutOfRange`] for the first `(field, value, min,
+    /// max)` whose value is outside `[min, max]`.
+    pub fn in_ranges(checks: &[(&'static str, f64, f64, f64)]) -> Result<(), ConfigError> {
+        match checks
+            .iter()
+            .find(|(_, v, min, max)| !(min..=max).contains(&v))
+        {
+            Some(&(field, value, min, max)) => Err(ConfigError::OutOfRange {
+                field,
+                value,
+                min,
+                max,
+            }),
+            None => Ok(()),
+        }
+    }
+}
+
 impl TestbedConfig {
     /// Check everything a run would otherwise trip over part-way: sizes
     /// it divides or indexes by, periods it catches up on by repeated
@@ -249,7 +276,7 @@ impl TestbedConfig {
     pub fn validate(&self) -> Result<(), ConfigError> {
         const ZERO: Option<SimDuration> = Some(SimDuration::ZERO);
         let interval_s = self.stall_interval_s;
-        let not_positive = [
+        ConfigError::not_positive(&[
             ("n_aps", self.n_aps == 0),
             ("clients_per_ap", self.clients_per_ap == 0),
             ("ack_base_delay", Some(self.ack_base_delay) == ZERO),
@@ -265,10 +292,7 @@ impl TestbedConfig {
             ("stall_interval_s", interval_s.is_nan() || interval_s <= 0.0),
             // A probe rate past one per nanosecond.
             ("qoe.pps' interval", self.qoe.map(|p| p.interval()) == ZERO),
-        ];
-        if let Some(&(field, _)) = not_positive.iter().find(|(_, bad)| *bad) {
-            return Err(ConfigError::NotPositive(field));
-        }
+        ])?;
         if self.fastack.len() != self.n_aps {
             return Err(ConfigError::FastackLen {
                 n_aps: self.n_aps,
@@ -283,7 +307,7 @@ impl TestbedConfig {
         let pool = self.ap_buffer_pool_frames as f64;
         let duty = self.interferer.map_or(0.0, |i| i.duty);
         let inf = f64::INFINITY;
-        let ranges = [
+        ConfigError::in_ranges(&[
             ("n_aps * clients_per_ap", n_clients, 1.0, max_clients),
             ("ap_buffer_pool_frames", pool, MIN_STATION_SHARE as f64, inf),
             ("bad_hint_rate", self.bad_hint_rate, 0.0, 1.0),
@@ -296,19 +320,7 @@ impl TestbedConfig {
             ),
             ("interferer.duty", duty, 0.0, 1.0),
             ("stall_ms.0", self.stall_ms.0, -inf, self.stall_ms.1),
-        ];
-        match ranges
-            .iter()
-            .find(|(_, v, min, max)| !(min..=max).contains(&v))
-        {
-            Some(&(field, value, min, max)) => Err(ConfigError::OutOfRange {
-                field,
-                value,
-                min,
-                max,
-            }),
-            None => Ok(()),
-        }
+        ])
     }
 
     /// Baseline-arm tail-drop depth per station: an even share of the

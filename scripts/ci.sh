@@ -62,7 +62,7 @@ fi
 echo "=== less code (ROADMAP item 5's number may only go down) ==="
 # Raising the ceiling is a deliberate, reviewed edit of this line: say
 # in CHANGES.md what the new lines bought. Lower it when a PR deletes.
-loc_ceiling=40300
+loc_ceiling=40900
 loc="$(find crates src tests examples -name '*.rs' -print0 | xargs -0 cat | wc -l)"
 (( loc <= loc_ceiling )) \
   || { echo "workspace Rust is $loc lines, over the $loc_ceiling ceiling in scripts/ci.sh: delete something, or raise the ceiling on purpose and defend it in review"; exit 1; }
@@ -141,7 +141,9 @@ echo "=== perf smoke (wifictl perf regress vs committed baseline) ==="
 # Three short `--perf` runs each of fig18 (the packet path), of
 # fig19_qoe (the one bin with probing and health scoring of QoE windows
 # on its default path: the sinks) and of abl_penalty and abl_nbo_hops
-# (the planner: whole TurboCA plans, single NBO passes), gated by
+# (the planner: whole TurboCA plans, single NBO passes — each sample
+# repeats its seeded plans until 100 ms are timed, because best-of-3 of
+# a 5 ms sample is noise), gated by
 # `wifictl perf regress`: fail if the best-of-3 rate for any shared
 # label lands more than 30% below the committed BENCH_simperf.json
 # baseline. Wall-clock on shared CI hosts is noisy, so the gate exists
