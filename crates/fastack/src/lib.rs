@@ -32,10 +32,8 @@ pub mod agent;
 pub mod cache;
 pub mod classifier;
 pub mod state;
-pub mod wire;
 
 pub use agent::{Action, Agent, AgentConfig, AgentStats};
 pub use cache::{CachedSegment, RetransmissionCache};
 pub use classifier::{Classifier, FlowPolicy};
 pub use state::{FlowState, Hole};
-pub use wire::{InspectError, WireAction, WireAgent, WireData};

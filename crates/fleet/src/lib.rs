@@ -122,7 +122,8 @@ impl Default for FleetConfig {
 impl FleetConfig {
     /// Check what a run would otherwise trip over: a fleet or a network
     /// with nothing in it, an AP-count range with no member, an epoch
-    /// the clock never gets past, a churn probability that is not one.
+    /// the clock never gets past, a churn probability that is not one,
+    /// health rules no detector can be built from.
     /// (`nbo_runs: 0` is a plan of fewer passes, not an error: the
     /// size-scaled runs still happen.) [`run_fleet`] panics with the
     /// error's `Display`.
@@ -135,7 +136,10 @@ impl FleetConfig {
         ConfigError::in_ranges(&[
             ("aps_min", self.aps_min as f64, 1.0, self.aps_max as f64),
             ("rf_churn", self.rf_churn, 0.0, 1.0),
-        ])
+        ])?;
+        // `HealthRules::validate` names the row that is out of range.
+        let rules = self.health_rules.map_or(Ok(()), |r| r.validate());
+        ConfigError::in_ranges(rules.err().as_slice())
     }
 }
 
@@ -369,6 +373,31 @@ mod tests {
             assert_eq!(cfg.validate(), Err(want.clone()), "{want}");
             assert!(!want.to_string().contains('\n'), "one line: {want}");
         }
+        // Every field of the health rules is refused under its own name:
+        // an empty window, a threshold that is not a number, thresholds
+        // out of `clear <= raise <= critical` order.
+        macro_rules! refused {
+            ($rule:ident: $($field:ident = $bad:expr),+) => {$({
+                let mut cfg = small(1);
+                cfg.health_rules.as_mut().unwrap().$rule.as_mut().unwrap().$field = $bad;
+                let field = concat!("health_rules.", stringify!($rule), ".", stringify!($field));
+                let err = cfg.validate().unwrap_err().to_string();
+                assert!(err.starts_with(&format!("{field} =")), "{field}: {err}");
+            })+};
+        }
+        const NAN: f64 = f64::NAN;
+        refused!(channel_flap: window = 0, clear = NAN, raise = -1.0, critical = 2.0);
+        refused!(ampdu_collapse: window = 0, baseline_alpha = 1.5, min_aggregates = NAN);
+        refused!(ampdu_collapse: clear_ratio = NAN, raise_ratio = 1.0, critical_ratio = NAN);
+        refused!(fastack_stall: gap_steps = 0.0, critical_steps = 4.0, min_inflight = NAN);
+        refused!(rto_storm: window = 0, clear = NAN, raise = 0.5, critical = f64::INFINITY);
+        refused!(airtime_slo: window = 0, clear_util = NAN, raise_util = 0.9, critical_util = 0.5);
+        refused!(queue_starvation: stall_steps = NAN, critical_steps = 7.0, min_backlog = NAN);
+        refused!(qoe_degraded: clear_penalty = NAN, raise_penalty = 20.0, critical_penalty = 39.0);
+        let mut no_epoch = small(1);
+        no_epoch.health_rules.as_mut().unwrap().sample_every = SimDuration::ZERO;
+        let err = no_epoch.validate().unwrap_err().to_string();
+        assert_eq!(err, "health_rules.sample_every = 0 must be in [1, inf]");
         let nan = FleetConfig {
             rf_churn: f64::NAN,
             ..small(1)

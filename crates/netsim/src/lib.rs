@@ -13,7 +13,6 @@
 //!   planner-view builders for UNet / MNet (§4.6);
 //! * [`diurnal`] — the office day-shape load model behind Fig. 6.
 
-pub mod association;
 pub mod deployment;
 pub mod disruption;
 pub mod diurnal;

@@ -271,7 +271,8 @@ impl TestbedConfig {
     /// Check everything a run would otherwise trip over part-way: sizes
     /// it divides or indexes by, periods it catches up on by repeated
     /// addition (a zero step never gets past `now`), and distribution
-    /// parameters whose `debug_assert`s make debug and release disagree.
+    /// parameters whose `debug_assert`s make debug and release disagree,
+    /// health rules no detector can be built from.
     /// [`super::Testbed::new`] panics with the error's `Display`.
     pub fn validate(&self) -> Result<(), ConfigError> {
         const ZERO: Option<SimDuration> = Some(SimDuration::ZERO);
@@ -282,10 +283,6 @@ impl TestbedConfig {
             ("ack_base_delay", Some(self.ack_base_delay) == ZERO),
             ("beacon_interval", self.beacon_interval == ZERO),
             (
-                "health_rules.sample_every",
-                self.health_rules.map(|r| r.sample_every) == ZERO,
-            ),
-            (
                 "interferer.period",
                 self.interferer.map(|i| i.period) == ZERO,
             ),
@@ -293,6 +290,9 @@ impl TestbedConfig {
             // A probe rate past one per nanosecond.
             ("qoe.pps' interval", self.qoe.map(|p| p.interval()) == ZERO),
         ])?;
+        // `HealthRules::validate` names the row that is out of range.
+        let rules = self.health_rules.map_or(Ok(()), |r| r.validate());
+        ConfigError::in_ranges(rules.err().as_slice())?;
         if self.fastack.len() != self.n_aps {
             return Err(ConfigError::FastackLen {
                 n_aps: self.n_aps,
@@ -359,7 +359,7 @@ mod tests {
             ),
             (
                 |c| c.health_rules.as_mut().unwrap().sample_every = ZERO,
-                NotPositive("health_rules.sample_every"),
+                range("health_rules.sample_every", 0.0, 1.0, inf),
             ),
             (
                 |c| c.interferer.as_mut().unwrap().period = ZERO,
@@ -415,6 +415,27 @@ mod tests {
             assert_eq!(cfg.validate(), Err(want.clone()), "{want}");
             assert!(!want.to_string().contains('\n'), "one line: {want}");
         }
+        // Every field of the health rules is refused under its own name:
+        // an empty window, a threshold that is not a number, thresholds
+        // out of `clear <= raise <= critical` order.
+        macro_rules! refused {
+            ($rule:ident: $($field:ident = $bad:expr),+) => {$({
+                let mut cfg = all_on.clone();
+                cfg.health_rules.as_mut().unwrap().$rule.as_mut().unwrap().$field = $bad;
+                let field = concat!("health_rules.", stringify!($rule), ".", stringify!($field));
+                let err = cfg.validate().unwrap_err().to_string();
+                assert!(err.starts_with(&format!("{field} =")), "{field}: {err}");
+            })+};
+        }
+        const NAN: f64 = f64::NAN;
+        refused!(channel_flap: window = 0, clear = NAN, raise = -1.0, critical = 2.0);
+        refused!(ampdu_collapse: window = 0, baseline_alpha = 1.5, min_aggregates = NAN);
+        refused!(ampdu_collapse: clear_ratio = NAN, raise_ratio = 1.0, critical_ratio = NAN);
+        refused!(fastack_stall: gap_steps = 0.0, critical_steps = 4.0, min_inflight = NAN);
+        refused!(rto_storm: window = 0, clear = NAN, raise = 0.5, critical = f64::INFINITY);
+        refused!(airtime_slo: window = 0, clear_util = NAN, raise_util = 0.9, critical_util = 0.5);
+        refused!(queue_starvation: stall_steps = NAN, critical_steps = 7.0, min_backlog = NAN);
+        refused!(qoe_degraded: clear_penalty = NAN, raise_penalty = 20.0, critical_penalty = 39.0);
         // NaN is outside every range.
         for edit in [
             (|c| c.laggy_client_fraction = f64::NAN) as Edit,

@@ -46,15 +46,23 @@ if grep -rnE 'fn json_escape|fn json_string|0xcbf2_9ce4_8422_2325|fn put_varint'
   echo "wire-format helper defined outside telemetry::{codec,json}"; exit 1
 fi
 
-echo "=== testbed anatomy (no god-file, taps cannot steer) ==="
-# netsim::testbed is a protocol world plus read-only taps (DESIGN.md
-# "Testbed anatomy"): no file there may grow back past 800 lines, and
-# the taps file may not so much as name the two types a sink would need
-# to change a trajectory.
-while read -r lines file; do
-  [[ $file == total ]] || (( lines <= 800 )) \
-    || { echo "$file has $lines lines (limit 800)"; exit 1; }
-done < <(wc -l crates/netsim/src/testbed/*.rs)
+echo "=== no god-files (testbed, health), taps cannot steer ==="
+# Two modules were one file each once and are layered pieces now: no
+# file of either may grow back past its limit. netsim::testbed is a
+# protocol world plus read-only taps (DESIGN.md "Testbed anatomy");
+# telemetry::health is wire format / rules / engine / catalog (DESIGN.md
+# "Health & alerting"). The taps file, besides, may not so much as name
+# the two types a sink would need to change a trajectory.
+while read -r limit files; do
+  while read -r lines file; do
+    [[ $file == total ]] || (( lines <= limit )) \
+      || { echo "$file has $lines lines (limit $limit)"; exit 1; }
+  # shellcheck disable=SC2086  # $files is a glob by construction
+  done < <(wc -l $files)
+done << EOF
+800 crates/netsim/src/testbed/*.rs
+600 crates/telemetry/src/health/*.rs
+EOF
 if grep -nwE 'Rng|EventQueue' crates/netsim/src/testbed/taps.rs; then
   echo "testbed/taps.rs names Rng or EventQueue"; exit 1
 fi
@@ -62,7 +70,7 @@ fi
 echo "=== less code (ROADMAP item 5's number may only go down) ==="
 # Raising the ceiling is a deliberate, reviewed edit of this line: say
 # in CHANGES.md what the new lines bought. Lower it when a PR deletes.
-loc_ceiling=40900
+loc_ceiling=40400
 loc="$(find crates src tests examples -name '*.rs' -print0 | xargs -0 cat | wc -l)"
 (( loc <= loc_ceiling )) \
   || { echo "workspace Rust is $loc lines, over the $loc_ceiling ceiling in scripts/ci.sh: delete something, or raise the ceiling on purpose and defend it in review"; exit 1; }
