@@ -95,15 +95,13 @@ impl<R: Send> Detector for Rule<R> {
         let (level, subject) = (self.signal)(now, metrics, was_open)?;
         let transition = self.trig.eval(level);
         if self.trig.is_active() {
-            if !was_open {
-                self.episodes.push(Episode {
+            match self.episodes.last_mut() {
+                Some(episode) if was_open => episode.last_open = now,
+                _ => self.episodes.push(Episode {
                     raised_at: now,
                     last_open: now,
                     subject,
-                });
-            }
-            if let Some(episode) = self.episodes.last_mut() {
-                episode.last_open = now;
+                }),
             }
         }
         transition
