@@ -395,12 +395,21 @@ mod tests {
     /// 40 ticks at 100 ms: a counter ramp, a sawtooth gauge, and an f64
     /// cwnd-style signal.
     fn sample() -> Timeline {
-        let mut tl = Timeline::new(&TimelineConfig::sampling(SimDuration::from_millis(100)));
+        build(4096, None)
+    }
+
+    /// [`sample`] with a raw ring of `capacity` ticks and the gauge one
+    /// higher at tick `bumped`.
+    fn build(capacity: usize, bumped: Option<u64>) -> Timeline {
+        let mut cfg = TimelineConfig::sampling(SimDuration::from_millis(100));
+        cfg.capacity = capacity;
+        let mut tl = Timeline::new(&cfg);
         let mut reg = Registry::new();
         let queue = reg.gauge("mac.queue_depth");
         for i in 0..40u64 {
             reg.count("tcp.segments", 3);
-            reg.gauge_set(queue, i64::from_le_bytes((i % 7).to_le_bytes()) - 3);
+            let v = i64::from_le_bytes((i % 7).to_le_bytes()) - 3;
+            reg.gauge_set(queue, v + i64::from(bumped == Some(i)));
             tl.set_f64("tcp.flow0.cwnd_segments", 10.0 + i as f64 * 2.5);
             tl.sample(SimTime::from_millis(i * 100), &reg);
         }
@@ -504,23 +513,24 @@ mod tests {
         assert!(same, "{out}");
 
         // Rebuild with one gauge sample perturbed at tick 25.
-        let mut tl = Timeline::new(&TimelineConfig::sampling(SimDuration::from_millis(100)));
-        let mut reg = Registry::new();
-        let queue = reg.gauge("mac.queue_depth");
-        for i in 0..40u64 {
-            reg.count("tcp.segments", 3);
-            let v = i64::from_le_bytes((i % 7).to_le_bytes()) - 3;
-            reg.gauge_set(queue, if i == 25 { v + 1 } else { v });
-            tl.set_f64("tcp.flow0.cwnd_segments", 10.0 + i as f64 * 2.5);
-            tl.sample(SimTime::from_millis(i * 100), &reg);
-        }
-        tl.seal();
-        let (out, same) = diff(&a, &tl);
+        let (out, same) = diff(&a, &build(4096, Some(25)));
         assert!(!same);
         assert!(out.contains("dumps DIFFER"), "{out}");
         assert!(
             out.contains("series mac.queue_depth: first divergence at 2.500000s"),
             "{out}"
+        );
+    }
+
+    #[test]
+    fn diff_falls_back_to_the_tiers_once_the_raw_ring_has_evicted() {
+        // Eight retained ticks: the raw rings agree, tick 5 lives on
+        // only in tier 0's first 1 s mean (-6 / 10 against -5 / 10).
+        let (out, same) = diff(&build(8, None), &build(8, Some(5)));
+        assert!(!same);
+        assert_eq!(
+            out,
+            "dumps DIFFER\ntier 0 series mac.queue_depth: first divergence at 0.000000s: -0.6 vs -0.5\n"
         );
     }
 

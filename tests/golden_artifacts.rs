@@ -30,43 +30,115 @@ mod common;
 use bench::arms::{self, Arm};
 use bench::harness::Experiment;
 use common::{check_goldens, fnv1a};
+use std::fmt::Write as _;
 use wifi_core::netsim::testbed::{InterfererFault, Testbed, TestbedConfig, TestbedReport};
 use wifi_core::qoe::{ClientReport, DimSummary, ProbeConfig};
-use wifi_core::sim::SimDuration;
+use wifi_core::sim::{SimDuration, SimTime};
 use wifi_core::telemetry::codec::Fnv1a;
-use wifi_core::telemetry::TimelineConfig;
+use wifi_core::telemetry::timeline::agg_label;
+use wifi_core::telemetry::{Agg, Timeline, TimelineConfig};
 
 /// Run `arms` the way the `fig` binary does under `--timeline x
-/// --runprof y` and pin all four artifacts as `<fig>.<artifact>`.
-fn pin<const N: usize>(fig: &str, arms: [Arm; N]) {
+/// --runprof y` and pin all four artifacts as `<fig>.<artifact>`, with
+/// `queries` also what the merged timeline answers.
+fn pin<const N: usize>(fig: &str, arms: [Arm; N], queries: bool) {
     let argv = [fig, "--timeline", "unwritten", "--runprof", "unwritten"].map(str::to_owned);
     let mut exp = Experiment::parse(fig, "golden pin", &argv, &[]).unwrap();
     exp.run_arms(arms);
-    let entries: Vec<(String, u64)> = exp
+    let mut entries: Vec<(String, u64)> = exp
         .artifacts()
         .iter()
         .map(|(name, bytes)| (format!("{fig}.{name}"), fnv1a(bytes)))
         .collect();
+    if queries {
+        let h = queries_hash(&exp.timeline);
+        entries.push((format!("{fig}.timeline.queries"), h));
+    }
     check_goldens(fig, &entries);
+}
+
+/// The `TSL1` hashes pin what a timeline *writes*; this pins what it
+/// *answers*: a canonical text (values as bit patterns) of the header
+/// accessors and, per series, `kind` / `series_len` / `last`,
+/// `range_bits` over everything and over a window that starts and ends
+/// off the grid, `downsample` for every `Agg` at a bucket that is not a
+/// multiple of the cadence, and every tier's shape and rows — asked of
+/// `tl`, of its dump parsed back, and of that dump absorbed into an
+/// empty timeline under a label.
+fn queries_hash(tl: &Timeline) -> u64 {
+    struct Text(Fnv1a);
+    impl std::fmt::Write for Text {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            self.0.write(s.as_bytes());
+            Ok(())
+        }
+    }
+    let parsed = Timeline::parse(&tl.to_bytes()).expect("own dump parses");
+    let mut absorbed = Timeline::default();
+    absorbed.absorb("arm", &parsed);
+    let mut h = Text(Fnv1a::new());
+    for tl in [tl, &parsed, &absorbed] {
+        let every = tl.every().as_nanos();
+        let first = tl.first_stamp().expect("ticks").as_nanos();
+        let last = tl.last_stamp().expect("ticks").as_nanos();
+        let _ = writeln!(h, "{every} {} {} {first} {last}", tl.ticks(), tl.dropped());
+        let lo = SimTime::from_nanos(first + every * 7 / 3);
+        let hi = SimTime::from_nanos(last - every * 5 / 3);
+        let bucket = SimDuration::from_nanos(every * 7 / 2);
+        for name in tl.series_names() {
+            let kind = tl.kind(name).expect("listed").label();
+            let last = tl.last(name).map(f64::to_bits);
+            let _ = writeln!(h, "{name} {kind} {} {last:x?}", tl.series_len(name));
+            for (from, to) in [(SimTime::ZERO, SimTime::MAX), (lo, hi)] {
+                for (at, kind, bits) in tl.range_bits(name, from, to) {
+                    let _ = writeln!(h, "{} {} {bits:x}", at.as_nanos(), kind.label());
+                }
+            }
+            for agg in [
+                Agg::Mean,
+                Agg::Max,
+                Agg::Min,
+                Agg::Sum,
+                Agg::Count,
+                Agg::Last,
+            ] {
+                for (at, v) in tl.downsample(name, lo, hi, bucket, agg) {
+                    let _ = writeln!(h, "{} {} {:x}", agg_label(agg), at.as_nanos(), v.to_bits());
+                }
+            }
+        }
+        for t in tl.tiers() {
+            let (bucket, agg) = (t.bucket().as_nanos(), agg_label(t.agg()));
+            let _ = writeln!(h, "tier {bucket} {agg} {} {}", t.rows(), t.dropped_rows());
+            for name in tl.series_names() {
+                for (at, v) in t.series(name) {
+                    let _ = writeln!(h, "{name} {} {:x}", at.as_nanos(), v.to_bits());
+                }
+            }
+        }
+    }
+    h.0.finish()
 }
 
 /// `fig14_cwnd`'s two runs: the always-on 250 ms sampler that feeds the
 /// figure's cwnd curves.
 #[test]
 fn fig14_artifacts_match_goldens() {
-    pin("fig14", arms::fig14());
+    pin("fig14", arms::fig14(), false);
 }
 
-/// `fig15_aggregation`'s three runs (TCP baseline, FastACK, UDP bound).
+/// `fig15_aggregation`'s three runs (TCP baseline, FastACK, UDP bound):
+/// 8 s / 8 s / 4 s, so the merged timeline spans unequal extents and
+/// its queries are pinned too.
 #[test]
 fn fig15_artifacts_match_goldens() {
-    pin("fig15", arms::fig15());
+    pin("fig15", arms::fig15(), true);
 }
 
 /// `fig18_multi_ap`'s three runs.
 #[test]
 fn fig18_artifacts_match_goldens() {
-    pin("fig18", arms::fig18());
+    pin("fig18", arms::fig18(), false);
 }
 
 /// `fig19_qoe`'s two runs — the QoE subsystem (probe flows, per-client
@@ -75,7 +147,7 @@ fn fig18_artifacts_match_goldens() {
 /// shipping.
 #[test]
 fn fig19_artifacts_match_goldens() {
-    pin("fig19", arms::fig19());
+    pin("fig19", arms::fig19(), false);
 }
 
 /// Every field of every QoE client report, bit for bit.
@@ -111,8 +183,9 @@ fn qoe_hash(reports: &[ClientReport]) -> u64 {
 /// steady-state edge — the 64k `mac.tx` ring wraps, the 256-tick raw
 /// timeline ring and the 32-row first tier evict, both tiers flush,
 /// the 1 s QoE windows roll, and the interferer (on at 2 s of 8) trips
-/// the health rules. Pins what the sinks write, so reworking how they
-/// hold their data cannot move a byte.
+/// the health rules. Pins what the sinks write (and what the evicted
+/// timeline answers), so reworking how they hold their data cannot
+/// move a byte.
 #[test]
 fn obs_dense_artifacts_match_goldens() {
     let mut timeline = TimelineConfig::sampling(SimDuration::from_millis(10));
@@ -140,6 +213,7 @@ fn obs_dense_artifacts_match_goldens() {
         ("trace", fnv1a(&r.flight.to_bytes())),
         ("health", fnv1a(r.health.to_json().as_bytes())),
         ("timeline", fnv1a(&tl.to_bytes())),
+        ("timeline.queries", queries_hash(tl)),
         ("qoe", qoe_hash(&r.qoe)),
     ]
     .map(|(name, h)| (format!("obs.dense.{name}"), h));
