@@ -144,7 +144,8 @@ impl Experiment {
     /// the binary's own `numeric` flags. `--flag v` and `--flag=v` are
     /// both accepted. An unknown argument, a flag without its value, or
     /// a numeric flag (`--timeline-every` and every `numeric` one) that
-    /// is not a positive integer is an `Err` holding the one-line usage
+    /// is not a positive integer, or a `--timeline-every` past what the
+    /// nanosecond clock holds, is an `Err` holding the one-line usage
     /// text, so nothing is run on a typo.
     pub fn parse(
         id: &str,
@@ -175,10 +176,18 @@ impl Experiment {
             let Some(value) = inline.or_else(|| rest.next().cloned()) else {
                 return Err(usage(format!("{flag} wants a value")));
             };
-            if numeric.contains(&flag) && !value.parse::<u64>().is_ok_and(|n| n > 0) {
-                return Err(usage(format!(
-                    "{flag} wants a positive integer, got {value}"
-                )));
+            if numeric.contains(&flag) {
+                let n = value.parse::<u64>().ok().filter(|&n| n > 0);
+                let n = n.ok_or_else(|| {
+                    usage(format!("{flag} wants a positive integer, got {value}"))
+                })?;
+                // `TimelineConfig::sampling` keeps a 100x tier: that
+                // bucket, in nanoseconds, has to fit the clock.
+                if flag == "--timeline-every" && n.checked_mul(100 * 1_000_000).is_none() {
+                    return Err(usage(format!(
+                        "bad {flag} value {value} (want milliseconds): more than the clock holds"
+                    )));
+                }
             }
             flags.entry(flag.to_owned()).or_insert(value);
         }
@@ -620,6 +629,8 @@ mod tests {
             &["b", "--metrics"],
             &["b", "--timeline-every", "abc"],
             &["b", "--timeline-every=0"],
+            // 100x this many milliseconds overflows u64 nanoseconds.
+            &["b", "--timeline", "x", "--timeline-every", "184467440738"],
             &["b", "--networks", "-3"],
         ] {
             let usage = parse(bad).expect_err(&format!("{bad:?} parsed"));

@@ -121,7 +121,7 @@ pub struct TestbedConfig {
     pub seed: u64,
     /// Time-series sampling (see [`telemetry::timeline`]): when set,
     /// a [`telemetry::Timeline`] ticks on the config's cadence,
-    /// snapshotting the selected registry counters/gauges plus the
+    /// snapshotting every registry counter and gauge plus the
     /// per-flow cwnd f64 series (`tcp.flow{c}.cwnd_segments`, Fig. 14's
     /// curves). Sampling only reads — it schedules no
     /// events, draws no randomness, and writes no metric — so every
@@ -252,17 +252,23 @@ impl ConfigError {
     /// [`ConfigError::OutOfRange`] for the first `(field, value, min,
     /// max)` whose value is outside `[min, max]`.
     pub fn in_ranges(checks: &[(&'static str, f64, f64, f64)]) -> Result<(), ConfigError> {
-        match checks
+        let bad = |&&(_, v, min, max): &&(_, f64, f64, f64)| !(min..=max).contains(&v);
+        checks
             .iter()
-            .find(|(_, v, min, max)| !(min..=max).contains(&v))
-        {
-            Some(&(field, value, min, max)) => Err(ConfigError::OutOfRange {
-                field,
-                value,
-                min,
-                max,
-            }),
-            None => Ok(()),
+            .find(bad)
+            .map_or(Ok(()), |&row| Err(row.into()))
+    }
+}
+
+/// A `(field, value, min, max)` row that its own check found out of
+/// range (`HealthRules::validate`, `TimelineConfig::validate`).
+impl From<(&'static str, f64, f64, f64)> for ConfigError {
+    fn from((field, value, min, max): (&'static str, f64, f64, f64)) -> Self {
+        ConfigError::OutOfRange {
+            field,
+            value,
+            min,
+            max,
         }
     }
 }
@@ -272,7 +278,8 @@ impl TestbedConfig {
     /// it divides or indexes by, periods it catches up on by repeated
     /// addition (a zero step never gets past `now`), and distribution
     /// parameters whose `debug_assert`s make debug and release disagree,
-    /// health rules no detector can be built from.
+    /// health rules no detector and a timeline no sampler can be built
+    /// from.
     /// [`super::Testbed::new`] panics with the error's `Display`.
     pub fn validate(&self) -> Result<(), ConfigError> {
         const ZERO: Option<SimDuration> = Some(SimDuration::ZERO);
@@ -290,9 +297,9 @@ impl TestbedConfig {
             // A probe rate past one per nanosecond.
             ("qoe.pps' interval", self.qoe.map(|p| p.interval()) == ZERO),
         ])?;
-        // `HealthRules::validate` names the row that is out of range.
-        let rules = self.health_rules.map_or(Ok(()), |r| r.validate());
-        ConfigError::in_ranges(rules.err().as_slice())?;
+        // Each names the row that is out of range.
+        self.health_rules.map_or(Ok(()), |r| r.validate())?;
+        self.timeline.as_ref().map_or(Ok(()), |t| t.validate())?;
         if self.fastack.len() != self.n_aps {
             return Err(ConfigError::FastackLen {
                 n_aps: self.n_aps,
@@ -362,6 +369,15 @@ mod tests {
                 range("health_rules.sample_every", 0.0, 1.0, inf),
             ),
             (
+                |c| c.timeline.as_mut().unwrap().every = ZERO,
+                range("timeline.every", 0.0, 1.0, inf),
+            ),
+            // The `Timeline::new` assert this check replaces.
+            (
+                |c| c.timeline.as_mut().unwrap().tiers[1].bucket = SimDuration::from_millis(5),
+                range("timeline.tiers[i].bucket", 5e6, 1e7, inf),
+            ),
+            (
                 |c| c.interferer.as_mut().unwrap().period = ZERO,
                 NotPositive("interferer.period"),
             ),
@@ -406,6 +422,7 @@ mod tests {
         let all_on = TestbedConfig {
             interferer: Some(InterfererFault::default()),
             qoe: Some(qoe::ProbeConfig::default()),
+            timeline: Some(TimelineConfig::sampling(SimDuration::from_millis(10))),
             ..TestbedConfig::default()
         };
         assert_eq!(all_on.validate(), Ok(()));

@@ -367,8 +367,8 @@ impl Taps {
     }
 
     /// One timeline tick at its nominal instant: stage the per-flow
-    /// cwnd f64 series (Fig. 14's curves), then snapshot the selected
-    /// registry counters/gauges. Not folded into the idle wake: samples
+    /// cwnd f64 series (Fig. 14's curves), then snapshot the registry's
+    /// counters and gauges. Not folded into the idle wake: samples
     /// land when the loop is awake anyway, stamped nominally.
     fn timeline_tick(&mut self, at: SimTime, w: &World) {
         let (_, tl, cwnd) = self.timeline.as_mut().expect("timeline enabled");

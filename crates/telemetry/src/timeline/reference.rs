@@ -5,12 +5,23 @@
 //! `timeline::tests` compares the new sampler against, dump byte for
 //! dump byte. Test-only; only what that comparison drives is here.
 
-use super::{agg_tag, bits_i64, bits_to_f64, Acc, Agg, Series, SeriesKind, TierConfig, TierSeries};
-use super::{TimelineConfig, MAGIC};
+use super::store::{bits_to_f64, Acc, Series};
+use super::wire::MAGIC;
+use super::{Agg, SeriesKind, TierConfig, TimelineConfig};
 use crate::codec::{put_name, put_varint, zigzag};
 use crate::metrics::Registry;
 use sim::{SimDuration, SimTime};
 use std::collections::{BTreeMap, VecDeque};
+
+/// One tier series: completed-bucket values (f64 bits) for dense rows
+/// starting at absolute bucket row `start`.
+#[derive(Debug, Clone, PartialEq)]
+struct TierSeries {
+    kind: SeriesKind,
+    start: u64,
+    vals: VecDeque<u64>,
+    acc: Option<Acc>,
+}
 
 /// One downsampled tier: dense rows of completed buckets.
 #[derive(Debug, Clone, PartialEq)]
@@ -117,7 +128,6 @@ impl Tier {
 pub struct Timeline {
     every_ns: u64,
     capacity: usize,
-    select: Vec<String>,
     /// Absolute index of the first retained tick (== evicted ticks).
     base: u64,
     /// Retained tick count.
@@ -148,7 +158,6 @@ impl Timeline {
         Timeline {
             every_ns: cfg.every.as_nanos(),
             capacity: cfg.capacity.max(1),
-            select: cfg.select.clone(),
             base: 0,
             len: 0,
             staged: BTreeMap::new(),
@@ -171,7 +180,7 @@ impl Timeline {
     }
 
     /// Record tick `base + len` at its nominal instant: snapshot every
-    /// selected counter and gauge plus all staged f64 signals. Reads
+    /// counter and gauge plus all staged f64 signals. Reads
     /// the registry only — never writes it.
     pub fn sample(&mut self, at: SimTime, reg: &Registry) {
         assert!(!self.frozen, "sample() on an absorbed/parsed timeline");
@@ -189,11 +198,6 @@ impl Timeline {
         for t in &mut self.tiers {
             t.roll(stamp_ns);
         }
-        // Split borrows: selection reads self.select while the record
-        // closure mutates self.series/self.tiers.
-        let select = &self.select;
-        let selected =
-            |path: &str| select.is_empty() || select.iter().any(|p| path.starts_with(p.as_str()));
         let series = &mut self.series;
         let tiers = &mut self.tiers;
         let mut record = |path: &str, kind: SeriesKind, bits: u64| {
@@ -223,14 +227,10 @@ impl Timeline {
             }
         };
         for (path, v) in reg.counters() {
-            if selected(path) {
-                record(path, SeriesKind::Counter, v);
-            }
+            record(path, SeriesKind::Counter, v);
         }
         for (path, v) in reg.gauges() {
-            if selected(path) {
-                record(path, SeriesKind::Gauge, u64::from_le_bytes(v.to_le_bytes()));
-            }
+            record(path, SeriesKind::Gauge, u64::from_le_bytes(v.to_le_bytes()));
         }
         for (path, &bits) in &self.staged {
             record(path, SeriesKind::F64, bits);
@@ -287,7 +287,7 @@ impl Timeline {
         );
         for t in &self.tiers {
             out.extend_from_slice(&t.bucket_ns.to_le_bytes());
-            out.push(agg_tag(t.agg));
+            out.push(t.agg.tag());
             out.extend_from_slice(&t.base.to_le_bytes());
             out.extend_from_slice(&u32::try_from(t.len).expect("row count").to_le_bytes());
             out.extend_from_slice(
@@ -311,9 +311,12 @@ fn encode_vals(kind: SeriesKind, vals: &VecDeque<u64>) -> Vec<u8> {
         match (kind, prev) {
             (SeriesKind::Counter, None) => put_varint(&mut out, bits),
             (SeriesKind::Counter, Some(p)) => put_varint(&mut out, bits.wrapping_sub(p)),
-            (SeriesKind::Gauge, None) => put_varint(&mut out, zigzag(bits_i64(bits))),
+            (SeriesKind::Gauge, None) => put_varint(&mut out, zigzag(bits.cast_signed())),
             (SeriesKind::Gauge, Some(p)) => {
-                put_varint(&mut out, zigzag(bits_i64(bits).wrapping_sub(bits_i64(p))));
+                put_varint(
+                    &mut out,
+                    zigzag(bits.cast_signed().wrapping_sub(p.cast_signed())),
+                );
             }
             (SeriesKind::F64, None) => out.extend_from_slice(&bits.to_le_bytes()),
             (SeriesKind::F64, Some(p)) => put_varint(&mut out, bits ^ p),

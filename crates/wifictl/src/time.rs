@@ -25,8 +25,7 @@
 use crate::cli::{self, Args, Outcome};
 use sim::{SimDuration, SimTime};
 use std::fmt::Write as _;
-use telemetry::timeline::{agg_from_name, agg_label, Timeline};
-use telemetry::Agg;
+use telemetry::{Agg, SeriesKind, Timeline};
 
 /// Half-open query window, defaulting to everything.
 #[derive(Debug, Clone, Copy)]
@@ -57,13 +56,28 @@ pub fn summary(tl: &Timeline) -> String {
         out.push_str("empty timeline (no ticks, no series)\n");
         return out;
     }
-    let _ = writeln!(
-        out,
-        "TSL1 timeline: every {}, {} ticks retained, {} evicted",
-        tl.every(),
-        tl.ticks(),
-        tl.dropped()
-    );
+    for t in tl.tables() {
+        let (step, rows, evicted) = (t.bucket(), t.rows(), t.dropped_rows());
+        let Some(agg) = t.agg() else {
+            let _ = writeln!(
+                out,
+                "TSL1 timeline: every {step}, {rows} ticks retained, {evicted} evicted"
+            );
+            series_table(&mut out, tl);
+            continue;
+        };
+        let agg = agg.label();
+        let _ = writeln!(
+            out,
+            "tier bucket {step} {agg}: {rows} rows retained, {evicted} evicted"
+        );
+    }
+    out
+}
+
+/// The raw ring's part of [`summary`]: time range, then one line per
+/// series.
+fn series_table(out: &mut String, tl: &Timeline) {
     let range = match (tl.first_stamp(), tl.last_stamp()) {
         (Some(a), Some(b)) => format!("{a} .. {b}"),
         _ => "-".to_owned(),
@@ -88,17 +102,6 @@ pub fn summary(tl: &Timeline) -> String {
             last
         );
     }
-    for t in tl.tiers() {
-        let _ = writeln!(
-            out,
-            "tier bucket {} {}: {} rows retained, {} evicted",
-            t.bucket(),
-            agg_label(t.agg()),
-            t.rows(),
-            t.dropped_rows()
-        );
-    }
-    out
 }
 
 /// One `seconds value` line per sample in the window; with `bucket`,
@@ -112,11 +115,7 @@ pub fn query(
     bucket: Option<SimDuration>,
     agg: Agg,
 ) -> Result<String, String> {
-    if tl.kind(series).is_none() {
-        return Err(format!(
-            "no series {series} in dump (try `wifictl time summary`)"
-        ));
-    }
+    known(tl, series)?;
     let pts = match bucket {
         Some(b) => tl.downsample(series, w.from, w.to, b, agg),
         None => tl.range(series, w.from, w.to),
@@ -128,17 +127,19 @@ pub fn query(
     Ok(out)
 }
 
+/// Unknown series is an error, not empty output.
+fn known(tl: &Timeline, series: &str) -> Result<(), String> {
+    let hint = || format!("no series {series} in dump (try `wifictl time summary`)");
+    tl.kind(series).map(drop).ok_or_else(hint)
+}
+
 const BARS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
 
 /// ASCII sparkline of a series: samples chunked to at most `width`
 /// columns (in-order mean per chunk), scaled between the window's min
 /// and max. A flat series renders mid-scale.
 pub fn plot(tl: &Timeline, series: &str, w: Window, width: usize) -> Result<String, String> {
-    if tl.kind(series).is_none() {
-        return Err(format!(
-            "no series {series} in dump (try `wifictl time summary`)"
-        ));
-    }
+    known(tl, series)?;
     let width = width.max(1);
     let pts = tl.range(series, w.from, w.to);
     let mut out = String::new();
@@ -218,57 +219,32 @@ pub fn diff(a: &Timeline, b: &Timeline) -> (String, bool) {
     }
     let na: Vec<&str> = a.series_names().collect();
     let nb: Vec<&str> = b.series_names().collect();
-    for n in &na {
-        if !nb.contains(n) {
-            let _ = writeln!(out, "series {n}: only in first dump");
+    for (mine, theirs, which) in [(&na, &nb, "first"), (&nb, &na, "second")] {
+        for n in mine.iter().filter(|n| !theirs.contains(n)) {
+            let _ = writeln!(out, "series {n}: only in {which} dump");
         }
     }
-    for n in &nb {
-        if !na.contains(n) {
-            let _ = writeln!(out, "series {n}: only in second dump");
-        }
-    }
-    for n in na.iter().filter(|n| nb.contains(n)) {
-        let va = a.range_bits(n, SimTime::ZERO, SimTime::MAX);
-        let vb = b.range_bits(n, SimTime::ZERO, SimTime::MAX);
-        if let Some((sa, sb)) = va.iter().zip(vb.iter()).find(|(x, y)| x != y) {
-            let _ = writeln!(
-                out,
-                "series {n}: first divergence at {}\n  first:  {}\n  second: {}",
-                sa.0,
-                f64_or_raw(sa.1.label(), sa.2),
-                f64_or_raw(sb.1.label(), sb.2),
-            );
-            return (out, false);
-        }
-        if va.len() != vb.len() {
-            let _ = writeln!(out, "series {n}: {} vs {} samples", va.len(), vb.len());
-            return (out, false);
-        }
-    }
-    // Same tick columns; the byte difference must be in the tiers.
-    for (i, (ta, tb)) in a.tiers().zip(b.tiers()).enumerate() {
+    // Table by table — the raw ring, then (same tick columns: the byte
+    // difference must be in the tiers) each tier — the first series
+    // whose rows differ.
+    for (i, (ta, tb)) in a.tables().zip(b.tables()).enumerate() {
+        let (what, unit) = match ta.agg() {
+            None => (String::new(), "samples"),
+            Some(_) => (format!("tier {} ", i - 1), "rows"),
+        };
         for n in na.iter().filter(|n| nb.contains(n)) {
-            let (ra, rb) = (ta.series(n), tb.series(n));
-            if let Some((sa, sb)) = ra
-                .iter()
-                .zip(rb.iter())
-                .find(|(x, y)| x.0 != y.0 || x.1.to_bits() != y.1.to_bits())
-            {
-                let _ = writeln!(
-                    out,
-                    "tier {i} series {n}: first divergence at {}: {} vs {}",
-                    sa.0, sa.1, sb.1
-                );
+            let (ra, rb) = (ta.series_bits(n), tb.series_bits(n));
+            if let Some((sa, sb)) = ra.iter().zip(rb.iter()).find(|(x, y)| x != y) {
+                let _ = write!(out, "{what}series {n}: first divergence at {}", sa.0);
+                let _ = match ta.agg() {
+                    None => writeln!(out, "\n  first:  {}\n  second: {}", raw(sa), raw(sb)),
+                    Some(_) => writeln!(out, ": {} vs {}", bucket(sa), bucket(sb)),
+                };
                 return (out, false);
             }
             if ra.len() != rb.len() {
-                let _ = writeln!(
-                    out,
-                    "tier {i} series {n}: {} vs {} rows",
-                    ra.len(),
-                    rb.len()
-                );
+                let (la, lb) = (ra.len(), rb.len());
+                let _ = writeln!(out, "{what}series {n}: {la} vs {lb} {unit}");
                 return (out, false);
             }
         }
@@ -276,14 +252,19 @@ pub fn diff(a: &Timeline, b: &Timeline) -> (String, bool) {
     (out, false)
 }
 
-/// A sample for the diff report: counters/gauges print exactly; f64
-/// prints the value plus its raw bits.
-fn f64_or_raw(kind: &str, bits: u64) -> String {
+/// A raw sample for the diff report: counters/gauges print exactly;
+/// f64 prints the value plus its raw bits.
+fn raw(&(_, kind, bits): &(SimTime, SeriesKind, u64)) -> String {
     match kind {
-        "counter" => format!("counter {bits}"),
-        "gauge" => format!("gauge {}", i64::from_le_bytes(bits.to_le_bytes())),
-        _ => format!("f64 {} (bits {bits:#018x})", f64::from_bits(bits)),
+        SeriesKind::Counter => format!("counter {bits}"),
+        SeriesKind::Gauge => format!("gauge {}", bits.cast_signed()),
+        SeriesKind::F64 => format!("f64 {} (bits {bits:#018x})", f64::from_bits(bits)),
     }
+}
+
+/// A tier row for the diff report: the bucket's aggregate.
+fn bucket(&(_, _, bits): &(SimTime, SeriesKind, u64)) -> f64 {
+    f64::from_bits(bits)
 }
 
 /// CLI usage text.
@@ -350,7 +331,7 @@ pub fn run(args: &[String]) -> Outcome {
             }
             let agg = a
                 .value("--agg")
-                .map(|v| agg_from_name(v).ok_or_else(|| format!("unknown --agg {v}")))
+                .map(|v| Agg::from_name(v).ok_or_else(|| format!("unknown --agg {v}")))
                 .transpose()?;
             if agg.is_some() && bucket.is_none() {
                 return Err("--agg needs --bucket".to_owned());
@@ -389,8 +370,7 @@ pub fn run(args: &[String]) -> Outcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use telemetry::timeline::TimelineConfig;
-    use telemetry::Registry;
+    use telemetry::{Registry, TimelineConfig};
 
     /// 40 ticks at 100 ms: a counter ramp, a sawtooth gauge, and an f64
     /// cwnd-style signal.
@@ -605,12 +585,7 @@ mod tests {
         let (_, code) = run(&[own("diff"), path.clone(), path.clone()]).unwrap();
         assert_eq!(code, 0);
         let p2 = dir.join("other.bin");
-        let mut tl = Timeline::new(&TimelineConfig::sampling(SimDuration::from_millis(100)));
-        let mut reg = Registry::new();
-        reg.count("tcp.segments", 1);
-        tl.sample(SimTime::ZERO, &reg);
-        tl.seal();
-        std::fs::write(&p2, tl.to_bytes()).unwrap();
+        std::fs::write(&p2, build(1, None).to_bytes()).unwrap();
         let (out, code) = run(&[own("diff"), path, p2.to_string_lossy().to_string()]).unwrap();
         assert_eq!(code, 1);
         assert!(out.contains("dumps DIFFER"), "{out}");

@@ -46,13 +46,14 @@ if grep -rnE 'fn json_escape|fn json_string|0xcbf2_9ce4_8422_2325|fn put_varint'
   echo "wire-format helper defined outside telemetry::{codec,json}"; exit 1
 fi
 
-echo "=== no god-files (testbed, health), taps cannot steer ==="
-# Two modules were one file each once and are layered pieces now: no
-# file of either may grow back past its limit. netsim::testbed is a
+echo "=== no god-files (testbed, health, timeline), taps cannot steer ==="
+# Three modules were one file each once and are layered pieces now: no
+# file of any may grow back past its limit. netsim::testbed is a
 # protocol world plus read-only taps (DESIGN.md "Testbed anatomy");
 # telemetry::health is wire format / rules / engine / catalog (DESIGN.md
-# "Health & alerting"). The taps file, besides, may not so much as name
-# the two types a sink would need to change a trajectory.
+# "Health & alerting"); telemetry::timeline is store / sampler / wire /
+# query (DESIGN.md "Timeline"). The taps file, besides, may not so much
+# as name the two types a sink would need to change a trajectory.
 while read -r limit files; do
   while read -r lines file; do
     [[ $file == total ]] || (( lines <= limit )) \
@@ -62,6 +63,7 @@ while read -r limit files; do
 done << EOF
 800 crates/netsim/src/testbed/*.rs
 600 crates/telemetry/src/health/*.rs
+600 crates/telemetry/src/timeline/*.rs
 EOF
 if grep -nwE 'Rng|EventQueue' crates/netsim/src/testbed/taps.rs; then
   echo "testbed/taps.rs names Rng or EventQueue"; exit 1
@@ -124,7 +126,7 @@ echo "=== wifictl reads every artifact back ==="
 # must exit 0 on the dumps above and, unless the pattern is "-", print
 # a line matching it — a complete causal chain in the fig15 trace, the
 # qoe-degraded alert fig19's interferer raises, fig14's cwnd curve at
-# the sampler's first 250 ms tick.
+# the sampler's first 250 ms tick, the header of fig15's CSV export.
 while IFS='|' read -r want args; do
   # shellcheck disable=SC2086  # $args is a word list by construction
   out="$("$ctl" $args)" || { echo "wifictl $args failed"; exit 1; }
@@ -143,6 +145,7 @@ chain complete|trace chain $art/fig15.a.trace
 -|time diff $art/fig15.a.timeline $art/fig15.b.timeline
 ^0.25 |time query $art/fig14.a.timeline base.tcp.flow0.cwnd_segments
 -|time plot $art/fig14.a.timeline base.tcp.flow0.cwnd_segments
+^series,kind,t_ns,value$|time export $art/fig15.a.timeline --csv
 EOF
 
 echo "=== perf smoke (wifictl perf regress vs committed baseline) ==="

@@ -35,7 +35,6 @@ use wifi_core::netsim::testbed::{InterfererFault, Testbed, TestbedConfig, Testbe
 use wifi_core::qoe::{ClientReport, DimSummary, ProbeConfig};
 use wifi_core::sim::{SimDuration, SimTime};
 use wifi_core::telemetry::codec::Fnv1a;
-use wifi_core::telemetry::timeline::agg_label;
 use wifi_core::telemetry::{Agg, Timeline, TimelineConfig};
 
 /// Run `arms` the way the `fig` binary does under `--timeline x
@@ -103,12 +102,12 @@ fn queries_hash(tl: &Timeline) -> u64 {
                 Agg::Last,
             ] {
                 for (at, v) in tl.downsample(name, lo, hi, bucket, agg) {
-                    let _ = writeln!(h, "{} {} {:x}", agg_label(agg), at.as_nanos(), v.to_bits());
+                    let _ = writeln!(h, "{} {} {:x}", agg.label(), at.as_nanos(), v.to_bits());
                 }
             }
         }
         for t in tl.tiers() {
-            let (bucket, agg) = (t.bucket().as_nanos(), agg_label(t.agg()));
+            let (bucket, agg) = (t.bucket().as_nanos(), t.agg().expect("a tier").label());
             let _ = writeln!(h, "tier {bucket} {agg} {} {}", t.rows(), t.dropped_rows());
             for name in tl.series_names() {
                 for (at, v) in t.series(name) {
