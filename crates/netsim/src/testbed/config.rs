@@ -252,11 +252,9 @@ impl ConfigError {
     /// [`ConfigError::OutOfRange`] for the first `(field, value, min,
     /// max)` whose value is outside `[min, max]`.
     pub fn in_ranges(checks: &[(&'static str, f64, f64, f64)]) -> Result<(), ConfigError> {
-        let bad = |&&(_, v, min, max): &&(_, f64, f64, f64)| !(min..=max).contains(&v);
-        checks
-            .iter()
-            .find(bad)
-            .map_or(Ok(()), |&row| Err(row.into()))
+        let mut rows = checks.iter();
+        let bad = rows.find(|(_, v, min, max)| !(min..=max).contains(&v));
+        bad.map_or(Ok(()), |&row| Err(row.into()))
     }
 }
 

@@ -41,12 +41,17 @@ impl<'a> TableView<'a> {
         self.table.cols[*self.index.get(name)?].as_ref()
     }
 
+    /// One series as `(row start, kind, bits)`; nothing if absent.
+    fn stamped(&self, name: &str) -> impl Iterator<Item = (SimTime, SeriesKind, u64)> + 'a {
+        let table = self.table;
+        (self.get(name).into_iter()).flat_map(move |s| table.stamped(s))
+    }
+
     /// One series as `(row start, kind, bits)` with its exact bit
     /// patterns — what `wifictl time diff` compares so divergence is
     /// never masked by float printing. Tier rows are `f64` bits.
     pub fn series_bits(&self, name: &str) -> Vec<(SimTime, SeriesKind, u64)> {
-        let s = self.get(name);
-        s.map_or(Vec::new(), |s| self.table.stamped(s).collect())
+        self.stamped(name).collect()
     }
 
     /// One series as `(row start, value)`.
@@ -55,7 +60,7 @@ impl<'a> TableView<'a> {
             Some(_) => f64::from_bits(bits),
             None => bits_to_f64(kind, bits),
         };
-        let rows = self.series_bits(name).into_iter();
+        let rows = self.stamped(name);
         rows.map(|(at, kind, bits)| (at, value(kind, bits)))
             .collect()
     }
@@ -132,8 +137,8 @@ impl Timeline {
 
     /// Raw samples of a series in `[from, to)` as `(instant, value)`.
     pub fn range(&self, name: &str, from: SimTime, to: SimTime) -> Vec<(SimTime, f64)> {
-        let rows = self.raw().series(name).into_iter();
-        rows.filter(|&(at, _)| at >= from && at < to).collect()
+        let value = |(at, kind, bits)| (at, bits_to_f64(kind, bits));
+        (self.range_bits(name, from, to).into_iter().map(value)).collect()
     }
 
     /// Raw samples in `[from, to)` with their exact bit patterns (see
@@ -144,7 +149,7 @@ impl Timeline {
         from: SimTime,
         to: SimTime,
     ) -> Vec<(SimTime, SeriesKind, u64)> {
-        let rows = self.raw().series_bits(name).into_iter();
+        let rows = self.raw().stamped(name);
         rows.filter(|&(at, ..)| at >= from && at < to).collect()
     }
 

@@ -301,10 +301,10 @@ impl Timeline {
         }
         let (dst, src) = (&mut self.store, &other.store);
         if dst.raw.step_ns == 0 {
-            let shape = |t: &Table| Table::new(t.step_ns, t.capacity);
-            dst.raw = shape(&src.raw);
+            let empty = |t: &Table| Table::new(t.step_ns, t.capacity);
+            dst.raw = empty(&src.raw);
             let tiers = src.tiers.iter();
-            dst.tiers = tiers.map(|t| Tier::new(shape(&t.table), t.agg)).collect();
+            dst.tiers = tiers.map(|t| Tier::new(empty(&t.table), t.agg)).collect();
         }
         self.frozen = true;
         let shape = |s: &Store| Vec::from_iter(s.tables().map(|(t, agg)| (t.step_ns, agg)));
