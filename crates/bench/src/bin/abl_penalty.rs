@@ -37,7 +37,6 @@ fn main() {
         switch_penalty_idle: 0.0,
         penalty_2_4ghz_extra: 0.0,
         high_util_extra: 0.0,
-        ..MetricParams::default()
     };
     // The `--perf` workload unit is one full TurboCA planning run: two
     // per seed, for as many rounds as the sample takes.

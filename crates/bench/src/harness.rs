@@ -142,11 +142,12 @@ impl Experiment {
 
     /// Parse `argv` (program name first) against the harness flags plus
     /// the binary's own `numeric` flags. `--flag v` and `--flag=v` are
-    /// both accepted. An unknown argument, a flag without its value, or
-    /// a numeric flag (`--timeline-every` and every `numeric` one) that
-    /// is not a positive integer, or a `--timeline-every` past what the
-    /// nanosecond clock holds, is an `Err` holding the one-line usage
-    /// text, so nothing is run on a typo.
+    /// both accepted. An unknown argument, a flag without its value or
+    /// given twice, a numeric flag (`--timeline-every` and every
+    /// `numeric` one) that is not a positive integer, a
+    /// `--timeline-every` past what the nanosecond clock holds or
+    /// without the `--timeline` that reads it, is an `Err` holding the
+    /// one-line usage text, so nothing is run on a typo.
     pub fn parse(
         id: &str,
         title: &str,
@@ -189,7 +190,12 @@ impl Experiment {
                     )));
                 }
             }
-            flags.entry(flag.to_owned()).or_insert(value);
+            if flags.insert(flag.to_owned(), value).is_some() {
+                return Err(usage(format!("{flag} given twice")));
+            }
+        }
+        if flags.contains_key("--timeline-every") && !flags.contains_key("--timeline") {
+            return Err(usage("--timeline-every needs --timeline".to_owned()));
         }
         // Arm the host-side run profiler as early as possible so setup
         // work lands in the profile too. `--runprof` is the only flag
@@ -601,13 +607,13 @@ mod tests {
     }
 
     #[test]
-    fn args_accept_both_spellings_first_occurrence_winning() {
+    fn args_accept_both_spellings() {
         let e = exp(&[
             "target/release/fig15_aggregation",
             "--metrics",
             "m.json",
             "--trace=t.bin",
-            "--metrics=other.json",
+            "--timeline=tl.bin",
             "--timeline-every",
             "250",
             "--networks=12",
@@ -622,19 +628,35 @@ mod tests {
 
     #[test]
     fn args_reject_typos_missing_values_and_bad_numbers() {
-        for bad in [
-            &["b", "--metric", "out.json"][..],
-            &["b", "out.json"],
-            &["b", "--threads", "4"],
-            &["b", "--metrics"],
-            &["b", "--timeline-every", "abc"],
-            &["b", "--timeline-every=0"],
+        for (bad, problem) in [
+            (
+                &["b", "--metric", "out.json"][..],
+                "unknown argument --metric",
+            ),
+            (&["b", "out.json"], "unknown argument out.json"),
+            (&["b", "--threads", "4"], "unknown argument --threads"),
+            (&["b", "--metrics"], "--metrics wants a value"),
+            (&["b", "--timeline-every", "abc"], "got abc"),
+            (&["b", "--timeline-every=0"], "got 0"),
             // 100x this many milliseconds overflows u64 nanoseconds.
-            &["b", "--timeline", "x", "--timeline-every", "184467440738"],
-            &["b", "--networks", "-3"],
+            (
+                &["b", "--timeline", "x", "--timeline-every", "184467440738"],
+                "more than the clock holds",
+            ),
+            (&["b", "--networks", "-3"], "got -3"),
+            (
+                &["b", "--metrics", "a.json", "--metrics=b.json"],
+                "--metrics given twice",
+            ),
+            (
+                &["b", "--timeline-every", "50"],
+                "--timeline-every needs --timeline",
+            ),
         ] {
             let usage = parse(bad).expect_err(&format!("{bad:?} parsed"));
             assert!(!usage.contains('\n'), "usage is one line: {usage}");
+            let said = usage.split("; usage:").next().unwrap();
+            assert!(said.ends_with(problem), "{bad:?}: {said}");
             for flag in PATH_FLAGS.iter().chain(&["--timeline-every", "--networks"]) {
                 assert!(usage.contains(flag), "usage omits {flag}: {usage}");
             }

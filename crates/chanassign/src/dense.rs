@@ -57,6 +57,13 @@ use std::ops::Range;
 /// Slots in the larger band table; 2.4 GHz uses the first eleven.
 const MAX_SLOTS: usize = US_5GHZ_20.len();
 
+/// Utilization above which a candidate costs
+/// [`MetricParams::high_util_extra`] more to switch to.
+pub(crate) const HIGH_UTIL_THRESHOLD: f64 = 0.9;
+/// Load weight assumed for an AP with zero clients, so idle APs still
+/// weakly prefer clean channels instead of being indifferent.
+pub(crate) const IDLE_EPSILON_LOAD: f64 = 0.05;
+
 /// One AP's report by slot and by block.
 pub(crate) struct ApRow {
     band: Band,
@@ -162,7 +169,7 @@ impl ApRow {
         // *candidate* costs extra, because above ~90 % utilization small
         // variations halve NetP and would otherwise cause switch flapping.
         let cand_util = self.block(cand).map_or(0.0, |b| self.peak_busy[b.index]);
-        if cand_util > params.high_util_threshold {
+        if cand_util > HIGH_UTIL_THRESHOLD {
             p += params.high_util_extra;
         }
         p
@@ -184,7 +191,6 @@ impl ApRow {
     /// `f64::NEG_INFINITY` as soon as a loaded width's term is.
     fn score(
         &self,
-        params: &MetricParams,
         penalty: f64,
         cand: Channel,
         contenders: impl Fn(usize) -> usize,
@@ -193,7 +199,7 @@ impl ApRow {
         let mut total = 0.0;
         for (&b, &load) in cand.width.up_to().iter().zip(&self.load) {
             let load = if b == Width::W20 {
-                load.max(params.idle_epsilon_load)
+                load.max(IDLE_EPSILON_LOAD)
             } else {
                 load
             };
@@ -230,7 +236,7 @@ impl ApRow {
         contenders: impl Fn(usize) -> usize,
     ) -> f64 {
         let penalty = self.switch_penalty(params, current, cand);
-        self.score(params, penalty, cand, contenders, |_| ())
+        self.score(penalty, cand, contenders, |_| ())
     }
 }
 
@@ -399,7 +405,6 @@ impl<'a> Partial<'a> {
         let penalty = row.switch_penalty(params, current[n], nc);
         let first = terms.len();
         let total = row.score(
-            params,
             penalty,
             nc,
             |slot| counts[slot] as usize,

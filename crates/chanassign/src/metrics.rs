@@ -36,14 +36,10 @@ pub struct MetricParams {
     /// Extra switch penalty on 2.4 GHz (§4.5.1: many 2.4 GHz clients
     /// lack CSA support, so a switch means a 5–8 s outage).
     pub penalty_2_4ghz_extra: f64,
-    /// Extra switch penalty when utilization exceeds
-    /// [`MetricParams::high_util_threshold`] (§4.5.1: above 90 %
-    /// utilization small variations halve NetP, so demand hysteresis).
+    /// Extra switch penalty when the candidate's utilization exceeds
+    /// 90 % (§4.5.1: above 90 % utilization small variations halve
+    /// NetP, so demand hysteresis).
     pub high_util_extra: f64,
-    pub high_util_threshold: f64,
-    /// Load weight assumed for an AP with zero clients, so idle APs
-    /// still weakly prefer clean channels instead of being indifferent.
-    pub idle_epsilon_load: f64,
 }
 
 impl Default for MetricParams {
@@ -53,8 +49,6 @@ impl Default for MetricParams {
             switch_penalty_idle: 0.005,
             penalty_2_4ghz_extra: 0.25,
             high_util_extra: 0.15,
-            high_util_threshold: 0.9,
-            idle_epsilon_load: 0.05,
         }
     }
 }

@@ -4,6 +4,7 @@
 //! per ACC, a BFS per NBO seed. Kept verbatim (minus `pub`) so the
 //! proptests at the bottom can hold the dense planner to it bit for bit.
 
+use crate::dense::{HIGH_UTIL_THRESHOLD, IDLE_EPSILON_LOAD};
 use crate::metrics::MetricParams;
 use crate::model::{NetworkView, Plan};
 use phy80211::channels::{all_channels, non_dfs_channels, Band, Channel, Width};
@@ -60,7 +61,7 @@ fn switch_penalty(params: &MetricParams, view: &NetworkView, v: usize, cand: Cha
                 .fold(0.0, f64::max)
         })
         .unwrap_or(0.0);
-    if cand_util > params.high_util_threshold {
+    if cand_util > HIGH_UTIL_THRESHOLD {
         p += params.high_util_extra;
     }
     p
@@ -79,7 +80,7 @@ fn node_p_ln(
     for &b in cand.width.up_to() {
         let mut load = ap.load.at_width(b);
         if b == Width::W20 {
-            load = load.max(params.idle_epsilon_load);
+            load = load.max(IDLE_EPSILON_LOAD);
         }
         if load <= 0.0 {
             continue;

@@ -76,10 +76,6 @@ pub struct AgentConfig {
     pub cache_capacity_bytes: u64,
     /// Client receive window assumed before the first client ACK is seen.
     pub initial_client_rwnd: u64,
-    /// Emulate client dupACKs for upstream holes (§5.5.3); off = ablation.
-    pub emulate_holes: bool,
-    /// Client dupACKs tolerated before a local retransmission fires.
-    pub local_retx_dupack_threshold: u32,
     /// Which flows to accelerate (§5.4 footnote 10).
     pub flow_policy: FlowPolicy,
     /// Optional per-flow AP-queue budget in bytes. When set, advertised
@@ -90,14 +86,15 @@ pub struct AgentConfig {
     pub queue_budget_bytes: Option<u64>,
 }
 
+/// Client dupACKs tolerated before a local retransmission fires.
+const LOCAL_RETX_DUPACK_THRESHOLD: u32 = 2;
+
 impl Default for AgentConfig {
     fn default() -> Self {
         AgentConfig {
             enabled: true,
             cache_capacity_bytes: 16 << 20,
             initial_client_rwnd: 4 << 20,
-            emulate_holes: true,
-            local_retx_dupack_threshold: 2,
             flow_policy: FlowPolicy::All,
             queue_budget_bytes: None,
         }
@@ -242,6 +239,8 @@ impl Agent {
     }
 
     /// §5.4 TCP data flow: a data segment arrived from the wired side.
+    /// While the flow has an upstream hole, every segment arriving above
+    /// it also yields one emulated client dupACK with SACK (§5.5.3).
     pub fn on_wire_data(&mut self, seg: &DataSegment) -> Vec<Action> {
         let mut out = Vec::new();
         self.on_wire_data_into(seg, &mut out);
@@ -277,7 +276,6 @@ impl Agent {
                 e.insert(Self::adopt(&self.cfg, seg.seq))
             }
         };
-        let emulate_holes = self.cfg.emulate_holes;
         let (start, end) = (seg.seq, seg.end());
 
         if let Some(gate) = flow.state.gate_until {
@@ -339,7 +337,7 @@ impl Agent {
             priority: false,
         });
 
-        if emulate_holes && !flow.state.holes.is_empty() {
+        if !flow.state.holes.is_empty() {
             // One emulated dupACK per arriving segment above the hole —
             // the same cadence a real receiver would produce, so the
             // sender's fast-retransmit machinery engages normally.
@@ -398,7 +396,8 @@ impl Agent {
     }
 
     /// §5.4 TCP ACK flow + §5.5.1 retransmission strategy: the client's
-    /// own TCP ACK arrived over the wireless link.
+    /// own TCP ACK arrived over the wireless link. The second duplicate
+    /// ACK is served from the local cache.
     pub fn on_client_ack(&mut self, ack: &AckSegment) -> Vec<Action> {
         let mut out = Vec::new();
         self.on_client_ack_into(ack, &mut out);
@@ -416,7 +415,6 @@ impl Agent {
             return;
         };
         flow.state.client_rwnd = ack.rwnd;
-        let threshold = self.cfg.local_retx_dupack_threshold;
 
         if let Some(gate) = flow.state.gate_until {
             if ack.ack >= gate {
@@ -508,7 +506,7 @@ impl Agent {
         // re-firing per dupACK would storm duplicates at the client.
         flow.state.client_dup_acks += 1;
         let d = flow.state.client_dup_acks;
-        let fire = d == threshold
+        let fire = d == LOCAL_RETX_DUPACK_THRESHOLD
             || (flow.state.last_fire_dup > 0 && d >= flow.state.last_fire_dup.saturating_mul(4));
         if fire {
             flow.state.last_fire_dup = d;
@@ -562,9 +560,6 @@ impl Agent {
         };
         flow.state.add_hole(seq, seq + len as u64);
         self.stats.queue_drops += 1;
-        if !self.cfg.emulate_holes {
-            return Vec::new();
-        }
         let sack = sack_blocks(&flow.state);
         let rwnd = Self::advertised_rwnd(&self.cfg, &flow.state);
         self.stats.hole_dupacks_sent += 1;
@@ -625,12 +620,6 @@ impl Agent {
             },
         );
     }
-
-    /// Drop a completed flow's state.
-    pub fn remove_flow(&mut self, flow: FlowId) {
-        self.flows.remove(&flow);
-        self.classifier.forget(flow);
-    }
 }
 
 /// SACK blocks describing what the AP *has* seen above the holes:
@@ -640,10 +629,7 @@ impl Agent {
 /// RFC 2018 orders blocks most-recently-received first: the block
 /// holding the newest data — the one ending at `seq_high`, which
 /// contains the segment that triggered this emulated dupACK — comes
-/// first, and the 3-block cap discards the *oldest* information. (The
-/// old code truncated the ascending walk, keeping the lowest three
-/// blocks and starving the sender of the newest loss information
-/// whenever more than three blocks existed.)
+/// first, and the 3-block cap discards the *oldest* information.
 ///
 /// `FlowState::add_hole` keeps `holes` sorted, so one forward walk
 /// suffices — no clone+sort per arriving segment.

@@ -65,11 +65,6 @@ impl Classifier {
         }
     }
 
-    /// Drop accounting for a finished flow.
-    pub fn forget(&mut self, flow: FlowId) {
-        self.bytes.remove(&flow);
-    }
-
     /// Number of tracked (not necessarily promoted) flows.
     pub fn tracked(&self) -> usize {
         self.bytes.len()
@@ -109,17 +104,5 @@ mod tests {
         assert!(c.observe(FlowId(1), 1));
         // Other flows are independent.
         assert!(!c.is_promoted(FlowId(2)));
-    }
-
-    #[test]
-    fn forget_clears_accounting() {
-        let mut c = Classifier::new(FlowPolicy::Elephants {
-            threshold_bytes: 1_000,
-        });
-        c.observe(FlowId(1), 2_000);
-        assert!(c.is_promoted(FlowId(1)));
-        c.forget(FlowId(1));
-        assert!(!c.is_promoted(FlowId(1)));
-        assert_eq!(c.tracked(), 0);
     }
 }

@@ -138,8 +138,8 @@ impl FleetConfig {
             ("rf_churn", self.rf_churn, 0.0, 1.0),
         ])?;
         // `HealthRules::validate` names the row that is out of range.
-        let rules = self.health_rules.map_or(Ok(()), |r| r.validate());
-        ConfigError::in_ranges(rules.err().as_slice())
+        self.health_rules.map_or(Ok(()), |r| r.validate())?;
+        Ok(())
     }
 }
 

@@ -36,24 +36,6 @@ impl AccessCategory {
             AccessCategory::Voice => "VO",
         }
     }
-
-    /// Map a DSCP code point to an AC, following the common WMM mapping
-    /// (the paper notes ACs are "often mapped from DSCP bits").
-    pub fn from_dscp(dscp: u8) -> AccessCategory {
-        // EF (46) is voice regardless of its precedence bits.
-        if dscp == 46 {
-            return AccessCategory::Voice;
-        }
-        match dscp >> 3 {
-            // Precedence 1 (CS1, AF1x): background.
-            1 => AccessCategory::Background,
-            // Precedence 4–5 (CS4/CS5, AF4x): video.
-            4 | 5 => AccessCategory::Video,
-            // Precedence 6–7 (CS6/CS7): network control, treated as voice.
-            6 | 7 => AccessCategory::Voice,
-            _ => AccessCategory::BestEffort,
-        }
-    }
 }
 
 impl fmt::Display for AccessCategory {
@@ -164,15 +146,6 @@ mod tests {
         assert_eq!(vo.cw_for_retry(0), 3);
         assert_eq!(vo.cw_for_retry(1), 7);
         assert_eq!(vo.cw_for_retry(5), 7);
-    }
-
-    #[test]
-    fn dscp_mapping() {
-        assert_eq!(AccessCategory::from_dscp(0), AccessCategory::BestEffort);
-        assert_eq!(AccessCategory::from_dscp(8), AccessCategory::Background); // CS1
-        assert_eq!(AccessCategory::from_dscp(34), AccessCategory::Video); // AF41
-        assert_eq!(AccessCategory::from_dscp(46), AccessCategory::Voice); // EF
-        assert_eq!(AccessCategory::from_dscp(48), AccessCategory::Voice); // CS6
     }
 
     #[test]

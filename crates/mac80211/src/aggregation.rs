@@ -205,22 +205,6 @@ impl BlockAck {
             .filter(|(_, ok)| !*ok)
             .map(|&(id, _)| id)
     }
-
-    /// True if every MPDU was delivered.
-    pub fn all_acked(&self) -> bool {
-        self.per_mpdu.iter().all(|(_, ok)| *ok)
-    }
-
-    /// True if no MPDU was delivered (whole-PPDU loss: the BlockAck
-    /// itself would not even be generated; the transmitter times out).
-    pub fn none_acked(&self) -> bool {
-        self.per_mpdu.iter().all(|(_, ok)| !*ok)
-    }
-
-    /// Count of delivered MPDUs.
-    pub fn acked_count(&self) -> usize {
-        self.per_mpdu.iter().filter(|(_, ok)| *ok).count()
-    }
 }
 
 /// Running statistic of achieved aggregate sizes — the quantity plotted
@@ -375,9 +359,6 @@ mod tests {
         };
         assert_eq!(ba.acked().collect::<Vec<_>>(), vec![10, 12]);
         assert_eq!(ba.failed().collect::<Vec<_>>(), vec![11]);
-        assert!(!ba.all_acked());
-        assert!(!ba.none_acked());
-        assert_eq!(ba.acked_count(), 2);
     }
 
     #[test]

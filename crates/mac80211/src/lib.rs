@@ -4,8 +4,8 @@
 //! access categories ([`ac`]), CSMA/CA backoff with freeze-resume
 //! semantics ([`backoff`]), contention resolution and collisions
 //! ([`contention`]), A-MPDU aggregation + BlockAck ([`aggregation`]),
-//! RTS/CTS virtual carrier sense ([`protection`]), and a runnable
-//! single-collision-domain simulator ([`medium`]).
+//! what RTS/CTS virtual carrier sense costs ([`protection`]), and a
+//! runnable single-collision-domain simulator ([`medium`]).
 //!
 //! ```
 //! use mac80211::{ac::AccessCategory, medium::{LinkParams, MediumSim}};
@@ -31,4 +31,3 @@ pub use aggregation::{build_ampdu, AggLimits, AggregationStats, Ampdu, BlockAck,
 pub use backoff::{Backoff, BackoffStats};
 pub use contention::{resolve, ContentionOutcome};
 pub use medium::{Delivery, LinkParams, MediumSim, StepReport};
-pub use protection::{Nav, Protection};

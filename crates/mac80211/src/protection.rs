@@ -1,123 +1,38 @@
-//! Virtual carrier sense: RTS/CTS protection and NAV accounting.
+//! Virtual carrier sense: what an RTS/CTS exchange costs.
 //!
 //! §4.1.2 of the paper: neighbouring APs on overlapping channels share
 //! the medium via CSMA, and RTS/CTS mitigates hidden nodes by reserving
-//! the medium for the full exchange. In the simulator the practical
-//! effects are (a) a fixed per-TXOP overhead when protection is on and
-//! (b) collisions costing only the RTS duration instead of the whole
+//! the medium for the full exchange. The testbed runs every TXOP behind
+//! RTS/CTS, and the practical effects are (a) a fixed per-TXOP overhead
+//! and (b) collisions costing only the RTS duration instead of the whole
 //! A-MPDU — which is why §5.6.3's two-AP tests split airtime fairly.
 
 use phy80211::airtime::{cts_duration, rts_duration, SIFS};
 use sim::SimDuration;
 
-/// Medium protection policy for a transmitter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Protection {
-    /// Bare DCF: collisions waste the full data duration.
-    #[default]
-    None,
-    /// RTS/CTS exchange precedes every aggregate.
-    RtsCts,
+/// Extra airtime added to every successful TXOP by the protection
+/// handshake (RTS + SIFS + CTS + SIFS).
+pub fn rts_cts_overhead() -> SimDuration {
+    rts_duration() + SIFS + cts_duration() + SIFS
 }
 
-impl Protection {
-    /// Extra airtime added to every successful TXOP by the protection
-    /// handshake (RTS + SIFS + CTS + SIFS).
-    pub fn overhead(self) -> SimDuration {
-        match self {
-            Protection::None => SimDuration::ZERO,
-            Protection::RtsCts => rts_duration() + SIFS + cts_duration() + SIFS,
-        }
-    }
-
-    /// Airtime wasted when a collision occurs, given the (longest)
-    /// colliding data duration.
-    pub fn collision_cost(self, data_duration: SimDuration) -> SimDuration {
-        match self {
-            Protection::None => data_duration,
-            // Only the RTS frames collide; the data never airs.
-            Protection::RtsCts => rts_duration(),
-        }
-    }
-
-    /// Whether protection pays off: expected cost with RTS/CTS is lower
-    /// than without when collisions are frequent and aggregates long.
-    pub fn worthwhile(collision_prob: f64, data_duration: SimDuration) -> bool {
-        let none_cost = collision_prob * data_duration.as_secs_f64();
-        let rts_cost = Protection::RtsCts.overhead().as_secs_f64()
-            + collision_prob * rts_duration().as_secs_f64();
-        rts_cost < none_cost
-    }
-}
-
-/// Network Allocation Vector: the until-time other stations must defer
-/// to, set by RTS/CTS duration fields.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Nav {
-    until: Option<sim::SimTime>,
-}
-
-impl Nav {
-    /// Update the NAV if the new reservation extends it.
-    pub fn set(&mut self, until: sim::SimTime) {
-        self.until = Some(match self.until {
-            Some(cur) => cur.max(until),
-            None => until,
-        });
-    }
-
-    /// Is the medium virtually busy at `now`?
-    pub fn busy_at(&self, now: sim::SimTime) -> bool {
-        self.until.map(|u| now < u).unwrap_or(false)
-    }
-
-    /// Clear an expired NAV (housekeeping).
-    pub fn expire(&mut self, now: sim::SimTime) {
-        if let Some(u) = self.until {
-            if now >= u {
-                self.until = None;
-            }
-        }
-    }
+/// Airtime wasted when a collision occurs: only the RTS frames collide;
+/// the data never airs.
+pub fn rts_collision_cost() -> SimDuration {
+    rts_duration()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim::SimTime;
 
     #[test]
     fn rts_overhead_is_about_90us() {
-        let oh = Protection::RtsCts.overhead();
-        assert_eq!(oh.as_micros(), 28 + 16 + 28 + 16);
-        assert_eq!(Protection::None.overhead(), SimDuration::ZERO);
+        assert_eq!(rts_cts_overhead().as_micros(), 28 + 16 + 28 + 16);
     }
 
     #[test]
     fn collision_cost_is_capped_by_rts() {
-        let data = SimDuration::from_millis(5);
-        assert_eq!(Protection::None.collision_cost(data), data);
-        assert_eq!(Protection::RtsCts.collision_cost(data), rts_duration());
-    }
-
-    #[test]
-    fn protection_pays_for_long_frames_high_collision() {
-        let long = SimDuration::from_millis(5);
-        let short = SimDuration::from_micros(100);
-        assert!(Protection::worthwhile(0.2, long));
-        assert!(!Protection::worthwhile(0.2, short));
-        assert!(!Protection::worthwhile(0.001, long));
-    }
-
-    #[test]
-    fn nav_extends_and_expires() {
-        let mut nav = Nav::default();
-        assert!(!nav.busy_at(SimTime::from_micros(5)));
-        nav.set(SimTime::from_micros(100));
-        nav.set(SimTime::from_micros(50)); // shorter: no shrink
-        assert!(nav.busy_at(SimTime::from_micros(99)));
-        assert!(!nav.busy_at(SimTime::from_micros(100)));
-        nav.expire(SimTime::from_micros(100));
-        assert_eq!(nav, Nav::default());
+        assert_eq!(rts_collision_cost(), rts_duration());
     }
 }

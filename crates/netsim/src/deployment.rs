@@ -66,13 +66,15 @@ pub fn sample_client_count(rng: &mut Rng) -> usize {
     }
 }
 
+/// The capability mix clients are drawn from.
+const POPULATION: PopulationProfile = PopulationProfile::Y2017;
+/// Fraction of 20 MHz channels carrying any external energy.
+const EXTERNAL_PRESENCE: f64 = 0.35;
+
 /// Options for building a planner view from a topology.
 #[derive(Debug, Clone)]
 pub struct ViewOptions {
-    pub population: PopulationProfile,
     pub external_busy: UtilizationProfile,
-    /// Fraction of 20 MHz channels carrying any external energy.
-    pub external_presence: f64,
     pub dfs_certified: bool,
     pub seed_channels: SeedChannels,
 }
@@ -89,9 +91,7 @@ pub enum SeedChannels {
 impl Default for ViewOptions {
     fn default() -> Self {
         ViewOptions {
-            population: PopulationProfile::Y2017,
             external_busy: UtilizationProfile::FLEET_5,
-            external_presence: 0.35,
             dfs_certified: true,
             seed_channels: SeedChannels::Random,
         }
@@ -122,7 +122,7 @@ pub fn to_view(
     for i in 0..n {
         let n_clients = sample_client_count(rng);
         let caps: Vec<ClientCaps> = (0..n_clients)
-            .map(|_| opts.population.sample(rng))
+            .map(|_| POPULATION.sample(rng))
             .filter(|c| topo.band == Band::Band2_4 || c.five_ghz)
             .collect();
         // load(b): clients bucketed by max width, weighted by a usage
@@ -145,7 +145,7 @@ pub fn to_view(
         let mut external_busy = BTreeMap::new();
         let mut quality = BTreeMap::new();
         for ch in &channel_pool {
-            if rng.chance(opts.external_presence) {
+            if rng.chance(EXTERNAL_PRESENCE) {
                 external_busy.insert(ch.primary, opts.external_busy.sample(rng));
             }
             if rng.chance(0.1) {
@@ -184,40 +184,6 @@ pub fn to_view(
         },
         caps_per_ap,
     )
-}
-
-/// Build a planner view from *scanned* data instead of oracle truth:
-/// the measure→plan loop as deployed. Busy estimates and the neighbor
-/// graph come from [`crate::scanner`] reports (imperfect: sampling noise,
-/// missed beacons); load and capability data still come from the AP's
-/// own association table (which it knows exactly).
-pub fn view_from_scans(
-    topo: &Topology,
-    oracle: &NetworkView,
-    scans: &[crate::scanner::ScanReport],
-) -> NetworkView {
-    assert_eq!(topo.len(), scans.len());
-    let aps = (0..topo.len())
-        .map(|i| {
-            let mut ap = oracle.aps[i].clone();
-            // Neighbors: whoever the scanning radio actually heard.
-            ap.neighbors = scans[i].neighbors();
-            // External busy: scanned estimates, minus what in-network
-            // neighbors account for (the backend correlates BSSIDs; we
-            // keep the raw estimate, which upper-bounds external energy).
-            ap.external_busy = scans[i]
-                .observations
-                .iter()
-                .filter(|o| o.busy > 0.02)
-                .map(|o| (o.channel, o.busy))
-                .collect();
-            ap
-        })
-        .collect();
-    NetworkView {
-        band: topo.band,
-        aps,
-    }
 }
 
 /// A named deployment profile from the paper's §4.6.1 evaluation.
@@ -347,47 +313,6 @@ mod tests {
             .aps
             .iter()
             .all(|a| US_2_4GHZ_NON_OVERLAPPING.contains(&a.current.primary)));
-    }
-
-    #[test]
-    fn scanned_view_supports_planning() {
-        use crate::scanner::{merge_cycles, scan_cycle, ScannerConfig};
-        use chanassign::metrics::{net_p_ln, MetricParams};
-        use chanassign::turboca::{ScheduleTier, TurboCa};
-        let mut rng = Rng::new(11);
-        let topo = topology::grid(4, 4, 12.0, 1.5, Band::Band5, &mut rng);
-        let (oracle, _) = to_view(&topo, &ViewOptions::default(), &mut rng);
-        // Scan: 4 merged cycles per AP against the oracle ground truth.
-        let neighbor_channels: Vec<u16> = oracle.aps.iter().map(|a| a.current.primary).collect();
-        let cfg = ScannerConfig::default();
-        let scans: Vec<_> = (0..topo.len())
-            .map(|i| {
-                let cycles: Vec<_> = (0..4)
-                    .map(|_| {
-                        scan_cycle(
-                            &cfg,
-                            &topo,
-                            i,
-                            &oracle.aps[i].external_busy,
-                            &neighbor_channels,
-                            &mut rng,
-                        )
-                    })
-                    .collect();
-                merge_cycles(&cycles, 0.4)
-            })
-            .collect();
-        let scanned = view_from_scans(&topo, &oracle, &scans);
-        // A plan computed from scanned inputs must still clearly improve
-        // the *true* network metric over the incumbent assignment.
-        let params = MetricParams::default();
-        let plan = TurboCa::new(5).run(&scanned, ScheduleTier::Slow).plan;
-        let incumbent = net_p_ln(&params, &oracle, &chanassign::model::Plan::current(&oracle));
-        let planned = net_p_ln(&params, &oracle, &plan);
-        assert!(
-            planned > incumbent,
-            "scan-driven plan {planned} !> incumbent {incumbent}"
-        );
     }
 
     #[test]

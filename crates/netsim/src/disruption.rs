@@ -16,26 +16,23 @@ use sim::{Rng, SimDuration};
 pub struct DisruptionModel {
     /// Fraction of clients that honour CSA beacons.
     pub csa_support: f64,
-    /// Probability a CSA-capable client still misses the announcement.
-    pub csa_miss: f64,
-    /// Off-air time when following a CSA (a few beacon intervals).
-    pub csa_follow: SimDuration,
-    /// Re-association outage for a laptop-class client.
-    pub laptop_outage: SimDuration,
-    /// Re-association outage for a mobile-class client.
-    pub mobile_outage: SimDuration,
     /// Fraction of clients that are mobile-class.
     pub mobile_share: f64,
 }
+
+/// Probability a CSA-capable client still misses the announcement.
+const CSA_MISS: f64 = 0.1;
+/// Off-air time when following a CSA (a few beacon intervals).
+const CSA_FOLLOW: SimDuration = SimDuration::from_millis(310);
+/// Re-association outage for a laptop-class client.
+const LAPTOP_OUTAGE: SimDuration = SimDuration::from_secs(5);
+/// Re-association outage for a mobile-class client.
+const MOBILE_OUTAGE: SimDuration = SimDuration::from_secs(8);
 
 impl Default for DisruptionModel {
     fn default() -> Self {
         DisruptionModel {
             csa_support: 0.7,
-            csa_miss: 0.1,
-            csa_follow: SimDuration::from_millis(310),
-            laptop_outage: SimDuration::from_secs(5),
-            mobile_outage: SimDuration::from_secs(8),
             mobile_share: 0.5,
         }
     }
@@ -73,16 +70,16 @@ pub fn assess(
         }
         report.switches += 1;
         for _ in 0..clients {
-            let follows_csa = rng.chance(model.csa_support) && !rng.chance(model.csa_miss);
+            let follows_csa = rng.chance(model.csa_support) && !rng.chance(CSA_MISS);
             if follows_csa {
                 report.csa_followers += 1;
-                report.client_seconds += model.csa_follow.as_secs_f64();
+                report.client_seconds += CSA_FOLLOW.as_secs_f64();
             } else {
                 report.rescans += 1;
                 let outage = if rng.chance(model.mobile_share) {
-                    model.mobile_outage
+                    MOBILE_OUTAGE
                 } else {
-                    model.laptop_outage
+                    LAPTOP_OUTAGE
                 };
                 report.client_seconds += outage.as_secs_f64();
             }
@@ -166,7 +163,6 @@ mod tests {
             let model = DisruptionModel {
                 csa_support: 0.0,
                 mobile_share: mobile,
-                ..DisruptionModel::default()
             };
             assess(&model, &view, &plan, &[500], &mut Rng::new(seed)).client_seconds
         };

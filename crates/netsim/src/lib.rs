@@ -18,7 +18,6 @@ pub mod disruption;
 pub mod diurnal;
 pub mod neteval;
 pub mod population;
-pub mod scanner;
 pub mod testbed;
 pub mod topology;
 

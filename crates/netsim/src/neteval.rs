@@ -163,33 +163,6 @@ fn effective_width(ch: Channel, c: &ClientCaps) -> Width {
     ch.width.min(c.max_width)
 }
 
-/// Integrate per-AP goodput over a diurnal demand envelope into daily
-/// usage (TB), applying an optional uplink cap (Gbps) at the network
-/// level — Table 2's quantity.
-pub fn daily_usage_tb(
-    ap_goodput_mbps: &[f64],
-    demand_fraction_by_hour: &[f64; 24],
-    uplink_gbps: Option<f64>,
-) -> f64 {
-    let mut total_bits = 0.0;
-    for &frac in demand_fraction_by_hour {
-        let offered_mbps: f64 = ap_goodput_mbps.iter().map(|g| g * frac).sum();
-        let delivered_mbps = match uplink_gbps {
-            Some(cap) => offered_mbps.min(cap * 1e3),
-            None => offered_mbps,
-        };
-        total_bits += delivered_mbps * 1e6 * 3_600.0;
-    }
-    total_bits / 8.0 / 1e12
-}
-
-/// A typical enterprise demand envelope (fraction of capacity demanded
-/// per hour of the day).
-pub const OFFICE_DEMAND: [f64; 24] = [
-    0.02, 0.02, 0.02, 0.02, 0.02, 0.03, 0.05, 0.15, 0.35, 0.55, 0.65, 0.70, 0.55, 0.65, 0.70, 0.65,
-    0.55, 0.40, 0.25, 0.15, 0.10, 0.06, 0.04, 0.03,
-];
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,16 +265,5 @@ mod tests {
         let tail = m.tcp_latency_ms.iter().filter(|&&l| l > 400.0).count() as f64
             / m.tcp_latency_ms.len() as f64;
         assert!((0.01..0.10).contains(&tail), "{tail}");
-    }
-
-    #[test]
-    fn daily_usage_integrates_and_caps() {
-        let goodput = vec![100.0; 10]; // 1 Gbps aggregate
-        let unlimited = daily_usage_tb(&goodput, &OFFICE_DEMAND, None);
-        let capped = daily_usage_tb(&goodput, &OFFICE_DEMAND, Some(0.2));
-        assert!(unlimited > capped);
-        // Sanity: 1 Gbps × sum(frac)=6.71 h equivalent ≈ 3 TB.
-        let expect = 1e9 * OFFICE_DEMAND.iter().sum::<f64>() * 3600.0 / 8.0 / 1e12;
-        assert!((unlimited - expect).abs() < 0.01, "{unlimited} vs {expect}");
     }
 }

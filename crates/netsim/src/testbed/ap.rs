@@ -21,6 +21,11 @@ use telemetry::CauseId;
 /// IP + TCP (or UDP) header bytes riding on every MSDU.
 pub(super) const HEADER_BYTES: usize = 40;
 
+/// FastACK staging target per client, frames: the agent's queue-budget
+/// backpressure keeps about this much buffered per client (the Click
+/// pull stage refills the driver ring from here).
+const AP_QUEUE_FRAMES: usize = 256;
+
 /// A queued MSDU with its first-enqueue time (802.11-latency clock).
 type Staged = (QueuedMpdu, SimTime);
 
@@ -72,7 +77,7 @@ impl ApDatapath {
         ApDatapath {
             agent: Agent::new(AgentConfig {
                 enabled: cfg.fastack[a],
-                queue_budget_bytes: Some(cfg.ap_queue_frames as u64 * 1460),
+                queue_budget_bytes: Some(AP_QUEUE_FRAMES as u64 * 1460),
                 cache_capacity_bytes: cfg
                     .agent_cache_bytes
                     .unwrap_or(AgentConfig::default().cache_capacity_bytes),
@@ -209,12 +214,13 @@ impl ApDatapath {
 
     // -- queues and aggregation -------------------------------------------
 
-    /// Keep every station's bulk queue at `target` datagrams (UDP mode).
+    /// Keep every station's bulk queue at [`AP_QUEUE_FRAMES`] datagrams
+    /// (UDP mode).
     /// Datagram ids share the MPDU id space but are never reported to
     /// the agent (no TCP flow to accelerate).
-    pub(super) fn top_up_udp(&mut self, target: usize, now: SimTime, udp_seq: &mut u64) {
+    pub(super) fn top_up_udp(&mut self, now: SimTime, udp_seq: &mut u64) {
         for slot in 0..self.bulk.len() {
-            while self.bulk[slot].len() < target {
+            while self.bulk[slot].len() < AP_QUEUE_FRAMES {
                 let id = telemetry::cause_for(self.first_flow + slot as u64, *udp_seq * 1460).0;
                 *udp_seq += 1;
                 self.enqueue(slot, false, QueuedMpdu { id, bytes: 1500 }, now);

@@ -14,6 +14,15 @@ use telemetry::CauseId;
 /// one short A-MPDU).
 const MAX_ACK_BURST: usize = 64;
 
+/// Mean client-side delay before a generated TCP ACK is even eligible
+/// for transmission ("many client devices take over 2 ms to even begin
+/// transmitting TCP ACKs", §5.1), exponential.
+const ACK_BASE_DELAY: SimDuration = SimDuration::from_millis(2);
+/// Mean interval between stall episodes on a laggy client, seconds.
+const STALL_INTERVAL_S: f64 = 1.5;
+/// Stall episode duration range (uniform), ms.
+const STALL_MS: (f64, f64) = (60.0, 280.0);
+
 pub(super) struct ClientStation {
     pub(super) flow: FlowId,
     pub(super) link: ClientLink,
@@ -50,7 +59,7 @@ impl ClientStation {
         };
         let snr_db = cfg.base_snr_db - frac * cfg.snr_spread_db + rng.normal(0.0, 1.0);
         let next_stall_at = if rng.chance(cfg.laggy_client_fraction) {
-            SimTime::ZERO + SimDuration::from_secs_f64(rng.exponential(cfg.stall_interval_s))
+            SimTime::ZERO + SimDuration::from_secs_f64(rng.exponential(STALL_INTERVAL_S))
         } else {
             SimTime::MAX
         };
@@ -71,19 +80,19 @@ impl ClientStation {
 
     /// Begin a stall episode if one is due (laggy clients only).
     #[inline]
-    pub(super) fn roll_stall(&mut self, now: SimTime, cfg: &TestbedConfig, rng: &mut Rng) {
+    pub(super) fn roll_stall(&mut self, now: SimTime, rng: &mut Rng) {
         if now >= self.next_stall_at {
-            let (lo, hi) = cfg.stall_ms;
+            let (lo, hi) = STALL_MS;
             self.stall_until = now + SimDuration::from_secs_f64(rng.uniform(lo, hi) / 1e3);
-            let gap = rng.exponential(cfg.stall_interval_s).max(0.05);
+            let gap = rng.exponential(STALL_INTERVAL_S).max(0.05);
             self.next_stall_at = self.stall_until + SimDuration::from_secs_f64(gap);
         }
     }
 
     /// Queue a generated ACK behind its client-side processing delay.
     #[inline]
-    fn push_ack(&mut self, ack: AckSegment, now: SimTime, cfg: &TestbedConfig, rng: &mut Rng) {
-        let delay = rng.exponential(cfg.ack_base_delay.as_secs_f64());
+    fn push_ack(&mut self, ack: AckSegment, now: SimTime, rng: &mut Rng) {
+        let delay = rng.exponential(ACK_BASE_DELAY.as_secs_f64());
         self.acks
             .push_back((now + SimDuration::from_secs_f64(delay), ack));
     }
@@ -91,16 +100,10 @@ impl ClientStation {
     /// A data segment reaches the transport. Returns the in-order bytes
     /// it released to the application.
     #[inline]
-    pub(super) fn receive(
-        &mut self,
-        seg: &DataSegment,
-        now: SimTime,
-        cfg: &TestbedConfig,
-        rng: &mut Rng,
-    ) -> u64 {
+    pub(super) fn receive(&mut self, seg: &DataSegment, now: SimTime, rng: &mut Rng) -> u64 {
         let before = self.recv.delivered_bytes;
         if let Some(ack) = self.recv.on_data(seg, now) {
-            self.push_ack(ack, now, cfg, rng);
+            self.push_ack(ack, now, rng);
         }
         let newly = self.recv.delivered_bytes - before;
         self.bytes += newly;
@@ -109,10 +112,10 @@ impl ClientStation {
 
     /// Fire the delayed-ACK timer if it is due.
     #[inline]
-    pub(super) fn poll_delack(&mut self, now: SimTime, cfg: &TestbedConfig, rng: &mut Rng) {
+    pub(super) fn poll_delack(&mut self, now: SimTime, rng: &mut Rng) {
         if self.recv.delack_deadline().is_some_and(|dl| now >= dl) {
             if let Some(ack) = self.recv.on_delack_timeout(now) {
-                self.push_ack(ack, now, cfg, rng);
+                self.push_ack(ack, now, rng);
             }
         }
     }

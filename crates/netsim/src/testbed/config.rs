@@ -1,10 +1,8 @@
 //! What a testbed run is given: [`TestbedConfig`] and its typed
 //! up-front check, [`TestbedConfig::validate`].
 
-use mac80211::protection::Protection;
 use phy80211::channels::Width;
 use sim::{SimDuration, SimTime};
-use tcpsim::CcAlgorithm;
 use telemetry::{HealthRules, TimelineConfig};
 
 /// Transport driving the downlink flows.
@@ -87,27 +85,11 @@ pub struct TestbedConfig {
     pub base_snr_db: f64,
     /// SNR spread between best- and worst-placed client.
     pub snr_spread_db: f64,
-    /// Congestion control on the senders.
-    pub cc: CcAlgorithm,
-    /// Medium protection (Fig. 18's co-channel APs rely on RTS/CTS).
-    pub protection: Protection,
-    /// Mean client-side delay before a generated TCP ACK is even
-    /// eligible for transmission ("many client devices take over 2 ms to
-    /// even begin transmitting TCP ACKs", §5.1), exponential.
-    pub ack_base_delay: SimDuration,
     /// Fraction of clients that are "laggy": they experience episodic
     /// uplink stalls (power save, background scans, driver hiccups) — the
     /// paper's arbitrarily slow clients behind the > 400 ms latency tail
     /// and behind Fig. 14's baseline flows that never open their cwnd.
     pub laggy_client_fraction: f64,
-    /// Mean interval between stall episodes on a laggy client, seconds.
-    pub stall_interval_s: f64,
-    /// Stall episode duration range (uniform), ms.
-    pub stall_ms: (f64, f64),
-    /// FastACK staging target per client, frames: the agent's
-    /// queue-budget backpressure keeps about this much buffered per
-    /// client (the Click pull stage refills the driver ring from here).
-    pub ap_queue_frames: usize,
     /// Shared driver/firmware buffer pool on the baseline arm, frames.
     /// Per-station share = clamp(pool / clients, 24, pool); beyond it,
     /// tail drop. A shared pool is how real NICs behave and is why
@@ -177,13 +159,7 @@ impl Default for TestbedConfig {
             upstream_loss: 0.0,
             base_snr_db: 38.0,
             snr_spread_db: 16.0,
-            cc: CcAlgorithm::Cubic,
-            protection: Protection::RtsCts,
-            ack_base_delay: SimDuration::from_millis(2),
             laggy_client_fraction: 0.25,
-            stall_interval_s: 1.5,
-            stall_ms: (60.0, 280.0),
-            ap_queue_frames: 256,
             ap_buffer_pool_frames: 1600,
             agent_cache_bytes: None,
             seed: 1,
@@ -207,8 +183,8 @@ const MIN_STATION_SHARE: usize = 24;
 /// the field in one line, fit for a usage error.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ConfigError {
-    /// A count the run divides or indexes by, a period the run loop
-    /// steps by, or the mean of a delay it draws, is not positive.
+    /// A count the run divides or indexes by, or a period the run loop
+    /// steps by, is not positive.
     NotPositive(&'static str),
     /// `fastack` does not carry one flag per AP.
     FastackLen { n_aps: usize, len: usize },
@@ -274,24 +250,19 @@ impl From<(&'static str, f64, f64, f64)> for ConfigError {
 impl TestbedConfig {
     /// Check everything a run would otherwise trip over part-way: sizes
     /// it divides or indexes by, periods it catches up on by repeated
-    /// addition (a zero step never gets past `now`), and distribution
-    /// parameters whose `debug_assert`s make debug and release disagree,
-    /// health rules no detector and a timeline no sampler can be built
-    /// from.
+    /// addition (a zero step never gets past `now`), health rules no
+    /// detector and a timeline no sampler can be built from.
     /// [`super::Testbed::new`] panics with the error's `Display`.
     pub fn validate(&self) -> Result<(), ConfigError> {
         const ZERO: Option<SimDuration> = Some(SimDuration::ZERO);
-        let interval_s = self.stall_interval_s;
         ConfigError::not_positive(&[
             ("n_aps", self.n_aps == 0),
             ("clients_per_ap", self.clients_per_ap == 0),
-            ("ack_base_delay", Some(self.ack_base_delay) == ZERO),
             ("beacon_interval", self.beacon_interval == ZERO),
             (
                 "interferer.period",
                 self.interferer.map(|i| i.period) == ZERO,
             ),
-            ("stall_interval_s", interval_s.is_nan() || interval_s <= 0.0),
             // A probe rate past one per nanosecond.
             ("qoe.pps' interval", self.qoe.map(|p| p.interval()) == ZERO),
         ])?;
@@ -324,7 +295,6 @@ impl TestbedConfig {
                 1.0,
             ),
             ("interferer.duty", duty, 0.0, 1.0),
-            ("stall_ms.0", self.stall_ms.0, -inf, self.stall_ms.1),
         ])
     }
 
@@ -357,7 +327,6 @@ mod tests {
             (|c| (c.n_aps, c.fastack) = (0, vec![]), NotPositive("n_aps")),
             (|c| c.clients_per_ap = 0, NotPositive("clients_per_ap")),
             (|c| c.n_aps = 2, FastackLen { n_aps: 2, len: 1 }),
-            (|c| c.ack_base_delay = ZERO, NotPositive("ack_base_delay")),
             (
                 |c| c.beacon_interval = Some(ZERO),
                 NotPositive("beacon_interval"),
@@ -384,10 +353,6 @@ mod tests {
                 NotPositive("qoe.pps' interval"),
             ),
             (
-                |c| c.stall_interval_s = 0.0,
-                NotPositive("stall_interval_s"),
-            ),
-            (
                 |c| c.clients_per_ap = 0x4000,
                 range("n_aps * clients_per_ap", 16384.0, 1.0, 16383.0),
             ),
@@ -407,14 +372,6 @@ mod tests {
             (
                 |c| c.interferer.as_mut().unwrap().duty = 1.01,
                 range("interferer.duty", 1.01, 0.0, 1.0),
-            ),
-            (
-                |c| c.stall_ms = (300.0, 60.0),
-                range("stall_ms.0", 300.0, -inf, 60.0),
-            ),
-            (
-                |c| c.stall_interval_s = -1.0,
-                NotPositive("stall_interval_s"),
             ),
         ];
         let all_on = TestbedConfig {
@@ -452,15 +409,9 @@ mod tests {
         refused!(queue_starvation: stall_steps = NAN, critical_steps = 7.0, min_backlog = NAN);
         refused!(qoe_degraded: clear_penalty = NAN, raise_penalty = 20.0, critical_penalty = 39.0);
         // NaN is outside every range.
-        for edit in [
-            (|c| c.laggy_client_fraction = f64::NAN) as Edit,
-            |c| c.stall_ms.1 = f64::NAN,
-            |c| c.stall_interval_s = f64::NAN,
-        ] {
-            let mut cfg = all_on.clone();
-            edit(&mut cfg);
-            assert!(cfg.validate().is_err());
-        }
+        let mut cfg = all_on.clone();
+        cfg.laggy_client_fraction = f64::NAN;
+        assert!(cfg.validate().is_err());
         // Bounds are inclusive wherever a run is fine at the bound, and
         // an absent sink or fault has nothing to check.
         let edge = TestbedConfig {
@@ -468,7 +419,6 @@ mod tests {
             ap_buffer_pool_frames: 24,
             bad_hint_rate: 1.0,
             upstream_loss: 0.0,
-            stall_ms: (60.0, 60.0),
             beacon_interval: None,
             health_rules: None,
             ..TestbedConfig::default()

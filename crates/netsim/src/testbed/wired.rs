@@ -3,7 +3,10 @@
 
 use super::config::TestbedConfig;
 use sim::{EventQueue, Rng, SimDuration, SimTime};
-use tcpsim::{AckSegment, DataSegment, FlowId, SenderConfig, TcpSender};
+use tcpsim::{AckSegment, CcAlgorithm, DataSegment, FlowId, SenderConfig, TcpSender};
+
+/// Congestion control on the senders.
+const CC: CcAlgorithm = CcAlgorithm::Cubic;
 
 #[derive(Debug)]
 pub(super) enum Event {
@@ -27,7 +30,7 @@ pub(super) struct Wired {
 impl Wired {
     pub(super) fn new(cfg: &TestbedConfig) -> Wired {
         let sender_cfg = SenderConfig {
-            algorithm: cfg.cc,
+            algorithm: CC,
             ..SenderConfig::default()
         };
         Wired {

@@ -19,6 +19,7 @@ use super::report::{SenderStats, TestbedReport};
 use super::taps::{Seam, Taps};
 use super::wired::{Event, Wired};
 use mac80211::aggregation::QueuedMpdu;
+use mac80211::protection::{rts_collision_cost, rts_cts_overhead};
 use phy80211::airtime::{
     ack_duration, block_ack_duration, control_frame_duration, AirtimeTable, DIFS, SIFS,
 };
@@ -126,9 +127,8 @@ impl World {
     /// UDP mode: connectionless saturation, no ACK clock at all.
     fn top_up_udp(&mut self) {
         if self.cfg.traffic == Traffic::UdpSaturate {
-            let target = self.cfg.ap_queue_frames.max(64);
             for ap in &mut self.aps {
-                ap.top_up_udp(target, self.queue.now(), &mut self.udp_seq);
+                ap.top_up_udp(self.queue.now(), &mut self.udp_seq);
             }
         }
     }
@@ -159,7 +159,7 @@ impl World {
             ap.poll_repairs(now, &mut self.queue, taps);
         }
         for c in &mut self.clients {
-            c.poll_delack(now, &self.cfg, &mut self.rng);
+            c.poll_delack(now, &mut self.rng);
         }
     }
 
@@ -206,7 +206,7 @@ impl World {
     fn medium_round(&mut self, taps: &mut Taps) -> bool {
         let now = self.queue.now();
         for c in &mut self.clients {
-            c.roll_stall(now, &self.cfg, &mut self.rng);
+            c.roll_stall(now, &mut self.rng);
         }
         let (aps, clients) = (&mut self.aps, &mut self.clients);
         match self
@@ -215,15 +215,9 @@ impl World {
         {
             Contention::Idle => return false,
             Contention::Collision => {
-                // Airtime lost depends on protection (RTS collisions are
-                // short).
-                let cost = self
-                    .cfg
-                    .protection
-                    .collision_cost(SimDuration::from_millis(2));
                 self.medium.hold(
                     AirKind::Collision,
-                    cost,
+                    rts_collision_cost(),
                     CauseId::NONE,
                     &mut self.queue,
                     taps,
@@ -294,7 +288,7 @@ impl World {
         self.clients[ci].note_aggregate(ampdu.size());
 
         // Airtime: protection + data + SIFS + BlockAck.
-        let air = self.cfg.protection.overhead() + ampdu.duration + SIFS + block_ack_duration();
+        let air = rts_cts_overhead() + ampdu.duration + SIFS + block_ack_duration();
         self.medium
             .hold(AirKind::ApTxop, air, ampdu.cause(), &mut self.queue, taps);
         let now = self.queue.now();
@@ -364,7 +358,7 @@ impl World {
             len,
             retransmit: false,
         };
-        let newly = self.clients[ci].receive(&seg, now, &self.cfg, &mut self.rng);
+        let newly = self.clients[ci].receive(&seg, now, &mut self.rng);
         self.aps[a].bytes_delivered += newly;
     }
 

@@ -180,30 +180,6 @@ pub fn cts_duration() -> SimDuration {
     control_frame_duration(14)
 }
 
-/// MAC efficiency of a transmit opportunity: payload airtime ÷ total
-/// airtime including average backoff, preamble, SIFS and BlockAck. This
-/// is the quantity FastACK improves by growing `n_mpdus`.
-pub fn txop_efficiency(
-    msdu_bytes: usize,
-    n_mpdus: usize,
-    mcs: Mcs,
-    nss: u8,
-    width: Width,
-    gi: GuardInterval,
-    avg_backoff_slots: f64,
-) -> Option<f64> {
-    let sizes = vec![msdu_bytes; n_mpdus];
-    let data = ampdu_duration(&sizes, mcs, nss, width, gi)?;
-    let overhead = DIFS
-        + SimDuration::from_secs_f64(avg_backoff_slots * SLOT.as_secs_f64())
-        + SIFS
-        + block_ack_duration();
-    // "Useful" time: the MSDU bits at the PHY rate with no per-frame costs.
-    let bps = crate::mcs::vht_rate_bps(mcs, nss, width, gi)?;
-    let useful = SimDuration::from_secs_f64((msdu_bytes * n_mpdus * 8) as f64 / bps as f64);
-    Some(useful / (data + overhead))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,26 +238,6 @@ mod tests {
         assert!(hi < MAX_AMPDU_DURATION, "{hi}");
         let lo = ampdu_duration(&vec![1534; 64], Mcs(0), 1, Width::W20, SGI).unwrap();
         assert!(lo > MAX_AMPDU_DURATION, "{lo}");
-    }
-
-    #[test]
-    fn efficiency_increases_with_aggregation() {
-        let e1 = txop_efficiency(1460, 1, Mcs(9), 2, Width::W80, SGI, 7.5).unwrap();
-        let e16 = txop_efficiency(1460, 16, Mcs(9), 2, Width::W80, SGI, 7.5).unwrap();
-        let e64 = txop_efficiency(1460, 64, Mcs(9), 2, Width::W80, SGI, 7.5).unwrap();
-        assert!(e1 < e16 && e16 < e64, "{e1} {e16} {e64}");
-        // Single-MPDU efficiency at 867Mbps is abysmal (<15%); 64-deep is >75%.
-        assert!(e1 < 0.15, "{e1}");
-        assert!(e64 > 0.75, "{e64}");
-    }
-
-    #[test]
-    fn higher_rate_needs_more_aggregation_for_same_efficiency() {
-        // At 6.5Mbps even a single MPDU is efficient; at 867Mbps it is not.
-        let slow = txop_efficiency(1460, 1, Mcs(0), 1, Width::W20, SGI, 7.5).unwrap();
-        let fast = txop_efficiency(1460, 1, Mcs(9), 2, Width::W80, SGI, 7.5).unwrap();
-        assert!(slow > 0.8, "{slow}");
-        assert!(fast < 0.15, "{fast}");
     }
 
     #[test]

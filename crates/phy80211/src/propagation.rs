@@ -92,10 +92,6 @@ impl Radio {
         tx_power_dbm: 20.0,
         antenna_gain_db: 4.0,
     };
-    pub const CLIENT_DEFAULT: Radio = Radio {
-        tx_power_dbm: 15.0,
-        antenna_gain_db: 2.0,
-    };
 
     /// Received signal strength (dBm) over a link with the given path loss.
     pub fn rssi_dbm(&self, path_loss_db: f64) -> f64 {
@@ -108,53 +104,8 @@ pub fn snr_db(rssi_dbm: f64, width: Width) -> f64 {
     rssi_dbm - noise_floor_dbm(width)
 }
 
-/// Convert dBm to milliwatts.
-pub fn dbm_to_mw(dbm: f64) -> f64 {
-    10f64.powf(dbm / 10.0)
-}
-
-/// Convert milliwatts to dBm. Clamps at −120 dBm for zero/negative power.
-pub fn mw_to_dbm(mw: f64) -> f64 {
-    if mw <= 0.0 {
-        -120.0
-    } else {
-        10.0 * mw.log10()
-    }
-}
-
-/// SINR when interferers are active: signal over (noise + Σ interference),
-/// all in linear milliwatts.
-pub fn sinr_db(signal_dbm: f64, interferer_dbm: &[f64], width: Width) -> f64 {
-    let noise_mw = dbm_to_mw(noise_floor_dbm(width));
-    let interf_mw: f64 = interferer_dbm.iter().map(|&d| dbm_to_mw(d)).sum();
-    mw_to_dbm(dbm_to_mw(signal_dbm)) - mw_to_dbm(noise_mw + interf_mw)
-}
-
-/// Received Channel Power Indicator (RCPI, 802.11k): the standardized
-/// power measure the paper's footnote 5 mentions as the successor to
-/// vendor-defined RSSI. Encoded as `2 × (dBm + 110)` clamped to 0..=220;
-/// 255 = measurement unavailable.
-pub fn rcpi_from_dbm(dbm: f64) -> u8 {
-    if dbm.is_nan() {
-        return 255;
-    }
-    (2.0 * (dbm + 110.0)).clamp(0.0, 220.0).round() as u8
-}
-
-/// Decode an RCPI octet back to dBm (`None` for reserved/unavailable).
-pub fn dbm_from_rcpi(rcpi: u8) -> Option<f64> {
-    if rcpi > 220 {
-        return None;
-    }
-    Some(rcpi as f64 / 2.0 - 110.0)
-}
-
 /// Carrier-sense threshold: energy above this is "medium busy" (dBm).
 pub const CCA_THRESHOLD_DBM: f64 = -82.0;
-
-/// Typical threshold below which a frame preamble cannot be decoded and
-/// the station is effectively out of range (dBm).
-pub const SENSITIVITY_DBM: f64 = -90.0;
 
 #[cfg(test)]
 mod tests {
@@ -220,39 +171,6 @@ mod tests {
             .sum::<f64>()
             / n as f64;
         assert!(mean.abs() < 0.1, "{mean}");
-    }
-
-    #[test]
-    fn dbm_mw_roundtrip() {
-        for &dbm in &[-90.0, -60.0, 0.0, 20.0] {
-            assert!((mw_to_dbm(dbm_to_mw(dbm)) - dbm).abs() < 1e-9);
-        }
-        assert_eq!(mw_to_dbm(0.0), -120.0);
-    }
-
-    #[test]
-    fn sinr_degrades_with_interference() {
-        let clean = sinr_db(-60.0, &[], Width::W20);
-        let dirty = sinr_db(-60.0, &[-70.0], Width::W20);
-        let dirtier = sinr_db(-60.0, &[-70.0, -70.0, -70.0], Width::W20);
-        assert!(clean > dirty && dirty > dirtier);
-        // A single -70dBm interferer dominates the -94dBm noise floor:
-        // SINR ≈ 10 dB.
-        assert!((dirty - 10.0).abs() < 0.2, "{dirty}");
-    }
-
-    #[test]
-    fn rcpi_roundtrip_and_bounds() {
-        for &dbm in &[-110.0, -82.0, -54.5, 0.0] {
-            let enc = rcpi_from_dbm(dbm);
-            let dec = dbm_from_rcpi(enc).unwrap();
-            assert!((dec - dbm).abs() <= 0.25, "{dbm} -> {enc} -> {dec}");
-        }
-        assert_eq!(rcpi_from_dbm(-130.0), 0, "clamped low");
-        assert_eq!(rcpi_from_dbm(20.0), 220, "clamped high");
-        assert_eq!(rcpi_from_dbm(f64::NAN), 255);
-        assert_eq!(dbm_from_rcpi(255), None);
-        assert_eq!(dbm_from_rcpi(221), None);
     }
 
     #[test]

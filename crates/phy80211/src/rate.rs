@@ -196,12 +196,6 @@ impl MinstrelLite {
         }
         best
     }
-
-    /// Current estimate of the best sustained goodput.
-    pub fn estimated_goodput_bps(&self) -> f64 {
-        let i = self.best_index();
-        self.table[i].2 as f64 * self.prob[i]
-    }
 }
 
 #[cfg(test)]
@@ -293,7 +287,8 @@ mod tests {
         }
         // The ideal selector's choice at this SNR is the goodput target.
         let ideal = IdealSelector::new(Width::W80, 2).select(snr);
-        let est = m.estimated_goodput_bps();
+        let i = m.best_index();
+        let est = m.table[i].2 as f64 * m.prob[i];
         assert!(
             est > 0.5 * ideal.bps as f64,
             "estimated {est} vs ideal {}",

@@ -56,9 +56,6 @@ pub fn is_probe_flow(flow: u64) -> bool {
 /// time at the configured probe rate.
 pub const WINDOW_SECS: [u64; 3] = [1, 10, 60];
 
-/// Labels matching [`WINDOW_SECS`], used in metric paths and JSON.
-pub const WINDOW_LABELS: [&str; 3] = ["1s", "10s", "60s"];
-
 /// Index into [`WINDOW_SECS`] of the span driving operational scoring
 /// (gauges, the `QoeDegraded` detector): long enough to smooth single
 /// TXOP hiccups, short enough to track a real fault within seconds.
@@ -291,11 +288,6 @@ impl ClientQoe {
         for s in &mut self.spans {
             s.outcome.push(1.0);
         }
-    }
-
-    /// Probes currently in flight (sent, no terminal outcome yet).
-    pub fn in_flight(&self) -> usize {
-        self.pending.len()
     }
 
     /// The scored dimensions of window span `w`: three reads of the

@@ -147,48 +147,6 @@ impl Rng {
         self.normal(0.0, sigma_db)
     }
 
-    /// Poisson-distributed count with the given rate `lambda`.
-    /// Knuth's method for small lambda, normal approximation above 30.
-    pub fn poisson(&mut self, lambda: f64) -> u64 {
-        debug_assert!(lambda >= 0.0);
-        if lambda <= 0.0 {
-            return 0;
-        }
-        if lambda > 30.0 {
-            let v = self.normal(lambda, lambda.sqrt()).round();
-            return if v < 0.0 { 0 } else { v as u64 };
-        }
-        let l = (-lambda).exp();
-        let mut k = 0u64;
-        let mut p = 1.0;
-        loop {
-            p *= self.f64();
-            if p <= l {
-                return k;
-            }
-            k += 1;
-        }
-    }
-
-    /// Zipf-like rank selection over `n` items with exponent `s`
-    /// (simple inverse-CDF over precomputable weights is overkill here;
-    /// rejection-free cumulative scan, fine for n ≤ a few thousand).
-    pub fn zipf(&mut self, n: usize, s: f64) -> usize {
-        assert!(n > 0);
-        let mut total = 0.0;
-        for k in 1..=n {
-            total += 1.0 / (k as f64).powf(s);
-        }
-        let mut target = self.f64() * total;
-        for k in 1..=n {
-            target -= 1.0 / (k as f64).powf(s);
-            if target <= 0.0 {
-                return k - 1;
-            }
-        }
-        n - 1
-    }
-
     /// Fisher–Yates shuffle.
     pub fn shuffle<T>(&mut self, xs: &mut [T]) {
         for i in (1..xs.len()).rev() {
@@ -303,19 +261,6 @@ mod tests {
     }
 
     #[test]
-    fn poisson_mean_small_and_large_lambda() {
-        let mut r = Rng::new(17);
-        for &lambda in &[0.5, 4.0, 80.0] {
-            let n = 20_000;
-            let mean: f64 = (0..n).map(|_| r.poisson(lambda) as f64).sum::<f64>() / n as f64;
-            assert!(
-                (mean - lambda).abs() < lambda.max(1.0) * 0.05,
-                "lambda={lambda} mean={mean}"
-            );
-        }
-    }
-
-    #[test]
     fn chance_rate_is_close() {
         let mut r = Rng::new(19);
         let hits = (0..100_000).filter(|_| r.chance(0.3)).count();
@@ -357,16 +302,6 @@ mod tests {
         for &c in &counts {
             assert!(c > 1_500, "counts = {counts:?}");
         }
-    }
-
-    #[test]
-    fn zipf_rank_one_dominates() {
-        let mut r = Rng::new(37);
-        let mut counts = [0usize; 5];
-        for _ in 0..10_000 {
-            counts[r.zipf(5, 1.0)] += 1;
-        }
-        assert!(counts[0] > counts[4] * 2, "counts = {counts:?}");
     }
 
     #[test]

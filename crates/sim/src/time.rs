@@ -150,11 +150,6 @@ impl SimDuration {
     pub fn saturating_mul(self, k: u64) -> SimDuration {
         SimDuration(self.0.saturating_mul(k))
     }
-
-    /// Scale by a float factor (used for backoff jitter); clamps at zero.
-    pub fn mul_f64(self, k: f64) -> SimDuration {
-        SimDuration::from_secs_f64(self.as_secs_f64() * k)
-    }
 }
 
 impl Add<SimDuration> for SimTime {

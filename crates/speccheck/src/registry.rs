@@ -313,6 +313,31 @@ clause toy:2:second SHOULD
         }
     }
 
+    /// Every committed `specs/*.spec`, cut at every byte offset and with
+    /// one bit flipped at every third byte, reads as `Ok` or `Err`: a
+    /// panic fails the test. A cut inside a character or a flipped high
+    /// bit leaves invalid UTF-8, which the lossy decode turns into the
+    /// replacement character the error paths must survive.
+    #[test]
+    fn committed_specs_survive_truncation_and_bit_flips() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let committed = load(&root).expect("the committed registry loads");
+        for spec in &committed.specs {
+            let name = format!("{}.spec", spec.id);
+            let bytes = std::fs::read(root.join("specs").join(&name)).expect("read spec");
+            let read = |b: &[u8]| parse_spec_file(&name, &String::from_utf8_lossy(b));
+            assert_eq!(read(&bytes).as_ref(), Ok(spec));
+            for cut in 0..bytes.len() {
+                let _ = read(&bytes[..cut]);
+            }
+            for off in (0..bytes.len()).step_by(3) {
+                let mut flipped = bytes.clone();
+                flipped[off] ^= 1 << (off % 8);
+                let _ = read(&flipped);
+            }
+        }
+    }
+
     #[test]
     fn registry_lookup_and_counts() {
         let mut reg = Registry::default();

@@ -18,12 +18,12 @@ pub struct ReceiverConfig {
     pub buffer_bytes: u64,
     /// Generate SACK blocks on out-of-order data.
     pub sack: bool,
-    /// ACK every `delack_every` in-order segments (RFC 1122 says 2);
-    /// 1 disables delayed ACKs.
-    pub delack_every: u32,
-    /// Max time an ACK may be delayed.
-    pub delack_timeout: SimDuration,
 }
+
+/// ACK every `DELACK_EVERY` in-order segments (RFC 1122 says 2).
+const DELACK_EVERY: u32 = 2;
+/// Max time an ACK may be delayed.
+const DELACK_TIMEOUT: SimDuration = SimDuration::from_millis(40);
 
 impl Default for ReceiverConfig {
     fn default() -> Self {
@@ -32,8 +32,6 @@ impl Default for ReceiverConfig {
             // several MB on fast links; 4 MB keeps rwnd from binding.
             buffer_bytes: 4 << 20,
             sack: true,
-            delack_every: 2,
-            delack_timeout: SimDuration::from_millis(40),
         }
     }
 }
@@ -108,14 +106,14 @@ impl TcpReceiver {
             self.unacked_segments += 1;
             //= spec: rfc5681:4.2:ack-every-second
             //= spec: rfc5681:4.2:holefill-immediate-ack
-            if self.unacked_segments >= self.cfg.delack_every || had_ooo {
+            if self.unacked_segments >= DELACK_EVERY || had_ooo {
                 return Some(self.emit_ack());
             }
             // The delayed ACK is bounded by the delack timer, far inside
             // the 500 ms ceiling.
             //= spec: rfc5681:4.2:ack-500ms
             if self.delack_deadline.is_none() {
-                self.delack_deadline = Some(now + self.cfg.delack_timeout);
+                self.delack_deadline = Some(now + DELACK_TIMEOUT);
             }
             return None;
         }

@@ -13,6 +13,12 @@ cargo fmt --all -- --check
 echo "=== cargo clippy (deny warnings) ==="
 cargo clippy --workspace --all-targets --quiet -- -D warnings
 
+echo "=== benchmark/ builds against the workspace ==="
+# The standalone package the pipeline measures with (BENCHMARK.json) is
+# not a workspace member, so nothing above compiles it: an API deletion
+# that breaks it has to fail here, not after the PR.
+cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
+
 echo "=== simcheck (determinism & unit-safety linter) ==="
 # Exits 1 on any diagnostic surviving the allowlists; see DESIGN.md
 # "Determinism rules" and `cargo run -p simcheck -- --help`.
@@ -72,7 +78,7 @@ fi
 echo "=== less code (ROADMAP item 5's number may only go down) ==="
 # Raising the ceiling is a deliberate, reviewed edit of this line: say
 # in CHANGES.md what the new lines bought. Lower it when a PR deletes.
-loc_ceiling=40400
+loc_ceiling=39650
 loc="$(find crates src tests examples -name '*.rs' -print0 | xargs -0 cat | wc -l)"
 (( loc <= loc_ceiling )) \
   || { echo "workspace Rust is $loc lines, over the $loc_ceiling ceiling in scripts/ci.sh: delete something, or raise the ceiling on purpose and defend it in review"; exit 1; }

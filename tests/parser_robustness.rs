@@ -174,7 +174,7 @@ fn tsl1_header(every_ns: u64, base: u64, len: u32) -> Vec<u8> {
 
 /// Well-formed dumps whose last tick / last tier row lies past what
 /// `u64` nanoseconds can hold used to parse `Ok` and then overflow in
-/// `last_stamp` / `TierView::series`; they are rejected at parse now.
+/// `last_stamp` / `TableView::series`; they are rejected at parse now.
 #[test]
 fn tsl1_grids_that_overflow_the_clock_are_rejected() {
     // Ticks 3 and 4 at 2^62 ns: the first stamp fits, the last does not.
