@@ -358,6 +358,59 @@ mod equivalence {
         NetworkView { band, aps }
     }
 
+    /// A view made to tie, and the few channels its assignments draw
+    /// from: every AP on one channel and a copy of one of two reports —
+    /// idle, or loaded at one width — with the same `external_busy`, each
+    /// channel clean, saturated, or at 0.85, where a penalized loaded AP
+    /// survives alone and sinks (−∞) once one more contender joins it;
+    /// every neighbour list the same clique once or twice over, some
+    /// listing themselves.
+    fn tie_view(rng: &mut Rng) -> (NetworkView, Vec<Channel>) {
+        let band = if rng.chance(0.2) {
+            Band::Band2_4
+        } else {
+            Band::Band5
+        };
+        let legal = legal_channels(band);
+        let numbers = channel_numbers(band);
+        let mut idle = ApReport::idle_on(pick(rng, &legal));
+        for &ch20 in numbers {
+            match rng.below(4) {
+                0 => idle.external_busy.insert(ch20, 1.0),
+                1 => idle.external_busy.insert(ch20, 0.85),
+                _ => None,
+            };
+        }
+        let loaded = ApReport {
+            has_clients: true,
+            load: ApLoad {
+                by_width: vec![(pick(rng, &Width::ALL), 1.0)],
+            },
+            max_width: Width::W160,
+            ..idle.clone()
+        };
+        let n = 2 + rng.below(7) as usize;
+        let (reps, self_listed) = (1 + rng.below(2) as usize, rng.chance(0.3));
+        let aps = (0..n)
+            .map(|i| ApReport {
+                neighbors: (0..reps)
+                    .flat_map(|_| (0..n).filter(move |&j| j != i || self_listed))
+                    .collect(),
+                ..(if rng.chance(0.5) { &loaded } else { &idle }).clone()
+            })
+            .collect();
+        let palette = (0..1 + rng.below(4))
+            .map(|_| {
+                if rng.chance(0.7) {
+                    Channel::new(band, pick(rng, numbers), Width::W20).expect("20 MHz")
+                } else {
+                    pick(rng, &legal)
+                }
+            })
+            .collect();
+        (NetworkView { band, aps }, palette)
+    }
+
     /// `len` plan entries: ψ holes and any legal channel.
     fn random_assignment(rng: &mut Rng, band: Band, len: usize) -> Vec<Option<Channel>> {
         let legal = legal_channels(band);
@@ -452,6 +505,28 @@ mod equivalence {
                 prop_assert_eq!(got.net_p_ln.to_bits(), score.to_bits());
                 prop_assert_eq!(got.incumbent_net_p_ln.to_bits(), incumbent.to_bits());
                 prop_assert_eq!(got.runs, runs);
+            }
+        }
+
+        /// ACC on views made to tie, under ψ-holed draws from their
+        /// palette: the first best candidate in list order wins, and the
+        /// first candidate when every one is −∞.
+        #[test]
+        fn acc_breaks_ties_like_the_reference(seed in any::<u64>()) {
+            let rng = &mut Rng::new(seed);
+            let (view, palette) = tie_view(rng);
+            let params = MetricParams::default();
+            for _ in 0..4 {
+                let assigned: Vec<Option<Channel>> = (0..view.len())
+                    .map(|_| (!rng.chance(0.3)).then(|| pick(rng, &palette)))
+                    .collect();
+                for v in 0..view.len() {
+                    prop_assert_eq!(
+                        crate::turboca::acc(&params, &view, &assigned, v),
+                        acc(&params, &view, &assigned, v),
+                        "ACC of {} under {:?}", v, assigned
+                    );
+                }
             }
         }
     }

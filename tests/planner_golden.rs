@@ -22,15 +22,15 @@ mod common;
 
 use common::check_goldens;
 use wifi_core::chanassign::metrics::{net_p_ln, MetricParams};
-use wifi_core::chanassign::model::{NetworkView, Plan};
-use wifi_core::chanassign::turboca::{nbo, PlanResult, ScheduleTier, TurboCa};
+use wifi_core::chanassign::model::{ApLoad, ApReport, NetworkView, Plan};
+use wifi_core::chanassign::turboca::{acc, nbo, PlanResult, ScheduleTier, TurboCa};
 use wifi_core::chanassign::{least_congested, ReservedCa};
 use wifi_core::fleet::{run_fleet, FleetAggregate, FleetConfig};
 use wifi_core::netsim::deployment::{to_view, SeedChannels, ViewOptions};
 use wifi_core::netsim::neteval::{evaluate, EvalOptions};
 use wifi_core::netsim::population::ClientCaps;
 use wifi_core::netsim::topology;
-use wifi_core::phy::channels::{channels, Band, Channel, Width};
+use wifi_core::phy::channels::{channels, Band, Channel, Width, US_5GHZ_20};
 use wifi_core::phy::mcs::{rate_table, GuardInterval};
 use wifi_core::sim::{Rng, SimDuration};
 use wifi_core::telemetry::codec::Fnv1a;
@@ -188,6 +188,120 @@ fn nbo_passes_and_baselines_match_goldens() {
         ));
     }
     check_goldens(owner, &entries);
+}
+
+/// `n` copies of `ap`, each listing every other AP, the whole list
+/// `reps` times over.
+fn clique_of(band: Band, ap: ApReport, n: usize, reps: usize) -> NetworkView {
+    let aps = (0..n)
+        .map(|i| ApReport {
+            neighbors: (0..reps)
+                .flat_map(|_| (0..n).filter(move |&j| j != i))
+                .collect(),
+            ..ap.clone()
+        })
+        .collect();
+    NetworkView { band, aps }
+}
+
+/// Views made to tie, each with the channels its assignments draw from:
+/// identical idle APs on clean spectrum, identical loaded APs in a ring
+/// listing each side twice and themselves once, and a floor saturated
+/// (`external_busy` 1) everywhere but five channels at 0.85 — where a
+/// penalized loaded AP survives alone but sinks (−∞) once an idle one
+/// joins it, so an idle AP can see every candidate −∞, some of them only
+/// through a neighbour.
+fn tie_views() -> Vec<(&'static str, NetworkView, Vec<Channel>)> {
+    let loaded = |current: Channel, width: Width| {
+        let mut ap = ApReport::idle_on(current);
+        ap.has_clients = true;
+        ap.load = ApLoad {
+            by_width: vec![(width, 1.0)],
+        };
+        ap
+    };
+    let w80 = |primary| Channel::new(Band::Band5, primary, Width::W80).unwrap();
+    let mut ring = clique_of(Band::Band5, loaded(w80(36), Width::W80), 6, 1);
+    for (i, ap) in ring.aps.iter_mut().enumerate() {
+        let (next, prev) = ((i + 1) % 6, (i + 5) % 6);
+        ap.neighbors = vec![next, prev, i, next, prev];
+    }
+    let starving = [149, 153, 157, 161, 165];
+    let mut saturated = clique_of(Band::Band5, loaded(Channel::five(36), Width::W20), 7, 1);
+    saturated.aps[0].has_clients = false;
+    saturated.aps[0].load = ApLoad::default();
+    for ap in &mut saturated.aps {
+        for ch20 in US_5GHZ_20 {
+            let busy = if starving.contains(&ch20) { 0.85 } else { 1.0 };
+            ap.external_busy.insert(ch20, busy);
+        }
+    }
+    vec![
+        (
+            "idle",
+            clique_of(Band::Band5, ApReport::idle_on(Channel::five(36)), 8, 1),
+            vec![Channel::five(36), Channel::five(40), Channel::five(149)],
+        ),
+        (
+            "band24",
+            clique_of(Band::Band2_4, ApReport::idle_on(Channel::two4(1)), 5, 2),
+            vec![Channel::two4(1), Channel::two4(6), Channel::two4(11)],
+        ),
+        ("ring", ring, vec![w80(36), w80(149), Channel::five(36)]),
+        (
+            "saturated",
+            saturated,
+            starving.into_iter().map(Channel::five).collect(),
+        ),
+    ]
+}
+
+/// ACC's pick for every AP of every tie view, under every AP on its
+/// current channel, under the palette dealt round-robin with every third
+/// AP in ψ, under the palette dealt once to APs 1.. (on the saturated
+/// floor, every candidate of AP 0 is −∞, most only through a
+/// neighbour), and under eight seeded ψ-holed draws from the palette.
+/// Ties must go to the first candidate in list order, and all-−∞ to the
+/// first candidate.
+#[test]
+fn acc_ties_match_golden() {
+    let params = MetricParams::default();
+    let mut h = Fnv1a::new();
+    for (name, view, palette) in tie_views() {
+        let n = view.len();
+        let mut assignments: Vec<Vec<Option<Channel>>> = vec![
+            view.aps.iter().map(|ap| Some(ap.current)).collect(),
+            (0..n)
+                .map(|i| (i % 3 != 2).then(|| palette[i % palette.len()]))
+                .collect(),
+            (0..n)
+                .map(|i| palette.get(i.wrapping_sub(1)).copied())
+                .collect(),
+        ];
+        let mut rng = Rng::new(0x71e5);
+        for _ in 0..8 {
+            assignments.push(
+                (0..n)
+                    .map(|_| {
+                        let k = rng.below(palette.len() as u64 + 1) as usize;
+                        palette.get(k).copied()
+                    })
+                    .collect(),
+            );
+        }
+        h.write(name.as_bytes());
+        for assigned in &assignments {
+            for v in 0..n {
+                let pick = acc(&params, &view, assigned, v);
+                h.write(&pick.primary.to_le_bytes());
+                h.write(&pick.width.mhz().to_le_bytes());
+            }
+        }
+    }
+    check_goldens(
+        "planner.acc",
+        &[("planner.acc.ties".to_owned(), h.finish())],
+    );
 }
 
 /// Every bit `FleetIngest::aggregate` hands out: each CDF's length and
