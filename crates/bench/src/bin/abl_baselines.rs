@@ -25,7 +25,7 @@ fn main() {
             let mut rng = Rng::new(71);
             let topo = topology::grid(6, 5, 12.0, 2.0, Band::Band5, &mut rng);
             let (view, caps) = to_view(&topo, &ViewOptions::default(), &mut rng);
-            let mut hop = ChannelHopping::new(Width::W40, SimDuration::from_mins(5), 72);
+            let mut hop = ChannelHopping::new(Width::W40, 72);
             let plans = vec![
                 ("random", random_plan(&view, Width::W40, &mut Rng::new(73))),
                 ("least-congested", least_congested(&view, Width::W40)),

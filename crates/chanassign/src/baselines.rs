@@ -112,23 +112,21 @@ pub fn random_plan(view: &NetworkView, width: Width, rng: &mut Rng) -> Plan {
 
 /// Channel-hopping baseline (§4.2 category (iii), cf. SSCH/IQ-Hopping):
 /// every AP follows its own pseudo-random hopping sequence over the
-/// non-DFS channels at a fixed width, re-rolling every epoch. Hopping
+/// non-DFS channels at a fixed width, re-rolling every epoch (the caller
+/// keeps the clock: `abl_baselines` prices 12 epochs an hour). Hopping
 /// harvests channel diversity without coordination — and pays for it in
 /// constant channel switches, which is exactly the side effect the
 /// paper's §4.2 holds against it.
 #[derive(Debug, Clone)]
 pub struct ChannelHopping {
     pub width: Width,
-    /// Hop period (the epoch between re-rolls).
-    pub period: SimDuration,
     rng: Rng,
 }
 
 impl ChannelHopping {
-    pub fn new(width: Width, period: SimDuration, seed: u64) -> ChannelHopping {
+    pub fn new(width: Width, seed: u64) -> ChannelHopping {
         ChannelHopping {
             width,
-            period,
             rng: Rng::new(seed),
         }
     }
@@ -267,14 +265,14 @@ mod tests {
             ap.max_width = Width::W160;
             ap.dfs_certified = false;
         }
-        let mut hop = ChannelHopping::new(Width::W160, SimDuration::from_mins(5), 17);
+        let mut hop = ChannelHopping::new(Width::W160, 17);
         assert_eq!(hop.next_epoch(&view).channels, vec![Channel::five(36); 3]);
     }
 
     #[test]
     fn hopping_rotates_channels_every_epoch() {
         let view = clique(6, Channel::five(36));
-        let mut hop = ChannelHopping::new(Width::W20, SimDuration::from_mins(5), 17);
+        let mut hop = ChannelHopping::new(Width::W20, 17);
         let p1 = hop.next_epoch(&view);
         let p2 = hop.next_epoch(&view);
         assert_ne!(p1.channels, p2.channels, "independent epochs differ");
@@ -295,7 +293,7 @@ mod tests {
         let params = MetricParams::default();
         let turbo = TurboCa::new(5).run(&view, ScheduleTier::Slow).plan;
         let s_t = net_p_ln(&params, &view, &turbo);
-        let mut hop = ChannelHopping::new(Width::W20, SimDuration::from_mins(5), 23);
+        let mut hop = ChannelHopping::new(Width::W20, 23);
         let mut mean = 0.0;
         let epochs = 12;
         for _ in 0..epochs {

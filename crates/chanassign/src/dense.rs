@@ -27,9 +27,11 @@
 //!   ([`Partial::lift`] / [`Partial::place`]), so airtime is a minimum
 //!   over at most eight slots and NetP is one sweep. [`Partial::acc`]
 //!   scores every neighbour once with `v` silent, keeping each loaded
-//!   width's airtime and term, and per candidate re-scores only those
-//!   that hear `v` on a slot the candidate covers — and of those, takes
-//!   a new `ln` only for a width whose airtime the candidate lowers.
+//!   width's airtime and term, bounds every candidate from that, and
+//!   scores in full only a candidate whose bound can still win —
+//!   re-scoring only neighbours that hear `v` on a slot the candidate
+//!   covers, and of those, taking a new `ln` only for a width whose
+//!   airtime the candidate lowers.
 //! * [`ViewIndex`] — what no assignment changes: the rows, who hears
 //!   whom (reverse adjacency, one entry per listing, since scanned
 //!   neighbour lists may be asymmetric or repeat an AP) and NBO's load
@@ -44,7 +46,18 @@
 //! it once with the expression it always had; reusing a width's term is
 //! safe because the term is a function of the row, the switch penalty,
 //! the load and the airtime alone, so equal airtime bits give equal term
-//! bits. `reference.rs` (test-only) keeps the map-reading formula and a
+//! bits. ACC skips a candidate only when it provably cannot be picked:
+//! `v` taking a channel only adds contenders, which can only lower a
+//! neighbour's airtime (a division by a larger `1 + n`, a `min`, a
+//! product and a difference are all monotone in IEEE arithmetic), so a
+//! neighbour's score with `v` silent bounds its score under every
+//! candidate; the relative margin of 1e-9 added to the bound covers the
+//! rounding between its summation order and ACC's (≈ 1e-14 at a hundred
+//! terms) and libm `ln`, which is not proven monotone. A candidate
+//! scored in full takes the lead on a higher score, or on an equal one
+//! from earlier in `cands` — the exhaustive loop's first-best rule, held
+//! there by the `planner.acc.ties` pin and a tie-view proptest.
+//! `reference.rs` (test-only) keeps the map-reading formula and a
 //! proptest compares the two bit for bit.
 
 use crate::metrics::MetricParams;
@@ -278,6 +291,7 @@ pub(crate) fn count(
 }
 
 /// A partial plan over some rows, with the contender counts it implies.
+#[derive(Clone)]
 pub(crate) struct Partial<'a> {
     band: Band,
     rows: &'a [ApRow],
@@ -286,14 +300,16 @@ pub(crate) struct Partial<'a> {
     /// `contenders[v]`: [`count`] over `v`'s neighbour list.
     contenders: Vec<[u32; MAX_SLOTS]>,
     /// ACC's scratch, kept between calls: per neighbour, `None` for one
-    /// in ψ.
+    /// in ψ; every neighbour's terms; per candidate, `v`'s own score and
+    /// the bound on the whole.
     silent: Vec<Option<Silent>>,
     terms: Vec<Term>,
+    bounds: Vec<(f64, f64)>,
 }
 
 /// A neighbour of ACC's `v`, scored with `v` silent.
+#[derive(Clone)]
 struct Silent {
-    channel: Channel,
     /// Its `ln NodeP`.
     total: f64,
     /// The slots on which `v` can change that: its channel's, if it
@@ -301,7 +317,7 @@ struct Silent {
     reach: u32,
     /// The switch penalty it pays where it sits.
     penalty: f64,
-    /// Its loaded widths in ACC's `terms`, all of them iff `total` is
+    /// Its loaded widths in ACC's `terms`, all of them when `total` is
     /// finite (scoring stops at the width that sinks it).
     terms: Range<usize>,
 }
@@ -322,15 +338,14 @@ impl<'a> Partial<'a> {
             contenders,
             silent: Vec::new(),
             terms: Vec::new(),
+            bounds: Vec::new(),
         }
     }
 
-    /// `channels` over the whole of `view`, whose rows are `rows`.
-    pub(crate) fn over(
-        view: &NetworkView,
-        rows: &'a [ApRow],
-        channels: Vec<Option<Channel>>,
-    ) -> Partial<'a> {
+    /// The complete plan `channels` over the whole of `view`, whose rows
+    /// are `rows`.
+    pub(crate) fn over(view: &NetworkView, rows: &'a [ApRow], channels: &[Channel]) -> Partial<'a> {
+        let channels: Vec<Option<Channel>> = channels.iter().copied().map(Some).collect();
         let contenders = view
             .aps
             .iter()
@@ -411,7 +426,6 @@ impl<'a> Partial<'a> {
             |term| terms.push(term),
         );
         Some(Silent {
-            channel: nc,
             total,
             reach: nc.slots().filter(|_| hears_v > 0).map_or(0, slot_mask),
             penalty,
@@ -454,8 +468,23 @@ impl<'a> Partial<'a> {
     /// ACC(v, ψ): the first of `cands` maximizing NodeP of `v` plus NodeP
     /// of each entry of `neighbors` (the APs `v` hears, in list order,
     /// repeats and `v` itself included) that has a channel. `v` must be
-    /// in ψ; `hears_v[k]` says how many times `neighbors[k]` lists `v`,
-    /// i.e. how many contenders `v`'s choice adds there.
+    /// in ψ and `cands` not empty; `hears_v[k]` says how many times
+    /// `neighbors[k]` lists `v`, i.e. how many contenders `v`'s choice
+    /// adds there.
+    ///
+    /// A branch and bound over `cands` that returns what scoring every
+    /// one would. `v` taking a channel only adds contenders, and a
+    /// neighbour can only lose airtime to them, so its score with `v`
+    /// silent bounds its score under any candidate, and a candidate's
+    /// objective stays under `own · (1 + self-listings) + Σ silent`, plus
+    /// a margin of 1e-9 of the magnitudes summed: far above the rounding
+    /// that tells two summation orders apart, and above any step the
+    /// wrong way by libm `ln`, which is not proven monotone. The
+    /// candidate of highest bound is scored in full first; the others,
+    /// in list order, only when their bound reaches the best score so
+    /// far (an equal bound only ahead of the best in the list), and an
+    /// equal score takes the lead only from a later candidate. With a
+    /// neighbour already at −∞ every candidate is, and the first wins.
     pub(crate) fn acc(
         &mut self,
         params: &MetricParams,
@@ -465,58 +494,86 @@ impl<'a> Partial<'a> {
         neighbors: &[usize],
         hears_v: &[u32],
     ) -> Channel {
-        debug_assert!(self.channels[v].is_none());
+        debug_assert!(self.channels[v].is_none() && !cands.is_empty());
         let hears_self = neighbors
             .iter()
             .position(|&n| n == v)
             .map_or(0, |k| hears_v[k]);
-        // Only a candidate covering a slot a neighbour is reached on is
-        // worth a second look at that neighbour.
-        let (mut silent, mut terms) = (
+        let (mut silent, mut terms, mut bounds) = (
             std::mem::take(&mut self.silent),
             std::mem::take(&mut self.terms),
+            std::mem::take(&mut self.bounds),
         );
         silent.clear();
         terms.clear();
+        bounds.clear();
         for (&n, &hears) in neighbors.iter().zip(hears_v) {
             silent.push(self.silent(params, current, n, hears, &mut terms));
         }
-        let mut best: Option<(f64, Channel)> = None;
-        for &cand in cands {
-            let footprint = footprint_in(self.band, cand);
-            let own = self.node_p_ln(params, current, v, cand, (footprint, hears_self));
-            let mut score = own;
-            if score > f64::NEG_INFINITY {
-                for (k, &n) in neighbors.iter().enumerate() {
-                    let np = if n == v {
-                        own // v lists itself: on the candidate, scored again
-                    } else if let Some(unmoved) = &silent[k] {
-                        let with_v = (footprint, hears_v[k]);
-                        if unmoved.reach & footprint == 0 {
-                            unmoved.total
-                        } else if unmoved.total == f64::NEG_INFINITY {
-                            // No terms past the width that sank it.
-                            self.node_p_ln(params, current, n, unmoved.channel, with_v)
+        let pick = if silent
+            .iter()
+            .flatten()
+            .any(|s| s.total == f64::NEG_INFINITY)
+        {
+            0 // whatever v picks sinks that neighbour: all tie at −∞
+        } else {
+            let silent_sum: f64 = silent.iter().flatten().map(|s| s.total).sum();
+            let magnitude: f64 = terms.iter().map(|t| t.ln.abs()).sum();
+            let self_weight = f64::from(1 + hears_self);
+            for &cand in cands {
+                let footprint = footprint_in(self.band, cand);
+                let own = self.node_p_ln(params, current, v, cand, (footprint, hears_self));
+                let bound = if own == f64::NEG_INFINITY {
+                    own
+                } else {
+                    let all_own = own * self_weight;
+                    all_own + silent_sum + 1e-9 * (all_own.abs() + magnitude)
+                };
+                bounds.push((own, bound));
+            }
+            // Only a candidate covering a slot a neighbour is reached on
+            // is worth a second look at that neighbour.
+            let exact = |k: usize| {
+                let (footprint, own) = (footprint_in(self.band, cands[k]), bounds[k].0);
+                let mut score = own;
+                if score > f64::NEG_INFINITY {
+                    for (k, &n) in neighbors.iter().enumerate() {
+                        let np = if n == v {
+                            own // v lists itself: on the candidate, scored again
+                        } else if let Some(unmoved) = &silent[k] {
+                            if unmoved.reach & footprint == 0 {
+                                unmoved.total
+                            } else {
+                                self.rescore(n, unmoved, &terms, (footprint, hears_v[k]))
+                            }
                         } else {
-                            self.rescore(n, unmoved, &terms, with_v)
+                            continue;
+                        };
+                        if np == f64::NEG_INFINITY {
+                            score = f64::NEG_INFINITY;
+                            break;
                         }
-                    } else {
-                        continue;
-                    };
-                    if np == f64::NEG_INFINITY {
-                        score = f64::NEG_INFINITY;
-                        break;
+                        score += np;
                     }
-                    score += np;
+                }
+                score
+            };
+            let first =
+                (1..cands.len()).fold(0, |b, k| if bounds[k].1 > bounds[b].1 { k } else { b });
+            let mut best = (exact(first), first);
+            for (k, &(_, bound)) in bounds.iter().enumerate() {
+                if k == first || bound < best.0 || (bound == best.0 && k > best.1) {
+                    continue;
+                }
+                let s = exact(k);
+                if s > best.0 || (s == best.0 && k < best.1) {
+                    best = (s, k);
                 }
             }
-            match best {
-                Some((bs, _)) if bs >= score => {}
-                _ => best = Some((score, cand)),
-            }
-        }
-        (self.silent, self.terms) = (silent, terms);
-        best.map(|(_, c)| c).unwrap_or(current[v])
+            best.1
+        };
+        (self.silent, self.terms, self.bounds) = (silent, terms, bounds);
+        cands[pick]
     }
 }
 

@@ -104,12 +104,7 @@ pub fn node_p_ln(
 pub fn net_p_ln(params: &MetricParams, view: &NetworkView, plan: &Plan) -> f64 {
     let rows = rows(view);
     let current: Vec<Channel> = view.aps.iter().map(|ap| ap.current).collect();
-    Partial::over(
-        view,
-        &rows,
-        plan.channels.iter().copied().map(Some).collect(),
-    )
-    .net_p_ln(params, &current)
+    Partial::over(view, &rows, &plan.channels).net_p_ln(params, &current)
 }
 
 #[cfg(test)]

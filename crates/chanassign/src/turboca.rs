@@ -58,32 +58,40 @@ pub fn acc(
     )
 }
 
-/// The assignment NBO starts from and the candidate list it implies for
-/// each AP. [`TurboCa::run`] moves it as proposals are accepted; the
-/// view it came from is never touched.
-struct Working {
+/// The assignment NBO starts from, the candidate list it implies for
+/// each AP and the partial plan every pass copies to start from.
+/// [`TurboCa::run`] moves it as proposals are accepted; the view it came
+/// from is never touched.
+struct Working<'a> {
     current: Vec<Channel>,
     candidates: Vec<Vec<Channel>>,
+    /// Every AP on its `current` channel, contenders counted.
+    start: Partial<'a>,
 }
 
-impl Working {
-    fn new(view: &NetworkView) -> Working {
+impl<'a> Working<'a> {
+    fn new(index: &'a ViewIndex) -> Working<'a> {
+        let view = index.view;
+        let current: Vec<Channel> = view.aps.iter().map(|ap| ap.current).collect();
         Working {
-            current: view.aps.iter().map(|ap| ap.current).collect(),
+            start: Partial::over(view, &index.rows, &current),
             candidates: (0..view.len()).map(|v| view.candidates(v)).collect(),
+            current,
         }
     }
 
     /// Move onto `channels`; only an AP whose channel changed needs its
     /// candidates rebuilt (the DFS-with-clients rule and the "current is
     /// always eligible" rule read it).
-    fn adopt(&mut self, view: &NetworkView, channels: &[Channel]) {
+    fn adopt(&mut self, index: &'a ViewIndex, channels: &[Channel]) {
+        let view = index.view;
         for (v, &ch) in channels.iter().enumerate() {
             if self.current[v] != ch {
                 self.current[v] = ch;
                 self.candidates[v] = view.aps[v].candidates_from(view.band, ch);
             }
         }
+        self.start = Partial::over(view, &index.rows, channels);
     }
 }
 
@@ -96,7 +104,7 @@ impl Working {
 /// pick of clean channels).
 pub fn nbo(params: &MetricParams, view: &NetworkView, hop_limit: usize, rng: &mut Rng) -> Plan {
     let index = ViewIndex::new(view);
-    let pass = nbo_pass(params, &index, &Working::new(view), hop_limit, rng);
+    let pass = nbo_pass(params, &index, &Working::new(&index), hop_limit, rng);
     plan_of(view, &pass)
 }
 
@@ -105,7 +113,7 @@ pub fn nbo(params: &MetricParams, view: &NetworkView, hop_limit: usize, rng: &mu
 fn nbo_pass<'a>(
     params: &MetricParams,
     index: &'a ViewIndex,
-    working: &Working,
+    working: &Working<'a>,
     hop_limit: usize,
     rng: &mut Rng,
 ) -> Partial<'a> {
@@ -116,11 +124,7 @@ fn nbo_pass<'a>(
     // with current assignments and overwriting one at a time. We model
     // both regimes uniformly: unassigned APs outside the active group
     // contribute their current channel.
-    let mut visible = Partial::over(
-        view,
-        &index.rows,
-        working.current.iter().copied().map(Some).collect(),
-    );
+    let mut visible = working.start.clone();
     let mut remaining: Vec<usize> = (0..n).collect();
     let mut dist = vec![usize::MAX; n];
     let (mut ball, mut group, mut weights) = (vec![], vec![], vec![]);
@@ -272,14 +276,9 @@ impl TurboCa {
         // following rounds": the best-so-far plan is the assignment the
         // next passes start from, while NetP keeps charging switches
         // against the channels the APs are really on.
-        let mut working = Working::new(view);
-        let on_air: Vec<Channel> = view.aps.iter().map(|ap| ap.current).collect();
-        let incumbent_score = Partial::over(
-            view,
-            &index.rows,
-            on_air.iter().copied().map(Some).collect(),
-        )
-        .net_p_ln(&self.params, &on_air);
+        let mut working = Working::new(&index);
+        let on_air = working.current.clone();
+        let incumbent_score = working.start.net_p_ln(&self.params, &on_air);
         // Runs proportional to network size (log-scaled to stay cheap on
         // 600-AP networks), at least runs_per_tier.
         let runs = self.runs_per_tier + (view.len() as f64).log2().ceil().max(0.0) as usize;
@@ -295,7 +294,7 @@ impl TurboCa {
                 if score > best_score {
                     best_score = score;
                     best_plan = plan_of(view, &pass);
-                    working.adopt(view, &best_plan.channels);
+                    working.adopt(&index, &best_plan.channels);
                 }
             }
         }

@@ -32,4 +32,4 @@ pub mod rate;
 pub use channels::{Band, Channel, ChannelError, Width};
 pub use mcs::{GuardInterval, Mcs};
 pub use propagation::{Point, Propagation, Radio};
-pub use rate::{IdealSelector, MinstrelLite, RateChoice};
+pub use rate::{IdealSelector, RateChoice};

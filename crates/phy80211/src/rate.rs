@@ -1,14 +1,8 @@
 //! Bit-rate selection.
 //!
-//! Two selectors are provided:
-//!
-//! * [`IdealSelector`] — oracle selection: pick the (MCS, NSS) maximizing
-//!   expected goodput at the known SNR. Used where the experiment is not
-//!   about rate adaptation itself (most of the paper's figures).
-//! * [`MinstrelLite`] — a sampling-based adapter in the spirit of
-//!   Minstrel-HT: EWMA per-rate success probability, periodic probing of
-//!   neighbouring rates. Used to show the bit-rate *efficiency* metric of
-//!   §4.6.2 responds to contention, and for the Fig. 5 distribution.
+//! Selection is by oracle: [`IdealSelector`] picks the (MCS, NSS)
+//! maximizing expected goodput at the known SNR, and [`RateCache`]
+//! memoizes it exactly.
 //!
 //! The paper's *bit-rate efficiency* metric — achieved rate normalized by
 //! the max rate supported by both ends of the association — is
@@ -16,8 +10,7 @@
 
 use crate::channels::Width;
 use crate::error_model::expected_goodput_bps;
-use crate::mcs::{rate_table, GuardInterval, Mcs, RateRow};
-use sim::Rng;
+use crate::mcs::{rate_table, GuardInterval, Mcs};
 
 /// A selected transmission rate.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -127,81 +120,9 @@ pub fn bitrate_efficiency(achieved_bps: u64, ap_max_bps: u64, client_max_bps: u6
     (achieved_bps as f64 / cap as f64).min(1.0)
 }
 
-/// Minstrel-style adaptive selector: tracks an EWMA success probability
-/// per rate-table index, transmits at the best-goodput rate, and probes
-/// a random other rate every `probe_interval_tx` transmissions.
-#[derive(Debug, Clone)]
-pub struct MinstrelLite {
-    table: &'static [RateRow],
-    /// EWMA of per-rate delivery probability.
-    prob: Vec<f64>,
-    ewma_alpha: f64,
-    tx_count: u64,
-    probe_interval_tx: u64,
-    current: usize,
-}
-
-impl MinstrelLite {
-    pub fn new(width: Width, max_nss: u8) -> MinstrelLite {
-        let table = rate_table(max_nss, width, GuardInterval::Short);
-        let n = table.len();
-        MinstrelLite {
-            table,
-            // Optimistic initialization: try everything once.
-            prob: vec![1.0; n],
-            ewma_alpha: 0.25,
-            tx_count: 0,
-            probe_interval_tx: 16,
-            current: 0,
-        }
-    }
-
-    /// Rate to use for the next transmission.
-    pub fn select(&mut self, rng: &mut Rng) -> RateChoice {
-        self.tx_count += 1;
-        let idx = if self.tx_count.is_multiple_of(self.probe_interval_tx) {
-            // Probe a random rate near the current best to learn drift.
-            let lo = self.best_index().saturating_sub(2);
-            let hi = (self.best_index() + 2).min(self.table.len() - 1);
-            rng.range_inclusive(lo as u64, hi as u64) as usize
-        } else {
-            self.best_index()
-        };
-        self.current = idx;
-        let (mcs, nss, bps) = self.table[idx];
-        RateChoice { mcs, nss, bps }
-    }
-
-    /// Report the outcome of the last transmission at `choice`.
-    pub fn report(&mut self, choice: RateChoice, success: bool) {
-        if let Some(idx) = self
-            .table
-            .iter()
-            .position(|&(m, n, _)| m == choice.mcs && n == choice.nss)
-        {
-            let x = if success { 1.0 } else { 0.0 };
-            self.prob[idx] = (1.0 - self.ewma_alpha) * self.prob[idx] + self.ewma_alpha * x;
-        }
-    }
-
-    fn best_index(&self) -> usize {
-        let mut best = 0;
-        let mut best_g = -1.0;
-        for i in 0..self.table.len() {
-            let g = self.table[i].2 as f64 * self.prob[i];
-            if g > best_g {
-                best_g = g;
-                best = i;
-            }
-        }
-        best
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error_model::mpdu_success_rate;
 
     #[test]
     fn ideal_selector_monotone_in_snr() {
@@ -271,54 +192,5 @@ mod tests {
         assert_eq!(bitrate_efficiency(0, 100, 100), 0.0);
         assert_eq!(bitrate_efficiency(200, 100, 100), 1.0, "clamped at 1");
         assert_eq!(bitrate_efficiency(50, 0, 100), 0.0, "zero cap");
-    }
-
-    #[test]
-    fn minstrel_converges_to_sustainable_rate() {
-        let mut rng = Rng::new(7);
-        let mut m = MinstrelLite::new(Width::W80, 2);
-        let snr = 25.0;
-        for _ in 0..2_000 {
-            let c = m.select(&mut rng);
-            let eff_snr = snr - 3.0 * (c.nss as f64 - 1.0);
-            let p = mpdu_success_rate(eff_snr, c.mcs, Width::W80, 1460);
-            let ok = rng.chance(p);
-            m.report(c, ok);
-        }
-        // The ideal selector's choice at this SNR is the goodput target.
-        let ideal = IdealSelector::new(Width::W80, 2).select(snr);
-        let i = m.best_index();
-        let est = m.table[i].2 as f64 * m.prob[i];
-        assert!(
-            est > 0.5 * ideal.bps as f64,
-            "estimated {est} vs ideal {}",
-            ideal.bps
-        );
-    }
-
-    #[test]
-    fn minstrel_probes_periodically() {
-        let mut rng = Rng::new(3);
-        let mut m = MinstrelLite::new(Width::W20, 1);
-        let mut distinct = std::collections::BTreeSet::new();
-        for _ in 0..64 {
-            let c = m.select(&mut rng);
-            distinct.insert((c.mcs.0, c.nss));
-            m.report(c, true);
-        }
-        assert!(distinct.len() > 1, "probing must explore");
-    }
-
-    #[test]
-    fn minstrel_abandons_failing_rate() {
-        let mut rng = Rng::new(11);
-        let mut m = MinstrelLite::new(Width::W20, 1);
-        // Everything above MCS2 always fails.
-        for _ in 0..500 {
-            let c = m.select(&mut rng);
-            m.report(c, c.mcs.0 <= 2);
-        }
-        let c = m.select(&mut rng);
-        assert!(c.mcs.0 <= 3, "stuck at {:?}", c);
     }
 }
