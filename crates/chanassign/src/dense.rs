@@ -57,8 +57,8 @@
 //! scored in full takes the lead on a higher score, or on an equal one
 //! from earlier in `cands` — the exhaustive loop's first-best rule, held
 //! there by the `planner.acc.ties` pin and a tie-view proptest.
-//! `reference.rs` (test-only) keeps the map-reading formula and a
-//! proptest compares the two bit for bit.
+//! `reference.rs` (test-only) states the formula as printed, over the
+//! channel-number maps, and proptests compare the two bit for bit.
 
 use crate::metrics::MetricParams;
 use crate::model::{ApReport, NetworkView};

@@ -1,81 +1,51 @@
-//! Test-only reference: the planner as it stood when the metric read
-//! channel-number maps and re-derived channel geometry per call — one
-//! `overlaps` scan per sub-channel per neighbour, a cloned `assigned`
-//! per ACC, a BFS per NBO seed. Kept verbatim (minus `pub`) so the
-//! proptests at the bottom can hold the dense planner to it bit for bit.
+//! Test-only oracle: TurboCA (§4.4) stated once, naively, over the
+//! exchange types — channel-number maps, neighbour lists and
+//! `Channel::overlaps` — with none of `dense`'s slot tables, maintained
+//! contender counts or bounds. The proptests at the bottom hold the
+//! planner to it bit for bit.
 
 use crate::dense::{HIGH_UTIL_THRESHOLD, IDLE_EPSILON_LOAD};
 use crate::metrics::MetricParams;
 use crate::model::{NetworkView, Plan};
-use phy80211::channels::{all_channels, non_dfs_channels, Band, Channel, Width};
+use crate::turboca::{fallback_channels, ScheduleTier};
+use phy80211::channels::{Band, Channel, Width};
 use sim::Rng;
 
-fn airtime(view: &NetworkView, plan_channels: &[Option<Channel>], v: usize, bond: Channel) -> f64 {
-    let ap = &view.aps[v];
-    let subs = bond
-        .subchannel_numbers()
-        .expect("candidate channels are validated");
-    let mut worst: f64 = 1.0;
-    for s in subs {
-        let sub = Channel::new(bond.band, s, Width::W20).expect("valid subchannel");
-        let ext = ap.external_busy_on(s);
-        let mut contenders = 0usize;
-        for &n in &ap.neighbors {
-            if let Some(Some(nc)) = plan_channels.get(n) {
-                if nc.overlaps(&sub) {
-                    contenders += 1;
-                }
-            }
-        }
-        let share = (1.0 - ext).max(0.0) / (1.0 + contenders as f64);
-        worst = worst.min(share);
-    }
-    worst
-}
-
-fn capacity(view: &NetworkView, v: usize, bond: Channel) -> f64 {
-    let ap = &view.aps[v];
-    let subs = bond.subchannel_numbers().expect("validated");
-    let q: f64 = subs.iter().map(|&s| ap.quality_on(s)).sum::<f64>() / subs.len() as f64;
-    q * (bond.width.mhz() as f64 / 20.0)
-}
-
-fn switch_penalty(params: &MetricParams, view: &NetworkView, v: usize, cand: Channel) -> f64 {
-    let ap = &view.aps[v];
-    if cand == ap.current {
-        return 0.0;
-    }
-    let mut p = if ap.has_clients {
-        params.switch_penalty_with_clients
-    } else {
-        params.switch_penalty_idle
-    };
-    if view.band == Band::Band2_4 && ap.has_clients {
-        p += params.penalty_2_4ghz_extra;
-    }
-    let cand_util: f64 = cand
-        .subchannel_numbers()
-        .map(|subs| {
-            subs.iter()
-                .map(|&s| ap.external_busy_on(s))
-                .fold(0.0, f64::max)
-        })
-        .unwrap_or(0.0);
-    if cand_util > HIGH_UTIL_THRESHOLD {
-        p += params.high_util_extra;
-    }
-    p
-}
-
+/// `ln NodeP(v, cand)` of §4.4.1 under `plan` (`None` = in ψ): for each
+/// loaded width `b`, `load(b) · ln channel_metric`, where
+/// `channel_metric = airtime × capacity − penalty`, airtime is the
+/// minimum over sub-channels of `(1 − busy) / (1 + neighbours assigned
+/// over it)` and capacity the mean quality × `b`/20; −∞ as soon as a
+/// channel_metric is ≤ 0. The penalty is §4.5.1's: 0 for staying, more
+/// with clients, more again on 2.4 GHz, and more onto a channel over 90 %
+/// busy.
 fn node_p_ln(
     params: &MetricParams,
     view: &NetworkView,
-    plan_channels: &[Option<Channel>],
+    plan: &[Option<Channel>],
     v: usize,
     cand: Channel,
 ) -> f64 {
     let ap = &view.aps[v];
-    let penalty = switch_penalty(params, view, v, cand);
+    let mut penalty = 0.0;
+    if cand != ap.current {
+        penalty = if ap.has_clients {
+            params.switch_penalty_with_clients
+        } else {
+            params.switch_penalty_idle
+        };
+        if view.band == Band::Band2_4 && ap.has_clients {
+            penalty += params.penalty_2_4ghz_extra;
+        }
+        let subs = cand.subchannel_numbers().unwrap_or_default();
+        let busiest = subs
+            .iter()
+            .map(|&s| ap.external_busy_on(s))
+            .fold(0.0, f64::max);
+        if busiest > HIGH_UTIL_THRESHOLD {
+            penalty += params.high_util_extra;
+        }
+    }
     let mut total = 0.0;
     for &b in cand.width.up_to() {
         let mut load = ap.load.at_width(b);
@@ -85,11 +55,19 @@ fn node_p_ln(
         if load <= 0.0 {
             continue;
         }
-        let bond = match Channel::new(cand.band, cand.primary, b) {
-            Ok(c) => c,
-            Err(_) => return f64::NEG_INFINITY,
+        let Ok(bond) = Channel::new(cand.band, cand.primary, b) else {
+            return f64::NEG_INFINITY;
         };
-        let metric = airtime(view, plan_channels, v, bond) * capacity(view, v, bond) - penalty;
+        let subs = bond.subchannel_numbers().expect("a legal channel");
+        let share = |s: u16| {
+            let sub = Channel::new(bond.band, s, Width::W20).expect("a sub-channel");
+            let over = |n: &&usize| matches!(plan.get(**n), Some(Some(c)) if c.overlaps(&sub));
+            let contenders = ap.neighbors.iter().filter(over).count();
+            (1.0 - ap.external_busy_on(s)).max(0.0) / (1.0 + contenders as f64)
+        };
+        let airtime = subs.iter().map(|&s| share(s)).fold(1.0, f64::min);
+        let quality = subs.iter().map(|&s| ap.quality_on(s)).sum::<f64>() / subs.len() as f64;
+        let metric = airtime * (quality * (b.mhz() as f64 / 20.0)) - penalty;
         if metric <= 0.0 {
             return f64::NEG_INFINITY;
         }
@@ -98,131 +76,54 @@ fn node_p_ln(
     total
 }
 
+/// `ln NetP`: every AP's `ln NodeP` on its channel of `plan`, summed.
 fn net_p_ln(params: &MetricParams, view: &NetworkView, plan: &Plan) -> f64 {
     let channels: Vec<Option<Channel>> = plan.channels.iter().copied().map(Some).collect();
-    let mut total = 0.0;
-    for v in 0..view.len() {
-        let np = node_p_ln(params, view, &channels, v, plan.channels[v]);
-        if np == f64::NEG_INFINITY {
-            return f64::NEG_INFINITY;
-        }
-        total += np;
-    }
-    total
+    (0..view.len()).fold(0.0, |total, v| {
+        total + node_p_ln(params, view, &channels, v, plan.channels[v])
+    })
 }
 
-fn candidates(view: &NetworkView, v: usize) -> Vec<Channel> {
-    let ap = &view.aps[v];
-    let width_cap = ap
-        .load
-        .max_client_width()
-        .unwrap_or(Width::W20)
-        .min(ap.max_width);
-    let mut out = Vec::new();
-    for w in Width::ALL {
-        if w > width_cap {
-            break;
-        }
-        for ch in all_channels(view.band, w) {
-            if ch.requires_dfs() {
-                if !ap.dfs_certified {
-                    continue;
-                }
-                if ap.has_clients && !ch.overlaps(&ap.current) {
-                    continue;
-                }
-            }
-            out.push(ch);
-        }
-    }
-    if !out.contains(&ap.current) {
-        out.push(ap.current);
-    }
-    out
-}
-
-fn hop_distances(view: &NetworkView, v: usize) -> Vec<usize> {
-    let mut dist = vec![usize::MAX; view.aps.len()];
-    let mut queue = std::collections::VecDeque::new();
-    dist[v] = 0;
-    queue.push_back(v);
-    while let Some(u) = queue.pop_front() {
-        for &n in &view.aps[u].neighbors {
-            if dist[n] == usize::MAX {
-                dist[n] = dist[u] + 1;
-                queue.push_back(n);
-            }
-        }
-    }
-    dist
-}
-
+/// ACC(v, ψ): the first candidate of highest `ln NodeP` of `v` on it
+/// plus, in list order, that of every neighbour with a channel.
 fn acc(
     params: &MetricParams,
     view: &NetworkView,
     assigned: &[Option<Channel>],
     v: usize,
 ) -> Channel {
-    let mut best: Option<(f64, Channel)> = None;
-    let mut trial: Vec<Option<Channel>> = assigned.to_vec();
-    for cand in candidates(view, v) {
+    let mut trial = assigned.to_vec();
+    let mut score = |cand| {
         trial[v] = Some(cand);
-        let mut score = node_p_ln(params, view, &trial, v, cand);
-        if score > f64::NEG_INFINITY {
-            for &n in &view.aps[v].neighbors {
-                if let Some(nc) = trial[n] {
-                    let np = node_p_ln(params, view, &trial, n, nc);
-                    if np == f64::NEG_INFINITY {
-                        score = f64::NEG_INFINITY;
-                        break;
-                    }
-                    score += np;
-                }
-            }
-        }
-        match best {
-            Some((bs, _)) if bs >= score => {}
-            _ => best = Some((score, cand)),
+        let own = node_p_ln(params, view, &trial, v, cand);
+        let neighbors = view.aps[v].neighbors.iter();
+        let theirs = neighbors.filter_map(|&n| Some(node_p_ln(params, view, &trial, n, trial[n]?)));
+        theirs.fold(own, |total, np| total + np)
+    };
+    let cands = view.candidates(v);
+    let mut best = (score(cands[0]), cands[0]);
+    for &cand in &cands[1..] {
+        let s = score(cand);
+        if s > best.0 {
+            best = (s, cand);
         }
     }
-    best.map(|(_, c)| c).unwrap_or(view.aps[v].current)
+    best.1
 }
 
-fn fallback_channels(view: &NetworkView, channels: &[Channel]) -> Vec<Option<Channel>> {
-    channels
-        .iter()
-        .enumerate()
-        .map(|(v, ch)| {
-            if !ch.requires_dfs() {
-                return None;
-            }
-            let ap = &view.aps[v];
-            non_dfs_channels(view.band, Width::W20)
-                .into_iter()
-                .min_by(|a, b| {
-                    ap.external_busy_on(a.primary)
-                        .total_cmp(&ap.external_busy_on(b.primary))
-                })
-        })
-        .collect()
-}
-
+/// NBO, Algorithm 1: while APs remain, draw one, hide it and the others
+/// remaining within `hop_limit` hops (ψ), and give them channels by ACC
+/// in load-weighted random order; every AP not in ψ and not yet placed
+/// shows its current channel.
 fn nbo(params: &MetricParams, view: &NetworkView, hop_limit: usize, rng: &mut Rng) -> Plan {
-    let n = view.len();
-    let mut assigned: Vec<Option<Channel>> = vec![None; n];
-    let mut remaining: Vec<usize> = (0..n).collect();
     let mut visible: Vec<Option<Channel>> = view.aps.iter().map(|a| Some(a.current)).collect();
-
+    let mut remaining: Vec<usize> = (0..view.len()).collect();
     while !remaining.is_empty() {
-        let pick = rng.below(remaining.len() as u64) as usize;
-        let seed = remaining[pick];
-        let dist = hop_distances(view, seed);
-        let mut group: Vec<usize> = remaining
-            .iter()
-            .copied()
-            .filter(|&u| dist[u] <= hop_limit)
-            .collect();
-        remaining.retain(|u| !group.contains(u));
+        let seed = remaining[rng.below(remaining.len() as u64) as usize];
+        let dist = view.hop_distances(seed);
+        let (mut group, rest): (Vec<usize>, _) =
+            remaining.iter().partition(|&&u| dist[u] <= hop_limit);
+        remaining = rest;
         for &g in &group {
             visible[g] = None;
         }
@@ -231,53 +132,43 @@ fn nbo(params: &MetricParams, view: &NetworkView, hop_limit: usize, rng: &mut Rn
                 .iter()
                 .map(|&g| view.aps[g].load.total().max(1e-3))
                 .collect();
-            let idx = rng.weighted_index(&weights);
-            let m = group.swap_remove(idx);
-            let ch = acc(params, view, &visible, m);
-            visible[m] = Some(ch);
-            assigned[m] = Some(ch);
+            let m = group.swap_remove(rng.weighted_index(&weights));
+            visible[m] = Some(acc(params, view, &visible, m));
         }
     }
-
-    let channels: Vec<Channel> = assigned
-        .into_iter()
-        .enumerate()
-        .map(|(v, c)| c.unwrap_or(view.aps[v].current))
-        .collect();
+    let channels: Vec<Channel> = visible.into_iter().flatten().collect();
     let fallback = fallback_channels(view, &channels);
     Plan { channels, fallback }
 }
 
-/// `TurboCa::run` as it cloned the view to carry the working assignment.
+/// The tier loop: `runs` NBO passes per hop limit of `tier`; a pass that
+/// beats the best NetP so far (charged against `view`'s channels) becomes
+/// the plan and the assignment later passes start from. Returns the
+/// plan, its NetP, the incumbent's, and the passes run.
 fn run(
     params: &MetricParams,
     runs_per_tier: usize,
     rng: &mut Rng,
     view: &NetworkView,
-    tier: crate::turboca::ScheduleTier,
+    tier: ScheduleTier,
 ) -> (Plan, f64, f64, usize) {
-    let incumbent = Plan::current(view);
-    let incumbent_score = net_p_ln(params, view, &incumbent);
+    let incumbent = net_p_ln(params, view, &Plan::current(view));
     let runs = runs_per_tier + (view.len() as f64).log2().ceil().max(0.0) as usize;
-    let mut best_plan = incumbent.clone();
-    let mut best_score = incumbent_score;
-    let mut total_runs = 0;
-    let mut working = view.clone();
-    for &i in tier.hop_sequence() {
+    let (mut best, mut best_score, mut working) = (Plan::current(view), incumbent, view.clone());
+    let hops = tier.hop_sequence();
+    for &i in hops {
         for _ in 0..runs {
-            total_runs += 1;
             let proposal = nbo(params, &working, i, rng);
             let score = net_p_ln(params, view, &proposal);
             if score > best_score {
-                best_score = score;
-                best_plan = proposal;
-                for (ap, &ch) in working.aps.iter_mut().zip(best_plan.channels.iter()) {
+                for (ap, &ch) in working.aps.iter_mut().zip(&proposal.channels) {
                     ap.current = ch;
                 }
+                (best, best_score) = (proposal, score);
             }
         }
     }
-    (best_plan, best_score, incumbent_score, total_runs)
+    (best, best_score, incumbent, runs * hops.len())
 }
 
 mod equivalence {
@@ -422,7 +313,7 @@ mod equivalence {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// The one-shot metric functions, over plans shorter and longer
+        /// The one-shot NodeP and NetP, over plans shorter and longer
         /// than the view and neighbour indices past both.
         #[test]
         fn one_shot_metrics_match_the_reference(seed in any::<u64>()) {
@@ -434,21 +325,6 @@ mod equivalence {
             let legal = legal_channels(view.band);
             for v in 0..view.len() {
                 let cand = pick(rng, &legal);
-                prop_assert_eq!(
-                    crate::metrics::airtime(&view, &plan_channels, v, cand).to_bits(),
-                    airtime(&view, &plan_channels, v, cand).to_bits(),
-                    "airtime of {} on {}", v, cand
-                );
-                prop_assert_eq!(
-                    crate::metrics::capacity(&view, v, cand).to_bits(),
-                    capacity(&view, v, cand).to_bits(),
-                    "capacity of {} on {}", v, cand
-                );
-                prop_assert_eq!(
-                    crate::metrics::switch_penalty(&params, &view, v, cand).to_bits(),
-                    switch_penalty(&params, &view, v, cand).to_bits(),
-                    "switch penalty of {} to {}", v, cand
-                );
                 prop_assert_eq!(
                     crate::metrics::node_p_ln(&params, &view, &plan_channels, v, cand).to_bits(),
                     node_p_ln(&params, &view, &plan_channels, v, cand).to_bits(),
@@ -475,8 +351,6 @@ mod equivalence {
             let view = random_view(rng, 0);
             let params = MetricParams::default();
             for v in 0..view.len() {
-                prop_assert_eq!(view.candidates(v), candidates(&view, v));
-                prop_assert_eq!(view.hop_distances(v), hop_distances(&view, v));
                 let assigned = random_assignment(rng, view.band, view.len());
                 prop_assert_eq!(
                     crate::turboca::acc(&params, &view, &assigned, v),
@@ -484,11 +358,6 @@ mod equivalence {
                     "ACC of {} under {:?}", v, assigned
                 );
             }
-            let channels: Vec<Channel> = view.aps.iter().map(|ap| ap.current).collect();
-            prop_assert_eq!(
-                crate::turboca::fallback_channels(&view, &channels),
-                fallback_channels(&view, &channels)
-            );
             for hop_limit in 0..=2 {
                 prop_assert_eq!(
                     crate::turboca::nbo(&params, &view, hop_limit, &mut Rng::new(seed)),

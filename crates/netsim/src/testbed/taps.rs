@@ -277,8 +277,7 @@ impl Taps {
                 self.sp_collision
             }
         };
-        let sp = self.metrics.enter(span, now - dur);
-        self.metrics.exit(sp, now);
+        self.metrics.record(span, dur);
         self.flight
             .emit("air", now, cause, TraceRecord::AirtimeSpan { kind, dur });
     }
@@ -419,7 +418,6 @@ impl Taps {
             tl.seal();
             tl
         });
-        debug_assert!(self.metrics.profiler_idle(), "unbalanced span guards");
         report.metrics = self.metrics;
         report
     }

@@ -395,7 +395,7 @@ fn metrics_cover_every_plane() {
     // Sim-time profiler: AP TXOPs dominate a downlink-heavy run and
     // total attributed airtime matches the utilization accounting.
     let ap = m.span_value("air.ap_txop").unwrap();
-    assert!(ap.calls > 0 && ap.total_time > sim::SimDuration::ZERO);
+    assert!(ap.calls > 0 && ap.time > sim::SimDuration::ZERO);
     let spans = [
         "air.ap_txop",
         "air.client_txop",
@@ -406,7 +406,7 @@ fn metrics_cover_every_plane() {
     let attributed: u64 = spans
         .iter()
         .filter_map(|s| m.span_value(s))
-        .map(|s| s.total_time.as_nanos())
+        .map(|s| s.time.as_nanos())
         .sum();
     let busy_ns = (r.medium_utilization * r.duration_s * 1e9) as u64;
     let diff = attributed.abs_diff(busy_ns);

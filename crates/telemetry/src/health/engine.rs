@@ -94,7 +94,7 @@ pub(super) fn delta(prev: &mut Option<f64>, current: f64) -> f64 {
 pub(super) fn probe(metrics: &Registry, path: &str) -> Option<f64> {
     let counter = metrics.counter_value(path).map(|v| v as f64);
     let gauge = || metrics.gauge_value(path).map(|v| v as f64);
-    let span = || Some(metrics.span_value(path)?.total_time.as_nanos() as f64);
+    let span = || Some(metrics.span_value(path)?.time.as_nanos() as f64);
     counter.or_else(gauge).or_else(span)
 }
 
@@ -266,8 +266,7 @@ mod tests {
         let g = m.gauge("g");
         m.gauge_set(g, -4);
         let sp = m.span("s");
-        let span = m.enter(sp, SimTime::ZERO);
-        m.exit(span, SimTime::from_nanos(500));
+        m.record(sp, sim::SimDuration::from_nanos(500));
         assert_eq!(probe(&m, "c"), Some(3.0));
         assert_eq!(probe(&m, "g"), Some(-4.0));
         assert_eq!(probe(&m, "s"), Some(500.0));

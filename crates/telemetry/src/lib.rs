@@ -49,7 +49,7 @@ pub use health::{
     Alert, Detector, HealthEngine, HealthReport, HealthRollup, HealthRules, QoeDegraded,
     QoeDegradedRule, Severity,
 };
-pub use metrics::{CounterId, GaugeId, HistId, Registry, Span, SpanId, SpanStat};
+pub use metrics::{CounterId, GaugeId, HistId, Registry, SpanId, SpanStat};
 pub use runprof::{AllocStats, CountingAlloc, RunProfile, SamplePoint, StageStat, WallSpan};
 pub use stats::{jain_fairness, median, quantile, summarize, Cdf, Histogram, Summary};
 pub use streaming::{Ewma, RollingWindow};

@@ -13,11 +13,9 @@
 //! * **gauges** — signed `i64` levels (slot occupancy, cwnd, …);
 //! * **histograms** — fixed-bin [`Histogram`]s (aggregation sizes, …).
 //!
-//! Plus a **sim-time profiler**: [`Registry::enter`] returns a
-//! [`Span`] guard; [`Registry::exit`] attributes the elapsed simulated
-//! time to the span's component, separating *self* time from time spent
-//! in nested child spans — a flamegraph over sim time, flattened to
-//! per-component totals.
+//! Plus a **sim-time profiler**: [`Registry::record`] attributes a span
+//! of simulated time to a component path, which keeps the number of
+//! spans and the time they covered.
 //!
 //! ## Determinism contract
 //!
@@ -33,11 +31,11 @@
 //! Registration (`counter`, `gauge`, `histogram`, `span`) does one
 //! `BTreeMap` lookup and possibly one allocation; do it once at setup.
 //! The per-event operations (`inc`, `add`, `gauge_add`, `observe`,
-//! `enter`/`exit`) take copyable integer handles and touch only
+//! `record`) take copyable integer handles and touch only
 //! `Vec`-indexed slots — no hashing, no allocation, no string work.
 //!
 //! ```
-//! use sim::SimTime;
+//! use sim::SimDuration;
 //! use telemetry::metrics::Registry;
 //!
 //! let mut m = Registry::new();
@@ -45,15 +43,14 @@
 //! m.inc(pops);
 //! m.add(pops, 2);
 //! let txop = m.span("mac.txop");
-//! let s = m.enter(txop, SimTime::from_micros(10));
-//! m.exit(s, SimTime::from_micros(14));
+//! m.record(txop, SimDuration::from_micros(4));
 //! assert_eq!(m.counter_value("sim.queue.popped"), Some(3));
 //! assert!(m.to_json().contains("\"mac.txop\""));
 //! ```
 
 use crate::json;
 use crate::stats::Histogram;
-use sim::{sanitize, SimDuration, SimTime};
+use sim::SimDuration;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -74,32 +71,13 @@ pub struct HistId(u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanId(u32);
 
-/// Open-span guard returned by [`Registry::enter`]. Must be closed with
-/// [`Registry::exit`] in LIFO order; the registry checks both the span
-/// identity and the nesting depth on exit.
-#[derive(Debug)]
-#[must_use = "a Span must be closed with Registry::exit to record its time"]
-pub struct Span {
-    id: u32,
-    depth: u32,
-}
-
 /// Accumulated profile for one span path.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpanStat {
-    /// Completed enter/exit pairs.
+    /// Recorded spans.
     pub calls: u64,
-    /// Sim time inside this span excluding nested child spans.
-    pub self_time: SimDuration,
-    /// Sim time inside this span including nested child spans.
-    pub total_time: SimDuration,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Frame {
-    id: u32,
-    start: SimTime,
-    child: SimDuration,
+    /// Sim time they covered.
+    pub time: SimDuration,
 }
 
 /// A deterministic metrics registry (see module docs).
@@ -113,7 +91,6 @@ pub struct Registry {
     hists: Vec<Histogram>,
     span_ids: BTreeMap<String, u32>,
     spans: Vec<SpanStat>,
-    stack: Vec<Frame>,
 }
 
 fn intern(ids: &mut BTreeMap<String, u32>, next: usize, path: &str) -> (u32, bool) {
@@ -261,40 +238,11 @@ impl Registry {
         SpanId(id)
     }
 
-    /// Open a span at sim time `now`. Close it with [`Registry::exit`].
-    #[inline]
-    pub fn enter(&mut self, id: SpanId, now: SimTime) -> Span {
-        self.stack.push(Frame {
-            id: id.0,
-            start: now,
-            child: SimDuration::ZERO,
-        });
-        Span {
-            id: id.0,
-            depth: u32::try_from(self.stack.len()).expect("span stack depth overflow"),
-        }
-    }
-
-    /// Close a span at sim time `now`, attributing `now - start` to its
-    /// path (self time excludes nested spans closed in between).
-    pub fn exit(&mut self, span: Span, now: SimTime) {
-        sanitize::check(
-            self.stack.len() == span.depth as usize,
-            "profiler spans closed out of LIFO order",
-        );
-        let frame = self.stack.pop().expect("exit with no open span");
-        sanitize::check(
-            frame.id == span.id,
-            "profiler span token does not match the innermost open span",
-        );
-        let elapsed = now.saturating_since(frame.start);
-        let stat = &mut self.spans[frame.id as usize];
+    /// Attribute one span of `dur` simulated time to `id`'s path.
+    pub fn record(&mut self, id: SpanId, dur: SimDuration) {
+        let stat = &mut self.spans[id.0 as usize];
         stat.calls += 1;
-        stat.self_time += elapsed.saturating_sub(frame.child);
-        stat.total_time += elapsed;
-        if let Some(parent) = self.stack.last_mut() {
-            parent.child += elapsed;
-        }
+        stat.time += dur;
     }
 
     /// Accumulated profile for a span path.
@@ -302,22 +250,12 @@ impl Registry {
         self.span_ids.get(path).map(|&id| self.spans[id as usize])
     }
 
-    /// True if no span is currently open.
-    pub fn profiler_idle(&self) -> bool {
-        self.stack.is_empty()
-    }
-
     // ---- merge / export -------------------------------------------
 
     /// Fold another registry into this one: counters, gauges, span
     /// times and histogram bins all sum; paths union. Histograms shared
-    /// by both sides must have identical binning. `other` must have no
-    /// open spans.
+    /// by both sides must have identical binning.
     pub fn merge_from(&mut self, other: &Registry) {
-        assert!(
-            other.stack.is_empty(),
-            "cannot merge a registry with open profiler spans"
-        );
         for (path, &id) in &other.counter_ids {
             self.count(path, other.counters[id as usize]);
         }
@@ -340,8 +278,7 @@ impl Registry {
             let dst_id = self.span(path);
             let dst = &mut self.spans[dst_id.0 as usize];
             dst.calls += src.calls;
-            dst.self_time += src.self_time;
-            dst.total_time += src.total_time;
+            dst.time += src.time;
         }
     }
 
@@ -380,14 +317,15 @@ impl Registry {
             o.push_str("]}");
         });
         out.push_str("},\"spans\":{");
+        // Spans never nest, so a span's self time is its total time; the
+        // snapshot keeps writing both.
         push_entries(&mut out, &self.span_ids, |o, id| {
             let s = &self.spans[id as usize];
+            let ns = s.time.as_nanos();
             let _ = write!(
                 o,
-                "{{\"calls\":{},\"self_ns\":{},\"total_ns\":{}}}",
-                s.calls,
-                s.self_time.as_nanos(),
-                s.total_time.as_nanos()
+                "{{\"calls\":{},\"self_ns\":{ns},\"total_ns\":{ns}}}",
+                s.calls
             );
         });
         out.push_str("}}");
@@ -452,38 +390,15 @@ mod tests {
     }
 
     #[test]
-    fn spans_attribute_self_and_total_time() {
-        let mut m = Registry::new();
-        let outer = m.span("outer");
-        let inner = m.span("inner");
-        let t = SimTime::from_micros;
-
-        let so = m.enter(outer, t(0));
-        let si = m.enter(inner, t(3));
-        m.exit(si, t(5));
-        m.exit(so, t(10));
-
-        let o = m.span_value("outer").unwrap();
-        assert_eq!(o.calls, 1);
-        assert_eq!(o.total_time, SimDuration::from_micros(10));
-        assert_eq!(o.self_time, SimDuration::from_micros(8));
-        let i = m.span_value("inner").unwrap();
-        assert_eq!(i.calls, 1);
-        assert_eq!(i.total_time, SimDuration::from_micros(2));
-        assert_eq!(i.self_time, SimDuration::from_micros(2));
-        assert!(m.profiler_idle());
-    }
-
-    #[test]
-    #[cfg(any(feature = "sanitize", debug_assertions))]
-    #[should_panic(expected = "sim-sanitizer: profiler spans closed out of LIFO order")]
-    fn out_of_order_exit_is_violation() {
+    fn spans_count_calls_and_sum_time() {
         let mut m = Registry::new();
         let a = m.span("a");
-        let b = m.span("b");
-        let sa = m.enter(a, SimTime::ZERO);
-        let _sb = m.enter(b, SimTime::ZERO);
-        m.exit(sa, SimTime::from_micros(1));
+        m.record(a, SimDuration::from_micros(3));
+        m.record(a, SimDuration::from_micros(5));
+        let s = m.span_value("a").unwrap();
+        assert_eq!(s.calls, 2);
+        assert_eq!(s.time, SimDuration::from_micros(8));
+        assert_eq!(m.span_value("b"), None);
     }
 
     #[test]
@@ -504,8 +419,7 @@ mod tests {
         b.observe(hb, 1.0);
         b.observe(hb, 9.0);
         let sa = b.span("sp");
-        let tok = b.enter(sa, SimTime::ZERO);
-        b.exit(tok, SimTime::from_micros(4));
+        b.record(sa, SimDuration::from_micros(4));
 
         a.merge_from(&b);
         assert_eq!(a.counter_value("shared"), Some(5));
@@ -517,7 +431,7 @@ mod tests {
         assert_eq!(h.counts[0], 2);
         assert_eq!(h.counts[4], 1);
         assert_eq!(
-            a.span_value("sp").unwrap().total_time,
+            a.span_value("sp").unwrap().time,
             SimDuration::from_micros(4)
         );
     }
@@ -552,8 +466,7 @@ mod tests {
         let h = m.histogram("hist", 0.0, 2.0, 2);
         m.observe(h, 0.5);
         let sp = m.span("work");
-        let s = m.enter(sp, SimTime::ZERO);
-        m.exit(s, SimTime::from_nanos(42));
+        m.record(sp, SimDuration::from_nanos(42));
 
         let j = m.to_json();
         assert_eq!(

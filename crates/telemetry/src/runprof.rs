@@ -35,11 +35,10 @@
 //! ## The three pillars
 //!
 //! * **Stage spans** — [`span`] returns a [`WallSpan`] guard; dropping
-//!   it attributes the elapsed host time to its stage name. Unlike the
-//!   sim-time [`crate::metrics::Span`] there is no nesting discipline:
-//!   stages are flat labels (`fleet.shard.tick`, `testbed.run`,
-//!   `fig18.run`) and guards from worker threads accumulate into the
-//!   same stage concurrently.
+//!   it attributes the elapsed host time to its stage name. Stages are
+//!   flat labels (`fleet.shard.tick`, `testbed.run`, `fig18.run`) and
+//!   guards from worker threads accumulate into the same stage
+//!   concurrently.
 //! * **Resource accounting** — [`CountingAlloc`] is a drop-in global
 //!   allocator wrapper counting allocs/frees/live/peak bytes (installed
 //!   by the bench crate behind its `alloc-count` feature);

@@ -295,126 +295,20 @@ mod tests {
         let _ = w.quantile(0.5);
     }
 
-    /// The window this module shipped before the sorted mirror, kept
-    /// verbatim as the reference the new one is compared against: a
-    /// zeroed ring allocated up front, and every order statistic a
-    /// `values()` copy (plus a full sort for `quantile`).
-    struct CopySortWindow {
-        buf: Vec<f64>,
-        head: usize,
-        len: usize,
-    }
-
-    impl CopySortWindow {
-        fn new(capacity: usize) -> CopySortWindow {
-            CopySortWindow {
-                buf: vec![0.0; capacity],
-                head: 0,
-                len: 0,
-            }
-        }
-
-        fn push(&mut self, x: f64) {
-            self.buf[self.head] = x;
-            self.head = (self.head + 1) % self.buf.len();
-            self.len = (self.len + 1).min(self.buf.len());
-        }
-
-        fn clear(&mut self) {
-            self.head = 0;
-            self.len = 0;
-        }
-
-        fn values(&self) -> Vec<f64> {
-            let mut out = Vec::with_capacity(self.len);
-            let start = if self.len == self.buf.len() {
-                self.head
-            } else {
-                0
-            };
-            for i in 0..self.len {
-                out.push(self.buf[(start + i) % self.buf.len()]);
-            }
-            out
-        }
-
-        fn sum(&self) -> f64 {
-            let start = if self.len == self.buf.len() {
-                self.head
-            } else {
-                0
-            };
-            (0..self.len)
-                .map(|i| self.buf[(start + i) % self.buf.len()])
-                .sum()
-        }
-
-        fn mean(&self) -> Option<f64> {
-            if self.len == 0 {
-                None
-            } else {
-                Some(self.sum() / self.len as f64)
-            }
-        }
-
-        fn min(&self) -> Option<f64> {
-            self.values().into_iter().reduce(f64::min)
-        }
-
-        fn max(&self) -> Option<f64> {
-            self.values().into_iter().reduce(f64::max)
-        }
-
-        fn quantile(&self, q: f64) -> Option<f64> {
-            crate::stats::quantile(&self.values(), q)
-        }
-    }
-
     mod rolling_window_props {
         use super::*;
         use proptest::collection::vec;
         use proptest::prelude::*;
 
         proptest! {
-            // The ring's windowed quantiles must agree exactly with a
-            // naive recompute over the last `cap` samples, at every
-            // prefix of the stream (partial, exactly-full, and wrapped
-            // windows alike).
-            fn windowed_quantiles_match_naive_recompute(
+            // The window against every sample pushed since the last
+            // `clear`, bit for bit after every step: its last `cap` are
+            // the window, their oldest-first folds its sum / mean / min /
+            // max, `stats::quantile` of them its quantiles. Samples come
+            // from a small palette so duplicates, both zeros and both
+            // infinities meet each other; code 0 clears mid-stream.
+            fn window_matches_naive_tail(
                 cap in 1usize..9,
-                samples in vec(-1.0e6f64..1.0e6, 1..40),
-                q in 0.0f64..1.0,
-            ) {
-                let mut w = RollingWindow::with_quantiles(cap);
-                for (i, &x) in samples.iter().enumerate() {
-                    w.push(x);
-                    let naive: Vec<f64> =
-                        samples[i.saturating_sub(cap - 1)..=i].to_vec();
-                    prop_assert_eq!(w.values(), naive.clone());
-                    prop_assert_eq!(w.len(), naive.len());
-                    for probe in [0.0, q, 0.5, 1.0] {
-                        prop_assert_eq!(
-                            w.quantile(probe),
-                            crate::stats::quantile(&naive, probe),
-                            "cap {} step {} q {}", cap, i, probe
-                        );
-                    }
-                    let naive_mean =
-                        naive.iter().sum::<f64>() / naive.len() as f64;
-                    let mean = w.mean().unwrap();
-                    prop_assert!(
-                        (mean - naive_mean).abs() <= 1e-9 * naive_mean.abs().max(1.0),
-                        "mean {} vs naive {}", mean, naive_mean
-                    );
-                }
-            }
-
-            // The mirrored window against the old copy-and-sort one,
-            // bit for bit, after every push. Samples come from a small
-            // palette so duplicates, both zeros and both infinities
-            // meet each other; code 0 clears mid-stream.
-            fn mirrored_window_matches_copy_and_sort_reference(
-                cap in 1usize..7,
                 codes in vec(0u8..40, 1..90),
                 q in -0.5f64..1.5,
             ) {
@@ -423,36 +317,40 @@ mod tests {
                     f64::INFINITY, f64::NEG_INFINITY, 1e-300,
                 ];
                 let bits = |v: Option<f64>| v.map(f64::to_bits);
-                let mut new = RollingWindow::with_quantiles(cap);
-                let mut old = CopySortWindow::new(cap);
+                let mut w = RollingWindow::with_quantiles(cap);
+                let mut pushed = Vec::new();
                 for (step, &code) in codes.iter().enumerate() {
                     if code == 0 {
-                        new.clear();
-                        old.clear();
+                        w.clear();
+                        pushed.clear();
                     } else {
                         let x = match PALETTE.get(usize::from(code) - 1) {
                             Some(&x) => x,
                             None => f64::from(code) * 0.37 - 9.0,
                         };
-                        new.push(x);
-                        old.push(x);
+                        w.push(x);
+                        pushed.push(x);
                     }
+                    let tail = &pushed[pushed.len().saturating_sub(cap)..];
                     let ctx = format!("cap {cap} step {step} code {code}");
-                    prop_assert_eq!(new.len(), old.len, "{}", ctx);
-                    let (nv, ov) = (new.values(), old.values());
+                    prop_assert_eq!(w.len(), tail.len(), "{}", ctx);
                     prop_assert_eq!(
-                        nv.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                        ov.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                        w.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                        tail.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                         "values, {}", ctx
                     );
-                    prop_assert_eq!(bits(new.min()), bits(old.min()), "min, {}", ctx);
-                    prop_assert_eq!(bits(new.max()), bits(old.max()), "max, {}", ctx);
-                    prop_assert_eq!(bits(new.mean()), bits(old.mean()), "mean, {}", ctx);
-                    prop_assert_eq!(new.sum().to_bits(), old.sum().to_bits(), "sum, {}", ctx);
+                    let sum = tail.iter().sum::<f64>();
+                    let mean = (!tail.is_empty()).then(|| sum / tail.len() as f64);
+                    let min = tail.iter().copied().reduce(f64::min);
+                    let max = tail.iter().copied().reduce(f64::max);
+                    prop_assert_eq!(w.sum().to_bits(), sum.to_bits(), "sum, {}", ctx);
+                    prop_assert_eq!(bits(w.mean()), bits(mean), "mean, {}", ctx);
+                    prop_assert_eq!(bits(w.min()), bits(min), "min, {}", ctx);
+                    prop_assert_eq!(bits(w.max()), bits(max), "max, {}", ctx);
                     for probe in [0.0, 0.5, 0.99, 1.0, q] {
                         prop_assert_eq!(
-                            bits(new.quantile(probe)),
-                            bits(old.quantile(probe)),
+                            bits(w.quantile(probe)),
+                            bits(crate::stats::quantile(tail, probe)),
                             "q {}, {}", probe, ctx
                         );
                     }

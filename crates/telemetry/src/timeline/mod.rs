@@ -236,6 +236,4 @@ impl Timeline {
 }
 
 #[cfg(test)]
-mod reference;
-#[cfg(test)]
 mod tests;

@@ -141,12 +141,15 @@ impl Timeline {
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::cfg;
-    use super::super::{reference, Agg, TierConfig, TimelineConfig};
+    use super::super::tests::{cfg, naive_buckets};
+    use super::super::{Agg, TierConfig, TimelineConfig};
     use super::*;
     use proptest::collection::vec;
     use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
     use sim::SimDuration;
+    use std::collections::{BTreeMap, BTreeSet};
+    use std::ops::Range;
 
     #[test]
     #[should_panic(expected = "off the nominal grid")]
@@ -178,19 +181,91 @@ mod tests {
         "tcp.backlog",
     ];
 
+    /// One tick of the naive model: every series sampled, with its kind
+    /// and value.
+    type Snapshot = BTreeMap<String, (SeriesKind, f64)>;
+
+    /// `tl` against the naive model of `history`, through the public
+    /// read API: the raw ring is the last `capacity` ticks, and a tier
+    /// is `naive_buckets` over the whole history, its last `capacity`
+    /// completed rows (the bucket in progress completes at `seal`).
+    fn check_model(
+        tl: &Timeline,
+        config: &TimelineConfig,
+        history: &[Snapshot],
+        sealed: bool,
+    ) -> Result<(), TestCaseError> {
+        let bits = |rows: Vec<(SimTime, f64)>| -> Vec<(SimTime, u64)> {
+            rows.into_iter().map(|(at, v)| (at, v.to_bits())).collect()
+        };
+        // Of `done` rows, the last `cap`; a row on a `step_ns` grid
+        // starts at `row × step_ns`.
+        let last = |done: u64, cap: usize| done.saturating_sub(cap as u64)..done;
+        let kept = |at: SimTime, step_ns: u64, rows: &Range<u64>| {
+            rows.contains(&(at.as_nanos() / step_ns))
+        };
+        let (n, every) = (history.len() as u64, config.every.as_nanos());
+        let ticks = last(n, config.capacity);
+        prop_assert_eq!(
+            (tl.ticks(), tl.dropped()),
+            (ticks.end - ticks.start, ticks.start)
+        );
+        let tiers = Vec::from_iter(config.tiers.iter().map(|t| {
+            let done = (n - 1) * every / t.bucket.as_nanos() + u64::from(sealed);
+            (t, last(done, t.capacity))
+        }));
+        for (view, (_, rows)) in tl.tiers().zip(&tiers) {
+            let want = (rows.end - rows.start, rows.start);
+            prop_assert_eq!((view.rows(), view.dropped_rows()), want);
+        }
+        let at = |i: u64| SimTime::from_nanos(i * every);
+        let paths = BTreeSet::from_iter(history.iter().flat_map(BTreeMap::keys));
+        for path in paths {
+            let samples = Vec::from_iter(
+                (0..)
+                    .zip(history)
+                    .filter_map(|(i, s)| Some((at(i), *s.get(path)?))),
+            );
+            prop_assert_eq!(tl.kind(path), samples.first().map(|(_, (kind, _))| *kind));
+            let values = Vec::from_iter(samples.iter().map(|&(at, (_, v))| (at, v)));
+            let raw = Vec::from_iter(
+                values
+                    .iter()
+                    .copied()
+                    .filter(|&(at, _)| kept(at, every, &ticks)),
+            );
+            prop_assert_eq!(tl.series_len(path), raw.len(), "{}", path);
+            let range = tl.range(path, SimTime::ZERO, SimTime::MAX);
+            prop_assert_eq!(bits(range), bits(raw), "{}", path);
+            for (view, (t, rows)) in tl.tiers().zip(&tiers) {
+                let buckets = naive_buckets(&values, t.bucket, t.agg).into_iter();
+                let step_ns = t.bucket.as_nanos();
+                let want = Vec::from_iter(buckets.filter(|&(at, _)| kept(at, step_ns, rows)));
+                prop_assert_eq!(
+                    bits(view.series(path)),
+                    bits(want),
+                    "{} in the {:?} tier",
+                    path,
+                    t.agg
+                );
+            }
+        }
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        // The column-table sampler against the map-probing one it
-        // replaced (`reference::Timeline`), on the dump bytes after
-        // every tick: paths appear mid-run (late registration) and, when
-        // each tick reads a fresh registry, drop out for good; the
-        // registry lists its paths in whatever order they were
-        // registered that tick; the raw ring
-        // and both tiers are small enough to evict; one f64 signal is
-        // staged by handle, one by name, one starts late. Then the
-        // sealed dump must survive parse -> to_bytes unchanged.
-        fn column_sampler_matches_map_probing_reference(
+        // The sampler against the naive model after every tick, live and
+        // parsed back from its dump: paths appear mid-run (late
+        // registration) and, when each tick reads a fresh registry, drop
+        // out for good; the registry lists its paths in whatever order
+        // they were registered that tick; the raw ring and both tiers are
+        // small enough to evict; one f64 signal is staged by handle, one
+        // by name, one starts late. Then the sealed timeline, and its
+        // dump surviving parse -> to_bytes unchanged. The dump's bytes
+        // themselves are pinned by the timeline golden lines.
+        fn column_sampler_matches_naive_model(
             births in vec(0u64..14, 14..15),
             deaths in vec(0u64..60, 14..15),
             n_ticks in 1u64..48,
@@ -208,9 +283,9 @@ mod tests {
                     TierConfig { bucket: every * 7, agg: Agg::Max, capacity: tier_caps[1] },
                 ],
             };
-            let mut new = Timeline::new(&config);
-            let mut old = reference::Timeline::new(&config);
-            let by_handle = new.stage_f64("tcp.flow0.cwnd_segments");
+            let mut tl = Timeline::new(&config);
+            let by_handle = tl.stage_f64("tcp.flow0.cwnd_segments");
+            let mut history: Vec<Snapshot> = Vec::new();
             let mut persistent = Registry::new();
             let mut rng = sim::Rng::new(seed);
             for i in 0..n_ticks {
@@ -234,29 +309,33 @@ mod tests {
                     }
                 }
                 let cwnd = 10.0 + (rng.next_u64() % 64) as f64 * 0.25;
-                new.set(by_handle, cwnd);
-                old.set_f64("tcp.flow0.cwnd_segments", cwnd);
-                new.set_f64("fleet.load", -cwnd);
-                old.set_f64("fleet.load", -cwnd);
+                tl.set(by_handle, cwnd);
+                tl.set_f64("fleet.load", -cwnd);
+                let mut staged = vec![("tcp.flow0.cwnd_segments", cwnd), ("fleet.load", -cwnd)];
                 if i >= 5 {
-                    new.set_f64("late.signal", cwnd * 1e-3);
-                    old.set_f64("late.signal", cwnd * 1e-3);
+                    tl.set_f64("late.signal", cwnd * 1e-3);
+                    staged.push(("late.signal", cwnd * 1e-3));
                 }
-                let at = SimTime::ZERO + every * i;
-                new.sample(at, reg);
-                old.sample(at, reg);
-                prop_assert_eq!(new.to_bytes(), old.to_bytes(), "after tick {}", i);
+                tl.sample(SimTime::ZERO + every * i, reg);
+                let counters = reg.counters().map(|(p, v)| (p, (SeriesKind::Counter, v as f64)));
+                let gauges = reg.gauges().map(|(p, v)| (p, (SeriesKind::Gauge, v as f64)));
+                let signals = staged.into_iter().map(|(p, v)| (p, (SeriesKind::F64, v)));
+                let snapshot = counters.chain(gauges).chain(signals);
+                history.push(snapshot.map(|(p, s)| (p.to_owned(), s)).collect());
+                check_model(&tl, &config, &history, false)?;
+                let parsed = Timeline::parse(&tl.to_bytes()).expect("own dump parses");
+                check_model(&parsed, &config, &history, false)?;
             }
             // The walks are what keeps the name index off the steady
             // path: each met path once, in path order.
-            for walk in &new.walks {
+            for walk in &tl.walks {
                 prop_assert!(walk.windows(2).all(|w| w[0].path < w[1].path));
             }
-            new.seal();
-            old.seal();
-            let bytes = new.to_bytes();
-            prop_assert_eq!(&bytes, &old.to_bytes(), "sealed");
+            tl.seal();
+            check_model(&tl, &config, &history, true)?;
+            let bytes = tl.to_bytes();
             let parsed = Timeline::parse(&bytes).expect("own dump parses");
+            check_model(&parsed, &config, &history, true)?;
             prop_assert_eq!(parsed.to_bytes(), bytes, "parse -> to_bytes");
         }
     }

@@ -331,7 +331,7 @@ impl Timeline {
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::{cfg, tick};
+    use super::super::tests::{cfg, naive_buckets, tick};
     use super::*;
     use crate::metrics::Registry;
     use sim::SimDuration;
@@ -363,34 +363,6 @@ mod tests {
         let r = tl.range("mac.frames", SimTime::ZERO, SimTime::MAX);
         assert_eq!(r.first().expect("samples").1, (10_000 - 64 + 1) as f64);
         assert_eq!(r.last().expect("samples").1, 10_000.0);
-    }
-
-    /// The independent oracle for tiers and `downsample`: collect each
-    /// bucket's values, then aggregate the collected slice.
-    fn naive_buckets(
-        samples: &[(SimTime, f64)],
-        bucket: SimDuration,
-        agg: Agg,
-    ) -> Vec<(SimTime, f64)> {
-        // Keyed by bucket start, in nanoseconds.
-        let width = bucket.as_nanos();
-        let mut buckets: BTreeMap<u64, Vec<f64>> = BTreeMap::new();
-        for &(at, v) in samples {
-            let start = at.as_nanos() / width * width;
-            buckets.entry(start).or_default().push(v);
-        }
-        let fold = |vals: &[f64]| match agg {
-            Agg::Mean => vals.iter().sum::<f64>() / vals.len() as f64,
-            Agg::Max => vals.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-            Agg::Min => vals.iter().copied().fold(f64::INFINITY, f64::min),
-            Agg::Sum => vals.iter().sum(),
-            Agg::Count => vals.len() as f64,
-            Agg::Last => vals[vals.len() - 1],
-        };
-        buckets
-            .iter()
-            .map(|(&start, vals)| (SimTime::from_nanos(start), fold(vals)))
-            .collect()
     }
 
     #[test]

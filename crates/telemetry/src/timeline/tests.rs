@@ -4,6 +4,7 @@
 use super::*;
 use crate::metrics::Registry;
 use sim::SimTime;
+use std::collections::BTreeMap;
 
 pub(super) fn cfg(every_ms: u64) -> TimelineConfig {
     TimelineConfig::sampling(SimDuration::from_millis(every_ms))
@@ -27,6 +28,34 @@ pub(super) fn build(n: u64) -> Timeline {
         tl.sample(tick(i, 100), &reg);
     }
     tl
+}
+
+/// The independent oracle for tiers and `downsample`: collect each
+/// bucket's values, then aggregate the collected slice.
+pub(super) fn naive_buckets(
+    samples: &[(SimTime, f64)],
+    bucket: SimDuration,
+    agg: Agg,
+) -> Vec<(SimTime, f64)> {
+    // Keyed by bucket start, in nanoseconds.
+    let width = bucket.as_nanos();
+    let mut buckets: BTreeMap<u64, Vec<f64>> = BTreeMap::new();
+    for &(at, v) in samples {
+        let start = at.as_nanos() / width * width;
+        buckets.entry(start).or_default().push(v);
+    }
+    let fold = |vals: &[f64]| match agg {
+        Agg::Mean => vals.iter().sum::<f64>() / vals.len() as f64,
+        Agg::Max => vals.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+        Agg::Min => vals.iter().copied().fold(f64::INFINITY, f64::min),
+        Agg::Sum => vals.iter().sum(),
+        Agg::Count => vals.len() as f64,
+        Agg::Last => vals[vals.len() - 1],
+    };
+    buckets
+        .iter()
+        .map(|(&start, vals)| (SimTime::from_nanos(start), fold(vals)))
+        .collect()
 }
 
 #[test]
