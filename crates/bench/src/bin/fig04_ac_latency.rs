@@ -82,7 +82,6 @@ fn main() {
     for p in &profiles {
         for _ in 0..p.stations {
             let mut lp = LinkParams::clean(p.ac);
-            lp.aggregation = false; // per-frame EDCA latency measurement
             lp.mpdu_error_rate = if rng.chance(p.bad_fraction) {
                 p.bad_per
             } else {

@@ -9,7 +9,7 @@ use wifi_core::sim::Rng;
 fn main() {
     let mut exp =
         Experiment::from_args("fig06", "day-long AP snapshot (clients/usage/utilization)");
-    let day = OfficeDay::default().generate(&mut Rng::new(606));
+    let day = OfficeDay.generate(&mut Rng::new(606));
 
     let window =
         |from_h: f64, to_h: f64, fsel: &dyn Fn(&wifi_core::netsim::diurnal::DaySample) -> f64| {

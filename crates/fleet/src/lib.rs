@@ -387,13 +387,10 @@ mod tests {
         }
         const NAN: f64 = f64::NAN;
         refused!(channel_flap: window = 0, clear = NAN, raise = -1.0, critical = 2.0);
-        refused!(ampdu_collapse: window = 0, baseline_alpha = 1.5, min_aggregates = NAN);
-        refused!(ampdu_collapse: clear_ratio = NAN, raise_ratio = 1.0, critical_ratio = NAN);
         refused!(fastack_stall: gap_steps = 0.0, critical_steps = 4.0, min_inflight = NAN);
         refused!(rto_storm: window = 0, clear = NAN, raise = 0.5, critical = f64::INFINITY);
         refused!(airtime_slo: window = 0, clear_util = NAN, raise_util = 0.9, critical_util = 0.5);
         refused!(queue_starvation: stall_steps = NAN, critical_steps = 7.0, min_backlog = NAN);
-        refused!(qoe_degraded: clear_penalty = NAN, raise_penalty = 20.0, critical_penalty = 39.0);
         let mut no_epoch = small(1);
         no_epoch.health_rules.as_mut().unwrap().sample_every = SimDuration::ZERO;
         let err = no_epoch.validate().unwrap_err().to_string();

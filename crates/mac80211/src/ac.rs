@@ -7,7 +7,6 @@
 //! attempts more quickly" (the paper observes higher loss for VO than VI
 //! partly for this reason). Parameter values are the 802.11 defaults.
 
-use sim::SimDuration;
 use std::fmt;
 
 /// EDCA access category, ordered least → most aggressive.
@@ -58,12 +57,6 @@ pub struct EdcaParams {
     /// Retry limit before the frame is dropped (the paper's "loss means
     /// failure after exhausting retransmission attempts").
     pub retry_limit: u32,
-    /// EDCA TXOP limit: the longest airtime one medium grab may occupy.
-    /// `None` = unlimited by the AC (the A-MPDU duration cap still
-    /// applies). Standard values: VO 1.504 ms, VI 3.008 ms; BE/BK are
-    /// nominally single-exchange but enterprise APs run them unlimited
-    /// to enable deep aggregation.
-    pub txop_limit: Option<SimDuration>,
 }
 
 impl EdcaParams {
@@ -75,28 +68,24 @@ impl EdcaParams {
                 cw_min: 15,
                 cw_max: 1023,
                 retry_limit: 7,
-                txop_limit: None,
             },
             AccessCategory::BestEffort => EdcaParams {
                 aifsn: 3,
                 cw_min: 15,
                 cw_max: 1023,
                 retry_limit: 7,
-                txop_limit: None,
             },
             AccessCategory::Video => EdcaParams {
                 aifsn: 2,
                 cw_min: 7,
                 cw_max: 15,
                 retry_limit: 4,
-                txop_limit: Some(SimDuration::from_micros(3_008)),
             },
             AccessCategory::Voice => EdcaParams {
                 aifsn: 2,
                 cw_min: 3,
                 cw_max: 7,
                 retry_limit: 4,
-                txop_limit: Some(SimDuration::from_micros(1_504)),
             },
         }
     }
@@ -152,23 +141,6 @@ mod tests {
     fn abbrevs() {
         let names: Vec<&str> = AccessCategory::ALL.iter().map(|a| a.abbrev()).collect();
         assert_eq!(names, vec!["BK", "BE", "VI", "VO"]);
-    }
-
-    #[test]
-    fn txop_limits_match_the_standard() {
-        use sim::SimDuration;
-        assert_eq!(
-            EdcaParams::for_ac(AccessCategory::Voice).txop_limit,
-            Some(SimDuration::from_micros(1_504))
-        );
-        assert_eq!(
-            EdcaParams::for_ac(AccessCategory::Video).txop_limit,
-            Some(SimDuration::from_micros(3_008))
-        );
-        assert_eq!(
-            EdcaParams::for_ac(AccessCategory::BestEffort).txop_limit,
-            None
-        );
     }
 
     #[test]

@@ -5,18 +5,26 @@
 //! semantics ([`backoff`]), contention resolution and collisions
 //! ([`contention`]), A-MPDU aggregation + BlockAck ([`aggregation`]),
 //! what RTS/CTS virtual carrier sense costs ([`protection`]), and a
-//! runnable single-collision-domain simulator ([`medium`]).
+//! runnable single-collision-domain EDCA simulator that sends one MPDU
+//! per TXOP ([`medium`], the Fig. 4 model).
 //!
 //! ```
 //! use mac80211::{ac::AccessCategory, medium::{LinkParams, MediumSim}};
 //! use sim::SimTime;
 //!
 //! let mut m = MediumSim::new(7);
-//! let q = m.add_queue(LinkParams::clean(AccessCategory::BestEffort));
-//! for i in 0..30 { m.enqueue(q, i, 1460); }
+//! let vo = m.add_queue(LinkParams::clean(AccessCategory::Voice));
+//! let be = m.add_queue(LinkParams { mpdu_error_rate: 0.3, ..LinkParams::clean(AccessCategory::BestEffort) });
+//! for i in 0..30 {
+//!     m.enqueue(vo, i, 240);
+//!     m.enqueue(be, 100 + i, 1460);
+//! }
 //! let reports = m.run_until_idle(SimTime::from_secs(1));
 //! let delivered: usize = reports.iter().map(|r| r.deliveries.len()).sum();
-//! assert_eq!(delivered, 30);
+//! let dropped: usize = reports.iter().map(|r| r.drops.len()).sum();
+//! // Every frame is delivered or dropped at its retry limit, one per TXOP.
+//! assert_eq!(delivered + dropped, 60);
+//! assert!(reports.len() >= 60);
 //! ```
 
 pub mod ac;

@@ -17,35 +17,22 @@ pub struct DaySample {
     pub utilization: f64,
 }
 
-/// Parameters of the office day.
+/// The office day: one AP's clients, usage and utilization from
+/// midnight to midnight.
 #[derive(Debug, Clone)]
-pub struct OfficeDay {
-    /// Peak concurrent clients (mid-day plateau).
-    pub peak_clients: f64,
-    /// Mean per-client offered load at the plateau, Mbit per 5 min.
-    pub per_client_mbit: f64,
-    /// Scheduled surge start (the paper's 2 pm burst), hours from
-    /// midnight, and its duration in minutes.
-    pub surge_at_h: f64,
-    pub surge_minutes: f64,
-    /// Surge multiplier on usage.
-    pub surge_factor: f64,
-    /// Sampling interval.
-    pub interval: SimDuration,
-}
+pub struct OfficeDay;
 
-impl Default for OfficeDay {
-    fn default() -> Self {
-        OfficeDay {
-            peak_clients: 30.0,
-            per_client_mbit: 60.0,
-            surge_at_h: 14.0,
-            surge_minutes: 30.0,
-            surge_factor: 4.0,
-            interval: SimDuration::from_mins(5),
-        }
-    }
-}
+/// Peak concurrent clients (mid-day plateau).
+const PEAK_CLIENTS: f64 = 30.0;
+/// Mean per-client offered load at the plateau, Mbit per 5 min.
+const PER_CLIENT_MBIT: f64 = 60.0;
+/// Scheduled surge start (the paper's 2 pm burst), hours from midnight,
+/// its duration in minutes, and its multiplier on usage.
+const SURGE_AT_H: f64 = 14.0;
+const SURGE_MINUTES: f64 = 30.0;
+const SURGE_FACTOR: f64 = 4.0;
+/// Sampling interval.
+const INTERVAL: SimDuration = SimDuration::from_mins(5);
 
 /// Occupancy envelope: 0 overnight, ramp 7–10 am, plateau with a lunch
 /// dip, ramp down 16–19.
@@ -64,29 +51,26 @@ impl OfficeDay {
     /// Generate a full day of samples.
     pub fn generate(&self, rng: &mut Rng) -> Vec<DaySample> {
         let day = SimDuration::from_hours(24);
-        let steps = day.as_nanos() / self.interval.as_nanos();
+        let steps = day.as_nanos() / INTERVAL.as_nanos();
         let mut out = Vec::with_capacity(steps as usize);
         for k in 0..steps {
-            let at = SimTime::ZERO + self.interval * k;
+            let at = SimTime::ZERO + INTERVAL * k;
             let hour = at.as_nanos() as f64 / 3.6e12;
             let occ = occupancy(hour);
             // Clients move gradually: occupancy envelope + small noise.
-            let clients = (self.peak_clients * occ * rng.uniform(0.9, 1.1)).max(0.0);
+            let clients = (PEAK_CLIENTS * occ * rng.uniform(0.9, 1.1)).max(0.0);
             // Usage is bursty: lognormal per-sample demand...
-            let mut usage = clients
-                * self.per_client_mbit
-                * (0.9 * rng.standard_normal()).exp()
-                * occ.max(0.05);
+            let mut usage =
+                clients * PER_CLIENT_MBIT * (0.9 * rng.standard_normal()).exp() * occ.max(0.05);
             // ...plus the scheduled surge.
-            let in_surge =
-                hour >= self.surge_at_h && hour < self.surge_at_h + self.surge_minutes / 60.0;
+            let in_surge = (SURGE_AT_H..SURGE_AT_H + SURGE_MINUTES / 60.0).contains(&hour);
             if in_surge {
-                usage *= self.surge_factor;
+                usage *= SURGE_FACTOR;
             }
             // Utilization tracks usage against a nominal channel capacity
             // (20 MHz reference ≈ 4.2 Gbit per 5 min of airtime at
             // ~140 Mbps effective), plus ambient neighbors.
-            let capacity_mbit = 140.0 * self.interval.as_secs_f64() * 8.0 / 8.0;
+            let capacity_mbit = 140.0 * INTERVAL.as_secs_f64() * 8.0 / 8.0;
             let util = (usage / capacity_mbit + rng.uniform(0.02, 0.08)).clamp(0.0, 1.0);
             out.push(DaySample {
                 at,
@@ -104,7 +88,7 @@ mod tests {
     use super::*;
 
     fn day() -> Vec<DaySample> {
-        OfficeDay::default().generate(&mut Rng::new(42))
+        OfficeDay.generate(&mut Rng::new(42))
     }
 
     #[test]

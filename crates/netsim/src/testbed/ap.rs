@@ -5,7 +5,7 @@
 
 use super::config::TestbedConfig;
 use super::taps::{Seam, Taps};
-use super::wired::Event;
+use super::wired::{Event, WIRED_LATENCY};
 use fastack::{Action, Agent, AgentConfig};
 use mac80211::ac::{AccessCategory, EdcaParams};
 use mac80211::aggregation::{build_ampdu, AggLimits, Ampdu, QueuedMpdu};
@@ -47,7 +47,6 @@ pub(super) struct ApDatapath {
     first_flow: u64,
     /// Baseline-arm tail-drop depth per station.
     share: usize,
-    wired_latency: SimDuration,
     /// Per-station downlink MSDU queues (front = oldest).
     bulk: Vec<VecDeque<Staged>>,
     /// Head-of-line stage per station: MAC retries, end-to-end and
@@ -86,7 +85,6 @@ impl ApDatapath {
             fastack: cfg.fastack[a],
             first_flow: (a * nc) as u64 + 1,
             share: cfg.station_share(),
-            wired_latency: cfg.wired_latency,
             bulk: vec![VecDeque::new(); nc],
             hol: vec![VecDeque::new(); nc],
             backlog: 0,
@@ -160,7 +158,7 @@ impl ApDatapath {
                 }
                 Action::LocalRetransmit(seg) => self.enqueue(slot, true, data_mpdu(&seg), now),
                 Action::SendAckUpstream(ack) => {
-                    queue.schedule(now + self.wired_latency, Event::WireAck(ack));
+                    queue.schedule(now + WIRED_LATENCY, Event::WireAck(ack));
                 }
                 Action::DropData(_) | Action::SuppressClientAck(_) => {}
             }

@@ -488,12 +488,12 @@ fn health_engine(cfg: &TestbedConfig) -> Option<(Cadence, HealthEngine)> {
     }
     // QoE degradation watches each AP's clients' score gauges; like the
     // gauges themselves it exists only when probing is configured.
-    if let (Some(_), Some(r)) = (&cfg.qoe, rules.qoe_degraded) {
+    if cfg.qoe.is_some() && rules.qoe_degraded.is_some() {
         for a in 0..cfg.n_aps {
             let watch = (a * nc..(a + 1) * nc)
                 .map(|c| (format!("qoe.client{c}.score"), qoe::probe_flow(c)))
                 .collect();
-            eng.add(Box::new(QoeDegraded::new(format!("ap{a}"), watch, r)));
+            eng.add(Box::new(QoeDegraded::new(format!("ap{a}"), watch)));
         }
     }
     (!eng.is_empty()).then(|| (Cadence::new(SimTime::ZERO, rules.sample_every), eng))

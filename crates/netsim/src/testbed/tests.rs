@@ -25,7 +25,7 @@ fn single_client_moves_data() {
 
 #[test]
 fn dense_run_schedules_into_the_queue_lane() {
-    // Every wire event is scheduled at `now + wired_latency` off a
+    // Every wire event is scheduled at `now + WIRED_LATENCY` off a
     // clock that only moves forward, so the event queue's sorted-run
     // lane must take (nearly) all of them; a schedule site that
     // breaks the pattern would quietly put the heap back on the
@@ -248,7 +248,6 @@ fn sinks_do_not_steer_the_world() {
         seed: 23,
         interferer: Some(InterfererFault {
             at: SimTime::from_millis(400),
-            ..InterfererFault::default()
         }),
         qoe: Some(qoe::ProbeConfig::default()),
         flight_capacity: 0,

@@ -8,6 +8,9 @@ use tcpsim::{AckSegment, CcAlgorithm, DataSegment, FlowId, SenderConfig, TcpSend
 /// Congestion control on the senders.
 const CC: CcAlgorithm = CcAlgorithm::Cubic;
 
+/// One-way latency sender ↔ AP across the switch, both directions.
+pub(super) const WIRED_LATENCY: SimDuration = SimDuration::from_micros(200);
+
 #[derive(Debug)]
 pub(super) enum Event {
     /// Data segment reaches AP `.0` from the wired side.
@@ -20,7 +23,6 @@ pub(super) struct Wired {
     /// Sender `s` feeds client `s` (flow `s + 1`).
     pub(super) senders: Vec<TcpSender>,
     clients_per_ap: usize,
-    latency: SimDuration,
     /// Probability a segment is dropped at the switch.
     loss: f64,
     /// Reusable sender-output scratch for the ACK hot path.
@@ -38,7 +40,6 @@ impl Wired {
                 .map(|flow| TcpSender::new(FlowId(flow), sender_cfg.clone()))
                 .collect(),
             clients_per_ap: cfg.clients_per_ap,
-            latency: cfg.wired_latency,
             loss: cfg.upstream_loss,
             seg_buf: Vec::new(),
         }
@@ -57,7 +58,7 @@ impl Wired {
         let ap = s / self.clients_per_ap;
         for &seg in segs {
             if !rng.chance(self.loss) {
-                queue.schedule(now + self.latency, Event::WireData(ap, seg));
+                queue.schedule(now + WIRED_LATENCY, Event::WireData(ap, seg));
             }
         }
     }

@@ -30,6 +30,12 @@ use sim::{EventQueue, Rng, SimDuration, SimTime};
 use tcpsim::DataSegment;
 use telemetry::{AirKind, CauseId};
 
+/// The interferer's burst period, the share of it the interferer holds
+/// the medium, and the effective-SNR degradation while it is on, dB.
+const INTERFERER_PERIOD: SimDuration = SimDuration::from_millis(25);
+const INTERFERER_DUTY: f64 = 0.35;
+const INTERFERER_SNR_PENALTY_DB: f64 = 20.0;
+
 pub(super) struct World {
     pub(super) cfg: TestbedConfig,
     rng: Rng,
@@ -67,8 +73,9 @@ impl World {
             (Cadence::new(SimTime::ZERO, every), all)
         });
         let interferer = cfg.interferer.map(|i| {
-            let burst = SimDuration::from_secs_f64(i.period.as_secs_f64() * i.duty);
-            (Cadence::new(i.at, i.period), burst)
+            let burst =
+                SimDuration::from_secs_f64(INTERFERER_PERIOD.as_secs_f64() * INTERFERER_DUTY);
+            (Cadence::new(i.at, INTERFERER_PERIOD), burst)
         });
         let probes = cfg.qoe.map(|p| {
             let first = SimTime::ZERO + p.interval();
@@ -261,7 +268,7 @@ impl World {
     /// switches on or when no fault is configured).
     fn snr_penalty(&self, now: SimTime) -> f64 {
         match self.cfg.interferer {
-            Some(i) if now >= i.at => i.snr_penalty_db,
+            Some(i) if now >= i.at => INTERFERER_SNR_PENALTY_DB,
             _ => 0.0,
         }
     }

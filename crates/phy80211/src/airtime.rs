@@ -54,9 +54,6 @@ pub fn vht_preamble(nss: u8) -> SimDuration {
 /// builder probes airtime once per candidate MPDU — with up to 64
 /// frames per aggregate and a rate lookup per probe, this table is what
 /// keeps aggregate assembly O(frames) instead of O(frames × lookups).
-///
-/// All results are bit-identical to the free functions below (which are
-/// implemented on top of this table).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AirtimeTable {
     /// Data bits carried per OFDM symbol at this rate.
@@ -109,46 +106,6 @@ impl AirtimeTable {
     pub fn ampdu_duration_uniform(&self, frames: usize, msdu_bytes: usize) -> SimDuration {
         self.ppdu_duration(frames * Self::ampdu_mpdu_bytes(msdu_bytes))
     }
-}
-
-/// Duration of the data portion of a PPDU carrying `payload_bytes` of
-/// PSDU at the given rate: number of OFDM symbols × symbol time.
-/// Includes the 16-bit SERVICE field and 6 tail bits.
-pub fn psdu_duration(
-    psdu_bytes: usize,
-    mcs: Mcs,
-    nss: u8,
-    width: Width,
-    gi: GuardInterval,
-) -> Option<SimDuration> {
-    Some(AirtimeTable::new(mcs, nss, width, gi)?.psdu_duration(psdu_bytes))
-}
-
-/// Full duration of a data PPDU: VHT preamble + data symbols.
-pub fn ppdu_duration(
-    psdu_bytes: usize,
-    mcs: Mcs,
-    nss: u8,
-    width: Width,
-    gi: GuardInterval,
-) -> Option<SimDuration> {
-    Some(AirtimeTable::new(mcs, nss, width, gi)?.ppdu_duration(psdu_bytes))
-}
-
-/// Airtime of an A-MPDU containing MPDUs with the given MSDU payload
-/// sizes (TCP/IP packet sizes). Adds per-MPDU MAC and delimiter overhead.
-pub fn ampdu_duration(
-    msdu_bytes: &[usize],
-    mcs: Mcs,
-    nss: u8,
-    width: Width,
-    gi: GuardInterval,
-) -> Option<SimDuration> {
-    let psdu: usize = msdu_bytes
-        .iter()
-        .map(|&b| AirtimeTable::ampdu_mpdu_bytes(b))
-        .sum();
-    ppdu_duration(psdu, mcs, nss, width, gi)
 }
 
 /// Duration of a legacy control frame (ACK = 14 bytes, RTS = 20, CTS = 14,
@@ -207,17 +164,16 @@ mod tests {
     fn psdu_duration_is_symbol_quantized() {
         // 1500B at MCS9 2SS 80MHz SGI: 3120 bits/sym,
         // (16 + 12000 + 6) = 12022 bits -> 4 symbols -> 14.4us
-        let d = psdu_duration(1500, Mcs(9), 2, Width::W80, SGI).unwrap();
-        assert_eq!(d.as_nanos(), 4 * 3_600);
+        let t = AirtimeTable::new(Mcs(9), 2, Width::W80, SGI).unwrap();
+        assert_eq!(t.psdu_duration(1500).as_nanos(), 4 * 3_600);
     }
 
     #[test]
     fn ampdu_amortizes_preamble() {
         // One 1500B MPDU vs 32: per-MPDU airtime must drop sharply.
-        let one = ampdu_duration(&[1534], Mcs(9), 2, Width::W80, SGI).unwrap();
-        let many = ampdu_duration(&vec![1534; 32], Mcs(9), 2, Width::W80, SGI).unwrap();
-        let per_one = one.as_nanos();
-        let per_many = many.as_nanos() / 32;
+        let t = AirtimeTable::new(Mcs(9), 2, Width::W80, SGI).unwrap();
+        let per_one = t.ampdu_duration_uniform(1, 1534).as_nanos();
+        let per_many = t.ampdu_duration_uniform(32, 1534).as_nanos() / 32;
         assert!(per_many < per_one, "{per_many} !< {per_one}");
     }
 
@@ -234,54 +190,26 @@ mod tests {
     fn max_ampdu_of_full_mpdus_fits_duration_cap() {
         // 64 × 1534B at a mid rate must stay under 5.3ms at high rates
         // but exceed it at low rates — the MAC must honour both caps.
-        let hi = ampdu_duration(&vec![1534; 64], Mcs(9), 3, Width::W80, SGI).unwrap();
+        let hi = AirtimeTable::new(Mcs(9), 3, Width::W80, SGI).unwrap();
+        let hi = hi.ampdu_duration_uniform(64, 1534);
         assert!(hi < MAX_AMPDU_DURATION, "{hi}");
-        let lo = ampdu_duration(&vec![1534; 64], Mcs(0), 1, Width::W20, SGI).unwrap();
+        let lo = AirtimeTable::new(Mcs(0), 1, Width::W20, SGI).unwrap();
+        let lo = lo.ampdu_duration_uniform(64, 1534);
         assert!(lo > MAX_AMPDU_DURATION, "{lo}");
     }
 
     #[test]
     fn ppdu_includes_preamble() {
-        let psdu = psdu_duration(1500, Mcs(4), 1, Width::W40, SGI).unwrap();
-        let ppdu = ppdu_duration(1500, Mcs(4), 1, Width::W40, SGI).unwrap();
-        assert_eq!(ppdu - psdu, vht_preamble(1));
+        let t = AirtimeTable::new(Mcs(4), 1, Width::W40, SGI).unwrap();
+        assert_eq!(
+            t.ppdu_duration(1500) - t.psdu_duration(1500),
+            vht_preamble(1)
+        );
     }
 
     #[test]
-    fn invalid_mcs_propagates_none() {
-        assert!(psdu_duration(100, Mcs(9), 1, Width::W20, SGI).is_none());
-        assert!(ampdu_duration(&[100], Mcs(10), 1, Width::W20, SGI).is_none());
+    fn invalid_rates_have_no_table() {
         assert!(AirtimeTable::new(Mcs(9), 1, Width::W20, SGI).is_none());
-    }
-
-    #[test]
-    fn airtime_table_matches_free_functions_exactly() {
-        // The table is the implementation; this pins the equivalence
-        // from the public-API side across rates and sizes, including
-        // the uniform A-MPDU shortcut vs the slice-based path.
-        for &(m, nss, w) in &[
-            (0u8, 1u8, Width::W20),
-            (4, 1, Width::W40),
-            (7, 2, Width::W80),
-            (9, 3, Width::W80),
-        ] {
-            let t = AirtimeTable::new(Mcs(m), nss, w, SGI).unwrap();
-            for psdu in [0usize, 1, 90, 1460, 64 * 1534] {
-                assert_eq!(
-                    Some(t.psdu_duration(psdu)),
-                    psdu_duration(psdu, Mcs(m), nss, w, SGI)
-                );
-                assert_eq!(
-                    Some(t.ppdu_duration(psdu)),
-                    ppdu_duration(psdu, Mcs(m), nss, w, SGI)
-                );
-            }
-            for n in [1usize, 5, 64] {
-                assert_eq!(
-                    Some(t.ampdu_duration_uniform(n, 90)),
-                    ampdu_duration(&vec![90; n], Mcs(m), nss, w, SGI)
-                );
-            }
-        }
+        assert!(AirtimeTable::new(Mcs(10), 1, Width::W20, SGI).is_none());
     }
 }

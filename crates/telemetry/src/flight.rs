@@ -436,9 +436,9 @@ pub struct ComponentTrace {
 }
 
 /// A parsed (or snapshotted) flight dump: every component's last-N
-/// window, components sorted by name. The owned form both serializes
-/// ([`FlightDump::to_bytes`]) and parses ([`FlightDump::parse`]); the
-/// two round-trip byte-identically.
+/// window, components in strictly ascending name order (each name
+/// once). The owned form both serializes ([`FlightDump::to_bytes`]) and
+/// parses ([`FlightDump::parse`]); the two round-trip byte-identically.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FlightDump {
     pub components: Vec<ComponentTrace>,
@@ -579,9 +579,11 @@ impl FlightDump {
                 .expect("component count")
                 .to_le_bytes(),
         );
-        let mut sorted: Vec<&ComponentTrace> = self.components.iter().collect();
-        sorted.sort_by(|a, b| a.name.cmp(&b.name));
-        for comp in sorted {
+        debug_assert!(
+            self.components.windows(2).all(|w| w[0].name < w[1].name),
+            "flight dump components out of name order"
+        );
+        for comp in &self.components {
             put_name(&mut out, &comp.name);
             out.extend_from_slice(&comp.capacity.to_le_bytes());
             out.extend_from_slice(&comp.dropped.to_le_bytes());
@@ -598,7 +600,8 @@ impl FlightDump {
     }
 
     /// Parse a dump produced by [`FlightDump::to_bytes`]. Strict: any
-    /// truncation, unknown tag, or trailing garbage is an error.
+    /// truncation, unknown tag, component out of name order (or
+    /// repeated), or trailing garbage is an error.
     pub fn parse(bytes: &[u8]) -> Result<FlightDump, String> {
         let mut r = Reader::new(bytes);
         let magic = r.take(4)?;
@@ -606,9 +609,13 @@ impl FlightDump {
             return Err(format!("bad magic {magic:02x?}, want {MAGIC:02x?}"));
         }
         let n_components = r.u32()?;
-        let mut components = Vec::with_capacity(r.count(n_components.into(), MIN_COMPONENT_BYTES)?);
+        let n = r.count(n_components.into(), MIN_COMPONENT_BYTES)?;
+        let mut components: Vec<ComponentTrace> = Vec::with_capacity(n);
         for _ in 0..n_components {
             let name = r.name("component")?;
+            if components.last().is_some_and(|c| name <= c.name) {
+                return Err(format!("component {name} out of order"));
+            }
             let capacity = r.u64()?;
             let dropped = r.u64()?;
             let n_records = r.u32()?;
@@ -1020,6 +1027,26 @@ mod tests {
         assert_eq!(bytes[count_off..count_off + 4], 1u32.to_le_bytes());
         bytes[count_off..count_off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(FlightDump::parse(&bytes).is_err());
+    }
+
+    #[test]
+    fn parse_refuses_components_out_of_name_order_or_repeated() {
+        // Built by hand: `to_bytes` writes components in name order.
+        let dump = |names: [&str; 2]| {
+            let mut bytes = MAGIC.to_vec();
+            bytes.extend_from_slice(&2u32.to_le_bytes());
+            for name in names {
+                put_name(&mut bytes, name);
+                bytes.extend_from_slice(&[0; 8 + 8 + 4]); // capacity, dropped, no records
+            }
+            bytes
+        };
+        let ok = FlightDump::parse(&dump(["a", "b"])).unwrap();
+        assert_eq!(ok.to_bytes(), dump(["a", "b"]));
+        for names in [["b", "a"], ["a", "a"]] {
+            let err = FlightDump::parse(&dump(names)).unwrap_err();
+            assert_eq!(err, format!("component {} out of order", names[1]));
+        }
     }
 
     #[test]

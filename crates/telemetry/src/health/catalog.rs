@@ -174,17 +174,17 @@ fn mean_rate(path: String, window: usize) -> Signal {
 
 /// A slow EWMA baseline of the per-epoch mean `Δtotal / Δcount` over
 /// that mean's windowed median: how far the recent past fell below the
-/// healthy one. Epochs with fewer than `min_aggregates` new items are idle:
-/// no signal, not collapse.
-fn baseline_ratio(count: String, total: String, rule: AmpduCollapseRule) -> Signal {
+/// healthy one. Epochs with fewer than [`AMPDU_MIN_AGGREGATES`] new
+/// items are idle: no signal, not collapse.
+fn baseline_ratio(count: String, total: String) -> Signal {
     let (mut prev_count, mut prev_total) = (None, None);
     // The one signal that reads a median.
-    let mut window = RollingWindow::with_quantiles(rule.window);
-    let mut baseline = Ewma::new(rule.baseline_alpha);
+    let mut window = RollingWindow::with_quantiles(AMPDU_WINDOW);
+    let mut baseline = Ewma::new(AMPDU_BASELINE_ALPHA);
     Box::new(move |_, metrics, raised| {
         let (count, total) = (probe(metrics, &count)?, probe(metrics, &total)?);
         let (dc, dt) = (delta(&mut prev_count, count), delta(&mut prev_total, total));
-        if dc < rule.min_aggregates {
+        if dc < AMPDU_MIN_AGGREGATES {
             return None;
         }
         let mean = dt / dc;
@@ -350,43 +350,49 @@ impl AirtimeSlo {
 /// are how an 802.11ac link loses its throughput headroom.
 pub type AmpduCollapse = Rule<AmpduCollapseRule>;
 
+/// Epochs of per-epoch mean aggregate size the median is taken of.
+const AMPDU_WINDOW: usize = 6;
+/// EWMA smoothing of the baseline: slow enough that it is still "the
+/// healthy past" while the 6-epoch median refills with collapsed
+/// samples; a fast baseline would chase the collapse down and never see
+/// the ratio cross.
+const AMPDU_BASELINE_ALPHA: f64 = 0.02;
+/// Baseline / windowed median at which to raise, clear and go critical.
+const AMPDU_LEVELS: (f64, f64, f64) = (1.8, 1.4, 3.0);
+/// Epochs with fewer new aggregates than this carry no signal.
+const AMPDU_MIN_AGGREGATES: f64 = 4.0;
+
 impl AmpduCollapse {
     pub fn new(
         component: impl Into<String>,
         aggregates_path: impl Into<String>,
         frames_path: impl Into<String>,
         flows: Vec<u64>,
-        rule: AmpduCollapseRule,
     ) -> AmpduCollapse {
-        let signal = baseline_ratio(aggregates_path.into(), frames_path.into(), rule);
-        let levels = (rule.raise_ratio, rule.clear_ratio, rule.critical_ratio);
-        Rule::over(RULE_AMPDU_COLLAPSE, component, flows, levels, signal)
+        let signal = baseline_ratio(aggregates_path.into(), frames_path.into());
+        Rule::over(RULE_AMPDU_COLLAPSE, component, flows, AMPDU_LEVELS, signal)
             .explained_by(&[&["ampdu-build", "mac-tx"]])
     }
 }
 
 /// Application-layer QoE degradation: watches per-client QoE score
 /// gauges (0–100, probe-flow derived) and raises when the *worst*
-/// watched client's penalty (`100 − score`) crosses the rule's raise
-/// threshold. The alert's cause is the last probe (or MAC tx) record
-/// of the worst-affected client's probe flow, so `wifictl health explain
-/// --trace` walks from the application-layer symptom down the stack.
+/// watched client's penalty (`100 − score`) crosses [`QOE_LEVELS`]'
+/// raise threshold. The alert's cause is the last probe (or MAC tx)
+/// record of the worst-affected client's probe flow, so `wifictl health
+/// explain --trace` walks from the application-layer symptom down the
+/// stack.
 pub type QoeDegraded = Rule<QoeDegradedRule>;
+
+/// Worst-client penalty (`100 − score`) at which to raise, clear and go
+/// critical: raise when a score drops to 60 or below, critical at 45.
+const QOE_LEVELS: (f64, f64, f64) = (40.0, 25.0, 55.0);
 
 impl QoeDegraded {
     /// `clients`: `(score gauge path, probe flow id)` per watched client.
-    pub fn new(
-        component: impl Into<String>,
-        clients: Vec<(String, u64)>,
-        rule: QoeDegradedRule,
-    ) -> QoeDegraded {
-        let levels = (
-            rule.raise_penalty,
-            rule.clear_penalty,
-            rule.critical_penalty,
-        );
+    pub fn new(component: impl Into<String>, clients: Vec<(String, u64)>) -> QoeDegraded {
         let signal = worst_gauge(clients);
-        Rule::over(RULE_QOE_DEGRADED, component, Vec::new(), levels, signal)
+        Rule::over(RULE_QOE_DEGRADED, component, Vec::new(), QOE_LEVELS, signal)
             .explained_by(&[&["qoe-probe", "mac-tx"]])
             .checked_by(probed_if_any_probe_is_on_record)
     }
@@ -418,13 +424,12 @@ pub fn standard_ap_detectors(
 ) -> Vec<Box<dyn Detector>> {
     let comp = format!("ap{ap}");
     let mut out: Vec<Box<dyn Detector>> = Vec::new();
-    if let Some(r) = rules.ampdu_collapse {
+    if rules.ampdu_collapse.is_some() {
         out.push(Box::new(AmpduCollapse::new(
             comp.clone(),
             format!("mac.ap{ap}.ampdu.aggregates"),
             format!("mac.ap{ap}.ampdu.frames"),
             flows.clone(),
-            r,
         )));
     }
     if let Some(r) = rules.fastack_stall.filter(|_| fastack) {

@@ -1,5 +1,6 @@
-//! Thresholds: the seven `*Rule` configs, [`HealthRules`], and the check
-//! that a catalog can be built from them.
+//! Thresholds: the five tunable `*Rule` configs and the two rules'
+//! switches, [`HealthRules`], and the check that a catalog can be built
+//! from them.
 
 use sim::SimDuration;
 
@@ -50,40 +51,10 @@ impl Default for ChannelFlapRule {
     }
 }
 
-/// Per-rule tuning for [`super::AmpduCollapse`].
+/// Switch for [`super::AmpduCollapse`]: `Some` in [`HealthRules`] runs
+/// the rule, whose thresholds are constants beside the detector.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AmpduCollapseRule {
-    /// Window of per-step mean aggregate sizes the median is taken of.
-    pub window: usize,
-    /// EWMA smoothing for the long-run baseline aggregate size.
-    pub baseline_alpha: f64,
-    /// Raise when baseline / windowed-median reaches this ratio.
-    pub raise_ratio: f64,
-    /// Clear when the ratio recovers to (or below) this.
-    pub clear_ratio: f64,
-    /// Critical when the ratio reaches this.
-    pub critical_ratio: f64,
-    /// Steps with fewer new aggregates than this carry no signal and
-    /// are skipped (idle links must not look collapsed).
-    pub min_aggregates: f64,
-}
-
-impl Default for AmpduCollapseRule {
-    fn default() -> AmpduCollapseRule {
-        AmpduCollapseRule {
-            window: 6,
-            // Slow enough that the baseline is still "the healthy
-            // past" while the 6-step median refills with collapsed
-            // samples; a fast baseline would chase the collapse down
-            // and never see the ratio cross.
-            baseline_alpha: 0.02,
-            raise_ratio: 1.8,
-            clear_ratio: 1.4,
-            critical_ratio: 3.0,
-            min_aggregates: 4.0,
-        }
-    }
-}
+pub struct AmpduCollapseRule;
 
 /// Per-rule tuning for [`super::FastAckStall`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -170,28 +141,10 @@ impl Default for QueueStarvationRule {
     }
 }
 
-/// Per-rule tuning for [`super::QoeDegraded`]. Levels are *penalties*
-/// (`100 - score`), so "raise at 40" means "raise when the worst
-/// watched client's QoE score drops to 60 or below".
+/// Switch for [`super::QoeDegraded`]: `Some` in [`HealthRules`] runs the
+/// rule, whose thresholds are constants beside the detector.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QoeDegradedRule {
-    /// Raise when the worst client's penalty reaches this.
-    pub raise_penalty: f64,
-    /// Clear when it falls back to (or below) this.
-    pub clear_penalty: f64,
-    /// Critical when it reaches this (score ≤ 100 − critical).
-    pub critical_penalty: f64,
-}
-
-impl Default for QoeDegradedRule {
-    fn default() -> QoeDegradedRule {
-        QoeDegradedRule {
-            raise_penalty: 40.0,
-            clear_penalty: 25.0,
-            critical_penalty: 55.0,
-        }
-    }
-}
+pub struct QoeDegradedRule;
 
 /// The standard rule set, `None` per rule to disable it. `Copy` so the
 /// fleet config stays `Copy`.
@@ -213,20 +166,19 @@ impl Default for HealthRules {
         HealthRules {
             sample_every: SimDuration::from_millis(250),
             channel_flap: Some(ChannelFlapRule::default()),
-            ampdu_collapse: Some(AmpduCollapseRule::default()),
+            ampdu_collapse: Some(AmpduCollapseRule),
             fastack_stall: Some(FastAckStallRule::default()),
             rto_storm: Some(RtoStormRule::default()),
             airtime_slo: Some(AirtimeSloRule::default()),
             queue_starvation: Some(QueueStarvationRule::default()),
-            qoe_degraded: Some(QoeDegradedRule::default()),
+            qoe_degraded: Some(QoeDegradedRule),
         }
     }
 }
 
 impl HealthRules {
     /// Refuse what building the catalog would `assert!` on (an empty
-    /// window, `clear > raise`, a smoothing factor outside [0, 1]) and
-    /// what would build a rule that cannot work: a threshold that is
+    /// window, `clear > raise`) and what would build a rule that cannot work: a threshold that is
     /// not finite, `critical` below `raise`, no time between epochs.
     /// The error is the first `(field, value, min, max)` whose value is
     /// outside `[min, max]`, the field named from the host's config
@@ -253,10 +205,6 @@ impl HealthRules {
         }
         within!(1.0, INF, channel_flap: window);
         within!(-INF, INF, channel_flap: clear, raise, critical);
-        within!(1.0, INF, ampdu_collapse: window);
-        within!(0.0, 1.0, ampdu_collapse: baseline_alpha);
-        within!(-INF, INF, ampdu_collapse: clear_ratio, raise_ratio, critical_ratio);
-        within!(-INF, INF, ampdu_collapse: min_aggregates);
         within!(STREAK_CLEAR, INF, fastack_stall: gap_steps, critical_steps);
         within!(-INF, INF, fastack_stall: min_inflight);
         within!(1.0, INF, rto_storm: window);
@@ -265,7 +213,6 @@ impl HealthRules {
         within!(-INF, INF, airtime_slo: clear_util, raise_util, critical_util);
         within!(STREAK_CLEAR, INF, queue_starvation: stall_steps, critical_steps);
         within!(-INF, INF, queue_starvation: min_backlog);
-        within!(-INF, INF, qoe_degraded: clear_penalty, raise_penalty, critical_penalty);
         let bad = |&(_, v, min, max): &(_, f64, f64, f64)| !(v.is_finite() && min <= v && v <= max);
         match ranges.into_iter().find(bad) {
             // Not even finite: say so, whatever its range was.

@@ -109,7 +109,6 @@ fn ampdu_collapse_needs_sustained_drop_and_recovers() {
         "mac.ap0.ampdu.aggregates",
         "mac.ap0.ampdu.frames",
         vec![7],
-        AmpduCollapseRule::default(),
     );
     let feed = |m: &mut Registry, n_aggs: u64, mean: u64| {
         m.add(aggs, n_aggs);
@@ -144,7 +143,7 @@ fn ampdu_collapse_skips_idle_steps() {
     let mut m = Registry::new();
     let aggs = m.counter("a");
     let frames = m.counter("f");
-    let mut det = AmpduCollapse::new("ap0", "a", "f", vec![], AmpduCollapseRule::default());
+    let mut det = AmpduCollapse::new("ap0", "a", "f", vec![]);
     for s in 0..20 {
         m.add(aggs, 10);
         m.add(frames, 400);
@@ -362,7 +361,6 @@ fn qoe_degraded_tracks_worst_client_and_links_its_probe_flow() {
                 ("qoe.client0.score".to_string(), 0x4000),
                 ("qoe.client1.score".to_string(), 0x4001),
             ],
-            QoeDegradedRule::default(),
         )));
         for s in 0..12 {
             m.gauge_set(g0, 95);
@@ -397,11 +395,7 @@ fn qoe_degraded_tracks_worst_client_and_links_its_probe_flow() {
 #[test]
 fn qoe_degraded_is_silent_without_score_gauges() {
     let m = Registry::new();
-    let mut det = QoeDegraded::new(
-        "ap0",
-        vec![("qoe.client0.score".to_string(), 0x4000)],
-        QoeDegradedRule::default(),
-    );
+    let mut det = QoeDegraded::new("ap0", vec![("qoe.client0.score".to_string(), 0x4000)]);
     for s in 0..20 {
         assert_eq!(det.step(t(s), &m), None, "unregistered gauge raised");
     }
@@ -429,7 +423,6 @@ fn qoe_degraded_refuted_when_probe_records_miss_the_flow() {
     eng.add(Box::new(QoeDegraded::new(
         "ap0",
         vec![("qoe.client0.score".to_string(), 0x4000)],
-        QoeDegradedRule::default(),
     )));
     m.gauge_set(g, 20);
     for s in 0..4 {

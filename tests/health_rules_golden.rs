@@ -77,11 +77,11 @@ fn health_rules_match_goldens() {
     let rules = HealthRules::default();
     let (flap, rto) = (rules.channel_flap.unwrap(), rules.rto_storm.unwrap());
     let (air, queue) = (rules.airtime_slo.unwrap(), rules.queue_starvation.unwrap());
-    let (ampdu, stall) = (rules.ampdu_collapse.unwrap(), rules.fastack_stall.unwrap());
+    let stall = rules.fastack_stall.unwrap();
     let scores = [("c0", 0x4000), ("c1", 0x4001)].map(|(path, flow)| (path.to_string(), flow));
     let starved = QueueStarvation::new("ap0", "backlog", "served", vec![7], queue);
-    let collapse = AmpduCollapse::new("ap0", "aggregates", "frames", vec![17], ampdu);
-    let degraded = QoeDegraded::new("ap0", scores.to_vec(), rules.qoe_degraded.unwrap());
+    let collapse = AmpduCollapse::new("ap0", "aggregates", "frames", vec![17]);
+    let degraded = QoeDegraded::new("ap0", scores.to_vec());
     let detectors: [Box<dyn Detector>; 7] = [
         Box::new(ChannelFlap::new("sched", "switches", flap)),
         Box::new(RtoStorm::new("tcp", "timeouts", vec![1, 2], rto)),

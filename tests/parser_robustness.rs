@@ -212,7 +212,6 @@ fn every_parser_survives_truncation_bitflips_and_inflated_lengths() {
         flight_capacity: 96,
         interferer: Some(InterfererFault {
             at: SimTime::from_millis(500),
-            ..InterfererFault::default()
         }),
         qoe: Some(ProbeConfig::default()),
         timeline: Some(TimelineConfig::sampling(SimDuration::from_millis(50))),
