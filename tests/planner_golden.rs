@@ -157,6 +157,70 @@ fn turboca_fast_plan_on_100_aps_matches_golden() {
     );
 }
 
+/// Views whose repeated runs revisit the same stars: a 12-AP 5 GHz and a
+/// 16-AP 2.4 GHz area with their neighbour lists scrambled (an entry
+/// dropped from some, one repeated in others, some APs naming
+/// themselves), a fresh 3-AP clique on one channel that its first pass
+/// untangles for good, and a 40-AP area where 94 % of AP pairs are
+/// within two hops, so an i = 2 group hides most of the view.
+fn repeat_views() -> Vec<NetworkView> {
+    let mut rng = Rng::new(0x5c4a);
+    let mut scrambled = |mut view: NetworkView| {
+        for (i, ap) in view.aps.iter_mut().enumerate() {
+            let len = ap.neighbors.len() as u64;
+            match rng.below(4) {
+                0 if len > 0 => {
+                    ap.neighbors.remove(rng.below(len) as usize);
+                }
+                1 if len > 0 => {
+                    let n = ap.neighbors[rng.below(len) as usize];
+                    ap.neighbors.push(n);
+                }
+                2 => ap.neighbors.insert(rng.below(len + 1) as usize, i),
+                _ => {}
+            }
+        }
+        view
+    };
+    let opts = ViewOptions::default();
+    let band5 = scrambled(area_view(12, Band::Band5, &opts, 212));
+    let band24 = scrambled(area_view(16, Band::Band2_4, &opts, 216));
+    let mut fresh = ApReport::idle_on(Channel::five(36));
+    fresh.has_clients = true;
+    fresh.load = ApLoad {
+        by_width: vec![(Width::W20, 1.0)],
+    };
+    vec![
+        band5,
+        band24,
+        clique_of(Band::Band5, fresh, 3, 1),
+        area_view(40, Band::Band5, &opts, 240),
+    ]
+}
+
+/// One planner per view run Fast → Medium → Slow → Fast, its RNG the
+/// only thing carried from run to run; within a run, every pass after
+/// the first that adopts nothing repeats stars an earlier pass solved.
+#[test]
+fn repeated_runs_match_golden() {
+    let mut h = Fnv1a::new();
+    for view in repeat_views() {
+        let mut planner = TurboCa::new(0x4e9 + view.len() as u64);
+        for tier in [
+            ScheduleTier::Fast,
+            ScheduleTier::Medium,
+            ScheduleTier::Slow,
+            ScheduleTier::Fast,
+        ] {
+            h.write(&hash_result(&planner.run(&view, tier)).to_le_bytes());
+        }
+    }
+    check_goldens(
+        "planner.run",
+        &[("planner.run.repeat".to_owned(), h.finish())],
+    );
+}
+
 /// One NBO pass per hop limit, plus the two deterministic baselines.
 #[test]
 fn nbo_passes_and_baselines_match_goldens() {
