@@ -31,8 +31,11 @@
 //!   scores in full only a candidate whose bound can still win —
 //!   re-scoring only neighbours that hear `v` on a slot the candidate
 //!   covers, and of those, taking a new `ln` only for a width whose
-//!   airtime the candidate lowers.
-//! * [`ViewIndex`] — what no assignment changes: the rows, who hears
+//!   airtime the candidate lowers. [`Partial::star`] writes out all ACC
+//!   reads of the plan for one AP, so NBO can tell a call it has
+//!   already solved from one it has not.
+//! * [`ViewIndex`] — what no assignment changes: the rows, the
+//!   neighbour lists without entries past the view's end, who hears
 //!   whom (reverse adjacency, one entry per listing, since scanned
 //!   neighbour lists may be asymmetric or repeat an AP) and NBO's load
 //!   weights.
@@ -465,6 +468,28 @@ impl<'a> Partial<'a> {
         total
     }
 
+    /// Into `key`, all that [`Partial::acc`] reads of the plan for `v`,
+    /// whose list is `neighbors`: `v`'s contender counts, then per entry
+    /// its channel's code, or 0 for one in ψ, and its counts on that
+    /// channel's footprint. The rest ACC reads — rows, candidates,
+    /// `current`, `hears_v`, params — is fixed while NBO's working
+    /// assignment stands, and under it equal keys get equal picks.
+    pub(crate) fn star(&self, v: usize, neighbors: &[usize], key: &mut Vec<u32>) {
+        key.clear();
+        key.extend_from_slice(&self.contenders[v]);
+        for &n in neighbors {
+            let Some(nc) = self.channels[n] else {
+                key.push(0);
+                continue;
+            };
+            key.push(
+                1 << 24 | u32::from(nc.primary) << 8 | (nc.band as u32) << 4 | nc.width as u32,
+            );
+            let counts = &self.contenders[n];
+            each_slot(footprint_in(self.band, nc), |slot| key.push(counts[slot]));
+        }
+    }
+
     /// ACC(v, ψ): the first of `cands` maximizing NodeP of `v` plus NodeP
     /// of each entry of `neighbors` (the APs `v` hears, in list order,
     /// repeats and `v` itself included) that has a channel. `v` must be
@@ -581,6 +606,8 @@ impl<'a> Partial<'a> {
 pub(crate) struct ViewIndex<'a> {
     pub(crate) view: &'a NetworkView,
     pub(crate) rows: Vec<ApRow>,
+    /// [`heard`] of every AP: the lists NBO and ACC read.
+    pub(crate) neighbors: Vec<Vec<usize>>,
     /// `heard_by[m]`: every AP listing `m` as a neighbour, once per
     /// listing.
     pub(crate) heard_by: Vec<Vec<usize>>,
@@ -592,16 +619,20 @@ pub(crate) struct ViewIndex<'a> {
 
 impl<'a> ViewIndex<'a> {
     pub(crate) fn new(view: &'a NetworkView) -> ViewIndex<'a> {
+        let neighbors: Vec<Vec<usize>> = (0..view.len()).map(|v| heard(view, v)).collect();
         let mut heard_by = vec![Vec::new(); view.len()];
-        for (u, ap) in view.aps.iter().enumerate() {
-            for &m in &ap.neighbors {
+        for (u, list) in neighbors.iter().enumerate() {
+            for &m in list {
                 heard_by[m].push(u);
             }
         }
-        let hears_back = (0..view.len()).map(|m| hears_back(view, m)).collect();
+        let hears_back = (0..view.len())
+            .map(|m| hears_back(view, m, &neighbors[m]))
+            .collect();
         ViewIndex {
             view,
             rows: rows(view),
+            neighbors,
             heard_by,
             hears_back,
             weight: view
@@ -613,11 +644,23 @@ impl<'a> ViewIndex<'a> {
     }
 }
 
-/// For each AP `v` hears, in list order: how many times it lists `v` —
-/// the contenders `v`'s channel puts on it.
-pub(crate) fn hears_back(view: &NetworkView, v: usize) -> Vec<u32> {
+/// `v`'s neighbour list without the entries past the view's end, which
+/// no plan of the view has a channel for and so count for nothing.
+pub(crate) fn heard(view: &NetworkView, v: usize) -> Vec<usize> {
+    let len = view.len();
+    view.aps[v]
+        .neighbors
+        .iter()
+        .copied()
+        .filter(|&n| n < len)
+        .collect()
+}
+
+/// For each AP of `list`, `v`'s list as [`heard`] returns it: how many
+/// times it lists `v` — the contenders `v`'s channel puts on it.
+pub(crate) fn hears_back(view: &NetworkView, v: usize, list: &[usize]) -> Vec<u32> {
     let listings = |n: usize| view.aps[n].neighbors.iter().filter(|&&x| x == v).count() as u32;
-    view.aps[v].neighbors.iter().map(|&n| listings(n)).collect()
+    list.iter().map(|&n| listings(n)).collect()
 }
 
 /// One row per AP of `view`.

@@ -179,7 +179,8 @@ impl NetworkView {
 
     /// Breadth-first search from `v`, at most `limit` hops deep: `ball`
     /// becomes the APs reached, in visiting order, and `dist` — which
-    /// must be all `usize::MAX` on entry — their hop counts.
+    /// must be all `usize::MAX` on entry — their hop counts. A neighbour
+    /// index past the view's end leads nowhere.
     pub(crate) fn reach(&self, v: usize, limit: usize, dist: &mut [usize], ball: &mut Vec<usize>) {
         ball.clear();
         dist[v] = 0;
@@ -191,7 +192,7 @@ impl NetworkView {
                 continue;
             }
             for &n in &self.aps[u].neighbors {
-                if dist[n] == usize::MAX {
+                if dist.get(n) == Some(&usize::MAX) {
                     dist[n] = dist[u] + 1;
                     ball.push(n);
                 }

@@ -97,7 +97,10 @@ fn acc(
         trial[v] = Some(cand);
         let own = node_p_ln(params, view, &trial, v, cand);
         let neighbors = view.aps[v].neighbors.iter();
-        let theirs = neighbors.filter_map(|&n| Some(node_p_ln(params, view, &trial, n, trial[n]?)));
+        let theirs = neighbors.filter_map(|&n| {
+            let nc = trial.get(n).copied().flatten()?;
+            Some(node_p_ln(params, view, &trial, n, nc))
+        });
         theirs.fold(own, |total, np| total + np)
     };
     let cands = view.candidates(v);
@@ -344,11 +347,12 @@ mod equivalence {
         }
 
         /// ACC over partial plans with ψ holes and `assigned[v]` set, then
-        /// whole NBO passes and whole TurboCA runs from one seed.
+        /// whole NBO passes and whole TurboCA runs from one seed, on views
+        /// listing neighbours past their end.
         #[test]
         fn acc_nbo_and_run_match_the_reference(seed in any::<u64>()) {
             let rng = &mut Rng::new(seed);
-            let view = random_view(rng, 0);
+            let view = random_view(rng, 2);
             let params = MetricParams::default();
             for v in 0..view.len() {
                 let assigned = random_assignment(rng, view.band, view.len());

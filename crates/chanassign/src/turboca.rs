@@ -11,8 +11,17 @@
 //!   every 3 hours, i=2→1→0 daily; multiple NBO runs proportional to
 //!   network size; a proposed plan replaces the assigned plan only when
 //!   it raises NetP.
+//!
+//! Once a pass adopts nothing, the working plan is a fixed point and the
+//! passes after it mostly rebuild it in another order, asking ACC what
+//! it already answered. So each AP keeps its last ACC call while the
+//! working assignment stands — the star (`dense::Partial::star`) it was
+//! solved on and the pick — and a call on an equal star takes that
+//! pick unsolved (debug builds solve it anyway and compare). Accepting
+//! a proposal forgets every answer, and nothing outlives one
+//! [`TurboCa::run`] or [`nbo`] call.
 
-use crate::dense::{count, hears_back, ApRow, Partial, ViewIndex};
+use crate::dense::{count, heard, hears_back, ApRow, Partial, ViewIndex};
 use crate::metrics::MetricParams;
 use crate::model::{NetworkView, Plan};
 use phy80211::channels::{blocks, Channel, Width};
@@ -32,7 +41,7 @@ pub fn acc(
     // All ACC reads is the star around `v`: itself (local index 0) and
     // the APs it hears (1.., in list order), each with the contenders
     // everyone but `v` puts on it.
-    let heard = &view.aps[v].neighbors;
+    let heard = heard(view, v);
     let star: Vec<usize> = std::iter::once(v).chain(heard.iter().copied()).collect();
     let rows: Vec<ApRow> = star
         .iter()
@@ -54,19 +63,28 @@ pub fn acc(
         0,
         &view.candidates(v),
         &local,
-        &hears_back(view, v),
+        &hears_back(view, v, &heard),
     )
 }
 
 /// The assignment NBO starts from, the candidate list it implies for
-/// each AP and the partial plan every pass copies to start from.
-/// [`TurboCa::run`] moves it as proposals are accepted; the view it came
-/// from is never touched.
+/// each AP, the partial plan every pass copies to start from, and what
+/// ACC answered under it. [`TurboCa::run`] moves it as proposals are
+/// accepted; the view it came from is never touched.
 struct Working<'a> {
     current: Vec<Channel>,
     candidates: Vec<Vec<Channel>>,
     /// Every AP on its `current` channel, contenders counted.
     start: Partial<'a>,
+    /// Per AP, its last ACC call under this assignment: the
+    /// [`Partial::star`] it was solved on (empty, which no star is, for
+    /// none yet) and the pick.
+    memo: Vec<(Vec<u32>, Channel)>,
+    /// The star of the call in hand.
+    star: Vec<u32>,
+    /// ACC calls made, and how many of them were solved.
+    acc_calls: usize,
+    acc_solved: usize,
 }
 
 impl<'a> Working<'a> {
@@ -76,13 +94,18 @@ impl<'a> Working<'a> {
         Working {
             start: Partial::over(view, &index.rows, &current),
             candidates: (0..view.len()).map(|v| view.candidates(v)).collect(),
+            memo: current.iter().map(|&ch| (Vec::new(), ch)).collect(),
             current,
+            star: Vec::new(),
+            acc_calls: 0,
+            acc_solved: 0,
         }
     }
 
     /// Move onto `channels`; only an AP whose channel changed needs its
     /// candidates rebuilt (the DFS-with-clients rule and the "current is
-    /// always eligible" rule read it).
+    /// always eligible" rule read it). ACC's answers go: the candidates
+    /// and switch penalties they were solved under are gone.
     fn adopt(&mut self, index: &'a ViewIndex, channels: &[Channel]) {
         let view = index.view;
         for (v, &ch) in channels.iter().enumerate() {
@@ -92,6 +115,36 @@ impl<'a> Working<'a> {
             }
         }
         self.start = Partial::over(view, &index.rows, channels);
+        for (star, _) in &mut self.memo {
+            star.clear();
+        }
+    }
+
+    /// ACC(m) on `visible`: the pick of `m`'s last call when its star has
+    /// not moved since, else solved.
+    fn acc(
+        &mut self,
+        params: &MetricParams,
+        index: &ViewIndex,
+        visible: &mut Partial,
+        m: usize,
+    ) -> Channel {
+        let neighbors = &index.neighbors[m];
+        let solve = |visible: &mut Partial| {
+            let (cands, hears_v) = (&self.candidates[m], &index.hears_back[m]);
+            visible.acc(params, &self.current, m, cands, neighbors, hears_v)
+        };
+        visible.star(m, neighbors, &mut self.star);
+        self.acc_calls += 1;
+        let (star, pick) = &mut self.memo[m];
+        if *star == self.star {
+            debug_assert_eq!(solve(visible), *pick, "ACC of {m} recalled a stale pick");
+            return *pick;
+        }
+        self.acc_solved += 1;
+        *pick = solve(visible);
+        std::mem::swap(star, &mut self.star);
+        *pick
     }
 }
 
@@ -104,7 +157,7 @@ impl<'a> Working<'a> {
 /// pick of clean channels).
 pub fn nbo(params: &MetricParams, view: &NetworkView, hop_limit: usize, rng: &mut Rng) -> Plan {
     let index = ViewIndex::new(view);
-    let pass = nbo_pass(params, &index, &Working::new(&index), hop_limit, rng);
+    let pass = nbo_pass(params, &index, &mut Working::new(&index), hop_limit, rng);
     plan_of(view, &pass)
 }
 
@@ -113,7 +166,7 @@ pub fn nbo(params: &MetricParams, view: &NetworkView, hop_limit: usize, rng: &mu
 fn nbo_pass<'a>(
     params: &MetricParams,
     index: &'a ViewIndex,
-    working: &Working<'a>,
+    working: &mut Working<'a>,
     hop_limit: usize,
     rng: &mut Rng,
 ) -> Partial<'a> {
@@ -152,14 +205,7 @@ fn nbo_pass<'a>(
             weights.clear();
             weights.extend(group.iter().map(|&g| index.weight[g]));
             let m = group.swap_remove(rng.weighted_index(&weights));
-            let ch = visible.acc(
-                params,
-                &working.current,
-                m,
-                &working.candidates[m],
-                &view.aps[m].neighbors,
-                &index.hears_back[m],
-            );
+            let ch = working.acc(params, index, &mut visible, m);
             visible.place(m, ch, &index.heard_by[m]);
         }
     }
@@ -245,6 +291,11 @@ pub struct PlanResult {
     pub improved: bool,
     /// NBO runs executed.
     pub runs: usize,
+    /// ACC calls those runs made, and how many of them were solved: the
+    /// rest saw the star their AP's last call was solved on, and took its
+    /// pick.
+    pub acc_calls: usize,
+    pub acc_solved: usize,
 }
 
 /// The TurboCA planner.
@@ -289,7 +340,7 @@ impl TurboCa {
         for &i in tier.hop_sequence() {
             for _ in 0..runs {
                 total_runs += 1;
-                let pass = nbo_pass(&self.params, &index, &working, i, &mut self.rng);
+                let pass = nbo_pass(&self.params, &index, &mut working, i, &mut self.rng);
                 let score = pass.net_p_ln(&self.params, &on_air);
                 if score > best_score {
                     best_score = score;
@@ -304,6 +355,8 @@ impl TurboCa {
             net_p_ln: best_score,
             incumbent_net_p_ln: incumbent_score,
             runs: total_runs,
+            acc_calls: working.acc_calls,
+            acc_solved: working.acc_solved,
         }
     }
 }
@@ -322,6 +375,16 @@ mod tests {
             by_width: vec![(Width::W80, 1.0)],
         };
         a
+    }
+
+    /// `n` loaded APs on channel 36, each hearing all the others.
+    fn cochannel_clique(n: usize) -> NetworkView {
+        NetworkView {
+            band: Band::Band5,
+            aps: (0..n)
+                .map(|i| loaded_ap(Channel::five(36), (0..n).filter(|&j| j != i).collect()))
+                .collect(),
+        }
     }
 
     #[test]
@@ -433,15 +496,7 @@ mod tests {
 
     #[test]
     fn turboca_improves_cochannel_mess() {
-        // 8 APs in a clique, all on channel 36.
-        let n = 8;
-        let aps: Vec<ApReport> = (0..n)
-            .map(|i| loaded_ap(Channel::five(36), (0..n).filter(|&j| j != i).collect()))
-            .collect();
-        let view = NetworkView {
-            band: Band::Band5,
-            aps,
-        };
+        let view = cochannel_clique(8);
         let mut tca = TurboCa::new(42);
         let result = tca.run(&view, ScheduleTier::Medium);
         assert!(result.improved);
@@ -497,14 +552,100 @@ mod tests {
         assert_eq!(ScheduleTier::Slow.period(), SimDuration::from_hours(24));
     }
 
+    /// Once a Fast run's working plan is a fixed point, later passes
+    /// rebuild it from stars already solved; one pass solves every call.
     #[test]
-    fn deterministic_given_seed() {
+    fn repeated_stars_are_recalled_not_solved() {
+        let view = cochannel_clique(6);
+        let result = TurboCa::new(9).run(&view, ScheduleTier::Fast);
+        assert_eq!(result.acc_calls, result.runs * view.len());
+        assert!(
+            result.acc_solved < result.acc_calls,
+            "{} of {} solved",
+            result.acc_solved,
+            result.acc_calls
+        );
+        let index = ViewIndex::new(&view);
+        let mut working = Working::new(&index);
+        let params = MetricParams::default();
+        nbo_pass(&params, &index, &mut working, 0, &mut Rng::new(9));
+        assert_eq!((working.acc_calls, working.acc_solved), (6, 6));
+    }
+
+    /// Two stars alike but for which of AP 0's neighbours on channel 36
+    /// is in ψ: AP 1, who hears AP 0, or AP 2, who does not. Both show
+    /// one AP on 36 with the same counts, and AP 0 stays on 36 only where
+    /// no listener pays for it: where ψ sits must be in the star.
+    #[test]
+    fn stars_tell_which_neighbour_is_in_psi() {
+        let w20 = |neighbors| ApReport {
+            load: ApLoad {
+                by_width: vec![(Width::W20, 1.0)],
+            },
+            ..loaded_ap(Channel::five(36), neighbors)
+        };
+        let mut aps = vec![w20(vec![1, 2]), w20(vec![0]), w20(vec![])];
+        for ch20 in phy80211::channels::US_5GHZ_20 {
+            let busy = match ch20 {
+                36 => 0.0,
+                40 => 0.5,
+                _ => 1.0,
+            };
+            aps[0].external_busy.insert(ch20, busy);
+        }
         let view = NetworkView {
             band: Band::Band5,
-            aps: (0..6)
-                .map(|i| loaded_ap(Channel::five(36), (0..6).filter(|&j| j != i).collect()))
-                .collect(),
+            aps,
         };
+        let (params, index) = (MetricParams::default(), ViewIndex::new(&view));
+        let mut working = Working::new(&index);
+        let pick_with_only = |working: &mut Working, shown: usize| {
+            let mut visible = working.start.clone();
+            for g in [0, 3 - shown] {
+                visible.lift(g, &index.heard_by[g]);
+            }
+            working.acc(&params, &index, &mut visible, 0)
+        };
+        assert_eq!(pick_with_only(&mut working, 1), Channel::five(40));
+        assert_eq!(pick_with_only(&mut working, 2), Channel::five(36));
+        assert_eq!(working.acc_solved, 2);
+    }
+
+    /// A neighbour index past the view's end counts for nothing: the view
+    /// plans and answers ACC as if the entry were not listed.
+    #[test]
+    fn neighbors_past_the_end_count_for_nothing() {
+        let view = NetworkView {
+            band: Band::Band5,
+            aps: vec![
+                loaded_ap(Channel::five(36), vec![1, 7, 2]),
+                loaded_ap(Channel::five(36), vec![3, 0, 3]),
+                loaded_ap(Channel::five(40), vec![0, 1, 2, 99]),
+            ],
+        };
+        let mut listed = view.clone();
+        for ap in &mut listed.aps {
+            ap.neighbors.retain(|&n| n < 3);
+        }
+        for tier in [ScheduleTier::Fast, ScheduleTier::Medium, ScheduleTier::Slow] {
+            let got = TurboCa::new(3).run(&view, tier);
+            let want = TurboCa::new(3).run(&listed, tier);
+            assert_eq!(got.plan, want.plan);
+            assert_eq!(got.net_p_ln.to_bits(), want.net_p_ln.to_bits());
+        }
+        let params = MetricParams::default();
+        let assigned = vec![Some(Channel::five(36)), None, Some(Channel::five(44))];
+        for v in 0..3 {
+            assert_eq!(
+                acc(&params, &view, &assigned, v),
+                acc(&params, &listed, &assigned, v)
+            );
+        }
+    }
+
+    #[test]
+    fn deterministic_given_seed() {
+        let view = cochannel_clique(6);
         let p1 = TurboCa::new(123).run(&view, ScheduleTier::Medium).plan;
         let p2 = TurboCa::new(123).run(&view, ScheduleTier::Medium).plan;
         assert_eq!(p1, p2);
