@@ -10,7 +10,9 @@
 //! reorders one f64 operation or one RNG draw fails here. So do the
 //! tables under the planner and the evaluator (`phy.*`: channel
 //! geometry, VHT rate sets) and every sample `neteval::evaluate` draws
-//! (`neteval.*`), pinned before those became const data.
+//! (`neteval.*`), pinned before those became const data, and every rate
+//! the evaluator's selector picks (`phy.rate.select`), pinned before it
+//! stopped scoring every row.
 //!
 //! Refreshing after an *intentional* behaviour change:
 //!
@@ -31,7 +33,8 @@ use wifi_core::netsim::neteval::{evaluate, EvalOptions};
 use wifi_core::netsim::population::ClientCaps;
 use wifi_core::netsim::topology;
 use wifi_core::phy::channels::{channels, Band, Channel, Width, US_5GHZ_20};
-use wifi_core::phy::mcs::{rate_table, GuardInterval};
+use wifi_core::phy::mcs::{rate_table, snr_requirement_db, GuardInterval};
+use wifi_core::phy::rate::IdealSelector;
 use wifi_core::sim::{Rng, SimDuration};
 use wifi_core::telemetry::codec::Fnv1a;
 
@@ -485,6 +488,52 @@ fn standard_tables_match_goldens() {
             ("phy.rate_tables".to_owned(), rates.finish()),
         ],
     );
+}
+
+/// Every rate `IdealSelector::select` picks, for every width, stream cap
+/// 1..=4 and guard interval: SNR −40..90 dB in 1/64 dB steps, one ULP
+/// either side of each row's two saturation cutoffs (past which the
+/// error model returns an exact 0 or 1 without `exp`), and NaN, ±∞, ±0
+/// and the smallest normal.
+#[test]
+fn rate_selection_matches_golden() {
+    // `error_model`'s SATURATION_ARG over its WATERFALL_SLOPE, in dB.
+    const SATURATION_DB: f64 = 41.0 / 1.5;
+    let mut h = Fnv1a::new();
+    for max_nss in 1..=4u8 {
+        for width in Width::ALL {
+            for gi in [GuardInterval::Long, GuardInterval::Short] {
+                let sel = IdealSelector {
+                    gi,
+                    ..IdealSelector::new(width, max_nss)
+                };
+                let mut snrs: Vec<f64> = (-40 * 64..=90 * 64).map(|i| i as f64 / 64.0).collect();
+                for &(mcs, nss, _) in rate_table(max_nss, width, gi) {
+                    // The SNR `select` turns into this row's threshold.
+                    let at =
+                        snr_requirement_db(mcs, width) + 3.0 * (nss as f64 - 1.0) + sel.margin_db;
+                    for cut in [at - SATURATION_DB, at + SATURATION_DB] {
+                        snrs.extend([cut.next_down(), cut, cut.next_up()]);
+                    }
+                }
+                snrs.extend([
+                    f64::NAN,
+                    f64::INFINITY,
+                    f64::NEG_INFINITY,
+                    0.0,
+                    -0.0,
+                    f64::MIN_POSITIVE,
+                ]);
+                h.write(&[0xff]);
+                for snr in snrs {
+                    let c = sel.select(snr);
+                    h.write(&[c.mcs.0, c.nss]);
+                    h.write(&c.bps.to_le_bytes());
+                }
+            }
+        }
+    }
+    check_goldens("phy.rate", &[("phy.rate.select".to_owned(), h.finish())]);
 }
 
 /// Every bit `neteval::evaluate` hands out — the fleet checksum sees
