@@ -12,7 +12,7 @@ use netsim::topology;
 use phy80211::channels::Band;
 use sim::{derive_stream_seed, Rng, SimTime};
 use telemetry::health::ChannelFlap;
-use telemetry::stats::quantile;
+use telemetry::stats::Cdf;
 use telemetry::{CounterId, FlightDump, HealthEngine, HistId, Registry};
 
 /// A network under fleet management. Everything it does is driven by
@@ -158,8 +158,8 @@ impl ManagedNetwork {
             &EvalOptions::default(),
             &mut eval_rng,
         );
-        let lat = &metrics.tcp_latency_ms;
-        let pq = |q: f64| quantile(lat, q).unwrap_or(0.0);
+        let lat = Cdf::new(&metrics.tcp_latency_ms);
+        let pq = |q: f64| lat.quantile(q).unwrap_or(0.0);
         let mean_goodput = if metrics.ap_goodput_mbps.is_empty() {
             0.0
         } else {

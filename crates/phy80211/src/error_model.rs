@@ -115,15 +115,6 @@ impl PerCache {
     pub fn success_rate(&mut self, snr_db: f64, mcs: Mcs) -> f64 {
         1.0 - self.error_rate(snr_db, mcs)
     }
-
-    /// Distinct (SNR, MCS) pairs resolved so far.
-    pub fn len(&self) -> usize {
-        self.cache.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.cache.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -226,7 +217,7 @@ mod tests {
     #[test]
     fn per_cache_is_exact_and_memoizes() {
         let mut c = PerCache::new(Width::W80, 1500);
-        assert!(c.is_empty());
+        assert!(c.cache.is_empty());
         for snr in [3.7, 15.0, 28.25, 60.0] {
             for m in 0..=9u8 {
                 let got = c.error_rate(snr, Mcs(m));
@@ -238,10 +229,10 @@ mod tests {
                 );
             }
         }
-        let resolved = c.len();
+        let resolved = c.cache.len();
         assert_eq!(resolved, 4 * 10);
         // Hits resolve without growing the cache.
         let _ = c.error_rate(15.0, Mcs(5));
-        assert_eq!(c.len(), resolved);
+        assert_eq!(c.cache.len(), resolved);
     }
 }

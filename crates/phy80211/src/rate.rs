@@ -1,8 +1,8 @@
 //! Bit-rate selection.
 //!
 //! Selection is by oracle: [`IdealSelector`] picks the (MCS, NSS)
-//! maximizing expected goodput at the known SNR, and [`RateCache`]
-//! memoizes it exactly.
+//! maximizing expected goodput at the known SNR, scoring no row too slow
+//! to win, and [`RateCache`] memoizes it exactly.
 //!
 //! The paper's *bit-rate efficiency* metric — achieved rate normalized by
 //! the max rate supported by both ends of the association — is
@@ -10,7 +10,7 @@
 
 use crate::channels::Width;
 use crate::error_model::expected_goodput_bps;
-use crate::mcs::{rate_table, GuardInterval, Mcs};
+use crate::mcs::{rate_table, GuardInterval, Mcs, RateRow};
 
 /// A selected transmission rate.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -41,42 +41,54 @@ impl IdealSelector {
         }
     }
 
-    /// Best (MCS, NSS) for the given SNR, maximizing expected goodput on
-    /// a 1460-byte frame. Returns the lowest rate if everything is bad.
+    /// The rows to choose among: a device has one to four streams.
+    fn rows(&self) -> &'static [RateRow] {
+        rate_table(self.max_nss.clamp(1, 4), self.width, self.gi)
+    }
+
+    /// Best (MCS, NSS) for the given SNR by expected goodput on a
+    /// 1460-byte frame; the lowest rate if everything is bad.
+    ///
+    /// *Bit identity* with scoring every row and keeping the first strict
+    /// maximum (`full_scan` in the tests): a row scores `bps × success`,
+    /// success in [0, 1], so the scan runs best rate first and stops at a
+    /// row whose rate is *below* the best score — it and every row under
+    /// it are slower. A rate equal to it may tie, so it is scored, and an
+    /// equal score takes the lead (the full scan keeps the lower row). A
+    /// NaN SNR fails every comparison and leaves `best` on the lowest row.
     pub fn select(&self, snr_db: f64) -> RateChoice {
         let snr = snr_db - self.margin_db;
-        let mut best: Option<(f64, RateChoice)> = None;
-        for &(mcs, nss, bps) in rate_table(self.max_nss, self.width, self.gi) {
+        let rows = self.rows();
+        let (mut best, mut best_g) = (0, f64::NEG_INFINITY);
+        for (i, &(mcs, nss, bps)) in rows.iter().enumerate().rev() {
+            if (bps as f64) < best_g {
+                break;
+            }
             // Multi-stream transmission needs extra SNR for stream
             // separation: ~3 dB per extra stream is the standard rule.
             let eff_snr = snr - 3.0 * (nss as f64 - 1.0);
             let g = expected_goodput_bps(eff_snr, mcs, nss, self.width, self.gi, 1460);
-            let cand = RateChoice { mcs, nss, bps };
-            if best.map(|(bg, _)| g > bg).unwrap_or(true) {
-                best = Some((g, cand));
+            if g >= best_g {
+                (best, best_g) = (i, g);
             }
         }
-        best.expect("rate table is never empty").1
+        let (mcs, nss, bps) = rows[best];
+        RateChoice { mcs, nss, bps }
     }
 
     /// The maximum rate this selector could ever pick.
     pub fn max_rate_bps(&self) -> u64 {
-        rate_table(self.max_nss, self.width, self.gi)
-            .last()
-            .expect("non-empty")
-            .2
+        self.rows().last().expect("at least one stream").2
     }
 }
 
 /// Exact memoized [`IdealSelector`] for a fixed channel width.
 ///
-/// `select` walks the whole rate table computing an `exp`/`powf` pair
-/// per entry — ~30 transcendentals per call — yet the network testbed
-/// calls it with only a handful of distinct SNR values per client
-/// (fixed placement, ± the interferer penalty). Keying on the SNR's bit
-/// pattern (`f64::to_bits`) and the stream cap returns the *exact*
-/// cached [`RateChoice`], so replay stays byte-identical while the
-/// per-TXOP selection cost collapses to one BTree probe.
+/// `select` takes an `exp` / `powf` pair per row it scores, yet the
+/// network testbed calls it with a handful of distinct SNR values per
+/// client (fixed placement, ± the interferer penalty). Keyed on the SNR's
+/// bits and the stream cap, a hit is the *exact* cached [`RateChoice`]
+/// for one BTree probe, so replay stays byte-identical.
 #[derive(Debug, Clone)]
 pub struct RateCache {
     width: Width,
@@ -98,15 +110,6 @@ impl RateCache {
             .entry((snr_db.to_bits(), max_nss))
             .or_insert_with(|| IdealSelector::new(self.width, max_nss).select(snr_db))
     }
-
-    /// Distinct (SNR, NSS-cap) pairs resolved so far.
-    pub fn len(&self) -> usize {
-        self.cache.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.cache.is_empty()
-    }
 }
 
 /// Achieved-rate / max-supported-rate, the paper's bit-rate efficiency
@@ -123,6 +126,84 @@ pub fn bitrate_efficiency(achieved_bps: u64, ap_max_bps: u64, client_max_bps: u6
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The spec `select` is held to: score every row, keep the first
+    /// strict maximum.
+    fn full_scan(sel: &IdealSelector, snr_db: f64) -> RateChoice {
+        let snr = snr_db - sel.margin_db;
+        let mut best: Option<(f64, RateChoice)> = None;
+        for &(mcs, nss, bps) in sel.rows() {
+            let eff_snr = snr - 3.0 * (nss as f64 - 1.0);
+            let g = expected_goodput_bps(eff_snr, mcs, nss, sel.width, sel.gi, 1460);
+            if best.is_none_or(|(bg, _)| g > bg) {
+                best = Some((g, RateChoice { mcs, nss, bps }));
+            }
+        }
+        best.expect("at least one stream").1
+    }
+
+    /// Every width and guard interval at stream caps 0..=5, both sides of
+    /// the clamp included.
+    fn selectors() -> Vec<IdealSelector> {
+        let mut out = Vec::new();
+        for max_nss in 0..=5u8 {
+            for width in Width::ALL {
+                for gi in [GuardInterval::Long, GuardInterval::Short] {
+                    out.push(IdealSelector {
+                        gi,
+                        ..IdealSelector::new(width, max_nss)
+                    });
+                }
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Any bit pattern (mostly far outside the rate table's reach,
+        /// sometimes ±∞, a subnormal or NaN), an SNR where rows compete,
+        /// and a NaN carrying the pattern's payload and sign.
+        #[test]
+        fn select_matches_the_full_scan(bits in any::<u64>(), snr in -60.0..120.0f64) {
+            let nan = f64::from_bits(bits | 0x7ff0_0000_0000_0001);
+            for sel in selectors() {
+                for x in [f64::from_bits(bits), snr, nan] {
+                    prop_assert_eq!(sel.select(x), full_scan(&sel, x), "{:?} at {:?}", sel, x);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_row_scoring_zero_picks_the_lowest_row() {
+        for sel in selectors() {
+            for snr in [-200.0, f64::NEG_INFINITY] {
+                let eff = |nss: u8| snr - sel.margin_db - 3.0 * (nss as f64 - 1.0);
+                // Exactly +0.0 on every row: a tie all the way down.
+                assert!(sel.rows().iter().all(|&(mcs, nss, _)| {
+                    let g = expected_goodput_bps(eff(nss), mcs, nss, sel.width, sel.gi, 1460);
+                    g.to_bits() == 0
+                }));
+                let c = sel.select(snr);
+                assert_eq!((c.mcs, c.nss, c.bps), sel.rows()[0], "{sel:?} at {snr}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_zero_stream_cap_counts_as_one() {
+        for width in Width::ALL {
+            let (zero, one) = (IdealSelector::new(width, 0), IdealSelector::new(width, 1));
+            assert_eq!(zero.max_rate_bps(), one.max_rate_bps());
+            for snr in [f64::NAN, 3.0, 25.0, 60.0] {
+                assert_eq!(zero.select(snr), one.select(snr), "{width} at {snr}");
+            }
+        }
+        assert_eq!(RateCache::new(Width::W80).select(0, 60.0).nss, 1);
+    }
 
     #[test]
     fn ideal_selector_monotone_in_snr() {
@@ -167,7 +248,7 @@ mod tests {
     #[test]
     fn rate_cache_matches_ideal_selector_exactly() {
         let mut c = RateCache::new(Width::W80);
-        assert!(c.is_empty());
+        assert!(c.cache.is_empty());
         for snr in [2.5, 17.0, 23.75, 32.0, 60.0] {
             for nss in 1..=3u8 {
                 let got = c.select(nss, snr);
@@ -175,12 +256,12 @@ mod tests {
                 assert_eq!(got, want, "snr={snr} nss={nss}");
             }
         }
-        let resolved = c.len();
+        let resolved = c.cache.len();
         assert_eq!(resolved, 5 * 3);
         // Cache hit: no growth, same answer.
         let again = c.select(2, 17.0);
         assert_eq!(again, IdealSelector::new(Width::W80, 2).select(17.0));
-        assert_eq!(c.len(), resolved);
+        assert_eq!(c.cache.len(), resolved);
     }
 
     #[test]
