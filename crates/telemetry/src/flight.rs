@@ -535,21 +535,31 @@ impl FlightDump {
         flows
     }
 
-    /// The full causal chain for one flow: every record belonging to the
-    /// flow (directly or via its cause's flow hint), across all
+    /// The records of every component whose name starts with `prefix`
+    /// (`None`: all) that belong to `flow` (`None`: any), across
     /// components, time-ordered. Ties break by component name so the
     /// output is deterministic.
-    pub fn chain(&self, flow: u64) -> Vec<(&str, FlightEvent)> {
+    pub fn events(&self, prefix: Option<&str>, flow: Option<u64>) -> Vec<(&str, FlightEvent)> {
         let mut out: Vec<(&str, FlightEvent)> = Vec::new();
         for comp in &self.components {
+            if prefix.is_some_and(|p| !comp.name.starts_with(p)) {
+                continue;
+            }
             for ev in &comp.records {
-                if ev.flow() == Some(flow) {
+                if flow.is_none() || ev.flow() == flow {
                     out.push((comp.name.as_str(), *ev));
                 }
             }
         }
         out.sort_by(|a, b| a.1.at.cmp(&b.1.at).then_with(|| a.0.cmp(b.0)));
         out
+    }
+
+    /// The full causal chain for one flow: every record belonging to the
+    /// flow (directly or via its cause's flow hint), in
+    /// [`FlightDump::events`] order.
+    pub fn chain(&self, flow: u64) -> Vec<(&str, FlightEvent)> {
+        self.events(None, Some(flow))
     }
 
     // ---- binary serialization ------------------------------------

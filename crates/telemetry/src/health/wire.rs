@@ -1,5 +1,5 @@
 //! The alert stream's types and its canonical JSON — the only code that
-//! knows the grammar `wifictl health` and the fleet rollup read back.
+//! knows the grammar `wifictl health` reads back.
 
 use crate::flight::CauseId;
 use crate::json::{self, f64_exact, write_str, Cursor};
@@ -201,13 +201,6 @@ impl HealthReport {
     /// tool, not a general JSON reader).
     pub fn parse(text: &str) -> Result<HealthReport, String> {
         let mut cur = Cursor::new("health json", text);
-        let report = HealthReport::parse_inner(&mut cur)?;
-        cur.skip_ws();
-        cur.end()?;
-        Ok(report)
-    }
-
-    fn parse_inner(cur: &mut Cursor<'_>) -> Result<HealthReport, String> {
         cur.lit("{\"steps\":")?;
         let steps = cur.u64()?;
         cur.lit(",\"alerts\":[")?;
@@ -217,6 +210,8 @@ impl HealthReport {
             Ok(())
         })?;
         cur.lit("}")?;
+        cur.skip_ws();
+        cur.end()?;
         Ok(HealthReport { steps, alerts })
     }
 }
@@ -275,9 +270,7 @@ impl HealthRollup {
         out
     }
 
-    /// Canonical byte-stable JSON. Starts with `{"by_rule":` — readers
-    /// (`wifictl health`) use that prefix to tell a rollup from a plain
-    /// [`HealthReport`] (`{"steps":`).
+    /// Canonical byte-stable JSON.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\"by_rule\":");
@@ -293,7 +286,7 @@ impl HealthRollup {
     }
 
     /// The `[["label",score],…]` worst-networks list.
-    pub fn write_worst(&self, out: &mut String) {
+    fn write_worst(&self, out: &mut String) {
         out.push('[');
         for (i, (label, score)) in self.worst.iter().enumerate() {
             if i > 0 {
@@ -304,35 +297,6 @@ impl HealthRollup {
             out.push_str(&format!(",{score}]"));
         }
         out.push(']');
-    }
-
-    /// Strict parse of [`HealthRollup::to_json`] output.
-    pub fn parse(text: &str) -> Result<HealthRollup, String> {
-        let mut cur = Cursor::new("health json", text);
-        cur.lit("{\"by_rule\":{")?;
-        let by_rule = parse_count_map(&mut cur)?;
-        cur.lit(",\"by_severity\":{")?;
-        let by_severity = parse_count_map(&mut cur)?;
-        cur.lit(",\"worst\":[")?;
-        let mut worst = Vec::new();
-        cur.list("]", |cur| {
-            cur.lit("[")?;
-            let label = cur.string()?;
-            cur.lit(",")?;
-            worst.push((label, cur.u64()?));
-            cur.lit("]")
-        })?;
-        cur.lit(",\"report\":")?;
-        let report = HealthReport::parse_inner(&mut cur)?;
-        cur.lit("}")?;
-        cur.skip_ws();
-        cur.end()?;
-        Ok(HealthRollup {
-            by_rule,
-            by_severity,
-            worst,
-            report,
-        })
     }
 }
 
@@ -349,17 +313,6 @@ pub fn write_count_map(out: &mut String, counts: &BTreeMap<String, u64>) {
         out.push_str(&v.to_string());
     }
     out.push('}');
-}
-
-fn parse_count_map(cur: &mut Cursor<'_>) -> Result<BTreeMap<String, u64>, String> {
-    let mut m = BTreeMap::new();
-    cur.list("}", |cur| {
-        let k = cur.string()?;
-        cur.lit(":")?;
-        m.insert(k, cur.u64()?);
-        Ok(())
-    })?;
-    Ok(m)
 }
 
 #[cfg(test)]
@@ -479,9 +432,6 @@ mod tests {
             vec![("net1".to_string(), 6), ("net3".to_string(), 2)]
         );
         let json = rollup.to_json();
-        assert!(json.starts_with("{\"by_rule\":"), "rollup prefix: {json}");
-        let parsed = HealthRollup::parse(&json).expect("strict parse");
-        assert_eq!(parsed, rollup);
-        assert_eq!(parsed.to_json(), json);
+        assert!(json.starts_with("{\"by_rule\":{\"ampdu-collapse\":5},\"by_severity\":{\"critical\":2,\"warning\":3},\"worst\":[[\"net1\",6],[\"net3\",2]],\"report\":{\"steps\":16,"), "{json}");
     }
 }

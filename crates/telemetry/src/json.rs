@@ -1,9 +1,9 @@
 //! The one JSON reader and writer. Every JSON artifact in the workspace
-//! (metrics, health, QoE rollups, run profiles, perf fragments, bench
-//! dumps) is escaped by [`write_str`] and read back through [`Cursor`]:
-//! directly by the strict canonical-grammar parsers (`HealthReport`,
-//! `HealthRollup`, `QoeRollup`), or via the generic [`parse`] into a
-//! [`Value`] for the free-form perf files.
+//! (metrics, health, run profiles, perf fragments, bench dumps) and the
+//! rollup digests are escaped by [`write_str`]; what is read back goes
+//! through [`Cursor`]: directly by the strict canonical-grammar parser
+//! of [`HealthReport`](crate::health::HealthReport), or via the generic
+//! [`parse`] into a [`Value`] for the free-form perf files.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -12,7 +12,7 @@
 //! those raw signals into a typed, byte-stable alert stream, and a
 //! host-side run profiler ([`runprof`]) — the one audited wall-clock
 //! module — measuring the simulator as a program (stage wall time,
-//! allocations, RSS, structure watermarks) without touching any
+//! peak RSS, structure watermarks) without touching any
 //! trajectory, and a deterministic time-series sampler ([`timeline`])
 //! that snapshots registry counters/gauges every fixed sim-time
 //! interval into delta-encoded per-series columns with bounded ring
@@ -50,7 +50,7 @@ pub use health::{
     QoeDegradedRule, Severity,
 };
 pub use metrics::{CounterId, GaugeId, HistId, Registry, SpanId, SpanStat};
-pub use runprof::{AllocStats, CountingAlloc, RunProfile, SamplePoint, StageStat, WallSpan};
+pub use runprof::{RunProfile, StageStat, WallSpan};
 pub use stats::{jain_fairness, median, quantile, summarize, Cdf, Histogram, Summary};
 pub use streaming::{Ewma, RollingWindow};
 pub use timeline::{Agg, SeriesKind, StagedId, TierConfig, Timeline, TimelineConfig};

@@ -1,12 +1,12 @@
-//! Host-side run profiler: wall-clock stage timing, allocation/RSS
-//! accounting, and resource high-watermarks.
+//! Host-side run profiler: wall-clock stage timing, peak RSS, and
+//! resource high-watermarks.
 //!
 //! Everything else in `telemetry` measures the *simulated world* — the
 //! [`crate::metrics`] profiler attributes simulated microseconds, the
 //! flight recorder captures simulated packet causality. This module
 //! measures the *simulator as a program*: where the host's wall clock
 //! goes (fleet epochs, the testbed event loop, bench setup/run/report
-//! phases), how much the process allocates, and how large the hot
+//! phases), how much memory the process peaked at, and how large the hot
 //! structures grew. It is the instrument behind the ROADMAP's scale
 //! claims ("1M networks in bounded RSS", "≥3× events/s"): a claim about
 //! host resources needs a number with a trajectory, and ad-hoc
@@ -29,36 +29,34 @@
 //!    hot paths pay one predictable branch.
 //! 3. **Non-determinism is labelled.** The sidecar JSON separates a
 //!    `deterministic` section (structure watermarks, byte-compared by
-//!    CI across double runs) from a `wall_clock` section (stage times,
-//!    allocation counts, RSS — never byte-compared).
+//!    CI across double runs) from a `wall_clock` section (stage times
+//!    and peak RSS — never byte-compared).
 //!
-//! ## The three pillars
+//! ## The two pillars
 //!
 //! * **Stage spans** — [`span`] returns a [`WallSpan`] guard; dropping
 //!   it attributes the elapsed host time to its stage name. Stages are
 //!   flat labels (`fleet.shard.tick`, `testbed.run`, `fig18.run`) and
 //!   guards from worker threads accumulate into the same stage
 //!   concurrently.
-//! * **Resource accounting** — [`CountingAlloc`] is a drop-in global
-//!   allocator wrapper counting allocs/frees/live/peak bytes (installed
-//!   by the bench crate behind its `alloc-count` feature);
-//!   [`peak_rss_bytes`] reads the kernel's lifetime RSS high-watermark
-//!   (`VmHWM` in `/proc/self/status`).
 //! * **Watermarks** — [`watermark`] max-folds named `u64` levels: event
-//!   queue depths, flight-ring occupancy, fleet shard backlogs. These mirror deterministic simulator state, so they land
-//!   in the sidecar's `deterministic` section.
+//!   queue depths, flight-ring occupancy, fleet shard backlogs. These
+//!   mirror deterministic simulator state, so they land in the
+//!   sidecar's `deterministic` section.
 //!
 //! The profiler is process-global (fleet shards run on scoped worker
 //! threads; threading a handle through every layer would make the
 //! no-op case cost more than the measurement). [`snapshot`] renders the
-//! state into a [`RunProfile`]; the bench harness writes it as the
-//! `--runprof out.json` sidecar, inspected with `wifictl perf`.
+//! state into a [`RunProfile`], adding the kernel's lifetime RSS
+//! high-watermark ([`peak_rss_bytes`], `VmHWM` in `/proc/self/status`);
+//! the bench harness writes it as the `--runprof out.json` sidecar,
+//! inspected with `wifictl perf`. Throughput samples are not in it:
+//! they are the `--perf` artifact.
 
-use crate::json::{f64_display_or_null, opt_u64, write_str};
-use std::alloc::{GlobalAlloc, Layout, System};
+use crate::json::{opt_u64, write_str};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
@@ -165,104 +163,12 @@ pub fn watermark(name: &str, value: u64) {
     *w = (*w).max(value);
 }
 
-/// Clear accumulated stages and watermarks (allocation counters are
-/// lifetime-of-process and are not reset). Tests use this between
+/// Clear accumulated stages and watermarks. Tests use this between
 /// measured regions; production binaries never need it.
 pub fn reset() {
     let mut st = lock_state();
     st.stages.clear();
     st.watermarks.clear();
-}
-
-// ---- allocation accounting ----------------------------------------
-
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-static FREE_CALLS: AtomicU64 = AtomicU64::new(0);
-static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
-static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
-
-/// Counting wrapper around the system allocator. Install it as the
-/// global allocator to populate [`AllocStats`]:
-///
-/// ```ignore
-/// #[global_allocator]
-/// static ALLOC: telemetry::runprof::CountingAlloc = telemetry::runprof::CountingAlloc;
-/// ```
-///
-/// The bench crate does exactly this behind its `alloc-count` feature —
-/// three relaxed atomic ops per alloc is cheap but not free, so the
-/// default build leaves the system allocator untouched and
-/// [`AllocStats::installed`] reports `false`.
-pub struct CountingAlloc;
-
-impl CountingAlloc {
-    fn on_alloc(size: usize) {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        let live = LIVE_BYTES.fetch_add(size as u64, Ordering::Relaxed) + size as u64;
-        PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
-    }
-
-    fn on_free(size: usize) {
-        FREE_CALLS.fetch_add(1, Ordering::Relaxed);
-        LIVE_BYTES.fetch_sub(size as u64, Ordering::Relaxed);
-    }
-}
-
-// SAFETY: defers every allocation to `System` verbatim; the wrapper
-// only bumps counters and never inspects or retains the pointers.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        Self::on_alloc(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        Self::on_free(layout.size());
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        Self::on_alloc(layout.size());
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // Count a realloc as free(old)+alloc(new) so live-byte
-        // accounting stays exact; call counters move in lockstep.
-        Self::on_free(layout.size());
-        Self::on_alloc(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-/// Allocation counters accumulated by [`CountingAlloc`]. All zeros
-/// (and `installed == false`) when the counting allocator was never
-/// installed in this process.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AllocStats {
-    /// Is the counting allocator live in this process? (Inferred: any
-    /// real program allocates long before the first snapshot.)
-    pub installed: bool,
-    /// Calls to `alloc`/`alloc_zeroed`/`realloc`.
-    pub allocs: u64,
-    /// Calls to `dealloc`/`realloc`.
-    pub frees: u64,
-    /// Bytes currently live.
-    pub live_bytes: u64,
-    /// High-watermark of live bytes.
-    pub peak_bytes: u64,
-}
-
-/// Current allocation counters (see [`CountingAlloc`]).
-pub fn alloc_stats() -> AllocStats {
-    let allocs = ALLOC_CALLS.load(Ordering::Relaxed);
-    AllocStats {
-        installed: allocs > 0,
-        allocs,
-        frees: FREE_CALLS.load(Ordering::Relaxed),
-        live_bytes: LIVE_BYTES.load(Ordering::Relaxed),
-        peak_bytes: PEAK_BYTES.load(Ordering::Relaxed),
-    }
 }
 
 // ---- peak RSS -----------------------------------------------------
@@ -292,50 +198,6 @@ pub fn parse_vm_hwm(status: &str) -> Option<u64> {
 
 // ---- snapshot & sidecar JSON --------------------------------------
 
-/// One wall-clock throughput sample carried into the sidecar (the
-/// bench harness forwards its `--perf` samples here so `wifictl perf
-/// regress` can read either artifact).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SamplePoint {
-    pub label: String,
-    pub events: u64,
-    pub wall_s: f64,
-    /// Peak RSS observed when the sample was taken, if available.
-    pub peak_rss_bytes: Option<u64>,
-    /// Cores the host offered ([`cores`]): a rate is only comparable to
-    /// one taken with as many, and a thread sweep that reads flat may
-    /// simply have had one.
-    pub cores: usize,
-}
-
-/// `available_parallelism`, 1 when the host will not say.
-pub fn cores() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-impl SamplePoint {
-    /// The sample object shared by the `--perf` fragment and the
-    /// sidecar's `samples` list (events/sec is derived here).
-    pub fn write_json(&self, o: &mut String) {
-        let rate = if self.wall_s > 0.0 {
-            self.events as f64 / self.wall_s
-        } else {
-            0.0
-        };
-        o.push_str("{ \"label\": ");
-        write_str(o, &self.label);
-        let _ = write!(
-            o,
-            ", \"events\": {}, \"wall_s\": {}, \"events_per_s\": {}, \"peak_rss_bytes\": {}, \"cores\": {} }}",
-            self.events,
-            f64_display_or_null(self.wall_s),
-            f64_display_or_null(rate),
-            opt_u64(self.peak_rss_bytes),
-            self.cores
-        );
-    }
-}
-
 /// Everything the profiler knows, cloned out of the global state.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunProfile {
@@ -343,8 +205,6 @@ pub struct RunProfile {
     pub watermarks: BTreeMap<String, u64>,
     /// Wall-clock stage profile (see [`span`]).
     pub stages: BTreeMap<String, StageStat>,
-    /// Allocation counters (see [`CountingAlloc`]).
-    pub alloc: AllocStats,
     /// Kernel RSS high-watermark at snapshot time.
     pub peak_rss_bytes: Option<u64>,
 }
@@ -355,7 +215,6 @@ pub fn snapshot() -> RunProfile {
     RunProfile {
         watermarks: st.watermarks.clone(),
         stages: st.stages.clone(),
-        alloc: alloc_stats(),
         peak_rss_bytes: peak_rss_bytes(),
     }
 }
@@ -367,7 +226,7 @@ impl RunProfile {
     /// across double runs of the same binary (CI enforces it via
     /// `wifictl perf diff`); everything under `wall_clock` is host
     /// measurement and must never be byte-compared.
-    pub fn to_json(&self, bench: &str, samples: &[SamplePoint]) -> String {
+    pub fn to_json(&self, bench: &str) -> String {
         let mut o = String::with_capacity(1024);
         o.push_str("{\n  \"bench\": ");
         write_str(&mut o, bench);
@@ -398,26 +257,9 @@ impl RunProfile {
         }
         let _ = write!(
             o,
-            "],\n    \"alloc\": {{ \"installed\": {}, \"allocs\": {}, \"frees\": {}, \"live_bytes\": {}, \"peak_bytes\": {} }},\n",
-            self.alloc.installed,
-            self.alloc.allocs,
-            self.alloc.frees,
-            self.alloc.live_bytes,
-            self.alloc.peak_bytes
-        );
-        let _ = write!(
-            o,
-            "    \"peak_rss_bytes\": {},\n    \"samples\": [",
+            "],\n    \"peak_rss_bytes\": {}\n  }}\n}}\n",
             opt_u64(self.peak_rss_bytes)
         );
-        for (i, s) in samples.iter().enumerate() {
-            o.push_str(if i == 0 { "\n      " } else { ",\n      " });
-            s.write_json(&mut o);
-        }
-        if !samples.is_empty() {
-            o.push_str("\n    ");
-        }
-        o.push_str("]\n  }\n}\n");
         o
     }
 }
@@ -515,15 +357,8 @@ mod tests {
                 max_ns: 60,
             },
         );
-        let samples = [SamplePoint {
-            label: "fig".into(),
-            events: 10,
-            wall_s: 2.0,
-            peak_rss_bytes: None,
-            cores: 2,
-        }];
-        let a = prof.to_json("fig", &samples);
-        let b = prof.to_json("fig", &samples);
+        let a = prof.to_json("fig");
+        let b = prof.to_json("fig");
         assert_eq!(a, b, "identical state must serialize identically");
         // Deterministic section precedes (and never contains) the
         // wall-clock fields.
@@ -532,46 +367,18 @@ mod tests {
         assert!(det < wall);
         assert!(a[det..wall].contains("sim.queue.depth_peak"));
         assert!(!a[det..wall].contains("total_ns"));
-        assert!(a.contains("\"events_per_s\": 5"));
-        assert!(a.contains("\"peak_rss_bytes\": null, \"cores\": 2 }"));
-        assert!(a.contains("\"peak_rss_bytes\": 2048"));
         assert!(a.contains("never byte-compare"));
+        assert!(
+            a.ends_with("    ],\n    \"peak_rss_bytes\": 2048\n  }\n}\n"),
+            "{a}"
+        );
     }
 
     #[test]
     fn empty_profile_serializes_cleanly() {
         let p = RunProfile::default();
-        let j = p.to_json("empty", &[]);
+        let j = p.to_json("empty");
         assert!(j.contains("\"watermarks\": {}"));
-        assert!(j.contains("\"stages\": []"));
-        assert!(j.contains("\"samples\": []"));
-        assert!(j.contains("\"peak_rss_bytes\": null"));
-    }
-
-    #[test]
-    fn alloc_stats_report_uninstalled_without_the_feature() {
-        // This test binary does not install CountingAlloc; the counters
-        // must read as "not installed" rather than inventing numbers.
-        let s = alloc_stats();
-        if s.allocs == 0 {
-            assert!(!s.installed);
-            assert_eq!(s.peak_bytes, 0);
-        }
-    }
-
-    #[test]
-    fn counting_alloc_bookkeeping_is_exact() {
-        // Exercise the counter arithmetic directly (installing a global
-        // allocator inside a test is not possible; the feature-gated
-        // bench build exercises the GlobalAlloc wiring itself).
-        let a0 = ALLOC_CALLS.load(Ordering::Relaxed);
-        let f0 = FREE_CALLS.load(Ordering::Relaxed);
-        CountingAlloc::on_alloc(1000);
-        CountingAlloc::on_alloc(24);
-        CountingAlloc::on_free(1000);
-        CountingAlloc::on_free(24);
-        assert_eq!(ALLOC_CALLS.load(Ordering::Relaxed) - a0, 2);
-        assert_eq!(FREE_CALLS.load(Ordering::Relaxed) - f0, 2);
-        assert!(PEAK_BYTES.load(Ordering::Relaxed) >= 1024);
+        assert!(j.contains("\"stages\": [],\n    \"peak_rss_bytes\": null\n"));
     }
 }

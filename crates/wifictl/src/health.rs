@@ -2,12 +2,12 @@
 //! `telemetry::health`.
 //!
 //! The health engine serializes each run's alert stream to canonical
-//! JSON: a [`HealthReport`] (`{"steps":…`) from a single testbed run,
-//! or a [`HealthRollup`] (`{"by_rule":…`) from a fleet run. This module
-//! is the reader side:
+//! JSON, a [`HealthReport`] (`{"steps":…`). Every bench binary's
+//! `--health` writes one; a fleet run's is every network's report merged
+//! under `net<id>.` prefixes. This module is the reader side:
 //!
-//! * `wifictl health summary <health.json>` — steps, score, alert counts
-//!   by rule and severity, and (for rollups) the worst-N networks;
+//! * `wifictl health summary <health.json>` — steps, score, and alert
+//!   counts by rule and severity;
 //! * `wifictl health alerts <health.json> [--rule <r>] [--network <n>]
 //!   [--severity <s>]` — filtered alert listing;
 //! * both take `--json` for a machine-readable rendering (one JSON
@@ -27,64 +27,20 @@ use crate::cli::{self, Args, Outcome};
 use crate::trace;
 use telemetry::flight::FlightDump;
 use telemetry::health::write_count_map;
-use telemetry::{Alert, HealthReport, HealthRollup};
-
-/// A parsed snapshot file — either kind, distinguished by the first
-/// JSON key (`to_json` pins the key order, so the prefix is reliable).
-#[derive(Debug, Clone)]
-pub enum Loaded {
-    Report(HealthReport),
-    Rollup(HealthRollup),
-}
-
-impl Loaded {
-    /// Parse either snapshot flavor from its canonical JSON.
-    pub fn from_json(text: &str) -> Result<Loaded, String> {
-        let t = text.trim_end();
-        if t.starts_with("{\"by_rule\":") {
-            HealthRollup::parse(t).map(Loaded::Rollup)
-        } else {
-            HealthReport::parse(t).map(Loaded::Report)
-        }
-    }
-
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Loaded::Report(_) => "report",
-            Loaded::Rollup(_) => "rollup",
-        }
-    }
-
-    /// The alert stream, whichever flavor holds it.
-    pub fn report(&self) -> &HealthReport {
-        match self {
-            Loaded::Report(r) => r,
-            Loaded::Rollup(r) => &r.report,
-        }
-    }
-
-    /// Canonical re-serialization (used by `diff`).
-    pub fn to_json(&self) -> String {
-        match self {
-            Loaded::Report(r) => r.to_json(),
-            Loaded::Rollup(r) => r.to_json(),
-        }
-    }
-}
+use telemetry::{Alert, HealthReport};
 
 // ---- JSON renderers -----------------------------------------------
 //
 // Built from the canonical snapshot grammar's own fragments
-// (`Alert::write_json`, `write_count_map`, `write_worst`), so the
-// listings are byte-stable for a given snapshot — ci.sh smoke-tests it.
+// (`Alert::write_json`, `write_count_map`), so the listings are
+// byte-stable for a given snapshot — ci.sh smoke-tests it.
 
-/// `summary` as one JSON object (`--json`).
-pub fn summary_json(loaded: &Loaded) -> String {
-    let r = loaded.report();
+/// `summary` as one JSON object (`--json`). `"kind":"report"` (and the
+/// text summary's `report:` prefix) is constant; it stays so scripts
+/// reading this output see the same object.
+pub fn summary_json(r: &HealthReport) -> String {
     let mut out = String::new();
-    out.push_str("{\"kind\":\"");
-    out.push_str(loaded.kind());
-    out.push_str("\",\"steps\":");
+    out.push_str("{\"kind\":\"report\",\"steps\":");
     out.push_str(&r.steps.to_string());
     out.push_str(",\"alerts\":");
     out.push_str(&r.alerts.len().to_string());
@@ -96,20 +52,16 @@ pub fn summary_json(loaded: &Loaded) -> String {
     write_count_map(&mut out, &r.counts_by_rule());
     out.push_str(",\"by_severity\":");
     write_count_map(&mut out, &r.counts_by_severity());
-    if let Loaded::Rollup(roll) = loaded {
-        out.push_str(",\"worst\":");
-        roll.write_worst(&mut out);
-    }
     out.push_str("}\n");
     out
 }
 
 /// `alerts` as one JSON object (`--json`), same filter semantics and
 /// canonical order as the text listing.
-pub fn alerts_json(loaded: &Loaded, filter: &AlertFilter) -> String {
+pub fn alerts_json(r: &HealthReport, filter: &AlertFilter) -> String {
     let mut out = String::from("{\"alerts\":[");
     let mut n = 0;
-    for a in &loaded.report().alerts {
+    for a in &r.alerts {
         if filter.accepts(a) {
             if n > 0 {
                 out.push(',');
@@ -144,13 +96,11 @@ fn alert_line(a: &Alert) -> String {
     )
 }
 
-/// Overview: steps, score, counts by rule/severity, worst networks.
-pub fn summary(loaded: &Loaded) -> String {
-    let r = loaded.report();
+/// Overview: steps, score, counts by rule and severity.
+pub fn summary(r: &HealthReport) -> String {
     let open = r.open().count();
     let mut out = format!(
-        "{}: {} detector steps, {} alerts ({} open), score {}\n",
-        loaded.kind(),
+        "report: {} detector steps, {} alerts ({} open), score {}\n",
         r.steps,
         r.alerts.len(),
         open,
@@ -167,12 +117,6 @@ pub fn summary(loaded: &Loaded) -> String {
     out.push_str("by severity:\n");
     for (sev, n) in r.counts_by_severity() {
         out.push_str(&format!("  {sev:<20} {n}\n"));
-    }
-    if let Loaded::Rollup(roll) = loaded {
-        out.push_str("worst networks:\n");
-        for (label, score) in &roll.worst {
-            out.push_str(&format!("  {label:<20} score {score}\n"));
-        }
     }
     out
 }
@@ -208,10 +152,10 @@ impl AlertFilter {
 }
 
 /// Alert listing, one line per alert, in canonical report order.
-pub fn alerts(loaded: &Loaded, filter: &AlertFilter) -> String {
+pub fn alerts(r: &HealthReport, filter: &AlertFilter) -> String {
     let mut out = String::new();
     let mut n = 0;
-    for a in &loaded.report().alerts {
+    for a in &r.alerts {
         if filter.accepts(a) {
             out.push_str(&alert_line(a));
             out.push('\n');
@@ -237,8 +181,7 @@ pub fn worst_alert(r: &HealthReport) -> Option<usize> {
 /// dump is supplied and the alert carries a causal link, the full
 /// `wifictl trace chain` for its flow is appended — the complete story from
 /// TCP segment to airtime for the transmission that tripped the rule.
-pub fn explain(loaded: &Loaded, idx: Option<usize>, dump: Option<&FlightDump>) -> String {
-    let r = loaded.report();
+pub fn explain(r: &HealthReport, idx: Option<usize>, dump: Option<&FlightDump>) -> String {
     let Some(idx) = idx.or_else(|| worst_alert(r)) else {
         return "no alerts\n".to_owned();
     };
@@ -263,15 +206,11 @@ pub fn explain(loaded: &Loaded, idx: Option<usize>, dump: Option<&FlightDump>) -
 
 /// Determinism triage. Returns the rendered report and whether the two
 /// snapshots are identical (the CLI exits non-zero when they are not).
-pub fn diff(a: &Loaded, b: &Loaded) -> (String, bool) {
-    if a.to_json() == b.to_json() {
+pub fn diff(ra: &HealthReport, rb: &HealthReport) -> (String, bool) {
+    if ra.to_json() == rb.to_json() {
         return ("snapshots are byte-identical\n".to_owned(), true);
     }
     let mut out = String::from("snapshots DIFFER\n");
-    let (ra, rb) = (a.report(), b.report());
-    if a.kind() != b.kind() {
-        out.push_str(&format!("kind: {} vs {}\n", a.kind(), b.kind()));
-    }
     if ra.steps != rb.steps {
         out.push_str(&format!("steps: {} vs {}\n", ra.steps, rb.steps));
     }
@@ -317,8 +256,8 @@ usage:
   wifictl health diff <a.json> <b.json>
 ";
 
-fn load(path: &str) -> Result<Loaded, String> {
-    Loaded::from_json(&cli::read_text(path)?).map_err(|e| format!("cannot parse {path}: {e}"))
+fn load(path: &str) -> Result<HealthReport, String> {
+    HealthReport::parse(&cli::read_text(path)?).map_err(|e| format!("cannot parse {path}: {e}"))
 }
 
 /// Dispatch `wifictl health <args>`.
@@ -331,11 +270,11 @@ pub fn run(args: &[String]) -> Outcome {
             let [path] = a.positional.as_slice() else {
                 return Err(USAGE.to_owned());
             };
-            let loaded = load(path)?;
+            let report = load(path)?;
             let out = if a.switch("--json") {
-                summary_json(&loaded)
+                summary_json(&report)
             } else {
-                summary(&loaded)
+                summary(&report)
             };
             Ok((out, 0))
         }
@@ -350,11 +289,11 @@ pub fn run(args: &[String]) -> Outcome {
                 network: a.value("--network").map(str::to_owned),
                 severity: a.value("--severity").map(str::to_owned),
             };
-            let loaded = load(path)?;
+            let report = load(path)?;
             let out = if a.switch("--json") {
-                alerts_json(&loaded, &filter)
+                alerts_json(&report, &filter)
             } else {
-                alerts(&loaded, &filter)
+                alerts(&report, &filter)
             };
             Ok((out, 0))
         }
@@ -392,7 +331,7 @@ mod tests {
     use sim::SimTime;
     use telemetry::flight::cause_for;
     use telemetry::health::RULE_AMPDU_COLLAPSE;
-    use telemetry::{CauseId, Severity};
+    use telemetry::{CauseId, HealthRollup, Severity};
 
     fn mk_alert(component: &str, rule: &str, sev: Severity, at_ms: u64) -> Alert {
         Alert {
@@ -421,29 +360,24 @@ mod tests {
         r
     }
 
-    fn mk_rollup() -> HealthRollup {
-        HealthRollup::rollup(
-            [
-                ("net0".to_owned(), &mk_report()),
-                ("net1".to_owned(), &HealthReport::default()),
-            ],
-            5,
-        )
+    /// Two networks merged the way `fleet_scale --health` writes them:
+    /// net0 holds [`mk_report`]'s two alerts, net1 one open warning
+    /// raised between them. Canonical order: net0.ap0, net1.ap0,
+    /// net0.ap1.
+    fn mk_fleet() -> HealthReport {
+        let net1 = HealthReport {
+            steps: 12,
+            alerts: vec![mk_alert("ap0", RULE_AMPDU_COLLAPSE, Severity::Warning, 150)],
+        };
+        let mut r = HealthReport::default();
+        r.absorb("net0", &mk_report());
+        r.absorb("net1", &net1);
+        r
     }
 
     #[test]
-    fn loaded_detects_both_snapshot_kinds() {
-        let rep = Loaded::from_json(&mk_report().to_json()).unwrap();
-        assert_eq!(rep.kind(), "report");
-        let roll = Loaded::from_json(&mk_rollup().to_json()).unwrap();
-        assert_eq!(roll.kind(), "rollup");
-        assert_eq!(roll.report().alerts.len(), 2);
-        assert!(Loaded::from_json("{nope}").is_err());
-    }
-
-    #[test]
-    fn summary_counts_rules_and_worst_networks() {
-        let s = summary(&Loaded::Report(mk_report()));
+    fn summary_counts_rules_and_severities() {
+        let s = summary(&mk_report());
         assert!(
             s.starts_with("report: 12 detector steps, 2 alerts (1 open), score 4"),
             "{s}"
@@ -451,70 +385,76 @@ mod tests {
         assert!(s.contains("ampdu-collapse       1"), "{s}");
         assert!(s.contains("critical             1"), "{s}");
 
-        let s = summary(&Loaded::Rollup(mk_rollup()));
-        assert!(s.starts_with("rollup:"), "{s}");
-        assert!(s.contains("worst networks:"), "{s}");
-        assert!(s.contains("net0                 score 4"), "{s}");
+        let s = summary(&mk_fleet());
+        assert!(
+            s.starts_with("report: 24 detector steps, 3 alerts (2 open), score 5"),
+            "{s}"
+        );
+        assert!(s.contains("ampdu-collapse       2"), "{s}");
+        assert!(s.contains("warning              2"), "{s}");
 
-        let quiet = summary(&Loaded::Report(HealthReport::default()));
+        let quiet = summary(&HealthReport::default());
         assert!(quiet.contains("no alerts"), "{quiet}");
     }
 
     #[test]
     fn alerts_filters_compose() {
-        let l = Loaded::Rollup(mk_rollup());
-        let all = alerts(&l, &AlertFilter::default());
-        assert!(all.contains("2 alerts matched"), "{all}");
+        let r = mk_fleet();
+        let matched = |f: AlertFilter| alerts(&r, &f);
+        let all = matched(AlertFilter::default());
+        assert!(all.contains("3 alerts matched"), "{all}");
         let f = AlertFilter {
             rule: Some(RULE_AMPDU_COLLAPSE.to_owned()),
             ..AlertFilter::default()
         };
-        assert!(alerts(&l, &f).contains("1 alerts matched"));
-        let f = AlertFilter {
-            network: Some("net0".to_owned()),
-            ..AlertFilter::default()
-        };
-        assert!(alerts(&l, &f).contains("2 alerts matched"));
-        let f = AlertFilter {
-            network: Some("net1".to_owned()),
-            ..AlertFilter::default()
-        };
-        assert!(alerts(&l, &f).contains("0 alerts matched"));
+        assert!(matched(f).contains("2 alerts matched"));
+        // `--network` is an exact name or a dotted prefix.
+        for (network, n) in [("net0", 2), ("net1", 1), ("net", 0), ("net0.ap1", 1)] {
+            let f = AlertFilter {
+                network: Some(network.to_owned()),
+                ..AlertFilter::default()
+            };
+            let out = matched(f);
+            assert!(
+                out.contains(&format!("{n} alerts matched")),
+                "{network}: {out}"
+            );
+        }
         let f = AlertFilter {
             severity: Some("critical".to_owned()),
             ..AlertFilter::default()
         };
-        assert!(alerts(&l, &f).contains("1 alerts matched"));
+        assert!(matched(f).contains("1 alerts matched"));
     }
 
     #[test]
     fn explain_picks_worst_and_resolves_chain() {
-        let l = Loaded::Report(mk_report());
-        // Worst = the critical alert (index 1 in canonical order).
-        assert_eq!(worst_alert(l.report()), Some(1));
-        let out = explain(&l, None, None);
-        assert!(out.contains("alert #1"), "{out}");
+        let r = mk_fleet();
+        // Worst = the critical alert (index 2 in canonical order).
+        assert_eq!(worst_alert(&r), Some(2));
+        let out = explain(&r, None, None);
+        assert!(out.contains("alert #2"), "{out}");
+        assert!(out.contains("net0.ap1"), "{out}");
         assert!(out.contains("rto-storm"), "{out}");
         assert!(out.contains("rerun with --trace"), "{out}");
 
         let dump = sample_dump();
-        let out = explain(&l, None, Some(&dump));
+        let out = explain(&r, None, Some(&dump));
         assert!(out.contains("causal chain (tracectl chain 3)"), "{out}");
         assert!(out.contains("chain complete"), "{out}");
 
-        // The warning has no causal link.
-        let out = explain(&l, Some(0), Some(&dump));
+        // The warnings have no causal link.
+        let out = explain(&r, Some(1), Some(&dump));
+        assert!(out.contains("net1.ap0"), "{out}");
         assert!(out.contains("no causal link recorded"), "{out}");
 
-        assert!(explain(&l, Some(9), None).contains("no alert #9"));
-        let empty = Loaded::Report(HealthReport::default());
-        assert_eq!(explain(&empty, None, None), "no alerts\n");
+        assert!(explain(&r, Some(9), None).contains("no alert #9 (report has 3)"));
+        assert_eq!(explain(&HealthReport::default(), None, None), "no alerts\n");
     }
 
     #[test]
     fn json_renderers_are_canonical_and_filterable() {
-        let l = Loaded::Report(mk_report());
-        let s = summary_json(&l);
+        let s = summary_json(&mk_report());
         assert!(
             s.starts_with("{\"kind\":\"report\",\"steps\":12,\"alerts\":2,\"open\":1,\"score\":4,"),
             "{s}"
@@ -524,21 +464,18 @@ mod tests {
             "{s}"
         );
         assert!(
-            s.contains("\"by_severity\":{\"critical\":1,\"warning\":1}"),
+            s.ends_with("\"by_severity\":{\"critical\":1,\"warning\":1}}\n"),
             "{s}"
         );
+
+        let fleet = mk_fleet();
+        let s = summary_json(&fleet);
         assert!(
-            !s.contains("\"worst\""),
-            "report summary has no worst list: {s}"
+            s.starts_with("{\"kind\":\"report\",\"steps\":24,\"alerts\":3,\"open\":2,\"score\":5,"),
+            "{s}"
         );
-        assert!(s.ends_with("}\n"), "{s}");
 
-        let roll = Loaded::Rollup(mk_rollup());
-        let s = summary_json(&roll);
-        assert!(s.contains("\"kind\":\"rollup\""), "{s}");
-        assert!(s.contains("\"worst\":[[\"net0\",4]]"), "{s}");
-
-        let a = alerts_json(&roll, &AlertFilter::default());
+        let a = alerts_json(&fleet, &AlertFilter::default());
         assert!(
             a.starts_with("{\"alerts\":[{\"component\":\"net0.ap0\","),
             "{a}"
@@ -547,37 +484,44 @@ mod tests {
         assert!(a.contains("\"flow\":3"), "{a}");
         assert!(a.contains("\"cleared_at_ns\":null"), "{a}");
         assert!(a.contains("\"value\":2.0,\"threshold\":1.8"), "{a}");
-        assert!(a.ends_with("],\"matched\":2}\n"), "{a}");
+        assert!(a.ends_with("],\"matched\":3}\n"), "{a}");
 
+        let f = AlertFilter {
+            network: Some("net1".to_owned()),
+            ..AlertFilter::default()
+        };
+        let a = alerts_json(&fleet, &f);
+        assert!(
+            a.starts_with("{\"alerts\":[{\"component\":\"net1.ap0\","),
+            "{a}"
+        );
+        assert!(a.ends_with("],\"matched\":1}\n"), "{a}");
         let f = AlertFilter {
             severity: Some("critical".to_owned()),
             ..AlertFilter::default()
         };
-        let a = alerts_json(&roll, &f);
+        let a = alerts_json(&fleet, &f);
         assert!(a.ends_with("],\"matched\":1}\n"), "{a}");
-        let none = alerts_json(
-            &Loaded::Report(HealthReport::default()),
-            &AlertFilter::default(),
-        );
+        let none = alerts_json(&HealthReport::default(), &AlertFilter::default());
         assert_eq!(none, "{\"alerts\":[],\"matched\":0}\n");
     }
 
     #[test]
     fn diff_reports_identity_and_divergence() {
-        let a = Loaded::Report(mk_report());
+        let a = mk_report();
         let (out, same) = diff(&a, &a.clone());
         assert!(same, "{out}");
 
         let mut other = mk_report();
         other.alerts[1].severity = Severity::Warning;
-        let (out, same) = diff(&a, &Loaded::Report(other));
+        let (out, same) = diff(&a, &other);
         assert!(!same);
         assert!(out.contains("snapshots DIFFER"), "{out}");
         assert!(out.contains("first divergence at alert 1"), "{out}");
 
         let mut fewer = mk_report();
         fewer.alerts.pop();
-        let (out, _) = diff(&a, &Loaded::Report(fewer));
+        let (out, _) = diff(&a, &fewer);
         assert!(out.contains("alerts: 2 vs 1"), "{out}");
         assert!(out.contains("rule rto-storm: 1 vs 0"), "{out}");
     }
@@ -590,12 +534,12 @@ mod tests {
         let dir = std::env::temp_dir().join("wifictl-health-test");
         std::fs::create_dir_all(&dir).unwrap();
         let p = dir.join("health.json");
-        std::fs::write(&p, mk_rollup().to_json()).unwrap();
+        std::fs::write(&p, mk_fleet().to_json()).unwrap();
         let path = p.to_string_lossy().to_string();
 
         let (out, code) = run(&["summary".to_owned(), path.clone()]).unwrap();
         assert_eq!(code, 0);
-        assert!(out.starts_with("rollup:"), "{out}");
+        assert!(out.starts_with("report:"), "{out}");
 
         let (out, code) = run(&[
             "alerts".to_owned(),
@@ -610,7 +554,7 @@ mod tests {
 
         let (out, code) = run(&["summary".to_owned(), path.clone(), "--json".to_owned()]).unwrap();
         assert_eq!(code, 0);
-        assert!(out.starts_with("{\"kind\":\"rollup\""), "{out}");
+        assert!(out.starts_with("{\"kind\":\"report\""), "{out}");
         let (out, code) = run(&["alerts".to_owned(), path.clone(), "--json".to_owned()]).unwrap();
         assert_eq!(code, 0);
         assert!(out.starts_with("{\"alerts\":["), "{out}");
@@ -638,6 +582,12 @@ mod tests {
         assert_eq!(code, 1);
         assert!(out.contains("snapshots DIFFER"), "{out}");
 
+        // A fleet rollup is not a `--health` file: nothing writes one.
+        let p3 = dir.join("rollup.json");
+        let rollup = HealthRollup::rollup([("net0".to_owned(), &mk_report())], 5);
+        std::fs::write(&p3, rollup.to_json()).unwrap();
+        let err = run(&["summary".to_owned(), p3.to_string_lossy().to_string()]).unwrap_err();
+        assert!(err.starts_with("cannot parse "), "{err}");
         assert!(run(&["summary".to_owned(), "/nonexistent.json".to_owned()]).is_err());
     }
 }

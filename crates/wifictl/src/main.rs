@@ -1,7 +1,7 @@
 //! `wifictl` — the one inspection CLI over the run artifacts:
 //!
 //! * `wifictl trace …` — `FLT1` flight-recorder dumps ([`trace`]);
-//! * `wifictl health …` — health reports and rollups ([`health`]);
+//! * `wifictl health …` — health reports ([`health`]);
 //! * `wifictl perf …` — run profiles and the perf baseline ([`perf`]);
 //! * `wifictl time …` — `TSL1` timeline dumps ([`time`]).
 //!

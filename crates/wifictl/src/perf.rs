@@ -2,11 +2,12 @@
 //!
 //! The write side lives in `telemetry::runprof` (the `--runprof`
 //! sidecar every bench binary can emit) and in the bench harness's
-//! `--perf` fragments merged into `BENCH_simperf.json`. This module is
-//! the reader side, over `telemetry::json` values:
+//! `--perf` fragments merged into `BENCH_simperf.json` — the one
+//! throughput artifact. This module is the reader side, over
+//! `telemetry::json` values:
 //!
 //! * `wifictl perf summary <runprof.json>` — watermarks, stage wall
-//!   times, allocation counters, peak RSS, and throughput samples;
+//!   times and peak RSS;
 //! * `wifictl perf diff <a.json> <b.json>` — determinism triage: the
 //!   `deterministic` sections must match structurally (exit 1 naming
 //!   the first diverging path otherwise); wall-clock sections are
@@ -15,8 +16,9 @@
 //!   [--tolerance 30%]` — the CI perf gate: every throughput label
 //!   present in both current and baseline must stay above
 //!   `(1 − tolerance) × baseline` events/sec. Multiple current files
-//!   fold best-per-label (best-of-N runs); accepts `--perf` fragments,
-//!   merged `BENCH_simperf.json` files, and `--runprof` sidecars. With
+//!   fold best-per-label (best-of-N runs); accepts `--perf` fragments
+//!   and merged `BENCH_simperf.json` files (a sidecar holds no samples
+//!   and is refused with "no samples found"). With
 //!   `--strict`, baseline labels the current run did not measure fail
 //!   the gate instead of printing "(not measured)" and passing — the
 //!   full-grid invocation in `scripts/run_experiments.sh` uses it so a
@@ -38,7 +40,6 @@ use telemetry::json::Value;
 pub struct Sample {
     pub label: String,
     pub events_per_s: f64,
-    pub peak_rss_bytes: Option<u64>,
 }
 
 fn samples_from_list(list: &[Value], out: &mut Vec<Sample>) {
@@ -52,27 +53,17 @@ fn samples_from_list(list: &[Value], out: &mut Vec<Sample>) {
         out.push(Sample {
             label: label.to_owned(),
             events_per_s: rate,
-            peak_rss_bytes: s
-                .get("peak_rss_bytes")
-                .and_then(Value::as_f64)
-                .map(|b| b as u64),
         });
     }
 }
 
-/// Pull throughput samples out of any perf artifact this workspace
-/// writes: a `--perf` fragment (`samples` at top level), a merged
-/// `BENCH_simperf.json` (`benches[*].samples`), or a `--runprof`
-/// sidecar (`wall_clock.samples`).
+/// Pull throughput samples out of either shape of the throughput
+/// artifact: a `--perf` fragment (`samples` at top level) or a merged
+/// `BENCH_simperf.json` (`benches[*].samples`).
 pub fn extract_samples(doc: &Value) -> Vec<Sample> {
     let mut out = Vec::new();
     if let Some(list) = doc.get("samples").and_then(Value::as_arr) {
         samples_from_list(list, &mut out);
-    }
-    if let Some(wc) = doc.get("wall_clock") {
-        if let Some(list) = wc.get("samples").and_then(Value::as_arr) {
-            samples_from_list(list, &mut out);
-        }
     }
     if let Some(benches) = doc.get("benches").and_then(Value::as_arr) {
         for b in benches {
@@ -167,43 +158,12 @@ pub fn summary(doc: &Value) -> Result<String, String> {
             );
         }
     }
-    if let Some(alloc) = wc.get("alloc") {
-        let installed = matches!(alloc.get("installed"), Some(Value::Bool(true)));
-        if installed {
-            let g = |k: &str| alloc.get(k).and_then(Value::as_f64).unwrap_or(0.0) as u64;
-            let _ = writeln!(
-                out,
-                "alloc: {} allocs, {} frees, live {}, peak {}",
-                g("allocs"),
-                g("frees"),
-                fmt_bytes(g("live_bytes")),
-                fmt_bytes(g("peak_bytes"))
-            );
-        } else {
-            let _ = writeln!(
-                out,
-                "alloc: not counted (build with --features bench/alloc-count)"
-            );
-        }
-    }
     match wc.get("peak_rss_bytes") {
         Some(Value::Num(b)) => {
             let _ = writeln!(out, "peak rss: {}", fmt_bytes(*b as u64));
         }
         _ => {
             let _ = writeln!(out, "peak rss: unavailable");
-        }
-    }
-    let samples = extract_samples(doc);
-    if !samples.is_empty() {
-        let _ = writeln!(out, "samples ({}):", samples.len());
-        for s in &samples {
-            let rss = s.peak_rss_bytes.map_or("-".to_owned(), fmt_bytes);
-            let _ = writeln!(
-                out,
-                "  {:<28} {:>14.0} events/s  rss {}",
-                s.label, s.events_per_s, rss
-            );
         }
     }
     Ok(out)
@@ -518,18 +478,14 @@ mod tests {
       { "stage": "fig18.run", "calls": 1, "total_ns": 2000000000, "min_ns": 2000000000, "max_ns": 2000000000 },
       { "stage": "testbed.run", "calls": 3, "total_ns": 1800000000, "min_ns": 500000000, "max_ns": 700000000 }
     ],
-    "alloc": { "installed": true, "allocs": 1000, "frees": 900, "live_bytes": 4096, "peak_bytes": 1048576 },
-    "peak_rss_bytes": 104857600,
-    "samples": [
-      { "label": "fig18_multi_ap", "events": 1000000, "wall_s": 2, "events_per_s": 500000, "peak_rss_bytes": 104857600 }
-    ]
+    "peak_rss_bytes": 104857600
   }
 }
 "#;
 
     #[test]
     fn parses_every_artifact_shape() {
-        for (doc, want) in [(FRAGMENT, 1), (MERGED, 2), (RUNPROF, 1)] {
+        for (doc, want) in [(FRAGMENT, 1), (MERGED, 2), (RUNPROF, 0)] {
             let v = parse_json(doc).unwrap();
             assert_eq!(extract_samples(&v).len(), want);
         }
@@ -555,12 +511,17 @@ mod tests {
     fn summary_renders_all_sections() {
         let v = parse_json(RUNPROF).unwrap();
         let s = summary(&v).unwrap();
-        assert!(s.contains("run profile: fig18"), "{s}");
-        assert!(s.contains("sim.queue.depth_peak"), "{s}");
-        assert!(s.contains("fig18.run"), "{s}");
-        assert!(s.contains("peak rss: 100.0 MiB"), "{s}");
-        assert!(s.contains("1000 allocs"), "{s}");
-        assert!(s.contains("500000 events/s"), "{s}");
+        assert!(
+            s.starts_with("run profile: fig18\nwatermarks (2):\n"),
+            "{s}"
+        );
+        assert!(s.contains("  sim.queue.depth_peak         512\n"), "{s}");
+        assert!(s.contains("stages (2):\n"), "{s}");
+        assert!(
+            s.contains("  fig18.run                           1      2.000 s"),
+            "{s}"
+        );
+        assert!(s.ends_with("peak rss: 100.0 MiB\n"), "{s}");
         // Byte-stable: same input, same output.
         assert_eq!(s, summary(&v).unwrap());
     }
@@ -639,12 +600,10 @@ mod tests {
         let baseline = vec![Sample {
             label: "only_in_baseline".to_owned(),
             events_per_s: 100.0,
-            peak_rss_bytes: None,
         }];
         let current = vec![vec![Sample {
             label: "only_in_current".to_owned(),
             events_per_s: 100.0,
-            peak_rss_bytes: None,
         }]];
         assert!(regress(&current, &baseline, 0.30, false).is_err());
     }
@@ -681,5 +640,31 @@ mod tests {
         assert!(run(&[]).is_err());
         assert!(run(&["summary".to_owned()]).is_err());
         assert!(run(&["regress".to_owned(), "x.json".to_owned()]).is_err());
+    }
+
+    #[test]
+    fn regress_refuses_a_runprof_sidecar() {
+        let dir = std::env::temp_dir().join("wifictl-perf-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let (sidecar, fragment) = (dir.join("runprof.json"), dir.join("perf.json"));
+        std::fs::write(&sidecar, RUNPROF).unwrap();
+        std::fs::write(&fragment, FRAGMENT).unwrap();
+        let (sidecar, fragment) = (
+            sidecar.to_string_lossy().to_string(),
+            fragment.to_string_lossy().to_string(),
+        );
+        let regress = |current: &str, baseline: &str| {
+            run(&[
+                "regress".to_owned(),
+                current.to_owned(),
+                "--baseline".to_owned(),
+                baseline.to_owned(),
+            ])
+        };
+        assert_eq!(regress(&fragment, &fragment).unwrap().1, 0);
+        for (current, baseline) in [(&sidecar, &fragment), (&fragment, &sidecar)] {
+            let err = regress(current, baseline).unwrap_err();
+            assert_eq!(err, format!("{sidecar}: no samples found"));
+        }
     }
 }

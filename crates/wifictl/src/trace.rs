@@ -147,23 +147,7 @@ pub fn summary_json(dump: &FlightDump) -> String {
 /// Record listing filtered by component-name prefix and/or flow id.
 pub fn grep(dump: &FlightDump, component: Option<&str>, flow: Option<u64>) -> String {
     let mut out = String::new();
-    let mut lines: Vec<(&str, &FlightEvent)> = Vec::new();
-    for c in &dump.components {
-        if let Some(p) = component {
-            if !c.name.starts_with(p) {
-                continue;
-            }
-        }
-        for ev in &c.records {
-            if let Some(f) = flow {
-                if ev.flow() != Some(f) {
-                    continue;
-                }
-            }
-            lines.push((c.name.as_str(), ev));
-        }
-    }
-    lines.sort_by(|a, b| a.1.at.cmp(&b.1.at).then_with(|| a.0.cmp(b.0)));
+    let lines = dump.events(component, flow);
     for (name, ev) in &lines {
         out.push_str(&event_line(name, ev));
         out.push('\n');
@@ -299,6 +283,12 @@ pub fn diff(a: &FlightDump, b: &FlightDump) -> (String, bool) {
             out.push_str(&format!(
                 "component {}: dropped {} vs {}\n",
                 ca.name, ca.dropped, cb.dropped
+            ));
+        }
+        if ca.capacity != cb.capacity {
+            out.push_str(&format!(
+                "component {}: capacity {} vs {}\n",
+                ca.name, ca.capacity, cb.capacity
             ));
         }
     }
@@ -551,6 +541,21 @@ pub(crate) mod tests {
         extra.components.remove(0);
         let (out, _) = diff(&d, &extra);
         assert!(out.contains("only in first dump"), "{out}");
+    }
+
+    #[test]
+    fn diff_names_a_capacity_only_divergence() {
+        // Two runs that differ only in ring size and never wrap write the
+        // same records; the dump header's capacity is the one difference.
+        let d = sample();
+        let mut bigger = d.clone();
+        bigger.components[1].capacity = 32;
+        let (out, same) = diff(&d, &bigger);
+        assert!(!same);
+        assert_eq!(
+            out,
+            "dumps DIFFER\ncomponent fastack.synth: capacity 16 vs 32\n"
+        );
     }
 
     #[test]

@@ -52,6 +52,15 @@ if grep -rnE 'fn json_escape|fn json_string|0xcbf2_9ce4_8422_2325|fn put_varint'
   echo "wire-format helper defined outside telemetry::{codec,json}"; exit 1
 fi
 
+echo "=== no cargo feature but sanitize ==="
+# The test passes below build with no features and with `sanitize`; a
+# feature under any other name is code no gate compiles.
+features="$(awk '/^\[/ { in_features = ($0 == "[features]") }
+  in_features && /^[A-Za-z0-9_-]+[[:space:]]*=/ {
+    sub(/[[:space:]]*=.*/, ""); if ($0 != "sanitize") print FILENAME ": " $0 }' \
+  Cargo.toml crates/*/Cargo.toml)"
+[[ -z $features ]] || { echo "cargo features no gate builds:"; echo "$features"; exit 1; }
+
 echo "=== no god-files (testbed, health, timeline), taps cannot steer ==="
 # Three modules were one file each once and are layered pieces now: no
 # file of any may grow back past its limit. netsim::testbed is a
@@ -78,7 +87,7 @@ fi
 echo "=== less code (ROADMAP item 5's number may only go down) ==="
 # Raising the ceiling is a deliberate, reviewed edit of this line: say
 # in CHANGES.md what the new lines bought. Lower it when a PR deletes.
-loc_ceiling=39213
+loc_ceiling=38869
 loc="$(find crates src tests examples -name '*.rs' -print0 | xargs -0 cat | wc -l)"
 (( loc <= loc_ceiling )) \
   || { echo "workspace Rust is $loc lines, over the $loc_ceiling ceiling in scripts/ci.sh: delete something, or raise the ceiling on purpose and defend it in review"; exit 1; }

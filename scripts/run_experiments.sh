@@ -34,9 +34,10 @@ for exp in "${EXPERIMENTS[@]}"; do
 done
 
 # Experiments that double as wall-clock throughput benchmarks. Each
-# writes a per-binary `--perf` artifact plus a `--runprof` sidecar
-# (stage wall times, watermarks, peak RSS — see `wifictl perf summary`);
-# the `--perf` artifacts are merged into BENCH_simperf.json below.
+# writes a per-binary `--perf` artifact, the throughput samples merged
+# into BENCH_simperf.json below, plus a `--runprof` sidecar (stage wall
+# times, watermarks, peak RSS — see `wifictl perf summary`), which
+# holds no samples.
 # Perf numbers are host-dependent and never byte-compared — they exist
 # to catch order-of-magnitude regressions.
 PERF_EXPERIMENTS=(

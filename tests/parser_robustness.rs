@@ -1,20 +1,19 @@
 //! Hostile-input sweep over every artifact parser.
 //!
-//! One small fig15-style run with every sink on produces the six
-//! artifact kinds the stack writes (metrics JSON, health JSON, a
-//! `HealthRollup`, a `QoeRollup`, the `FLT1` flight dump, the `TSL1`
-//! timeline dump). Each is then fed back to its strict parser
-//! truncated, with single bits flipped, and — for the binary formats —
-//! with every kind of length field set to all-ones. A parser may answer
-//! `Ok` or `Err`; it may never panic, and it may never abort on an
-//! allocation sized by a hostile length (an abort kills this process,
-//! so merely finishing is the assertion).
+//! One small fig15-style run with every sink on produces the four
+//! artifact kinds the stack writes and reads back (metrics JSON, health
+//! JSON, the `FLT1` flight dump, the `TSL1` timeline dump). Each is
+//! then fed back to its parser truncated, with single bits flipped,
+//! and — for the binary formats — with every kind of length field set
+//! to all-ones. A parser may answer `Ok` or `Err`; it may never panic,
+//! and it may never abort on an allocation sized by a hostile length
+//! (an abort kills this process, so merely finishing is the assertion).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use wifi_core::netsim::testbed::InterfererFault;
 use wifi_core::prelude::*;
 use wifi_core::telemetry::codec::{put_varint, Reader};
-use wifi_core::telemetry::{json, FlightDump, HealthReport, HealthRollup};
+use wifi_core::telemetry::{json, FlightDump, HealthReport};
 
 /// ~256 evenly spaced offsets plus the first and last 64 bytes.
 fn offsets(len: usize) -> Vec<usize> {
@@ -225,41 +224,17 @@ fn every_parser_survives_truncation_bitflips_and_inflated_lengths() {
 
     let metrics = report.metrics.to_json();
     let health = report.health.to_json();
-    let quiet = HealthReport::default();
-    let health_rollup = HealthRollup::rollup(
-        [
-            ("net0".to_owned(), &report.health),
-            ("net1".to_owned(), &quiet),
-        ],
-        5,
-    )
-    .to_json();
-    let qoe_rollup = QoeRollup::rollup(
-        report
-            .qoe
-            .iter()
-            .map(|c| (format!("client{}", c.client), c.score(), &report.health)),
-        8,
-    )
-    .to_json();
     let flight = report.flight.to_bytes();
     let timeline = report.timeline.as_ref().expect("sampled").to_bytes();
 
     // Untouched bytes round-trip byte-identically.
     assert!(json::parse(&metrics).is_ok());
     assert_eq!(HealthReport::parse(&health).unwrap().to_json(), health);
-    assert_eq!(
-        HealthRollup::parse(&health_rollup).unwrap().to_json(),
-        health_rollup
-    );
-    assert_eq!(QoeRollup::parse(&qoe_rollup).unwrap().to_json(), qoe_rollup);
     assert_eq!(FlightDump::parse(&flight).unwrap().to_bytes(), flight);
     assert_eq!(Timeline::parse(&timeline).unwrap().to_bytes(), timeline);
 
     sweep_text("metrics json", &metrics, json::parse);
     sweep_text("health json", &health, HealthReport::parse);
-    sweep_text("health rollup", &health_rollup, HealthRollup::parse);
-    sweep_text("qoe rollup", &qoe_rollup, QoeRollup::parse);
     sweep("FLT1", &flight, FlightDump::parse);
     sweep("TSL1", &timeline, |b| {
         Timeline::parse(b).map(|tl| query_all(&tl))

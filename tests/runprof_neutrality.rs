@@ -67,7 +67,7 @@ fn profiler_on_off_produces_identical_artifacts() {
         "profiled pass recorded no queue-depth watermark"
     );
     let det = |p: &runprof::RunProfile| {
-        let json = p.to_json("neutrality", &[]);
+        let json = p.to_json("neutrality");
         let (head, _) = json
             .split_once("\"wall_clock\"")
             .expect("sidecar has a wall_clock section");
