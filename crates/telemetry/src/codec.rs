@@ -1,8 +1,9 @@
-//! The one binary codec: a bounds-checked little-endian [`Reader`],
-//! LEB128 varints with zigzag, and the [`Fnv1a`] fold. `FLT1` flight
-//! dumps and `TSL1` timeline dumps are framed with these and nothing
-//! else; every parser built on [`Reader`] returns `Err` on hostile
-//! bytes instead of panicking or over-allocating.
+//! The one binary codec, both directions: a bounds-checked little-endian
+//! [`Reader`] and the `put_*` writers it inverts, LEB128 varints with
+//! zigzag, enum tag tables (`Row`) and the [`Fnv1a`] fold. `FLT1` and
+//! `TSL1` dumps are framed with these and nothing else; every parser
+//! built on [`Reader`] returns `Err` on hostile bytes instead of
+//! panicking or over-allocating, and accepts only what the writers emit.
 
 /// Cursor over untrusted little-endian bytes.
 #[derive(Debug, Clone)]
@@ -63,7 +64,18 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.array()?))
     }
 
-    /// LEB128 unsigned varint (the inverse of [`put_varint`]).
+    /// A bool byte: `0` or `1`, nothing else.
+    #[inline]
+    pub(crate) fn bool(&mut self) -> Result<bool, String> {
+        match self.u8()? {
+            b @ (0 | 1) => Ok(b == 1),
+            b => Err(format!("bool byte {b} at offset {}", self.off - 1)),
+        }
+    }
+
+    /// LEB128 unsigned varint (the inverse of [`put_varint`]). Only the
+    /// minimal encoding is accepted: a final `0x00` after a continuation
+    /// byte spells a value a shorter encoding already spells.
     #[inline]
     pub fn varint(&mut self) -> Result<u64, String> {
         let mut v: u64 = 0;
@@ -72,6 +84,9 @@ impl<'a> Reader<'a> {
             let b = self.u8()?;
             if shift >= 64 || (shift == 63 && b > 1) {
                 return Err(format!("varint overflow at offset {}", self.off));
+            }
+            if b == 0 && shift > 0 {
+                return Err(format!("non-minimal varint at offset {}", self.off - 1));
             }
             v |= u64::from(b & 0x7f) << shift;
             if b & 0x80 == 0 {
@@ -118,11 +133,45 @@ impl<'a> Reader<'a> {
     }
 }
 
+#[inline]
+pub(crate) fn put_u16(out: &mut Vec<u8>, v: u16) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+#[inline]
+pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+#[inline]
+pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// A `u32` element count; more than `u32::MAX` is a bug in the caller.
+pub(crate) fn put_count(out: &mut Vec<u8>, n: impl TryInto<u32>, what: &str) {
+    let n = n.try_into().unwrap_or_else(|_| panic!("{what} fits u32"));
+    put_u32(out, n);
+}
+
+/// A block behind an `N`-byte length prefix (`FLT1` records: 2, `TSL1`
+/// series payloads: 4): `body` writes straight into `out`, then the
+/// prefix is patched. A block too long for its prefix is a bug.
+#[inline]
+pub(crate) fn put_block<const N: usize>(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
+    let at = out.len();
+    out.extend_from_slice(&[0; N]);
+    body(out);
+    let len = (out.len() - at - N).to_le_bytes();
+    assert!(len[N..].iter().all(|&b| b == 0), "block fits its prefix");
+    out[at..at + N].copy_from_slice(&len[..N]);
+}
+
 /// `u16` length, then the UTF-8 bytes. Names are static dotted paths;
 /// one over 64 KiB is a bug in the caller.
 pub fn put_name(out: &mut Vec<u8>, name: &str) {
     let len = u16::try_from(name.len()).expect("name length fits u16");
-    out.extend_from_slice(&len.to_le_bytes());
+    put_u16(out, len);
     out.extend_from_slice(name.as_bytes());
 }
 
@@ -146,6 +195,22 @@ pub fn unzigzag(z: u64) -> i64 {
     let half = i64::from_le_bytes((z >> 1).to_le_bytes());
     let sign = -i64::from_le_bytes((z & 1).to_le_bytes());
     half ^ sign
+}
+
+/// `(variant, tag byte, label)`, one row per variant of an enum a dump
+/// carries: the only place either mapping is written.
+pub(crate) type Row<T> = (T, u8, &'static str);
+
+/// `v`'s own row; a table missing a variant is a bug.
+pub(crate) fn row_of<T: Copy + PartialEq>(rows: &[Row<T>], v: T) -> Row<T> {
+    let row = rows.iter().find(|r| r.0 == v);
+    *row.expect("every variant has a row")
+}
+
+/// The variant a dump's `tag` byte names.
+pub(crate) fn from_tag<T: Copy>(rows: &[Row<T>], what: &str, tag: u8) -> Result<T, String> {
+    let variant = rows.iter().find(|r| r.1 == tag).map(|r| r.0);
+    variant.ok_or_else(|| format!("unknown {what} tag {tag}"))
 }
 
 /// Order-sensitive FNV-1a 64 accumulator: equality pins, not security.
@@ -201,7 +266,12 @@ mod tests {
 
     #[test]
     fn reader_reads_le_and_rejects_truncation() {
-        let bytes = [1u8, 2, 0, 3, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 9];
+        let mut bytes = vec![1];
+        put_u16(&mut bytes, 2);
+        put_u32(&mut bytes, 3);
+        put_u64(&mut bytes, 4);
+        bytes.push(9);
+        assert_eq!(bytes, [1, 2, 0, 3, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 9]);
         let mut r = Reader::new(&bytes);
         assert_eq!(r.u8(), Ok(1));
         assert_eq!(r.u16(), Ok(2));
@@ -258,6 +328,28 @@ mod tests {
         over.push(2);
         assert!(Reader::new(&over).varint().is_err());
         assert!(Reader::new(&[0x80]).varint().is_err(), "truncated");
+        // Overlong spellings of 5 and of 0: only the minimal one parses.
+        assert_eq!(Reader::new(&[0x05]).varint(), Ok(5));
+        for overlong in [&[0x85, 0x00][..], &[0x80, 0x00], &[0x85, 0x80, 0x00]] {
+            let e = Reader::new(overlong).varint().unwrap_err();
+            assert!(e.starts_with("non-minimal varint"), "{overlong:02x?}: {e}");
+        }
+    }
+
+    #[test]
+    fn bools_are_zero_or_one() {
+        let mut r = Reader::new(&[0, 1, 2]);
+        assert_eq!((r.bool(), r.bool()), (Ok(false), Ok(true)));
+        assert_eq!(r.bool(), Err("bool byte 2 at offset 2".to_owned()));
+    }
+
+    #[test]
+    #[should_panic(expected = "block fits its prefix")]
+    fn blocks_patch_their_prefix_and_refuse_to_overflow_it() {
+        let mut out = Vec::new();
+        put_block::<4>(&mut out, |b| put_u16(b, 7));
+        assert_eq!(out, [2, 0, 0, 0, 7, 0]);
+        put_block::<2>(&mut out, |b| b.extend([0; 1 << 16]));
     }
 
     #[test]

@@ -1,0 +1,315 @@
+use super::wire::MAGIC;
+use super::*;
+use crate::codec::put_name;
+use sim::SimDuration;
+
+fn seg(flow: u64, seq: u64) -> TraceRecord {
+    TraceRecord::TcpSeg {
+        flow,
+        seq,
+        len: 1460,
+        retransmit: false,
+    }
+}
+
+/// `n` segments of `flow` under `component`, one a microsecond.
+fn emit_segs(rec: &FlightRecorder, component: &'static str, flow: u64, n: u64) {
+    for i in 0..n {
+        let at = SimTime::from_micros(i);
+        rec.emit(component, at, cause_for(flow, i), seg(flow, i));
+    }
+}
+
+#[test]
+fn cause_packs_flow_and_seq() {
+    let c = cause_for(7, 1460);
+    assert_eq!(c.flow_hint(), 7);
+    assert_eq!(c.seq_hint(), 1460);
+    assert_eq!(CauseId::NONE.flow_hint(), 0);
+}
+
+#[test]
+fn disabled_recorder_stores_nothing() {
+    let rec = FlightRecorder::new(0);
+    rec.emit("x", SimTime::ZERO, CauseId::NONE, seg(1, 0));
+    assert_eq!(rec.snapshot().total_records(), 0);
+    assert_eq!(rec.total_dropped(), 0);
+}
+
+#[test]
+fn ring_wraps_and_accounts_for_drops() {
+    let rec = FlightRecorder::new(4);
+    emit_segs(&rec, "tcp.wire", 1, 10);
+    let dump = rec.snapshot();
+    assert_eq!(dump.components.len(), 1);
+    let c = &dump.components[0];
+    assert_eq!(c.records.len(), 4);
+    assert_eq!(c.dropped, 6);
+    assert_eq!(rec.total_dropped(), 6);
+    // Last-N window, chronological: seqs 6..=9.
+    let seqs: Vec<u64> = c
+        .records
+        .iter()
+        .map(|r| match r.record {
+            TraceRecord::TcpSeg { seq, .. } => seq,
+            _ => unreachable!(),
+        })
+        .collect();
+    assert_eq!(seqs, vec![6, 7, 8, 9]);
+}
+
+#[test]
+fn take_moves_out_what_snapshot_copies() {
+    // One ring wrapped mid-buffer, one exactly full, one part-full,
+    // emitted in unsorted component order.
+    let rec = FlightRecorder::new(4);
+    emit_segs(&rec, "tcp.wire", 1, 10);
+    emit_segs(&rec, "mac.tx", 2, 4);
+    rec.emit("air", SimTime::from_micros(3), CauseId::NONE, seg(3, 0));
+    let copied = rec.snapshot();
+    assert_eq!(rec.take(), copied);
+    assert_eq!(rec.snapshot(), FlightDump::default());
+    assert_eq!(rec.total_dropped(), 0);
+    // Still a recorder of the same capacity.
+    emit_segs(&rec, "air", 3, 6);
+    assert_eq!(rec.take().components[0].dropped, 2);
+}
+
+#[test]
+fn ring_under_capacity_keeps_everything() {
+    let rec = FlightRecorder::new(100);
+    emit_segs(&rec, "c", 1, 5);
+    let dump = rec.snapshot();
+    assert_eq!(dump.components[0].records.len(), 5);
+    assert_eq!(dump.components[0].dropped, 0);
+}
+
+fn sample_dump() -> FlightDump {
+    let rec = FlightRecorder::new(64);
+    let t = SimTime::from_micros;
+    let c = cause_for(3, 1460);
+    rec.emit("tcp.wire", t(1), c, seg(3, 1460));
+    rec.emit(
+        "mac.ampdu",
+        t(2),
+        c,
+        TraceRecord::AmpduBuild {
+            flow: 3,
+            frames: 12,
+            bytes: 17520,
+        },
+    );
+    rec.emit(
+        "mac.tx",
+        t(3),
+        c,
+        TraceRecord::MacTx {
+            flow: 3,
+            seq: 1460,
+            delivered: true,
+        },
+    );
+    rec.emit(
+        "mac.back",
+        t(4),
+        c,
+        TraceRecord::BlockAck {
+            flow: 3,
+            acked: 12,
+            lost: 0,
+        },
+    );
+    rec.emit(
+        "air",
+        t(4),
+        c,
+        TraceRecord::AirtimeSpan {
+            kind: AirKind::ApTxop,
+            dur: SimDuration::from_micros(900),
+        },
+    );
+    rec.emit(
+        "fastack.synth",
+        t(5),
+        c,
+        TraceRecord::FastAckSynth {
+            flow: 3,
+            ack: 2920,
+            synthetic: true,
+        },
+    );
+    rec.emit(
+        "fleet.epoch",
+        t(6),
+        CauseId::NONE,
+        TraceRecord::FleetEpoch {
+            epoch: 0,
+            networks: 4,
+        },
+    );
+    let pc = cause_for(0x4000, 7);
+    let probe = |delay_ns| TraceRecord::QoeProbe {
+        flow: 0x4000,
+        seq: 7,
+        delay_ns,
+    };
+    rec.emit("qoe.tx", t(7), pc, probe(0));
+    rec.emit("qoe.rx", t(8), pc, probe(850_000));
+    rec.snapshot()
+}
+
+#[test]
+fn dump_roundtrips_through_bytes() {
+    let dump = sample_dump();
+    let bytes = dump.to_bytes();
+    let parsed = FlightDump::parse(&bytes).expect("parse");
+    assert_eq!(parsed, dump);
+    // Byte-stability: serialize → parse → serialize is identity.
+    assert_eq!(parsed.to_bytes(), bytes);
+}
+
+#[test]
+fn parse_rejects_corruption() {
+    let dump = sample_dump();
+    let bytes = dump.to_bytes();
+    assert!(FlightDump::parse(&bytes[..bytes.len() - 1]).is_err());
+    assert!(FlightDump::parse(b"NOPE").is_err());
+    let mut trailing = bytes.clone();
+    trailing.push(0);
+    assert!(FlightDump::parse(&trailing).is_err());
+    let mut bad_tag = bytes.clone();
+    // Flip the tag byte of the first record of the first component
+    // ("air": name at 8, fixed header 20, record prefix 2, at+cause 16).
+    let tag_off = 4 + 4 + 2 + 3 + 8 + 8 + 4 + 2 + 16;
+    bad_tag[tag_off] = 250;
+    assert!(FlightDump::parse(&bad_tag).is_err());
+    // A bool byte other than 0 or 1 would parse to a dump that writes
+    // back different bytes: `tcp.wire` is last, its `retransmit` the
+    // final byte.
+    let mut bad_bool = bytes;
+    *bad_bool.last_mut().unwrap() = 2;
+    let err = FlightDump::parse(&bad_bool).unwrap_err();
+    assert!(err.starts_with("bool byte 2"), "{err}");
+}
+
+#[test]
+fn parse_rejects_inflated_counts_without_allocating() {
+    // Component count: 4G components declared, zero bytes follow.
+    let mut hostile = b"FLT1".to_vec();
+    hostile.extend_from_slice(&u32::MAX.to_le_bytes());
+    assert!(FlightDump::parse(&hostile).is_err());
+    // A valid one-component header whose record count is all-ones.
+    let rec = FlightRecorder::new(4);
+    rec.emit("c", SimTime::ZERO, CauseId::NONE, seg(1, 0));
+    let mut bytes = rec.snapshot().to_bytes();
+    let count_off = 4 + 4 + 2 + 1 + 8 + 8;
+    assert_eq!(bytes[count_off..count_off + 4], 1u32.to_le_bytes());
+    bytes[count_off..count_off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    assert!(FlightDump::parse(&bytes).is_err());
+}
+
+#[test]
+fn parse_refuses_components_out_of_name_order_or_repeated() {
+    // Built by hand: `to_bytes` writes components in name order.
+    let dump = |names: [&str; 2]| {
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&2u32.to_le_bytes());
+        for name in names {
+            put_name(&mut bytes, name);
+            bytes.extend_from_slice(&[0; 8 + 8 + 4]); // capacity, dropped, no records
+        }
+        bytes
+    };
+    let ok = FlightDump::parse(&dump(["a", "b"])).unwrap();
+    assert_eq!(ok.to_bytes(), dump(["a", "b"]));
+    for names in [["b", "a"], ["a", "a"]] {
+        let err = FlightDump::parse(&dump(names)).unwrap_err();
+        assert_eq!(err, format!("component {} out of order", names[1]));
+    }
+}
+
+#[test]
+fn chain_spans_all_layers_time_ordered() {
+    let dump = sample_dump();
+    let chain = dump.chain(3);
+    let layers: Vec<&str> = chain.iter().map(|(_, ev)| ev.record.layer()).collect();
+    assert_eq!(
+        layers,
+        vec![
+            "tcp-seg",
+            "ampdu-build",
+            "mac-tx",
+            "airtime-span", // t=4, "air" sorts before "mac.back"
+            "block-ack",
+            "fastack-synth",
+        ]
+    );
+    // The airtime span has no flow field: it joined via cause hint.
+    assert!(chain.iter().any(|(c, _)| *c == "air"));
+    // Chains are per-flow.
+    assert!(dump.chain(99).is_empty());
+    assert_eq!(dump.flows(), vec![3, 0x4000]);
+    // The probe flow chains independently of the TCP flow.
+    let probe = dump.chain(0x4000);
+    let probe_layers: Vec<&str> = probe.iter().map(|(_, ev)| ev.record.layer()).collect();
+    assert_eq!(probe_layers, vec!["qoe-probe", "qoe-probe"]);
+    assert!(probe.windows(2).all(|w| w[0].1.at <= w[1].1.at));
+}
+
+#[test]
+fn absorb_prefixes_and_stays_sorted() {
+    let a = sample_dump();
+    let mut merged = FlightDump::default();
+    merged.absorb("base", &a);
+    merged.absorb("fast", &a);
+    let names: Vec<&str> = merged.components.iter().map(|c| c.name.as_str()).collect();
+    let mut sorted = names.clone();
+    sorted.sort_unstable();
+    assert_eq!(names, sorted);
+    assert!(names.contains(&"base.mac.tx") && names.contains(&"fast.mac.tx"));
+    assert_eq!(merged.total_records(), 2 * a.total_records());
+    // Absorbing the same label twice merges time-ordered.
+    merged.absorb("fast", &a);
+    let c = merged
+        .components
+        .iter()
+        .find(|c| c.name == "fast.tcp.wire")
+        .unwrap();
+    assert_eq!(c.records.len(), 2);
+    assert!(c.records[0].at <= c.records[1].at);
+}
+
+#[test]
+fn empty_dump_roundtrips() {
+    let empty = FlightDump::default();
+    let bytes = empty.to_bytes();
+    assert_eq!(FlightDump::parse(&bytes).unwrap(), empty);
+}
+
+#[test]
+#[cfg(any(feature = "sanitize", debug_assertions))]
+#[should_panic(expected = "sim-sanitizer: flight-recorder post-mortem")]
+fn violation_dump_is_written_and_parses() {
+    // Arm the recorder, trip a violation, then — after catching the
+    // unwind — assert the post-mortem artifact exists and parses
+    // before re-raising the original panic for #[should_panic].
+    let rec = FlightRecorder::new(8);
+    emit_segs(&rec, "tcp.wire", 1, 20);
+    let path = std::env::temp_dir().join("imc-flight-violation-test.bin");
+    let _ = std::fs::remove_file(&path);
+    install_violation_dump(&rec, path.clone());
+
+    let err = std::panic::catch_unwind(|| {
+        sim::sanitize::check(false, "flight-recorder post-mortem");
+    })
+    .expect_err("the violation must panic");
+
+    let bytes = std::fs::read(&path).expect("violation dump must exist");
+    let dump = FlightDump::parse(&bytes).expect("violation dump must parse");
+    assert_eq!(dump.components.len(), 1);
+    assert_eq!(dump.components[0].records.len(), 8, "last-N window");
+    assert_eq!(dump.components[0].dropped, 12);
+    let _ = std::fs::remove_file(&path);
+
+    std::panic::resume_unwind(err);
+}

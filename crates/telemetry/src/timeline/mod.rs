@@ -11,8 +11,8 @@
 //! "Timeline" has the same map with its tests, and the `TSL1` layout):
 //!
 //! * this file — the config ([`TimelineConfig::validate`] refuses what
-//!   [`Timeline::new`] would assert on), [`SeriesKind`] and [`Agg`] with
-//!   their one tag / label row per variant;
+//!   [`Timeline::new`] would panic on), [`SeriesKind`] and [`Agg`] with
+//!   their one tag / label row per variant (a `codec` tag table);
 //! * `store` — one `Table` (ring header + series by column id) under
 //!   the raw ring and every tier, eviction, tier accumulators, `absorb`;
 //! * `sampler` — `sample` / `seal` and the staged f64 signals;
@@ -20,20 +20,12 @@
 //! * `query` — `range` / `last` / `downsample` and [`TableView`], the
 //!   one read accessor over the raw ring and the tiers.
 //!
-//! Three rules the sampler keeps:
-//!
-//! * **Nominal dense grid.** Tick `i` is at sim time `i * every` and
-//!   [`Timeline::sample`] must be called exactly there (the testbed and
-//!   fleet drive it from catch-up loops), so a series is `(start row,
-//!   values…)` with no per-sample timestamps and drift is a panic.
-//! * **The registry is read-only.** Sampling never schedules events,
-//!   draws randomness or writes a metric: every other artifact of a run
-//!   is byte-identical with a timeline on or off, and two identical
-//!   runs dump identical bytes (`scripts/ci.sh` `cmp`s both).
-//! * **The name index is off the steady path.** A tick costs one
-//!   string compare and indexed pushes per series; names are resolved
-//!   only for a path met for the first time, a query, `absorb`, `parse`
-//!   and the name-ordered walk of `to_bytes`.
+//! The sampler keeps three rules, stated in full in DESIGN.md: tick `i`
+//! is at sim time `i * every` exactly ([`Timeline::sample`] panics on
+//! drift), so series carry no timestamps; the registry is read-only, so
+//! every other artifact is byte-identical with a timeline on or off;
+//! and the name index is off the steady path — a tick costs one string
+//! compare and indexed pushes per series.
 //!
 //! ```
 //! use sim::{SimDuration, SimTime};
@@ -61,6 +53,7 @@ mod wire;
 pub use query::TableView;
 pub use sampler::StagedId;
 
+use crate::codec::{row_of, Row};
 use sim::SimDuration;
 
 /// What a series holds; fixed at the series' first sample.
@@ -85,10 +78,6 @@ pub enum Agg {
     Last,
 }
 
-/// `(variant, TSL1 tag, label)`, one row per variant: the only place
-/// either mapping is written.
-type Row<T> = (T, u8, &'static str);
-
 const KINDS: &[Row<SeriesKind>] = &[
     (SeriesKind::Counter, 0, "counter"),
     (SeriesKind::Gauge, 1, "gauge"),
@@ -104,40 +93,30 @@ const AGGS: &[Row<Agg>] = &[
     (Agg::Last, 5, "last"),
 ];
 
-fn row<T: Copy>(rows: &[Row<T>], want: impl Fn(&Row<T>) -> bool) -> Option<Row<T>> {
-    rows.iter().copied().find(want)
-}
-
-/// The variant a dump's `tag` byte names.
-fn from_tag<T: Copy>(rows: &[Row<T>], what: &str, tag: u8) -> Result<T, String> {
-    let variant = row(rows, |r| r.1 == tag).map(|r| r.0);
-    variant.ok_or_else(|| format!("unknown {what} tag {tag}"))
-}
-
 impl SeriesKind {
     fn tag(self) -> u8 {
-        row(KINDS, |r| r.0 == self).expect("every kind has a row").1
+        row_of(KINDS, self).1
     }
 
     /// Short human label (`wifictl time summary`).
     pub fn label(self) -> &'static str {
-        row(KINDS, |r| r.0 == self).expect("every kind has a row").2
+        row_of(KINDS, self).2
     }
 }
 
 impl Agg {
     fn tag(self) -> u8 {
-        row(AGGS, |r| r.0 == self).expect("every agg has a row").1
+        row_of(AGGS, self).1
     }
 
     /// Human label (`wifictl time summary` / `query --agg`).
     pub fn label(self) -> &'static str {
-        row(AGGS, |r| r.0 == self).expect("every agg has a row").2
+        row_of(AGGS, self).2
     }
 
     /// Parse an aggregation name (as printed by [`Agg::label`]).
     pub fn from_name(name: &str) -> Option<Agg> {
-        row(AGGS, |r| r.2 == name).map(|r| r.0)
+        AGGS.iter().find(|r| r.2 == name).map(|r| r.0)
     }
 }
 
@@ -185,8 +164,8 @@ impl TimelineConfig {
 
     /// The first `(field, nanoseconds, min, max)` out of range, if any:
     /// `every` is at least 1 ns and no tier's bucket is narrower than
-    /// `every`. Hosts call this from their own `validate`, so a config
-    /// that passes cannot trip [`Timeline::new`]'s asserts.
+    /// `every`. [`Timeline::new`] panics on the same check; hosts call
+    /// this from their own `validate` to refuse the config first.
     pub fn validate(&self) -> Result<(), (&'static str, f64, f64, f64)> {
         let floor = ("timeline.every", self.every, SimDuration::from_nanos(1));
         let buckets = self.tiers.iter().map(|t| t.bucket);
@@ -215,18 +194,10 @@ pub struct Timeline {
 }
 
 impl Timeline {
+    /// Panics on a config [`TimelineConfig::validate`] refuses.
     pub fn new(cfg: &TimelineConfig) -> Timeline {
-        assert!(
-            cfg.every > SimDuration::ZERO,
-            "sampling interval must be > 0"
-        );
-        for t in &cfg.tiers {
-            assert!(
-                t.bucket >= cfg.every,
-                "tier bucket {} < sampling interval {}",
-                t.bucket,
-                cfg.every
-            );
+        if let Err((field, ns, min, _)) = cfg.validate() {
+            panic!("{field} = {ns} ns is under the {min} ns minimum");
         }
         Timeline {
             store: store::Store::new(cfg),

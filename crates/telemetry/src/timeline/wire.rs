@@ -3,8 +3,10 @@
 //! little-endian; DESIGN.md §6 "Timeline" has the layout table.
 
 use super::store::{Series, Store, Table, Tier};
-use super::{from_tag, SeriesKind, Timeline, AGGS, KINDS};
-use crate::codec::{put_name, put_varint, unzigzag, zigzag, Reader};
+use super::{SeriesKind, Timeline, AGGS, KINDS};
+use crate::codec::{
+    from_tag, put_block, put_count, put_name, put_u64, put_varint, unzigzag, zigzag, Reader,
+};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Dump file magic: "TSL" + format version.
@@ -17,10 +19,6 @@ const MIN_SERIES_BYTES: usize = 2 + 1 + 8 + 4 + 4;
 /// series count.
 const MIN_TIER_BYTES: usize = 8 + 1 + 8 + 4 + 4;
 
-fn put_u32(out: &mut Vec<u8>, n: u64, what: &str) {
-    out.extend_from_slice(&u32::try_from(n).expect(what).to_le_bytes());
-}
-
 impl Timeline {
     /// Serialize to the deterministic `TSL1` dump. Only completed
     /// buckets are dumped — call [`Timeline::seal`] first.
@@ -29,11 +27,11 @@ impl Timeline {
         let Store { index, raw, tiers } = &self.store;
         let mut out = Vec::with_capacity(256);
         out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&raw.step_ns.to_le_bytes());
+        put_u64(&mut out, raw.step_ns);
         put_table(&mut out, index, raw, true);
-        put_u32(&mut out, tiers.len() as u64, "tier count");
+        put_count(&mut out, tiers.len(), "tier count");
         for t in tiers {
-            out.extend_from_slice(&t.table.step_ns.to_le_bytes());
+            put_u64(&mut out, t.table.step_ns);
             out.push(t.agg.tag());
             put_table(&mut out, index, &t.table, false);
         }
@@ -91,15 +89,15 @@ impl Timeline {
 /// order. `cols` is indexed by column id; columns with no series in
 /// this table are skipped.
 fn put_table(out: &mut Vec<u8>, index: &BTreeMap<String, usize>, t: &Table, stamps: bool) {
-    out.extend_from_slice(&t.base.to_le_bytes());
-    put_u32(out, t.len, "row count");
+    put_u64(out, t.base);
+    put_count(out, t.len, "row count");
     if stamps && t.len > 0 {
-        out.extend_from_slice(&(t.base * t.step_ns).to_le_bytes());
+        put_u64(out, t.base * t.step_ns);
         for _ in 1..t.len {
             put_varint(out, t.step_ns);
         }
     }
-    put_u32(out, t.cols.iter().flatten().count() as u64, "series count");
+    put_count(out, t.cols.iter().flatten().count(), "series count");
     for (name, &col) in index {
         if let Some(s) = &t.cols[col] {
             put_series(out, name, s);
@@ -107,34 +105,32 @@ fn put_table(out: &mut Vec<u8>, index: &BTreeMap<String, usize>, t: &Table, stam
     }
 }
 
-/// One series: header, then its values delta-encoded straight into
-/// `out`, the payload length patched in once it is known.
+/// One series: header, then its values delta-encoded as one
+/// length-prefixed payload.
 fn put_series(out: &mut Vec<u8>, name: &str, s: &Series) {
     put_name(out, name);
     out.push(s.kind.tag());
-    out.extend_from_slice(&s.start.to_le_bytes());
-    put_u32(out, s.vals.len() as u64, "value count");
-    let len_at = out.len();
-    out.extend_from_slice(&[0; 4]);
-    let mut prev: Option<u64> = None;
-    for &bits in &s.vals {
-        match (s.kind, prev) {
-            (SeriesKind::Counter, None) => put_varint(out, bits),
-            (SeriesKind::Counter, Some(p)) => put_varint(out, bits.wrapping_sub(p)),
-            (SeriesKind::Gauge, None) => put_varint(out, zigzag(bits.cast_signed())),
-            (SeriesKind::Gauge, Some(p)) => {
-                put_varint(
-                    out,
-                    zigzag(bits.cast_signed().wrapping_sub(p.cast_signed())),
-                );
+    put_u64(out, s.start);
+    put_count(out, s.vals.len(), "value count");
+    put_block::<4>(out, |out| {
+        let mut prev: Option<u64> = None;
+        for &bits in &s.vals {
+            match (s.kind, prev) {
+                (SeriesKind::Counter, None) => put_varint(out, bits),
+                (SeriesKind::Counter, Some(p)) => put_varint(out, bits.wrapping_sub(p)),
+                (SeriesKind::Gauge, None) => put_varint(out, zigzag(bits.cast_signed())),
+                (SeriesKind::Gauge, Some(p)) => {
+                    put_varint(
+                        out,
+                        zigzag(bits.cast_signed().wrapping_sub(p.cast_signed())),
+                    );
+                }
+                (SeriesKind::F64, None) => put_u64(out, bits),
+                (SeriesKind::F64, Some(p)) => put_varint(out, bits ^ p),
             }
-            (SeriesKind::F64, None) => out.extend_from_slice(&bits.to_le_bytes()),
-            (SeriesKind::F64, Some(p)) => put_varint(out, bits ^ p),
+            prev = Some(bits);
         }
-        prev = Some(bits);
-    }
-    let payload = u32::try_from(out.len() - len_at - 4).expect("payload length");
-    out[len_at..len_at + 4].copy_from_slice(&payload.to_le_bytes());
+    });
 }
 
 /// `count` grid points from index `first`, `step_ns` apart, must end on

@@ -71,11 +71,40 @@ pub fn read_text(path: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
 }
 
+const SAME_CONTENT: &str = "files DIFFER: they encode the same content differently\n";
+
+/// Every `diff` subcommand: `diff` reports on the two parses, but the
+/// identity verdict comes from the files' own bytes. A parser may accept
+/// a spelling its writer never produces, so two files that differ can
+/// parse equal; that is still exit 1, said in one line.
+pub fn diff_files<T>(
+    pa: &str,
+    pb: &str,
+    parse: impl Fn(&str, &[u8]) -> Result<T, String>,
+    diff: impl Fn(&T, &T) -> (String, bool),
+) -> Outcome {
+    let (ba, bb) = (read_bytes(pa)?, read_bytes(pb)?);
+    let (report, same) = diff(&parse(pa, &ba)?, &parse(pb, &bb)?);
+    Ok(match (ba == bb, same) {
+        (false, true) => (SAME_CONTENT.to_owned(), 1),
+        (identical, _) => (report, i32::from(!identical)),
+    })
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn argv(s: &[&str]) -> Vec<String> {
+    /// `bytes` written as `name` in a directory of the system temp dir
+    /// that only the test named `test` uses; returns the path.
+    pub(crate) fn temp_file(test: &str, name: &str, bytes: impl AsRef<[u8]>) -> String {
+        let dir = std::env::temp_dir().join(format!("wifictl-{test}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(name), bytes).unwrap();
+        dir.join(name).to_string_lossy().to_string()
+    }
+
+    pub(crate) fn argv(s: &[&str]) -> Vec<String> {
         s.iter().map(|a| (*a).to_owned()).collect()
     }
 

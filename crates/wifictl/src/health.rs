@@ -257,7 +257,13 @@ usage:
 ";
 
 fn load(path: &str) -> Result<HealthReport, String> {
-    HealthReport::parse(&cli::read_text(path)?).map_err(|e| format!("cannot parse {path}: {e}"))
+    parse(path, &cli::read_bytes(path)?)
+}
+
+fn parse(path: &str, bytes: &[u8]) -> Result<HealthReport, String> {
+    let text = std::str::from_utf8(bytes).map_err(|e| e.to_string());
+    text.and_then(HealthReport::parse)
+        .map_err(|e| format!("cannot parse {path}: {e}"))
 }
 
 /// Dispatch `wifictl health <args>`.
@@ -317,8 +323,7 @@ pub fn run(args: &[String]) -> Outcome {
             let [pa, pb] = a.positional.as_slice() else {
                 return Err(USAGE.to_owned());
             };
-            let (out, same) = diff(&load(pa)?, &load(pb)?);
-            Ok((out, i32::from(!same)))
+            cli::diff_files(pa, pb, parse, diff)
         }
         _ => Err(USAGE.to_owned()),
     }
@@ -327,6 +332,7 @@ pub fn run(args: &[String]) -> Outcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cli::tests::{argv, temp_file};
     use crate::trace::tests::sample as sample_dump;
     use sim::SimTime;
     use telemetry::flight::cause_for;
@@ -529,65 +535,67 @@ mod tests {
     #[test]
     fn run_dispatches_and_reports_usage() {
         assert!(run(&[]).is_err());
-        assert!(run(&["nonsense".to_owned()]).is_err());
+        assert!(run(&argv(&["nonsense"])).is_err());
 
-        let dir = std::env::temp_dir().join("wifictl-health-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let p = dir.join("health.json");
-        std::fs::write(&p, mk_fleet().to_json()).unwrap();
-        let path = p.to_string_lossy().to_string();
+        let path = temp_file("health-test", "health.json", mk_fleet().to_json());
 
-        let (out, code) = run(&["summary".to_owned(), path.clone()]).unwrap();
+        let (out, code) = run(&argv(&["summary", &path])).unwrap();
         assert_eq!(code, 0);
         assert!(out.starts_with("report:"), "{out}");
 
-        let (out, code) = run(&[
-            "alerts".to_owned(),
-            path.clone(),
-            "--rule".to_owned(),
-            RULE_AMPDU_COLLAPSE.to_owned(),
-            "--network=net0".to_owned(),
-        ])
+        let (out, code) = run(&argv(&[
+            "alerts",
+            &path,
+            "--rule",
+            RULE_AMPDU_COLLAPSE,
+            "--network=net0",
+        ]))
         .unwrap();
         assert_eq!(code, 0);
         assert!(out.contains("1 alerts matched"), "{out}");
 
-        let (out, code) = run(&["summary".to_owned(), path.clone(), "--json".to_owned()]).unwrap();
+        let (out, code) = run(&argv(&["summary", &path, "--json"])).unwrap();
         assert_eq!(code, 0);
         assert!(out.starts_with("{\"kind\":\"report\""), "{out}");
-        let (out, code) = run(&["alerts".to_owned(), path.clone(), "--json".to_owned()]).unwrap();
+        let (out, code) = run(&argv(&["alerts", &path, "--json"])).unwrap();
         assert_eq!(code, 0);
         assert!(out.starts_with("{\"alerts\":["), "{out}");
-        assert!(run(&["summary".to_owned(), path.clone(), "--bogus".to_owned()]).is_err());
+        assert!(run(&argv(&["summary", &path, "--bogus"])).is_err());
 
-        let dump_p = dir.join("dump.bin");
-        std::fs::write(&dump_p, sample_dump().to_bytes()).unwrap();
-        let (out, code) = run(&[
-            "explain".to_owned(),
-            path.clone(),
-            "--trace".to_owned(),
-            dump_p.to_string_lossy().to_string(),
-        ])
-        .unwrap();
+        let dump = temp_file("health-test", "dump.bin", sample_dump().to_bytes());
+        let (out, code) = run(&argv(&["explain", &path, "--trace", &dump])).unwrap();
         assert_eq!(code, 0);
         assert!(out.contains("chain complete"), "{out}");
 
-        let (_, code) = run(&["diff".to_owned(), path.clone(), path.clone()]).unwrap();
+        let (_, code) = run(&argv(&["diff", &path, &path])).unwrap();
         assert_eq!(code, 0);
 
-        let p2 = dir.join("other.json");
-        std::fs::write(&p2, mk_report().to_json()).unwrap();
-        let (out, code) =
-            run(&["diff".to_owned(), path, p2.to_string_lossy().to_string()]).unwrap();
+        let p2 = temp_file("health-test", "other.json", mk_report().to_json());
+        let (out, code) = run(&argv(&["diff", &path, &p2])).unwrap();
         assert_eq!(code, 1);
         assert!(out.contains("snapshots DIFFER"), "{out}");
 
         // A fleet rollup is not a `--health` file: nothing writes one.
-        let p3 = dir.join("rollup.json");
         let rollup = HealthRollup::rollup([("net0".to_owned(), &mk_report())], 5);
-        std::fs::write(&p3, rollup.to_json()).unwrap();
-        let err = run(&["summary".to_owned(), p3.to_string_lossy().to_string()]).unwrap_err();
+        let p3 = temp_file("health-test", "rollup.json", rollup.to_json());
+        let err = run(&argv(&["summary", &p3])).unwrap_err();
         assert!(err.starts_with("cannot parse "), "{err}");
-        assert!(run(&["summary".to_owned(), "/nonexistent.json".to_owned()]).is_err());
+        assert!(run(&argv(&["summary", "/nonexistent.json"])).is_err());
+    }
+
+    #[test]
+    fn diff_never_calls_two_different_files_identical() {
+        // `+012` parses as 12, but the writer spells it `12`.
+        let json = mk_report().to_json();
+        let padded = json.replacen("{\"steps\":12,", "{\"steps\":+012,", 1);
+        assert_ne!(padded, json);
+        let a = temp_file("health-padded", "a.json", json);
+        let b = temp_file("health-padded", "b.json", padded);
+        let (out, code) = run(&argv(&["diff", &a, &b])).unwrap();
+        assert_eq!(code, 1);
+        assert_eq!(
+            out,
+            "files DIFFER: they encode the same content differently\n"
+        );
     }
 }

@@ -442,6 +442,7 @@ pub fn run(args: &[String]) -> Outcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cli::tests::{argv, temp_file};
     use telemetry::json::parse as parse_json;
 
     const FRAGMENT: &str = r#"{
@@ -638,28 +639,16 @@ mod tests {
     #[test]
     fn cli_usage_errors_on_bad_invocations() {
         assert!(run(&[]).is_err());
-        assert!(run(&["summary".to_owned()]).is_err());
-        assert!(run(&["regress".to_owned(), "x.json".to_owned()]).is_err());
+        assert!(run(&argv(&["summary"])).is_err());
+        assert!(run(&argv(&["regress", "x.json"])).is_err());
     }
 
     #[test]
     fn regress_refuses_a_runprof_sidecar() {
-        let dir = std::env::temp_dir().join("wifictl-perf-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let (sidecar, fragment) = (dir.join("runprof.json"), dir.join("perf.json"));
-        std::fs::write(&sidecar, RUNPROF).unwrap();
-        std::fs::write(&fragment, FRAGMENT).unwrap();
-        let (sidecar, fragment) = (
-            sidecar.to_string_lossy().to_string(),
-            fragment.to_string_lossy().to_string(),
-        );
+        let sidecar = temp_file("perf-test", "runprof.json", RUNPROF);
+        let fragment = temp_file("perf-test", "perf.json", FRAGMENT);
         let regress = |current: &str, baseline: &str| {
-            run(&[
-                "regress".to_owned(),
-                current.to_owned(),
-                "--baseline".to_owned(),
-                baseline.to_owned(),
-            ])
+            run(&argv(&["regress", current, "--baseline", baseline]))
         };
         assert_eq!(regress(&fragment, &fragment).unwrap().1, 0);
         for (current, baseline) in [(&sidecar, &fragment), (&fragment, &sidecar)] {

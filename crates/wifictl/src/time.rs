@@ -280,7 +280,11 @@ usage:
 ";
 
 fn load(path: &str) -> Result<Timeline, String> {
-    Timeline::parse(&cli::read_bytes(path)?).map_err(|e| format!("cannot parse {path}: {e}"))
+    parse(path, &cli::read_bytes(path)?)
+}
+
+fn parse(path: &str, bytes: &[u8]) -> Result<Timeline, String> {
+    Timeline::parse(bytes).map_err(|e| format!("cannot parse {path}: {e}"))
 }
 
 fn ms(a: &Args, flag: &str) -> Result<Option<SimDuration>, String> {
@@ -359,10 +363,7 @@ pub fn run(args: &[String]) -> Outcome {
             }
             Ok((export_csv(&load(path)?, a.value("--series")), 0))
         }
-        (Some("diff"), [pa, pb]) => {
-            let (out, same) = diff(&load(pa)?, &load(pb)?);
-            Ok((out, i32::from(!same)))
-        }
+        (Some("diff"), [pa, pb]) => cli::diff_files(pa, pb, parse, diff),
         _ => Err(USAGE.to_owned()),
     }
 }
@@ -370,6 +371,7 @@ pub fn run(args: &[String]) -> Outcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cli::tests::{argv, temp_file};
     use telemetry::{Registry, TimelineConfig};
 
     /// 40 ticks at 100 ms: a counter ramp, a sawtooth gauge, and an f64
@@ -517,31 +519,26 @@ mod tests {
     #[test]
     fn run_dispatches_and_reports_usage() {
         assert!(run(&[]).is_err());
-        assert!(run(&["nonsense".to_owned()]).is_err());
+        assert!(run(&argv(&["nonsense"])).is_err());
 
-        let dir = std::env::temp_dir().join("wifictl-time-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let p = dir.join("dump.bin");
-        std::fs::write(&p, sample().to_bytes()).unwrap();
-        let path = p.to_string_lossy().to_string();
-        let own = |s: &str| s.to_owned();
+        let path = temp_file("time-test", "dump.bin", sample().to_bytes());
 
-        let (out, code) = run(&[own("summary"), path.clone()]).unwrap();
+        let (out, code) = run(&argv(&["summary", &path])).unwrap();
         assert_eq!(code, 0);
         assert!(out.contains("40 ticks retained"), "{out}");
 
-        let (out, code) = run(&[
-            own("query"),
-            path.clone(),
-            own("tcp.segments"),
-            own("--from=100"),
-            own("--to"),
-            own("300"),
-        ])
+        let (out, code) = run(&argv(&[
+            "query",
+            &path,
+            "tcp.segments",
+            "--from=100",
+            "--to",
+            "300",
+        ]))
         .unwrap();
         assert_eq!(code, 0);
         assert_eq!(out, "0.1 6\n0.2 9\n");
-        assert!(run(&[own("query"), path.clone(), own("nope")]).is_err());
+        assert!(run(&argv(&["query", &path, "nope"])).is_err());
         // --agg without --bucket is a usage error; so are a bucket of
         // no width and times the nanosecond clock cannot hold.
         for bad in [
@@ -550,47 +547,62 @@ mod tests {
             "--from=99999999999999999",
             "--bucket=99999999999999999",
         ] {
-            let err = run(&[own("query"), path.clone(), own("tcp.segments"), own(bad)]);
+            let err = run(&argv(&["query", &path, "tcp.segments", bad]));
             let msg = err.expect_err(bad);
             assert_eq!(msg.lines().count(), 1, "{msg}");
         }
         // The widest bucket the clock holds, off the origin: one bucket,
         // not an overflow past the end of time.
-        let (out, code) = run(&[
-            own("query"),
-            path.clone(),
-            own("tcp.segments"),
-            own("--from=100"),
-            own("--bucket=18446744073709"),
-            own("--agg=count"),
-        ])
+        let (out, code) = run(&argv(&[
+            "query",
+            &path,
+            "tcp.segments",
+            "--from=100",
+            "--bucket=18446744073709",
+            "--agg=count",
+        ]))
         .unwrap();
         assert_eq!((out.as_str(), code), ("0.1 39\n", 0));
 
-        let (out, code) = run(&[
-            own("plot"),
-            path.clone(),
-            own("tcp.flow0.cwnd_segments"),
-            own("--width=10"),
-        ])
+        let (out, code) = run(&argv(&[
+            "plot",
+            &path,
+            "tcp.flow0.cwnd_segments",
+            "--width=10",
+        ]))
         .unwrap();
         assert_eq!(code, 0);
         assert!(out.contains("40 samples"), "{out}");
 
-        let (out, code) = run(&[own("export"), path.clone(), own("--csv")]).unwrap();
+        let (out, code) = run(&argv(&["export", &path, "--csv"])).unwrap();
         assert_eq!(code, 0);
         assert!(out.starts_with("series,kind,t_ns,value\n"), "{out}");
-        assert!(run(&[own("export"), path.clone()]).is_err());
+        assert!(run(&argv(&["export", &path])).is_err());
 
-        let (_, code) = run(&[own("diff"), path.clone(), path.clone()]).unwrap();
+        let (_, code) = run(&argv(&["diff", &path, &path])).unwrap();
         assert_eq!(code, 0);
-        let p2 = dir.join("other.bin");
-        std::fs::write(&p2, build(1, None).to_bytes()).unwrap();
-        let (out, code) = run(&[own("diff"), path, p2.to_string_lossy().to_string()]).unwrap();
+        let p2 = temp_file("time-test", "other.bin", build(1, None).to_bytes());
+        let (out, code) = run(&argv(&["diff", &path, &p2])).unwrap();
         assert_eq!(code, 1);
         assert!(out.contains("dumps DIFFER"), "{out}");
 
         // Unreadable / unparsable files are errors, not panics.
-        assert!(run(&[own("summary"), own("/nonexistent.bin")]).is_err());
+        assert!(run(&argv(&["summary", "/nonexistent.bin"])).is_err());
+    }
+
+    #[test]
+    fn diff_never_calls_two_different_files_identical() {
+        // The first tick delta (a varint from byte 32) spelled one byte
+        // longer, with a final 0x00 after a continuation byte: the same
+        // value, but no writer produces it.
+        let bytes = sample().to_bytes();
+        let end = 32 + bytes[32..].iter().position(|&b| b < 0x80).unwrap();
+        let mut overlong = bytes[..end].to_vec();
+        overlong.extend([bytes[end] | 0x80, 0]);
+        overlong.extend(&bytes[end + 1..]);
+        let a = temp_file("time-overlong", "a.bin", bytes);
+        let b = temp_file("time-overlong", "b.bin", overlong);
+        let err = run(&argv(&["diff", &a, &b])).unwrap_err();
+        assert!(err.contains("non-minimal varint"), "{err}");
     }
 }

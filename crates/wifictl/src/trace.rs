@@ -64,6 +64,11 @@ fn event_line(component: &str, ev: &FlightEvent) -> String {
     )
 }
 
+/// The dump's flow ids, ascending, as text.
+fn flow_ids(dump: &FlightDump) -> Vec<String> {
+    dump.flows().iter().map(u64::to_string).collect()
+}
+
 /// Per-component overview: counts, capacity, wraparound drops, time
 /// range, and which flows appear in the dump.
 pub fn summary(dump: &FlightDump) -> String {
@@ -91,19 +96,13 @@ pub fn summary(dump: &FlightDump) -> String {
             c.dropped,
         ));
     }
-    let flows = dump.flows();
-    out.push_str(&format!(
-        "flows: {}\n",
-        if flows.is_empty() {
-            "(none)".to_owned()
-        } else {
-            flows
-                .iter()
-                .map(|f| f.to_string())
-                .collect::<Vec<_>>()
-                .join(" ")
-        }
-    ));
+    let flows = flow_ids(dump);
+    let flows = if flows.is_empty() {
+        "(none)".to_owned()
+    } else {
+        flows.join(" ")
+    };
+    out.push_str(&format!("flows: {flows}\n"));
     out
 }
 
@@ -133,13 +132,7 @@ pub fn summary_json(dump: &FlightDump) -> String {
         dump.total_records(),
         dump.total_dropped()
     ));
-    let flows = dump.flows();
-    for (i, f) in flows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&f.to_string());
-    }
+    out.push_str(&flow_ids(dump).join(","));
     out.push_str("]}\n");
     out
 }
@@ -244,14 +237,9 @@ pub fn diff(a: &FlightDump, b: &FlightDump) -> (String, bool) {
     let names =
         |d: &FlightDump| -> Vec<String> { d.components.iter().map(|c| c.name.clone()).collect() };
     let (na, nb) = (names(a), names(b));
-    for n in &na {
-        if !nb.contains(n) {
-            out.push_str(&format!("component {n}: only in first dump\n"));
-        }
-    }
-    for n in &nb {
-        if !na.contains(n) {
-            out.push_str(&format!("component {n}: only in second dump\n"));
+    for (mine, theirs, which) in [(&na, &nb, "first"), (&nb, &na, "second")] {
+        for n in mine.iter().filter(|n| !theirs.contains(n)) {
+            out.push_str(&format!("component {n}: only in {which} dump\n"));
         }
     }
     for ca in &a.components {
@@ -306,7 +294,11 @@ usage:
 ";
 
 pub fn load(path: &str) -> Result<FlightDump, String> {
-    FlightDump::parse(&cli::read_bytes(path)?).map_err(|e| format!("cannot parse {path}: {e}"))
+    parse(path, &cli::read_bytes(path)?)
+}
+
+fn parse(path: &str, bytes: &[u8]) -> Result<FlightDump, String> {
+    FlightDump::parse(bytes).map_err(|e| format!("cannot parse {path}: {e}"))
 }
 
 fn parse_flow(v: &str) -> Result<u64, String> {
@@ -359,8 +351,7 @@ pub fn run(args: &[String]) -> Outcome {
             let [pa, pb] = a.positional.as_slice() else {
                 return Err(USAGE.to_owned());
             };
-            let (out, same) = diff(&load(pa)?, &load(pb)?);
-            Ok((out, i32::from(!same)))
+            cli::diff_files(pa, pb, parse, diff)
         }
         _ => Err(USAGE.to_owned()),
     }
@@ -369,6 +360,7 @@ pub fn run(args: &[String]) -> Outcome {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::cli::tests::{argv, temp_file};
     use sim::{SimDuration, SimTime};
     use telemetry::flight::{cause_for, AirKind, CauseId, FlightRecorder, TraceRecord};
 
@@ -561,61 +553,54 @@ pub(crate) mod tests {
     #[test]
     fn run_dispatches_and_reports_usage() {
         assert!(run(&[]).is_err());
-        assert!(run(&["nonsense".to_owned()]).is_err());
+        assert!(run(&argv(&["nonsense"])).is_err());
 
-        let dir = std::env::temp_dir().join("wifictl-trace-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let p = dir.join("dump.bin");
-        std::fs::write(&p, sample().to_bytes()).unwrap();
-        let path = p.to_string_lossy().to_string();
+        let path = temp_file("trace-test", "dump.bin", sample().to_bytes());
 
-        let (out, code) = run(&["summary".to_owned(), path.clone()]).unwrap();
+        let (out, code) = run(&argv(&["summary", &path])).unwrap();
         assert_eq!(code, 0);
         assert!(out.contains("6 components"));
 
-        let (out, code) = run(&[
-            "grep".to_owned(),
-            path.clone(),
-            "--component".to_owned(),
-            "mac.".to_owned(),
-            "--flow=3".to_owned(),
-        ])
-        .unwrap();
+        let (out, code) = run(&argv(&["grep", &path, "--component", "mac.", "--flow=3"])).unwrap();
         assert_eq!(code, 0);
         assert!(out.contains("3 records matched"), "{out}");
 
-        let (out, code) = run(&["chain".to_owned(), path.clone(), "3".to_owned()]).unwrap();
+        let (out, code) = run(&argv(&["chain", &path, "3"])).unwrap();
         assert_eq!(code, 0);
         assert!(out.contains("chain complete"), "{out}");
 
         // --json variants of summary and chain.
-        let (out, code) = run(&["summary".to_owned(), path.clone(), "--json".to_owned()]).unwrap();
+        let (out, code) = run(&argv(&["summary", &path, "--json"])).unwrap();
         assert_eq!(code, 0);
         assert!(out.starts_with("{\"components\":["), "{out}");
-        let (out, code) = run(&[
-            "chain".to_owned(),
-            "--json".to_owned(),
-            path.clone(),
-            "3".to_owned(),
-        ])
-        .unwrap();
+        let (out, code) = run(&argv(&["chain", "--json", &path, "3"])).unwrap();
         assert_eq!(code, 0);
         assert!(out.contains("\"complete\":true"), "{out}");
-        assert!(run(&["chain".to_owned(), path.clone(), "--bogus".to_owned()]).is_err());
+        assert!(run(&argv(&["chain", &path, "--bogus"])).is_err());
 
-        let (_, code) = run(&["diff".to_owned(), path.clone(), path.clone()]).unwrap();
+        let (_, code) = run(&argv(&["diff", &path, &path])).unwrap();
         assert_eq!(code, 0);
 
-        let p2 = dir.join("other.bin");
         let mut other = sample();
         other.components[0].records.pop();
-        std::fs::write(&p2, other.to_bytes()).unwrap();
-        let (out, code) =
-            run(&["diff".to_owned(), path, p2.to_string_lossy().to_string()]).unwrap();
+        let p2 = temp_file("trace-test", "other.bin", other.to_bytes());
+        let (out, code) = run(&argv(&["diff", &path, &p2])).unwrap();
         assert_eq!(code, 1);
         assert!(out.contains("dumps DIFFER"), "{out}");
 
         // Unreadable / unparsable files are errors, not panics.
-        assert!(run(&["summary".to_owned(), "/nonexistent.bin".to_owned()]).is_err());
+        assert!(run(&argv(&["summary", "/nonexistent.bin"])).is_err());
+    }
+
+    #[test]
+    fn diff_never_calls_two_different_files_identical() {
+        // `tcp.wire` sorts last, so the file's final byte is its
+        // record's `retransmit` bool; 2 is no spelling the writer makes.
+        let mut odd = sample().to_bytes();
+        let a = temp_file("trace-odd-bool", "a.bin", &odd);
+        *odd.last_mut().unwrap() = 2;
+        let b = temp_file("trace-odd-bool", "b.bin", &odd);
+        let err = run(&argv(&["diff", &a, &b])).unwrap_err();
+        assert!(err.contains("bool byte 2"), "{err}");
     }
 }

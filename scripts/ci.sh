@@ -46,7 +46,7 @@ echo "=== one codec, one JSON (no re-grown wire-format helpers) ==="
 # Every wire format is lexed and escaped in telemetry::{codec,json}
 # (DESIGN.md §6). simcheck/speccheck stay zero-dependency linters and
 # the proptest shim is vendored, so they keep their own copies.
-if grep -rnE 'fn json_escape|fn json_string|0xcbf2_9ce4_8422_2325|fn put_varint' crates \
+if grep -rnE 'fn json_escape|fn json_string|0xcbf2_9ce4_8422_2325|fn put_varint|fn put_u16|fn put_u32|fn put_u64|fn from_tag' crates \
     --include='*.rs' \
     | grep -vE '^crates/(telemetry/src/(json|codec)\.rs|simcheck/|speccheck/|proptest/)'; then
   echo "wire-format helper defined outside telemetry::{codec,json}"; exit 1
@@ -61,14 +61,23 @@ features="$(awk '/^\[/ { in_features = ($0 == "[features]") }
   Cargo.toml crates/*/Cargo.toml)"
 [[ -z $features ]] || { echo "cargo features no gate builds:"; echo "$features"; exit 1; }
 
-echo "=== no god-files (testbed, health, timeline), taps cannot steer ==="
-# Three modules were one file each once and are layered pieces now: no
-# file of any may grow back past its limit. netsim::testbed is a
-# protocol world plus read-only taps (DESIGN.md "Testbed anatomy");
-# telemetry::health is wire format / rules / engine / catalog (DESIGN.md
-# "Health & alerting"); telemetry::timeline is store / sampler / wire /
-# query (DESIGN.md "Timeline"). The taps file, besides, may not so much
-# as name the two types a sink would need to change a trajectory.
+echo "=== no god-files (every file; testbed, health, timeline, flight), taps cannot steer ==="
+# A file's non-test body is its lines above its first `#[cfg(test)]` (a
+# `tests.rs` is all test): no body under crates/ may pass 800 lines.
+# Four modules were one file each once and are layered pieces now, and
+# no file of any may grow back past its own, tighter limit.
+# netsim::testbed is a protocol world plus read-only taps (DESIGN.md
+# "Testbed anatomy"); telemetry::health is wire format / rules / engine
+# / catalog (DESIGN.md "Health & alerting"); telemetry::timeline is
+# store / sampler / wire / query (DESIGN.md "Timeline");
+# telemetry::flight is record / recorder / dump / wire (DESIGN.md
+# "Flight recorder"). The taps file, besides, may not so much as name
+# the two types a sink would need to change a trajectory.
+while read -r file; do
+  body="$(awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$file")"
+  (( body <= 800 )) \
+    || { echo "$file has a $body-line non-test body (limit 800)"; exit 1; }
+done < <(find crates -name '*.rs' ! -name tests.rs | sort)
 while read -r limit files; do
   while read -r lines file; do
     [[ $file == total ]] || (( lines <= limit )) \
@@ -79,16 +88,17 @@ done << EOF
 800 crates/netsim/src/testbed/*.rs
 600 crates/telemetry/src/health/*.rs
 600 crates/telemetry/src/timeline/*.rs
+600 crates/telemetry/src/flight/*.rs
 EOF
 if grep -nwE 'Rng|EventQueue' crates/netsim/src/testbed/taps.rs; then
   echo "testbed/taps.rs names Rng or EventQueue"; exit 1
 fi
 
-echo "=== less code (ROADMAP item 5's number may only go down) ==="
+echo "=== less code (ROADMAP item 4's number may only go down) ==="
 # Raising the ceiling is a deliberate, reviewed edit of this line: say
 # in CHANGES.md what the new lines bought. Lower it when a PR deletes.
-loc_ceiling=38869
-loc="$(find crates src tests examples -name '*.rs' -print0 | xargs -0 cat | wc -l)"
+loc_ceiling=38844
+loc="$(find crates tests examples -name '*.rs' -print0 | xargs -0 cat | wc -l)"
 (( loc <= loc_ceiling )) \
   || { echo "workspace Rust is $loc lines, over the $loc_ceiling ceiling in scripts/ci.sh: delete something, or raise the ceiling on purpose and defend it in review"; exit 1; }
 

@@ -4,16 +4,22 @@
 //! artifact kinds the stack writes and reads back (metrics JSON, health
 //! JSON, the `FLT1` flight dump, the `TSL1` timeline dump). Each is
 //! then fed back to its parser truncated, with single bits flipped,
-//! and — for the binary formats — with every kind of length field set
-//! to all-ones. A parser may answer `Ok` or `Err`; it may never panic,
+//! with single bytes overwritten at seeded random offsets, and — for
+//! the binary formats — with every kind of length field set to
+//! all-ones. A parser may answer `Ok` or `Err`; it may never panic,
 //! and it may never abort on an allocation sized by a hostile length
 //! (an abort kills this process, so merely finishing is the assertion).
+//! The binary parsers are strict besides: a mutant they accept is
+//! exactly what their writer makes of the parse.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use wifi_core::netsim::testbed::InterfererFault;
 use wifi_core::prelude::*;
 use wifi_core::telemetry::codec::{put_varint, Reader};
 use wifi_core::telemetry::{json, FlightDump, HealthReport};
+
+/// Seeded single-byte overwrites per artifact.
+const OVERWRITES: usize = 512;
 
 /// ~256 evenly spaced offsets plus the first and last 64 bytes.
 fn offsets(len: usize) -> Vec<usize> {
@@ -27,23 +33,41 @@ fn offsets(len: usize) -> Vec<usize> {
 }
 
 /// Run one parse, turning a panic into a test failure that names the
-/// mutation which provoked it. Returns whether the parser said `Err`.
-fn attempt<T>(what: &str, mutation: &str, parse: impl FnOnce() -> Result<T, String>) -> bool {
-    match catch_unwind(AssertUnwindSafe(parse)) {
-        Ok(verdict) => verdict.is_err(),
-        Err(_) => panic!("{what} parser panicked on {mutation}"),
-    }
+/// mutation which provoked it.
+fn attempt<T>(what: &str, mutation: &str, parse: impl FnOnce() -> T) -> T {
+    catch_unwind(AssertUnwindSafe(parse))
+        .unwrap_or_else(|_| panic!("{what} parser panicked on {mutation}"))
 }
 
-/// Truncations and single-bit flips of `bytes` through `parse`.
-fn sweep<T>(what: &str, bytes: &[u8], parse: impl Fn(&[u8]) -> Result<T, String>) {
+/// Every mutant of `bytes` through `parse`: the strided schedule
+/// (truncations and single-bit flips at [`offsets`]), then the seeded
+/// one ([`OVERWRITES`] single bytes overwritten, offset and value drawn
+/// from a fixed-seed `sim::Rng`). With `write` the format is strict: a
+/// mutant `parse` accepts must be exactly what `write` makes of it.
+fn sweep<T>(
+    what: &str,
+    bytes: &[u8],
+    parse: impl Fn(&[u8]) -> Result<T, String>,
+    write: Option<fn(&T) -> Vec<u8>>,
+) {
+    let check = |mutation: String, m: &[u8]| {
+        if let (Ok(parsed), Some(write)) = (attempt(what, &mutation, || parse(m)), write) {
+            assert!(write(&parsed) == m, "{what}: {mutation} is not canonical");
+        }
+    };
     for off in offsets(bytes.len()) {
-        attempt(what, &format!("truncation to {off} bytes"), || {
-            parse(&bytes[..off])
-        });
+        check(format!("truncation to {off} bytes"), &bytes[..off]);
         let mut flipped = bytes.to_vec();
         flipped[off] ^= 1 << (off % 8);
-        attempt(what, &format!("bit flip at byte {off}"), || parse(&flipped));
+        check(format!("bit flip at byte {off}"), &flipped);
+    }
+    let mut rng = Rng::new(0x5eed_f1a7);
+    let mut m = bytes.to_vec();
+    for _ in 0..OVERWRITES {
+        let off = rng.below(bytes.len() as u64) as usize;
+        m[off] = rng.below(256) as u8;
+        check(format!("byte {off} overwritten with {:#04x}", m[off]), &m);
+        m[off] = bytes[off];
     }
 }
 
@@ -51,9 +75,8 @@ fn sweep<T>(what: &str, bytes: &[u8], parse: impl Fn(&[u8]) -> Result<T, String>
 /// UTF-8; the lossy decode turns it into a multi-byte replacement
 /// character, which is exactly the input error contexts must survive.
 fn sweep_text<T>(what: &str, text: &str, parse: impl Fn(&str) -> Result<T, String>) {
-    sweep(what, text.as_bytes(), |b| {
-        parse(&String::from_utf8_lossy(b))
-    });
+    let lossy = |b: &[u8]| parse(&String::from_utf8_lossy(b));
+    sweep(what, text.as_bytes(), lossy, None);
 }
 
 /// Overwrite each listed little-endian length field with all-ones: no
@@ -70,7 +93,7 @@ fn inflate<T>(
         hostile[off..off + width].fill(0xff);
         let mutation = format!("all-ones {width}-byte length at byte {off}");
         assert!(
-            attempt(what, &mutation, || parse(&hostile)),
+            attempt(what, &mutation, || parse(&hostile)).is_err(),
             "{what} parser accepted {mutation}"
         );
     }
@@ -235,10 +258,14 @@ fn every_parser_survives_truncation_bitflips_and_inflated_lengths() {
 
     sweep_text("metrics json", &metrics, json::parse);
     sweep_text("health json", &health, HealthReport::parse);
-    sweep("FLT1", &flight, FlightDump::parse);
-    sweep("TSL1", &timeline, |b| {
-        Timeline::parse(b).map(|tl| query_all(&tl))
-    });
+    sweep(
+        "FLT1",
+        &flight,
+        FlightDump::parse,
+        Some(FlightDump::to_bytes),
+    );
+    let queried = |b: &[u8]| Timeline::parse(b).inspect(query_all);
+    sweep("TSL1", &timeline, queried, Some(Timeline::to_bytes));
     inflate(
         "FLT1",
         &flight,
