@@ -2,14 +2,18 @@
 //!
 //! Two consumers need to know whether a given line of a source file is
 //! test code: the `unwrap-in-lib` rule (panicking is fine inside
-//! tests), and speccheck (which must distinguish *implementation*
-//! citations from *test* citations). "Test code" means:
+//! tests), and the spec-citation scan (which must distinguish
+//! *implementation* citations from *test* citations). Both read the
+//! same ranges, computed once per file by [`test_ranges`]. "Test code"
+//! means:
 //!
 //! - any item annotated `#[test]`;
 //! - any item gated behind a `cfg` attribute that mentions `test`
 //!   (`#[cfg(test)] mod tests`, `#[cfg(all(test, feature = "x"))]` …)
 //!   — except `cfg(not(test))`, which marks the opposite;
-//! - whole files under a `tests/` or `benches/` root.
+//! - whole files under a `tests/` or `benches/` root;
+//! - whole files named `tests.rs`, the body of a `#[cfg(test)] mod
+//!   tests;` declared in the parent module.
 //!
 //! Detection is token-based, not parse-based: the attribute's bracket
 //! group is matched, then the following item's brace-delimited body.
@@ -19,10 +23,21 @@
 
 use crate::lexer::{Token, TokenKind};
 
+/// The test-code line ranges of the file at `rel_path` whose tokens are
+/// `toks`: the whole file when its path says so, else its test-gated
+/// items.
+pub fn test_ranges(rel_path: &str, toks: &[Token]) -> Vec<(u32, u32)> {
+    if is_test_path(rel_path) {
+        vec![(1, u32::MAX)]
+    } else {
+        test_line_ranges(toks)
+    }
+}
+
 /// Inclusive 1-based line ranges covered by test-gated items in `toks`.
 /// A range starts on the attribute's own line, so citations placed
 /// between `#[test]` and the `fn` header still count as test context.
-pub fn test_line_ranges(toks: &[Token]) -> Vec<(u32, u32)> {
+fn test_line_ranges(toks: &[Token]) -> Vec<(u32, u32)> {
     let mut ranges: Vec<(u32, u32)> = Vec::new();
     let mut i = 0usize;
     while i < toks.len() {
@@ -40,13 +55,16 @@ pub fn test_line_ranges(toks: &[Token]) -> Vec<(u32, u32)> {
 }
 
 /// True when the workspace-relative path is itself test/bench source
-/// (integration tests and benches compile as their own test crates).
-pub fn is_test_path(rel_path: &str) -> bool {
+/// (integration tests and benches compile as their own test crates, and
+/// a `tests.rs` is a `#[cfg(test)] mod tests;` body).
+fn is_test_path(rel_path: &str) -> bool {
     let p = rel_path.replace('\\', "/");
     p.starts_with("tests/")
         || p.starts_with("benches/")
         || p.contains("/tests/")
         || p.contains("/benches/")
+        || p == "tests.rs"
+        || p.ends_with("/tests.rs")
 }
 
 /// True when `line` falls inside any of the `ranges`.
@@ -180,6 +198,8 @@ mod tests {
         assert!(is_test_path("tests/end_to_end.rs"));
         assert!(is_test_path("crates/tcp/tests/integration.rs"));
         assert!(is_test_path("crates/bench/benches/queue.rs"));
+        assert!(is_test_path("crates/netsim/src/testbed/tests.rs"));
         assert!(!is_test_path("crates/tcp/src/sender.rs"));
+        assert!(!is_test_path("crates/tcp/src/contests.rs"));
     }
 }

@@ -13,8 +13,8 @@
 //! `// simcheck: allow(rule-a, rule-b)`, which suppresses those rules on
 //! the comment's own line and the line below it (so the annotation can
 //! sit above the offending statement or trail it), and for `//=`
-//! citation directives (`//= spec: <clause-id>`), which speccheck uses
-//! to tie code and tests back to spec clauses. Both are recognized only
+//! citation directives (`//= spec: <clause-id>`), which tie code and
+//! tests back to spec clauses (see [`crate::annotations`]). Both are recognized only
 //! in plain `//` comments: doc comments (`///`, `//!`) merely *talk
 //! about* the syntax, and a doc example must never suppress a real
 //! diagnostic or fabricate a citation.
@@ -72,7 +72,7 @@ pub struct Allow {
 }
 
 /// A `//= …` citation directive found while lexing (the s2n-quic-style
-/// spec-annotation syntax; see `crates/speccheck`).
+/// spec-annotation syntax; see [`crate::annotations`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Directive {
     /// Line the comment appears on (1-based).

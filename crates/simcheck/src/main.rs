@@ -1,79 +1,52 @@
 //! The simcheck CLI.
 //!
 //! ```text
-//! simcheck [--root <dir>] [--format=text|json]
+//! simcheck [--root <dir>]
 //! ```
 //!
-//! Scans every workspace `.rs` file and prints surviving diagnostics.
-//! Exit status: 0 when clean, 1 when violations were found, 2 on usage
-//! or I/O errors — so `set -euo pipefail` CI scripts fail on either.
+//! Lints every workspace `.rs` file against the determinism rules and
+//! the `specs/` registry and prints the report. Exit status: 0 when
+//! clean, 1 on any diagnostic or uncovered MUST clause, 2 on a usage or
+//! IO error or a broken registry — so `set -euo pipefail` CI scripts
+//! fail on either.
 
-use simcheck::workspace::{scan_workspace, to_json};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+
+const USAGE: &str = "usage: simcheck [--root <dir>]";
 
 fn main() {
     std::process::exit(run());
 }
 
 fn run() -> i32 {
-    let mut root: Option<PathBuf> = None;
-    let mut json = false;
+    // Default root: the workspace containing this crate.
+    let mut root = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .map_or_else(|| PathBuf::from("."), Path::to_path_buf);
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--format=json" => json = true,
-            "--format=text" => json = false,
-            "--root" => match args.next() {
-                Some(dir) => root = Some(PathBuf::from(dir)),
-                None => {
-                    eprintln!("simcheck: --root requires a directory");
-                    return 2;
-                }
-            },
-            "--help" | "-h" => {
-                eprintln!("usage: simcheck [--root <dir>] [--format=text|json]");
-                return 0;
-            }
-            other => {
-                eprintln!("simcheck: unknown argument `{other}`");
+        let dir = match arg.strip_prefix("--root=") {
+            Some(dir) => Some(dir.to_string()),
+            None if arg == "--root" => args.next(),
+            None => None,
+        };
+        match dir {
+            Some(dir) => root = PathBuf::from(dir),
+            None => {
+                eprintln!("simcheck: bad argument `{arg}`; {USAGE}");
                 return 2;
             }
         }
     }
-    // Default root: the workspace containing this crate when run via
-    // `cargo run -p simcheck`, else the current directory.
-    let root = root.unwrap_or_else(|| {
-        let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-        manifest
-            .parent()
-            .and_then(|p| p.parent())
-            .map(PathBuf::from)
-            .unwrap_or_else(|| PathBuf::from("."))
-    });
-
-    let diags = match scan_workspace(&root) {
-        Ok(d) => d,
+    match simcheck::lint(&root) {
+        Ok(report) => {
+            print!("{}", report.render());
+            report.exit_code()
+        }
         Err(e) => {
-            eprintln!("simcheck: scan failed under {}: {e}", root.display());
-            return 2;
+            eprintln!("simcheck: {e}");
+            2
         }
-    };
-
-    if json {
-        print!("{}", to_json(&diags));
-    } else {
-        for d in &diags {
-            println!("{d}");
-        }
-        println!(
-            "simcheck: {} diagnostic(s) across workspace at {}",
-            diags.len(),
-            root.display()
-        );
-    }
-    if diags.is_empty() {
-        0
-    } else {
-        1
     }
 }

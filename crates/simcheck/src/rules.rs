@@ -18,13 +18,18 @@
 //! Suppression: `// simcheck: allow(rule-id)` on the offending line or
 //! the line directly above it. Per-crate exemptions live in
 //! [`crate::workspace::crate_exemptions`].
+//!
+//! Three more ids name spec-citation findings (`malformed-directive`,
+//! `unanchored-citation`, `unknown-clause`, see [`crate::annotations`]).
+//! They are not in [`Rule::ALL`] and never pass through [`check`], so
+//! neither an allow nor an exemption can switch one off.
 
-use crate::context::{in_test_context, is_test_path, test_line_ranges};
+use crate::context::in_test_context;
 use crate::lexer::{Lexed, Token, TokenKind};
 use std::collections::BTreeSet;
 use std::fmt;
 
-/// Every rule simcheck knows.
+/// Every finding id simcheck reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
     HashCollections,
@@ -34,9 +39,17 @@ pub enum Rule {
     TimeUnitSuffix,
     UnwrapInLib,
     SortedIteration,
+    /// `//=` directive that is not `spec: <clause-id>`.
+    MalformedDirective,
+    /// Citation whose next source line is blank or missing.
+    UnanchoredCitation,
+    /// Citation naming a clause id absent from the registry.
+    UnknownClause,
 }
 
 impl Rule {
+    /// The determinism catalog: the rules an allow or a crate exemption
+    /// can switch off.
     pub const ALL: [Rule; 7] = [
         Rule::HashCollections,
         Rule::WallClock,
@@ -56,7 +69,15 @@ impl Rule {
             Rule::TimeUnitSuffix => "time-unit-suffix",
             Rule::UnwrapInLib => "unwrap-in-lib",
             Rule::SortedIteration => "sorted-iteration",
+            Rule::MalformedDirective => "malformed-directive",
+            Rule::UnanchoredCitation => "unanchored-citation",
+            Rule::UnknownClause => "unknown-clause",
         }
+    }
+
+    /// True for the spec-citation findings, which nothing can silence.
+    pub fn is_spec(self) -> bool {
+        !Rule::ALL.contains(&self)
     }
 
     pub fn from_id(id: &str) -> Option<Rule> {
@@ -126,18 +147,17 @@ fn final_segment(name: &str) -> &str {
 }
 
 /// Run `rules` over one lexed file, honoring its `allow` annotations.
-pub fn check(file: &str, lexed: &Lexed, rules: &BTreeSet<Rule>) -> Vec<Diagnostic> {
+/// `test_ranges` are the file's test-code lines
+/// ([`crate::context::test_ranges`]), where panicking is fine.
+pub fn check(
+    file: &str,
+    lexed: &Lexed,
+    rules: &BTreeSet<Rule>,
+    test_ranges: &[(u32, u32)],
+) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let toks = &lexed.tokens;
-    // Panics are fine in test code: compute test regions once when the
-    // unwrap rule is in force (integration tests are whole-file test
-    // context by path).
-    let scan_unwraps = rules.contains(&Rule::UnwrapInLib) && !is_test_path(file);
-    let test_ranges = if scan_unwraps {
-        test_line_ranges(toks)
-    } else {
-        Vec::new()
-    };
+    let scan_unwraps = rules.contains(&Rule::UnwrapInLib);
     for (i, tok) in toks.iter().enumerate() {
         if let Some(name) = tok.kind.ident() {
             if rules.contains(&Rule::HashCollections) && (name == "HashMap" || name == "HashSet") {
@@ -193,7 +213,7 @@ pub fn check(file: &str, lexed: &Lexed, rules: &BTreeSet<Rule>) -> Vec<Diagnosti
             }
         }
         if scan_unwraps {
-            if let Some(d) = unwrap_in_lib_at(file, toks, i, &test_ranges) {
+            if let Some(d) = unwrap_in_lib_at(file, toks, i, test_ranges) {
                 out.push(d);
             }
         }
@@ -415,11 +435,13 @@ fn is_allowed(lexed: &Lexed, d: &Diagnostic) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::test_ranges;
     use crate::lexer::lex;
 
     fn run(src: &str) -> Vec<Diagnostic> {
         let rules: BTreeSet<Rule> = Rule::ALL.into_iter().collect();
-        check("t.rs", &lex(src), &rules)
+        let lexed = lex(src);
+        check("t.rs", &lexed, &rules, &test_ranges("t.rs", &lexed.tokens))
     }
 
     #[test]

@@ -3,10 +3,14 @@
 //! simcheck is offline and dependency-free: it finds every `.rs` file
 //! under the workspace's source roots with `std::fs` alone (no cargo
 //! metadata, no registry), attributes each file to its crate by path,
-//! and applies the rule catalog minus that crate's exemptions. Files are
-//! visited in sorted path order so diagnostics are themselves
+//! and applies the rule catalog minus that crate's exemptions. Each file
+//! is read and lexed once, its test ranges computed once, and both the
+//! rules and the `//= spec:` citation scan run over that one result.
+//! Files are visited in sorted path order so diagnostics are themselves
 //! deterministic.
 
+use crate::annotations::{citations, Citation};
+use crate::context::test_ranges;
 use crate::lexer::lex;
 use crate::rules::{check, Diagnostic, Rule};
 use std::collections::BTreeSet;
@@ -114,61 +118,46 @@ fn walk(dir: &Path, files: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Scan one source string as if it were `rel_path` in the workspace.
-/// This is the unit CI exercises: the binary is a loop over this.
+/// What a scan collects: every diagnostic (determinism rules and
+/// malformed or unanchored citations) and the `//= spec:` citations the
+/// coverage report joins against the registry.
+#[derive(Debug, Default)]
+pub struct Scan {
+    pub diagnostics: Vec<Diagnostic>,
+    pub citations: Vec<Citation>,
+}
+
+impl Scan {
+    /// Add one source string, scanned as if it were `rel_path` in the
+    /// workspace: one lex, one test-range pass, both halves of the lint.
+    pub fn add_file(&mut self, rel_path: &str, src: &str) {
+        let lexed = lex(src);
+        let ranges = test_ranges(rel_path, &lexed.tokens);
+        self.diagnostics
+            .extend(check(rel_path, &lexed, &rules_for_file(rel_path), &ranges));
+        let (cites, problems) = citations(rel_path, src, &lexed, &ranges);
+        self.citations.extend(cites);
+        self.diagnostics.extend(problems);
+    }
+}
+
+/// The diagnostics of one source string scanned as `rel_path`. This is
+/// the unit CI exercises: the binary is a loop over [`Scan::add_file`].
 pub fn scan_source(rel_path: &str, src: &str) -> Vec<Diagnostic> {
-    check(rel_path, &lex(src), &rules_for_file(rel_path))
+    let mut scan = Scan::default();
+    scan.add_file(rel_path, src);
+    scan.diagnostics
 }
 
 /// Scan the whole workspace rooted at `root`.
-pub fn scan_workspace(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
-    let mut out = Vec::new();
+pub fn scan_workspace(root: &Path) -> std::io::Result<Scan> {
+    let mut scan = Scan::default();
     for file in source_files(root)? {
         let rel = file.strip_prefix(root).unwrap_or(&file);
         let src = std::fs::read_to_string(&file)?;
-        out.extend(scan_source(&rel.to_string_lossy(), &src));
+        scan.add_file(&rel.to_string_lossy(), &src);
     }
-    Ok(out)
-}
-
-/// Render diagnostics as a hand-rolled JSON document (the workspace has
-/// no serde; this mirrors the fleet report style).
-pub fn to_json(diags: &[Diagnostic]) -> String {
-    let mut s = String::from("{\n  \"diagnostics\": [");
-    for (i, d) in diags.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "\n    {{\"file\": \"{}\", \"line\": {}, \"rule\": \"{}\", \"message\": \"{}\"}}",
-            json_escape(&d.file),
-            d.line,
-            d.rule.id(),
-            json_escape(&d.message)
-        ));
-    }
-    if !diags.is_empty() {
-        s.push_str("\n  ");
-    }
-    s.push_str(&format!("],\n  \"count\": {}\n}}\n", diags.len()));
-    s
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
+    Ok(scan)
 }
 
 #[cfg(test)]
@@ -228,20 +217,5 @@ mod tests {
         assert_eq!(scan_source("crates/telemetry/src/lib.rs", bad).len(), 1);
         // Allowlisted files keep every other rule.
         assert!(rules_for_file("crates/telemetry/src/runprof.rs").contains(&Rule::HashCollections));
-    }
-
-    #[test]
-    fn json_shape_and_escaping() {
-        let diags = vec![Diagnostic {
-            file: "a\"b.rs".to_string(),
-            line: 3,
-            rule: Rule::FloatEq,
-            message: "x\ny".to_string(),
-        }];
-        let j = to_json(&diags);
-        assert!(j.contains("\"count\": 1"));
-        assert!(j.contains("a\\\"b.rs"));
-        assert!(j.contains("x\\ny"));
-        assert!(to_json(&[]).contains("\"count\": 0"));
     }
 }

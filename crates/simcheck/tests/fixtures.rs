@@ -1,12 +1,18 @@
 //! Fixture tests: one known-bad snippet per rule must produce its
 //! diagnostic, the matching clean snippet must not, the allow hatch
-//! must silence it, and the committed workspace must scan clean.
+//! must silence it; spec coverage statuses and every failure mode of
+//! the binary keep their exit codes; and the committed workspace must
+//! lint clean.
 //!
-//! The bad snippets live inside string literals, so the workspace-clean
-//! test below does not trip over this very file.
+//! The bad snippets and citations live inside string literals, so the
+//! workspace-clean test below does not trip over this very file.
 
-use simcheck::workspace::{scan_source, scan_workspace, to_json};
+use simcheck::annotations::CiteKind;
+use simcheck::coverage::Status;
+use simcheck::registry::Level;
+use simcheck::workspace::{scan_source, Scan};
 use simcheck::Rule;
+use std::path::{Path, PathBuf};
 
 /// Scan a snippet as if it lived in a deterministic crate.
 fn scan(src: &str) -> Vec<simcheck::Diagnostic> {
@@ -165,29 +171,43 @@ fn diagnostics_carry_file_line_and_rule() {
     assert!(rendered.contains("[float-eq]"), "{rendered}");
 }
 
+/// A `tests.rs` is the body of a `#[cfg(test)] mod tests;`: its helper
+/// fns may panic, and its citations enforce rather than implement.
 #[test]
-fn json_output_round_trips_the_count() {
-    let diags = scan("let same = x == 0.5;\nuse std::collections::HashMap;");
-    let j = to_json(&diags);
-    assert!(j.contains("\"count\": 2"), "{j}");
-    assert!(j.contains("\"rule\": \"float-eq\""), "{j}");
-    assert!(j.contains("\"rule\": \"hash-collections\""), "{j}");
+fn tests_rs_module_files_are_test_code() {
+    let src =
+        "fn helper(x: Option<u8>) -> u8 { x.unwrap() }\n//= spec: toy:1:covered\nfn check() {}\n";
+    let mut scan = Scan::default();
+    scan.add_file("crates/tcp/src/x/tests.rs", src);
+    assert_eq!(scan.diagnostics, vec![]);
+    assert_eq!(scan.citations.len(), 1);
+    assert_eq!(scan.citations[0].kind, CiteKind::Test);
+    // The same text in a sibling module is library code.
+    let mut scan = Scan::default();
+    scan.add_file("crates/tcp/src/x/helpers.rs", src);
+    assert_eq!(scan.diagnostics.len(), 1);
+    assert_eq!(scan.diagnostics[0].rule, Rule::UnwrapInLib);
+    assert_eq!(scan.citations[0].kind, CiteKind::Impl);
+}
+
+fn workspace_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("simcheck lives at <ws>/crates/simcheck")
+        .to_path_buf()
 }
 
 /// The acceptance gate: the committed tree must be clean, which is what
 /// lets `scripts/ci.sh` treat any nonzero simcheck exit as a regression.
 #[test]
 fn committed_workspace_scans_clean() {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(|p| p.parent())
-        .expect("simcheck lives at <ws>/crates/simcheck")
-        .to_path_buf();
-    let diags = scan_workspace(&root).expect("workspace scan");
+    let report = simcheck::lint(&workspace_root()).expect("workspace lint");
     assert!(
-        diags.is_empty(),
-        "workspace has simcheck violations:\n{}",
-        diags
+        report.diagnostics.is_empty(),
+        "workspace has simcheck diagnostics:\n{}",
+        report
+            .diagnostics
             .iter()
             .map(|d| d.to_string())
             .collect::<Vec<_>>()
@@ -195,39 +215,294 @@ fn committed_workspace_scans_clean() {
     );
 }
 
-/// An injected violation must make the *binary* exit nonzero — this is
-/// the exact failure mode CI relies on.
+/// The committed tree itself must pass with full MUST coverage — this
+/// is the regression test that keeps the seed corpus annotated.
 #[test]
-fn binary_fails_on_injected_violation() {
-    let dir = std::env::temp_dir().join(format!("simcheck-fixture-{}", std::process::id()));
-    let src_dir = dir.join("crates/sim/src");
-    std::fs::create_dir_all(&src_dir).expect("mkdir");
-    std::fs::write(
-        src_dir.join("injected.rs"),
-        "use std::collections::HashMap;\n",
-    )
-    .expect("write fixture");
+fn committed_workspace_has_full_must_coverage() {
+    let report = simcheck::lint(&workspace_root()).expect("workspace lint");
+    let uncovered: Vec<&str> = report
+        .uncovered_must()
+        .iter()
+        .map(|c| c.id.as_str())
+        .collect();
+    assert_eq!(uncovered, Vec::<&str>::new(), "uncovered MUST clauses");
+    assert!(
+        report.count(Level::Must) >= 25,
+        "expected ≥ 25 MUST clauses, have {}",
+        report.count(Level::Must)
+    );
+    assert_eq!(report.exit_code(), 0);
+}
 
+/// A registry + sources fixture written to a temp workspace; `tag`
+/// keeps concurrent tests from sharing a directory.
+fn temp_workspace(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("simcheck-fixture-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(dir.join("specs")).expect("mkdir specs");
+    std::fs::create_dir_all(dir.join("crates/tcp/src")).expect("mkdir src");
+    dir
+}
+
+const TOY_SPEC: &str = "\
+spec toy
+title A toy protocol
+url https://example.com/toy
+
+clause toy:1:covered MUST
+  Fully covered clause.
+clause toy:2:impl-only MUST
+  Clause with an implementation but no enforcing test.
+clause toy:3:test-only SHOULD
+  Clause with a test but no implementation citation.
+clause toy:4:uncovered SHOULD
+  Clause nobody cites.
+";
+
+/// Sources giving toy:1 full coverage, toy:2 impl-only, toy:3
+/// test-only. A SHOULD gap must not fail; a MUST gap must.
+const LIB_RS: &str = "\
+//= spec: toy:1:covered
+pub fn covered() {}
+
+//= spec: toy:2:impl-only
+pub fn impl_only() {}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn t() {
+        //= spec: toy:1:covered
+        //= spec: toy:3:test-only
+        super::covered();
+    }
+}
+";
+
+/// [`LIB_RS`] with toy:2's enforcing test added: every MUST covered.
+fn full_lib() -> String {
+    LIB_RS.replace(
+        "        //= spec: toy:1:covered\n",
+        "        //= spec: toy:1:covered\n        //= spec: toy:2:impl-only\n",
+    )
+}
+
+fn write_fixture(dir: &Path, spec: &str, lib: &str) {
+    std::fs::write(dir.join("specs/toy.spec"), spec).expect("write spec");
+    std::fs::write(dir.join("crates/tcp/src/lib.rs"), lib).expect("write lib");
+}
+
+fn write_source(dir: &Path, rel: &str, src: &str) {
+    let path = dir.join(rel);
+    std::fs::create_dir_all(path.parent().expect("file has a parent")).expect("mkdir");
+    std::fs::write(path, src).expect("write source");
+}
+
+/// Run the binary on `dir`: (stdout, stderr, exit code).
+fn run(dir: &Path) -> (String, String, i32) {
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_simcheck"))
         .args(["--root", dir.to_str().unwrap()])
         .output()
         .expect("run simcheck");
-    assert_eq!(out.status.code(), Some(1), "violation must exit 1");
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("hash-collections"), "{text}");
+    (
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+        out.status.code().unwrap_or(-1),
+    )
+}
+
+/// An injected violation must make the *binary* exit nonzero — this is
+/// the exact failure mode CI relies on.
+#[test]
+fn binary_fails_on_injected_violation() {
+    let dir = temp_workspace("injected");
+    write_fixture(&dir, TOY_SPEC, &full_lib());
+    write_source(
+        &dir,
+        "crates/sim/src/injected.rs",
+        "use std::collections::HashMap;\n",
+    );
+    let (out, _, code) = run(&dir);
+    assert_eq!(code, 1, "violation must exit 1:\n{out}");
+    assert!(out.contains("hash-collections"), "{out}");
 
     // And the same tree is accepted once the violation is annotated.
-    std::fs::write(
-        src_dir.join("injected.rs"),
+    write_source(
+        &dir,
+        "crates/sim/src/injected.rs",
         "use std::collections::HashMap; // simcheck: allow(hash-collections)\n",
-    )
-    .expect("rewrite fixture");
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_simcheck"))
-        .args(["--root", dir.to_str().unwrap(), "--format=json"])
-        .output()
-        .expect("run simcheck");
-    assert_eq!(out.status.code(), Some(0), "allowed tree must exit 0");
-    assert!(String::from_utf8_lossy(&out.stdout).contains("\"count\": 0"));
+    );
+    let (out, _, code) = run(&dir);
+    assert_eq!(code, 0, "allowed tree must exit 0:\n{out}");
+    assert!(out.contains("PASS"), "{out}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
 
+#[test]
+fn statuses_cover_the_four_quadrants() {
+    let dir = temp_workspace("quadrants");
+    write_fixture(&dir, TOY_SPEC, LIB_RS);
+    let report = simcheck::lint(&dir).expect("report");
+    let statuses: Vec<(String, Status)> = report
+        .clauses()
+        .map(|c| (c.id.clone(), c.status()))
+        .collect();
+    assert_eq!(
+        statuses,
+        vec![
+            ("toy:1:covered".to_string(), Status::Covered),
+            ("toy:2:impl-only".to_string(), Status::ImplOnly),
+            ("toy:3:test-only".to_string(), Status::TestOnly),
+            ("toy:4:uncovered".to_string(), Status::Uncovered),
+        ]
+    );
+    // toy:2 is the only MUST gap.
+    assert_eq!(report.uncovered_must().len(), 1);
+    assert_eq!(report.exit_code(), 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn binary_fails_on_uncovered_must_and_passes_once_tested() {
+    let dir = temp_workspace("must-gap");
+    write_fixture(&dir, TOY_SPEC, LIB_RS);
+    let (out, _, code) = run(&dir);
+    assert_eq!(code, 1, "uncovered MUST must exit 1:\n{out}");
+    assert!(out.contains("FAIL"), "{out}");
+    assert!(out.contains("[FATAL] toy:2:impl-only"), "{out}");
+    assert!(out.contains("[advisory] toy:4:uncovered"), "{out}");
+
+    // Add the missing enforcing test: the MUST gap closes, and the
+    // remaining SHOULD gaps are advisory — the tree passes.
+    write_fixture(&dir, TOY_SPEC, &full_lib());
+    let (out, _, code) = run(&dir);
+    assert_eq!(code, 0, "SHOULD gaps are advisory:\n{out}");
+    assert!(out.contains("PASS"), "{out}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn binary_fails_on_dangling_and_unanchored_citations() {
+    // A citation of a clause that is not in the registry.
+    let dir = temp_workspace("dangling");
+    let full = full_lib();
+    let dangling = format!("{full}\n//= spec: toy:9:ghost\npub fn ghost() {{}}\n");
+    write_fixture(&dir, TOY_SPEC, &dangling);
+    let (out, _, code) = run(&dir);
+    assert_eq!(code, 1, "dangling citation must fail:\n{out}");
+    assert!(out.contains("unknown-clause"), "{out}");
+    assert!(out.contains("toy:9:ghost"), "{out}");
+
+    // A citation hanging over a blank line (the cited code was
+    // deleted): also fatal.
+    let unanchored = format!("{full}\n//= spec: toy:1:covered\n\npub fn moved() {{}}\n");
+    write_fixture(&dir, TOY_SPEC, &unanchored);
+    let (out, _, code) = run(&dir);
+    assert_eq!(code, 1, "unanchored citation must fail:\n{out}");
+    assert!(out.contains("unanchored-citation"), "{out}");
+
+    // A `//=` directive that is not `spec: <clause-id>`.
+    let malformed = format!("{full}\n//= cite: toy:1:covered\npub fn odd() {{}}\n");
+    write_fixture(&dir, TOY_SPEC, &malformed);
+    let (out, _, code) = run(&dir);
+    assert_eq!(code, 1, "malformed directive must fail:\n{out}");
+    assert!(out.contains("malformed-directive"), "{out}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn broken_registry_is_exit_2_not_all_covered() {
+    let dir = temp_workspace("bad-registry");
+    write_fixture(&dir, "spec toy\nclause toy:1:x MUST\n  t\n", LIB_RS);
+    let (out, err, code) = run(&dir);
+    assert_eq!(code, 2, "registry parse error is a usage-class failure");
+    assert!(err.contains("no title"), "{err}");
+    assert!(out.is_empty(), "no report from a broken registry:\n{out}");
+    // So is a missing specs/ directory.
+    let empty = temp_workspace("no-specs");
+    std::fs::remove_dir_all(empty.join("specs")).expect("rm specs");
+    let (_, err, code) = run(&empty);
+    assert_eq!(code, 2);
+    assert!(err.contains("specs"), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&empty);
+}
+
+/// One run, one report: a determinism violation and a MUST gap in the
+/// same tree both show, and the run exits 1.
+#[test]
+fn one_run_reports_both_halves() {
+    let dir = temp_workspace("both-halves");
+    write_fixture(&dir, TOY_SPEC, LIB_RS);
+    write_source(
+        &dir,
+        "crates/sim/src/injected.rs",
+        "use std::collections::HashMap;\n",
+    );
+    let (out, _, code) = run(&dir);
+    assert_eq!(code, 1, "{out}");
+    assert!(
+        out.contains("crates/sim/src/injected.rs:1: [hash-collections]"),
+        "{out}"
+    );
+    assert!(out.contains("[FATAL] toy:2:impl-only"), "{out}");
+    // Diagnostics come first, then the coverage table.
+    let diag = out.find("[hash-collections]").expect("diagnostic");
+    let table = out.find("MUST coverage").expect("table");
+    assert!(diag < table, "{out}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Neither an allow (by id or `all`) nor a per-crate exemption turns a
+/// spec finding off.
+#[test]
+fn spec_findings_cannot_be_silenced() {
+    let dir = temp_workspace("unsilenceable");
+    write_fixture(&dir, TOY_SPEC, &full_lib());
+    // `bench` is the crate with an exemption (wall-clock).
+    write_source(
+        &dir,
+        "crates/bench/src/x.rs",
+        "// simcheck: allow(unanchored-citation)\n//= spec: toy:1:covered\n\npub fn moved() {}\n\
+         // simcheck: allow(all)\n//= cite: toy:1:covered\npub fn odd() {}\n",
+    );
+    let (out, _, code) = run(&dir);
+    assert_eq!(code, 1, "{out}");
+    assert!(
+        out.contains("crates/bench/src/x.rs:2: [unanchored-citation]"),
+        "{out}"
+    );
+    assert!(
+        out.contains("crates/bench/src/x.rs:6: [malformed-directive]"),
+        "{out}"
+    );
+    assert!(out.contains("problems: 2"), "{out}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn cli_takes_only_root() {
+    let dir = temp_workspace("cli");
+    write_fixture(&dir, TOY_SPEC, &full_lib());
+    let status = |args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_simcheck"))
+            .args(args)
+            .output()
+            .expect("run simcheck");
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&out.stderr).lines().count(),
+        )
+    };
+    let root = dir.to_str().unwrap();
+    assert_eq!(status(&[&format!("--root={root}")]), (Some(0), 0));
+    for bad in [
+        &["--format=json"][..],
+        &["summary"],
+        &["--json"],
+        &["--root"],
+    ] {
+        assert_eq!(status(bad), (Some(2), 1), "{bad:?}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
