@@ -306,6 +306,50 @@ fn lossy_artifacts_match_goldens() {
     check_goldens("lossy", &entries);
 }
 
+/// Every deadline the run loop keeps, firing at once: two APs on
+/// opposite arms with four clients each, every client laggy (stall
+/// episodes freeze and release contenders), 5% bad hints (repair
+/// polls), 2% upstream loss (RTOs and delayed ACKs), QoE probes, an
+/// interferer from 1 s and beacons, so rounds and idle wakes alternate.
+/// The flight rings never wrap and the timeline samples every 5 ms, so
+/// moving one poll instant or one contender moves a pinned byte.
+#[test]
+fn loop_deadlines_match_goldens() {
+    let cfg = TestbedConfig {
+        n_aps: 2,
+        clients_per_ap: 4,
+        fastack: vec![true, false],
+        laggy_client_fraction: 1.0,
+        bad_hint_rate: 0.05,
+        upstream_loss: 0.02,
+        flight_capacity: 1 << 20,
+        timeline: Some(TimelineConfig::sampling(SimDuration::from_millis(5))),
+        qoe: Some(ProbeConfig::default()),
+        interferer: Some(InterfererFault {
+            at: SimTime::from_millis(1_000),
+        }),
+        ..TestbedConfig::default()
+    };
+    let r = Testbed::new(cfg).run(SimDuration::from_secs(5));
+    assert_eq!(r.flight.total_dropped(), 0, "every record kept");
+    let totals = |f: fn(&wifi_core::netsim::testbed::SenderStats) -> u64| {
+        r.sender_stats.iter().map(f).sum::<u64>()
+    };
+    assert!(totals(|s| s.timeouts) > 0, "no RTO fired");
+    assert!(r.agent_stats[0].local_retransmits > 0, "no local repair");
+    let tl = r.timeline.as_ref().expect("timeline enabled");
+    let entries = [
+        ("metrics", fnv1a(r.metrics.to_json().as_bytes())),
+        ("trace", fnv1a(&r.flight.to_bytes())),
+        ("health", fnv1a(r.health.to_json().as_bytes())),
+        ("timeline", fnv1a(&tl.to_bytes())),
+        ("qoe", qoe_hash(&r.qoe)),
+        ("stats", stats_hash(&r)),
+    ]
+    .map(|(name, h)| (format!("loop.deadlines.{name}"), h));
+    check_goldens("loop", &entries);
+}
+
 /// `fig04_ac_latency`'s shape cut down to debug tier-1 size: the EDCA
 /// medium with all four access categories contending, saturated BK/BE
 /// queues (one of each on a link that loses most MPDUs, so the retry
