@@ -7,7 +7,7 @@ use super::taps::{Seam, Taps};
 use super::wired::Event;
 use mac80211::backoff::Backoff;
 use mac80211::contention::BatchResolver;
-use sim::{EventQueue, Rng, SimDuration};
+use sim::{EventQueue, IndexSet, Rng, SimDuration};
 use telemetry::{AirKind, CauseId};
 
 /// A station contending in one medium round.
@@ -69,7 +69,8 @@ impl Medium {
     }
 
     /// Run one EDCA contention round among the APs with any backlog and
-    /// the clients with a released ACK, and jump the clock over the idle
+    /// the `ready` clients (those with a released ACK, which the loop
+    /// keeps — see `ClientTimers`), and jump the clock over the idle
     /// slots before the winning backoff expires.
     ///
     /// Contenders enter in `who` order — APs by index, then clients by
@@ -79,6 +80,7 @@ impl Medium {
         &mut self,
         aps: &mut [ApDatapath],
         clients: &mut [ClientStation],
+        ready: &IndexSet,
         rng: &mut Rng,
         queue: &mut EventQueue<Event>,
     ) -> Contention {
@@ -86,8 +88,7 @@ impl Medium {
         self.who.clear();
         let aps_in = (0..aps.len()).filter(|&a| aps[a].queued() > 0);
         self.who.extend(aps_in.map(Who::Ap));
-        let clients_in = (0..clients.len()).filter(|&c| clients[c].wants_air(now));
-        self.who.extend(clients_in.map(Who::Client));
+        self.who.extend(ready.iter().map(Who::Client));
         if self.who.is_empty() {
             return Contention::Idle;
         }
@@ -134,6 +135,15 @@ mod tests {
         (aps, clients.into())
     }
 
+    /// The clients that want the air at `now`, as the loop keeps them.
+    fn ready(clients: &[ClientStation], now: SimTime) -> IndexSet {
+        let mut set = IndexSet::default();
+        for c in (0..clients.len()).filter(|&c| clients[c].wants_air(now)) {
+            set.insert(c);
+        }
+        set
+    }
+
     fn failures(aps: &[ApDatapath], clients: &[ClientStation]) -> Vec<u64> {
         let aps = aps.iter().map(|a| a.backoff.stats.failures);
         aps.chain(clients.iter().map(|c| c.backoff.stats.failures))
@@ -145,7 +155,8 @@ mod tests {
         let (mut aps, mut clients) = scene();
         let (mut medium, mut rng, mut queue) = (Medium::default(), Rng::new(7), EventQueue::new());
         queue.advance_to(SimTime::from_millis(1));
-        let outcome = medium.contend(&mut aps, &mut clients, &mut rng, &mut queue);
+        let ready = ready(&clients, queue.now());
+        let outcome = medium.contend(&mut aps, &mut clients, &ready, &mut rng, &mut queue);
         assert_eq!(medium.who, [Who::Ap(1), Who::Client(0), Who::Client(2)]);
         assert_ne!(outcome, Contention::Idle);
         assert!(queue.now() > SimTime::from_millis(1), "idle slots elapsed");
@@ -162,7 +173,8 @@ mod tests {
         aps.truncate(1);
         let mut clients = vec![ClientStation::with_acks(&[50])];
         let (mut medium, mut rng, mut queue) = (Medium::default(), Rng::new(7), EventQueue::new());
-        let outcome = medium.contend(&mut aps, &mut clients, &mut rng, &mut queue);
+        let ready = ready(&clients, queue.now());
+        let outcome = medium.contend(&mut aps, &mut clients, &ready, &mut rng, &mut queue);
         assert_eq!(outcome, Contention::Idle);
         assert_eq!(queue.now(), SimTime::ZERO);
         assert_eq!(
@@ -180,7 +192,8 @@ mod tests {
         clients[0].backoff.remaining_slots = Some(5);
         let (mut medium, mut rng, mut queue) = (Medium::default(), Rng::new(7), EventQueue::new());
         queue.advance_to(SimTime::from_millis(1));
-        let outcome = medium.contend(&mut aps, &mut clients, &mut rng, &mut queue);
+        let ready = ready(&clients, queue.now());
+        let outcome = medium.contend(&mut aps, &mut clients, &ready, &mut rng, &mut queue);
         assert_eq!(outcome, Contention::Collision);
         assert_eq!(failures(&aps, &clients), [0, 1, 0, 0, 1]);
         assert_eq!(
@@ -191,7 +204,7 @@ mod tests {
         // With the AP alone at zero it is a clean win and nobody fails.
         aps[1].backoff.remaining_slots = Some(0);
         clients[2].backoff.remaining_slots = Some(3);
-        let outcome = medium.contend(&mut aps, &mut clients, &mut rng, &mut queue);
+        let outcome = medium.contend(&mut aps, &mut clients, &ready, &mut rng, &mut queue);
         assert_eq!(outcome, Contention::Won(Who::Ap(1)));
         assert_eq!(failures(&aps, &clients), [0, 1, 0, 0, 1]);
     }

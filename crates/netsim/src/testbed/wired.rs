@@ -2,7 +2,7 @@
 //! switch, the events that cross the wire, and the senders' RTO poll.
 
 use super::config::TestbedConfig;
-use sim::{EventQueue, Rng, SimDuration, SimTime};
+use sim::{Deadlines, EventQueue, IndexSet, Rng, SimDuration, SimTime};
 use tcpsim::{AckSegment, CcAlgorithm, DataSegment, FlowId, SenderConfig, TcpSender};
 
 /// Congestion control on the senders.
@@ -27,6 +27,10 @@ pub(super) struct Wired {
     loss: f64,
     /// Reusable sender-output scratch for the ACK hot path.
     seg_buf: Vec<DataSegment>,
+    /// Every sender's retransmission deadline, re-set after each call
+    /// that can move it, and the senders whose deadline a poll found due.
+    rto: Deadlines,
+    due: IndexSet,
 }
 
 impl Wired {
@@ -35,14 +39,23 @@ impl Wired {
             algorithm: CC,
             ..SenderConfig::default()
         };
+        let n = cfg.n_aps * cfg.clients_per_ap;
         Wired {
-            senders: (1..=(cfg.n_aps * cfg.clients_per_ap) as u64)
+            senders: (1..=n as u64)
                 .map(|flow| TcpSender::new(FlowId(flow), sender_cfg.clone()))
                 .collect(),
             clients_per_ap: cfg.clients_per_ap,
             loss: cfg.upstream_loss,
             seg_buf: Vec::new(),
+            rto: Deadlines::new(n),
+            due: IndexSet::default(),
         }
+    }
+
+    /// Sender `s` was just called: track where its RTO deadline is now.
+    #[inline]
+    fn rearm(&mut self, s: usize) {
+        self.rto.set(s, self.senders[s].rto_deadline());
     }
 
     /// Put sender `s`'s segments on the wire toward its client's AP: one
@@ -68,6 +81,7 @@ impl Wired {
         for s in 0..self.senders.len() {
             let segs = self.senders[s].poll(SimTime::ZERO);
             self.ship(s, &segs, SimTime::ZERO, rng, queue);
+            self.rearm(s);
         }
     }
 
@@ -85,20 +99,27 @@ impl Wired {
         self.senders[s].on_ack_into(ack, now, &mut more);
         self.ship(s, &more, now, rng, queue);
         self.seg_buf = more;
+        self.rearm(s);
     }
 
-    /// Fire every retransmission timer that is due.
+    /// Fire every retransmission timer that is due, senders in index
+    /// order (each timeout's loss draws follow the one before).
     pub(super) fn poll_rto(&mut self, now: SimTime, rng: &mut Rng, queue: &mut EventQueue<Event>) {
-        for s in 0..self.senders.len() {
-            if self.senders[s].rto_deadline().is_some_and(|dl| now >= dl) {
-                let segs = self.senders[s].on_timeout(now);
-                self.ship(s, &segs, now, rng, queue);
-            }
+        self.rto.fire(now, &mut self.due);
+        debug_assert!(
+            (0..self.senders.len()).all(|s| self.due.contains(s)
+                == self.senders[s].rto_deadline().is_some_and(|dl| now >= dl)),
+            "an RTO deadline moved without a rearm"
+        );
+        while let Some(s) = self.due.pop_first() {
+            let segs = self.senders[s].on_timeout(now);
+            self.ship(s, &segs, now, rng, queue);
+            self.rearm(s);
         }
     }
 
     /// The earliest armed retransmission timer, for the idle wake.
-    pub(super) fn next_rto(&self) -> Option<SimTime> {
-        self.senders.iter().filter_map(|s| s.rto_deadline()).min()
+    pub(super) fn next_rto(&mut self) -> Option<SimTime> {
+        self.rto.earliest()
     }
 }

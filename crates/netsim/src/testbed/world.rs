@@ -12,7 +12,7 @@
 
 use super::ap::{ApDatapath, HEADER_BYTES};
 use super::cadence::Cadence;
-use super::client::ClientStation;
+use super::client::{ClientStation, ClientTimers};
 use super::config::{TestbedConfig, Traffic};
 use super::medium::{Contention, Medium, Who};
 use super::report::{SenderStats, TestbedReport};
@@ -43,6 +43,7 @@ pub(super) struct World {
     pub(super) wired: Wired,
     pub(super) aps: Vec<ApDatapath>,
     pub(super) clients: Vec<ClientStation>,
+    client_timers: ClientTimers,
     pub(super) medium: Medium,
     /// Periodic medium holds with the airtime each takes: every AP's
     /// beacon (basic control rate, traffic or not) and the interferer's
@@ -63,7 +64,7 @@ pub(super) struct World {
 impl World {
     pub(super) fn new(cfg: TestbedConfig) -> World {
         let mut rng = Rng::new(cfg.seed);
-        let clients = (0..cfg.n_aps * cfg.clients_per_ap)
+        let clients: Vec<ClientStation> = (0..cfg.n_aps * cfg.clients_per_ap)
             .map(|c| ClientStation::new(&cfg, c, &mut rng))
             .collect();
         let beacons = cfg.beacon_interval.map(|every| {
@@ -87,6 +88,7 @@ impl World {
             queue: EventQueue::new(),
             wired: Wired::new(&cfg),
             aps: (0..cfg.n_aps).map(|a| ApDatapath::new(&cfg, a)).collect(),
+            client_timers: ClientTimers::new(&clients),
             clients,
             medium: Medium::default(),
             beacons,
@@ -145,9 +147,7 @@ impl World {
         while let Some((at, ev)) = self.queue.pop_due() {
             match ev {
                 Event::WireData(ap, seg) => {
-                    self.aps[ap].agent_hook(seg.flow, at, &mut self.queue, taps, |agent, out| {
-                        agent.on_wire_data_into(&seg, out)
-                    })
+                    self.aps[ap].on_wire_data(&seg, at, &mut self.queue, taps)
                 }
                 Event::WireAck(ack) => self.wired.on_ack(&ack, at, &mut self.rng, &mut self.queue),
             }
@@ -155,7 +155,8 @@ impl World {
     }
 
     /// Host-plane timers, polled per round: RTOs, bad-hint repairs,
-    /// delayed ACKs.
+    /// delayed ACKs. Each kind is kept as its owners change, so a poll
+    /// visits only what is due (or, for repairs, was touched).
     fn poll_timers(&mut self, taps: &mut Taps) {
         if self.cfg.traffic == Traffic::UdpSaturate {
             return; // no TCP machinery to tick
@@ -165,9 +166,8 @@ impl World {
         for ap in &mut self.aps {
             ap.poll_repairs(now, &mut self.queue, taps);
         }
-        for c in &mut self.clients {
-            c.poll_delack(now, &mut self.rng);
-        }
+        self.client_timers
+            .poll_delacks(&mut self.clients, now, &mut self.rng);
     }
 
     /// Beacons, then interferer bursts: each holds the medium at most
@@ -212,13 +212,12 @@ impl World {
     /// in. Returns false if nothing wanted the medium.
     fn medium_round(&mut self, taps: &mut Taps) -> bool {
         let now = self.queue.now();
-        for c in &mut self.clients {
-            c.roll_stall(now, &mut self.rng);
-        }
-        let (aps, clients) = (&mut self.aps, &mut self.clients);
+        self.client_timers
+            .roll_stalls(&mut self.clients, now, &mut self.rng);
+        let (aps, clients, ready) = (&mut self.aps, &mut self.clients, &self.client_timers.ready);
         match self
             .medium
-            .contend(aps, clients, &mut self.rng, &mut self.queue)
+            .contend(aps, clients, ready, &mut self.rng, &mut self.queue)
         {
             Contention::Idle => return false,
             Contention::Collision => {
@@ -246,10 +245,10 @@ impl World {
             self.wired.next_rto(),
             self.interferer.as_ref().map(|(c, _)| c.next()),
             self.probes.as_ref().map(|(c, _)| c.next()),
+            self.client_timers.next_wake(),
         ]
         .into_iter()
         .flatten()
-        .chain(self.clients.iter().filter_map(ClientStation::next_wake))
         .chain(self.aps.iter().filter_map(ApDatapath::repair_deadline))
         .min();
         match wake {
@@ -366,6 +365,7 @@ impl World {
             retransmit: false,
         };
         let newly = self.clients[ci].receive(&seg, now, &mut self.rng);
+        self.client_timers.update(ci, &self.clients[ci]);
         self.aps[a].bytes_delivered += newly;
     }
 
@@ -402,6 +402,7 @@ impl World {
                 agent.on_client_ack_into(&ack, out)
             });
         }
+        self.client_timers.update(c, &self.clients[c]);
         self.clients[c].backoff.on_success();
     }
 

@@ -5,6 +5,8 @@
 //! * [`SimTime`] / [`SimDuration`] — integer-nanosecond simulated time;
 //! * [`EventQueue`] — a monotone, FIFO-stable-on-ties event queue, generic
 //!   over the domain's event type;
+//! * [`Deadlines`] / [`IndexSet`] — per-owner deadlines a polling loop
+//!   keeps current, reporting the due owners in owner order;
 //! * [`Rng`] — a self-contained xoshiro256\*\* generator with the
 //!   distributions the workloads need (uniform, exponential, normal,
 //!   Poisson, Zipf, weighted choice).
@@ -25,11 +27,13 @@
 //! assert_eq!(q.now(), SimTime::from_micros(5));
 //! ```
 
+pub mod deadlines;
 pub mod queue;
 pub mod rng;
 pub mod sanitize;
 pub mod time;
 
+pub use deadlines::{Deadlines, IndexSet};
 pub use queue::{EventQueue, QueueStats};
 pub use rng::{derive_stream_seed, Rng};
 pub use time::{SimDuration, SimTime};
