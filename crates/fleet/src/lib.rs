@@ -200,6 +200,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetRun {
     // correlate a misbehaving network trace with the epoch that pushed
     // its config.
     let flight = telemetry::FlightRecorder::new(4096);
+    let epoch_ring = flight.ring("fleet.epoch");
     let mut timeline = cfg.timeline.then(|| {
         telemetry::Timeline::new(&telemetry::TimelineConfig::sampling(cfg.collect_period))
     });
@@ -214,7 +215,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetRun {
         drop(epoch_prof);
         sanitize::check_epoch(&nets, now);
         flight.emit(
-            "fleet.epoch",
+            epoch_ring,
             now,
             telemetry::CauseId::NONE,
             telemetry::TraceRecord::FleetEpoch {

@@ -19,8 +19,8 @@ use sim::{SimDuration, SimTime};
 use tcpsim::{AckSegment, FlowId, SeqWindow};
 use telemetry::health::{standard_ap_detectors, AirtimeSlo, QoeDegraded, RtoStorm};
 use telemetry::{
-    AirKind, CauseId, CounterId, FlightRecorder, GaugeId, HealthEngine, HistId, Registry, SpanId,
-    StagedId, Timeline, TraceRecord,
+    AirKind, CauseId, CounterId, FlightRecorder, GaugeId, HealthEngine, HistId, Registry, RingId,
+    SpanId, StagedId, Timeline, TraceRecord,
 };
 
 /// One thing the protocol world did, as the sinks see it. Every variant
@@ -77,11 +77,44 @@ struct ApHandles {
     backlog: GaugeId,
 }
 
+/// The flight rings the seams record into, one per component, resolved
+/// once so that an emit looks nothing up.
+struct Rings {
+    air: RingId,
+    ampdu: RingId,
+    back: RingId,
+    tx: RingId,
+    wire: RingId,
+    retx: RingId,
+    synth: RingId,
+    ack: RingId,
+    qoe_tx: RingId,
+    qoe_rx: RingId,
+}
+
+impl Rings {
+    fn new(flight: &FlightRecorder) -> Rings {
+        Rings {
+            air: flight.ring("air"),
+            ampdu: flight.ring("mac.ampdu"),
+            back: flight.ring("mac.back"),
+            tx: flight.ring("mac.tx"),
+            wire: flight.ring("tcp.wire"),
+            retx: flight.ring("fastack.retx"),
+            synth: flight.ring("fastack.synth"),
+            ack: flight.ring("tcp.ack"),
+            qoe_tx: flight.ring("qoe.tx"),
+            qoe_rx: flight.ring("qoe.rx"),
+        }
+    }
+}
+
 pub(super) struct Taps {
     /// Handles below are registered once in `new`; the registry itself
     /// moves into the report at `finish`.
     metrics: Registry,
     flight: FlightRecorder,
+    rings: Rings,
     /// Detector engine and its sampling clock (None when `health_rules`
     /// is None or selects no detector).
     health: Option<(Cadence, HealthEngine)>,
@@ -177,6 +210,7 @@ impl Taps {
             g_timeouts: metrics.gauge("health.tcp.timeouts"),
             g_qoe_score,
             metrics,
+            rings: Rings::new(&flight),
             flight,
             health: health_engine(cfg),
             timeline,
@@ -217,8 +251,8 @@ impl Taps {
                 }
             }
             Seam::Ampdu { ap, flow, ampdu } => {
-                self.flight
-                    .emit("mac.ampdu", now, ampdu.cause(), ampdu.flight_record(flow.0));
+                let rec = ampdu.flight_record(flow.0);
+                self.flight.emit(self.rings.ampdu, now, ampdu.cause(), rec);
                 let frames = ampdu.size();
                 self.metrics.inc(self.c_aggregates);
                 self.metrics.add(self.c_frames, frames as u64);
@@ -233,7 +267,7 @@ impl Taps {
                     acked: u32::try_from(acked).expect("BlockAck window"),
                     lost: u32::try_from(ampdu.size() - acked).expect("BlockAck window"),
                 };
-                self.flight.emit("mac.back", now, ampdu.cause(), rec);
+                self.flight.emit(self.rings.back, now, ampdu.cause(), rec);
             }
             Seam::ProbeSent { client, seq } => {
                 // The world numbers probes by tick, the collector by
@@ -246,8 +280,8 @@ impl Taps {
                     seq,
                     delay_ns: 0,
                 };
-                self.flight
-                    .emit("qoe.tx", now, telemetry::cause_for(flow, seq), rec);
+                let cause = telemetry::cause_for(flow, seq);
+                self.flight.emit(self.rings.qoe_tx, now, cause, rec);
             }
             // Dropped probes are terminal: the collector scores them lost.
             Seam::ProbeLost { client, seq } => self.qoe[client].on_lost(seq),
@@ -278,26 +312,25 @@ impl Taps {
             }
         };
         self.metrics.record(span, dur);
-        self.flight
-            .emit("air", now, cause, TraceRecord::AirtimeSpan { kind, dur });
+        let rec = TraceRecord::AirtimeSpan { kind, dur };
+        self.flight.emit(self.rings.air, now, cause, rec);
     }
 
     /// Record a FastACK agent action into the flight rings. The record
     /// and causal id come from the action itself
-    /// ([`Action::flight_record`]); this only picks the component:
-    /// forwards are the wired plane, local retransmissions and
-    /// synthesized ACKs are FastACK's doing, pass-through client ACKs
-    /// are plain TCP.
+    /// ([`Action::flight_record`]); this only picks the ring: forwards
+    /// are the wired plane, local retransmissions and synthesized ACKs
+    /// are FastACK's doing, pass-through client ACKs are plain TCP.
     fn action(&mut self, now: SimTime, act: &Action, fastack: bool) {
-        let component = match act {
-            Action::Forward { .. } => "tcp.wire",
-            Action::LocalRetransmit(_) => "fastack.retx",
-            Action::SendAckUpstream(_) if fastack => "fastack.synth",
-            Action::SendAckUpstream(_) => "tcp.ack",
+        let ring = match act {
+            Action::Forward { .. } => self.rings.wire,
+            Action::LocalRetransmit(_) => self.rings.retx,
+            Action::SendAckUpstream(_) if fastack => self.rings.synth,
+            Action::SendAckUpstream(_) => self.rings.ack,
             Action::DropData(_) | Action::SuppressClientAck(_) => return,
         };
         if let Some((cause, rec)) = act.flight_record(fastack) {
-            self.flight.emit(component, now, cause, rec);
+            self.flight.emit(ring, now, cause, rec);
         }
     }
 
@@ -315,7 +348,7 @@ impl Taps {
             seq,
             delivered,
         };
-        self.flight.emit("mac.tx", now, cause, rec);
+        self.flight.emit(self.rings.tx, now, cause, rec);
         if !delivered {
             return;
         }
@@ -328,7 +361,7 @@ impl Taps {
                         seq,
                         delay_ns: delay.as_nanos(),
                     };
-                    self.flight.emit("qoe.rx", now, cause, rec);
+                    self.flight.emit(self.rings.qoe_rx, now, cause, rec);
                 }
             }
             None => self.mac_latencies.push(delay.as_secs_f64()),

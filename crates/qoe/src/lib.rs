@@ -25,9 +25,10 @@
 //! wall clock, no OS entropy, no iteration over unordered maps.
 
 use sim::{SimDuration, SimTime};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use telemetry::health::HealthReport;
 use telemetry::json::{f64_exact, write_str};
+use telemetry::stats::quantile_sorted;
 use telemetry::streaming::RollingWindow;
 
 /// First probe flow id. Probe ids must fit the flight recorder's
@@ -100,13 +101,16 @@ pub struct DimSummary {
     pub max: f64,
 }
 
-fn dim(w: &RollingWindow) -> Option<DimSummary> {
-    Some(DimSummary {
-        min: w.min()?,
-        p50: w.quantile(0.5)?,
-        p99: w.quantile(0.99)?,
-        max: w.max()?,
-    })
+/// `win`'s p50 and p99, `None` while it is empty: two reads of its
+/// sorted mirror when `mirrored`, else one sorted copy of its ring.
+fn p50_p99(win: &RollingWindow, mirrored: bool) -> Option<(f64, f64)> {
+    if mirrored {
+        return Some((win.quantile(0.5)?, win.quantile(0.99)?));
+    }
+    let mut sorted = win.values();
+    sorted.sort_by(f64::total_cmp);
+    let at = |q| quantile_sorted(&sorted, q);
+    (!sorted.is_empty()).then(|| (at(0.5), at(0.99)))
 }
 
 /// One window span's summary: delay/jitter order statistics plus loss
@@ -180,22 +184,67 @@ pub fn score(d: &QoeDims) -> f64 {
 struct SpanWindows {
     delay_ms: RollingWindow,
     jitter_ms: RollingWindow,
-    /// Terminal outcomes: 1.0 = lost, 0.0 = delivered.
-    outcome: RollingWindow,
-    /// Delivery order: 1.0 = out of order, 0.0 = in order.
-    order: RollingWindow,
+    /// Terminal outcomes: lost (`true`) or delivered.
+    outcome: RateWindow,
+    /// Delivery order: out of order (`true`) or in order.
+    order: RateWindow,
 }
 
 impl SpanWindows {
-    /// Delay and jitter are read as min/p50/p99/max on every scoring
-    /// call, so they carry the window's sorted mirror; the two rate
-    /// windows are read through `mean` alone and stay plain rings.
-    fn new(cap: usize) -> SpanWindows {
+    /// Span `w`'s windows, `cap` samples each. Only the operational
+    /// span's delay and jitter keep a sorted mirror: the health tick
+    /// reads their p50/p99 for every client on every step. The other
+    /// spans are read once, by the end-of-run report, from one sorted
+    /// copy of each ring ([`p50_p99`]).
+    fn new(w: usize, cap: usize) -> SpanWindows {
+        let ring = if w == OPERATIONAL_WINDOW {
+            RollingWindow::with_quantiles
+        } else {
+            RollingWindow::new
+        };
         SpanWindows {
-            delay_ms: RollingWindow::with_quantiles(cap),
-            jitter_ms: RollingWindow::with_quantiles(cap),
-            outcome: RollingWindow::new(cap),
-            order: RollingWindow::new(cap),
+            delay_ms: ring(cap),
+            jitter_ms: ring(cap),
+            outcome: RateWindow::new(cap),
+            order: RateWindow::new(cap),
+        }
+    }
+}
+
+/// A ring of yes/no outcomes and a running count of the yeses. Its
+/// rate, `yes / len`, has the bits a ring of 1.0s and 0.0s had for its
+/// mean: sums of ones and zeros are exact.
+#[derive(Debug, Clone)]
+struct RateWindow {
+    capacity: usize,
+    ring: VecDeque<bool>,
+    yes: usize,
+}
+
+impl RateWindow {
+    fn new(capacity: usize) -> RateWindow {
+        RateWindow {
+            capacity,
+            ring: VecDeque::new(),
+            yes: 0,
+        }
+    }
+
+    /// Append an outcome, evicting the oldest at capacity.
+    fn push(&mut self, yes: bool) {
+        if self.ring.len() == self.capacity && self.ring.pop_front() == Some(true) {
+            self.yes -= 1;
+        }
+        self.ring.push_back(yes);
+        self.yes += usize::from(yes);
+    }
+
+    /// The share of yeses, 0 while empty.
+    fn rate(&self) -> f64 {
+        if self.ring.is_empty() {
+            0.0
+        } else {
+            self.yes as f64 / self.ring.len() as f64
         }
     }
 }
@@ -233,7 +282,7 @@ impl ClientQoe {
             lost: 0,
             reordered: 0,
             spans: (0..WINDOW_SECS.len())
-                .map(|w| SpanWindows::new(cfg.window_cap(w)))
+                .map(|w| SpanWindows::new(w, cfg.window_cap(w)))
                 .collect(),
         }
     }
@@ -272,8 +321,8 @@ impl ClientQoe {
         for s in &mut self.spans {
             s.delay_ms.push(delay_ms);
             s.jitter_ms.push(jitter);
-            s.outcome.push(0.0);
-            s.order.push(if out_of_order { 1.0 } else { 0.0 });
+            s.outcome.push(false);
+            s.order.push(out_of_order);
         }
         Some(delay_ms)
     }
@@ -286,31 +335,47 @@ impl ClientQoe {
         }
         self.lost += 1;
         for s in &mut self.spans {
-            s.outcome.push(1.0);
+            s.outcome.push(true);
         }
     }
 
-    /// The scored dimensions of window span `w`: three reads of the
-    /// sorted mirrors and two ring means (0 where a window is empty).
-    fn dims(&self, w: usize) -> QoeDims {
+    /// Span `w`'s delay and jitter `(p50, p99)`, `None` while empty.
+    fn quantiles(&self, w: usize) -> [Option<(f64, f64)>; 2] {
+        let s = &self.spans[w];
+        [&s.delay_ms, &s.jitter_ms].map(|win| p50_p99(win, w == OPERATIONAL_WINDOW))
+    }
+
+    /// The scored dimensions of span `w`, given its `quantiles` (0
+    /// where a window is empty).
+    fn dims(&self, w: usize, [delay, jitter]: [Option<(f64, f64)>; 2]) -> QoeDims {
         let s = &self.spans[w];
         QoeDims {
-            delay_p50_ms: s.delay_ms.quantile(0.5).unwrap_or(0.0),
-            delay_p99_ms: s.delay_ms.quantile(0.99).unwrap_or(0.0),
-            jitter_p50_ms: s.jitter_ms.quantile(0.5).unwrap_or(0.0),
-            loss: s.outcome.mean().unwrap_or(0.0),
-            reorder: s.order.mean().unwrap_or(0.0),
+            delay_p50_ms: delay.map_or(0.0, |(p50, _)| p50),
+            delay_p99_ms: delay.map_or(0.0, |(_, p99)| p99),
+            jitter_p50_ms: jitter.map_or(0.0, |(p50, _)| p50),
+            loss: s.outcome.rate(),
+            reorder: s.order.rate(),
         }
     }
 
     /// Summarize window span `w` (index into [`WINDOW_SECS`]).
     pub fn summary(&self, w: usize) -> QoeSummary {
         let s = &self.spans[w];
-        let dims = self.dims(w);
+        let [delay, jitter] = self.quantiles(w);
+        let dims = self.dims(w, [delay, jitter]);
+        let dim = |win: &RollingWindow, q: Option<(f64, f64)>| {
+            let (p50, p99) = q?;
+            Some(DimSummary {
+                min: win.min()?,
+                p50,
+                p99,
+                max: win.max()?,
+            })
+        };
         QoeSummary {
             samples: s.delay_ms.len(),
-            delay_ms: dim(&s.delay_ms),
-            jitter_ms: dim(&s.jitter_ms),
+            delay_ms: dim(&s.delay_ms, delay),
+            jitter_ms: dim(&s.jitter_ms, jitter),
             loss: dims.loss,
             reorder: dims.reorder,
             score: score(&dims),
@@ -319,9 +384,11 @@ impl ClientQoe {
 
     /// The 0–100 score over window span `w`. A client with no
     /// observations yet scores 100 (no evidence of degradation).
-    /// Skips the min/max folds only [`ClientQoe::summary`] reports.
+    /// Skips the min/max folds only [`ClientQoe::summary`] reports; on
+    /// the operational span it reads four mirror entries and two
+    /// running counts and allocates nothing.
     pub fn score(&self, w: usize) -> f64 {
-        score(&self.dims(w))
+        score(&self.dims(w, self.quantiles(w)))
     }
 }
 

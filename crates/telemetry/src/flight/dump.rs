@@ -3,7 +3,11 @@
 
 use super::FlightEvent;
 
-/// The last-N records of one component, in chronological order.
+/// The last-N records of one component, in emit order: chronological
+/// wherever the emitter's clock is monotone, as the testbed's and the
+/// fleet's are. Nothing enforces that (a recorder takes any instant,
+/// [`FlightDump::parse`] any order), so a reader that needs time order
+/// checks for it, as the health engine's settle index does.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ComponentTrace {
     pub name: String,

@@ -21,7 +21,8 @@
 //!   `Copy` fields; emission never formats or allocates per record (the
 //!   ring slot is overwritten in place once the buffer is warm).
 //! * **Fixed-capacity rings** (`recorder`) — one ring per component
-//!   (`"mac.tx"`, `"tcp.wire"`, …) behind [`FlightRecorder`]; when full,
+//!   (`"mac.tx"`, `"tcp.wire"`, …) behind [`FlightRecorder`], resolved
+//!   once to a [`RingId`] that `emit` indexes by; when full,
 //!   the oldest record is overwritten and the component's `dropped`
 //!   count grows: always a *last-N* window, usable at fleet scale.
 //!   [`install_violation_dump`] arms `sim::sanitize` so any invariant
@@ -37,9 +38,10 @@
 //! use telemetry::flight::{cause_for, FlightRecorder, TraceRecord};
 //!
 //! let rec = FlightRecorder::new(64);
+//! let wire = rec.ring("tcp.wire");
 //! let cause = cause_for(7, 1460);
 //! rec.emit(
-//!     "tcp.wire",
+//!     wire,
 //!     SimTime::from_micros(10),
 //!     cause,
 //!     TraceRecord::TcpSeg { flow: 7, seq: 1460, len: 1460, retransmit: false },
@@ -54,8 +56,9 @@ mod recorder;
 mod wire;
 
 pub use dump::{ComponentTrace, FlightDump};
+pub(crate) use record::LAYERS;
 pub use record::{AirKind, TraceRecord};
-pub use recorder::{install_violation_dump, FlightRecorder};
+pub use recorder::{install_violation_dump, FlightRecorder, IntoRingId, RingId};
 
 use sim::SimTime;
 

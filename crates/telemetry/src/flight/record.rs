@@ -29,6 +29,18 @@ pub(super) const AIR_KINDS: &[Row<AirKind>] = &[
     (AirKind::Interferer, 4, "interferer"),
 ];
 
+/// Every [`TraceRecord::layer`] label, in variant order.
+pub(crate) const LAYERS: [&str; 8] = [
+    "tcp-seg",
+    "mac-tx",
+    "ampdu-build",
+    "block-ack",
+    "airtime-span",
+    "fastack-synth",
+    "fleet-epoch",
+    "qoe-probe",
+];
+
 /// One typed, allocation-free trace record. Variants are per-layer; the
 /// causal [`CauseId`](super::CauseId) carried next to the record (see
 /// [`FlightEvent`](super::FlightEvent)) is what stitches them into
@@ -86,15 +98,20 @@ impl TraceRecord {
 
     /// Short layer label (`tcp-seg`, `mac-tx`, …) for summaries.
     pub fn layer(&self) -> &'static str {
+        LAYERS[self.layer_index()]
+    }
+
+    /// This record's place in [`LAYERS`]: one per variant.
+    pub(crate) fn layer_index(&self) -> usize {
         match self {
-            TraceRecord::TcpSeg { .. } => "tcp-seg",
-            TraceRecord::MacTx { .. } => "mac-tx",
-            TraceRecord::AmpduBuild { .. } => "ampdu-build",
-            TraceRecord::BlockAck { .. } => "block-ack",
-            TraceRecord::AirtimeSpan { .. } => "airtime-span",
-            TraceRecord::FastAckSynth { .. } => "fastack-synth",
-            TraceRecord::FleetEpoch { .. } => "fleet-epoch",
-            TraceRecord::QoeProbe { .. } => "qoe-probe",
+            TraceRecord::TcpSeg { .. } => 0,
+            TraceRecord::MacTx { .. } => 1,
+            TraceRecord::AmpduBuild { .. } => 2,
+            TraceRecord::BlockAck { .. } => 3,
+            TraceRecord::AirtimeSpan { .. } => 4,
+            TraceRecord::FastAckSynth { .. } => 5,
+            TraceRecord::FleetEpoch { .. } => 6,
+            TraceRecord::QoeProbe { .. } => 7,
         }
     }
 }

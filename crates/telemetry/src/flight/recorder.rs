@@ -1,6 +1,7 @@
 //! The hot half: per-component rings behind a cloneable
-//! [`FlightRecorder`] handle, and the sanitizer hook that dumps them on
-//! a violation.
+//! [`FlightRecorder`] handle, each resolved once to the [`RingId`] that
+//! `emit` indexes by, and the sanitizer hook that dumps them on a
+//! violation.
 
 use super::{CauseId, ComponentTrace, FlightDump, FlightEvent, TraceRecord};
 use sim::SimTime;
@@ -40,8 +41,8 @@ impl Ring {
         }
     }
 
-    /// Records in chronological order (oldest kept first): the ring's
-    /// own buffer, rotated in place.
+    /// Records in emit order (oldest kept first): the ring's own
+    /// buffer, rotated in place.
     fn into_ordered(mut self) -> Vec<FlightEvent> {
         if self.buf.len() == self.cap {
             self.buf.rotate_left(self.next);
@@ -50,38 +51,44 @@ impl Ring {
     }
 }
 
-#[derive(Debug, Default)]
-struct Inner {
-    cap: usize,
-    /// Component rings in first-emit order; looked up by a linear scan
-    /// (component counts are small and static-str pointer equality
-    /// short-circuits almost every probe), sorted only at snapshot time.
-    rings: Vec<(&'static str, Ring)>,
+/// One component's ring, from [`FlightRecorder::ring`]: an index, so an
+/// emit through it looks nothing up. Meaningful only to the recorder
+/// that issued it and that recorder's clones.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RingId(usize);
+
+/// What [`FlightRecorder::emit`] records into: a [`RingId`], or a
+/// component name looked up on every call, for code that emits a
+/// handful of records and gains nothing from a handle.
+pub trait IntoRingId: Copy {
+    fn ring_id(self, recorder: &FlightRecorder) -> RingId;
 }
 
-impl Inner {
-    fn ring_mut(&mut self, component: &'static str) -> &mut Ring {
-        // Pointer equality first: `component` is a static literal, so
-        // repeat emits from the same call site hit the same pointer.
-        let pos = self
-            .rings
-            .iter()
-            .position(|&(name, _)| std::ptr::eq(name, component) || name == component);
-        let idx = match pos {
-            Some(i) => i,
-            None => {
-                self.rings.push((component, Ring::new(self.cap)));
-                self.rings.len() - 1
-            }
-        };
-        &mut self.rings[idx].1
+impl IntoRingId for RingId {
+    #[inline]
+    fn ring_id(self, _: &FlightRecorder) -> RingId {
+        self
     }
 }
 
+impl IntoRingId for &'static str {
+    fn ring_id(self, recorder: &FlightRecorder) -> RingId {
+        recorder.ring(self)
+    }
+}
+
+#[derive(Debug, Default)]
+struct Inner {
+    cap: usize,
+    /// Component rings in registration order, indexed by [`RingId`];
+    /// sorted by name only at dump time.
+    rings: Vec<(&'static str, Ring)>,
+}
+
 /// Cloneable handle to a shared flight recorder. Single-threaded by
-/// design: `Rc<RefCell<…>>`, no locks. A
-/// capacity of 0 disables recording entirely — [`FlightRecorder::emit`]
-/// is then a single branch.
+/// design: `Rc<RefCell<…>>`, no locks. A capacity of 0 disables
+/// recording entirely — [`FlightRecorder::emit`] is then a single
+/// branch once its ring is resolved.
 #[derive(Debug, Clone, Default)]
 pub struct FlightRecorder {
     inner: Rc<RefCell<Inner>>,
@@ -98,17 +105,29 @@ impl FlightRecorder {
         }
     }
 
-    /// Record one event under `component`. `component` must be a static
-    /// dotted path (`"mac.tx"`) so the hot path does no string work.
+    /// The ring of `component`, a static dotted path (`"mac.tx"`):
+    /// registered on the first ask, the same handle on every later one.
+    /// A ring nothing is emitted into stays out of every dump.
+    pub fn ring(&self, component: &'static str) -> RingId {
+        let mut inner = self.inner.borrow_mut();
+        let cap = inner.cap;
+        let rings = &mut inner.rings;
+        let known = rings.iter().position(|&(name, _)| name == component);
+        RingId(known.unwrap_or_else(|| {
+            rings.push((component, Ring::new(cap)));
+            rings.len() - 1
+        }))
+    }
+
+    /// Record one event into `ring`.
     #[inline]
-    pub fn emit(&self, component: &'static str, at: SimTime, cause: CauseId, record: TraceRecord) {
+    pub fn emit(&self, ring: impl IntoRingId, at: SimTime, cause: CauseId, record: TraceRecord) {
+        let RingId(i) = ring.ring_id(self);
         let mut inner = self.inner.borrow_mut();
         if inner.cap == 0 {
             return;
         }
-        inner
-            .ring_mut(component)
-            .push(FlightEvent { at, cause, record });
+        inner.rings[i].1.push(FlightEvent { at, cause, record });
     }
 
     /// Total records overwritten across all components (wraparound
@@ -118,27 +137,32 @@ impl FlightRecorder {
         inner.rings.iter().map(|(_, r)| r.dropped).sum()
     }
 
-    /// Immutable snapshot of every ring, in sorted component order.
-    /// Copies every record; a recorder that is done recording hands
-    /// its rings over with [`FlightRecorder::take`] instead.
+    /// Immutable snapshot of every ring emitted into, in sorted
+    /// component order. Copies every record; a recorder that is done
+    /// recording hands its rings over with [`FlightRecorder::take`]
+    /// instead.
     pub fn snapshot(&self) -> FlightDump {
-        dump(self.inner.borrow().rings.clone())
+        dump(self.inner.borrow().rings.iter().cloned())
     }
 
     /// The same dump as [`FlightRecorder::snapshot`], made of the rings
     /// themselves: each buffer is rotated into order in place and moved
-    /// out, so nothing is copied. Every handle to this recorder is left
-    /// with no components (and `total_dropped` 0), still recording.
+    /// out, so nothing is copied. Every ring stays registered, empty
+    /// (`total_dropped` 0) and recording, so every handle stays valid.
     pub fn take(&self) -> FlightDump {
-        dump(std::mem::take(&mut self.inner.borrow_mut().rings))
+        let mut inner = self.inner.borrow_mut();
+        let empty = Ring::new(inner.cap);
+        let rings = inner.rings.iter_mut();
+        dump(rings.map(|(name, ring)| (*name, std::mem::replace(ring, empty.clone()))))
     }
 }
 
-/// Rings live in first-emit order; the dump format (and every
-/// byte-identity pin downstream) requires sorted component order.
-fn dump(rings: Vec<(&'static str, Ring)>) -> FlightDump {
+/// Rings live in registration order; the dump format (and every
+/// byte-identity pin downstream) requires sorted component order, and
+/// holds a component only once a record was emitted into its ring.
+fn dump(rings: impl Iterator<Item = (&'static str, Ring)>) -> FlightDump {
     let mut components: Vec<ComponentTrace> = rings
-        .into_iter()
+        .filter(|(_, ring)| !ring.buf.is_empty())
         .map(|(name, ring)| ComponentTrace {
             name: name.to_owned(),
             capacity: ring.cap as u64,

@@ -31,8 +31,11 @@ fn cause_packs_flow_and_seq() {
 #[test]
 fn disabled_recorder_stores_nothing() {
     let rec = FlightRecorder::new(0);
+    let ring = rec.ring("y");
     rec.emit("x", SimTime::ZERO, CauseId::NONE, seg(1, 0));
+    rec.emit(ring, SimTime::ZERO, CauseId::NONE, seg(1, 1));
     assert_eq!(rec.snapshot().total_records(), 0);
+    assert_eq!(rec.take(), FlightDump::default());
     assert_eq!(rec.total_dropped(), 0);
 }
 
@@ -76,6 +79,30 @@ fn take_moves_out_what_snapshot_copies() {
 }
 
 #[test]
+fn a_ring_never_emitted_into_stays_out_of_every_dump() {
+    // Registered around the one ring emitted into, which wraps.
+    let rec = FlightRecorder::new(4);
+    rec.ring("a.idle");
+    let wire = rec.ring("tcp.wire");
+    rec.ring("z.idle");
+    assert_eq!(rec.ring("tcp.wire"), wire, "one ring per name");
+    for i in 0..6 {
+        rec.emit(wire, SimTime::from_micros(i), cause_for(1, i), seg(1, i));
+    }
+    let by_name = FlightRecorder::new(4);
+    emit_segs(&by_name, "tcp.wire", 1, 6);
+    assert_eq!(rec.total_dropped(), 2);
+    let copied = rec.snapshot();
+    assert_eq!(copied.components.len(), 1);
+    assert_eq!(copied.to_bytes(), by_name.snapshot().to_bytes());
+    assert_eq!(rec.take(), copied);
+    // The handle outlives `take`; its emptied ring is out until refilled.
+    assert_eq!(rec.snapshot(), FlightDump::default());
+    rec.emit(wire, SimTime::ZERO, CauseId::NONE, seg(1, 0));
+    assert_eq!(rec.snapshot().total_records(), 1);
+}
+
+#[test]
 fn ring_under_capacity_keeps_everything() {
     let rec = FlightRecorder::new(100);
     emit_segs(&rec, "c", 1, 5);
@@ -84,12 +111,17 @@ fn ring_under_capacity_keeps_everything() {
     assert_eq!(dump.components[0].dropped, 0);
 }
 
-fn sample_dump() -> FlightDump {
+/// One record of every variant, each under the component the testbed
+/// files it in, emitted through `emit`.
+fn sample_with(
+    emit: fn(&FlightRecorder, &'static str, SimTime, CauseId, TraceRecord),
+) -> FlightDump {
     let rec = FlightRecorder::new(64);
     let t = SimTime::from_micros;
     let c = cause_for(3, 1460);
-    rec.emit("tcp.wire", t(1), c, seg(3, 1460));
-    rec.emit(
+    emit(&rec, "tcp.wire", t(1), c, seg(3, 1460));
+    emit(
+        &rec,
         "mac.ampdu",
         t(2),
         c,
@@ -99,7 +131,8 @@ fn sample_dump() -> FlightDump {
             bytes: 17520,
         },
     );
-    rec.emit(
+    emit(
+        &rec,
         "mac.tx",
         t(3),
         c,
@@ -109,7 +142,8 @@ fn sample_dump() -> FlightDump {
             delivered: true,
         },
     );
-    rec.emit(
+    emit(
+        &rec,
         "mac.back",
         t(4),
         c,
@@ -119,7 +153,8 @@ fn sample_dump() -> FlightDump {
             lost: 0,
         },
     );
-    rec.emit(
+    emit(
+        &rec,
         "air",
         t(4),
         c,
@@ -128,7 +163,8 @@ fn sample_dump() -> FlightDump {
             dur: SimDuration::from_micros(900),
         },
     );
-    rec.emit(
+    emit(
+        &rec,
         "fastack.synth",
         t(5),
         c,
@@ -138,7 +174,8 @@ fn sample_dump() -> FlightDump {
             synthetic: true,
         },
     );
-    rec.emit(
+    emit(
+        &rec,
         "fleet.epoch",
         t(6),
         CauseId::NONE,
@@ -153,9 +190,23 @@ fn sample_dump() -> FlightDump {
         seq: 7,
         delay_ns,
     };
-    rec.emit("qoe.tx", t(7), pc, probe(0));
-    rec.emit("qoe.rx", t(8), pc, probe(850_000));
+    emit(&rec, "qoe.tx", t(7), pc, probe(0));
+    emit(&rec, "qoe.rx", t(8), pc, probe(850_000));
     rec.snapshot()
+}
+
+/// [`sample_with`] through ring handles.
+fn sample_dump() -> FlightDump {
+    sample_with(|rec, component, at, cause, record| {
+        rec.emit(rec.ring(component), at, cause, record)
+    })
+}
+
+#[test]
+fn handles_and_names_dump_the_same_bytes() {
+    let by_name =
+        sample_with(|rec, component, at, cause, record| rec.emit(component, at, cause, record));
+    assert_eq!(by_name.to_bytes(), sample_dump().to_bytes());
 }
 
 #[test]

@@ -4,10 +4,10 @@
 //! a signal over the host's metric paths, the flight layers that
 //! explain an alert, and for two of them a finish-time cross-check.
 
-use super::engine::{delta, last_cause, probe, Detector, Transition, Trigger};
+use super::engine::{delta, probe, Detector, Transition, Trigger};
 use super::rules::*;
+use super::settle::DumpIndex;
 use super::wire::Alert;
-use crate::flight::{FlightDump, TraceRecord};
 use crate::metrics::Registry;
 use crate::streaming::{Ewma, RollingWindow};
 use sim::SimTime;
@@ -45,7 +45,7 @@ pub struct Rule<R> {
     causes: &'static [&'static [&'static str]],
     /// Finish-time cross-check of one alert against the flight dump;
     /// `false` refutes it.
-    check: fn(&FlightDump, &[u64], &Episode) -> bool,
+    check: fn(&DumpIndex, &[u64], &Episode) -> bool,
     /// One per alert, in raise order; found again by `raised_at`.
     episodes: Vec<Episode>,
     config: PhantomData<R>,
@@ -76,7 +76,7 @@ impl<R> Rule<R> {
         Rule { causes, ..self }
     }
 
-    fn checked_by(self, check: fn(&FlightDump, &[u64], &Episode) -> bool) -> Rule<R> {
+    fn checked_by(self, check: fn(&DumpIndex, &[u64], &Episode) -> bool) -> Rule<R> {
         Rule { check, ..self }
     }
 }
@@ -107,7 +107,7 @@ impl<R: Send> Detector for Rule<R> {
         transition
     }
 
-    fn settle(&self, dump: &FlightDump, alert: &mut Alert) -> bool {
+    fn settle(&self, dump: &DumpIndex, alert: &mut Alert) -> bool {
         let at = alert.raised_at;
         let Some(episode) = self.episodes.iter().find(|e| e.raised_at == at) else {
             return true;
@@ -117,7 +117,7 @@ impl<R: Send> Detector for Rule<R> {
             None => &self.flows[..],
         };
         let mut causes = self.causes.iter();
-        alert.cause = causes.find_map(|layers| last_cause(dump, layers, flows, at));
+        alert.cause = causes.find_map(|layers| dump.last_cause(layers, flows, at));
         (self.check)(dump, &self.flows, episode)
     }
 }
@@ -310,18 +310,8 @@ impl FastAckStall {
 /// A genuine stall has no synthetic emissions for `flows` inside the
 /// claimed gap, which ends with the last stalled epoch — the last one
 /// the alert was open after, since one epoch of progress clears it.
-fn no_synthetic_ack_in_gap(dump: &FlightDump, flows: &[u64], alert: &Episode) -> bool {
-    !dump.components.iter().any(|comp| {
-        comp.records.iter().any(|ev| {
-            ev.at > alert.raised_at
-                && ev.at <= alert.last_open
-                && matches!(
-                    ev.record,
-                    TraceRecord::FastAckSynth { flow, synthetic: true, .. }
-                        if flows.contains(&flow)
-                )
-        })
-    })
+fn no_synthetic_ack_in_gap(dump: &DumpIndex, flows: &[u64], alert: &Episode) -> bool {
+    !dump.synthetic_ack_in(flows, alert.raised_at, alert.last_open)
 }
 
 /// Airtime SLO: windowed mean utilization (Δbusy-ns / Δt) against a
@@ -402,14 +392,8 @@ impl QoeDegraded {
 /// ring retained *any* probe records, one for the worst client's flow
 /// must be among them; none at all (recording off or evicted) is
 /// inconclusive and passes.
-fn probed_if_any_probe_is_on_record(dump: &FlightDump, _: &[u64], alert: &Episode) -> bool {
-    let records = dump.components.iter().flat_map(|comp| &comp.records);
-    let probes = records.filter_map(|ev| match ev.record {
-        TraceRecord::QoeProbe { flow, .. } => Some(flow),
-        _ => None,
-    });
-    let mut probes = probes.peekable();
-    probes.peek().is_none() || probes.any(|flow| Some(flow) == alert.subject)
+fn probed_if_any_probe_is_on_record(dump: &DumpIndex, _: &[u64], alert: &Episode) -> bool {
+    dump.probed_if_any_probe(alert.subject)
 }
 
 /// Build the standard catalog for one AP scope. `flows` are the flow

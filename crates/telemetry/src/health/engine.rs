@@ -1,10 +1,11 @@
 //! The state machine every rule shares and the engine that steps the
 //! detectors: raise / clear / critical with hysteresis ([`Trigger`]),
-//! the registry and flight-dump readers detectors are built from, and
-//! [`HealthEngine`], which turns transitions into the alert stream.
+//! the registry readers detectors are built from, and [`HealthEngine`],
+//! which turns transitions into the alert stream.
 
+use super::settle::DumpIndex;
 use super::wire::{sort_alerts, Alert, HealthReport, Severity};
-use crate::flight::{CauseId, FlightDump, FlightEvent};
+use crate::flight::FlightDump;
 use crate::metrics::Registry;
 use sim::SimTime;
 
@@ -98,28 +99,6 @@ pub(super) fn probe(metrics: &Registry, path: &str) -> Option<f64> {
     counter.or_else(gauge).or_else(span)
 }
 
-/// Latest flight event at or before `before` whose layer is in
-/// `layers` and whose flow is in `flows` (empty `flows` ⇒ any flow),
-/// returning its cause id. Ties keep the earliest component in dump
-/// order — deterministic because dumps are.
-pub(super) fn last_cause(
-    dump: &FlightDump,
-    layers: &[&str],
-    flows: &[u64],
-    before: SimTime,
-) -> Option<CauseId> {
-    let records = dump.components.iter().flat_map(|comp| &comp.records);
-    let explains = |ev: &&FlightEvent| {
-        ev.at <= before
-            && ev.cause != CauseId::NONE
-            && layers.contains(&ev.record.layer())
-            && (flows.is_empty() || ev.flow().is_some_and(|f| flows.contains(&f)))
-    };
-    // `max_by_key` keeps the last of equal maxima: walk the dump backwards.
-    let last = records.rev().filter(explains).max_by_key(|ev| ev.at);
-    last.map(|ev| ev.cause)
-}
-
 /// One health rule evaluated over the metric stream. Implementations
 /// must be deterministic functions of the step sequence. `Send` so an
 /// engine can ride a managed network across shard workers.
@@ -131,9 +110,9 @@ pub trait Detector: Send {
     /// Evaluate one collection epoch against the live registry.
     fn step(&mut self, now: SimTime, metrics: &Registry) -> Option<Transition>;
     /// Finish time, once the flight dump exists: attach the causal id
-    /// to `alert` and cross-check it against the dump; returning
-    /// `false` refutes (drops) the alert.
-    fn settle(&self, dump: &FlightDump, alert: &mut Alert) -> bool;
+    /// to `alert` and cross-check it against the dump, read through its
+    /// index; returning `false` refutes (drops) the alert.
+    fn settle(&self, dump: &DumpIndex<'_>, alert: &mut Alert) -> bool;
 }
 
 /// The detector engine: steps every registered detector on the
@@ -213,13 +192,14 @@ impl HealthEngine {
         }
     }
 
-    /// Close out the run: resolve causes via the flight dump, drop
-    /// alerts their detector refutes against it, and emit the report
-    /// in canonical order.
+    /// Close out the run: index the flight dump once, resolve causes
+    /// against it, drop alerts their detector refutes against it, and
+    /// emit the report in canonical order.
     pub fn finish(self, dump: &FlightDump) -> HealthReport {
+        let index = DumpIndex::new(dump);
         let mut alerts = Vec::new();
         for (i, mut a) in self.alerts {
-            if self.detectors[i].settle(dump, &mut a) {
+            if self.detectors[i].settle(&index, &mut a) {
                 alerts.push(a);
             }
         }

@@ -4,7 +4,8 @@
 //! `wire` owns the alert types and their byte-stable JSON grammar,
 //! `rules` the thresholds (`*Rule`, [`HealthRules`] and its `validate`),
 //! `engine` the one raise / clear / critical state machine, the registry
-//! and flight-dump readers and [`HealthEngine`], `catalog` the one
+//! readers and [`HealthEngine`], `settle` the index ([`DumpIndex`]) that
+//! finish time reads the flight dump through, `catalog` the one
 //! detector shell over five signals and the seven rules built from
 //! them. Detectors read only the deterministic registry at simulated
 //! instants, so a report is byte-identical run to run and across threads.
@@ -12,6 +13,7 @@
 mod catalog;
 mod engine;
 mod rules;
+mod settle;
 mod wire;
 
 pub use catalog::{
@@ -20,6 +22,7 @@ pub use catalog::{
 };
 pub use engine::{Detector, HealthEngine, Transition};
 pub use rules::*;
+pub use settle::DumpIndex;
 pub use wire::*;
 
 #[cfg(test)]

@@ -42,7 +42,7 @@ pub mod streaming;
 pub mod timeline;
 
 pub use flight::{
-    cause_for, AirKind, CauseId, ComponentTrace, FlightDump, FlightEvent, FlightRecorder,
+    cause_for, AirKind, CauseId, ComponentTrace, FlightDump, FlightEvent, FlightRecorder, RingId,
     TraceRecord,
 };
 pub use health::{

@@ -41,11 +41,11 @@ impl Ewma {
 
 /// Fixed-capacity ring of the most recent samples, with exact windowed
 /// statistics: it stores the window, so its quantiles are exact.
-/// Windows run from a handful of collection epochs
-/// (the health detectors) to thousands of per-packet samples (QoE keeps
-/// 50 / 500 / 3 000 probe delays per client and reads p50/p99 of them
-/// on every health tick), so nothing here costs more than the window's
-/// data: the ring grows as samples arrive, `sum` / `min` / `max` fold
+/// Windows run from a handful of collection epochs (the health
+/// detectors) to thousands of per-packet samples (QoE keeps 50 / 500 /
+/// 3 000 probe delays per client, and reads p50/p99 of the 500 on every
+/// health tick), so nothing here costs more than the window's data: the
+/// ring grows as samples arrive, `sum` / `min` / `max` fold
 /// it in place, and a window whose owner reads quantiles
 /// ([`RollingWindow::with_quantiles`]) keeps a sorted mirror of the
 /// ring up to date on every push, which makes [`RollingWindow::quantile`]
