@@ -204,6 +204,25 @@ mod tests {
         assert!(distinct.len() >= 3, "{distinct:?}");
     }
 
+    /// `Channel`'s fields are public, so a view can carry a `current`
+    /// that no band table lists. Such a channel overlaps nothing, so an
+    /// AP with clients on it may take no DFS channel, and ReservedCA
+    /// still returns a plan.
+    #[test]
+    fn reserved_ca_plans_from_an_off_table_channel() {
+        let off = Channel {
+            band: Band::Band5,
+            primary: 38,
+            width: Width::W20,
+        };
+        let mut view = clique(1, off);
+        view.aps[0].dfs_certified = true;
+        view.aps[0].has_clients = true;
+        let plan = ReservedCa::new(Width::W40).run(&view);
+        assert_eq!(plan.channels.len(), 1);
+        assert!(!plan.channels[0].requires_dfs(), "{}", plan.channels[0]);
+    }
+
     #[test]
     fn reserved_ca_period_is_five_hours() {
         assert_eq!(ReservedCa::period(), SimDuration::from_hours(5));

@@ -37,7 +37,7 @@ fn node_p_ln(
         if view.band == Band::Band2_4 && ap.has_clients {
             penalty += params.penalty_2_4ghz_extra;
         }
-        let subs = cand.subchannel_numbers().unwrap_or_default();
+        let subs = cand.subchannels().unwrap_or_default();
         let busiest = subs
             .iter()
             .map(|&s| ap.external_busy_on(s))
@@ -58,7 +58,7 @@ fn node_p_ln(
         let Ok(bond) = Channel::new(cand.band, cand.primary, b) else {
             return f64::NEG_INFINITY;
         };
-        let subs = bond.subchannel_numbers().expect("a legal channel");
+        let subs = bond.subchannels().expect("a legal channel");
         let share = |s: u16| {
             let sub = Channel::new(bond.band, s, Width::W20).expect("a sub-channel");
             let over = |n: &&usize| matches!(plan.get(**n), Some(Some(c)) if c.overlaps(&sub));

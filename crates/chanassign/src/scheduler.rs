@@ -250,7 +250,7 @@ mod tests {
         let settled_netp = s.current_net_p_ln(&view);
         // A strong interferer appears on AP0's channel.
         let ch = view.aps[0].current.primary;
-        for sub in view.aps[0].current.subchannel_numbers().unwrap() {
+        for &sub in view.aps[0].current.subchannels().unwrap() {
             view.aps[0].external_busy.insert(sub, 0.9);
         }
         let degraded = s.current_net_p_ln(&view);

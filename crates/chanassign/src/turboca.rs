@@ -400,7 +400,7 @@ mod tests {
         let assigned = vec![None];
         let ch = acc(&MetricParams::default(), &view, &assigned, 0);
         assert!(
-            !ch.subchannel_numbers()
+            !ch.subchannels()
                 .unwrap()
                 .iter()
                 .any(|s| (36..=48).contains(s)),

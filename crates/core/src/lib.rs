@@ -8,7 +8,7 @@
 //! | [`sim`] | discrete-event kernel: time, events, RNG | — |
 //! | [`phy`] | channels/regulatory, MCS rates, airtime, propagation, PER, rate selection | §3, §4.1 |
 //! | [`mac`] | EDCA, backoff/contention, A-MPDU + BlockAck, RTS/CTS, medium sim | §3.2.4, §5.1 |
-//! | [`tcp`] | sender (Reno/CUBIC, RTO, SACK), receiver (delack, rwnd) | §5.1 |
+//! | [`tcp`] | sender (CUBIC, RTO, NewReno + SACK recovery), receiver (delack, rwnd) | §5.1 |
 //! | [`fastack`] | the FastACK agent: fast ACKs, suppression, local retransmission, rx'_win | §5 |
 //! | [`chanassign`] | TurboCA (NodeP/NetP, ACC, NBO, schedule) + ReservedCA and baselines | §4 |
 //! | [`netsim`] | testbed, populations, topologies, deployments, diurnal model, plan evaluation | §3, §4.6, §5.6 |
@@ -61,7 +61,7 @@ pub mod prelude {
     pub use phy80211::mcs::{GuardInterval, Mcs};
     pub use qoe::{ClientReport, ProbeConfig, QoeRollup};
     pub use sim::{Rng, SimDuration, SimTime};
-    pub use tcpsim::{CcAlgorithm, FlowId};
+    pub use tcpsim::FlowId;
     pub use telemetry::stats::{jain_fairness, median, Cdf};
     pub use telemetry::{Timeline, TimelineConfig};
 }

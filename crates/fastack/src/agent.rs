@@ -68,8 +68,9 @@ impl Action {
 /// Agent configuration.
 #[derive(Debug, Clone)]
 pub struct AgentConfig {
-    /// Runtime toggle — the paper notes FastACK "can be toggled at
-    /// run-time" (§5.6.3). Disabled = everything passes through.
+    /// The toggle — the paper notes FastACK "can be toggled at
+    /// run-time" (§5.6.3); here each AP's agent is set on or off when
+    /// the AP is built. Disabled = everything passes through.
     pub enabled: bool,
     /// Per-flow retransmission-cache budget. Must comfortably exceed the
     /// client receive window, since un-client-ACKed bytes ≤ rx_win.
@@ -185,11 +186,6 @@ impl Agent {
     /// Is the agent accelerating anything right now?
     pub fn flow_count(&self) -> usize {
         self.flows.len()
-    }
-
-    /// Runtime toggle.
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.cfg.enabled = enabled;
     }
 
     /// Read-only view of a flow's Table-3 state (the forwarding plane's

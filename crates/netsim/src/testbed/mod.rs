@@ -1,7 +1,7 @@
 //! The performance testbed of the paper's §5.6 (Fig. 13), in software:
 //! one or two 802.11ac APs in a single collision domain, N wireless
 //! clients each sinking one bulk TCP downlink flow from a wired sender
-//! behind an MGig switch. FastACK can be toggled per AP at run time.
+//! behind an MGig switch. FastACK is toggled per AP when the run is built.
 //!
 //! The event loop interleaves three planes exactly as the hardware does:
 //!

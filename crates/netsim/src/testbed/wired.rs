@@ -3,10 +3,7 @@
 
 use super::config::TestbedConfig;
 use sim::{Deadlines, EventQueue, IndexSet, Rng, SimDuration, SimTime};
-use tcpsim::{AckSegment, CcAlgorithm, DataSegment, FlowId, SenderConfig, TcpSender};
-
-/// Congestion control on the senders.
-const CC: CcAlgorithm = CcAlgorithm::Cubic;
+use tcpsim::{AckSegment, DataSegment, FlowId, SenderConfig, TcpSender};
 
 /// One-way latency sender ↔ AP across the switch, both directions.
 pub(super) const WIRED_LATENCY: SimDuration = SimDuration::from_micros(200);
@@ -35,10 +32,7 @@ pub(super) struct Wired {
 
 impl Wired {
     pub(super) fn new(cfg: &TestbedConfig) -> Wired {
-        let sender_cfg = SenderConfig {
-            algorithm: CC,
-            ..SenderConfig::default()
-        };
+        let sender_cfg = SenderConfig::default();
         let n = cfg.n_aps * cfg.clients_per_ap;
         Wired {
             senders: (1..=n as u64)

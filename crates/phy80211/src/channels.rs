@@ -11,7 +11,7 @@
 //! table of every legal (band, block, width), built at compile time by
 //! the one function that states the bonding rules, and everything
 //! geometric about a [`Channel`] — [`Channel::slots`], `footprint`,
-//! `requires_dfs`, legality itself — is a lookup in it.
+//! `overlaps`, `requires_dfs`, legality itself — is a lookup in it.
 
 use std::fmt;
 use std::ops::Range;
@@ -123,14 +123,6 @@ pub const US_2_4GHZ_NON_OVERLAPPING: [u16; 3] = [1, 6, 11];
 /// Selection (radar detection + 1-minute CAC)?
 pub const fn is_dfs_20(primary: u16) -> bool {
     matches!(primary, 52..=64 | 100..=144)
-}
-
-/// Center frequency in MHz of a 20 MHz channel number.
-pub fn center_freq_mhz(band: Band, ch: u16) -> u32 {
-    match band {
-        Band::Band2_4 => 2407 + 5 * ch as u32,
-        Band::Band5 => 5000 + 5 * ch as u32,
-    }
 }
 
 /// The band's 20 MHz channel numbers, ascending: [`US_2_4GHZ`] or
@@ -351,55 +343,27 @@ impl Channel {
         self.slots().map(|r| &channel_numbers(self.band)[r])
     }
 
-    /// [`Channel::subchannels`] as an owned `Vec`.
-    pub fn subchannel_numbers(&self) -> Option<Vec<u16>> {
-        match self.band {
-            // Has always echoed the primary, on the table or not.
-            Band::Band2_4 => Some(vec![self.primary]),
-            Band::Band5 => self.subchannels().map(<[u16]>::to_vec),
-        }
-    }
-
     /// Bit `s` is set iff this channel shares spectrum with the 20 MHz
-    /// channel in slot `s` — [`Channel::overlaps`] against every slot
-    /// at once. In 5 GHz that is the channel's own block; in 2.4 GHz
-    /// the 22 MHz mask reaches four channel numbers either side. Zero
-    /// for an illegal channel.
+    /// channel in slot `s`. In 5 GHz that is the channel's own block; in
+    /// 2.4 GHz the 22 MHz mask reaches four channel numbers either
+    /// side. Zero for an illegal channel.
     #[inline]
     pub fn footprint(&self) -> u32 {
         self.block().map_or(0, |b| b.footprint)
     }
 
-    /// Frequency range [low, high) in MHz covered by this channel.
-    pub fn freq_range_mhz(&self) -> (u32, u32) {
-        match self.band {
-            Band::Band2_4 => {
-                // 2.4 GHz 802.11 transmissions occupy ~22 MHz (DSSS mask);
-                // we use ±11 MHz around the center.
-                let c = center_freq_mhz(self.band, self.primary);
-                (c - 11, c + 11)
-            }
-            Band::Band5 => {
-                let subs = self
-                    .subchannels()
-                    .expect("validated channel has subchannels");
-                let lo = center_freq_mhz(self.band, subs[0]) - 10;
-                let hi = center_freq_mhz(self.band, subs[subs.len() - 1]) + 10;
-                (lo, hi)
-            }
-        }
-    }
-
     /// Do two channels share any spectrum? This is the interference
     /// predicate: for an 80 MHz transmission, energy on any of its four
     /// 20 MHz sub-channels causes contention or corruption (§4.1.1).
+    /// `self`'s [`Channel::footprint`] meets one of `other`'s slots; a
+    /// channel not in its band's table overlaps nothing, itself
+    /// included.
+    #[inline]
     pub fn overlaps(&self, other: &Channel) -> bool {
-        if self.band != other.band {
-            return false;
-        }
-        let (a_lo, a_hi) = self.freq_range_mhz();
-        let (b_lo, b_hi) = other.freq_range_mhz();
-        a_lo < b_hi && b_lo < a_hi
+        self.band == other.band
+            && other
+                .slots()
+                .is_some_and(|s| self.footprint() & slot_mask(s) != 0)
     }
 
     /// True if any 20 MHz sub-channel requires DFS.
@@ -507,10 +471,10 @@ mod tests {
         assert!(!Channel::two4(1).overlaps(&Channel::two4(6)));
     }
 
-    /// The rule oracle: `subchannel_numbers` as it was before the
-    /// geometry became a table — a `Vec` per call, found by scanning
-    /// segments, each bonding rule its own check. Shares no code with
-    /// [`catalog`].
+    /// The rule oracle: a bond's 20 MHz numbers as they were found
+    /// before the geometry became a table — a `Vec` per call, found by
+    /// scanning segments, each bonding rule its own check. Shares no
+    /// code with [`catalog`].
     fn old_subchannel_numbers(ch: &Channel) -> Option<Vec<u16>> {
         if ch.band == Band::Band2_4 {
             return Some(vec![ch.primary]);
@@ -569,8 +533,6 @@ mod tests {
                 "{ch}"
             );
             assert_eq!(ch.subchannels().map(<[u16]>::to_vec), old, "{ch}");
-            // `subchannel_numbers` echoes any 2.4 GHz primary, as ever.
-            assert_eq!(ch.subchannel_numbers(), old_subchannel_numbers(&ch), "{ch}");
             let slot = |c: u16| table.iter().position(|&t| t == c).unwrap();
             let slots = old
                 .as_ref()
@@ -592,11 +554,6 @@ mod tests {
                 .as_ref()
                 .is_some_and(|subs| subs.iter().any(|&c| is_dfs_20(c)));
             assert_eq!(ch.requires_dfs(), dfs, "{ch}");
-            if let (Band::Band5, Some(subs)) = (ch.band, &old) {
-                let lo = center_freq_mhz(ch.band, subs[0]) - 10;
-                let hi = center_freq_mhz(ch.band, *subs.last().unwrap()) + 10;
-                assert_eq!(ch.freq_range_mhz(), (lo, hi), "{ch}");
-            }
         }
     }
 
@@ -664,14 +621,11 @@ mod tests {
     #[test]
     fn bonding_blocks_are_correct() {
         let c = Channel::new(Band::Band5, 44, Width::W80).unwrap();
-        assert_eq!(c.subchannel_numbers().unwrap(), vec![36, 40, 44, 48]);
+        assert_eq!(c.subchannels().unwrap(), [36, 40, 44, 48]);
         let c = Channel::new(Band::Band5, 157, Width::W40).unwrap();
-        assert_eq!(c.subchannel_numbers().unwrap(), vec![157, 161]);
+        assert_eq!(c.subchannels().unwrap(), [157, 161]);
         let c = Channel::new(Band::Band5, 56, Width::W160).unwrap();
-        assert_eq!(
-            c.subchannel_numbers().unwrap(),
-            vec![36, 40, 44, 48, 52, 56, 60, 64]
-        );
+        assert_eq!(c.subchannels().unwrap(), [36, 40, 44, 48, 52, 56, 60, 64]);
     }
 
     #[test]
@@ -726,13 +680,42 @@ mod tests {
         assert!(Channel::five(36).narrowed().is_none());
     }
 
+    /// The frequency oracle: `overlaps` as it was before it read the
+    /// catalog. A 20 MHz channel number's center frequency; ±11 MHz
+    /// around it in 2.4 GHz (the 22 MHz DSSS mask), ±10 MHz beyond each
+    /// end of a 5 GHz bond; overlap iff the two ranges intersect.
+    /// Defined on legal channels only.
+    fn freq_overlaps(a: &Channel, b: &Channel) -> bool {
+        let range = |ch: &Channel| {
+            let subs = old_legal(ch).expect("a legal channel");
+            let (base, edge) = match ch.band {
+                Band::Band2_4 => (2407, 11),
+                Band::Band5 => (5000, 10),
+            };
+            let center = |n: u16| base + 5 * u32::from(n);
+            (center(subs[0]) - edge, center(subs[subs.len() - 1]) + edge)
+        };
+        let ((a_lo, a_hi), (b_lo, b_hi)) = (range(a), range(b));
+        a.band == b.band && a_lo < b_hi && b_lo < a_hi
+    }
+
     #[test]
-    fn freq_ranges() {
-        let c = Channel::five(36);
-        assert_eq!(c.freq_range_mhz(), (5170, 5190));
-        let w = Channel::new(Band::Band5, 36, Width::W80).unwrap();
-        assert_eq!(w.freq_range_mhz(), (5170, 5250));
-        assert_eq!(center_freq_mhz(Band::Band2_4, 6), 2437);
+    fn overlaps_equals_the_frequency_oracle_on_every_pair() {
+        // Every legal channel of both bands against every other, the
+        // cross-band pairs included; an off-table triple (an unknown
+        // primary, a bond the rules forbid, 40 MHz in 2.4 GHz) overlaps
+        // nothing, not even itself.
+        let triples: Vec<(Channel, bool)> = every_triple()
+            .map(|ch| (ch, old_legal(&ch).is_some()))
+            .collect();
+        // 11 in 2.4 GHz; in 5 GHz, 25 / 24 / 24 / 16 primaries by width.
+        assert_eq!(triples.iter().filter(|t| t.1).count(), 100);
+        for &(a, a_legal) in &triples {
+            for &(b, b_legal) in &triples {
+                let want = a_legal && b_legal && freq_overlaps(&a, &b);
+                assert_eq!(a.overlaps(&b), want, "{a} vs {b}");
+            }
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!
 //! // An 80 MHz bond at channel 36 covers four 20 MHz sub-channels.
 //! let ch = Channel::new(Band::Band5, 36, Width::W80).unwrap();
-//! assert_eq!(ch.subchannel_numbers().unwrap(), vec![36, 40, 44, 48]);
+//! assert_eq!(ch.subchannels(), Some(&[36, 40, 44, 48][..]));
 //! ```
 
 pub mod airtime;

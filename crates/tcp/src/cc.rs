@@ -1,24 +1,17 @@
-//! Congestion control: Reno and CUBIC.
+//! Congestion control: CUBIC.
 //!
 //! The congestion window is the lever FastACK acts on — by delivering
 //! ACKs promptly and smoothly the sender's cwnd opens to the cap and
-//! stays there (the paper's Fig. 14) — so both a classic AIMD (Reno) and
-//! the Linux default of the paper's era (CUBIC) are provided, selectable
-//! per flow.
+//! stays there (the paper's Fig. 14) — so the controller is the Linux
+//! default of the paper's era, CUBIC (RFC 8312): slow start with
+//! appropriate byte counting, a cubic window function in congestion
+//! avoidance, and a reduction by β = 0.7 on loss.
 
 use sim::{SimDuration, SimTime};
-
-/// Which algorithm drives cwnd growth.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CcAlgorithm {
-    Reno,
-    Cubic,
-}
 
 /// Congestion controller state, in bytes.
 #[derive(Debug, Clone)]
 pub struct CongestionController {
-    algo: CcAlgorithm,
     mss: u32,
     cwnd: f64,
     ssthresh: f64,
@@ -37,9 +30,8 @@ const CUBIC_BETA: f64 = 0.7;
 
 impl CongestionController {
     /// Fresh controller: IW = 10 segments (RFC 6928), ssthresh = ∞.
-    pub fn new(algo: CcAlgorithm, mss: u32, max_cwnd_segments: u32) -> CongestionController {
+    pub fn new(mss: u32, max_cwnd_segments: u32) -> CongestionController {
         CongestionController {
-            algo,
             mss,
             cwnd: 10.0 * mss as f64,
             ssthresh: f64::INFINITY,
@@ -83,66 +75,53 @@ impl CongestionController {
             }
             return;
         }
-        match self.algo {
-            CcAlgorithm::Reno => {
-                // Congestion avoidance: one MSS per RTT ≈ mss²/cwnd per
-                // ACK, scaled by segments acked (capped at 2, as in slow
-                // start, to bound jump-ACK inflation).
-                let inc = self.mss as f64 * self.mss as f64 / self.cwnd;
-                let segs = (acked as f64 / self.mss as f64).clamp(1.0, 2.0);
-                self.cwnd = (self.cwnd + inc * segs).min(self.max_cwnd);
-            }
-            CcAlgorithm::Cubic => {
-                // RFC 8312: W_cubic(t) = C(t − K)³ + W_max, in segments;
-                // per ACK, grow toward W_cubic(t + RTT).
-                let mss_f = self.mss as f64;
-                if self.epoch_start.is_none() {
-                    self.epoch_start = Some(now);
-                    let wmax_seg = self.w_max.max(self.cwnd) / mss_f;
-                    let cwnd_seg = self.cwnd / mss_f;
-                    self.k = ((wmax_seg - cwnd_seg).max(0.0) / CUBIC_C).cbrt();
-                }
-                let t = now
-                    // Set by the `is_none()` branch directly above.
-                    // simcheck: allow(unwrap-in-lib)
-                    .saturating_since(self.epoch_start.expect("just set"))
-                    .as_secs_f64();
-                let rtt_s = srtt.as_secs_f64().max(1e-3);
-                let wmax_seg = self.w_max.max(self.cwnd) / mss_f;
-                let w_cubic_seg = CUBIC_C * (t + rtt_s - self.k).powi(3) + wmax_seg;
-                // RFC 8312 §4.2 TCP-friendly region: near the origin the
-                // cubic term is glacial (0.4·t³ segments); CUBIC must
-                // never grow slower than an AIMD flow would.
-                let w_est_seg = wmax_seg * CUBIC_BETA
-                    + 3.0 * (1.0 - CUBIC_BETA) / (1.0 + CUBIC_BETA) * (t / rtt_s);
-                let target = w_cubic_seg.max(w_est_seg) * mss_f;
-                // Per-ACK increment, scaled by segments acknowledged;
-                // in the plateau region grow minimally (1% of MSS/ACK).
-                let per_ack = if target > self.cwnd {
-                    (target - self.cwnd) / (self.cwnd / mss_f)
-                } else {
-                    0.01 * mss_f
-                };
-                let segs = (acked as f64 / mss_f).clamp(1.0, 2.0);
-                self.cwnd = (self.cwnd + per_ack * segs).min(self.max_cwnd);
-            }
+        // RFC 8312: W_cubic(t) = C(t − K)³ + W_max, in segments;
+        // per ACK, grow toward W_cubic(t + RTT).
+        let mss_f = self.mss as f64;
+        if self.epoch_start.is_none() {
+            self.epoch_start = Some(now);
+            let wmax_seg = self.w_max.max(self.cwnd) / mss_f;
+            let cwnd_seg = self.cwnd / mss_f;
+            self.k = ((wmax_seg - cwnd_seg).max(0.0) / CUBIC_C).cbrt();
         }
+        let t = now
+            // Set by the `is_none()` branch directly above.
+            // simcheck: allow(unwrap-in-lib)
+            .saturating_since(self.epoch_start.expect("just set"))
+            .as_secs_f64();
+        let rtt_s = srtt.as_secs_f64().max(1e-3);
+        let wmax_seg = self.w_max.max(self.cwnd) / mss_f;
+        let w_cubic_seg = CUBIC_C * (t + rtt_s - self.k).powi(3) + wmax_seg;
+        // RFC 8312 §4.2 TCP-friendly region: near the origin the
+        // cubic term is glacial (0.4·t³ segments); CUBIC must
+        // never grow slower than an AIMD flow would.
+        let w_est_seg =
+            wmax_seg * CUBIC_BETA + 3.0 * (1.0 - CUBIC_BETA) / (1.0 + CUBIC_BETA) * (t / rtt_s);
+        let target = w_cubic_seg.max(w_est_seg) * mss_f;
+        // Per-ACK increment, scaled by segments acknowledged;
+        // in the plateau region grow minimally (1% of MSS/ACK).
+        let per_ack = if target > self.cwnd {
+            (target - self.cwnd) / (self.cwnd / mss_f)
+        } else {
+            0.01 * mss_f
+        };
+        let segs = (acked as f64 / mss_f).clamp(1.0, 2.0);
+        self.cwnd = (self.cwnd + per_ack * segs).min(self.max_cwnd);
     }
 
     /// A loss was detected by duplicate ACKs / SACK (fast retransmit):
-    /// multiplicative decrease. Returns the new cwnd.
-    pub fn on_loss(&mut self, now: SimTime) -> u64 {
-        let beta = match self.algo {
-            CcAlgorithm::Reno => 0.5,
-            CcAlgorithm::Cubic => CUBIC_BETA,
-        };
+    /// multiplicative decrease.
+    pub fn on_loss(&mut self) {
         self.w_max = self.cwnd;
         self.epoch_start = None;
-        let _ = now;
         //= spec: rfc5681:3.1:ssthresh-on-loss
-        self.ssthresh = (self.cwnd * beta).max(2.0 * self.mss as f64);
+        //= spec: rfc9002:7.3.2:ssthresh-on-recovery
+        self.ssthresh = (self.cwnd * CUBIC_BETA).max(2.0 * self.mss as f64);
+        // Reduced at once, not gradually: cwnd equals ssthresh, so slow
+        // start is over and recovery ends at the reduced window.
+        //= spec: rfc9002:7.3.1:exit-slow-start-on-loss
+        //= spec: rfc9002:7.3.2:cwnd-before-exit
         self.cwnd = self.ssthresh;
-        self.cwnd as u64
     }
 
     /// Retransmission timeout: collapse to one segment, re-enter slow
@@ -172,7 +151,7 @@ mod tests {
 
     #[test]
     fn initial_window_is_ten_segments() {
-        let cc = CongestionController::new(CcAlgorithm::Reno, MSS, 770);
+        let cc = CongestionController::new(MSS, 770);
         assert_eq!(cc.cwnd_bytes(), 10 * MSS as u64);
         assert!(cc.in_slow_start());
     }
@@ -194,7 +173,7 @@ mod tests {
     #[test]
     fn slow_start_doubles_per_rtt() {
         //= spec: rfc5681:3.1:slow-start-growth
-        let mut cc = CongestionController::new(CcAlgorithm::Reno, MSS, 770);
+        let mut cc = CongestionController::new(MSS, 770);
         let before = cc.cwnd_bytes();
         ack_full_window(&mut cc, 20);
         assert_eq!(cc.cwnd_bytes(), 2 * before);
@@ -205,7 +184,7 @@ mod tests {
         // A single cumulative ACK covering 100 segments must not inflate
         // cwnd by 100 segments (RFC 3465, L = 2).
         //= spec: rfc5681:3.1:abc-byte-counting
-        let mut cc = CongestionController::new(CcAlgorithm::Reno, MSS, 770);
+        let mut cc = CongestionController::new(MSS, 770);
         let before = cc.cwnd_bytes();
         cc.on_ack(100 * MSS as u64, t(20), rtt());
         assert_eq!(cc.cwnd_bytes(), before + 2 * MSS as u64);
@@ -213,7 +192,7 @@ mod tests {
 
     #[test]
     fn cwnd_caps_at_max() {
-        let mut cc = CongestionController::new(CcAlgorithm::Reno, MSS, 770);
+        let mut cc = CongestionController::new(MSS, 770);
         for i in 0..100 {
             ack_full_window(&mut cc, 20 * (i + 1));
         }
@@ -222,34 +201,33 @@ mod tests {
     }
 
     #[test]
-    fn reno_loss_halves() {
-        //= spec: rfc5681:3.1:ssthresh-on-loss
-        let mut cc = CongestionController::new(CcAlgorithm::Reno, MSS, 770);
-        for i in 0..20 {
-            ack_full_window(&mut cc, 20 * (i + 1));
-        }
-        let before = cc.cwnd_bytes();
-        cc.on_loss(t(1000));
-        assert_eq!(cc.cwnd_bytes(), before / 2);
-        assert!(!cc.in_slow_start());
-    }
-
-    #[test]
     fn cubic_loss_reduces_by_beta() {
-        let mut cc = CongestionController::new(CcAlgorithm::Cubic, MSS, 770);
+        //= spec: rfc5681:3.1:ssthresh-on-loss
+        //= spec: rfc9002:7.3.1:exit-slow-start-on-loss
+        //= spec: rfc9002:7.3.2:ssthresh-on-recovery
+        //= spec: rfc9002:7.3.2:cwnd-before-exit
+        let mut cc = CongestionController::new(MSS, 770);
         for i in 0..20 {
             ack_full_window(&mut cc, 20 * (i + 1));
         }
+        assert!(cc.in_slow_start());
         let before = cc.cwnd_bytes() as f64;
-        cc.on_loss(t(1000));
+        cc.on_loss();
         let after = cc.cwnd_bytes() as f64;
         assert!((after / before - CUBIC_BETA).abs() < 0.01);
+        assert!(!cc.in_slow_start(), "loss ends slow start");
+        // A window already below 2·SMSS / β reduces to the 2·SMSS floor.
+        cc.on_timeout();
+        assert_eq!(cc.cwnd_bytes(), MSS as u64);
+        cc.on_loss();
+        assert_eq!(cc.cwnd_bytes(), 2 * MSS as u64);
+        assert!(!cc.in_slow_start());
     }
 
     #[test]
     fn timeout_collapses_to_one_mss() {
         //= spec: rfc5681:3.1:rto-collapse
-        let mut cc = CongestionController::new(CcAlgorithm::Reno, MSS, 770);
+        let mut cc = CongestionController::new(MSS, 770);
         for i in 0..10 {
             ack_full_window(&mut cc, 20 * (i + 1));
         }
@@ -259,36 +237,16 @@ mod tests {
     }
 
     #[test]
-    fn congestion_avoidance_grows_linearly() {
-        let mut cc = CongestionController::new(CcAlgorithm::Reno, MSS, 10_000);
-        cc.on_loss(t(0)); // leave slow start
-        let w0 = cc.cwnd_bytes() as f64;
-        // One full window of ACKs ≈ one RTT -> +1 MSS.
-        let mut acked = 0u64;
-        let mut now = 0;
-        while acked < w0 as u64 {
-            cc.on_ack(MSS as u64, t(now), rtt());
-            acked += MSS as u64;
-            now += 1;
-        }
-        let growth = cc.cwnd_bytes() as f64 - w0;
-        assert!(
-            (growth - MSS as f64).abs() < MSS as f64 * 0.5,
-            "growth = {growth}"
-        );
-    }
-
-    #[test]
     fn cubic_recovers_toward_wmax() {
         // Small cap so K = cbrt(ΔW/C) stays a few seconds and the
         // concave-convex recovery completes within the simulated acks.
-        let mut cc = CongestionController::new(CcAlgorithm::Cubic, MSS, 100);
+        let mut cc = CongestionController::new(MSS, 100);
         for i in 0..30 {
             ack_full_window(&mut cc, 10 * (i + 1));
         }
         let w_before_loss = cc.cwnd_bytes();
         assert_eq!(w_before_loss, 100 * MSS as u64);
-        cc.on_loss(t(400));
+        cc.on_loss();
         let floor = cc.cwnd_bytes();
         let mut now = 400;
         for _ in 0..2000 {
@@ -306,7 +264,7 @@ mod tests {
 
     #[test]
     fn zero_ack_is_noop() {
-        let mut cc = CongestionController::new(CcAlgorithm::Reno, MSS, 770);
+        let mut cc = CongestionController::new(MSS, 770);
         let before = cc.cwnd_bytes();
         cc.on_ack(0, t(5), rtt());
         assert_eq!(cc.cwnd_bytes(), before);

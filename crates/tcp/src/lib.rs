@@ -2,7 +2,7 @@
 //!
 //! A deliberately compact but faithful TCP implementation: sequence
 //! arithmetic with wire-wrap handling ([`seq`]), segments and ACKs
-//! ([`segment`]), Reno/CUBIC congestion control ([`cc`]), RFC 6298
+//! ([`segment`]), CUBIC congestion control ([`cc`]), RFC 6298
 //! retransmission timeouts ([`rto`]), a self-clocking bulk sender with
 //! NewReno + SACK loss recovery ([`sender`]), and a receiver with
 //! delayed ACKs, reassembly and a finite advertised window
@@ -39,7 +39,7 @@ pub mod sender;
 pub mod seq;
 pub mod window;
 
-pub use cc::{CcAlgorithm, CongestionController};
+pub use cc::CongestionController;
 pub use receiver::{ReceiverConfig, TcpReceiver};
 pub use rto::RtoEstimator;
 pub use segment::{AckSegment, DataSegment, FlowId};

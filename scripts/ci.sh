@@ -83,10 +83,19 @@ fi
 echo "=== less code (ROADMAP item 4's number may only go down) ==="
 # Raising the ceiling is a deliberate, reviewed edit of this line: say
 # in CHANGES.md what the new lines bought. Lower it when a PR deletes.
-loc_ceiling=39910
+loc_ceiling=39892
 loc="$(find crates tests examples -name '*.rs' -print0 | xargs -0 cat | wc -l)"
 (( loc <= loc_ceiling )) \
   || { echo "workspace Rust is $loc lines, over the $loc_ceiling ceiling in scripts/ci.sh: delete something, or raise the ceiling on purpose and defend it in review"; exit 1; }
+
+echo "=== MUST clauses (the number may only go up) ==="
+# simcheck fails a MUST clause that lacks a citation, not one that is
+# gone: deleting a clause, or downgrading it to SHOULD, would pass its
+# coverage rule. Lowering this floor is a deliberate, reviewed edit.
+must_floor=39
+must="$(grep -hE '^clause [^ ]+ MUST[[:space:]]*$' specs/*.spec | wc -l)"
+(( must >= must_floor )) \
+  || { echo "specs/ registers $must MUST clauses, under the floor of $must_floor in scripts/ci.sh"; exit 1; }
 
 echo "=== cargo test ==="
 cargo test --workspace -q

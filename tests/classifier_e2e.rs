@@ -21,7 +21,6 @@ impl Flow {
                 FlowId(id),
                 SenderConfig {
                     total_bytes: Some(total),
-                    ..SenderConfig::default()
                 },
             ),
             receiver: TcpReceiver::new(FlowId(id), ReceiverConfig::default()),

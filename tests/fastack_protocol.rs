@@ -32,7 +32,6 @@ impl World {
                 FlowId(1),
                 SenderConfig {
                     total_bytes: Some(total),
-                    ..SenderConfig::default()
                 },
             ),
             agent: Agent::new(AgentConfig::default()),
