@@ -259,18 +259,35 @@ fn stats_hash(r: &TestbedReport) -> u64 {
     h.finish()
 }
 
+/// Every MAC and TCP latency sample, bit for bit and in order: what the
+/// testbed's latency ledger computes.
+fn latency_hash(r: &TestbedReport) -> u64 {
+    let mut h = Fnv1a::new();
+    for v in r.tcp_latencies.iter().chain(&r.mac_latencies) {
+        h.write(&v.to_bits().to_le_bytes());
+    }
+    h.finish()
+}
+
 /// The benchmark's `lossy_recovery` shape cut down to debug tier-1
 /// size, both arms: 1% upstream loss, 5% bad hints and low SNR put the
 /// run on the slow paths of every sequence-keyed container — SACK
 /// marking and mid-window retransmits at the sender, `ooo` merges at
 /// the receiver, holes, `q_seq` merges, `lookup_range` and cache
-/// release at the agent. Pins what those paths compute, so reworking
-/// how the containers hold their data cannot move a byte.
+/// release at the agent, and the testbed's latency ledger. A third
+/// arm, FastACK with a cache too small for the flows' windows, sends
+/// segments past the agent's cache, which fills and releases its
+/// `uncached` window. Pins what those paths compute, so reworking how
+/// the containers hold their data cannot move a byte.
 #[test]
 fn lossy_artifacts_match_goldens() {
     let mut entries = Vec::new();
     let (mut fast_retx, mut timeouts) = (0, 0);
-    for (arm, fastack) in [("base", false), ("fastack", true)] {
+    for (arm, fastack, cache) in [
+        ("base", false, None),
+        ("fastack", true, None),
+        ("tinycache", true, Some(16 * 1460)),
+    ] {
         let cfg = TestbedConfig {
             n_aps: 1,
             clients_per_ap: 3,
@@ -279,6 +296,7 @@ fn lossy_artifacts_match_goldens() {
             bad_hint_rate: 0.05,
             base_snr_db: 24.0,
             snr_spread_db: 10.0,
+            agent_cache_bytes: cache,
             ..TestbedConfig::default()
         };
         let r = Testbed::new(cfg).run(SimDuration::from_secs(20));
@@ -292,6 +310,9 @@ fn lossy_artifacts_match_goldens() {
             assert!(r.agent_stats[0].holes_detected > 0, "no hole opened");
             assert!(r.agent_stats[0].local_retransmits > 0, "no local repair");
         }
+        if cache.is_some() {
+            assert!(r.agent_stats[0].cache_bypasses > 0, "no cache bypass");
+        }
         entries.extend([
             (
                 format!("lossy.{arm}.metrics"),
@@ -299,6 +320,7 @@ fn lossy_artifacts_match_goldens() {
             ),
             (format!("lossy.{arm}.trace"), fnv1a(&r.flight.to_bytes())),
             (format!("lossy.{arm}.stats"), stats_hash(&r)),
+            (format!("lossy.{arm}.latency"), latency_hash(&r)),
         ]);
     }
     assert!(fast_retx > 0, "no fast retransmit");
