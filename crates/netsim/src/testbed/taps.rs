@@ -232,10 +232,7 @@ impl Taps {
             Seam::Forwarded { flow, end } => {
                 // First write wins: a retransmission of a segment still
                 // pending does not restart its clock.
-                let lat = &mut self.tcp_lat_pending[(flow.0 - 1) as usize];
-                if lat.get(end).is_none() {
-                    lat.insert(end, now);
-                }
+                self.tcp_lat_pending[(flow.0 - 1) as usize].get_or_insert(end, now);
             }
             Seam::ClientAck(ack) => {
                 // The cumulative ACK covers every pending segment at or

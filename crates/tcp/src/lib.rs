@@ -7,7 +7,9 @@
 //! NewReno + SACK loss recovery ([`sender`]), and a receiver with
 //! delayed ACKs, reassembly and a finite advertised window
 //! ([`receiver`]). Every sequence-keyed table of the packet path, here
-//! and in `fastack` / `netsim`, is one sorted deque ([`window`]).
+//! and in `fastack` / `netsim`, is one sorted slice behind a
+//! released-head offset, compacted instead of grown while any head is
+//! released ([`window`]).
 //!
 //! Endpoints own no clock and do no I/O: the network simulation calls
 //! them with events and transmits whatever they return. This is also
