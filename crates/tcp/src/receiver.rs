@@ -166,8 +166,9 @@ impl TcpReceiver {
 
     fn make_ack(&self) -> AckSegment {
         let sack = if self.cfg.sack {
-            // Up to 3 SACK blocks, lowest first (sufficient for the
-            // simulator's honest receiver, whose ooo ranges are few; the
+            // Up to 3 SACK blocks, the lowest ranges, lowest first: a
+            // deviation from the clause's newest-first order, recorded
+            // in its spec entry (the receiver's ooo ranges are few; the
             // AP-side FastACK emulation orders most-recent-first).
             // Every block comes from `ooo`, which only ever holds ranges
             // above `rcv_nxt`.
@@ -303,7 +304,8 @@ mod tests {
         r.on_data(&seg(4_000, 500), t(0));
         r.on_data(&seg(6_000, 500), t(0));
         let a = r.on_data(&seg(8_000, 500), t(0)).unwrap();
-        assert_eq!(a.sack.len(), 3);
+        // The recorded deviation: the three lowest ranges, lowest first.
+        assert_eq!(a.sack, [(2_000, 2_500), (4_000, 4_500), (6_000, 6_500)]);
     }
 
     #[test]

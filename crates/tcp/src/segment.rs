@@ -53,8 +53,11 @@ pub struct AckSegment {
     pub ack: u64,
     /// Receiver window in bytes (already scaled).
     pub rwnd: u64,
-    /// SACK blocks `[start, end)`, most recently received first; empty
-    /// when the option is off or nothing is out of order.
+    /// SACK blocks `[start, end)`; empty when the option is off or
+    /// nothing is out of order. `TcpReceiver` sends its three lowest
+    /// out-of-order ranges, lowest first (a deviation from RFC 2018's
+    /// most-recent-first order, recorded in `specs/rfc2018.spec`); the
+    /// FastACK agent orders its blocks most recently received first.
     pub sack: Vec<(u64, u64)>,
 }
 
