@@ -35,7 +35,7 @@ use wifi_core::mac::ac::AccessCategory;
 use wifi_core::mac::medium::{LinkParams, MediumSim};
 use wifi_core::netsim::testbed::{InterfererFault, Testbed, TestbedConfig, TestbedReport};
 use wifi_core::qoe::{ClientReport, DimSummary, ProbeConfig};
-use wifi_core::sim::{SimDuration, SimTime};
+use wifi_core::sim::{EventQueue, Rng, SimDuration, SimTime};
 use wifi_core::telemetry::codec::Fnv1a;
 use wifi_core::telemetry::{Agg, Timeline, TimelineConfig};
 
@@ -441,4 +441,61 @@ fn medium_edca_matches_golden() {
     assert!(drops > 0, "the retry limit must drop frames");
     h.write(&m.now().as_nanos().to_le_bytes());
     check_goldens("mac", &[("mac.medium.edca".to_string(), h.finish())]);
+}
+
+/// `sim::EventQueue` on seeded schedules that mix every way an entry can
+/// arrive and leave: appends at or after the latest `at`, ties with it,
+/// inserts behind it (some tying with an entry already queued),
+/// `advance_to` past pending events (late fires), and `pop_due` drains
+/// beside plain pops. Pins every `(time, payload)` popped.
+#[test]
+fn event_queue_mixed_schedules_match_golden() {
+    let (mut h, mut behind) = (Fnv1a::new(), 0);
+    let mut record = |(t, p): (SimTime, u64)| {
+        h.write(&t.as_nanos().to_le_bytes());
+        h.write(&p.to_le_bytes());
+    };
+    for seed in [1, 2, 3] {
+        let mut rng = Rng::new(seed);
+        let mut q = EventQueue::new();
+        let (mut back, mut ats) = (SimTime::ZERO, Vec::<SimTime>::new());
+        for payload in 0..3_000u64 {
+            let now = q.now();
+            let at = match rng.below(9) {
+                0 | 1 => back.max(now) + SimDuration::from_micros(rng.below(50)),
+                2 => back.max(now),
+                3 | 4 => {
+                    let span = back.saturating_since(now).as_micros();
+                    now + SimDuration::from_micros(rng.below(span + 1))
+                }
+                5 if !ats.is_empty() => ats[rng.below(ats.len() as u64) as usize].max(now),
+                6 => {
+                    q.advance_to(now + SimDuration::from_micros(rng.below(120)));
+                    continue;
+                }
+                7 => {
+                    while let Some(due) = q.pop_due() {
+                        record(due);
+                    }
+                    continue;
+                }
+                _ => {
+                    q.pop().map(&mut record);
+                    continue;
+                }
+            };
+            behind += usize::from(at < back);
+            back = back.max(at);
+            ats.push(at);
+            q.schedule(at, payload);
+        }
+        while let Some(popped) = q.pop() {
+            record(popped);
+        }
+    }
+    assert!(
+        behind > 1_000,
+        "only {behind} schedules landed behind the latest"
+    );
+    check_goldens("sim", &[("sim.queue.mixed".to_string(), h.finish())]);
 }
