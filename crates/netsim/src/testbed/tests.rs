@@ -26,25 +26,41 @@ fn single_client_moves_data() {
 #[test]
 fn dense_run_schedules_into_the_queue_lane() {
     // Every wire event is scheduled at `now + WIRED_LATENCY` off a
-    // clock that only moves forward, so the event queue's sorted-run
-    // lane must take (nearly) all of them; a schedule site that
-    // breaks the pattern would quietly put the heap back on the
-    // packet path.
-    let mut tb = Testbed::new(TestbedConfig {
+    // clock that only moves forward, so each must be an O(1) append to
+    // the event queue's sorted run; a schedule site that breaks the
+    // pattern would quietly put the O(n) ordered insert on the packet
+    // path. One row per packet shape the benchmark runs.
+    let dense = TestbedConfig {
         n_aps: 2,
         clients_per_ap: 20,
         fastack: vec![true; 2],
         ..TestbedConfig::default()
-    });
-    let end = SimTime::ZERO + SimDuration::from_secs(2);
-    tb.world.run_until(end, &mut tb.taps);
-    let scheduled = tb.world.queue.stats().scheduled;
-    let heap = tb.world.queue.heap_fallbacks();
-    assert!(scheduled > 10_000, "only {scheduled} events scheduled");
-    assert!(
-        heap * 100 <= scheduled,
-        "{heap} of {scheduled} events fell back to the heap"
-    );
+    };
+    let lossy = TestbedConfig {
+        n_aps: 1,
+        clients_per_ap: 3,
+        fastack: vec![true],
+        upstream_loss: 0.01,
+        bad_hint_rate: 0.05,
+        base_snr_db: 24.0,
+        snr_spread_db: 10.0,
+        ..TestbedConfig::default()
+    };
+    let obs = TestbedConfig {
+        flight_capacity: 65_536,
+        qoe: Some(qoe::ProbeConfig::default()),
+        interferer: Some(InterfererFault {
+            at: SimTime::from_millis(1_000),
+        }),
+        ..dense.clone()
+    };
+    for (shape, cfg) in [("dense", dense), ("lossy", lossy), ("obs", obs)] {
+        let mut tb = Testbed::new(cfg);
+        tb.world.run_until(SimTime::from_secs(2), &mut tb.taps);
+        let scheduled = tb.world.queue.stats().scheduled;
+        assert!(scheduled > 10_000, "{shape}: {scheduled} events");
+        assert_eq!(tb.world.queue.out_of_order(), 0, "{shape} inserted");
+    }
 }
 
 #[test]

@@ -4,7 +4,9 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — integer-nanosecond simulated time;
 //! * [`EventQueue`] — a monotone, FIFO-stable-on-ties event queue, generic
-//!   over the domain's event type;
+//!   over the domain's event type: one run sorted by time, so a
+//!   `now + constant` schedule appends in O(1) and an out-of-order one
+//!   is an O(n) ordered insert;
 //! * [`Deadlines`] / [`IndexSet`] — per-owner deadlines a polling loop
 //!   keeps current, reporting the due owners in owner order;
 //! * [`Rng`] — a self-contained xoshiro256\*\* generator with the

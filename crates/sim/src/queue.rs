@@ -9,36 +9,28 @@
 //!    scheduling strictly in the past is rejected (`schedule` panics in
 //!    debug builds, clamps to `now` in release).
 //! 2. **Stable tie-break** — events with equal timestamps pop in the order
-//!    they were scheduled. Without this, runs would be sensitive to heap
-//!    internals and replay determinism would be lost.
+//!    they were scheduled. Without this, runs would be sensitive to
+//!    container internals and replay determinism would be lost.
 //!
-//! ## A sorted-run lane in front of the heap
+//! ## One sorted run
 //!
-//! A packet simulation schedules almost everything at `now + constant`,
-//! and `now` only moves forward: the timestamps arrive already sorted.
-//! Entries — `(at, seq, payload)`, the payload inline — therefore go
-//! first to a FIFO lane (`VecDeque<Entry<E>>`).
-//! **Lane invariant: the lane is a sorted run** — `schedule` appends
-//! to it when its back is `<= at` (seq tags only grow, so the run is
-//! sorted by `(at, seq)`), and only an entry scheduled before the
-//! lane's back falls back to the binary heap. `pop` and `peek_time`
-//! take the `(at, seq)`-minimum of the lane front and the heap top,
-//! which is exactly the order one heap over all entries would produce:
-//! pop order, tie-break and every [`QueueStats`] counter do not depend
-//! on where an entry waited. Cost: an entry that rides the lane is O(1)
-//! in and out (a `push_back`, a `pop_front` and one compare); an
-//! out-of-order entry pays the heap's O(log n) over the *out-of-order*
-//! entries only. One lane, because the one driver with a monotone
-//! schedule (`netsim::testbed`) has one delay; a second lane belongs
-//! with the first workload that has two.
+//! Every pending entry — `(at, payload)`, the payload inline — waits in
+//! one `VecDeque<Entry<E>>`. **Invariant: the deque is sorted by `at`,
+//! ties in schedule order**, so the front is always the next event and
+//! `pop`, `pop_due` and `peek_time` read it. A packet simulation
+//! schedules almost everything at `now + constant`, and `now` only moves
+//! forward: the timestamps arrive already sorted, and `schedule` appends
+//! (the back is `<= at`) in O(1). Any other schedule is legal and takes
+//! an ordered insert after every entry due at or before `at` — so ties
+//! stay FIFO — for a binary search plus shifting the shorter side of the
+//! deque: O(n) in the pending count.
 //!
 //! There is no cancellation. A timer that moves is a fired event that
 //! compares against its owner's current deadline and re-arms itself if
 //! the deadline moved on — no handle, no tombstone.
 
 use crate::time::SimTime;
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// Lifetime counters for one queue — cheap plain integers the driver
 /// can export into a `telemetry::metrics` registry (`sim` sits below
@@ -56,57 +48,23 @@ pub struct QueueStats {
     pub depth_peak: u64,
 }
 
-/// One pending event: the ordering key and the payload it carries.
+/// One pending event: when it is due and the payload it carries.
 struct Entry<E> {
     at: SimTime,
-    seq: u64,
     payload: E,
 }
 
-impl<E> Entry<E> {
-    /// Pop order: earliest first, ties by ascending sequence number.
-    fn key(&self) -> (SimTime, u64) {
-        (self.at, self.seq)
-    }
-}
-
-// BinaryHeap is a max-heap; invert the ordering to pop earliest first,
-// breaking timestamp ties by ascending sequence number. The payload
-// takes no part: seq tags are unique.
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other.key().cmp(&self.key())
-    }
-}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-
-impl<E> Eq for Entry<E> {}
-
 /// A time-ordered queue of future events.
 pub struct EventQueue<E> {
-    // A run sorted by `(at, seq)`; see the module docs.
-    lane: VecDeque<Entry<E>>,
-    // Entries the lane could not take (scheduled before its back).
-    heap: BinaryHeap<Entry<E>>,
-    // How many entries that was, ever — a driver whose schedule is
-    // monotone should see this stay near zero.
-    heap_fallbacks: u64,
+    // One run sorted by `at`, ties in schedule order; see the module docs.
+    pending: VecDeque<Entry<E>>,
+    // Schedules that took the ordered insert, ever — a driver whose
+    // schedule is monotone should see none.
+    out_of_order: u64,
     now: SimTime,
-    next_seq: u64,
     stats: QueueStats,
     // Timestamp of the most recently popped event, used by the
-    // sim-sanitizer to re-verify pop order from outside the containers.
+    // sim-sanitizer to re-verify pop order from outside the run.
     last_popped_at: SimTime,
 }
 
@@ -120,11 +78,9 @@ impl<E> EventQueue<E> {
     /// Empty queue positioned at time zero.
     pub fn new() -> Self {
         EventQueue {
-            lane: VecDeque::new(),
-            heap: BinaryHeap::new(),
-            heap_fallbacks: 0,
+            pending: VecDeque::new(),
+            out_of_order: 0,
             now: SimTime::ZERO,
-            next_seq: 0,
             stats: QueueStats::default(),
             last_popped_at: SimTime::ZERO,
         }
@@ -138,7 +94,7 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.lane.len() + self.heap.len()
+        self.pending.len()
     }
 
     /// True when no events remain.
@@ -151,12 +107,12 @@ impl<E> EventQueue<E> {
         self.stats
     }
 
-    /// Events ever scheduled that the sorted-run lane could not take and
-    /// the heap ordered instead (`stats().scheduled` minus this rode the
-    /// lane at O(1)). Test diagnostics, not API: exported nowhere.
+    /// Events ever scheduled before the back of the run, which took the
+    /// O(n) ordered insert (`stats().scheduled` minus this were O(1)
+    /// appends). Test diagnostics, not API: exported nowhere.
     #[doc(hidden)]
-    pub fn heap_fallbacks(&self) -> u64 {
-        self.heap_fallbacks
+    pub fn out_of_order(&self) -> u64 {
+        self.out_of_order
     }
 
     /// Schedule `payload` at absolute time `at`.
@@ -171,57 +127,23 @@ impl<E> EventQueue<E> {
             self.now
         );
         let at = at.max(self.now);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let entry = Entry { at, seq, payload };
-        if self.lane.back().is_none_or(|b| b.at <= at) {
-            self.lane.push_back(entry);
+        let entry = Entry { at, payload };
+        if self.pending.back().is_none_or(|b| b.at <= at) {
+            self.pending.push_back(entry);
         } else {
-            self.heap.push(entry);
-            self.heap_fallbacks += 1;
+            // After every entry due at or before `at`: ties stay FIFO.
+            let i = self.pending.partition_point(|e| e.at <= at);
+            self.pending.insert(i, entry);
+            self.out_of_order += 1;
         }
         self.stats.scheduled += 1;
         self.stats.depth_peak = self.stats.depth_peak.max(self.len() as u64);
     }
 
-    /// When the `(at, seq)`-minimum entry is due and whether it waits
-    /// in the lane (else the heap).
-    fn earliest(&self) -> Option<(SimTime, bool)> {
-        match (self.lane.front(), self.heap.peek()) {
-            (Some(l), Some(h)) if h.key() < l.key() => Some((h.at, false)),
-            (Some(l), _) => Some((l.at, true)),
-            (None, Some(h)) => Some((h.at, false)),
-            (None, None) => None,
-        }
-    }
-
     /// Pop the earliest event, advancing `now` to its timestamp.
     /// Returns `None` when the queue is empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let (_, in_lane) = self.earliest()?;
-        self.take(in_lane)
-    }
-
-    /// [`Self::pop`] iff the earliest event is due (`at <= now()`): a
-    /// driver that moves the clock itself with [`Self::advance_to`]
-    /// drains what it skipped past with `while let Some(..) = pop_due()`,
-    /// one minimum search per event.
-    pub fn pop_due(&mut self) -> Option<(SimTime, E)> {
-        let (at, in_lane) = self.earliest()?;
-        if at > self.now {
-            return None;
-        }
-        self.take(in_lane)
-    }
-
-    /// Remove the minimum [`Self::earliest`] just found and move the clock
-    /// to it.
-    fn take(&mut self, in_lane: bool) -> Option<(SimTime, E)> {
-        let entry = if in_lane {
-            self.lane.pop_front()?
-        } else {
-            self.heap.pop()?
-        };
+        let entry = self.pending.pop_front()?;
         crate::sanitize::check_event_order(self.last_popped_at, entry.at);
         self.last_popped_at = entry.at;
         // If the clock was advanced past this event (a driver that
@@ -234,9 +156,19 @@ impl<E> EventQueue<E> {
         Some((self.now, entry.payload))
     }
 
+    /// [`Self::pop`] iff the earliest event is due (`at <= now()`): a
+    /// driver that moves the clock itself with [`Self::advance_to`]
+    /// drains what it skipped past with `while let Some(..) = pop_due()`.
+    pub fn pop_due(&mut self) -> Option<(SimTime, E)> {
+        if self.peek_time()? > self.now {
+            return None;
+        }
+        self.pop()
+    }
+
     /// Timestamp of the next event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.earliest().map(|(at, _)| at)
+        self.pending.front().map(|e| e.at)
     }
 
     /// Advance the clock with no event — used by drivers that model
@@ -286,48 +218,17 @@ mod tests {
 
     #[test]
     fn a_payload_that_is_not_copy_round_trips() {
-        // The heap sifts and the lane shifts whole entries: an owned
-        // payload must come out of either as it went in.
+        // The insert shifts whole entries: an owned payload must come
+        // out as it went in, appended or inserted.
         let mut q = EventQueue::new();
         for (at, len) in [(30, 3), (10, 1), (20, 2), (40, 4)] {
             q.schedule(SimTime::from_micros(at), vec![at; len]);
         }
-        assert_eq!(q.heap_fallbacks(), 2, "10 and 20 wait in the heap");
+        assert_eq!(q.out_of_order(), 2, "10 and 20 are inserted ahead of 30");
         for (at, len) in [(10, 1), (20, 2), (30, 3), (40, 4)] {
             assert_eq!(q.pop(), Some((SimTime::from_micros(at), vec![at; len])));
         }
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn len_is_exact_under_mixed_ops() {
-        let mut q = EventQueue::new();
-        for i in [3, 1, 4, 1, 5, 9, 2, 6] {
-            q.schedule(SimTime::from_micros(i), i);
-        }
-        assert_eq!(q.len(), 8);
-        q.pop();
-        q.pop();
-        assert_eq!(q.len(), 6);
-        let mut n = 0;
-        while q.pop().is_some() {
-            n += 1;
-        }
-        assert_eq!(n, 6);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn stats_track_scheduled_popped() {
-        let mut q = EventQueue::new();
-        for i in 0..5 {
-            q.schedule(SimTime::from_micros(i), i);
-        }
-        q.pop();
-        q.pop();
-        let s = q.stats();
-        assert_eq!(s.scheduled, 5);
-        assert_eq!(s.popped, 2);
     }
 
     #[test]
@@ -408,7 +309,8 @@ mod tests {
 mod model_tests {
     //! The queue must agree, operation by operation, with a naive model
     //! (a plain Vec scanned for the minimum) on `len`, peek times, pop
-    //! order and counters, and its lane must stay a sorted run.
+    //! order and counters, and its pending entries must stay one sorted
+    //! run.
 
     use super::*;
     use crate::time::SimDuration;
@@ -459,9 +361,9 @@ mod model_tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// Every way an entry can reach the lane or the heap, mixed: runs
-        /// that extend the lane, repeats of one timestamp, inserts below
-        /// the lane's back (heap) and `advance_to` past pending events
+        /// Every way an entry can reach the run, mixed: appends at or
+        /// after its back, repeats of one timestamp, inserts ahead of its
+        /// back and `advance_to` past pending events
         /// (late fires), drained by `pop` and `pop_due` alike, with
         /// `peek_time` after half of the operations. Pop order, peek,
         /// `len` and all three counters must track the model throughout.
@@ -499,8 +401,11 @@ mod model_tests {
                 };
                 if let Some(at) = schedule_at {
                     last_at = at;
-                    q.schedule(at, arg);
-                    model.schedule(at, arg);
+                    // The model's seq tag as payload: the run's order
+                    // below is then checkable as `(at, seq)`.
+                    let seq = model.next_seq;
+                    q.schedule(at, seq);
+                    model.schedule(at, seq);
                 }
                 prop_assert_eq!(q.now(), model.now);
                 prop_assert_eq!(q.len(), model.pending.len());
@@ -508,8 +413,8 @@ mod model_tests {
                     prop_assert_eq!(q.peek_time(), model.peek_time());
                 }
                 prop_assert_eq!(q.stats(), model.stats);
-                let lane: Vec<_> = q.lane.iter().map(Entry::key).collect();
-                prop_assert!(lane.windows(2).all(|w| w[0] < w[1]), "lane is not a sorted run");
+                let run: Vec<_> = q.pending.iter().map(|e| (e.at, e.payload)).collect();
+                prop_assert!(run.windows(2).all(|w| w[0] < w[1]), "pending is not a sorted run");
             }
 
             while let Some(popped) = model.pop() {
@@ -517,7 +422,7 @@ mod model_tests {
             }
             prop_assert_eq!(q.pop(), None);
             prop_assert_eq!(q.stats(), model.stats);
-            prop_assert!(q.heap_fallbacks() <= q.stats().scheduled);
+            prop_assert!(q.out_of_order() <= q.stats().scheduled);
         }
     }
 }

@@ -85,9 +85,9 @@ pub fn check_time_monotonic(prev: SimTime, next: SimTime) {
 }
 
 /// Event pop order must be non-decreasing in timestamp. This re-checks
-/// the heap's ordering contract from the outside, so a future bug in
-/// the `Entry` ordering (or a stale-cancellation bookkeeping error)
-/// trips here instead of silently reordering a run.
+/// the queue's sorted-run invariant from the outside, so a future bug
+/// in where `schedule` puts an entry trips here instead of silently
+/// reordering a run.
 #[track_caller]
 pub fn check_event_order(last_popped_at: SimTime, at: SimTime) {
     if enabled() && at < last_popped_at {

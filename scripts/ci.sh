@@ -84,7 +84,7 @@ fi
 echo "=== less code (ROADMAP item 4's number may only go down) ==="
 # Raising the ceiling is a deliberate, reviewed edit of this line: say
 # in CHANGES.md what the new lines bought. Lower it when a PR deletes.
-loc_ceiling=39892
+loc_ceiling=39857
 loc="$(find crates tests examples -name '*.rs' -print0 | xargs -0 cat | wc -l)"
 (( loc <= loc_ceiling )) \
   || { echo "workspace Rust is $loc lines, over the $loc_ceiling ceiling in scripts/ci.sh: delete something, or raise the ceiling on purpose and defend it in review"; exit 1; }
@@ -140,6 +140,12 @@ for bin in fig14_cwnd fig15_aggregation fig18_multi_ap fig19_qoe; do
     cmp "$art/$fig.a.$kind" "$art/$fig.c.$kind" \
       || { echo "--timeline/--runprof changed the $bin --$kind artifact"; exit 1; }
   done
+done
+# The committed results of the three packet figures are what their
+# bins write, byte for byte.
+for fig in fig14 fig15 fig18; do
+  cmp "$art/$fig.json" "results/$fig.json" \
+    || { echo "results/$fig.json differs from what its bin writes"; exit 1; }
 done
 
 echo "=== wifictl reads every artifact back ==="
