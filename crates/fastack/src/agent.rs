@@ -167,7 +167,7 @@ struct Flow {
 pub struct Agent {
     cfg: AgentConfig,
     // Ordered map: any iteration over flows must happen in FlowId order
-    // or replay determinism is lost (simcheck: hash-collections).
+    // or replay determinism is lost (rule hash-collections).
     flows: BTreeMap<FlowId, Flow>,
     classifier: Classifier,
     pub stats: AgentStats,

@@ -28,6 +28,11 @@
 //! assert!(matches!(&acts[0], Action::SendAckUpstream(a) if a.ack == 1460));
 //! ```
 
+// A panic mid-simulation loses the whole run: hot-path library code
+// handles the case, or states its invariant at the site with
+// `#[allow(clippy::expect_used)]`. Test code may panic (clippy.toml).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod agent;
 pub mod cache;
 pub mod classifier;

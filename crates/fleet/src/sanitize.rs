@@ -15,8 +15,8 @@
 //!    hiding in the digest path trips this immediately, long before
 //!    the end-of-run checksum comparison in the proptests.
 //!
-//! All checks no-op unless the sim-sanitizer is active (debug builds,
-//! or the `sanitize` feature) — see [`sim::sanitize`].
+//! All checks no-op unless the sim-sanitizer is active (debug builds)
+//! — see [`sim::sanitize`].
 
 use crate::network::ManagedNetwork;
 use crate::report::Checksum;
@@ -107,9 +107,8 @@ mod tests {
         assert_ne!(epoch_checksum(&a), epoch_checksum(&b));
     }
 
-    // Live whenever the sim-sanitizer is: debug builds always, release
-    // only with the `sanitize` feature (the CI sanitized pass).
-    #[cfg(any(debug_assertions, feature = "sanitize"))]
+    // Live whenever the sim-sanitizer is, i.e. in debug builds.
+    #[cfg(debug_assertions)]
     mod sanitizer {
         use super::*;
 

@@ -51,10 +51,11 @@ impl Ampdu {
     }
 
     /// Typed flight-recorder record for this aggregate's assembly.
+    // size() ≤ 64 by check_ampdu.
+    #[allow(clippy::expect_used)]
     pub fn flight_record(&self, flow: u64) -> telemetry::TraceRecord {
         telemetry::TraceRecord::AmpduBuild {
             flow,
-            // simcheck: allow(unwrap-in-lib) — size() ≤ 64 by check_ampdu
             frames: u32::try_from(self.size()).expect("A-MPDU frame count"),
             bytes: self.payload_bytes() as u64,
         }
@@ -386,9 +387,8 @@ mod tests {
         assert_eq!(m.gauge_value("mac.ap0.ampdu.min_size"), Some(10));
     }
 
-    // Live whenever the sim-sanitizer is: debug builds always, release
-    // only with the `sanitize` feature (the CI sanitized pass).
-    #[cfg(any(debug_assertions, feature = "sanitize"))]
+    // Live whenever the sim-sanitizer is, i.e. in debug builds.
+    #[cfg(debug_assertions)]
     mod sanitizer {
         use super::*;
 

@@ -80,13 +80,13 @@ impl Backoff {
 
     /// Total slots this queue must see idle before transmitting:
     /// AIFSN + residual backoff. Caller must have called `ensure_drawn`.
+    // Documented contract: callers run ensure_drawn first.
+    #[allow(clippy::expect_used)]
     //= spec: dot11ac:dcf:aifs-precedence
     pub fn slots_to_tx(&self) -> u32 {
         self.params.aifsn
             + self
                 .remaining_slots
-                // Documented contract: callers run ensure_drawn first.
-                // simcheck: allow(unwrap-in-lib)
                 .expect("slots_to_tx before ensure_drawn")
     }
 

@@ -27,6 +27,11 @@
 //! assert!(reports.len() >= 60);
 //! ```
 
+// A panic mid-simulation loses the whole run: hot-path library code
+// handles the case, or states its invariant at the site with
+// `#[allow(clippy::expect_used)]`. Test code may panic (clippy.toml).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod ac;
 pub mod aggregation;
 pub mod backoff;

@@ -89,8 +89,9 @@ pub struct MediumSim {
 
 impl MediumSim {
     pub fn new(seed: u64) -> MediumSim {
+        // MCS 8 at 2 SS / 80 MHz is a VHT rate.
+        #[allow(clippy::expect_used)]
         let airtime = AirtimeTable::new(Mcs(8), 2, Width::W80, GuardInterval::Short)
-            // simcheck: allow(unwrap-in-lib) — MCS 8 at 2 SS / 80 MHz is a VHT rate
             .expect("MCS 8 at 2 SS / 80 MHz is a VHT rate");
         MediumSim {
             queues: Vec::new(),

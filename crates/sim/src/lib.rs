@@ -29,6 +29,11 @@
 //! assert_eq!(q.now(), SimTime::from_micros(5));
 //! ```
 
+// A panic mid-simulation loses the whole run: hot-path library code
+// handles the case, or states its invariant at the site with
+// `#[allow(clippy::expect_used)]`. Test code may panic (clippy.toml).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod deadlines;
 pub mod queue;
 pub mod rng;

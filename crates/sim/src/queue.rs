@@ -269,7 +269,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "sim-sanitizer: clock moved backwards")]
-    #[cfg(any(debug_assertions, feature = "sanitize"))]
+    #[cfg(debug_assertions)]
     fn advancing_clock_backwards_is_a_violation() {
         let mut q: EventQueue<()> = EventQueue::new();
         q.advance_to(SimTime::from_secs(3));
@@ -277,7 +277,7 @@ mod tests {
     }
 
     #[test]
-    #[cfg(any(debug_assertions, feature = "sanitize"))]
+    #[cfg(debug_assertions)]
     fn pop_order_recheck_passes_on_normal_runs() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_micros(10), 1);

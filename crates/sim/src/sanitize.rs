@@ -1,18 +1,15 @@
 //! Runtime sim-sanitizer — cheap invariant hooks for debug/test builds.
 //!
-//! The static linter (`crates/simcheck`) catches nondeterminism a lexer
-//! can see: hash collections, wall clocks, float equality. This module
-//! is its runtime complement: invariants that need live values — clock
+//! The static gates (clippy via `clippy.toml`, and `crates/simcheck`)
+//! catch nondeterminism visible in source: hash collections, wall
+//! clocks, float equality. This module is their runtime complement: invariants that need live values — clock
 //! monotonicity, BlockAck window bounds, TCP counter ordering, fleet
 //! shard-checksum stability — asserted at the hook sites themselves.
 //!
 //! Gating: checks run when [`enabled`] is true, i.e. in any build with
-//! `debug_assertions` (so plain `cargo test` is sanitized) or with the
-//! `sanitize` feature (so release tests can opt in). Release benches
-//! compile the checks away entirely. Domain crates (`mac80211`,
-//! `tcpsim`, `fleet`) forward their own `sanitize` features to
-//! `sim/sanitize`, so `--features sanitize` anywhere in the tree turns
-//! the whole stack on.
+//! `debug_assertions` — its one switch. Plain `cargo test` is
+//! sanitized across the whole stack; release builds and benches compile
+//! the checks away entirely.
 //!
 //! A violation panics with a `sim-sanitizer:` prefix so a failing CI
 //! run is immediately distinguishable from an ordinary test assertion.
@@ -49,9 +46,9 @@ pub fn clear_violation_hook() {
 /// True when sanitizer checks are compiled in and active.
 ///
 /// Const so that `if enabled() { … }` folds to nothing in release
-/// builds without the `sanitize` feature.
+/// builds.
 pub const fn enabled() -> bool {
-    cfg!(any(feature = "sanitize", debug_assertions))
+    cfg!(debug_assertions)
 }
 
 /// Report an invariant violation. Panics unconditionally — callers
@@ -99,11 +96,9 @@ pub fn check_event_order(last_popped_at: SimTime, at: SimTime) {
 
 #[cfg(test)]
 mod tests {
-    // Plain `cargo test` compiles with debug_assertions, and the CI
-    // sanitized pass sets the feature explicitly; either way the
-    // checks below are live. Guard anyway so a hypothetical release
-    // test run without the feature doesn't report false failures.
-    #[cfg(any(feature = "sanitize", debug_assertions))]
+    // Plain `cargo test` compiles with debug_assertions, so the checks
+    // below are live; `cargo test --release` compiles them away.
+    #[cfg(debug_assertions)]
     mod active {
         use super::super::*;
 

@@ -4,10 +4,9 @@
 //! only*, so a clause id inside a string literal or doc comment can
 //! never fabricate coverage. Each citation is classified as an
 //! *implementation* citation or a *test* citation by the file's test
-//! ranges ([`crate::context::test_ranges`]), the same ranges the
-//! `unwrap-in-lib` rule reads: citations inside `#[cfg(test)]` /
-//! `#[test]` regions, in `tests/` / `benches/` files or in a `tests.rs`
-//! enforce; everything else implements.
+//! ranges ([`crate::context::test_ranges`]): citations inside
+//! `#[cfg(test)]` / `#[test]` regions, in `tests/` / `benches/` files
+//! or in a `tests.rs` enforce; everything else implements.
 //!
 //! A citation must stay *anchored*: the directive's own line holds code
 //! (trailing-comment form), or the next line is non-blank (the cited
@@ -16,7 +15,7 @@
 //! directive hanging over a blank line or EOF — the lint fails, which
 //! is the "cited source line no longer exists" contract.
 
-use crate::context::in_test_context;
+use crate::context::{in_test_context, test_ranges};
 use crate::lexer::Lexed;
 use crate::rules::{Diagnostic, Rule};
 use std::collections::BTreeSet;
@@ -39,16 +38,11 @@ pub struct Citation {
     pub kind: CiteKind,
 }
 
-/// The citations in `src` (lexed as `lexed`, test code at
-/// `test_ranges`), as if it were `rel_path` in the workspace, and the
-/// malformed or unanchored directives among them. Every such finding is
-/// fatal: exit 1.
-pub fn citations(
-    rel_path: &str,
-    src: &str,
-    lexed: &Lexed,
-    test_ranges: &[(u32, u32)],
-) -> (Vec<Citation>, Vec<Diagnostic>) {
+/// The citations in `src` (lexed as `lexed`), as if it were `rel_path`
+/// in the workspace, and the malformed or unanchored directives among
+/// them. Every such finding is fatal: exit 1.
+pub fn citations(rel_path: &str, src: &str, lexed: &Lexed) -> (Vec<Citation>, Vec<Diagnostic>) {
+    let ranges = test_ranges(rel_path, &lexed.tokens);
     let token_lines: BTreeSet<u32> = lexed.tokens.iter().map(|t| t.line).collect();
     let lines: Vec<&str> = src.lines().collect();
     let problem = |line: u32, rule: Rule, message: String| Diagnostic {
@@ -98,7 +92,7 @@ pub fn citations(
             ));
             continue;
         }
-        let kind = if in_test_context(test_ranges, d.line) {
+        let kind = if in_test_context(&ranges, d.line) {
             CiteKind::Test
         } else {
             CiteKind::Impl
@@ -116,12 +110,10 @@ pub fn citations(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::test_ranges;
     use crate::lexer::lex;
 
     fn scan_file(rel_path: &str, src: &str) -> (Vec<Citation>, Vec<Diagnostic>) {
-        let lexed = lex(src);
-        citations(rel_path, src, &lexed, &test_ranges(rel_path, &lexed.tokens))
+        citations(rel_path, src, &lex(src))
     }
 
     #[test]

@@ -1,11 +1,9 @@
 //! Test-context detection over the token stream.
 //!
-//! Two consumers need to know whether a given line of a source file is
-//! test code: the `unwrap-in-lib` rule (panicking is fine inside
-//! tests), and the spec-citation scan (which must distinguish
-//! *implementation* citations from *test* citations). Both read the
-//! same ranges, computed once per file by [`test_ranges`]. "Test code"
-//! means:
+//! The spec-citation scan needs to know whether a given line of a source
+//! file is test code, to tell *implementation* citations from *test*
+//! citations. It reads the ranges [`test_ranges`] computes once per
+//! file. "Test code" means:
 //!
 //! - any item annotated `#[test]`;
 //! - any item gated behind a `cfg` attribute that mentions `test`
@@ -175,10 +173,7 @@ mod tests {
             vec![(1, 3)]
         );
         assert_eq!(ranges("#[cfg(not(test))]\nmod real {\n}\n"), vec![]);
-        assert_eq!(
-            ranges("#[cfg(feature = \"sanitize\")]\nmod s {\n}\n"),
-            vec![]
-        );
+        assert_eq!(ranges("#[cfg(feature = \"extra\")]\nmod s {\n}\n"), vec![]);
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! * **Determinism.** The fleet controller's headline claim is
 //!   bit-identical results for any thread count, and every figure
 //!   reproduction depends on "one seed → one run". That guarantee is
-//!   easy to break silently: a single `HashMap` iteration reorders
-//!   per-flow processing, one `Instant::now` couples a result to the
-//!   host, one `as u32` truncates a nanosecond timestamp.
+//!   easy to break silently: one `as u32` truncates a nanosecond
+//!   timestamp, one `== 0.5` turns on float rounding. simcheck owns the
+//!   rules no clippy lint expresses; hash collections, the wall clock
+//!   and hot-path unwraps are clippy's (`clippy.toml`).
 //! * **Spec compliance.** Every MUST clause condensed from the RFCs and
 //!   the IMC'17 paper (registry under `specs/`, see [`registry`]) must be
 //!   tied to the code that implements it and the test that enforces it,
@@ -22,13 +23,12 @@
 //!   collects `// simcheck: allow(rule)` escape hatches and `//=`
 //!   citation directives;
 //! * [`context`] — `#[cfg(test)]` / `#[test]` region detection over the
-//!   token stream, read by both the `unwrap-in-lib` rule and the
-//!   impl-vs-test classification of citations;
+//!   token stream, read by the impl-vs-test classification of citations;
 //! * [`rules`] — the rule catalog (see its table) over the token stream,
-//!   and the one finding type, [`Diagnostic`];
+//!   applied whole to every file, and the one finding type,
+//!   [`Diagnostic`];
 //! * [`annotations`] — the `//= spec:` citations of one lexed file;
-//! * [`workspace`] — file walking, per-crate exemptions, the one-pass
-//!   scan;
+//! * [`workspace`] — file walking and the one-pass scan;
 //! * [`registry`] and [`coverage`] — the clause registry and its join
 //!   with the citations into the [`Report`].
 //!
@@ -38,8 +38,8 @@
 //! usage or IO error or a registry that fails to parse. That is how
 //! `scripts/ci.sh` wires it into the tier-1 gate. The runtime complement
 //! — invariants that need live values, not source text — is the
-//! sim-sanitizer (`sim::sanitize` and the hooks behind the `sanitize`
-//! features).
+//! sim-sanitizer (`sim::sanitize`), on in every `debug_assertions`
+//! build.
 
 pub mod annotations;
 pub mod context;

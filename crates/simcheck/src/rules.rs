@@ -3,41 +3,34 @@
 //! Every rule is a short pattern over the token stream from
 //! [`crate::lexer`]. The catalog encodes the determinism and
 //! unit-discipline contract of DESIGN.md §4 ("one seed → identical
-//! run") as machine-checked rules rather than review lore:
+//! run") as machine-checked rules rather than review lore. It holds
+//! only the rules no clippy lint expresses; hash collections, the wall
+//! clock and hot-path unwraps are clippy's (`clippy.toml`):
 //!
 //! | id                 | what it rejects |
 //! |--------------------|-----------------|
-//! | `hash-collections` | `HashMap`/`HashSet` (iteration order is randomized per process; any iteration leaks nondeterminism into per-flow/per-AP processing order) |
-//! | `wall-clock`       | `Instant`/`SystemTime`/`UNIX_EPOCH`/`thread_rng` (real time and OS entropy — the two classic determinism leaks) |
 //! | `float-eq`         | `==`/`!=` against a float literal (use an epsilon, an integer representation, or bit-pattern comparison) |
 //! | `narrowing-cast`   | `as u32`-style narrowing of time- or sequence-suffixed values (silent truncation of ns timestamps / unwrapped 64-bit sequence offsets) |
 //! | `time-unit-suffix` | declaring a bare-numeric field/binding whose name is a time word (`timeout`, `delay`, …) without a unit suffix (`_us`, `_ms`, `_s`, …) — use `SimTime`/`SimDuration` or name the unit |
-//! | `unwrap-in-lib`    | `.unwrap()` / `.expect(…)` outside test code in the per-packet hot-path crates (sim, mac80211, tcp, fastack) — a panic mid-simulation loses the whole run; handle the case or justify the invariant with an allow |
 //! | `sorted-iteration` | re-sorting a `Vec` freshly collected from an ordered BTree iteration (`.keys()`, `.values()`, `.range()` …) — the collection is already sorted; the `.sort()` is a redundant O(n log n) |
 //!
-//! Suppression: `// simcheck: allow(rule-id)` on the offending line or
-//! the line directly above it. Per-crate exemptions live in
-//! [`crate::workspace::crate_exemptions`].
+//! Every file gets the whole catalog. Suppression: `// simcheck:
+//! allow(rule-id)` on the offending line or the line directly above it.
 //!
 //! Three more ids name spec-citation findings (`malformed-directive`,
 //! `unanchored-citation`, `unknown-clause`, see [`crate::annotations`]).
 //! They are not in [`Rule::ALL`] and never pass through [`check`], so
-//! neither an allow nor an exemption can switch one off.
+//! no allow can switch one off.
 
-use crate::context::in_test_context;
 use crate::lexer::{Lexed, Token, TokenKind};
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// Every finding id simcheck reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
-    HashCollections,
-    WallClock,
     FloatEq,
     NarrowingCast,
     TimeUnitSuffix,
-    UnwrapInLib,
     SortedIteration,
     /// `//=` directive that is not `spec: <clause-id>`.
     MalformedDirective,
@@ -48,26 +41,19 @@ pub enum Rule {
 }
 
 impl Rule {
-    /// The determinism catalog: the rules an allow or a crate exemption
-    /// can switch off.
-    pub const ALL: [Rule; 7] = [
-        Rule::HashCollections,
-        Rule::WallClock,
+    /// The determinism catalog: the rules an allow can switch off.
+    pub const ALL: [Rule; 4] = [
         Rule::FloatEq,
         Rule::NarrowingCast,
         Rule::TimeUnitSuffix,
-        Rule::UnwrapInLib,
         Rule::SortedIteration,
     ];
 
     pub fn id(self) -> &'static str {
         match self {
-            Rule::HashCollections => "hash-collections",
-            Rule::WallClock => "wall-clock",
             Rule::FloatEq => "float-eq",
             Rule::NarrowingCast => "narrowing-cast",
             Rule::TimeUnitSuffix => "time-unit-suffix",
-            Rule::UnwrapInLib => "unwrap-in-lib",
             Rule::SortedIteration => "sorted-iteration",
             Rule::MalformedDirective => "malformed-directive",
             Rule::UnanchoredCitation => "unanchored-citation",
@@ -146,85 +132,41 @@ fn final_segment(name: &str) -> &str {
     name.rsplit('_').next().unwrap_or(name)
 }
 
-/// Run `rules` over one lexed file, honoring its `allow` annotations.
-/// `test_ranges` are the file's test-code lines
-/// ([`crate::context::test_ranges`]), where panicking is fine.
-pub fn check(
-    file: &str,
-    lexed: &Lexed,
-    rules: &BTreeSet<Rule>,
-    test_ranges: &[(u32, u32)],
-) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
+/// Run the catalog over one lexed file, honoring its `allow`
+/// annotations.
+pub fn check(file: &str, lexed: &Lexed) -> Vec<Diagnostic> {
     let toks = &lexed.tokens;
-    let scan_unwraps = rules.contains(&Rule::UnwrapInLib);
-    for (i, tok) in toks.iter().enumerate() {
-        if let Some(name) = tok.kind.ident() {
-            if rules.contains(&Rule::HashCollections) && (name == "HashMap" || name == "HashSet") {
-                out.push(diag(
-                    file,
-                    tok,
-                    Rule::HashCollections,
-                    format!("`{name}` has nondeterministic iteration order; use BTreeMap/BTreeSet or an index-keyed Vec"),
-                ));
-            }
-            if rules.contains(&Rule::WallClock)
-                && matches!(name, "Instant" | "SystemTime" | "UNIX_EPOCH" | "thread_rng")
-            {
-                out.push(diag(
-                    file,
-                    tok,
-                    Rule::WallClock,
-                    format!("`{name}` reaches for wall-clock time or OS entropy; use SimTime and sim::Rng"),
-                ));
-            }
-        }
-        match &tok.kind {
-            TokenKind::EqEq | TokenKind::NotEq if rules.contains(&Rule::FloatEq) => {
-                let float_beside = [i.checked_sub(1), Some(i + 1)]
-                    .into_iter()
-                    .flatten()
-                    .filter_map(|j| toks.get(j))
-                    .any(|t| t.kind == TokenKind::Float);
-                if float_beside {
-                    let op = if tok.kind == TokenKind::EqEq {
-                        "=="
-                    } else {
-                        "!="
-                    };
-                    out.push(diag(
-                        file,
-                        tok,
-                        Rule::FloatEq,
-                        format!("float literal compared with `{op}`; compare with an epsilon or integers"),
-                    ));
-                }
-            }
-            _ => {}
-        }
-        if rules.contains(&Rule::NarrowingCast) {
-            if let Some(d) = narrowing_cast_at(file, toks, i) {
-                out.push(d);
-            }
-        }
-        if rules.contains(&Rule::TimeUnitSuffix) {
-            if let Some(d) = missing_unit_suffix_at(file, toks, i) {
-                out.push(d);
-            }
-        }
-        if scan_unwraps {
-            if let Some(d) = unwrap_in_lib_at(file, toks, i, test_ranges) {
-                out.push(d);
-            }
-        }
-        if rules.contains(&Rule::SortedIteration) {
-            if let Some(d) = sorted_iteration_at(file, toks, i) {
-                out.push(d);
-            }
-        }
+    let mut out = Vec::new();
+    for i in 0..toks.len() {
+        out.extend(float_eq_at(file, toks, i));
+        out.extend(narrowing_cast_at(file, toks, i));
+        out.extend(missing_unit_suffix_at(file, toks, i));
+        out.extend(sorted_iteration_at(file, toks, i));
     }
     out.retain(|d| !is_allowed(lexed, d));
     out
+}
+
+/// `==` / `!=` at position `i` with a float literal on either side.
+fn float_eq_at(file: &str, toks: &[Token], i: usize) -> Option<Diagnostic> {
+    let op = match toks[i].kind {
+        TokenKind::EqEq => "==",
+        TokenKind::NotEq => "!=",
+        _ => return None,
+    };
+    let float_beside = [i.checked_sub(1), Some(i + 1)]
+        .into_iter()
+        .flatten()
+        .filter_map(|j| toks.get(j))
+        .any(|t| t.kind == TokenKind::Float);
+    float_beside.then(|| {
+        diag(
+            file,
+            &toks[i],
+            Rule::FloatEq,
+            format!("float literal compared with `{op}`; compare with an epsilon or integers"),
+        )
+    })
 }
 
 /// `<time-or-seq value> as <narrow int>` at position `i` (the `as`).
@@ -302,42 +244,6 @@ fn missing_unit_suffix_at(file: &str, toks: &[Token], i: usize) -> Option<Diagno
         format!(
             "`{name}: {ty}` carries time without a unit; suffix it (`{name}_us`, `{name}_ms`, …) or use SimTime/SimDuration"
         ),
-    ))
-}
-
-/// `.unwrap()` / `.expect(…)` at position `i` (the method name) outside
-/// test context. A panic in the per-packet hot path aborts the whole
-/// simulated run; handle the case or state the invariant with an allow.
-fn unwrap_in_lib_at(
-    file: &str,
-    toks: &[Token],
-    i: usize,
-    test_ranges: &[(u32, u32)],
-) -> Option<Diagnostic> {
-    let name = toks[i].kind.ident()?;
-    if name != "unwrap" && name != "expect" {
-        return None;
-    }
-    if i == 0 || !toks[i - 1].kind.is_punct('.') {
-        return None;
-    }
-    if !toks.get(i + 1)?.kind.is_punct('(') {
-        return None;
-    }
-    // Only the zero-arg `.unwrap()` is Option/Result::unwrap; domain
-    // methods named `unwrap` that take arguments (e.g. the sequence
-    // `Unwrapper`) are not panics.
-    if name == "unwrap" && !toks.get(i + 2)?.kind.is_punct(')') {
-        return None;
-    }
-    if in_test_context(test_ranges, toks[i].line) {
-        return None;
-    }
-    Some(diag(
-        file,
-        &toks[i],
-        Rule::UnwrapInLib,
-        format!("`.{name}(…)` can panic in hot-path library code; handle the case or justify the invariant with an allow"),
     ))
 }
 
@@ -435,13 +341,10 @@ fn is_allowed(lexed: &Lexed, d: &Diagnostic) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::test_ranges;
     use crate::lexer::lex;
 
     fn run(src: &str) -> Vec<Diagnostic> {
-        let rules: BTreeSet<Rule> = Rule::ALL.into_iter().collect();
-        let lexed = lex(src);
-        check("t.rs", &lexed, &rules, &test_ranges("t.rs", &lexed.tokens))
+        check("t.rs", &lex(src))
     }
 
     #[test]
@@ -457,44 +360,17 @@ mod tests {
 
     #[test]
     fn allow_suppresses_same_and_next_line() {
-        let src = "// simcheck: allow(hash-collections)\nuse std::collections::HashMap;\nlet m: HashMap<u8, u8> = HashMap::new(); // simcheck: allow(hash-collections)";
+        let src = "// simcheck: allow(float-eq)\nlet a = x == 0.5;\nlet b = y != 1.5; // simcheck: allow(float-eq)";
         assert_eq!(run(src), vec![]);
         // …but only those lines.
-        let src2 = "// simcheck: allow(hash-collections)\nlet a = 1;\nlet b: HashMap<u8,u8>;";
+        let src2 = "// simcheck: allow(float-eq)\nlet a = 1;\nlet b = x == 0.5;";
         assert_eq!(run(src2).len(), 1);
     }
 
     #[test]
     fn allow_is_rule_specific() {
-        let src = "use std::collections::HashMap; // simcheck: allow(wall-clock)";
+        let src = "let a = x == 0.5; // simcheck: allow(narrowing-cast)";
         assert_eq!(run(src).len(), 1, "wrong rule id does not suppress");
-    }
-
-    #[test]
-    fn unwrap_in_lib_flags_non_test_code_only() {
-        let bad = "fn f(x: Option<u8>) -> u8 { x.unwrap() }";
-        let d = run(bad);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, Rule::UnwrapInLib);
-        let bad2 = "fn f(x: Option<u8>) -> u8 { x.expect(\"set\") }";
-        assert_eq!(run(bad2).len(), 1);
-        // The same calls inside `#[cfg(test)]` / `#[test]` items pass.
-        let test_mod = "#[cfg(test)]\nmod tests {\n    fn f(x: Option<u8>) -> u8 { x.unwrap() }\n}";
-        assert_eq!(run(test_mod), vec![]);
-        let test_fn = "#[test]\nfn t() {\n    Some(1).expect(\"present\");\n}";
-        assert_eq!(run(test_fn), vec![]);
-        // `unwrap_or` / `unwrap_or_default` and bare path mentions are
-        // not panics.
-        let fine = "fn f(x: Option<u8>) -> u8 { x.unwrap_or_default() }\nlet g = xs.iter().map(Option::unwrap);";
-        assert_eq!(run(fine), vec![]);
-        // Domain methods named `unwrap` that take arguments (the
-        // sequence `Unwrapper`) are not Option::unwrap.
-        let domain = "fn f(u: &mut Unwrapper, w: WireSeq) -> u64 { u.unwrap(w) }";
-        assert_eq!(run(domain), vec![]);
-        // The allow hatch works like every other rule.
-        let src =
-            "fn f(x: Option<u8>) -> u8 {\n    // simcheck: allow(unwrap-in-lib)\n    x.unwrap()\n}";
-        assert_eq!(run(src), vec![]);
     }
 
     #[test]

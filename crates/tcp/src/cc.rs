@@ -84,9 +84,9 @@ impl CongestionController {
             let cwnd_seg = self.cwnd / mss_f;
             self.k = ((wmax_seg - cwnd_seg).max(0.0) / CUBIC_C).cbrt();
         }
+        // Set by the `is_none()` branch directly above.
+        #[allow(clippy::expect_used)]
         let t = now
-            // Set by the `is_none()` branch directly above.
-            // simcheck: allow(unwrap-in-lib)
             .saturating_since(self.epoch_start.expect("just set"))
             .as_secs_f64();
         let rtt_s = srtt.as_secs_f64().max(1e-3);

@@ -33,6 +33,11 @@
 //! assert!(tx.acked_bytes() > 0);
 //! ```
 
+// A panic mid-simulation loses the whole run: hot-path library code
+// handles the case, or states its invariant at the site with
+// `#[allow(clippy::expect_used)]`. Test code may panic (clippy.toml).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod cc;
 pub mod receiver;
 pub mod rto;

@@ -74,11 +74,11 @@ impl Unwrapper {
             base | rel as u64,
             (base + (1u64 << 32)) | rel as u64,
         ];
+        // `candidates` is a fixed 3-element array.
+        #[allow(clippy::expect_used)]
         let best = *candidates
             .iter()
             .min_by_key(|&&c| c.abs_diff(self.high))
-            // `candidates` is a fixed 3-element array.
-            // simcheck: allow(unwrap-in-lib)
             .expect("non-empty");
         self.high = self.high.max(best);
         best

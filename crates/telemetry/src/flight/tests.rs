@@ -338,7 +338,7 @@ fn empty_dump_roundtrips() {
 }
 
 #[test]
-#[cfg(any(feature = "sanitize", debug_assertions))]
+#[cfg(debug_assertions)]
 #[should_panic(expected = "sim-sanitizer: flight-recorder post-mortem")]
 fn violation_dump_is_written_and_parses() {
     // Arm the recorder, trip a violation, then — after catching the

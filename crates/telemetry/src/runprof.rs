@@ -15,9 +15,10 @@
 //! ## The determinism exemption — read this before adding wall-clock
 //!
 //! This is the **single audited wall-clock module** in the otherwise
-//! deterministic stack. simcheck's `wall-clock` rule exempts exactly
-//! this file (see `simcheck::workspace::audited_wall_clock_files`),
-//! not the `telemetry` crate, and the audit it encodes is:
+//! deterministic stack. Its one clock read carries the only
+//! `#[allow(clippy::disallowed_methods)]` in `telemetry` (the
+//! `wall-clock` rule, `clippy.toml`), not a crate-wide exemption, and
+//! the audit that allow encodes is:
 //!
 //! 1. **Nothing flows back.** No simulation code ever *reads* a value
 //!    produced here; the profiler is write-only from the simulator's

@@ -332,7 +332,7 @@ mod tests {
 
     // NaN regression tests. Pre-fix, `add(NaN)` landed in bin 0 and
     // `quantile(_, NaN)` returned the minimum — both silently.
-    #[cfg(any(feature = "sanitize", debug_assertions))]
+    #[cfg(debug_assertions)]
     mod nan_sanitized {
         use super::*;
 
@@ -357,7 +357,7 @@ mod tests {
     }
 
     // Unsanitized-build fallback: NaNs are quarantined, not binned.
-    #[cfg(not(any(feature = "sanitize", debug_assertions)))]
+    #[cfg(not(debug_assertions))]
     mod nan_release {
         use super::*;
 

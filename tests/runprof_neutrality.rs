@@ -1,8 +1,8 @@
 //! Trajectory-neutrality of the host-side profiler.
 //!
 //! `telemetry::runprof` reads the host clock — the one audited
-//! exception to the workspace's wall-clock ban (see
-//! `simcheck::workspace::audited_wall_clock_files`). The exemption is
+//! exception to the workspace's wall-clock ban (its one
+//! `#[allow(clippy::disallowed_methods)]`). The exemption is
 //! only sound if profiling can never steer the simulation: every
 //! deterministic artifact must be byte-identical whether the profiler
 //! is off, on, or toggled between runs. This test pins that property
