@@ -19,11 +19,16 @@ use crate::cache::{CachedSegment, RetransmissionCache};
 use crate::classifier::{Classifier, FlowPolicy};
 use crate::state::FlowState;
 use std::collections::btree_map::{BTreeMap, Entry};
-use tcpsim::segment::{AckSegment, DataSegment, FlowId};
+use tcpsim::segment::{AckSegment, DataSegment, FlowId, SackBlocks};
 use tcpsim::SeqWindow;
 
 /// What the forwarding plane must do with a packet.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The tag is a whole word (`repr(u64)`): moving an 88-byte `Action`
+/// then copies aligned words, not a tag byte and an unaligned tail,
+/// which stalled store-to-load forwarding on every push.
+#[derive(Debug, Clone, Copy, PartialEq)]
+#[repr(u64)]
 pub enum Action {
     /// Queue the data segment for wireless transmission. `priority`
     /// elevates it ahead of the queue (case (ii): end-to-end
@@ -171,6 +176,9 @@ pub struct Agent {
     flows: BTreeMap<FlowId, Flow>,
     classifier: Classifier,
     pub stats: AgentStats,
+    /// Scratch for the segments one dupACK firing re-serves, kept so the
+    /// firing allocates nothing once it has grown.
+    retx: Vec<CachedSegment>,
 }
 
 impl Agent {
@@ -180,6 +188,7 @@ impl Agent {
             cfg,
             flows: BTreeMap::new(),
             stats: AgentStats::default(),
+            retx: Vec::new(),
         }
     }
 
@@ -382,12 +391,9 @@ impl Agent {
             self.stats.fast_acks_sent += 1;
             let rwnd = Self::advertised_rwnd(&self.cfg, &flow.state);
             flow.state.last_advertised_rwnd = rwnd;
-            out.push(Action::SendAckUpstream(AckSegment {
-                flow: flow_id,
-                ack: fack,
-                rwnd,
-                sack: Vec::new(),
-            }));
+            out.push(Action::SendAckUpstream(AckSegment::plain(
+                flow_id, fack, rwnd,
+            )));
         }
     }
 
@@ -403,11 +409,11 @@ impl Agent {
     /// [`Agent::on_client_ack`] appending into a caller-owned buffer.
     pub fn on_client_ack_into(&mut self, ack: &AckSegment, out: &mut Vec<Action>) {
         if !self.cfg.enabled {
-            out.push(Action::SendAckUpstream(ack.clone()));
+            out.push(Action::SendAckUpstream(*ack));
             return;
         }
         let Some(flow) = self.flows.get_mut(&ack.flow) else {
-            out.push(Action::SendAckUpstream(ack.clone()));
+            out.push(Action::SendAckUpstream(*ack));
             return;
         };
         flow.state.client_rwnd = ack.rwnd;
@@ -423,24 +429,20 @@ impl Agent {
                 let _ = flow.state.drain_contiguous();
                 flow.cache.release_below(ack.ack);
                 self.stats.client_acks_forwarded += 1;
-                out.push(Action::SendAckUpstream(ack.clone()));
+                out.push(Action::SendAckUpstream(*ack));
                 if flow.state.seq_fack > ack.ack {
                     // Release the fast-ack backlog accumulated while gated.
                     self.stats.fast_acks_sent += 1;
                     let rwnd = Self::advertised_rwnd(&self.cfg, &flow.state);
                     flow.state.last_advertised_rwnd = rwnd;
-                    out.push(Action::SendAckUpstream(AckSegment {
-                        flow: ack.flow,
-                        ack: flow.state.seq_fack,
-                        rwnd,
-                        sack: Vec::new(),
-                    }));
+                    let update = AckSegment::plain(ack.flow, flow.state.seq_fack, rwnd);
+                    out.push(Action::SendAckUpstream(update));
                 }
                 return;
             }
             // Pre-baseline traffic: entirely the endpoints' business.
             self.stats.client_acks_forwarded += 1;
-            out.push(Action::SendAckUpstream(ack.clone()));
+            out.push(Action::SendAckUpstream(*ack));
             return;
         }
 
@@ -460,7 +462,7 @@ impl Agent {
                 // Continuity may hold again past the resync point.
                 let _ = flow.state.drain_contiguous();
                 self.stats.client_acks_forwarded += 1;
-                out.push(Action::SendAckUpstream(ack.clone()));
+                out.push(Action::SendAckUpstream(*ack));
                 return;
             }
             // Normal case: the fast ACK already covered this. The data
@@ -469,16 +471,12 @@ impl Agent {
             // must hear about it or a window-limited flow deadlocks.
             // Emit a pure window update when the window grew.
             self.stats.client_acks_suppressed += 1;
-            out.push(Action::SuppressClientAck(ack.clone()));
+            out.push(Action::SuppressClientAck(*ack));
             let rwnd = Self::advertised_rwnd(&self.cfg, &flow.state);
             if rwnd > flow.state.last_advertised_rwnd {
                 flow.state.last_advertised_rwnd = rwnd;
-                out.push(Action::SendAckUpstream(AckSegment {
-                    flow: ack.flow,
-                    ack: flow.state.seq_fack,
-                    rwnd,
-                    sack: Vec::new(),
-                }));
+                let update = AckSegment::plain(ack.flow, flow.state.seq_fack, rwnd);
+                out.push(Action::SendAckUpstream(update));
             }
             return;
         }
@@ -488,7 +486,7 @@ impl Agent {
             // stale ACK or (after mid-stream adoption) an ACK for
             // pre-adoption data the sender is still waiting on. Forward.
             self.stats.client_acks_forwarded += 1;
-            out.push(Action::SendAckUpstream(ack.clone()));
+            out.push(Action::SendAckUpstream(*ack));
             return;
         }
 
@@ -506,20 +504,18 @@ impl Agent {
             || (flow.state.last_fire_dup > 0 && d >= flow.state.last_fire_dup.saturating_mul(4));
         if fire {
             flow.state.last_fire_dup = d;
-            let mut to_retx: Vec<CachedSegment> = Vec::new();
-            if let Some(c) = flow.cache.lookup_containing(ack.ack) {
-                to_retx.push(c);
-            }
+            let to_retx = &mut self.retx;
+            to_retx.clear();
+            to_retx.extend(flow.cache.lookup_containing(ack.ack));
             // SACK-based: fill every advertised gap from the cache.
             // RFC 2018 blocks arrive most-recently-received first, so
-            // sort a local copy before the ascending gap walk (this
-            // runs only when a threshold fire triggers, not per ACK).
-            let mut sack = ack.sack.clone();
+            // sort a local copy before the ascending gap walk.
+            let mut sack = ack.sack;
             sack.sort_unstable();
             let mut cursor = ack.ack;
-            for &(s, e) in &sack {
+            for &(s, e) in sack.iter() {
                 if s > cursor {
-                    to_retx.extend(flow.cache.lookup_range(cursor, s));
+                    flow.cache.lookup_range(cursor, s, to_retx);
                 }
                 cursor = cursor.max(e);
             }
@@ -528,16 +524,16 @@ impl Agent {
             if to_retx.is_empty() {
                 // Nothing cached to serve — let the sender handle it.
                 self.stats.client_acks_forwarded += 1;
-                out.push(Action::SendAckUpstream(ack.clone()));
+                out.push(Action::SendAckUpstream(*ack));
                 return;
             }
-            for c in to_retx {
+            for &c in to_retx.iter() {
                 self.stats.local_retransmits += 1;
                 out.push(Action::LocalRetransmit(flow.cache.to_segment(ack.flow, c)));
             }
         }
         self.stats.client_acks_suppressed += 1;
-        out.push(Action::SuppressClientAck(ack.clone()));
+        out.push(Action::SuppressClientAck(*ack));
     }
 
     /// The forwarding plane dropped a just-forwarded segment at the
@@ -576,23 +572,17 @@ impl Agent {
     /// timers (§5.5.1); the forwarding plane calls this when it observes
     /// a flow making no client-side progress, and the agent re-serves
     /// the segment at the client's ACK point from the cache.
-    pub fn force_repair(&mut self, flow_id: FlowId) -> Vec<Action> {
+    pub fn force_repair(&mut self, flow_id: FlowId) -> Option<Action> {
         if !self.cfg.enabled {
-            return Vec::new();
+            return None;
         }
-        let Some(flow) = self.flows.get_mut(&flow_id) else {
-            return Vec::new();
-        };
+        let flow = self.flows.get_mut(&flow_id)?;
         if flow.state.seq_tcp >= flow.state.seq_fack {
-            return Vec::new(); // client is caught up; nothing to repair
+            return None; // client is caught up; nothing to repair
         }
-        match flow.cache.lookup_containing(flow.state.seq_tcp) {
-            Some(c) => {
-                self.stats.local_retransmits += 1;
-                vec![Action::LocalRetransmit(flow.cache.to_segment(flow_id, c))]
-            }
-            None => Vec::new(),
-        }
+        let c = flow.cache.lookup_containing(flow.state.seq_tcp)?;
+        self.stats.local_retransmits += 1;
+        Some(Action::LocalRetransmit(flow.cache.to_segment(flow_id, c)))
     }
 
     /// §5.5.4 roaming: extract a flow's state for transfer to the
@@ -628,18 +618,23 @@ impl Agent {
 /// first, and the 3-block cap discards the *oldest* information.
 ///
 /// `FlowState::add_hole` keeps `holes` sorted, so one forward walk
-/// suffices — no clone+sort per arriving segment.
-fn sack_blocks(state: &FlowState) -> Vec<(u64, u64)> {
+/// suffices, holding only the last 3 blocks it passed in a ring.
+fn sack_blocks(state: &FlowState) -> SackBlocks {
     debug_assert!(
         state.holes.windows(2).all(|w| w[0].start <= w[1].start),
         "holes must be kept sorted by FlowState::add_hole"
     );
-    let mut blocks = Vec::new();
+    let mut ring = [(0, 0); SackBlocks::CAP];
+    let mut n = 0;
+    let mut keep = |block| {
+        ring[n % SackBlocks::CAP] = block;
+        n += 1;
+    };
     let mut cursor = None::<u64>;
     for h in &state.holes {
         if let Some(c) = cursor {
             if h.start > c {
-                blocks.push((c, h.start));
+                keep((c, h.start));
             }
         }
         // max() guards against overlapping holes: the cursor (end of
@@ -648,19 +643,21 @@ fn sack_blocks(state: &FlowState) -> Vec<(u64, u64)> {
     }
     if let Some(c) = cursor {
         if state.seq_high > c {
-            blocks.push((c, state.seq_high));
+            keep((c, state.seq_high));
         }
     }
     //= spec: rfc2018:4:first-block-newest
-    blocks.reverse();
     //= spec: rfc2018:4:three-block-limit
-    blocks.truncate(3);
-    blocks
+    (1..=n.min(SackBlocks::CAP))
+        .map(|back| ring[(n - back) % SackBlocks::CAP])
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::Hole;
+    use proptest::prelude::*;
 
     const MSS: u32 = 1460;
 
@@ -846,6 +843,54 @@ mod tests {
         );
     }
 
+    /// `sack_blocks` as the spec states it: every block the holes leave,
+    /// newest first, then the first 3.
+    fn sack_blocks_spec(state: &FlowState) -> Vec<(u64, u64)> {
+        let mut blocks = Vec::new();
+        let mut cursor = None::<u64>;
+        for h in &state.holes {
+            if let Some(c) = cursor {
+                if h.start > c {
+                    blocks.push((c, h.start));
+                }
+            }
+            // max() guards against overlapping holes: the cursor (end of
+            // hole-covered space) must never move backwards.
+            cursor = Some(cursor.map_or(h.end, |c| c.max(h.end)));
+        }
+        if let Some(c) = cursor {
+            if state.seq_high > c {
+                blocks.push((c, state.seq_high));
+            }
+        }
+        blocks.reverse();
+        blocks.truncate(3);
+        blocks
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Sorted hole sets with equal starts, overlapping, touching and
+        /// nested holes, and `seq_high` from below the first hole to past
+        /// the last.
+        #[test]
+        fn sack_blocks_match_the_spec(
+            raw in proptest::collection::vec(any::<u64>(), 0..10),
+            high in any::<u64>(),
+        ) {
+            let mut state = FlowState::default();
+            let mut start = 0;
+            for r in raw {
+                start += r % 5;
+                let end = start + 1 + (r >> 8) % 8;
+                state.holes.push(Hole { start, end });
+            }
+            state.seq_high = high % (start + 12);
+            prop_assert_eq!(sack_blocks(&state), sack_blocks_spec(&state));
+        }
+    }
+
     #[test]
     fn emulated_dupack_carries_newest_first_sack() {
         // End-to-end: with >3 holes the emitted dupACK's first SACK
@@ -1009,11 +1054,14 @@ mod tests {
         pump(&mut a, 6);
         a.on_client_ack(&client_ack(MSS as u64));
         let mut dup = client_ack(MSS as u64);
-        // Client holds [3,4) and [5,6) but is missing [1,3) and [4,5).
-        dup.sack = vec![
-            (3 * MSS as u64, 4 * MSS as u64),
+        // Client holds [3,4) and [5,6) but is missing [1,3) and [4,5);
+        // its blocks arrive newest first, as RFC 2018 orders them.
+        dup.sack = [
             (5 * MSS as u64, 6 * MSS as u64),
-        ];
+            (3 * MSS as u64, 4 * MSS as u64),
+        ]
+        .into_iter()
+        .collect();
         a.on_client_ack(&dup);
         let acts = a.on_client_ack(&dup);
         let retx: Vec<u64> = acts

@@ -82,25 +82,20 @@ impl RetransmissionCache {
         }
     }
 
-    /// All cached segments overlapping `[from, to)` — used for
-    /// SACK-driven hole retransmission. An inverted or empty range
-    /// overlaps nothing.
-    pub fn lookup_range(&self, from: u64, to: u64) -> Vec<CachedSegment> {
-        let mut out = Vec::new();
+    /// Append every cached segment overlapping `[from, to)` to `out` —
+    /// used for SACK-driven hole retransmission. An inverted or empty
+    /// range overlaps nothing.
+    pub fn lookup_range(&self, from: u64, to: u64, out: &mut Vec<CachedSegment>) {
         if from >= to {
-            return out;
+            return;
         }
         // A segment starting before `from` may still overlap it.
-        if let Some(seg) = self.lookup_containing(from) {
-            out.push(seg);
-        }
-        for &(start, len) in self.segments.range(from, to) {
-            if out.last().map(|s| s.seq == start).unwrap_or(false) {
-                continue;
-            }
-            out.push(CachedSegment { seq: start, len });
-        }
-        out
+        let first = self.lookup_containing(from);
+        let rest = self
+            .segments
+            .range(from, to)
+            .map(|&(seq, len)| CachedSegment { seq, len });
+        out.extend(first.into_iter().chain(rest.filter(|s| Some(*s) != first)));
     }
 
     /// Evict everything below `acked` (cumulatively acknowledged by the
@@ -223,12 +218,13 @@ mod tests {
         c.insert(0, 1460);
         c.insert(1460, 1460);
         c.insert(2920, 1460);
-        let hits = c.lookup_range(1000, 3000);
-        let starts: Vec<u64> = hits.iter().map(|s| s.seq).collect();
-        assert_eq!(starts, vec![0, 1460, 2920]);
-        let hits = c.lookup_range(1460, 2920);
-        let starts: Vec<u64> = hits.iter().map(|s| s.seq).collect();
-        assert_eq!(starts, vec![1460]);
+        let starts = |from, to| {
+            let mut hits = Vec::new();
+            c.lookup_range(from, to, &mut hits);
+            hits.iter().map(|s| s.seq).collect::<Vec<u64>>()
+        };
+        assert_eq!(starts(1000, 3000), vec![0, 1460, 2920]);
+        assert_eq!(starts(1460, 2920), vec![1460]);
     }
 
     #[test]
@@ -236,8 +232,10 @@ mod tests {
         let mut c = mk();
         c.insert(0, 1460);
         c.insert(1460, 1460);
-        assert!(c.lookup_range(2000, 1000).is_empty(), "inverted");
-        assert!(c.lookup_range(1000, 1000).is_empty(), "empty");
+        let mut hits = Vec::new();
+        c.lookup_range(2000, 1000, &mut hits); // inverted
+        c.lookup_range(1000, 1000, &mut hits); // empty
+        assert!(hits.is_empty());
     }
 
     #[test]

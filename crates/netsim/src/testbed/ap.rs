@@ -194,9 +194,11 @@ impl ApDatapath {
         let mut acts = std::mem::take(&mut self.acts);
         acts.clear();
         call(&mut self.agent, &mut acts);
-        for act in acts.drain(..) {
-            taps.on(now, Seam::Action { act: &act, fastack });
-            match act {
+        // By reference: an `Action` is 88 bytes, and only its payload
+        // moves on.
+        for act in &acts {
+            taps.on(now, Seam::Action { act, fastack });
+            match *act {
                 Action::Forward { seg, priority } => {
                     let depth = self.bulk[slot].len() + self.hol[slot].len();
                     if !fastack && !priority && !seg.retransmit && depth >= self.share {

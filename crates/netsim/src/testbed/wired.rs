@@ -8,7 +8,9 @@ use tcpsim::{AckSegment, DataSegment, FlowId, SenderConfig, TcpSender};
 /// One-way latency sender ↔ AP across the switch, both directions.
 pub(super) const WIRED_LATENCY: SimDuration = SimDuration::from_micros(200);
 
+/// A whole-word tag, for the reason `fastack::Action` has one.
 #[derive(Debug)]
+#[repr(u64)]
 pub(super) enum Event {
     /// Data segment reaches AP `.0` from the wired side.
     WireData(usize, DataSegment),

@@ -49,7 +49,7 @@ pub mod window;
 pub use cc::CongestionController;
 pub use receiver::{ReceiverConfig, TcpReceiver};
 pub use rto::RtoEstimator;
-pub use segment::{AckSegment, DataSegment, FlowId};
+pub use segment::{AckSegment, DataSegment, FlowId, SackBlocks};
 pub use sender::{SenderConfig, TcpSender};
 pub use seq::{Unwrapper, WireSeq};
 pub use window::SeqWindow;

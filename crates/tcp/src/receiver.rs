@@ -7,7 +7,7 @@
 //! advertise `rx_win − out_bytes` so the sender can never overrun the
 //! real client buffer.
 
-use crate::segment::{AckSegment, DataSegment, FlowId};
+use crate::segment::{AckSegment, DataSegment, FlowId, SackBlocks};
 use crate::window::SeqWindow;
 use sim::{SimDuration, SimTime};
 
@@ -166,7 +166,8 @@ impl TcpReceiver {
 
     fn make_ack(&self) -> AckSegment {
         let sack = if self.cfg.sack {
-            // Up to 3 SACK blocks, the lowest ranges, lowest first: a
+            // Up to 3 SACK blocks (collecting into `SackBlocks` keeps
+            // the first 3), the lowest ranges, lowest first: a
             // deviation from the clause's newest-first order, recorded
             // in its spec entry (the receiver's ooo ranges are few; the
             // AP-side FastACK emulation orders most-recent-first).
@@ -174,9 +175,9 @@ impl TcpReceiver {
             // above `rcv_nxt`.
             //= spec: rfc2018:4:three-block-limit
             //= spec: rfc2018:4:blocks-above-ack
-            self.ooo.iter().take(3).copied().collect()
+            self.ooo.iter().copied().collect()
         } else {
-            Vec::new()
+            SackBlocks::default()
         };
         AckSegment {
             flow: self.flow,

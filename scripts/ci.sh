@@ -82,7 +82,7 @@ fi
 echo "=== less code (ROADMAP item 4's number may only go down) ==="
 # Raising the ceiling is a deliberate, reviewed edit of this line: say
 # in CHANGES.md what the new lines bought. Lower it when a PR deletes.
-loc_ceiling=39584
+loc_ceiling=39839
 loc="$(find crates tests examples -name '*.rs' -print0 | xargs -0 cat | wc -l)"
 (( loc <= loc_ceiling )) \
   || { echo "workspace Rust is $loc lines, over the $loc_ceiling ceiling in scripts/ci.sh: delete something, or raise the ceiling on purpose and defend it in review"; exit 1; }
@@ -99,6 +99,9 @@ must="$(grep -hE '^clause [^ ]+ MUST[[:space:]]*$' specs/*.spec | wc -l)"
 echo "=== cargo test ==="
 # A debug build, so the sim-sanitizer (sim::sanitize) is on throughout.
 cargo test --workspace -q
+# The allocation budget again in release, the build users run: the
+# debug run above could pass on allocations only release code makes.
+cargo test --release -q --test alloc_budget
 
 echo "=== artifact reproducibility and observer neutrality ==="
 # Every sink a bench binary writes (DESIGN.md §6) is fed only by the

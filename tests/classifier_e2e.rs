@@ -123,10 +123,8 @@ fn run(agent: &mut Agent, flows: &mut [Flow], bad_hint: f64, seed: u64) {
         }
         if now.as_millis().is_multiple_of(20) {
             for f in flows.iter() {
-                for act in agent.force_repair(f.sender.flow) {
-                    if let Action::LocalRetransmit(seg) = act {
-                        queue.push(seg);
-                    }
+                if let Some(Action::LocalRetransmit(seg)) = agent.force_repair(f.sender.flow) {
+                    queue.push(seg);
                 }
             }
         }
