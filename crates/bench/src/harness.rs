@@ -17,10 +17,9 @@ use wifi_core::telemetry::json::{f64_display_or_null, opt_u64, write_str};
 use wifi_core::telemetry::{runprof, FlightDump, HealthReport, Registry, Timeline, TimelineConfig};
 
 /// `--flag <value>` options every bench binary accepts.
-const PATH_FLAGS: [&str; 7] = [
+const PATH_FLAGS: [&str; 6] = [
     "--metrics",
     "--trace",
-    "--trace-filter",
     "--health",
     "--timeline",
     "--perf",
@@ -44,8 +43,7 @@ pub struct Experiment {
     pub metrics: Registry,
     /// Merged flight-recorder dumps from every absorbed run. Dumped in
     /// the deterministic binary format when the binary is invoked with
-    /// `--trace <path>` (optionally `--trace-filter <prefix>`); inspect
-    /// with `wifictl trace`.
+    /// `--trace <path>`; inspect with `wifictl trace`.
     pub flight: FlightDump,
     /// Merged health reports from every absorbed run. Dumped as
     /// canonical JSON when the binary is invoked with `--health
@@ -372,15 +370,13 @@ impl Experiment {
     }
 
     /// The deterministic artifacts by name — exactly the bytes `finish`
-    /// writes for `--metrics` / `--trace` (after `--trace-filter`) /
-    /// `--health` / `--timeline`. Two invocations of the same binary
-    /// must produce identical blobs; scripts/ci.sh and
-    /// tests/golden_artifacts.rs enforce exactly that.
+    /// writes for `--metrics` / `--trace` / `--health` / `--timeline`.
+    /// Two invocations of the same binary must produce identical blobs;
+    /// scripts/ci.sh and tests/golden_artifacts.rs enforce exactly that.
     pub fn artifacts(&self) -> Vec<(&'static str, Vec<u8>)> {
-        let filter = self.flag("--trace-filter");
         vec![
             ("metrics", self.metrics.to_json().into_bytes()),
-            ("trace", self.flight.filtered(filter).to_bytes()),
+            ("trace", self.flight.to_bytes()),
             ("health", self.health.to_json().into_bytes()),
             ("timeline", self.timeline.to_bytes()),
         ]

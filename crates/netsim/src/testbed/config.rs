@@ -101,10 +101,6 @@ pub struct TestbedConfig {
     pub timeline: Option<TimelineConfig>,
     /// Workload driving the flows.
     pub traffic: Traffic,
-    /// Beacon interval per AP (102.4 ms nominal); beacons ride the
-    /// legacy basic rate and consume airtime whether or not anyone is
-    /// listening. `None` disables beaconing.
-    pub beacon_interval: Option<SimDuration>,
     /// Flight-recorder ring capacity per component (last-N window of
     /// typed trace records, see `telemetry::flight`). 0 disables
     /// recording entirely.
@@ -153,7 +149,6 @@ impl Default for TestbedConfig {
             seed: 1,
             timeline: None,
             traffic: Traffic::Tcp,
-            beacon_interval: Some(SimDuration::from_micros(102_400)),
             flight_capacity: 1024,
             flight_dump_on_violation: None,
             health_rules: Some(HealthRules::default()),
@@ -246,7 +241,6 @@ impl TestbedConfig {
         ConfigError::not_positive(&[
             ("n_aps", self.n_aps == 0),
             ("clients_per_ap", self.clients_per_ap == 0),
-            ("beacon_interval", self.beacon_interval == ZERO),
             // A probe rate past one per nanosecond.
             ("qoe.pps' interval", self.qoe.map(|p| p.interval()) == ZERO),
         ])?;
@@ -310,10 +304,6 @@ mod tests {
             (|c| c.clients_per_ap = 0, NotPositive("clients_per_ap")),
             (|c| c.n_aps = 2, FastackLen { n_aps: 2, len: 1 }),
             (
-                |c| c.beacon_interval = Some(ZERO),
-                NotPositive("beacon_interval"),
-            ),
-            (
                 |c| c.health_rules.as_mut().unwrap().sample_every = ZERO,
                 range("health_rules.sample_every", 0.0, 1.0, inf),
             ),
@@ -361,24 +351,6 @@ mod tests {
             assert_eq!(cfg.validate(), Err(want.clone()), "{want}");
             assert!(!want.to_string().contains('\n'), "one line: {want}");
         }
-        // Every field of the health rules is refused under its own name:
-        // an empty window, a threshold that is not a number, thresholds
-        // out of `clear <= raise <= critical` order.
-        macro_rules! refused {
-            ($rule:ident: $($field:ident = $bad:expr),+) => {$({
-                let mut cfg = all_on.clone();
-                cfg.health_rules.as_mut().unwrap().$rule.as_mut().unwrap().$field = $bad;
-                let field = concat!("health_rules.", stringify!($rule), ".", stringify!($field));
-                let err = cfg.validate().unwrap_err().to_string();
-                assert!(err.starts_with(&format!("{field} =")), "{field}: {err}");
-            })+};
-        }
-        const NAN: f64 = f64::NAN;
-        refused!(channel_flap: window = 0, clear = NAN, raise = -1.0, critical = 2.0);
-        refused!(fastack_stall: gap_steps = 0.0, critical_steps = 4.0, min_inflight = NAN);
-        refused!(rto_storm: window = 0, clear = NAN, raise = 0.5, critical = f64::INFINITY);
-        refused!(airtime_slo: window = 0, clear_util = NAN, raise_util = 0.9, critical_util = 0.5);
-        refused!(queue_starvation: stall_steps = NAN, critical_steps = 7.0, min_backlog = NAN);
         // NaN is outside every range.
         let mut cfg = all_on.clone();
         cfg.laggy_client_fraction = f64::NAN;
@@ -390,7 +362,6 @@ mod tests {
             ap_buffer_pool_frames: 24,
             bad_hint_rate: 1.0,
             upstream_loss: 0.0,
-            beacon_interval: None,
             health_rules: None,
             ..TestbedConfig::default()
         };

@@ -36,6 +36,10 @@ const INTERFERER_PERIOD: SimDuration = SimDuration::from_millis(25);
 const INTERFERER_DUTY: f64 = 0.35;
 const INTERFERER_SNR_PENALTY_DB: f64 = 20.0;
 
+/// Every AP's beacon interval (102.4 ms nominal); beacons ride the
+/// legacy basic rate and take airtime whether or not anyone listens.
+const BEACON_INTERVAL: SimDuration = SimDuration::from_micros(102_400);
+
 pub(super) struct World {
     pub(super) cfg: TestbedConfig,
     rng: Rng,
@@ -48,7 +52,7 @@ pub(super) struct World {
     /// Periodic medium holds with the airtime each takes: every AP's
     /// beacon (basic control rate, traffic or not) and the interferer's
     /// bursts once it has switched on.
-    beacons: Option<(Cadence, SimDuration)>,
+    beacons: (Cadence, SimDuration),
     interferer: Option<(Cadence, SimDuration)>,
     /// Probe injection clock and probe MSDU size.
     probes: Option<(Cadence, usize)>,
@@ -67,12 +71,12 @@ impl World {
         let clients: Vec<ClientStation> = (0..cfg.n_aps * cfg.clients_per_ap)
             .map(|c| ClientStation::new(&cfg, c, &mut rng))
             .collect();
-        let beacons = cfg.beacon_interval.map(|every| {
-            // ~120 us for a 300-byte frame + DIFS, per AP.
-            let one = control_frame_duration(300) + DIFS;
-            let all = SimDuration::from_nanos(one.as_nanos() * cfg.n_aps as u64);
-            (Cadence::new(SimTime::ZERO, every), all)
-        });
+        // ~120 us for a 300-byte frame + DIFS, per AP.
+        let beacon = control_frame_duration(300) + DIFS;
+        let beacons = (
+            Cadence::new(SimTime::ZERO, BEACON_INTERVAL),
+            SimDuration::from_nanos(beacon.as_nanos() * cfg.n_aps as u64),
+        );
         let interferer = cfg.interferer.map(|i| {
             let burst =
                 SimDuration::from_secs_f64(INTERFERER_PERIOD.as_secs_f64() * INTERFERER_DUTY);
@@ -173,11 +177,9 @@ impl World {
     /// Beacons, then interferer bursts: each holds the medium at most
     /// once per round, and stations defer to both alike.
     fn periodic_holds(&mut self, taps: &mut Taps) {
-        for (kind, hold) in [
-            (AirKind::Beacon, &mut self.beacons),
-            (AirKind::Interferer, &mut self.interferer),
-        ] {
-            let Some((cadence, dur)) = hold else { continue };
+        let beacons = Some((AirKind::Beacon, &mut self.beacons));
+        let interferer = self.interferer.as_mut().map(|h| (AirKind::Interferer, h));
+        for (kind, (cadence, dur)) in beacons.into_iter().chain(interferer) {
             if cadence.fire(self.queue.now()).is_some() {
                 self.medium
                     .hold(kind, *dur, CauseId::NONE, &mut self.queue, taps);

@@ -54,14 +54,6 @@ impl FlightDump {
         }
     }
 
-    /// A copy keeping only components whose name starts with `prefix`
-    /// (`None` keeps everything).
-    pub fn filtered(&self, prefix: Option<&str>) -> FlightDump {
-        let keep = |c: &&ComponentTrace| prefix.is_none_or(|p| c.name.starts_with(p));
-        let components = self.components.iter().filter(keep).cloned().collect();
-        FlightDump { components }
-    }
-
     /// Total records across all components.
     pub fn total_records(&self) -> usize {
         self.components.iter().map(|c| c.records.len()).sum()

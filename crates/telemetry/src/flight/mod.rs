@@ -27,8 +27,8 @@
 //!   count grows: always a *last-N* window, usable at fleet scale.
 //!   [`install_violation_dump`] arms `sim::sanitize` so any invariant
 //!   panic first writes that window to disk.
-//! * **Queries** (`dump`) — [`FlightDump`]: `absorb`, `filtered`,
-//!   `events`, `chain`, `flows` and the totals.
+//! * **Queries** (`dump`) — [`FlightDump`]: `absorb`, `events`,
+//!   `chain`, `flows` and the totals.
 //! * **Deterministic dumps** (`wire`) — the only code that knows `FLT1`:
 //!   identical runs dump identical bytes, the artifact `wifictl trace
 //!   diff` triages, and the strict parser accepts nothing else.

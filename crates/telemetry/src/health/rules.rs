@@ -222,3 +222,29 @@ impl HealthRules {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn validate_refuses_every_field_under_its_own_name() {
+        assert_eq!(HealthRules::default().validate(), Ok(()));
+        // An empty window, a threshold that is not a number, thresholds
+        // out of `clear <= raise <= critical` order.
+        macro_rules! refused {
+            ($rule:ident: $($field:ident = $bad:expr),+) => {$({
+                let mut rules = HealthRules::default();
+                rules.$rule.as_mut().unwrap().$field = $bad;
+                let field = concat!("health_rules.", stringify!($rule), ".", stringify!($field));
+                assert_eq!(rules.validate().map_err(|row| row.0), Err(field));
+            })+};
+        }
+        const NAN: f64 = f64::NAN;
+        refused!(channel_flap: window = 0, clear = NAN, raise = -1.0, critical = 2.0);
+        refused!(fastack_stall: gap_steps = 0.0, critical_steps = 4.0, min_inflight = NAN);
+        refused!(rto_storm: window = 0, clear = NAN, raise = 0.5, critical = f64::INFINITY);
+        refused!(airtime_slo: window = 0, clear_util = NAN, raise_util = 0.9, critical_util = 0.5);
+        refused!(queue_starvation: stall_steps = NAN, critical_steps = 7.0, min_backlog = NAN);
+    }
+}

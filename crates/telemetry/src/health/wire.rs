@@ -68,10 +68,9 @@ impl Alert {
         (flow != 0).then_some(flow)
     }
 
-    /// The alert object of the canonical grammar. Its causal link is
-    /// spelled by the caller: the snapshot stores the raw `"cause"` id,
-    /// `wifictl health --json` lists the resolved `"flow"`.
-    pub fn write_json(&self, out: &mut String, link_key: &str, link: Option<u64>) {
+    /// The alert object of the canonical grammar; `"cause"` is the raw
+    /// [`CauseId`], resolved to a flow only when read back.
+    fn write_json(&self, out: &mut String) {
         out.push_str("{\"component\":");
         write_str(out, &self.component);
         out.push_str(",\"rule\":");
@@ -82,10 +81,8 @@ impl Alert {
         out.push_str(&self.raised_at.as_nanos().to_string());
         out.push_str(",\"cleared_at_ns\":");
         out.push_str(&json::opt_u64(self.cleared_at.map(SimTime::as_nanos)));
-        out.push_str(",\"");
-        out.push_str(link_key);
-        out.push_str("\":");
-        out.push_str(&json::opt_u64(link));
+        out.push_str(",\"cause\":");
+        out.push_str(&json::opt_u64(self.cause.map(|c| c.0)));
         out.push_str(",\"value\":");
         out.push_str(&f64_exact(self.value));
         out.push_str(",\"threshold\":");
@@ -190,7 +187,7 @@ impl HealthReport {
             if i > 0 {
                 out.push(',');
             }
-            a.write_json(&mut out, "cause", a.cause.map(|c| c.0));
+            a.write_json(&mut out);
         }
         out.push_str("]}");
         out
@@ -300,9 +297,8 @@ impl HealthRollup {
     }
 }
 
-/// `{"name":count,…}` in key order — also the shape of the
-/// `wifictl health --json` count maps.
-pub fn write_count_map(out: &mut String, counts: &BTreeMap<String, u64>) {
+/// `{"name":count,…}` in key order.
+fn write_count_map(out: &mut String, counts: &BTreeMap<String, u64>) {
     out.push('{');
     for (i, (k, v)) in counts.iter().enumerate() {
         if i > 0 {

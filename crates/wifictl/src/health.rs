@@ -10,8 +10,6 @@
 //!   counts by rule and severity;
 //! * `wifictl health alerts <health.json> [--rule <r>] [--network <n>]
 //!   [--severity <s>]` — filtered alert listing;
-//! * both take `--json` for a machine-readable rendering (one JSON
-//!   object, byte-stable for a given snapshot);
 //! * `wifictl health explain <health.json> [<idx>] [--trace <dump.bin>]`
 //!   — one alert in detail. With no index, picks the worst alert
 //!   (highest severity, earliest raise). With `--trace`, resolves the
@@ -26,55 +24,7 @@
 use crate::cli::{self, Args, Outcome};
 use crate::trace;
 use telemetry::flight::FlightDump;
-use telemetry::health::write_count_map;
 use telemetry::{Alert, HealthReport};
-
-// ---- JSON renderers -----------------------------------------------
-//
-// Built from the canonical snapshot grammar's own fragments
-// (`Alert::write_json`, `write_count_map`), so the listings are
-// byte-stable for a given snapshot — ci.sh smoke-tests it.
-
-/// `summary` as one JSON object (`--json`). `"kind":"report"` (and the
-/// text summary's `report:` prefix) is constant; it stays so scripts
-/// reading this output see the same object.
-pub fn summary_json(r: &HealthReport) -> String {
-    let mut out = String::new();
-    out.push_str("{\"kind\":\"report\",\"steps\":");
-    out.push_str(&r.steps.to_string());
-    out.push_str(",\"alerts\":");
-    out.push_str(&r.alerts.len().to_string());
-    out.push_str(",\"open\":");
-    out.push_str(&r.open().count().to_string());
-    out.push_str(",\"score\":");
-    out.push_str(&r.score().to_string());
-    out.push_str(",\"by_rule\":");
-    write_count_map(&mut out, &r.counts_by_rule());
-    out.push_str(",\"by_severity\":");
-    write_count_map(&mut out, &r.counts_by_severity());
-    out.push_str("}\n");
-    out
-}
-
-/// `alerts` as one JSON object (`--json`), same filter semantics and
-/// canonical order as the text listing.
-pub fn alerts_json(r: &HealthReport, filter: &AlertFilter) -> String {
-    let mut out = String::from("{\"alerts\":[");
-    let mut n = 0;
-    for a in &r.alerts {
-        if filter.accepts(a) {
-            if n > 0 {
-                out.push(',');
-            }
-            a.write_json(&mut out, "flow", a.cause_flow());
-            n += 1;
-        }
-    }
-    out.push_str("],\"matched\":");
-    out.push_str(&n.to_string());
-    out.push_str("}\n");
-    out
-}
 
 fn alert_line(a: &Alert) -> String {
     let state = match a.cleared_at {
@@ -195,9 +145,7 @@ pub fn explain(r: &HealthReport, idx: Option<usize>, dump: Option<&FlightDump>) 
             "causal flow {f} — rerun with --trace <dump.bin> to resolve the chain\n"
         )),
         (Some(f), Some(d)) => {
-            // The label predates `wifictl`; it is kept because this
-            // output is byte-compared against the old `healthctl`.
-            out.push_str(&format!("causal chain (tracectl chain {f}):\n"));
+            out.push_str(&format!("causal chain (wifictl trace chain {f}):\n"));
             out.push_str(&trace::chain(d, Some(f)));
         }
     }
@@ -250,8 +198,8 @@ pub fn diff(ra: &HealthReport, rb: &HealthReport) -> (String, bool) {
 pub const USAGE: &str = "wifictl health — triage health snapshots
 
 usage:
-  wifictl health summary <health.json> [--json]
-  wifictl health alerts <health.json> [--rule <r>] [--network <n>] [--severity <s>] [--json]
+  wifictl health summary <health.json>
+  wifictl health alerts <health.json> [--rule <r>] [--network <n>] [--severity <s>]
   wifictl health explain <health.json> [<idx>] [--trace <dump.bin>]
   wifictl health diff <a.json> <b.json>
 ";
@@ -272,21 +220,15 @@ pub fn run(args: &[String]) -> Outcome {
     let rest = args.get(1..).unwrap_or_default();
     match cmd {
         Some("summary") => {
-            let a = Args::parse(rest, &[], &["--json"], USAGE)?;
+            let a = Args::parse(rest, &[], &[], USAGE)?;
             let [path] = a.positional.as_slice() else {
                 return Err(USAGE.to_owned());
             };
-            let report = load(path)?;
-            let out = if a.switch("--json") {
-                summary_json(&report)
-            } else {
-                summary(&report)
-            };
-            Ok((out, 0))
+            Ok((summary(&load(path)?), 0))
         }
         Some("alerts") => {
             let valued = ["--rule", "--network", "--severity"];
-            let a = Args::parse(rest, &valued, &["--json"], USAGE)?;
+            let a = Args::parse(rest, &valued, &[], USAGE)?;
             let [path] = a.positional.as_slice() else {
                 return Err(USAGE.to_owned());
             };
@@ -295,13 +237,7 @@ pub fn run(args: &[String]) -> Outcome {
                 network: a.value("--network").map(str::to_owned),
                 severity: a.value("--severity").map(str::to_owned),
             };
-            let report = load(path)?;
-            let out = if a.switch("--json") {
-                alerts_json(&report, &filter)
-            } else {
-                alerts(&report, &filter)
-            };
-            Ok((out, 0))
+            Ok((alerts(&load(path)?, &filter), 0))
         }
         Some("explain") => {
             let a = Args::parse(rest, &["--trace"], &[], USAGE)?;
@@ -431,6 +367,8 @@ mod tests {
             ..AlertFilter::default()
         };
         assert!(matched(f).contains("1 alerts matched"));
+        let empty = alerts(&HealthReport::default(), &AlertFilter::default());
+        assert_eq!(empty, "0 alerts matched\n");
     }
 
     #[test]
@@ -446,7 +384,10 @@ mod tests {
 
         let dump = sample_dump();
         let out = explain(&r, None, Some(&dump));
-        assert!(out.contains("causal chain (tracectl chain 3)"), "{out}");
+        assert!(
+            out.contains("causal chain (wifictl trace chain 3)"),
+            "{out}"
+        );
         assert!(out.contains("chain complete"), "{out}");
 
         // The warnings have no causal link.
@@ -456,60 +397,6 @@ mod tests {
 
         assert!(explain(&r, Some(9), None).contains("no alert #9 (report has 3)"));
         assert_eq!(explain(&HealthReport::default(), None, None), "no alerts\n");
-    }
-
-    #[test]
-    fn json_renderers_are_canonical_and_filterable() {
-        let s = summary_json(&mk_report());
-        assert!(
-            s.starts_with("{\"kind\":\"report\",\"steps\":12,\"alerts\":2,\"open\":1,\"score\":4,"),
-            "{s}"
-        );
-        assert!(
-            s.contains("\"by_rule\":{\"ampdu-collapse\":1,\"rto-storm\":1}"),
-            "{s}"
-        );
-        assert!(
-            s.ends_with("\"by_severity\":{\"critical\":1,\"warning\":1}}\n"),
-            "{s}"
-        );
-
-        let fleet = mk_fleet();
-        let s = summary_json(&fleet);
-        assert!(
-            s.starts_with("{\"kind\":\"report\",\"steps\":24,\"alerts\":3,\"open\":2,\"score\":5,"),
-            "{s}"
-        );
-
-        let a = alerts_json(&fleet, &AlertFilter::default());
-        assert!(
-            a.starts_with("{\"alerts\":[{\"component\":\"net0.ap0\","),
-            "{a}"
-        );
-        assert!(a.contains("\"severity\":\"critical\""), "{a}");
-        assert!(a.contains("\"flow\":3"), "{a}");
-        assert!(a.contains("\"cleared_at_ns\":null"), "{a}");
-        assert!(a.contains("\"value\":2.0,\"threshold\":1.8"), "{a}");
-        assert!(a.ends_with("],\"matched\":3}\n"), "{a}");
-
-        let f = AlertFilter {
-            network: Some("net1".to_owned()),
-            ..AlertFilter::default()
-        };
-        let a = alerts_json(&fleet, &f);
-        assert!(
-            a.starts_with("{\"alerts\":[{\"component\":\"net1.ap0\","),
-            "{a}"
-        );
-        assert!(a.ends_with("],\"matched\":1}\n"), "{a}");
-        let f = AlertFilter {
-            severity: Some("critical".to_owned()),
-            ..AlertFilter::default()
-        };
-        let a = alerts_json(&fleet, &f);
-        assert!(a.ends_with("],\"matched\":1}\n"), "{a}");
-        let none = alerts_json(&HealthReport::default(), &AlertFilter::default());
-        assert_eq!(none, "{\"alerts\":[],\"matched\":0}\n");
     }
 
     #[test]
@@ -554,12 +441,6 @@ mod tests {
         assert_eq!(code, 0);
         assert!(out.contains("1 alerts matched"), "{out}");
 
-        let (out, code) = run(&argv(&["summary", &path, "--json"])).unwrap();
-        assert_eq!(code, 0);
-        assert!(out.starts_with("{\"kind\":\"report\""), "{out}");
-        let (out, code) = run(&argv(&["alerts", &path, "--json"])).unwrap();
-        assert_eq!(code, 0);
-        assert!(out.starts_with("{\"alerts\":["), "{out}");
         assert!(run(&argv(&["summary", &path, "--bogus"])).is_err());
 
         let dump = temp_file("health-test", "dump.bin", sample_dump().to_bytes());

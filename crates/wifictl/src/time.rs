@@ -13,7 +13,7 @@
 //!   comes back token-identical to what the bench harness dumped;
 //! * `wifictl time plot <dump> <series> [--from/--to/--width]` — ASCII
 //!   sparkline, deterministic for a given dump;
-//! * `wifictl time export <dump> --csv [--series <prefix>]` — CSV
+//! * `wifictl time export <dump> [--series <prefix>]` — CSV
 //!   (`series,kind,t_ns,value`) of every series, sorted by name;
 //! * `wifictl time diff <a> <b>` — determinism triage: byte-compares
 //!   two dumps and, when they differ, names the first diverging series
@@ -275,7 +275,7 @@ usage:
   wifictl time query <dump.bin> <series> [--from <ms>] [--to <ms>]
                      [--bucket <ms>] [--agg <mean|max|min|sum|count|last>]
   wifictl time plot <dump.bin> <series> [--from <ms>] [--to <ms>] [--width <cols>]
-  wifictl time export <dump.bin> --csv [--series <prefix>]
+  wifictl time export <dump.bin> [--series <prefix>]
   wifictl time diff <a.bin> <b.bin>
 ";
 
@@ -320,12 +320,7 @@ fn window(a: &Args) -> Result<Window, String> {
 pub fn run(args: &[String]) -> Outcome {
     let cmd = args.first().map(String::as_str);
     let valued = ["--from", "--to", "--bucket", "--agg", "--width", "--series"];
-    let a = Args::parse(
-        args.get(1..).unwrap_or_default(),
-        &valued,
-        &["--csv"],
-        USAGE,
-    )?;
+    let a = Args::parse(args.get(1..).unwrap_or_default(), &valued, &[], USAGE)?;
     match (cmd, a.positional.as_slice()) {
         (Some("summary"), [path]) => Ok((summary(&load(path)?), 0)),
         (Some("query"), [path, series]) => {
@@ -357,12 +352,7 @@ pub fn run(args: &[String]) -> Outcome {
             let out = plot(&load(path)?, series, window(&a)?, width.unwrap_or(72))?;
             Ok((out, 0))
         }
-        (Some("export"), [path]) => {
-            if !a.switch("--csv") {
-                return Err(format!("export wants --csv\n{USAGE}"));
-            }
-            Ok((export_csv(&load(path)?, a.value("--series")), 0))
-        }
+        (Some("export"), [path]) => Ok((export_csv(&load(path)?, a.value("--series")), 0)),
         (Some("diff"), [pa, pb]) => cli::diff_files(pa, pb, parse, diff),
         _ => Err(USAGE.to_owned()),
     }
@@ -574,10 +564,10 @@ mod tests {
         assert_eq!(code, 0);
         assert!(out.contains("40 samples"), "{out}");
 
-        let (out, code) = run(&argv(&["export", &path, "--csv"])).unwrap();
+        let (out, code) = run(&argv(&["export", &path, "--series=tcp."])).unwrap();
         assert_eq!(code, 0);
         assert!(out.starts_with("series,kind,t_ns,value\n"), "{out}");
-        assert!(run(&argv(&["export", &path])).is_err());
+        assert!(!out.contains("mac."), "{out}");
 
         let (_, code) = run(&argv(&["diff", &path, &path])).unwrap();
         assert_eq!(code, 0);

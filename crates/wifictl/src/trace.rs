@@ -21,7 +21,6 @@
 
 use crate::cli::{self, Args, Outcome};
 use telemetry::flight::{FlightDump, FlightEvent};
-use telemetry::json::{opt_u64, write_str};
 
 /// Layers (in causal order) that make a chain "complete" for the
 /// paper's TCP-over-802.11ac pipeline.
@@ -33,25 +32,6 @@ const CHAIN_LAYERS: [&str; 5] = [
     "fastack-synth",
 ];
 
-/// One event as a JSON object (shared by the `--json` renderers).
-fn event_json(component: &str, ev: &FlightEvent, out: &mut String) {
-    out.push_str("{\"at_ns\":");
-    out.push_str(&ev.at.as_nanos().to_string());
-    out.push_str(",\"component\":");
-    write_str(out, component);
-    out.push_str(",\"layer\":");
-    write_str(out, ev.record.layer());
-    out.push_str(",\"flow\":");
-    out.push_str(&opt_u64(ev.flow()));
-    out.push_str(",\"cause\":{\"flow\":");
-    out.push_str(&ev.cause.flow_hint().to_string());
-    out.push_str(",\"seq\":");
-    out.push_str(&ev.cause.seq_hint().to_string());
-    out.push_str("},\"text\":");
-    write_str(out, &ev.record.to_string());
-    out.push('}');
-}
-
 fn event_line(component: &str, ev: &FlightEvent) -> String {
     let cause = ev.cause;
     format!(
@@ -62,11 +42,6 @@ fn event_line(component: &str, ev: &FlightEvent) -> String {
         cause.flow_hint(),
         cause.seq_hint(),
     )
-}
-
-/// The dump's flow ids, ascending, as text.
-fn flow_ids(dump: &FlightDump) -> Vec<String> {
-    dump.flows().iter().map(u64::to_string).collect()
 }
 
 /// Per-component overview: counts, capacity, wraparound drops, time
@@ -96,44 +71,13 @@ pub fn summary(dump: &FlightDump) -> String {
             c.dropped,
         ));
     }
-    let flows = flow_ids(dump);
+    let flows: Vec<String> = dump.flows().iter().map(u64::to_string).collect();
     let flows = if flows.is_empty() {
         "(none)".to_owned()
     } else {
         flows.join(" ")
     };
     out.push_str(&format!("flows: {flows}\n"));
-    out
-}
-
-/// Machine-readable summary: component stats plus the flows present.
-pub fn summary_json(dump: &FlightDump) -> String {
-    let mut out = String::from("{\"components\":[");
-    for (i, c) in dump.components.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"name\":");
-        write_str(&mut out, &c.name);
-        out.push_str(&format!(
-            ",\"records\":{},\"capacity\":{},\"dropped\":{}",
-            c.records.len(),
-            c.capacity,
-            c.dropped
-        ));
-        out.push_str(",\"first_ns\":");
-        out.push_str(&opt_u64(c.records.first().map(|ev| ev.at.as_nanos())));
-        out.push_str(",\"last_ns\":");
-        out.push_str(&opt_u64(c.records.last().map(|ev| ev.at.as_nanos())));
-        out.push('}');
-    }
-    out.push_str(&format!(
-        "],\"total_records\":{},\"total_dropped\":{},\"flows\":[",
-        dump.total_records(),
-        dump.total_dropped()
-    ));
-    out.push_str(&flow_ids(dump).join(","));
-    out.push_str("]}\n");
     out
 }
 
@@ -158,26 +102,20 @@ fn layers_covered(chain: &[(&str, FlightEvent)]) -> Vec<&'static str> {
         .collect()
 }
 
-/// Resolve an explicit flow id, or auto-pick the lowest-numbered flow
-/// whose chain covers every layer in [`CHAIN_LAYERS`] (falling back to
-/// the first flow present at all). `None` means the dump has no flows.
-fn pick_flow(dump: &FlightDump, flow: Option<u64>) -> Option<u64> {
-    flow.or_else(|| {
+/// The full causal chain of one flow, time-ordered across every layer.
+/// With `flow = None`, picks the lowest-numbered flow whose chain
+/// covers every layer in [`CHAIN_LAYERS`] (falling back to the first
+/// flow present at all).
+pub fn chain(dump: &FlightDump, flow: Option<u64>) -> String {
+    let flow = flow.or_else(|| {
         let flows = dump.flows();
         flows
             .iter()
             .copied()
             .find(|&f| layers_covered(&dump.chain(f)).len() == CHAIN_LAYERS.len())
             .or_else(|| flows.first().copied())
-    })
-}
-
-/// The full causal chain of one flow, time-ordered across every layer.
-/// With `flow = None`, picks the lowest-numbered flow whose chain
-/// covers every layer in [`CHAIN_LAYERS`] (falling back to the first
-/// flow present at all).
-pub fn chain(dump: &FlightDump, flow: Option<u64>) -> String {
-    let Some(flow) = pick_flow(dump, flow) else {
+    });
+    let Some(flow) = flow else {
         return "no flows in dump\n".to_owned();
     };
     let chain = dump.chain(flow);
@@ -193,36 +131,6 @@ pub fn chain(dump: &FlightDump, flow: Option<u64>) -> String {
         "chain {}: {}\n",
         if complete { "complete" } else { "partial" },
         covered.join(" -> "),
-    ));
-    out
-}
-
-/// Machine-readable causal chain: same flow selection as [`chain`],
-/// records in causal order, plus which layers are covered and whether
-/// the chain is complete. A dump with no flows yields `"flow":null`.
-pub fn chain_json(dump: &FlightDump, flow: Option<u64>) -> String {
-    let Some(flow) = pick_flow(dump, flow) else {
-        return "{\"flow\":null,\"records\":[],\"layers\":[],\"complete\":false}\n".to_owned();
-    };
-    let chain = dump.chain(flow);
-    let mut out = format!("{{\"flow\":{flow},\"records\":[");
-    for (i, (name, ev)) in chain.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        event_json(name, ev, &mut out);
-    }
-    out.push_str("],\"layers\":[");
-    let covered = layers_covered(&chain);
-    for (i, l) in covered.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_str(&mut out, l);
-    }
-    out.push_str(&format!(
-        "],\"complete\":{}}}\n",
-        covered.len() == CHAIN_LAYERS.len()
     ));
     out
 }
@@ -287,9 +195,9 @@ pub fn diff(a: &FlightDump, b: &FlightDump) -> (String, bool) {
 pub const USAGE: &str = "wifictl trace — inspect flight-recorder dumps
 
 usage:
-  wifictl trace summary <dump.bin> [--json]
+  wifictl trace summary <dump.bin>
   wifictl trace grep <dump.bin> [--component <prefix>] [--flow <id>]
-  wifictl trace chain <dump.bin> [<flow>] [--json]
+  wifictl trace chain <dump.bin> [<flow>]
   wifictl trace diff <a.bin> <b.bin>
 ";
 
@@ -311,17 +219,11 @@ pub fn run(args: &[String]) -> Outcome {
     let rest = args.get(1..).unwrap_or_default();
     match cmd {
         Some("summary") => {
-            let a = Args::parse(rest, &[], &["--json"], USAGE)?;
+            let a = Args::parse(rest, &[], &[], USAGE)?;
             let [path] = a.positional.as_slice() else {
                 return Err(USAGE.to_owned());
             };
-            let dump = load(path)?;
-            let render = if a.switch("--json") {
-                summary_json
-            } else {
-                summary
-            };
-            Ok((render(&dump), 0))
+            Ok((summary(&load(path)?), 0))
         }
         Some("grep") => {
             let a = Args::parse(rest, &["--component", "--flow"], &[], USAGE)?;
@@ -332,19 +234,13 @@ pub fn run(args: &[String]) -> Outcome {
             Ok((grep(&load(path)?, a.value("--component"), flow), 0))
         }
         Some("chain") => {
-            let a = Args::parse(rest, &[], &["--json"], USAGE)?;
+            let a = Args::parse(rest, &[], &[], USAGE)?;
             let (path, flow) = match a.positional.as_slice() {
                 [path] => (path, None),
                 [path, flow] => (path, Some(parse_flow(flow)?)),
                 _ => return Err(USAGE.to_owned()),
             };
-            let dump = load(path)?;
-            let render = if a.switch("--json") {
-                chain_json
-            } else {
-                chain
-            };
-            Ok((render(&dump, flow), 0))
+            Ok((chain(&load(path)?, flow), 0))
         }
         Some("diff") => {
             let a = Args::parse(rest, &[], &[], USAGE)?;
@@ -473,46 +369,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn summary_json_is_structured_and_stable() {
-        let d = sample();
-        let s = summary_json(&d);
-        assert!(s.starts_with("{\"components\":["), "{s}");
-        assert!(
-            s.contains("{\"name\":\"mac.ampdu\",\"records\":1,\"capacity\":16,\"dropped\":0"),
-            "{s}"
-        );
-        assert!(s.contains("\"total_records\":6,\"total_dropped\":0"), "{s}");
-        assert!(s.ends_with("\"flows\":[3]}\n"), "{s}");
-        // Deterministic: same dump, same bytes.
-        assert_eq!(s, summary_json(&d));
-    }
-
-    #[test]
-    fn chain_json_reports_layers_and_completeness() {
-        let d = sample();
-        let s = chain_json(&d, Some(3));
-        assert!(s.starts_with("{\"flow\":3,\"records\":["), "{s}");
-        assert!(s.contains("\"layer\":\"tcp-seg\""), "{s}");
-        assert!(s.contains("\"cause\":{\"flow\":3,\"seq\":1460}"), "{s}");
-        assert!(
-            s.ends_with(
-                "\"layers\":[\"tcp-seg\",\"ampdu-build\",\"mac-tx\",\"block-ack\",\
-                 \"fastack-synth\"],\"complete\":true}\n"
-            ),
-            "{s}"
-        );
-        // Auto-pick resolves to the same flow.
-        assert_eq!(chain_json(&d, None), s);
-        // A missing flow is an incomplete (empty) chain, not an error.
-        let missing = chain_json(&d, Some(42));
-        assert!(missing.contains("\"flow\":42,\"records\":[]"), "{missing}");
-        assert!(missing.contains("\"complete\":false"), "{missing}");
-        // No flows at all.
-        let empty = chain_json(&FlightDump::default(), None);
-        assert!(empty.contains("\"flow\":null"), "{empty}");
-    }
-
-    #[test]
     fn diff_reports_identity_and_divergence() {
         let d = sample();
         let (out, same) = diff(&d, &d.clone());
@@ -569,13 +425,6 @@ pub(crate) mod tests {
         assert_eq!(code, 0);
         assert!(out.contains("chain complete"), "{out}");
 
-        // --json variants of summary and chain.
-        let (out, code) = run(&argv(&["summary", &path, "--json"])).unwrap();
-        assert_eq!(code, 0);
-        assert!(out.starts_with("{\"components\":["), "{out}");
-        let (out, code) = run(&argv(&["chain", "--json", &path, "3"])).unwrap();
-        assert_eq!(code, 0);
-        assert!(out.contains("\"complete\":true"), "{out}");
         assert!(run(&argv(&["chain", &path, "--bogus"])).is_err());
 
         let (_, code) = run(&argv(&["diff", &path, &path])).unwrap();
