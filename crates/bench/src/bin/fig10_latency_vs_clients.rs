@@ -12,7 +12,6 @@ fn main() {
     let mut tcp_series = Vec::new();
     let mut ok_monotone = true;
     let mut prev_gap = 0.0;
-    let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len().max(1) as f64 * 1e3;
 
     for &n in &[5usize, 10, 15, 20, 25, 30] {
         let cfg = TestbedConfig {
@@ -23,8 +22,8 @@ fn main() {
         };
         // Per-count label: one simulation per flight component.
         let r = exp.run_arm(&format!("c{n}"), cfg, SimDuration::from_secs(4));
-        let mac = mean(&r.mac_latencies);
-        let tcp = mean(&r.tcp_latencies);
+        let mac = r.mac_latencies.mean_s() * 1e3;
+        let tcp = r.tcp_latencies.mean_s() * 1e3;
         mac_series.push((n as f64, mac));
         tcp_series.push((n as f64, tcp));
         if n >= 15 && (tcp - mac) < prev_gap * 0.5 {

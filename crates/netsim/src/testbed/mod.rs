@@ -34,7 +34,7 @@ mod wired;
 mod world;
 
 pub use config::{ClientLink, ConfigError, InterfererFault, TestbedConfig, Traffic};
-pub use report::{SenderStats, TestbedReport};
+pub use report::{LatencyLog, SenderStats, TestbedReport};
 
 use sim::{SimDuration, SimTime};
 use taps::Taps;

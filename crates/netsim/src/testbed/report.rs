@@ -1,6 +1,56 @@
 //! What a testbed run hands back: [`TestbedReport`].
 
+use sim::SimDuration;
 use telemetry::{FlightDump, HealthReport, Registry, Timeline};
+
+/// Latency samples in the order they were taken, 4 bytes each: whole
+/// nanoseconds as a `u32` (under 4.3 s). A longer sample is a `u32::MAX`
+/// marker whose exact nanoseconds wait, in order, in a side list, so no
+/// sample is ever truncated.
+#[derive(Debug, Clone, Default)]
+pub struct LatencyLog {
+    ns: Vec<u32>,
+    /// The samples behind the `u32::MAX` markers of `ns`, in order.
+    long: Vec<u64>,
+}
+
+impl LatencyLog {
+    /// Append one sample.
+    pub fn push(&mut self, d: SimDuration) {
+        match u32::try_from(d.as_nanos()) {
+            Ok(ns) if ns != u32::MAX => self.ns.push(ns),
+            _ => {
+                self.ns.push(u32::MAX);
+                self.long.push(d.as_nanos());
+            }
+        }
+    }
+
+    pub fn len(&self) -> usize {
+        self.ns.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.ns.is_empty()
+    }
+
+    /// Every sample in order, in seconds as [`SimDuration::as_secs_f64`] has it.
+    pub fn iter(&self) -> impl Iterator<Item = f64> + '_ {
+        let mut long = self.long.iter();
+        self.ns.iter().map(move |&ns| {
+            let ns = match ns {
+                u32::MAX => *long.next().expect("one long sample per marker"),
+                ns => u64::from(ns),
+            };
+            SimDuration::from_nanos(ns).as_secs_f64()
+        })
+    }
+
+    /// The mean sample in seconds (0 when empty).
+    pub fn mean_s(&self) -> f64 {
+        self.iter().sum::<f64>() / self.len().max(1) as f64
+    }
+}
 
 /// Per-sender diagnostics.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -24,11 +74,13 @@ pub struct TestbedReport {
     pub client_mbps: Vec<f64>,
     /// Per-AP aggregate throughput (Mbps).
     pub ap_mbps: Vec<f64>,
-    /// 802.11 latencies (enqueue → BlockAck), seconds.
-    pub mac_latencies: Vec<f64>,
-    /// AP-observed TCP latencies (data forwarded → client ACK covering
-    /// it arrives back at the AP), seconds — the §4.6.2 definition.
-    pub tcp_latencies: Vec<f64>,
+    /// 802.11 latency of every delivered non-probe MPDU (enqueue →
+    /// BlockAck), in delivery order.
+    pub mac_latencies: LatencyLog,
+    /// AP-observed TCP latency of every segment a client ACK covered
+    /// (data forwarded → client ACK covering it arrives back at the
+    /// AP), in ACK order — the §4.6.2 definition.
+    pub tcp_latencies: LatencyLog,
     /// FastACK agent stats per AP.
     pub agent_stats: Vec<fastack::AgentStats>,
     /// Per-flow TCP sender diagnostics.
@@ -66,5 +118,38 @@ pub struct TestbedReport {
 impl TestbedReport {
     pub fn total_mbps(&self) -> f64 {
         self.ap_mbps.iter().sum()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Against the naive spec, the `Vec<f64>` of `as_secs_f64`
+        /// samples the log replaced: the same bits in the same order,
+        /// the same length and the same mean, over durations around
+        /// the `u32` edge and up to `u64::MAX / 2` ns.
+        #[test]
+        fn log_matches_f64_samples(ops in proptest::collection::vec(any::<u64>(), 0..200)) {
+            let (mut log, mut spec) = (LatencyLog::default(), Vec::<f64>::new());
+            let edge = [0, 1, u64::from(u32::MAX - 1), u64::from(u32::MAX), 1 << 32];
+            for op in ops {
+                let ns = match op % 8 {
+                    k @ 0..=4 => edge[k as usize],
+                    5 => u64::from((op >> 3) as u32),
+                    _ => op >> 1,
+                };
+                let d = SimDuration::from_nanos(ns);
+                log.push(d);
+                spec.push(d.as_secs_f64());
+            }
+            prop_assert_eq!((log.len(), log.is_empty()), (spec.len(), spec.is_empty()));
+            let bits: Vec<u64> = spec.iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(log.iter().map(f64::to_bits).collect::<Vec<_>>(), bits);
+            let mean = spec.iter().sum::<f64>() / spec.len().max(1) as f64;
+            prop_assert_eq!(log.mean_s().to_bits(), mean.to_bits());
+        }
     }
 }

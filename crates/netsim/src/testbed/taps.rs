@@ -1,7 +1,7 @@
 //! The recording half of the testbed: every sink that only observes a
 //! run — metrics registry, flight recorder, health engine, timeline,
-//! QoE collectors, the TCP-latency ledger and the report's sample
-//! vectors — behind one borrowed [`Seam`] and one entry point,
+//! QoE collectors, the TCP-latency ledger and the report's latency
+//! logs — behind one borrowed [`Seam`] and one entry point,
 //! [`Taps::on`].
 //!
 //! Trajectory-neutrality is a property of the types: `Taps` holds no
@@ -11,7 +11,7 @@
 
 use super::cadence::Cadence;
 use super::config::TestbedConfig;
-use super::report::TestbedReport;
+use super::report::{LatencyLog, TestbedReport};
 use super::world::World;
 use fastack::Action;
 use mac80211::aggregation::Ampdu;
@@ -129,8 +129,8 @@ pub(super) struct Taps {
     /// every entry at or below it from the front; a retransmission
     /// (rare) lands mid-window, first write wins.
     tcp_lat_pending: Vec<SeqWindow<SimTime>>,
-    mac_latencies: Vec<f64>,
-    tcp_latencies: Vec<f64>,
+    mac_latencies: LatencyLog,
+    tcp_latencies: LatencyLog,
     sp_ap_txop: SpanId,
     sp_client_txop: SpanId,
     sp_beacon: SpanId,
@@ -216,8 +216,8 @@ impl Taps {
             timeline,
             qoe,
             tcp_lat_pending: vec![SeqWindow::new(); n_clients],
-            mac_latencies: Vec::new(),
-            tcp_latencies: Vec::new(),
+            mac_latencies: LatencyLog::default(),
+            tcp_latencies: LatencyLog::default(),
         }
     }
 
@@ -243,8 +243,7 @@ impl Taps {
                         break;
                     }
                     lat.pop_front();
-                    self.tcp_latencies
-                        .push(now.saturating_since(t0).as_secs_f64());
+                    self.tcp_latencies.push(now.saturating_since(t0));
                 }
             }
             Seam::Ampdu { ap, flow, ampdu } => {
@@ -361,7 +360,7 @@ impl Taps {
                     self.flight.emit(self.rings.qoe_rx, now, cause, rec);
                 }
             }
-            None => self.mac_latencies.push(delay.as_secs_f64()),
+            None => self.mac_latencies.push(delay),
         }
     }
 

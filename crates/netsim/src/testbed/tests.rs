@@ -111,9 +111,8 @@ fn fast_acks_flow_and_client_acks_suppressed() {
 fn tcp_latency_exceeds_mac_latency() {
     // Fig. 10's core observation.
     let r = quick(one_ap(10, false), 3);
-    let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len().max(1) as f64;
-    let mac = mean(&r.mac_latencies);
-    let tcp = mean(&r.tcp_latencies);
+    let mac = r.mac_latencies.mean_s();
+    let tcp = r.tcp_latencies.mean_s();
     assert!(!r.mac_latencies.is_empty() && !r.tcp_latencies.is_empty());
     assert!(tcp > mac, "tcp={tcp} mac={mac}");
 }

@@ -120,6 +120,9 @@ impl<E> EventQueue<E> {
     /// Scheduling before `now` is a logic error: debug builds panic;
     /// release builds clamp to `now` so a slightly-stale timer fires
     /// immediately rather than corrupting the clock.
+    /// Inlined, so an append writes the entry straight into the deque,
+    /// not through a stack copy.
+    #[inline]
     pub fn schedule(&mut self, at: SimTime, payload: E) {
         debug_assert!(
             at >= self.now,
@@ -131,13 +134,19 @@ impl<E> EventQueue<E> {
         if self.pending.back().is_none_or(|b| b.at <= at) {
             self.pending.push_back(entry);
         } else {
-            // After every entry due at or before `at`: ties stay FIFO.
-            let i = self.pending.partition_point(|e| e.at <= at);
-            self.pending.insert(i, entry);
-            self.out_of_order += 1;
+            self.insert_ordered(entry);
         }
         self.stats.scheduled += 1;
         self.stats.depth_peak = self.stats.depth_peak.max(self.len() as u64);
+    }
+
+    /// Insert after every entry due at or before `entry.at`: ties stay FIFO.
+    #[cold]
+    #[inline(never)]
+    fn insert_ordered(&mut self, entry: Entry<E>) {
+        let i = self.pending.partition_point(|e| e.at <= entry.at);
+        self.pending.insert(i, entry);
+        self.out_of_order += 1;
     }
 
     /// Pop the earliest event, advancing `now` to its timestamp.

@@ -34,7 +34,7 @@ fn main() {
             "{name:<9} {:>8.1} Mbps   aggregation {:>5.1} MPDUs   median TCP latency {:>6.1} ms   medium busy {:>4.0}%",
             r.total_mbps(),
             mean(&r.client_aggregation),
-            median(&r.tcp_latencies).unwrap_or(0.0) * 1e3,
+            median(&r.tcp_latencies.iter().collect::<Vec<_>>()).unwrap_or(0.0) * 1e3,
             r.medium_utilization * 100.0,
         );
     };

@@ -82,7 +82,7 @@ fi
 echo "=== less code (ROADMAP item 4's number may only go down) ==="
 # Raising the ceiling is a deliberate, reviewed edit of this line: say
 # in CHANGES.md what the new lines bought. Lower it when a PR deletes.
-loc_ceiling=39524
+loc_ceiling=39674
 loc="$(find crates tests examples -name '*.rs' -print0 | xargs -0 cat | wc -l)"
 (( loc <= loc_ceiling )) \
   || { echo "workspace Rust is $loc lines, over the $loc_ceiling ceiling in scripts/ci.sh: delete something, or raise the ceiling on purpose and defend it in review"; exit 1; }
@@ -183,6 +183,16 @@ qoe-degraded|health alerts $art/fig19.a.health --rule qoe-degraded
 -|time plot $art/fig14.a.timeline base.tcp.flow0.cwnd_segments
 ^series,kind,t_ns,value$|time export $art/fig15.a.timeline
 EOF
+# A reader that stops early (`| head`) closes the pipe under wifictl:
+# it must still exit 0 and print nothing to stderr. The export must be
+# larger than the 64 KiB pipe buffer, or wifictl never meets EPIPE.
+csv_bytes="$("$ctl" time export "$art/fig15.a.timeline" | wc -c)"
+(( csv_bytes > 65536 )) \
+  || { echo "fig15's CSV export is $csv_bytes bytes: too small to fill a pipe"; exit 1; }
+"$ctl" time export "$art/fig15.a.timeline" 2> "$art/epipe.err" | head -n 1 > /dev/null \
+  || { echo "wifictl time export failed when its reader closed the pipe"; exit 1; }
+[[ ! -s $art/epipe.err ]] \
+  || { echo "wifictl wrote to stderr when its reader closed the pipe:"; cat "$art/epipe.err"; exit 1; }
 
 if [[ -n "${CI_PARENT_REV:-}" ]]; then
   echo "=== same-host perf pairs vs $CI_PARENT_REV ==="

@@ -1,12 +1,14 @@
-//! Heap allocations per simulated event on the packet path.
+//! Heap allocations and peak live heap per simulated event on the
+//! packet path.
 //!
 //! The run loop, the TCP endpoints and the FastACK agent reuse their
 //! buffers, and an ACK holds its SACK blocks inline, so a steady-state
 //! event allocates almost nothing: what is left is mostly the MPDU list
-//! of each aggregate `build_ampdu` assembles. This file counts allocator
-//! calls with its own global allocator and holds each benchmark shape to
-//! a bound per `sim.queue.popped` event. Tier-1 runs it in debug;
-//! `scripts/ci.sh` also runs it in release, the build users run.
+//! of each aggregate `build_ampdu` assembles; what a run keeps is
+//! mostly its 4-byte latency samples. This file counts allocator calls
+//! and live bytes with its own global allocator and holds each shape to
+//! a bound on both per `sim.queue.popped` event. Tier-1 runs it in
+//! debug; `scripts/ci.sh` also in release, the build users run.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -17,24 +19,35 @@ thread_local! {
     /// Allocator calls made on this thread. Per thread, so tests running
     /// in parallel do not count each other's allocations.
     static CALLS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated minus bytes freed on this thread (signed: it may
+    /// free another's) and their high watermark, which a test resets.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
-/// `System`, counting every allocation. `alloc_zeroed` and `realloc`
-/// keep their default bodies, which call `alloc`, so each counts once.
+/// `System`, counting every allocation and the bytes it holds.
+/// `alloc_zeroed` and `realloc` keep their default bodies, which call
+/// `alloc` (and `dealloc`), so each counts once, and a moved block is
+/// live twice during its copy.
 struct Counting;
 
 // SAFETY: both methods pass their arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; counting touches only a
-// const-initialised thread-local `Cell`, which never allocates.
+// upholds the `GlobalAlloc` contract; counting touches only
+// const-initialised thread-local `Cell`s, which never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         // `try_with`: a thread being torn down may still allocate.
         let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+        let _ = LIVE.try_with(|l| {
+            l.set(l.get() + layout.size() as i64);
+            let _ = PEAK.try_with(|p| p.set(p.get().max(l.get())));
+        });
         // SAFETY: the caller's `layout` obligations pass through as is.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        let _ = LIVE.try_with(|l| l.set(l.get() - layout.size() as i64));
         // SAFETY: `ptr` came from `System` through `alloc` above.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -46,8 +59,8 @@ static ALLOC: Counting = Counting;
 /// The benchmark's `lossy_recovery` shape (1 AP × 3 clients at low SNR,
 /// 1 % upstream loss, 5 % bad hints) and `dense_fastack` shape (2 APs ×
 /// 20 clients), each arm run for a few simulated seconds and held to
-/// allocator calls per popped event in `Testbed::run` (set-up in
-/// `Testbed::new` not counted).
+/// allocator calls and peak live bytes per popped event in
+/// `Testbed::run` (set-up in `Testbed::new` not counted).
 #[test]
 fn packet_shapes_allocate_under_budget() {
     let lossy = |fastack| TestbedConfig {
@@ -66,19 +79,30 @@ fn packet_shapes_allocate_under_budget() {
         fastack: vec![fastack; 2],
         ..TestbedConfig::default()
     };
-    for (shape, cfg, secs, bound) in [
-        ("lossy fastack", lossy(true), 20, 0.05),
-        ("lossy baseline", lossy(false), 20, 0.15),
-        ("dense fastack", dense(true), 2, 0.05),
-        ("dense baseline", dense(false), 2, 0.05),
+    // Peak live bytes per event: 12.2 / 12.1 / 25.0 / 19.6 with 4-byte
+    // latency samples, 21.4 / 21.0 / 31.9 / 26.5 with 8-byte ones.
+    for (shape, cfg, secs, bound, bytes_bound) in [
+        ("lossy fastack", lossy(true), 20, 0.05, 15.0),
+        ("lossy baseline", lossy(false), 20, 0.15, 15.0),
+        ("dense fastack", dense(true), 2, 0.05, 28.0),
+        ("dense baseline", dense(false), 2, 0.05, 23.0),
     ] {
         let tb = Testbed::new(cfg);
         let before = CALLS.with(Cell::get);
+        let live = LIVE.with(Cell::get);
+        PEAK.with(|p| p.set(live));
         let r = tb.run(SimDuration::from_secs(secs));
         let calls = CALLS.with(Cell::get) - before;
+        let peak = PEAK.with(Cell::get) - live;
         let events = r.metrics.counter_value("sim.queue.popped").unwrap();
-        let per_event = calls as f64 / events as f64;
-        eprintln!("{shape}: {calls} allocations in {events} events = {per_event:.4}/event");
+        let (per_event, bytes) = (calls as f64 / events as f64, peak as f64 / events as f64);
+        eprintln!(
+            "{shape}: {events} events, {per_event:.4} allocations and {bytes:.3} peak bytes each"
+        );
         assert!(per_event <= bound, "{shape}: {per_event:.4} > {bound}");
+        assert!(
+            bytes <= bytes_bound,
+            "{shape}: {bytes:.3} peak bytes > {bytes_bound}"
+        );
     }
 }
