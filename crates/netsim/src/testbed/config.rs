@@ -50,7 +50,9 @@ pub struct ClientLink {
 /// Testbed configuration.
 #[derive(Debug, Clone)]
 pub struct TestbedConfig {
-    /// Number of APs (1 or 2 — Fig. 16 vs Fig. 18).
+    /// Number of APs, all contending in one collision domain (1 for
+    /// Fig. 16, 2 for Fig. 18). Any count runs: `validate` bounds only
+    /// the flows, `n_aps * clients_per_ap`, below the probe-flow ids.
     pub n_aps: usize,
     /// Clients per AP.
     pub clients_per_ap: usize,
@@ -72,7 +74,7 @@ pub struct TestbedConfig {
     /// Base SNR for clients placed nearest the AP; each client's SNR is
     /// spread downward from this to model the Fig. 13 office layout.
     pub base_snr_db: f64,
-    /// SNR spread between best- and worst-placed client.
+    /// SNR spread between best- and worst-placed client, dB (>= 0).
     pub snr_spread_db: f64,
     /// Fraction of clients that are "laggy": they experience episodic
     /// uplink stalls (power save, background scans, driver hiccups) — the
@@ -192,8 +194,21 @@ impl std::fmt::Display for ConfigError {
                 value,
                 min,
                 max,
-            } => write!(f, "{field} = {value} must be in [{min}, {max}]"),
+            } => {
+                let (value, min, max) = (num(value), num(min), num(max));
+                write!(f, "{field} = {value} must be in [{min}, {max}]")
+            }
         }
+    }
+}
+
+/// `x` as `Display` writes it, but in exponent form from 1e16 on, where
+/// `Display` writes every digit (309 of them for `f64::MAX`).
+fn num(x: f64) -> String {
+    if x.is_finite() && x.abs() >= 1e16 {
+        format!("{x:e}")
+    } else {
+        x.to_string()
     }
 }
 
@@ -263,6 +278,9 @@ impl TestbedConfig {
         ConfigError::in_ranges(&[
             ("n_aps * clients_per_ap", n_clients, 1.0, max_clients),
             ("ap_buffer_pool_frames", pool, MIN_STATION_SHARE as f64, inf),
+            // Finite: a NaN or infinite SNR runs, on rates no radio has.
+            ("base_snr_db", self.base_snr_db, f64::MIN, f64::MAX),
+            ("snr_spread_db", self.snr_spread_db, 0.0, f64::MAX),
             ("bad_hint_rate", self.bad_hint_rate, 0.0, 1.0),
             ("upstream_loss", self.upstream_loss, 0.0, 1.0),
             (
@@ -330,6 +348,19 @@ mod tests {
                 range("ap_buffer_pool_frames", 16.0, 24.0, inf),
             ),
             (
+                |c| c.base_snr_db = f64::INFINITY,
+                range("base_snr_db", inf, f64::MIN, f64::MAX),
+            ),
+            // A negative spread puts clients above the base SNR.
+            (
+                |c| c.snr_spread_db = -20.0,
+                range("snr_spread_db", -20.0, 0.0, f64::MAX),
+            ),
+            (
+                |c| c.snr_spread_db = f64::INFINITY,
+                range("snr_spread_db", inf, 0.0, f64::MAX),
+            ),
+            (
                 |c| c.bad_hint_rate = 1.5,
                 range("bad_hint_rate", 1.5, 0.0, 1.0),
             ),
@@ -351,10 +382,19 @@ mod tests {
             assert_eq!(cfg.validate(), Err(want.clone()), "{want}");
             assert!(!want.to_string().contains('\n'), "one line: {want}");
         }
+        // Bounds past 1e16 print in exponent form, not in 309 digits.
+        let big = range("base_snr_db", inf, f64::MIN, f64::MAX).to_string();
+        assert!(big.ends_with("[-1.7976931348623157e308, 1.7976931348623157e308]"));
         // NaN is outside every range.
-        let mut cfg = all_on.clone();
-        cfg.laggy_client_fraction = f64::NAN;
-        assert!(cfg.validate().is_err());
+        for edit in [
+            (|c| c.laggy_client_fraction = f64::NAN) as Edit,
+            |c| c.base_snr_db = f64::NAN,
+            |c| c.snr_spread_db = f64::NAN,
+        ] {
+            let mut cfg = all_on.clone();
+            edit(&mut cfg);
+            assert!(cfg.validate().is_err());
+        }
         // Bounds are inclusive wherever a run is fine at the bound, and
         // an absent sink or fault has nothing to check.
         let edge = TestbedConfig {

@@ -28,6 +28,9 @@ impl Ring {
         }
     }
 
+    /// `inline(always)`, as is `emit`: out of line, each 48-byte event
+    /// is stored to the stack and loaded back, a store-forwarding stall.
+    #[inline(always)]
     fn push(&mut self, ev: FlightEvent) {
         if self.buf.len() < self.cap {
             self.buf.push(ev);
@@ -120,7 +123,7 @@ impl FlightRecorder {
     }
 
     /// Record one event into `ring`.
-    #[inline]
+    #[inline(always)]
     pub fn emit(&self, ring: impl IntoRingId, at: SimTime, cause: CauseId, record: TraceRecord) {
         let RingId(i) = ring.ring_id(self);
         let mut inner = self.inner.borrow_mut();
