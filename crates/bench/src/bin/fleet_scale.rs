@@ -22,8 +22,7 @@ fn config(n_networks: usize, threads: usize, timeline: bool) -> FleetConfig {
             SimDuration::from_hours(1)
         },
         // Per-epoch controller timeline rides along when `--timeline`
-        // asks for a dump (cadence is the epoch itself, so
-        // `--timeline-every` does not apply to fleet runs).
+        // asks for a dump (its cadence is the epoch itself).
         timeline,
         ..FleetConfig::default()
     }
@@ -45,67 +44,11 @@ fn timed_fleet(exp: &mut Experiment, cfg: &FleetConfig) -> (FleetRun, f64) {
     )
 }
 
-/// `--networks N --threads T`: focused thread-scaling regression. Runs
-/// the same fleet at 1 thread and at T threads; T must stay
-/// bit-identical and must not be slower beyond noise (the clamped shard
-/// executor makes oversubscription a no-op rather than a slowdown).
-fn scaling_regression(mut exp: Experiment, networks: usize, threads: usize) -> ! {
-    exp.title = "fleet thread-scaling regression: T threads must not lose to 1".to_owned();
-    let mut walls = Vec::new();
-    let mut sums = Vec::new();
-    for &t in &[1usize, threads] {
-        // One 15-min epoch per network — enough work for the timing to
-        // be meaningful while keeping the gate itself fast. Best-of-3
-        // wall clock: this is a perf gate, so take the least-noisy
-        // sample of each arm.
-        let cfg = FleetConfig {
-            n_networks: networks,
-            threads: t,
-            horizon: SimDuration::from_mins(15),
-            ..FleetConfig::default()
-        };
-        let wall = (0..3)
-            .map(|_| {
-                let (run, w) = timed_fleet(&mut exp, &cfg);
-                sums.push(run.report.checksum);
-                w
-            })
-            .fold(f64::INFINITY, f64::min);
-        walls.push(wall);
-        println!("{networks} networks x {t:>2} thread(s): {wall:.3}s best-of-3");
-    }
-    let identical = sums.iter().all(|&c| c == sums[0]);
-    exp.compare(
-        format!("{networks} networks: checksum equal for 1/{threads} threads"),
-        "bit-identical",
-        if identical {
-            "bit-identical"
-        } else {
-            "DIVERGED"
-        },
-        identical,
-    );
-    // "Not slower beyond noise": allow 10% jitter on the multi-thread arm.
-    let ok = walls[1] <= walls[0] * 1.10;
-    exp.compare(
-        format!("{threads}-thread wall <= 1.10x single-thread"),
-        format!("<= {:.3}s", walls[0] * 1.10),
-        format!("{:.3}s", walls[1]),
-        ok,
-    );
-    exp.exit()
-}
-
 fn main() {
-    let mut exp = Experiment::from_args_with(
+    let mut exp = Experiment::from_args(
         "fleet_scale",
         "fleet controller scaling: size x threads, determinism + Fig. 2 ingest",
-        &["--networks", "--threads"],
     );
-    if let Some(networks) = exp.num("--networks") {
-        let threads = exp.num("--threads").unwrap_or(8);
-        scaling_regression(exp, networks as usize, threads as usize);
-    }
     let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!("host parallelism: {host_threads} hardware thread(s)\n");
     println!(

@@ -26,6 +26,10 @@ const PATH_FLAGS: [&str; 6] = [
     "--runprof",
 ];
 
+/// The sampling cadence of the timeline `--timeline` asks a testbed
+/// arm for.
+const TIMELINE_EVERY: SimDuration = SimDuration::from_millis(100);
+
 /// A recorded experiment: named scalar comparisons plus named series,
 /// and the one way to run things (see DESIGN.md §6, "Harness: one arm
 /// runner"): [`Experiment::run_arm`] / [`Experiment::timed`] run and
@@ -138,42 +142,25 @@ impl Experiment {
     /// [`Experiment::parse`]); on a bad command line prints the usage
     /// line to stderr and exits 2 before anything runs.
     pub fn from_args(id: &str, title: &str) -> Experiment {
-        Experiment::from_args_with(id, title, &[])
-    }
-
-    /// [`Experiment::from_args`] for a binary with `numeric` flags of
-    /// its own (read back with [`Experiment::num`]).
-    pub fn from_args_with(id: &str, title: &str, numeric: &[&str]) -> Experiment {
         let argv: Vec<String> = std::env::args().collect();
-        Experiment::parse(id, title, &argv, numeric).unwrap_or_else(|usage| {
+        Experiment::parse(id, title, &argv).unwrap_or_else(|usage| {
             eprintln!("{usage}");
             std::process::exit(2)
         })
     }
 
-    /// Parse `argv` (program name first) against the harness flags plus
-    /// the binary's own `numeric` flags. `--flag v` and `--flag=v` are
-    /// both accepted. An unknown argument, a flag without its value or
-    /// given twice, a numeric flag (`--timeline-every` and every
-    /// `numeric` one) that is not a positive integer, a
-    /// `--timeline-every` past what the nanosecond clock holds or
-    /// without the `--timeline` that reads it, is an `Err` holding the
-    /// one-line usage text, so nothing is run on a typo.
-    pub fn parse(
-        id: &str,
-        title: &str,
-        argv: &[String],
-        numeric: &[&str],
-    ) -> Result<Experiment, String> {
+    /// Parse `argv` (program name first) against the harness flags.
+    /// `--flag v` and `--flag=v` are both accepted. An unknown argument
+    /// or a flag without its value or given twice is an `Err` holding
+    /// the one-line usage text, so nothing is run on a typo.
+    pub fn parse(id: &str, title: &str, argv: &[String]) -> Result<Experiment, String> {
         let bin = argv.first().map_or("bench", |p| {
             let stem = Path::new(p).file_stem();
             stem.and_then(|s| s.to_str()).unwrap_or(p)
         });
-        let numeric = [&["--timeline-every"], numeric].concat();
         let usage = |problem: String| {
-            let accepted = PATH_FLAGS.iter().chain(&numeric);
-            let accepted: Vec<String> = accepted.map(|f| format!("[{f} <value>]")).collect();
-            format!("{bin}: {problem}; usage: {bin} {}", accepted.join(" "))
+            let accepted = PATH_FLAGS.map(|f| format!("[{f} <value>]")).join(" ");
+            format!("{bin}: {problem}; usage: {bin} {accepted}")
         };
         let mut flags = BTreeMap::new();
         let mut rest = argv.iter().skip(1);
@@ -182,31 +169,15 @@ impl Experiment {
                 Some((f, v)) => (f, Some(v.to_owned())),
                 None => (arg.as_str(), None),
             };
-            if !PATH_FLAGS.contains(&flag) && !numeric.contains(&flag) {
+            if !PATH_FLAGS.contains(&flag) {
                 return Err(usage(format!("unknown argument {arg}")));
             }
             let Some(value) = inline.or_else(|| rest.next().cloned()) else {
                 return Err(usage(format!("{flag} wants a value")));
             };
-            if numeric.contains(&flag) {
-                let n = value.parse::<u64>().ok().filter(|&n| n > 0);
-                let n = n.ok_or_else(|| {
-                    usage(format!("{flag} wants a positive integer, got {value}"))
-                })?;
-                // `TimelineConfig::sampling` keeps a 100x tier: that
-                // bucket, in nanoseconds, has to fit the clock.
-                if flag == "--timeline-every" && n.checked_mul(100 * 1_000_000).is_none() {
-                    return Err(usage(format!(
-                        "bad {flag} value {value} (want milliseconds): more than the clock holds"
-                    )));
-                }
-            }
             if flags.insert(flag.to_owned(), value).is_some() {
                 return Err(usage(format!("{flag} given twice")));
             }
-        }
-        if flags.contains_key("--timeline-every") && !flags.contains_key("--timeline") {
-            return Err(usage("--timeline-every needs --timeline".to_owned()));
         }
         // Arm the host-side run profiler as early as possible so setup
         // work lands in the profile too. `--runprof` is the only flag
@@ -230,12 +201,6 @@ impl Experiment {
         self.flags.get(flag).map(String::as_str)
     }
 
-    /// The value of a numeric flag.
-    pub fn num(&self, flag: &str) -> Option<u64> {
-        let v = self.flag(flag)?;
-        Some(v.parse().expect("numeric flags are validated at parse"))
-    }
-
     /// Run `f` inside the `<bench-id>.run` wall span (a no-op without
     /// `--runprof`) and hand back its value with the host seconds it
     /// took. The one audited wall-clock read of the bench crate:
@@ -249,10 +214,10 @@ impl Experiment {
         (out, start.elapsed().as_secs_f64())
     }
 
-    /// Run one testbed arm: the sampler comes from `--timeline` /
-    /// `--timeline-every <ms>` (default 100 ms) unless the arm brings
-    /// its own, so it is off — and the run provably byte-identical to
-    /// an unsampled one — without the flag. Every sink of the finished
+    /// Run one testbed arm: `--timeline` turns on a sampler every
+    /// [`TIMELINE_EVERY`] unless the arm brings its own, so it is off —
+    /// and the run provably byte-identical to an unsampled one —
+    /// without the flag. Every sink of the finished
     /// run is absorbed under `label`. A `cfg` that does not
     /// [`validate`](TestbedConfig::validate) ends the process like a bad
     /// flag does: one line on stderr, exit 2.
@@ -263,8 +228,7 @@ impl Experiment {
         duration: SimDuration,
     ) -> TestbedReport {
         if cfg.timeline.is_none() && self.flag("--timeline").is_some() {
-            let ms = self.num("--timeline-every").unwrap_or(100);
-            cfg.timeline = Some(TimelineConfig::sampling(SimDuration::from_millis(ms)));
+            cfg.timeline = Some(TimelineConfig::sampling(TIMELINE_EVERY));
         }
         if let Err(e) = cfg.validate() {
             eprintln!("{}: arm {label:?}: invalid TestbedConfig: {e}", self.id);
@@ -593,7 +557,7 @@ mod tests {
 
     fn parse(argv: &[&str]) -> Result<Experiment, String> {
         let argv: Vec<String> = argv.iter().map(|a| (*a).to_owned()).collect();
-        Experiment::parse("t", "test", &argv, &["--networks"])
+        Experiment::parse("t", "test", &argv)
     }
 
     fn exp(argv: &[&str]) -> Experiment {
@@ -637,20 +601,18 @@ mod tests {
             "m.json",
             "--trace=t.bin",
             "--timeline=tl.bin",
-            "--timeline-every",
-            "250",
-            "--networks=12",
         ]);
         assert_eq!(e.bin, "fig15_aggregation");
         assert_eq!(e.flag("--metrics"), Some("m.json"));
         assert_eq!(e.flag("--trace"), Some("t.bin"));
         assert_eq!(e.flag("--health"), None);
-        assert_eq!(e.num("--timeline-every"), Some(250));
-        assert_eq!(e.num("--networks"), Some(12));
+        assert_eq!(e.flag("--timeline"), Some("tl.bin"));
     }
 
     #[test]
     fn args_reject_typos_missing_values_and_bad_numbers() {
+        const USAGE: &str = "[--metrics <value>] [--trace <value>] [--health <value>] \
+            [--timeline <value>] [--perf <value>] [--runprof <value>]";
         for (bad, problem) in [
             (
                 &["b", "--metric", "out.json"][..],
@@ -658,31 +620,22 @@ mod tests {
             ),
             (&["b", "out.json"], "unknown argument out.json"),
             (&["b", "--threads", "4"], "unknown argument --threads"),
-            (&["b", "--metrics"], "--metrics wants a value"),
-            (&["b", "--timeline-every", "abc"], "got abc"),
-            (&["b", "--timeline-every=0"], "got 0"),
-            // 100x this many milliseconds overflows u64 nanoseconds.
             (
-                &["b", "--timeline", "x", "--timeline-every", "184467440738"],
-                "more than the clock holds",
+                &["b", "--timeline-every", "50"],
+                "unknown argument --timeline-every",
             ),
-            (&["b", "--networks", "-3"], "got -3"),
+            (&["b", "--networks", "12"], "unknown argument --networks"),
+            (&["b", "--metrics"], "--metrics wants a value"),
             (
                 &["b", "--metrics", "a.json", "--metrics=b.json"],
                 "--metrics given twice",
             ),
-            (
-                &["b", "--timeline-every", "50"],
-                "--timeline-every needs --timeline",
-            ),
         ] {
             let usage = parse(bad).expect_err(&format!("{bad:?} parsed"));
             assert!(!usage.contains('\n'), "usage is one line: {usage}");
-            let said = usage.split("; usage:").next().unwrap();
+            let (said, accepted) = usage.split_once("; usage: b ").unwrap();
             assert!(said.ends_with(problem), "{bad:?}: {said}");
-            for flag in PATH_FLAGS.iter().chain(&["--timeline-every", "--networks"]) {
-                assert!(usage.contains(flag), "usage omits {flag}: {usage}");
-            }
+            assert_eq!(accepted, USAGE, "usage lists the path flags only");
         }
     }
 

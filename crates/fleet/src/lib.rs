@@ -82,13 +82,10 @@ pub struct FleetConfig {
     /// Per-AP, per-epoch probability that an external interferer level
     /// changes (keeps fast ticks honest after initial convergence).
     pub rf_churn: f64,
-    /// Utilization regimes polled from the two radios (Fig. 2).
-    pub profile_2_4: UtilizationProfile,
+    /// Utilization regime polled from the 5 GHz radio, and the level an
+    /// RF churn event sets (Fig. 2). The 2.4 GHz radio is polled from
+    /// [`UtilizationProfile::FLEET_2_4`].
     pub profile_5: UtilizationProfile,
-    /// Health-rule catalog each network's detector engine evaluates
-    /// per epoch (the channel-flap rule watches the live switch
-    /// counter). `None` disables health entirely.
-    pub health_rules: Option<telemetry::HealthRules>,
     /// Sample a controller-side timeline at every epoch barrier: the
     /// per-network registries folded in id order (plus the controller's
     /// own epoch counters) snapshotted into [`FleetRun::timeline`] at
@@ -111,19 +108,24 @@ impl Default for FleetConfig {
             aps_max: 40,
             nbo_runs: 1,
             rf_churn: 0.05,
-            profile_2_4: UtilizationProfile::FLEET_2_4,
             profile_5: UtilizationProfile::FLEET_5,
-            health_rules: Some(telemetry::HealthRules::default()),
             timeline: false,
         }
     }
 }
 
+/// The widest log-space spread `FleetConfig::validate` lets a
+/// utilization profile have: `standard_normal` draws |z| < 8.6, so
+/// `exp(sigma * z)` stays finite, and a zero median never meets
+/// 0 × ∞ = NaN.
+const MAX_SIGMA: f64 = 80.0;
+
 impl FleetConfig {
     /// Check what a run would otherwise trip over: a fleet or a network
     /// with nothing in it, an AP-count range with no member, an epoch
     /// the clock never gets past, a churn probability that is not one,
-    /// health rules no detector can be built from.
+    /// a `profile_5` whose draws could be NaN (`sample` clamps to
+    /// [0, 1] but passes NaN through).
     /// (`nbo_runs: 0` is a plan of fewer passes, not an error: the
     /// size-scaled runs still happen.) [`run_fleet`] panics with the
     /// error's `Display`.
@@ -136,10 +138,9 @@ impl FleetConfig {
         ConfigError::in_ranges(&[
             ("aps_min", self.aps_min as f64, 1.0, self.aps_max as f64),
             ("rf_churn", self.rf_churn, 0.0, 1.0),
-        ])?;
-        // `HealthRules::validate` names the row that is out of range.
-        self.health_rules.map_or(Ok(()), |r| r.validate())?;
-        Ok(())
+            ("profile_5.median", self.profile_5.median, 0.0, 1.0),
+            ("profile_5.sigma", self.profile_5.sigma, 0.0, MAX_SIGMA),
+        ])
     }
 }
 
@@ -366,6 +367,31 @@ mod tests {
             (|c| c.aps_min = 13, range("aps_min", 13.0, 1.0, 12.0)),
             (|c| c.rf_churn = 1.5, range("rf_churn", 1.5, 0.0, 1.0)),
             (|c| c.rf_churn = -0.1, range("rf_churn", -0.1, 0.0, 1.0)),
+            (
+                |c| c.profile_5.median = f64::INFINITY,
+                range("profile_5.median", f64::INFINITY, 0.0, 1.0),
+            ),
+            (
+                |c| c.profile_5.median = 1.5,
+                range("profile_5.median", 1.5, 0.0, 1.0),
+            ),
+            (
+                |c| c.profile_5.median = -0.1,
+                range("profile_5.median", -0.1, 0.0, 1.0),
+            ),
+            (
+                |c| c.profile_5.sigma = f64::INFINITY,
+                range("profile_5.sigma", f64::INFINITY, 0.0, 80.0),
+            ),
+            (
+                |c| c.profile_5.sigma = -1.0,
+                range("profile_5.sigma", -1.0, 0.0, 80.0),
+            ),
+            // exp(1e300 * z) is ∞, and at a zero median 0 × ∞ is NaN.
+            (
+                |c| c.profile_5.sigma = 1e300,
+                range("profile_5.sigma", 1e300, 0.0, 80.0),
+            ),
         ];
         assert_eq!(small(1).validate(), Ok(()));
         for (edit, want) in cases {
@@ -374,15 +400,27 @@ mod tests {
             assert_eq!(cfg.validate(), Err(want.clone()), "{want}");
             assert!(!want.to_string().contains('\n'), "one line: {want}");
         }
-        let mut no_epoch = small(1);
-        no_epoch.health_rules.as_mut().unwrap().sample_every = SimDuration::ZERO;
-        let err = no_epoch.validate().unwrap_err().to_string();
-        assert_eq!(err, "health_rules.sample_every = 0 must be in [1, inf]");
-        let nan = FleetConfig {
-            rf_churn: f64::NAN,
-            ..small(1)
-        };
-        assert!(nan.validate().is_err(), "NaN is outside every range");
+        // NaN is outside every range.
+        type NanEdit = fn(&mut FleetConfig);
+        let nans: [(NanEdit, &str); 3] = [
+            (
+                |c| c.rf_churn = f64::NAN,
+                "rf_churn = NaN must be in [0, 1]",
+            ),
+            (
+                |c| c.profile_5.median = f64::NAN,
+                "profile_5.median = NaN must be in [0, 1]",
+            ),
+            (
+                |c| c.profile_5.sigma = f64::NAN,
+                "profile_5.sigma = NaN must be in [0, 80]",
+            ),
+        ];
+        for (edit, want) in nans {
+            let mut cfg = small(1);
+            edit(&mut cfg);
+            assert_eq!(cfg.validate().unwrap_err().to_string(), want);
+        }
         // Inclusive where a run is fine at the bound; no threads, no
         // horizon and no extra NBO runs are all runs, if short ones.
         let edge = FleetConfig {

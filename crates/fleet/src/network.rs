@@ -5,13 +5,13 @@ use crate::report::NetworkReport;
 use crate::FleetConfig;
 use chanassign::model::Plan;
 use chanassign::{Scheduler, TurboCa};
-use netsim::deployment::{to_view, ViewOptions};
+use netsim::deployment::{to_view, UtilizationProfile, ViewOptions};
 use netsim::neteval::{evaluate, EvalOptions};
 use netsim::population::ClientCaps;
 use netsim::topology;
 use phy80211::channels::Band;
 use sim::{derive_stream_seed, Rng, SimTime};
-use telemetry::health::ChannelFlap;
+use telemetry::health::{ChannelFlap, ChannelFlapRule};
 use telemetry::stats::Cdf;
 use telemetry::{CounterId, FlightDump, HealthEngine, HistId, Registry};
 
@@ -46,8 +46,8 @@ pub struct ManagedNetwork {
     /// Switches already folded into `c_switches`.
     counted_switches: usize,
     /// Per-network health engine — channel-flap over the live switch
-    /// counter, stepped once per epoch. `None` when disabled.
-    health: Option<HealthEngine>,
+    /// counter, stepped once per epoch.
+    health: HealthEngine,
     h_util_2_4: HistId,
     h_util_5: HistId,
 }
@@ -71,17 +71,12 @@ impl ManagedNetwork {
         let h_util_2_4 = metrics.histogram("fleet.net.util_2_4", 0.0, 1.0, 20);
         let h_util_5 = metrics.histogram("fleet.net.util_5", 0.0, 1.0, 20);
         let c_switches = metrics.counter("fleet.net.channel_switches");
-        let health = cfg.health_rules.and_then(|rules| {
-            let mut eng = HealthEngine::new();
-            if let Some(r) = rules.channel_flap {
-                eng.add(Box::new(ChannelFlap::new(
-                    "sched",
-                    "fleet.net.channel_switches",
-                    r,
-                )));
-            }
-            (!eng.is_empty()).then_some(eng)
-        });
+        let mut health = HealthEngine::new();
+        health.add(Box::new(ChannelFlap::new(
+            "sched",
+            "fleet.net.channel_switches",
+            ChannelFlapRule::default(),
+        )));
         ManagedNetwork {
             id,
             seed,
@@ -119,7 +114,7 @@ impl ManagedNetwork {
     pub fn on_tick(&mut self, now: SimTime, cfg: &FleetConfig) {
         self.metrics.inc(self.c_ticks);
         for ap in 0..self.view.len() {
-            let u24 = cfg.profile_2_4.sample(&mut self.rng);
+            let u24 = UtilizationProfile::FLEET_2_4.sample(&mut self.rng);
             let u5 = cfg.profile_5.sample(&mut self.rng);
             self.metrics.add(self.c_polls, 2);
             self.metrics.observe(self.h_util_2_4, u24);
@@ -143,9 +138,7 @@ impl ManagedNetwork {
             self.sched.tick(now, &mut self.view);
         }
         self.sync_switches();
-        if let Some(eng) = self.health.as_mut() {
-            eng.step(now, &self.metrics);
-        }
+        self.health.step(now, &self.metrics);
     }
 
     /// Evaluate the final plan and summarize this network's run.
@@ -174,11 +167,8 @@ impl ManagedNetwork {
             .count("fleet.net.plans_accepted", accepted as u64);
         // Switches are counted live in `on_tick`; catch any stragglers.
         self.sync_switches();
-        let health = self
-            .health
-            .take()
-            .map(|eng| eng.finish(&FlightDump::default()))
-            .unwrap_or_default();
+        let health =
+            std::mem::replace(&mut self.health, HealthEngine::new()).finish(&FlightDump::default());
         self.report = Some(NetworkReport {
             id: self.id,
             seed: self.seed,

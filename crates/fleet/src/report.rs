@@ -31,8 +31,8 @@ pub struct NetworkReport {
     /// Raw utilization polls `(when, value)` per radio, all APs pooled.
     pub util_2_4: Vec<(SimTime, f64)>,
     pub util_5: Vec<(SimTime, f64)>,
-    /// This network's health verdict: the alert stream its detector
-    /// engine raised over the run (empty when health is disabled).
+    /// This network's health verdict: the alert stream its channel-flap
+    /// detector raised over the run.
     pub health: telemetry::HealthReport,
 }
 

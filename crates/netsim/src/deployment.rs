@@ -68,13 +68,13 @@ pub fn sample_client_count(rng: &mut Rng) -> usize {
 
 /// The capability mix clients are drawn from.
 const POPULATION: PopulationProfile = PopulationProfile::Y2017;
-/// Fraction of 20 MHz channels carrying any external energy.
+/// Fraction of 20 MHz channels carrying any external energy; where
+/// there is some, its level is drawn from [`UtilizationProfile::FLEET_5`].
 const EXTERNAL_PRESENCE: f64 = 0.35;
 
 /// Options for building a planner view from a topology.
 #[derive(Debug, Clone)]
 pub struct ViewOptions {
-    pub external_busy: UtilizationProfile,
     pub dfs_certified: bool,
     pub seed_channels: SeedChannels,
 }
@@ -91,7 +91,6 @@ pub enum SeedChannels {
 impl Default for ViewOptions {
     fn default() -> Self {
         ViewOptions {
-            external_busy: UtilizationProfile::FLEET_5,
             dfs_certified: true,
             seed_channels: SeedChannels::Random,
         }
@@ -146,7 +145,7 @@ pub fn to_view(
         let mut quality = BTreeMap::new();
         for ch in &channel_pool {
             if rng.chance(EXTERNAL_PRESENCE) {
-                external_busy.insert(ch.primary, opts.external_busy.sample(rng));
+                external_busy.insert(ch.primary, UtilizationProfile::FLEET_5.sample(rng));
             }
             if rng.chance(0.1) {
                 // Occasional non-WiFi interference (microwaves, radar

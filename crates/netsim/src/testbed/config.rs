@@ -1,7 +1,6 @@
 //! What a testbed run is given: [`TestbedConfig`] and its typed
 //! up-front check, [`TestbedConfig::validate`].
 
-use phy80211::channels::Width;
 use sim::{SimDuration, SimTime};
 use telemetry::{HealthRules, TimelineConfig};
 
@@ -58,8 +57,6 @@ pub struct TestbedConfig {
     pub clients_per_ap: usize,
     /// FastACK enabled per AP.
     pub fastack: Vec<bool>,
-    /// Channel width used by the AP radios.
-    pub width: Width,
     /// Probability an MPDU's 802.11 delivery report is a "bad hint"
     /// (MAC said delivered, transport never got it; paper footnote 15:
     /// ≈ 1.5 %). Only meaningful on FastACK-enabled APs: it models the
@@ -134,7 +131,6 @@ impl Default for TestbedConfig {
             n_aps: 1,
             clients_per_ap: 10,
             fastack: vec![true],
-            width: Width::W80,
             // Footnote 15 reports "bad hints occur ≈1.5%" without a
             // denominator. Applied iid per MPDU at 45-60-deep aggregates
             // that would put a transport hole in nearly every aggregate

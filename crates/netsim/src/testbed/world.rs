@@ -23,6 +23,7 @@ use mac80211::protection::{rts_collision_cost, rts_cts_overhead};
 use phy80211::airtime::{
     ack_duration, block_ack_duration, control_frame_duration, AirtimeTable, DIFS, SIFS,
 };
+use phy80211::channels::Width;
 use phy80211::error_model::PerCache;
 use phy80211::mcs::GuardInterval;
 use phy80211::rate::RateCache;
@@ -39,6 +40,9 @@ const INTERFERER_SNR_PENALTY_DB: f64 = 20.0;
 /// Every AP's beacon interval (102.4 ms nominal); beacons ride the
 /// legacy basic rate and take airtime whether or not anyone listens.
 const BEACON_INTERVAL: SimDuration = SimDuration::from_micros(102_400);
+
+/// Every AP radio's channel width.
+const WIDTH: Width = Width::W80;
 
 pub(super) struct World {
     pub(super) cfg: TestbedConfig,
@@ -100,8 +104,8 @@ impl World {
             probes,
             probe_seq: 0,
             udp_seq: 0,
-            rate_cache: RateCache::new(cfg.width),
-            per_cache: PerCache::new(cfg.width, 1500),
+            rate_cache: RateCache::new(WIDTH),
+            per_cache: PerCache::new(WIDTH, 1500),
             cfg,
         }
     }
@@ -287,7 +291,7 @@ impl World {
         // active — rate control reacts to the noise floor it measures).
         let snr_db = link.snr_db - self.snr_penalty(self.queue.now());
         let rate = self.rate_cache.select(link.max_nss, snr_db);
-        let Some(ampdu) = self.aps[a].build(slot, rate, self.cfg.width) else {
+        let Some(ampdu) = self.aps[a].build(slot, rate, WIDTH) else {
             self.aps[a].backoff.on_success();
             return;
         };
@@ -389,7 +393,7 @@ impl World {
             .select(link.max_nss, link.snr_db - 2.0 - self.snr_penalty(now));
         // Uniform 90-byte ACK MPDUs (TCP ACK + MAC overhead): the
         // airtime table computes the burst without building a sizes Vec.
-        let dur = AirtimeTable::new(rate.mcs, rate.nss, self.cfg.width, GuardInterval::Short)
+        let dur = AirtimeTable::new(rate.mcs, rate.nss, WIDTH, GuardInterval::Short)
             .map(|t| t.ampdu_duration_uniform(n, 90))
             .unwrap_or(ack_duration());
         let air = dur + SIFS + block_ack_duration();

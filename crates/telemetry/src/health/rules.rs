@@ -146,8 +146,7 @@ impl Default for QueueStarvationRule {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QoeDegradedRule;
 
-/// The standard rule set, `None` per rule to disable it. `Copy` so the
-/// fleet config stays `Copy`.
+/// The standard rule set, `None` per rule to disable it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HealthRules {
     /// Detector evaluation cadence (the testbed's collection epoch).

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Run every paper-reproduction experiment and ablation; results land in
-# <outdir>/*.json (default: results/). Exits non-zero if any
-# paper-vs-measured comparison fails.
+# <outdir>/*.json (default: results/). Exits 1 if any experiment
+# failed (a paper-vs-measured mismatch or a crash), 3 if every
+# experiment passed and only the wall-clock perf gate failed, 0 if all
+# passed. The last line says which.
 #
 # Usage: scripts/run_experiments.sh [outdir]
 set -euo pipefail
@@ -47,7 +49,7 @@ PERF_EXPERIMENTS=(
   abl_baselines
 )
 
-fail=0
+failed=()
 for exp in "${EXPERIMENTS[@]}"; do
   echo "=== $exp ==="
   args=()
@@ -58,7 +60,7 @@ for exp in "${EXPERIMENTS[@]}"; do
   done
   if ! "target/release/$exp" "${args[@]}"; then
     echo "!! $exp reported mismatches"
-    fail=1
+    failed+=("$exp")
   fi
 done
 
@@ -72,6 +74,7 @@ done
 scripts/merge_perf.sh "$OUTDIR/BENCH_simperf.json" "${frags[@]}"
 echo "=== perf baseline: $OUTDIR/BENCH_simperf.json ==="
 
+perf_failed=0
 # Gate the fresh grid against the committed baseline. --strict makes a
 # bench that silently dropped out of the grid (label present in the
 # baseline but never measured above) a failure, not a "(not measured)"
@@ -83,8 +86,17 @@ if [[ -f BENCH_simperf.json ]]; then
   if ! target/release/wifictl perf regress "$OUTDIR/BENCH_simperf.json" \
       --baseline BENCH_simperf.json --tolerance 50% --strict; then
     echo "!! perf regression gate failed"
-    fail=1
+    perf_failed=1
   fi
 fi
 
-exit $fail
+if (( ${#failed[@]} > 0 )); then
+  also=""
+  if ((perf_failed)); then also=" (and the perf gate)"; fi
+  echo "FAILED: ${failed[*]}$also"
+  exit 1
+elif ((perf_failed)); then
+  echo "FAILED: perf gate only"
+  exit 3
+fi
+echo "ok: every experiment and the perf gate passed"

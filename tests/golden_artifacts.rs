@@ -44,7 +44,7 @@ use wifi_core::telemetry::{Agg, Timeline, TimelineConfig};
 /// `queries` also what the merged timeline answers.
 fn pin<const N: usize>(fig: &str, arms: [Arm; N], queries: bool) {
     let argv = [fig, "--timeline", "unwritten", "--runprof", "unwritten"].map(str::to_owned);
-    let mut exp = Experiment::parse(fig, "golden pin", &argv, &[]).unwrap();
+    let mut exp = Experiment::parse(fig, "golden pin", &argv).unwrap();
     exp.run_arms(arms);
     let mut entries: Vec<(String, u64)> = exp
         .artifacts()

@@ -23,7 +23,7 @@ use wifi_core::telemetry::runprof;
 /// fig18's mixed arm (two co-channel APs, baseline + FastACK) and
 /// fig15's UDP-saturation arm, run through the harness path.
 fn artifacts() -> Vec<(&'static str, Vec<u8>)> {
-    let mut exp = Experiment::parse("neutrality", "profiler on/off", &[], &[]).unwrap();
+    let mut exp = Experiment::parse("neutrality", "profiler on/off", &[]).unwrap();
     let [_, bf, _] = arms::fig18();
     let [_, _, udp] = arms::fig15();
     for arm in [bf, udp] {
