@@ -6,11 +6,11 @@
 use super::config::TestbedConfig;
 use super::taps::{Seam, Taps};
 use super::wired::{Event, WIRED_LATENCY};
+use super::world::WIDTH;
 use fastack::{Action, Agent, AgentConfig};
 use mac80211::ac::{AccessCategory, EdcaParams};
 use mac80211::aggregation::{build_ampdu, AggLimits, Ampdu, QueuedMpdu};
 use mac80211::backoff::Backoff;
-use phy80211::channels::Width;
 use phy80211::mcs::GuardInterval;
 use phy80211::rate::RateChoice;
 use sim::{Deadlines, EventQueue, IndexSet, SimDuration, SimTime};
@@ -326,16 +326,17 @@ impl ApDatapath {
         Some(slot)
     }
 
-    /// Assemble the largest legal aggregate for `slot` at `rate`:
-    /// head-of-line MPDUs first, then the bulk queue. The MPDUs that fly
-    /// are left in `self.staged`; whatever did not fit goes back to the
-    /// bulk queue's front in order, with its count, and the head-of-line
-    /// stage is left empty. `None` (rate invalid — cannot happen with
-    /// `IdealSelector`) restores everything that way.
+    /// Assemble the largest legal aggregate for `slot` at `rate` on the
+    /// radio's one `WIDTH`: head-of-line MPDUs first, then the bulk
+    /// queue. The MPDUs that fly are left in `self.staged`; whatever did
+    /// not fit goes back to the bulk queue's front in order, with its
+    /// count, and the head-of-line stage is left empty. `None` (rate
+    /// invalid — cannot happen with `IdealSelector`) restores everything
+    /// that way.
     ///
     /// Only the first `max_frames` MPDUs can fly, so only they are
     /// staged: the rest of a deep queue is never copied out and back.
-    pub(super) fn build(&mut self, slot: usize, rate: RateChoice, width: Width) -> Option<Ampdu> {
+    pub(super) fn build(&mut self, slot: usize, rate: RateChoice) -> Option<Ampdu> {
         let limits = AggLimits::default();
         let (hol, bulk) = (&mut self.hol[slot], &mut self.bulk[slot]);
         self.staged.clear();
@@ -353,7 +354,7 @@ impl ApDatapath {
             &mut self.raw,
             rate.mcs,
             rate.nss,
-            width,
+            WIDTH,
             GuardInterval::Short,
             limits,
         );
@@ -440,8 +441,8 @@ mod tests {
         ap.enqueue(0, true, mpdu(201), SimTime::ZERO);
         ap.enqueue(0, true, mpdu(202), SimTime::ZERO);
         ap.enqueue(1, false, mpdu(300), SimTime::ZERO);
-        let rate = RateCache::new(Width::W80).select(3, 38.0);
-        let ampdu = ap.build(0, rate, Width::W80).expect("valid rate");
+        let rate = RateCache::new(WIDTH).select(3, 38.0);
+        let ampdu = ap.build(0, rate).expect("valid rate");
         let taken = ampdu.size();
         assert!((3..100).contains(&taken), "partial aggregate: {taken}");
         let flying: Vec<u64> = ap.staged.iter().map(|(m, _)| m.id).collect();
@@ -469,7 +470,7 @@ mod tests {
         let mut staged: Vec<Staged> = hol.chain(ap.bulk[slot].drain(..)).collect();
         let mut raw: Vec<QueuedMpdu> = staged.iter().map(|(m, _)| *m).collect();
         let (gi, limits) = (GuardInterval::Short, AggLimits::default());
-        let ampdu = build_ampdu(&mut raw, rate.mcs, rate.nss, Width::W80, gi, limits);
+        let ampdu = build_ampdu(&mut raw, rate.mcs, rate.nss, WIDTH, gi, limits);
         let taken = ampdu.as_ref().map_or(0, Ampdu::size);
         ap.backlog -= taken;
         for x in staged.drain(taken..).rev() {
@@ -495,7 +496,7 @@ mod tests {
             snr_db in 5.0f64..45.0,
             nss in 1u8..4,
         ) {
-            let rate = RateCache::new(Width::W80).select(nss, snr_db);
+            let rate = RateCache::new(WIDTH).select(nss, snr_db);
             let [mut fast, mut naive] = [(), ()].map(|()| bed(true).world.aps.remove(0));
             for ap in [&mut fast, &mut naive] {
                 for id in 0..(hol + bulk) as u64 {
@@ -503,7 +504,7 @@ mod tests {
                     ap.enqueue(0, id < hol as u64, m, SimTime::from_micros(id));
                 }
             }
-            let got = fast.build(0, rate, Width::W80);
+            let got = fast.build(0, rate);
             proptest::prop_assert_eq!(got, build_staging_everything(&mut naive, 0, rate));
             proptest::prop_assert_eq!(&fast.staged, &naive.staged);
             proptest::prop_assert_eq!(&fast.hol[0], &naive.hol[0]);

@@ -242,6 +242,36 @@ impl From<(&'static str, f64, f64, f64)> for ConfigError {
 }
 
 impl TestbedConfig {
+    /// The dense packet shape, the benchmark's `dense_fastack` workload
+    /// (one arm per `fastack`): 2 APs × 20 clients, contention and
+    /// aggregation at full depth. The observed shape (`obs_full`) is
+    /// this plus sinks and an interferer whose start each user picks.
+    pub fn dense(fastack: bool) -> TestbedConfig {
+        TestbedConfig {
+            n_aps: 2,
+            clients_per_ap: 20,
+            fastack: vec![fastack; 2],
+            ..TestbedConfig::default()
+        }
+    }
+
+    /// The lossy packet shape, the benchmark's `lossy_recovery`
+    /// workload (one arm per `fastack`): 1 AP × 3 clients at 24 dB
+    /// spread 10 dB, 1 % upstream loss and 5 % bad hints, so SACK / RTO
+    /// recovery and the agent's holes carry the run.
+    pub fn lossy(fastack: bool) -> TestbedConfig {
+        TestbedConfig {
+            n_aps: 1,
+            clients_per_ap: 3,
+            fastack: vec![fastack],
+            upstream_loss: 0.01,
+            bad_hint_rate: 0.05,
+            base_snr_db: 24.0,
+            snr_spread_db: 10.0,
+            ..TestbedConfig::default()
+        }
+    }
+
     /// Check everything a run would otherwise trip over part-way: sizes
     /// it divides or indexes by, periods it catches up on by repeated
     /// addition (a zero step never gets past `now`), health rules no

@@ -30,29 +30,14 @@ fn dense_run_schedules_into_the_queue_lane() {
     // the event queue's sorted run; a schedule site that breaks the
     // pattern would quietly put the O(n) ordered insert on the packet
     // path. One row per packet shape the benchmark runs.
-    let dense = TestbedConfig {
-        n_aps: 2,
-        clients_per_ap: 20,
-        fastack: vec![true; 2],
-        ..TestbedConfig::default()
-    };
-    let lossy = TestbedConfig {
-        n_aps: 1,
-        clients_per_ap: 3,
-        fastack: vec![true],
-        upstream_loss: 0.01,
-        bad_hint_rate: 0.05,
-        base_snr_db: 24.0,
-        snr_spread_db: 10.0,
-        ..TestbedConfig::default()
-    };
+    let (dense, lossy) = (TestbedConfig::dense(true), TestbedConfig::lossy(true));
     let obs = TestbedConfig {
         flight_capacity: 65_536,
         qoe: Some(qoe::ProbeConfig::default()),
         interferer: Some(InterfererFault {
             at: SimTime::from_millis(1_000),
         }),
-        ..dense.clone()
+        ..TestbedConfig::dense(true)
     };
     for (shape, cfg) in [("dense", dense), ("lossy", lossy), ("obs", obs)] {
         let mut tb = Testbed::new(cfg);

@@ -42,7 +42,7 @@ const INTERFERER_SNR_PENALTY_DB: f64 = 20.0;
 const BEACON_INTERVAL: SimDuration = SimDuration::from_micros(102_400);
 
 /// Every AP radio's channel width.
-const WIDTH: Width = Width::W80;
+pub(super) const WIDTH: Width = Width::W80;
 
 pub(super) struct World {
     pub(super) cfg: TestbedConfig,
@@ -291,7 +291,7 @@ impl World {
         // active — rate control reacts to the noise floor it measures).
         let snr_db = link.snr_db - self.snr_penalty(self.queue.now());
         let rate = self.rate_cache.select(link.max_nss, snr_db);
-        let Some(ampdu) = self.aps[a].build(slot, rate, WIDTH) else {
+        let Some(ampdu) = self.aps[a].build(slot, rate) else {
             self.aps[a].backoff.on_success();
             return;
         };

@@ -64,30 +64,14 @@ static ALLOC: Counting = Counting;
 /// `Testbed::run` (set-up in `Testbed::new` not counted).
 #[test]
 fn packet_shapes_allocate_under_budget() {
-    let lossy = |fastack| TestbedConfig {
-        n_aps: 1,
-        clients_per_ap: 3,
-        fastack: vec![fastack],
-        upstream_loss: 0.01,
-        bad_hint_rate: 0.05,
-        base_snr_db: 24.0,
-        snr_spread_db: 10.0,
-        ..TestbedConfig::default()
-    };
-    let dense = |fastack| TestbedConfig {
-        n_aps: 2,
-        clients_per_ap: 20,
-        fastack: vec![fastack; 2],
-        ..TestbedConfig::default()
-    };
     // Peak live bytes per event: 5.2 / 7.7 / 20.0 / 13.6 with latency
     // samples stored as runs, 12.2 / 12.1 / 25.0 / 19.6 with one 4-byte
     // entry per sample, 21.4 / 21.0 / 31.9 / 26.5 with 8-byte ones.
     for (shape, cfg, secs, bound, bytes_bound) in [
-        ("lossy fastack", lossy(true), 20, 0.05, 6.0),
-        ("lossy baseline", lossy(false), 20, 0.15, 9.0),
-        ("dense fastack", dense(true), 2, 0.05, 21.0),
-        ("dense baseline", dense(false), 2, 0.05, 15.0),
+        ("lossy fastack", TestbedConfig::lossy(true), 20, 0.05, 6.0),
+        ("lossy baseline", TestbedConfig::lossy(false), 20, 0.15, 9.0),
+        ("dense fastack", TestbedConfig::dense(true), 2, 0.05, 21.0),
+        ("dense baseline", TestbedConfig::dense(false), 2, 0.05, 15.0),
     ] {
         let tb = Testbed::new(cfg);
         let before = CALLS.with(Cell::get);

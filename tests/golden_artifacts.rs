@@ -193,14 +193,11 @@ fn obs_dense_artifacts_match_goldens() {
     timeline.capacity = 256;
     timeline.tiers[0].capacity = 32;
     let cfg = TestbedConfig {
-        n_aps: 2,
-        clients_per_ap: 20,
-        fastack: vec![true; 2],
         flight_capacity: 65_536,
         timeline: Some(timeline),
         qoe: Some(ProbeConfig::default()),
         interferer: Some(InterfererFault::default()),
-        ..TestbedConfig::default()
+        ..TestbedConfig::dense(true)
     };
     let r = Testbed::new(cfg).run(SimDuration::from_secs(8));
     let tl = r.timeline.as_ref().expect("timeline enabled");
@@ -290,15 +287,8 @@ fn lossy_artifacts_match_goldens() {
         ("tinycache", true, Some(16 * 1460)),
     ] {
         let cfg = TestbedConfig {
-            n_aps: 1,
-            clients_per_ap: 3,
-            fastack: vec![fastack],
-            upstream_loss: 0.01,
-            bad_hint_rate: 0.05,
-            base_snr_db: 24.0,
-            snr_spread_db: 10.0,
             agent_cache_bytes: cache,
-            ..TestbedConfig::default()
+            ..TestbedConfig::lossy(fastack)
         };
         let r = Testbed::new(cfg).run(SimDuration::from_secs(20));
         fast_retx += r
