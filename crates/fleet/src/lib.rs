@@ -522,7 +522,7 @@ mod tests {
             .expect("fleet.epoch component");
         assert_eq!(comp.records.len(), 3);
         assert_eq!(
-            comp.records[0].record,
+            comp.records[0].record(),
             telemetry::TraceRecord::FleetEpoch {
                 epoch: 0,
                 networks: 6,

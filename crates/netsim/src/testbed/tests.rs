@@ -328,7 +328,7 @@ fn flight_chain_crosses_the_stack() {
         Some(r.flight.total_dropped())
     );
     let chain = r.flight.chain(1);
-    let has = |layer: &str| chain.iter().any(|(_, ev)| ev.record.layer() == layer);
+    let has = |layer: &str| chain.iter().any(|(_, ev)| ev.record().layer() == layer);
     for layer in [
         "tcp-seg",
         "ampdu-build",
@@ -464,7 +464,7 @@ fn interferer_fault_raises_ampdu_collapse_with_causal_chain() {
     let chain = r.flight.chain(flow);
     for layer in ["tcp-seg", "ampdu-build", "mac-tx", "block-ack"] {
         assert!(
-            chain.iter().any(|(_, ev)| ev.record.layer() == layer),
+            chain.iter().any(|(_, ev)| ev.record().layer() == layer),
             "chain for flow {flow} is missing {layer}"
         );
     }
@@ -474,7 +474,7 @@ fn interferer_fault_raises_ampdu_collapse_with_causal_chain() {
         .components
         .iter()
         .any(|c| c.records.iter().any(|ev| matches!(
-            ev.record,
+            ev.record(),
             TraceRecord::AirtimeSpan {
                 kind: AirKind::Interferer,
                 ..
@@ -545,7 +545,7 @@ fn qoe_degrades_under_interference_with_probe_causal_chain() {
     let chain = r.flight.chain(flow);
     for layer in ["qoe-probe", "mac-tx"] {
         assert!(
-            chain.iter().any(|(_, ev)| ev.record.layer() == layer),
+            chain.iter().any(|(_, ev)| ev.record().layer() == layer),
             "chain for probe flow {flow:#x} is missing {layer}"
         );
     }

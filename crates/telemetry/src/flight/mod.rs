@@ -29,7 +29,8 @@
 //!   panic first writes that window to disk.
 //! * **Queries** (`dump`) — [`FlightDump`]: `absorb`, `events`,
 //!   `chain`, `flows` and the totals.
-//! * **Deterministic dumps** (`wire`) — the only code that knows `FLT1`:
+//! * **Deterministic dumps** (`wire`) — the only code that knows `FLT1`
+//!   and the packed record a [`FlightEvent`] holds, both from one table:
 //!   identical runs dump identical bytes, the artifact `wifictl trace
 //!   diff` triages, and the strict parser accepts nothing else.
 //!
@@ -61,6 +62,7 @@ pub use record::{AirKind, TraceRecord};
 pub use recorder::{install_violation_dump, FlightRecorder, IntoRingId, RingId};
 
 use sim::SimTime;
+use wire::Packed;
 
 /// Causal identity shared by every record describing the same payload:
 /// flow id in the high 16 bits, first stream-byte offset in the low 48.
@@ -94,19 +96,39 @@ impl CauseId {
     }
 }
 
-/// One recorded event: when, what chain, and the typed payload.
+/// One recorded event: when, what chain, and the typed payload, packed
+/// into 16 bytes so an event is 32. `wire`'s `records!` table gives
+/// each field its slot: a `flow` below 2^16 (a [`CauseId`]'s flow
+/// bits), a probe `seq` below 2^48 (a probe MPDU id's seq bits), a
+/// probe `delay_ns` and an epoch's `networks` below 2^56, every other
+/// field whole.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlightEvent {
     pub at: SimTime,
     pub cause: CauseId,
-    pub record: TraceRecord,
+    record: Packed,
 }
 
+const _: () = assert!(std::mem::size_of::<FlightEvent>() == 32);
+
 impl FlightEvent {
+    /// `record` at `at` on chain `cause`. Panics, naming the field, on
+    /// a field over its bound.
+    #[inline(always)]
+    pub fn new(at: SimTime, cause: CauseId, record: TraceRecord) -> FlightEvent {
+        let record = wire::pack(record).unwrap_or_else(|e| panic!("flight record {e}"));
+        FlightEvent { at, cause, record }
+    }
+
+    /// The record, unpacked.
+    pub fn record(&self) -> TraceRecord {
+        wire::unpack(self.record)
+    }
+
     /// The flow this event belongs to: the record's own flow, falling
     /// back to the one packed in the cause (airtime spans).
     pub fn flow(&self) -> Option<u64> {
-        self.record.flow().or_else(|| {
+        self.record().flow().or_else(|| {
             let hint = self.cause.flow_hint();
             (hint != 0).then_some(hint)
         })
@@ -114,4 +136,4 @@ impl FlightEvent {
 }
 
 #[cfg(test)]
-mod tests;
+pub(crate) mod tests;

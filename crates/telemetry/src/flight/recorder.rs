@@ -28,8 +28,8 @@ impl Ring {
         }
     }
 
-    /// `inline(always)`, as is `emit`: out of line, each 48-byte event
-    /// is stored to the stack and loaded back, a store-forwarding stall.
+    /// `inline(always)`, as is `emit`: out of line, each event is stored
+    /// to the stack and loaded back, a store-forwarding stall.
     #[inline(always)]
     fn push(&mut self, ev: FlightEvent) {
         if self.buf.len() < self.cap {
@@ -122,7 +122,8 @@ impl FlightRecorder {
         }))
     }
 
-    /// Record one event into `ring`.
+    /// Record one event into `ring`. Panics, naming the field, on a
+    /// record field over its bound ([`FlightEvent`]).
     #[inline(always)]
     pub fn emit(&self, ring: impl IntoRingId, at: SimTime, cause: CauseId, record: TraceRecord) {
         let RingId(i) = ring.ring_id(self);
@@ -130,7 +131,7 @@ impl FlightRecorder {
         if inner.cap == 0 {
             return;
         }
-        inner.rings[i].1.push(FlightEvent { at, cause, record });
+        inner.rings[i].1.push(FlightEvent::new(at, cause, record));
     }
 
     /// Total records overwritten across all components (wraparound

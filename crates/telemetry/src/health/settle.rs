@@ -27,7 +27,7 @@ fn mask(layers: &[&str]) -> u16 {
 }
 
 fn bit(ev: &FlightEvent) -> u16 {
-    1 << ev.record.layer_index()
+    1 << ev.record().layer_index()
 }
 
 impl<'a> DumpIndex<'a> {
@@ -128,7 +128,7 @@ impl<'a> DumpIndex<'a> {
         let mut acks = self.within(mask(&["fastack-synth"]), Some(after), until);
         acks.any(|ev| {
             matches!(
-                ev.record,
+                ev.record(),
                 TraceRecord::FastAckSynth { flow, synthetic: true, .. } if flows.contains(&flow)
             )
         })
@@ -138,7 +138,7 @@ impl<'a> DumpIndex<'a> {
     /// probe evicted), else whether one of `subject`'s is.
     pub(super) fn probed_if_any_probe(&self, subject: Option<u64>) -> bool {
         let records = self.within(mask(&["qoe-probe"]), None, SimTime::MAX);
-        let probes = records.filter_map(|ev| match ev.record {
+        let probes = records.filter_map(|ev| match ev.record() {
             TraceRecord::QoeProbe { flow, .. } => Some(flow),
             _ => None,
         });
@@ -150,10 +150,10 @@ impl<'a> DumpIndex<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flight::{cause_for, AirKind};
+    use crate::flight::cause_for;
+    use crate::flight::tests::record_of;
     use proptest::collection::vec;
     use proptest::prelude::*;
-    use sim::SimDuration;
 
     // The scans the index replaced, kept as the statement of what it
     // must answer: every record of the dump, in dump order.
@@ -168,7 +168,7 @@ mod tests {
         let explains = |ev: &&FlightEvent| {
             ev.at <= before
                 && ev.cause != CauseId::NONE
-                && layers.contains(&ev.record.layer())
+                && layers.contains(&ev.record().layer())
                 && (flows.is_empty() || ev.flow().is_some_and(|f| flows.contains(&f)))
         };
         // `max_by_key` keeps the last of equal maxima: walk the dump backwards.
@@ -187,7 +187,7 @@ mod tests {
                 ev.at > after
                     && ev.at <= until
                     && matches!(
-                        ev.record,
+                        ev.record(),
                         TraceRecord::FastAckSynth { flow, synthetic: true, .. }
                             if flows.contains(&flow)
                     )
@@ -197,7 +197,7 @@ mod tests {
 
     fn naive_probed_if_any_probe(dump: &FlightDump, subject: Option<u64>) -> bool {
         let records = dump.components.iter().flat_map(|comp| &comp.records);
-        let probes = records.filter_map(|ev| match ev.record {
+        let probes = records.filter_map(|ev| match ev.record() {
             TraceRecord::QoeProbe { flow, .. } => Some(flow),
             _ => None,
         });
@@ -205,58 +205,20 @@ mod tests {
         probes.peek().is_none() || probes.any(|flow| Some(flow) == subject)
     }
 
-    /// One drawn word as `(component, record)`: any variant, flows 0..5,
-    /// a cause of flow 0..4 or `NONE` (one in five), at an even instant
-    /// of 24, so ties are common and odd instants fall between records.
+    /// One drawn word as `(component, record)`: any variant, flows 0..5
+    /// (an airtime span's kind, an epoch's number), a synthetic bit
+    /// (and a probe's delay), a cause of flow 0..4 or `NONE` (one in
+    /// five), at an even instant of 24, so ties are common and odd
+    /// instants fall between records.
     fn drawn(word: u64) -> (usize, FlightEvent) {
-        let (flow, seq) = ((word >> 8) % 5, word >> 40);
-        let record = match (word >> 12) % 8 {
-            0 => TraceRecord::TcpSeg {
-                flow,
-                seq,
-                len: 1460,
-                retransmit: false,
-            },
-            1 => TraceRecord::MacTx {
-                flow,
-                seq,
-                delivered: true,
-            },
-            2 => TraceRecord::AmpduBuild {
-                flow,
-                frames: 4,
-                bytes: 5840,
-            },
-            3 => TraceRecord::BlockAck {
-                flow,
-                acked: 4,
-                lost: 0,
-            },
-            4 => TraceRecord::AirtimeSpan {
-                kind: AirKind::ApTxop,
-                dur: SimDuration::from_micros(90),
-            },
-            5 => TraceRecord::FastAckSynth {
-                flow,
-                ack: seq,
-                synthetic: (word >> 15) & 1 == 1,
-            },
-            6 => TraceRecord::FleetEpoch {
-                epoch: seq,
-                networks: 1,
-            },
-            _ => TraceRecord::QoeProbe {
-                flow,
-                seq,
-                delay_ns: 0,
-            },
-        };
+        let (flow, seq, synthetic) = ((word >> 8) % 5, word >> 40, (word >> 15) & 1);
+        let record = record_of(((word >> 12) % 8) as u8, [flow, seq, synthetic, 0]);
         let cause = match (word >> 16) % 5 {
             0 => CauseId::NONE,
             _ => cause_for((word >> 19) % 4, seq),
         };
         let at = SimTime::from_nanos(2 * ((word >> 3) % 24));
-        ((word % 5) as usize, FlightEvent { at, cause, record })
+        ((word % 5) as usize, FlightEvent::new(at, cause, record))
     }
 
     const LAYER_SETS: &[&[&str]] = &[

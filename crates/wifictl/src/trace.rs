@@ -38,7 +38,7 @@ fn event_line(component: &str, ev: &FlightEvent) -> String {
         "{:>14}  {:<18} {}  (cause {}:{})",
         ev.at.to_string(),
         component,
-        ev.record,
+        ev.record(),
         cause.flow_hint(),
         cause.seq_hint(),
     )
@@ -98,7 +98,7 @@ fn layers_covered(chain: &[(&str, FlightEvent)]) -> Vec<&'static str> {
     CHAIN_LAYERS
         .iter()
         .copied()
-        .filter(|l| chain.iter().any(|(_, ev)| ev.record.layer() == *l))
+        .filter(|l| chain.iter().any(|(_, ev)| ev.record().layer() == *l))
         .collect()
 }
 
@@ -375,8 +375,14 @@ pub(crate) mod tests {
         assert!(same, "{out}");
 
         let mut other = d.clone();
-        if let TraceRecord::MacTx { delivered, .. } = &mut other.components[4].records[0].record {
-            *delivered = false;
+        let ev = &mut other.components[4].records[0];
+        if let TraceRecord::MacTx { flow, seq, .. } = ev.record() {
+            let lost = TraceRecord::MacTx {
+                flow,
+                seq,
+                delivered: false,
+            };
+            *ev = FlightEvent::new(ev.at, ev.cause, lost);
         } else {
             panic!("component order changed: {}", other.components[4].name);
         }

@@ -82,10 +82,16 @@ fi
 echo "=== less code (ROADMAP item 4's number may only go down) ==="
 # Raising the ceiling is a deliberate, reviewed edit of this line: say
 # in CHANGES.md what the new lines bought. Lower it when a PR deletes.
-loc_ceiling=39588
+loc_ceiling=39846
 loc="$(find crates tests examples -name '*.rs' -print0 | xargs -0 cat | wc -l)"
 (( loc <= loc_ceiling )) \
   || { echo "workspace Rust is $loc lines, over the $loc_ceiling ceiling in scripts/ci.sh: delete something, or raise the ceiling on purpose and defend it in review"; exit 1; }
+# Item 4's non-test count, printed and not gated: the lines of each
+# `.rs` file under crates/ and examples/ above its first line that is
+# exactly `#[cfg(test)]`, with `tests.rs` files and `*/tests/*` left out.
+nontest="$(find crates examples -name '*.rs' ! -name tests.rs ! -path '*/tests/*' -print0 \
+  | xargs -0 awk '/^#\[cfg\(test\)\]$/ { nextfile } { n++ } END { print n + 0 }')"
+echo "workspace Rust: $loc lines (ceiling $loc_ceiling), $nontest of them non-test"
 
 echo "=== MUST clauses (the number may only go up) ==="
 # simcheck fails a MUST clause that lacks a citation, not one that is

@@ -14,7 +14,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use wifi_core::netsim::testbed::{Testbed, TestbedConfig};
+use wifi_core::qoe::ProbeConfig;
 use wifi_core::sim::SimDuration;
+use wifi_core::telemetry::TimelineConfig;
 
 thread_local! {
     /// Allocator calls made on this thread. Per thread, so tests running
@@ -57,21 +59,36 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
+/// `obs_full`'s sinks on the dense FastACK shape: 64k flight rings, the
+/// 10 ms timeline and QoE probes (its interferer left out).
+fn obs() -> TestbedConfig {
+    TestbedConfig {
+        flight_capacity: 65_536,
+        timeline: Some(TimelineConfig::sampling(SimDuration::from_millis(10))),
+        qoe: Some(ProbeConfig::default()),
+        ..TestbedConfig::dense(true)
+    }
+}
+
 /// The benchmark's `lossy_recovery` shape (1 AP × 3 clients at low SNR,
-/// 1 % upstream loss, 5 % bad hints) and `dense_fastack` shape (2 APs ×
-/// 20 clients), each arm run for a few simulated seconds and held to
-/// allocator calls and peak live bytes per popped event in
+/// 1 % upstream loss, 5 % bad hints), `dense_fastack` shape (2 APs ×
+/// 20 clients) and [`obs`], each arm run for a few simulated seconds
+/// and held to allocator calls and peak live bytes per popped event in
 /// `Testbed::run` (set-up in `Testbed::new` not counted).
+
 #[test]
 fn packet_shapes_allocate_under_budget() {
-    // Peak live bytes per event: 5.2 / 7.7 / 20.0 / 13.6 with latency
-    // samples stored as runs, 12.2 / 12.1 / 25.0 / 19.6 with one 4-byte
-    // entry per sample, 21.4 / 21.0 / 31.9 / 26.5 with 8-byte ones.
+    // Peak live bytes per event: 4.7 / 6.9 / 18.8 / 12.6 / 106.8 with
+    // 32-byte flight events, 5.2 / 7.7 / 20.0 / 13.6 / 149.9 with 48-byte
+    // ones. Before latency samples were stored as runs, the first four
+    // read 12.2 / 12.1 / 25.0 / 19.6 with one 4-byte entry per sample,
+    // 21.4 / 21.0 / 31.9 / 26.5 with 8-byte ones.
     for (shape, cfg, secs, bound, bytes_bound) in [
         ("lossy fastack", TestbedConfig::lossy(true), 20, 0.05, 6.0),
         ("lossy baseline", TestbedConfig::lossy(false), 20, 0.15, 9.0),
         ("dense fastack", TestbedConfig::dense(true), 2, 0.05, 21.0),
         ("dense baseline", TestbedConfig::dense(false), 2, 0.05, 15.0),
+        ("obs", obs(), 2, 0.12, 112.0),
     ] {
         let tb = Testbed::new(cfg);
         let before = CALLS.with(Cell::get);

@@ -10,7 +10,8 @@
 //! and it may never abort on an allocation sized by a hostile length
 //! (an abort kills this process, so merely finishing is the assertion).
 //! The binary parsers are strict besides: a mutant they accept is
-//! exactly what their writer makes of the parse.
+//! exactly what their writer makes of the parse, and every query runs
+//! on it without a panic.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use wifi_core::netsim::testbed::InterfererFault;
@@ -178,6 +179,18 @@ fn query_all(tl: &Timeline) {
     }
 }
 
+/// Every query `wifictl trace` asks of a flight dump, on a dump that
+/// parsed: each record unpacked, through every accessor and `Display`.
+fn query_flight(dump: &FlightDump) {
+    let _ = (dump.total_records(), dump.total_dropped());
+    for (_, ev) in dump.events(None, None) {
+        let _ = (ev.flow(), ev.record().to_string());
+    }
+    for flow in dump.flows() {
+        let _ = dump.chain(flow);
+    }
+}
+
 /// `TSL1` header: magic, cadence, evicted ticks, retained ticks and —
 /// when any are retained — the shared timestamp column.
 fn tsl1_header(every_ns: u64, base: u64, len: u32) -> Vec<u8> {
@@ -258,12 +271,8 @@ fn every_parser_survives_truncation_bitflips_and_inflated_lengths() {
 
     sweep_text("metrics json", &metrics, json::parse);
     sweep_text("health json", &health, HealthReport::parse);
-    sweep(
-        "FLT1",
-        &flight,
-        FlightDump::parse,
-        Some(FlightDump::to_bytes),
-    );
+    let flight_queried = |b: &[u8]| FlightDump::parse(b).inspect(query_flight);
+    sweep("FLT1", &flight, flight_queried, Some(FlightDump::to_bytes));
     let queried = |b: &[u8]| Timeline::parse(b).inspect(query_all);
     sweep("TSL1", &timeline, queried, Some(Timeline::to_bytes));
     inflate(
