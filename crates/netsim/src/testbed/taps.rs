@@ -17,7 +17,7 @@ use fastack::Action;
 use mac80211::aggregation::Ampdu;
 use sim::{SimDuration, SimTime};
 use tcpsim::{AckSegment, FlowId, SeqWindow};
-use telemetry::health::{standard_ap_detectors, AirtimeSlo, QoeDegraded, RtoStorm};
+use telemetry::health::{standard_ap_detectors, AirtimeSlo, Detector, QoeDegraded, RtoStorm};
 use telemetry::{
     AirKind, CauseId, CounterId, FlightRecorder, GaugeId, HealthEngine, HistId, Registry, RingId,
     SpanId, StagedId, Timeline, TraceRecord,
@@ -494,26 +494,35 @@ impl Taps {
     }
 }
 
-/// The standard rule catalog, scoped per AP (each watches only the flows
-/// terminating there) plus the shared TCP and airtime detectors over the
-/// whole collision domain, on the rules' sampling clock.
+/// The health engine over [`health_catalog`], on the rules' sampling
+/// clock; `None` when `health_rules` is `None` or selects no detector.
 fn health_engine(cfg: &TestbedConfig) -> Option<(Cadence, HealthEngine)> {
     let rules = cfg.health_rules?;
-    let nc = cfg.clients_per_ap;
     let mut eng = HealthEngine::new();
+    health_catalog(cfg).into_iter().for_each(|d| eng.add(d));
+    (!eng.is_empty()).then(|| (Cadence::new(SimTime::ZERO, rules.sample_every), eng))
+}
+
+/// The standard rule catalog, scoped per AP (each watches only the flows
+/// terminating there) plus the shared TCP and airtime detectors over the
+/// whole collision domain.
+pub(super) fn health_catalog(cfg: &TestbedConfig) -> Vec<Box<dyn Detector>> {
+    let Some(rules) = cfg.health_rules else {
+        return Vec::new();
+    };
+    let nc = cfg.clients_per_ap;
+    let mut out = Vec::new();
     for a in 0..cfg.n_aps {
         let flows = (0..nc).map(|k| (a * nc + k) as u64 + 1).collect();
-        for d in standard_ap_detectors(a, flows, cfg.fastack[a], &rules) {
-            eng.add(d);
-        }
+        out.extend(standard_ap_detectors(a, flows, cfg.fastack[a], &rules));
     }
     if let Some(r) = rules.rto_storm {
         let all_flows = (1..=(cfg.n_aps * nc) as u64).collect();
         let d = RtoStorm::new("tcp", "health.tcp.timeouts", all_flows, r);
-        eng.add(Box::new(d));
+        out.push(Box::new(d));
     }
     if let Some(r) = rules.airtime_slo {
-        eng.add(Box::new(AirtimeSlo::new("air", "health.air.busy_ns", r)));
+        out.push(Box::new(AirtimeSlo::new("air", "health.air.busy_ns", r)));
     }
     // QoE degradation watches each AP's clients' score gauges; like the
     // gauges themselves it exists only when probing is configured.
@@ -522,8 +531,8 @@ fn health_engine(cfg: &TestbedConfig) -> Option<(Cadence, HealthEngine)> {
             let watch = (a * nc..(a + 1) * nc)
                 .map(|c| (format!("qoe.client{c}.score"), qoe::probe_flow(c)))
                 .collect();
-            eng.add(Box::new(QoeDegraded::new(format!("ap{a}"), watch)));
+            out.push(Box::new(QoeDegraded::new(format!("ap{a}"), watch)));
         }
     }
-    (!eng.is_empty()).then(|| (Cadence::new(SimTime::ZERO, rules.sample_every), eng))
+    out
 }

@@ -427,6 +427,36 @@ fn clean_run_raises_no_alerts() {
     assert!(r.health.alerts.is_empty(), "{:#?}", r.health.alerts);
 }
 
+/// The testbed's catalog, row by row: per AP the standard detectors
+/// (FastACK's stall rule on its arm only), then the shared TCP and
+/// airtime rules, then QoE per AP while probing. Most of these rules
+/// raise in no golden run, so this is what sees one go missing.
+#[test]
+fn health_catalog_builds_every_rule_once_per_scope() {
+    let cfg = TestbedConfig {
+        n_aps: 2,
+        fastack: vec![true, false],
+        qoe: Some(qoe::ProbeConfig::default()),
+        ..TestbedConfig::default()
+    };
+    let rows: Vec<_> = super::taps::health_catalog(&cfg)
+        .iter()
+        .map(|d| (d.rule(), d.component().to_string()))
+        .collect();
+    let want = [
+        ("ampdu-collapse", "ap0"),
+        ("fastack-stall", "ap0"),
+        ("queue-starvation", "ap0"),
+        ("ampdu-collapse", "ap1"),
+        ("queue-starvation", "ap1"),
+        ("rto-storm", "tcp"),
+        ("airtime-slo", "air"),
+        ("qoe-degraded", "ap0"),
+        ("qoe-degraded", "ap1"),
+    ];
+    assert_eq!(rows, want.map(|(rule, c)| (rule, c.to_string())));
+}
+
 #[test]
 fn health_rules_none_disables_the_engine() {
     let r = quick(

@@ -434,3 +434,20 @@ fn qoe_degraded_refuted_when_probe_records_miss_the_flow() {
         "alert without probe evidence for its flow must be refuted"
     );
 }
+
+/// What the standard per-AP catalog holds, in order: the FastACK stall
+/// rule only on a FastACK arm.
+#[test]
+fn standard_ap_catalog_is_collapse_stall_and_starvation() {
+    let rules_of = |fastack| -> Vec<&str> {
+        let catalog = standard_ap_detectors(0, vec![1], fastack, &HealthRules::default());
+        catalog.iter().map(|d| d.rule()).collect()
+    };
+    let all = [
+        RULE_AMPDU_COLLAPSE,
+        RULE_FASTACK_STALL,
+        RULE_QUEUE_STARVATION,
+    ];
+    assert_eq!(rules_of(true), all);
+    assert_eq!(rules_of(false), [all[0], all[2]]);
+}
