@@ -2,7 +2,7 @@
 //! up-front check, [`TestbedConfig::validate`].
 
 use sim::{SimDuration, SimTime};
-use telemetry::{HealthRules, TimelineConfig};
+use telemetry::TimelineConfig;
 
 /// Transport driving the downlink flows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -108,11 +108,11 @@ pub struct TestbedConfig {
     /// writes the recorder's last-N snapshot to this path before the
     /// panic unwinds.
     pub flight_dump_on_violation: Option<std::path::PathBuf>,
-    /// Health-rule catalog evaluated over the run's own metrics on the
-    /// rules' sampling cadence (see [`telemetry::health`]). Sampling
+    /// Run the standard health catalog (see [`telemetry::health`]) over
+    /// the run's own metrics, every 250 ms of simulated time. Sampling
     /// draws no randomness and schedules no events, so enabling it
-    /// cannot perturb the run's trajectory. `None` disables the engine.
-    pub health_rules: Option<HealthRules>,
+    /// cannot perturb the run's trajectory. `false` builds no engine.
+    pub health: bool,
     /// Optional fault injection: a non-WiFi interferer that switches on
     /// mid-run (the health layer's acceptance scenario).
     pub interferer: Option<InterfererFault>,
@@ -149,7 +149,7 @@ impl Default for TestbedConfig {
             traffic: Traffic::Tcp,
             flight_capacity: 1024,
             flight_dump_on_violation: None,
-            health_rules: Some(HealthRules::default()),
+            health: true,
             interferer: None,
             qoe: None,
         }
@@ -229,7 +229,7 @@ impl ConfigError {
 }
 
 /// A `(field, value, min, max)` row that its own check found out of
-/// range (`HealthRules::validate`, `TimelineConfig::validate`).
+/// range (`TimelineConfig::validate`).
 impl From<(&'static str, f64, f64, f64)> for ConfigError {
     fn from((field, value, min, max): (&'static str, f64, f64, f64)) -> Self {
         ConfigError::OutOfRange {
@@ -274,8 +274,8 @@ impl TestbedConfig {
 
     /// Check everything a run would otherwise trip over part-way: sizes
     /// it divides or indexes by, periods it catches up on by repeated
-    /// addition (a zero step never gets past `now`), health rules no
-    /// detector and a timeline no sampler can be built from.
+    /// addition (a zero step never gets past `now`), a timeline no
+    /// sampler can be built from.
     /// [`super::Testbed::new`] panics with the error's `Display`.
     pub fn validate(&self) -> Result<(), ConfigError> {
         const ZERO: Option<SimDuration> = Some(SimDuration::ZERO);
@@ -285,8 +285,7 @@ impl TestbedConfig {
             // A probe rate past one per nanosecond.
             ("qoe.pps' interval", self.qoe.map(|p| p.interval()) == ZERO),
         ])?;
-        // Each names the row that is out of range.
-        self.health_rules.map_or(Ok(()), |r| r.validate())?;
+        // Names the row that is out of range.
         self.timeline.as_ref().map_or(Ok(()), |t| t.validate())?;
         if self.fastack.len() != self.n_aps {
             return Err(ConfigError::FastackLen {
@@ -347,10 +346,6 @@ mod tests {
             (|c| (c.n_aps, c.fastack) = (0, vec![]), NotPositive("n_aps")),
             (|c| c.clients_per_ap = 0, NotPositive("clients_per_ap")),
             (|c| c.n_aps = 2, FastackLen { n_aps: 2, len: 1 }),
-            (
-                |c| c.health_rules.as_mut().unwrap().sample_every = ZERO,
-                range("health_rules.sample_every", 0.0, 1.0, inf),
-            ),
             (
                 |c| c.timeline.as_mut().unwrap().every = ZERO,
                 range("timeline.every", 0.0, 1.0, inf),
@@ -428,7 +423,7 @@ mod tests {
             ap_buffer_pool_frames: 24,
             bad_hint_rate: 1.0,
             upstream_loss: 0.0,
-            health_rules: None,
+            health: false,
             ..TestbedConfig::default()
         };
         assert_eq!(edge.validate(), Ok(()));

@@ -114,11 +114,11 @@ pub struct TestbedReport {
     /// `fastack.*`, `air`). Serialize with [`FlightDump::to_bytes`];
     /// equal seeds yield byte-identical dumps.
     pub flight: FlightDump,
-    /// Health verdict for the run: the alert stream the configured
+    /// Health verdict for the run: the alert stream the standard
     /// rule catalog raised over the metrics, with causal ids resolved
     /// against the flight dump. Serialize with
     /// [`HealthReport::to_json`]; equal seeds yield byte-identical
-    /// JSON. Empty (zero steps) when `health_rules` is `None`.
+    /// JSON. Empty (zero steps) when `health` is off.
     pub health: HealthReport,
     /// Per-client application-layer QoE reports (probe-flow derived
     /// delay/jitter/loss/reorder windows and 0–100 scores). Empty when

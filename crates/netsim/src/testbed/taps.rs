@@ -17,7 +17,9 @@ use fastack::Action;
 use mac80211::aggregation::Ampdu;
 use sim::{SimDuration, SimTime};
 use tcpsim::{AckSegment, FlowId, SeqWindow};
-use telemetry::health::{standard_ap_detectors, AirtimeSlo, Detector, QoeDegraded, RtoStorm};
+use telemetry::health::{
+    standard_ap_detectors, AirtimeSlo, Detector, HealthRules, QoeDegraded, RtoStorm,
+};
 use telemetry::{
     AirKind, CauseId, CounterId, FlightRecorder, GaugeId, HealthEngine, HistId, Registry, RingId,
     SpanId, StagedId, Timeline, TraceRecord,
@@ -115,8 +117,7 @@ pub(super) struct Taps {
     metrics: Registry,
     flight: FlightRecorder,
     rings: Rings,
-    /// Detector engine and its sampling clock (None when `health_rules`
-    /// is None or selects no detector).
+    /// Detector engine and its sampling clock (None when health is off).
     health: Option<(Cadence, HealthEngine)>,
     /// Time-series sampler, its clock, and the per-flow handles of the
     /// staged `tcp.flow{c}.cwnd_segments` series.
@@ -494,22 +495,24 @@ impl Taps {
     }
 }
 
-/// The health engine over [`health_catalog`], on the rules' sampling
-/// clock; `None` when `health_rules` is `None` or selects no detector.
+/// How often the health engine steps: the testbed's collection epoch.
+const HEALTH_EVERY: SimDuration = SimDuration::from_millis(250);
+
+/// The health engine over [`health_catalog`] on its sampling clock;
+/// `None` when health is off.
 fn health_engine(cfg: &TestbedConfig) -> Option<(Cadence, HealthEngine)> {
-    let rules = cfg.health_rules?;
-    let mut eng = HealthEngine::new();
-    health_catalog(cfg).into_iter().for_each(|d| eng.add(d));
-    (!eng.is_empty()).then(|| (Cadence::new(SimTime::ZERO, rules.sample_every), eng))
+    cfg.health.then(|| {
+        let mut eng = HealthEngine::new();
+        health_catalog(cfg).into_iter().for_each(|d| eng.add(d));
+        (Cadence::new(SimTime::ZERO, HEALTH_EVERY), eng)
+    })
 }
 
 /// The standard rule catalog, scoped per AP (each watches only the flows
 /// terminating there) plus the shared TCP and airtime detectors over the
 /// whole collision domain.
 pub(super) fn health_catalog(cfg: &TestbedConfig) -> Vec<Box<dyn Detector>> {
-    let Some(rules) = cfg.health_rules else {
-        return Vec::new();
-    };
+    let rules = HealthRules::default();
     let nc = cfg.clients_per_ap;
     let mut out = Vec::new();
     for a in 0..cfg.n_aps {
@@ -526,7 +529,7 @@ pub(super) fn health_catalog(cfg: &TestbedConfig) -> Vec<Box<dyn Detector>> {
     }
     // QoE degradation watches each AP's clients' score gauges; like the
     // gauges themselves it exists only when probing is configured.
-    if cfg.qoe.is_some() && rules.qoe_degraded.is_some() {
+    if cfg.qoe.is_some() {
         for a in 0..cfg.n_aps {
             let watch = (a * nc..(a + 1) * nc)
                 .map(|c| (format!("qoe.client{c}.score"), qoe::probe_flow(c)))

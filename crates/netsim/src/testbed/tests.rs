@@ -1,5 +1,5 @@
 use super::*;
-use telemetry::{AirKind, HealthRules, Timeline, TimelineConfig, TraceRecord};
+use telemetry::{AirKind, Timeline, TimelineConfig, TraceRecord};
 
 /// One AP with `clients` stations and its FastACK arm on or off;
 /// everything else default.
@@ -251,12 +251,12 @@ fn sinks_do_not_steer_the_world() {
         }),
         qoe: Some(qoe::ProbeConfig::default()),
         flight_capacity: 0,
-        health_rules: None,
+        health: false,
         timeline: None,
         ..TestbedConfig::default()
     };
     let flight = |c: &mut TestbedConfig| c.flight_capacity = 65_536;
-    let health = |c: &mut TestbedConfig| c.health_rules = Some(HealthRules::default());
+    let health = |c: &mut TestbedConfig| c.health = true;
     let timeline = |c: &mut TestbedConfig| {
         c.timeline = Some(TimelineConfig::sampling(SimDuration::from_millis(10)))
     };
@@ -461,7 +461,7 @@ fn health_catalog_builds_every_rule_once_per_scope() {
 fn health_rules_none_disables_the_engine() {
     let r = quick(
         TestbedConfig {
-            health_rules: None,
+            health: false,
             ..one_ap(2, true)
         },
         1,

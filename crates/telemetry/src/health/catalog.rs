@@ -407,32 +407,27 @@ pub fn standard_ap_detectors(
     rules: &HealthRules,
 ) -> Vec<Box<dyn Detector>> {
     let comp = format!("ap{ap}");
-    let mut out: Vec<Box<dyn Detector>> = Vec::new();
-    if rules.ampdu_collapse.is_some() {
-        out.push(Box::new(AmpduCollapse::new(
-            comp.clone(),
-            format!("mac.ap{ap}.ampdu.aggregates"),
-            format!("mac.ap{ap}.ampdu.frames"),
-            flows.clone(),
-        )));
-    }
-    if let Some(r) = rules.fastack_stall.filter(|_| fastack) {
+    let mut out: Vec<Box<dyn Detector>> = vec![Box::new(AmpduCollapse::new(
+        comp.clone(),
+        format!("mac.ap{ap}.ampdu.aggregates"),
+        format!("mac.ap{ap}.ampdu.frames"),
+        flows.clone(),
+    ))];
+    if fastack {
         out.push(Box::new(FastAckStall::new(
             comp.clone(),
             format!("health.ap{ap}.fast_acks"),
             format!("health.ap{ap}.inflight"),
             flows.clone(),
-            r,
+            rules.fastack_stall,
         )));
     }
-    if let Some(r) = rules.queue_starvation {
-        out.push(Box::new(QueueStarvation::new(
-            comp,
-            format!("health.ap{ap}.backlog"),
-            format!("mac.ap{ap}.ampdu.aggregates"),
-            flows,
-            r,
-        )));
-    }
+    out.push(Box::new(QueueStarvation::new(
+        comp,
+        format!("health.ap{ap}.backlog"),
+        format!("mac.ap{ap}.ampdu.aggregates"),
+        flows,
+        rules.queue_starvation,
+    )));
     out
 }

@@ -141,10 +141,6 @@ impl HealthEngine {
         self.open.push(None);
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.detectors.is_empty()
-    }
-
     /// Alerts raised so far (open and cleared).
     pub fn alerts_so_far(&self) -> usize {
         self.alerts.len()

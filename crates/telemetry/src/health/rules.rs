@@ -1,8 +1,5 @@
-//! Thresholds: the five tunable `*Rule` configs and the two rules'
-//! switches, [`HealthRules`], and the check that a catalog can be built
-//! from them.
-
-use sim::SimDuration;
+//! Thresholds: the five tunable `*Rule` configs, the two untuned
+//! rules' tags and [`HealthRules`], the standard catalog's thresholds.
 
 /// Rule name of [`super::ChannelFlap`].
 pub const RULE_CHANNEL_FLAP: &str = "channel-flap";
@@ -51,8 +48,8 @@ impl Default for ChannelFlapRule {
     }
 }
 
-/// Switch for [`super::AmpduCollapse`]: `Some` in [`HealthRules`] runs
-/// the rule, whose thresholds are constants beside the detector.
+/// Tag of [`super::AmpduCollapse`], whose thresholds are constants
+/// beside the detector.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AmpduCollapseRule;
 
@@ -141,109 +138,28 @@ impl Default for QueueStarvationRule {
     }
 }
 
-/// Switch for [`super::QoeDegraded`]: `Some` in [`HealthRules`] runs the
-/// rule, whose thresholds are constants beside the detector.
+/// Tag of [`super::QoeDegraded`], whose thresholds are constants beside
+/// the detector.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QoeDegradedRule;
 
-/// The standard rule set, `None` per rule to disable it.
+/// The thresholds of the standard catalog. `rto_storm` and
+/// `airtime_slo` are `None` to leave that shared rule out.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HealthRules {
-    /// Detector evaluation cadence (the testbed's collection epoch).
-    pub sample_every: SimDuration,
-    pub channel_flap: Option<ChannelFlapRule>,
-    pub ampdu_collapse: Option<AmpduCollapseRule>,
-    pub fastack_stall: Option<FastAckStallRule>,
+    pub fastack_stall: FastAckStallRule,
     pub rto_storm: Option<RtoStormRule>,
     pub airtime_slo: Option<AirtimeSloRule>,
-    pub queue_starvation: Option<QueueStarvationRule>,
-    pub qoe_degraded: Option<QoeDegradedRule>,
+    pub queue_starvation: QueueStarvationRule,
 }
 
 impl Default for HealthRules {
     fn default() -> HealthRules {
         HealthRules {
-            sample_every: SimDuration::from_millis(250),
-            channel_flap: Some(ChannelFlapRule::default()),
-            ampdu_collapse: Some(AmpduCollapseRule),
-            fastack_stall: Some(FastAckStallRule::default()),
+            fastack_stall: FastAckStallRule::default(),
             rto_storm: Some(RtoStormRule::default()),
             airtime_slo: Some(AirtimeSloRule::default()),
-            queue_starvation: Some(QueueStarvationRule::default()),
-            qoe_degraded: Some(QoeDegradedRule),
+            queue_starvation: QueueStarvationRule::default(),
         }
-    }
-}
-
-impl HealthRules {
-    /// Refuse what building the catalog would `assert!` on (an empty
-    /// window, `clear > raise`) and what would build a rule that cannot work: a threshold that is
-    /// not finite, `critical` below `raise`, no time between epochs.
-    /// The error is the first `(field, value, min, max)` whose value is
-    /// outside `[min, max]`, the field named from the host's config
-    /// down (`health_rules.rto_storm.window`).
-    pub fn validate(&self) -> Result<(), (&'static str, f64, f64, f64)> {
-        const INF: f64 = f64::INFINITY;
-        let every_ns = self.sample_every.as_nanos() as f64;
-        let mut ranges = vec![("health_rules.sample_every", every_ns, 1.0, INF)];
-        // The listed fields of `$rule`, if it is enabled, ascend from
-        // `$min` and stay at or below `$max`.
-        macro_rules! within {
-            ($min:expr, $max:expr, $rule:ident: $($field:ident),+) => {
-                if let Some(rule) = self.$rule {
-                    let mut floor = $min;
-                    for (field, value) in [$((
-                        concat!("health_rules.", stringify!($rule), ".", stringify!($field)),
-                        rule.$field as f64,
-                    )),+] {
-                        ranges.push((field, value, floor, $max));
-                        floor = value;
-                    }
-                }
-            };
-        }
-        within!(1.0, INF, channel_flap: window);
-        within!(-INF, INF, channel_flap: clear, raise, critical);
-        within!(STREAK_CLEAR, INF, fastack_stall: gap_steps, critical_steps);
-        within!(-INF, INF, fastack_stall: min_inflight);
-        within!(1.0, INF, rto_storm: window);
-        within!(-INF, INF, rto_storm: clear, raise, critical);
-        within!(1.0, INF, airtime_slo: window);
-        within!(-INF, INF, airtime_slo: clear_util, raise_util, critical_util);
-        within!(STREAK_CLEAR, INF, queue_starvation: stall_steps, critical_steps);
-        within!(-INF, INF, queue_starvation: min_backlog);
-        let bad = |&(_, v, min, max): &(_, f64, f64, f64)| !(v.is_finite() && min <= v && v <= max);
-        match ranges.into_iter().find(bad) {
-            // Not even finite: say so, whatever its range was.
-            Some((field, v, ..)) if !v.is_finite() => Err((field, v, f64::MIN, f64::MAX)),
-            Some(row) => Err(row),
-            None => Ok(()),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn validate_refuses_every_field_under_its_own_name() {
-        assert_eq!(HealthRules::default().validate(), Ok(()));
-        // An empty window, a threshold that is not a number, thresholds
-        // out of `clear <= raise <= critical` order.
-        macro_rules! refused {
-            ($rule:ident: $($field:ident = $bad:expr),+) => {$({
-                let mut rules = HealthRules::default();
-                rules.$rule.as_mut().unwrap().$field = $bad;
-                let field = concat!("health_rules.", stringify!($rule), ".", stringify!($field));
-                assert_eq!(rules.validate().map_err(|row| row.0), Err(field));
-            })+};
-        }
-        const NAN: f64 = f64::NAN;
-        refused!(channel_flap: window = 0, clear = NAN, raise = -1.0, critical = 2.0);
-        refused!(fastack_stall: gap_steps = 0.0, critical_steps = 4.0, min_inflight = NAN);
-        refused!(rto_storm: window = 0, clear = NAN, raise = 0.5, critical = f64::INFINITY);
-        refused!(airtime_slo: window = 0, clear_util = NAN, raise_util = 0.9, critical_util = 0.5);
-        refused!(queue_starvation: stall_steps = NAN, critical_steps = 7.0, min_backlog = NAN);
     }
 }

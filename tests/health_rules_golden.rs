@@ -20,8 +20,8 @@ mod common;
 use common::{check_goldens, fnv1a};
 use wifi_core::sim::{SimDuration, SimTime};
 use wifi_core::telemetry::health::{
-    AirtimeSlo, AirtimeSloRule, AmpduCollapse, ChannelFlap, FastAckStall, FastAckStallRule,
-    QueueStarvation, QueueStarvationRule, RtoStorm, RtoStormRule,
+    AirtimeSlo, AirtimeSloRule, AmpduCollapse, ChannelFlap, ChannelFlapRule, FastAckStall,
+    FastAckStallRule, QueueStarvation, QueueStarvationRule, RtoStorm, RtoStormRule,
 };
 use wifi_core::telemetry::{
     cause_for, AirKind, CauseId, Detector, FlightRecorder, HealthEngine, HealthReport, HealthRules,
@@ -76,9 +76,9 @@ fn record(component: &str, flow: u64, epoch: u64) -> TraceRecord {
 #[test]
 fn health_rules_match_goldens() {
     let rules = HealthRules::default();
-    let (flap, rto) = (rules.channel_flap.unwrap(), rules.rto_storm.unwrap());
-    let (air, queue) = (rules.airtime_slo.unwrap(), rules.queue_starvation.unwrap());
-    let stall = rules.fastack_stall.unwrap();
+    let (flap, rto) = (ChannelFlapRule::default(), rules.rto_storm.unwrap());
+    let (air, queue) = (rules.airtime_slo.unwrap(), rules.queue_starvation);
+    let stall = rules.fastack_stall;
     let scores = [("c0", 0x4000), ("c1", 0x4001)].map(|(path, flow)| (path.to_string(), flow));
     let starved = QueueStarvation::new("ap0", "backlog", "served", vec![7], queue);
     let collapse = AmpduCollapse::new("ap0", "aggregates", "frames", vec![17]);
