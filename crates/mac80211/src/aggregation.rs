@@ -208,52 +208,6 @@ impl BlockAck {
     }
 }
 
-/// Running statistic of achieved aggregate sizes — the quantity plotted
-/// in the paper's Fig. 15.
-#[derive(Debug, Clone, Default)]
-pub struct AggregationStats {
-    pub aggregates: u64,
-    pub mpdus: u64,
-    pub max_size: usize,
-    pub min_size: usize,
-}
-
-impl AggregationStats {
-    pub fn record(&mut self, size: usize) {
-        self.aggregates += 1;
-        self.mpdus += size as u64;
-        self.max_size = self.max_size.max(size);
-        self.min_size = if self.aggregates == 1 {
-            size
-        } else {
-            self.min_size.min(size)
-        };
-    }
-
-    /// Mean MPDUs per aggregate.
-    pub fn mean(&self) -> f64 {
-        if self.aggregates == 0 {
-            0.0
-        } else {
-            self.mpdus as f64 / self.aggregates as f64
-        }
-    }
-
-    /// Export the running totals into a metrics registry under
-    /// `prefix` (e.g. `mac.ap1.ampdu`). Size extremes export as gauges
-    /// (they are levels, not monotonic counts); per-aggregate size
-    /// *distributions* are recorded by the driver, which observes each
-    /// size into a registry histogram as it records here.
-    pub fn export_metrics(&self, m: &mut telemetry::Registry, prefix: &str) {
-        m.count(&format!("{prefix}.aggregates"), self.aggregates);
-        m.count(&format!("{prefix}.frames"), self.mpdus);
-        let max = m.gauge(&format!("{prefix}.max_size"));
-        m.gauge_set(max, self.max_size as i64);
-        let min = m.gauge(&format!("{prefix}.min_size"));
-        m.gauge_set(min, self.min_size as i64);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -360,31 +314,6 @@ mod tests {
         };
         assert_eq!(ba.acked().collect::<Vec<_>>(), vec![10, 12]);
         assert_eq!(ba.failed().collect::<Vec<_>>(), vec![11]);
-    }
-
-    #[test]
-    fn aggregation_stats_track_mean_and_extremes() {
-        let mut s = AggregationStats::default();
-        for size in [10, 20, 30] {
-            s.record(size);
-        }
-        assert_eq!(s.mean(), 20.0);
-        assert_eq!(s.max_size, 30);
-        assert_eq!(s.min_size, 10);
-        assert_eq!(AggregationStats::default().mean(), 0.0);
-    }
-
-    #[test]
-    fn aggregation_stats_export_onto_registry() {
-        let mut s = AggregationStats::default();
-        s.record(10);
-        s.record(30);
-        let mut m = telemetry::Registry::new();
-        s.export_metrics(&mut m, "mac.ap0.ampdu");
-        assert_eq!(m.counter_value("mac.ap0.ampdu.aggregates"), Some(2));
-        assert_eq!(m.counter_value("mac.ap0.ampdu.frames"), Some(40));
-        assert_eq!(m.gauge_value("mac.ap0.ampdu.max_size"), Some(30));
-        assert_eq!(m.gauge_value("mac.ap0.ampdu.min_size"), Some(10));
     }
 
     // Live whenever the sim-sanitizer is, i.e. in debug builds.

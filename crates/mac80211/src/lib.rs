@@ -40,7 +40,7 @@ pub mod medium;
 pub mod protection;
 
 pub use ac::{AccessCategory, EdcaParams};
-pub use aggregation::{build_ampdu, AggLimits, AggregationStats, Ampdu, BlockAck, QueuedMpdu};
+pub use aggregation::{build_ampdu, AggLimits, Ampdu, BlockAck, QueuedMpdu};
 pub use backoff::{Backoff, BackoffStats};
 pub use contention::{resolve, ContentionOutcome};
 pub use medium::{Delivery, LinkParams, MediumSim, StepReport};

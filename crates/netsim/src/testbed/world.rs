@@ -41,6 +41,9 @@ const INTERFERER_SNR_PENALTY_DB: f64 = 20.0;
 /// legacy basic rate and take airtime whether or not anyone listens.
 const BEACON_INTERVAL: SimDuration = SimDuration::from_micros(102_400);
 
+/// A QoE probe's MSDU: its payload behind the same header as data.
+const PROBE_BYTES: usize = qoe::PROBE_PAYLOAD_BYTES as usize + HEADER_BYTES;
+
 /// Every AP radio's channel width.
 pub(super) const WIDTH: Width = Width::W80;
 
@@ -58,8 +61,8 @@ pub(super) struct World {
     /// bursts once it has switched on.
     beacons: (Cadence, SimDuration),
     interferer: Option<(Cadence, SimDuration)>,
-    /// Probe injection clock and probe MSDU size.
-    probes: Option<(Cadence, usize)>,
+    /// Probe injection clock.
+    probes: Option<Cadence>,
     /// Probe ticks so far, which is the next probe's sequence number.
     probe_seq: u64,
     udp_seq: u64,
@@ -86,11 +89,9 @@ impl World {
                 SimDuration::from_secs_f64(INTERFERER_PERIOD.as_secs_f64() * INTERFERER_DUTY);
             (Cadence::new(i.at, INTERFERER_PERIOD), burst)
         });
-        let probes = cfg.qoe.map(|p| {
-            let first = SimTime::ZERO + p.interval();
-            let bytes = p.payload_bytes as usize + HEADER_BYTES;
-            (Cadence::new(first, p.interval()), bytes)
-        });
+        let probes = cfg
+            .qoe
+            .map(|p| Cadence::new(SimTime::ZERO + p.interval(), p.interval()));
         World {
             rng,
             queue: EventQueue::new(),
@@ -198,7 +199,7 @@ impl World {
     /// probe flow and sequence: the cause joining the tx record to the
     /// MAC's delivery report. Draws no randomness.
     fn inject_probes(&mut self, taps: &mut Taps) {
-        let Some((cadence, bytes)) = &mut self.probes else {
+        let Some(cadence) = &mut self.probes else {
             return;
         };
         let nc = self.cfg.clients_per_ap;
@@ -208,7 +209,10 @@ impl World {
             for client in 0..self.clients.len() {
                 taps.on(at, Seam::ProbeSent { client, seq });
                 let id = telemetry::cause_for(qoe::probe_flow(client), seq).0;
-                let mpdu = QueuedMpdu { id, bytes: *bytes };
+                let mpdu = QueuedMpdu {
+                    id,
+                    bytes: PROBE_BYTES,
+                };
                 self.aps[client / nc].enqueue(client % nc, false, mpdu, at);
             }
         }
@@ -250,7 +254,7 @@ impl World {
             self.queue.peek_time(),
             self.wired.next_rto(),
             self.interferer.as_ref().map(|(c, _)| c.next()),
-            self.probes.as_ref().map(|(c, _)| c.next()),
+            self.probes.as_ref().map(Cadence::next),
             self.client_timers.next_wake(),
         ]
         .into_iter()

@@ -62,21 +62,19 @@ pub const WINDOW_SECS: [u64; 3] = [1, 10, 60];
 /// TXOP hiccups, short enough to track a real fault within seconds.
 pub const OPERATIONAL_WINDOW: usize = 1;
 
+/// Probe payload, bytes (MAC/IP overhead is the host's concern).
+pub const PROBE_PAYLOAD_BYTES: u32 = 200;
+
 /// Synthetic probe-flow shape.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProbeConfig {
     /// Probes per second per client.
     pub pps: u64,
-    /// Probe payload, bytes (MAC/IP overhead is the host's concern).
-    pub payload_bytes: u32,
 }
 
 impl Default for ProbeConfig {
     fn default() -> ProbeConfig {
-        ProbeConfig {
-            pps: 50,
-            payload_bytes: 200,
-        }
+        ProbeConfig { pps: 50 }
     }
 }
 
@@ -871,7 +869,7 @@ mod tests {
             pps in 1u64..4,
             ops in vec(0u32..4_000_000, 1..350),
         ) {
-            let cfg = ProbeConfig { pps, payload_bytes: 64 };
+            let cfg = ProbeConfig { pps };
             let mut q = ClientQoe::new(&cfg);
             let mut r = ReferenceQoe::default();
             let mut now = SimTime::ZERO;
