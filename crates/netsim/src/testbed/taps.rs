@@ -123,7 +123,7 @@ pub(super) struct Taps {
     /// staged `tcp.flow{c}.cwnd_segments` series.
     timeline: Option<(Cadence, Timeline, Vec<StagedId>)>,
     /// Per-client QoE collectors (empty when probing is disabled).
-    qoe: Vec<qoe::ClientQoe>,
+    pub(super) qoe: Vec<qoe::ClientQoe>,
     /// Data-segment forward times at the AP for TCP-latency accounting,
     /// one window per flow (index `flow.0 - 1`) of end-offset → forward
     /// time. New data extends the tail; a cumulative client ACK drains

@@ -545,6 +545,32 @@ fn qoe_probes_flow_and_score_on_a_clean_run() {
     assert!(r.metrics.counter_value("qoe.client0.score_x100").is_some());
 }
 
+/// Every probe a client sent is delivered, lost or still outstanding:
+/// nothing settles the probes in flight when a run ends, so `sent`
+/// exceeds `delivered + lost` by exactly the collector's outstanding
+/// count. The lossy shape under the interferer loses some to the MAC
+/// retry limit.
+#[test]
+fn probe_counts_add_up_per_client() {
+    let cfg = TestbedConfig {
+        qoe: Some(qoe::ProbeConfig::default()),
+        interferer: Some(InterfererFault {
+            at: SimTime::from_millis(1_000),
+        }),
+        ..TestbedConfig::lossy(true)
+    };
+    let mut tb = Testbed::new(cfg);
+    tb.world.run_until(SimTime::from_secs(3), &mut tb.taps);
+    let qoe = &tb.taps.qoe;
+    assert_eq!(qoe.len(), 3);
+    for (c, q) in qoe.iter().enumerate() {
+        assert!(q.sent > 100, "client {c} sent {}", q.sent);
+        let settled = q.delivered + q.lost;
+        assert_eq!(q.sent, settled + q.outstanding(), "client {c}");
+    }
+    assert!(qoe.iter().any(|q| q.lost > 0), "no probe was lost");
+}
+
 #[test]
 fn qoe_degrades_under_interference_with_probe_causal_chain() {
     // The QoE acceptance scenario: the interferer switches on

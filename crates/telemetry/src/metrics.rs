@@ -53,6 +53,7 @@ use crate::stats::Histogram;
 use sim::SimDuration;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Handle to a registered counter. Cheap to copy; valid only for the
 /// registry that issued it.
@@ -80,9 +81,28 @@ pub struct SpanStat {
     pub time: SimDuration,
 }
 
+/// A registry's identity: every new registry and every clone draws a
+/// fresh one from a process-wide counter, so no two ever share one.
+#[derive(Debug)]
+struct Identity(u64);
+
+impl Default for Identity {
+    fn default() -> Identity {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        Identity(NEXT.fetch_add(1, Ordering::Relaxed))
+    }
+}
+
+impl Clone for Identity {
+    fn clone(&self) -> Identity {
+        Identity::default()
+    }
+}
+
 /// A deterministic metrics registry (see module docs).
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
+    id: Identity,
     counter_ids: BTreeMap<String, u32>,
     counters: Vec<u64>,
     gauge_ids: BTreeMap<String, u32>,
@@ -147,7 +167,6 @@ impl Registry {
     }
 
     /// Every registered counter as `(path, value)`, sorted by path.
-    /// The timeline sampler snapshots registries through this.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
         self.counter_ids
             .iter()
@@ -190,6 +209,23 @@ impl Registry {
         self.gauge_ids
             .iter()
             .map(|(path, &id)| (path.as_str(), self.gauges[id as usize]))
+    }
+
+    /// The counters' and the gauges' name index (path → slot, a
+    /// handle's index), then their values by slot.
+    pub(crate) fn slots(&self) -> ([&BTreeMap<String, u32>; 2], &[u64], &[i64]) {
+        (
+            [&self.counter_ids, &self.gauge_ids],
+            &self.counters,
+            &self.gauges,
+        )
+    }
+
+    /// The layout stamp: an identity no other registry shares, and the
+    /// counter and gauge counts. Registration only appends, so while
+    /// the stamp holds, the same paths sit in the same slots.
+    pub(crate) fn layout(&self) -> (u64, usize, usize) {
+        (self.id.0, self.counters.len(), self.gauges.len())
     }
 
     // ---- histograms -----------------------------------------------

@@ -15,7 +15,8 @@
 //!   their one tag / label row per variant (a `codec` tag table);
 //! * `store` — one `Table` (ring header + series by column id) under
 //!   the raw ring and every tier, eviction, tier accumulators, `absorb`;
-//! * `sampler` — `sample` / `seal` and the staged f64 signals;
+//! * `sampler` — `sample` / `seal`, the plan of each registry slot's
+//!   column, and the staged f64 signals;
 //! * `wire` — the only code that knows `TSL1`: writer and strict parser;
 //! * `query` — `range` / `last` / `downsample` and [`TableView`], the
 //!   one read accessor over the raw ring and the tiers.
@@ -24,8 +25,8 @@
 //! is at sim time `i * every` exactly ([`Timeline::sample`] panics on
 //! drift), so series carry no timestamps; the registry is read-only, so
 //! every other artifact is byte-identical with a timeline on or off;
-//! and the name index is off the steady path — a tick costs one string
-//! compare and indexed pushes per series.
+//! and the name index is off the steady path — while the registry's
+//! layout stamp holds, a tick costs indexed pushes per series.
 //!
 //! ```
 //! use sim::{SimDuration, SimTime};
@@ -183,9 +184,11 @@ impl TimelineConfig {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Timeline {
     store: store::Store,
-    /// Every counter path, and every gauge path, met so far,
-    /// path-sorted (`sampler`).
-    walks: [Vec<sampler::Walk>; 2],
+    /// The layout stamp of the registry `plan` was built for.
+    layout: Option<(u64, usize, usize)>,
+    /// The column of each of its counter slots, then of each gauge slot
+    /// (`sampler`).
+    plan: [Vec<usize>; 2],
     /// Explicitly staged f64 signals, re-sampled every tick.
     staged: Vec<sampler::Staged>,
     /// Set by `absorb`/`parse`: the tick grid is no longer this

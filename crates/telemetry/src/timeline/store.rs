@@ -210,12 +210,12 @@ impl Tier {
 /// Every series the timeline holds under one dense column id:
 /// `raw.cols[c]` and each `tiers[t].table.cols[c]` are column `c`'s raw
 /// series and its rows in tier `t`. `index` maps a series name to its
-/// column and is touched only when a name has to be resolved — a path
-/// the sampler has not met before, a query, `absorb`, `parse`, and the
-/// name-ordered walk of `to_bytes` — never per series per tick. A
-/// column the sampler opened holds a series in every table; `None`
-/// entries only come out of `parse` / `absorb`, where a dump may name a
-/// series in one table and not another.
+/// column and is touched only when a name has to be resolved — a
+/// registry layout the sampler has not planned, a query, `absorb`,
+/// `parse`, and the name-ordered walk of `to_bytes` — never per series
+/// per tick. A column the sampler opened holds a series in every table;
+/// `None` entries only come out of `parse` / `absorb`, where a dump may
+/// name a series in one table and not another.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub(super) struct Store {
     pub index: BTreeMap<String, usize>,
@@ -255,13 +255,14 @@ impl Store {
         col
     }
 
-    /// First sight of `path` by the sampler, at tick `idx`: its column,
-    /// with a series starting here in the raw ring and an empty one in
-    /// every tier. A column that already holds one (the same path under
-    /// another kind) is left as it is for [`Store::record`] to reject.
+    /// The sampler's column for `path` from tick `idx` on. On first
+    /// sight, a series starts here in the raw ring and an empty one in
+    /// every tier; after that, the kind must be the one it started as.
     pub fn open(&mut self, path: &str, kind: SeriesKind, idx: u64) -> usize {
         let col = self.id(path);
-        if self.raw.cols[col].is_none() {
+        if let Some(s) = &self.raw.cols[col] {
+            assert_eq!(s.kind, kind, "series kind changed: {path}");
+        } else {
             let series = |start, room| Series {
                 kind,
                 start,
@@ -275,12 +276,11 @@ impl Store {
         col
     }
 
-    /// Append tick `idx`'s value to column `col` and feed every tier's
-    /// accumulator, in tier order.
-    pub fn record(&mut self, col: usize, path: &str, kind: SeriesKind, bits: u64, idx: u64) {
-        let s = self.raw.series_mut(col);
-        assert_eq!(s.kind, kind, "series kind changed: {path}");
-        s.push(idx, bits);
+    /// Append tick `idx`'s value to column `col`, of the `kind` it was
+    /// [opened](Store::open) as, and feed every tier's accumulator, in
+    /// tier order.
+    pub fn record(&mut self, col: usize, kind: SeriesKind, bits: u64, idx: u64) {
+        self.raw.series_mut(col).push(idx, bits);
         let v = bits_to_f64(kind, bits);
         for t in &mut self.tiers {
             t.accs[col].feed(v);

@@ -82,13 +82,14 @@ fn packet_shapes_allocate_under_budget() {
     // 32-byte flight events, 5.2 / 7.7 / 20.0 / 13.6 / 149.9 with 48-byte
     // ones. Before latency samples were stored as runs, the first four
     // read 12.2 / 12.1 / 25.0 / 19.6 with one 4-byte entry per sample,
-    // 21.4 / 21.0 / 31.9 / 26.5 with 8-byte ones.
+    // 21.4 / 21.0 / 31.9 / 26.5 with 8-byte ones. Allocations per event
+    // on obs: 0.094, 0.102 while QoE kept its pending probes in a map.
     for (shape, cfg, secs, bound, bytes_bound) in [
         ("lossy fastack", TestbedConfig::lossy(true), 20, 0.05, 6.0),
         ("lossy baseline", TestbedConfig::lossy(false), 20, 0.15, 9.0),
         ("dense fastack", TestbedConfig::dense(true), 2, 0.05, 21.0),
         ("dense baseline", TestbedConfig::dense(false), 2, 0.05, 15.0),
-        ("obs", obs(), 2, 0.12, 112.0),
+        ("obs", obs(), 2, 0.10, 112.0),
     ] {
         let tb = Testbed::new(cfg);
         let before = CALLS.with(Cell::get);
