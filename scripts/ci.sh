@@ -82,7 +82,7 @@ fi
 echo "=== less code (ROADMAP item 4's number may only go down) ==="
 # Raising the ceiling is a deliberate, reviewed edit of this line: say
 # in CHANGES.md what the new lines bought. Lower it when a PR deletes.
-loc_ceiling=39740
+loc_ceiling=39875
 loc="$(find crates tests examples -name '*.rs' -print0 | xargs -0 cat | wc -l)"
 (( loc <= loc_ceiling )) \
   || { echo "workspace Rust is $loc lines, over the $loc_ceiling ceiling in scripts/ci.sh: delete something, or raise the ceiling on purpose and defend it in review"; exit 1; }
@@ -92,6 +92,13 @@ loc="$(find crates tests examples -name '*.rs' -print0 | xargs -0 cat | wc -l)"
 nontest="$(find crates examples -name '*.rs' ! -name tests.rs ! -path '*/tests/*' -print0 \
   | xargs -0 awk '/^#\[cfg\(test\)\]$/ { nextfile } { n++ } END { print n + 0 }')"
 echo "workspace Rust: $loc lines (ceiling $loc_ceiling), $nontest of them non-test"
+# DESIGN.md describes what exists and may only shrink (ROADMAP item
+# 19): lower this line with it, and move history to CHANGES.md.
+design_ceiling=1287
+design="$(wc -l < DESIGN.md)"
+(( design <= design_ceiling )) \
+  || { echo "DESIGN.md is $design lines, over the $design_ceiling ceiling in scripts/ci.sh"; exit 1; }
+echo "DESIGN.md: $design lines (ceiling $design_ceiling)"
 
 echo "=== MUST clauses (the number may only go up) ==="
 # simcheck fails a MUST clause that lacks a citation, not one that is
