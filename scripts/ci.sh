@@ -8,6 +8,81 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "=== DESIGN.md describes what exists ==="
+# DESIGN.md describes the system as it stands; its history lives in
+# CHANGES.md (ROADMAP item 19). It may only shrink: lower this ceiling
+# with it.
+design_ceiling=990
+design="$(wc -l < DESIGN.md)"
+(( design <= design_ceiling )) \
+  || { echo "DESIGN.md is $design lines, over the $design_ceiling ceiling in scripts/ci.sh"; exit 1; }
+echo "DESIGN.md: $design lines (ceiling $design_ceiling)"
+# Every backticked repo path in it resolves from the root. A path is a
+# code span (outside fenced blocks, and free to wrap) with a slash and
+# no space; a `::item` after a file is dropped and a <placeholder>
+# matches any name. A leading slash is a host path, and the grid's
+# output, results/BENCH_simperf.json, exists only after a grid run.
+while read -r path; do
+  [[ $path == /* || $path == results/BENCH_simperf.json ]] && continue
+  glob="$(sed -E 's/::.*//; s/<[^>]*>/*/g' <<< "$path")"
+  # shellcheck disable=SC2086  # $glob is a pattern by construction
+  ls -d -- $glob > /dev/null 2>&1 \
+    || { echo "DESIGN.md cites $path, which does not exist"; exit 1; }
+done < <(awk '/^```/ { fence = !fence; next } !fence' DESIGN.md | tr '\n' ' ' \
+  | grep -oE '`[^`]*`' | tr -d '`' | grep -E '^[^ ]*/[^ ]*$' | sort -u)
+# Every DESIGN.md section another file cites exists: a quoted name is a
+# heading or a bold label (whole, or up to its colon, parenthesis or
+# period), a § number a numbered section. Comment leaders are stripped
+# and each file read as one line, so a citation may wrap.
+awk '
+  function known(n,   i) {
+    for (i = 1; i <= nlab; i++)
+      if (lab[i] == n || index(lab[i], n ":") == 1 || index(lab[i], n " (") == 1 \
+          || index(lab[i], n ".") == 1)
+        return 1
+    return 0
+  }
+  function check(   s, c, n) {
+    s = text
+    while (match(s, /DESIGN\.md( §[0-9]+)?,? "[^"]+"(,? (and|or) "[^"]+")*/)) {
+      c = substr(s, RSTART, RLENGTH)
+      s = substr(s, RSTART + RLENGTH)
+      while (match(c, /"[^"]+"/)) {
+        n = substr(c, RSTART + 1, RLENGTH - 2)
+        c = substr(c, RSTART + RLENGTH)
+        if (!known(n)) {
+          printf "%s cites DESIGN.md \"%s\", which is no heading or bold label in it\n", file, n
+          bad = 1
+        }
+      }
+    }
+    s = text
+    while (match(s, /DESIGN\.md §[0-9]+/)) {
+      c = substr(s, RSTART, RLENGTH)
+      s = substr(s, RSTART + RLENGTH)
+      sub(/.*§/, "", c)
+      if (!(c in section)) {
+        printf "%s cites DESIGN.md §%s, which is no numbered section in it\n", file, c
+        bad = 1
+      }
+    }
+  }
+  FILENAME == "DESIGN.md" {
+    if (/^#+ /) { t = $0; sub(/^#+ ([0-9]+\. )?/, "", t); lab[++nlab] = t }
+    if (/^## [0-9]+\. /) { n = $2; sub(/\.$/, "", n); section[n] = 1 }
+    s = $0
+    while (match(s, /\*\*[^*]+\*\*/)) {
+      lab[++nlab] = substr(s, RSTART + 2, RLENGTH - 4)
+      s = substr(s, RSTART + RLENGTH)
+    }
+    next
+  }
+  FNR == 1 { check(); text = ""; file = FILENAME }
+  { line = $0; sub(/^[ \t]*(\/\/[\/!]?|#+)?[ \t]*/, "", line); text = text " " line }
+  END { check(); exit bad }
+' DESIGN.md $(find crates tests scripts -type f \( -name '*.rs' -o -name '*.sh' \) | sort) \
+  clippy.toml README.md EXPERIMENTS.md .claude/skills/verify/SKILL.md
+
 echo "=== cargo fmt --check ==="
 cargo fmt --all -- --check
 
@@ -92,13 +167,6 @@ loc="$(find crates tests examples -name '*.rs' -print0 | xargs -0 cat | wc -l)"
 nontest="$(find crates examples -name '*.rs' ! -name tests.rs ! -path '*/tests/*' -print0 \
   | xargs -0 awk '/^#\[cfg\(test\)\]$/ { nextfile } { n++ } END { print n + 0 }')"
 echo "workspace Rust: $loc lines (ceiling $loc_ceiling), $nontest of them non-test"
-# DESIGN.md describes what exists and may only shrink (ROADMAP item
-# 19): lower this line with it, and move history to CHANGES.md.
-design_ceiling=1287
-design="$(wc -l < DESIGN.md)"
-(( design <= design_ceiling )) \
-  || { echo "DESIGN.md is $design lines, over the $design_ceiling ceiling in scripts/ci.sh"; exit 1; }
-echo "DESIGN.md: $design lines (ceiling $design_ceiling)"
 
 echo "=== MUST clauses (the number may only go up) ==="
 # simcheck fails a MUST clause that lacks a citation, not one that is
