@@ -147,6 +147,35 @@ mod tests {
         }
     }
 
+    /// Unit `i` sleeps longer the smaller `i` is, so on any thread count
+    /// later units finish before earlier ones. Every result must still
+    /// land in its own slot, and every item be visited exactly once.
+    #[test]
+    fn units_finishing_out_of_order_keep_their_slots() {
+        const N: usize = 12;
+        let nap = |i: usize| std::thread::sleep(std::time::Duration::from_millis((N - i) as u64));
+        let f = |i: usize| {
+            nap(i);
+            (i as u64).wrapping_mul(0x9E37_79B9) ^ 0xABCD
+        };
+        let want: Vec<u64> = (0..N).map(f).collect();
+        for threads in [2, 3, 8, N + 5] {
+            assert_eq!(
+                map_sharded(N, threads, "test.map", &f),
+                want,
+                "threads={threads}"
+            );
+            // (index, visits): a skipped item reads 0, a repeated one 2.
+            let mut items: Vec<(usize, u32)> = (0..N).map(|i| (i, 0)).collect();
+            for_each_mut_sharded(&mut items, threads, "test.each", &|it| {
+                nap(it.0);
+                it.1 += 1;
+            });
+            let once: Vec<(usize, u32)> = (0..N).map(|i| (i, 1)).collect();
+            assert_eq!(items, once, "threads={threads}");
+        }
+    }
+
     #[test]
     fn workers_actually_run_concurrently_when_asked() {
         use std::sync::atomic::{AtomicUsize, Ordering};
