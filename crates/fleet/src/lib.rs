@@ -6,10 +6,11 @@
 //! §4.5 (15 min / 3 h / daily). This crate is that layer for the
 //! reproduction:
 //!
-//! * [`shard`] — the shard executor: N independent networks spread over
-//!   `std::thread::scope` workers, results bit-identical for any thread
-//!   count because each network's RNG streams derive from
-//!   `(master_seed, network_id)` alone ([`sim::derive_stream_seed`]);
+//! * [`shard`] — the shard executor: N independent networks claimed one
+//!   at a time by the calling thread and its `std::thread::scope`
+//!   workers, results bit-identical for any thread count because each
+//!   network's RNG streams derive from `(master_seed, network_id)`
+//!   alone ([`sim::derive_stream_seed`]);
 //! * [`network`] — one managed network: planner view, tiered
 //!   [`chanassign::Scheduler`], private RNG streams, telemetry buffers;
 //! * [`ingest`] — per-metric pooling of the network reports plus
@@ -454,6 +455,47 @@ mod tests {
                 "threads={threads}"
             );
             assert_eq!(base.per_network, run.per_network, "threads={threads}");
+        }
+    }
+
+    /// `run_fleet` clamps its threads to the host's cores, so on a small
+    /// host the tests above never run more than a couple of workers.
+    /// This drives the executor's stages directly at 1, 3 and 7 threads:
+    /// generate, a tick that runs the Slow tier, one that runs the Fast
+    /// tier, finalize.
+    #[test]
+    fn stages_match_across_1_3_7_threads_above_the_host_clamp() {
+        let cfg = FleetConfig {
+            n_networks: 8,
+            aps_max: 11,
+            ..small(1)
+        };
+        let stages = |threads: usize| {
+            let mut nets = shard::map_sharded(cfg.n_networks, threads, "test.generate", &|i| {
+                network::ManagedNetwork::generate(&cfg, i as u64)
+            });
+            let mut sums = vec![sanitize::epoch_checksum(&nets)];
+            for now in [SimTime::ZERO, SimTime::ZERO + cfg.collect_period] {
+                shard::for_each_mut_sharded(&mut nets, threads, "test.tick", &|net| {
+                    net.on_tick(now, &cfg)
+                });
+                sums.push(sanitize::epoch_checksum(&nets));
+            }
+            shard::for_each_mut_sharded(&mut nets, threads, "test.finalize", &|net| net.finalize());
+            let metrics: Vec<String> = nets.iter().map(|n| n.metrics.to_json()).collect();
+            let reports: Vec<NetworkReport> = nets
+                .into_iter()
+                .map(|n| n.report.expect("finalize filled the report"))
+                .collect();
+            (sums, metrics, reports)
+        };
+        let one = stages(1);
+        assert!(
+            one.2.iter().all(|r| r.plans_run == 2),
+            "a Slow and a Fast plan each"
+        );
+        for threads in [3, 7] {
+            assert_eq!(stages(threads), one, "threads={threads}");
         }
     }
 

@@ -8,10 +8,15 @@
 //! runs, never *what* it computes or *where* its output goes — so one
 //! thread and sixteen produce the same `Vec`, byte for byte.
 //!
-//! Partitioning is static (contiguous chunks, one per worker). Work per
-//! network varies with its drawn size, but fleet sizes are large
-//! relative to thread counts, so chunk imbalance averages out; static
-//! chunks keep the executor free of locks and work-queues entirely.
+//! Units are claimed one at a time: a `Mutex` over the items' iterator
+//! hands each thread the next unclaimed unit, and the calling thread
+//! works alongside its `threads - 1` scoped workers. Plans differ in
+//! cost by tier and network size, so a thread that drew cheap units
+//! simply claims more of them instead of idling until a fixed chunk of
+//! slow ones ends elsewhere. The lock is held only to take the next
+//! item, never while a unit runs.
+
+use std::sync::Mutex;
 
 /// Worker count actually worth spawning: the request clamped to the
 /// host's available parallelism. Requesting 8 workers on a 1-core host
@@ -27,84 +32,69 @@ pub fn workers(requested: usize) -> usize {
     requested.min(avail)
 }
 
-/// Record the shard geometry for the run profiler: the per-worker
-/// backlog (chunk size) each stage handed its workers. Pure
-/// observation — no-op (one relaxed load) unless `--runprof` is live.
-fn profile_chunk(stage: &str, chunk: usize) {
-    if telemetry::runprof::enabled() {
-        telemetry::runprof::watermark(&format!("{stage}.backlog"), chunk as u64);
-    }
+/// Run `f` on every item of `items` across `threads` threads: the
+/// calling thread and `threads.min(len) - 1` scoped workers, each
+/// claiming the next item until none is left. A panicking unit fails
+/// the call with its own payload once every thread has stopped.
+fn claim_each<I, F>(items: I, threads: usize, stage: &'static str, f: &F)
+where
+    I: ExactSizeIterator + Send,
+    I::Item: Send,
+    F: Fn(I::Item) + Sync,
+{
+    let spawns = threads.min(items.len()).saturating_sub(1);
+    let queue = Mutex::new(items);
+    let work = || {
+        let _prof = telemetry::runprof::span(stage);
+        loop {
+            // Its own statement, so the guard drops before `f` runs (a
+            // `while let` scrutinee would hold it through the body).
+            let next = queue.lock().expect("no claim panics").next();
+            let Some(item) = next else { break };
+            f(item);
+        }
+    };
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..spawns).map(|_| s.spawn(work)).collect();
+        work();
+        for h in handles {
+            if let Err(payload) = h.join() {
+                std::panic::resume_unwind(payload);
+            }
+        }
+    });
 }
 
-/// Build a `Vec<T>` by evaluating `f(0..n)` across `threads` workers
-/// (a count [`workers`] resolved: every one of them is spawned).
-/// Equivalent to `(0..n).map(f).collect()` for any thread count.
-/// `stage` names this fan-out in the wall-clock run profiler; worker
-/// wall time accumulates under it (spans overlap across workers, so a
-/// stage's `total_ns` is CPU-seconds-like, not elapsed time).
+/// Build a `Vec<T>` by evaluating `f(0..n)` across `threads` threads
+/// (a count [`workers`] resolved). Equivalent to `(0..n).map(f).collect()`
+/// for any thread count. `stage` names this fan-out in the wall-clock
+/// run profiler; each thread's wall time accumulates under it (spans
+/// overlap across threads, so a stage's `total_ns` is CPU-seconds-like,
+/// not elapsed time).
 pub fn map_sharded<T, F>(n: usize, threads: usize, stage: &'static str, f: &F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    if n == 0 {
-        return Vec::new();
-    }
-    if threads <= 1 {
-        profile_chunk(stage, n);
-        let _prof = telemetry::runprof::span(stage);
-        return (0..n).map(f).collect();
-    }
-    let chunk = n.div_ceil(threads.min(n));
-    profile_chunk(stage, chunk);
     let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    std::thread::scope(|s| {
-        for (w, slots) in out.chunks_mut(chunk).enumerate() {
-            s.spawn(move || {
-                let _prof = telemetry::runprof::span(stage);
-                for (j, slot) in slots.iter_mut().enumerate() {
-                    *slot = Some(f(w * chunk + j));
-                }
-            });
-        }
+    claim_each(out.iter_mut().enumerate(), threads, stage, &|(i, slot)| {
+        *slot = Some(f(i));
     });
     out.into_iter()
-        .map(|slot| slot.expect("worker filled every slot"))
+        .map(|slot| slot.expect("a thread filled every slot"))
         .collect()
 }
 
-/// Apply `f` to every item in place, sharded across `threads` workers.
-/// Items are mutated independently; index-chunked partitioning keeps the
-/// outcome identical to the sequential loop. `stage` labels the fan-out
-/// for the run profiler, as in [`map_sharded`].
+/// Apply `f` to every item in place across `threads` threads. Items are
+/// mutated independently, so the outcome is the sequential loop's for
+/// any thread count. `stage` labels the fan-out for the run profiler,
+/// as in [`map_sharded`].
 pub fn for_each_mut_sharded<T, F>(items: &mut [T], threads: usize, stage: &'static str, f: &F)
 where
     T: Send,
     F: Fn(&mut T) + Sync,
 {
-    if items.is_empty() {
-        return;
-    }
-    if threads <= 1 {
-        profile_chunk(stage, items.len());
-        let _prof = telemetry::runprof::span(stage);
-        for it in items {
-            f(it);
-        }
-        return;
-    }
-    let chunk = items.len().div_ceil(threads.min(items.len()));
-    profile_chunk(stage, chunk);
-    std::thread::scope(|s| {
-        for slots in items.chunks_mut(chunk) {
-            s.spawn(move || {
-                let _prof = telemetry::runprof::span(stage);
-                for it in slots {
-                    f(it);
-                }
-            });
-        }
-    });
+    claim_each(items.iter_mut(), threads, stage, f);
 }
 
 #[cfg(test)]
@@ -188,8 +178,58 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(20));
             live.fetch_sub(1, Ordering::SeqCst);
         });
-        // On a single-core host threads may still serialize; at least
-        // assert nothing deadlocked and the call completed.
-        assert!(peak.load(Ordering::SeqCst) >= 1);
+        // Sleeping units overlap on any core count: a loop that runs
+        // every unit on one thread never sees two live at once.
+        assert!(peak.load(Ordering::SeqCst) >= 2);
+    }
+
+    /// Units `0..threads` wait until all of them are running, so each
+    /// holds its own thread and exactly one holds the calling thread.
+    /// Then one of them panics: the caller's if `on_caller`, else the
+    /// first worker's. The wait gives up after 10 s with another
+    /// message, so a thread the executor never started fails the test
+    /// instead of hanging it.
+    fn one_unit_panics(threads: usize, on_caller: bool) {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Condvar;
+        let caller = std::thread::current().id();
+        let (arrived, all_in) = (Mutex::new(0), Condvar::new());
+        let fired = AtomicBool::new(false);
+        map_sharded(2 * threads + 1, threads, "test.map", &|i| {
+            if i < threads {
+                let mut n = arrived.lock().unwrap();
+                *n += 1;
+                all_in.notify_all();
+                let wait = std::time::Duration::from_secs(10);
+                let (n, t) = all_in
+                    .wait_timeout_while(n, wait, |n| *n < threads)
+                    .unwrap();
+                assert!(!t.timed_out(), "only {} of {threads} units ran at once", *n);
+                drop(n);
+                let on_worker = std::thread::current().id() != caller;
+                if on_worker != on_caller && !fired.swap(true, Ordering::SeqCst) {
+                    panic!("a unit failed");
+                }
+            }
+            i
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "a unit failed")]
+    fn a_panicking_unit_fails_the_call_at_one_thread() {
+        one_unit_panics(1, true);
+    }
+
+    #[test]
+    #[should_panic(expected = "a unit failed")]
+    fn a_panicking_unit_on_the_calling_thread_fails_the_call() {
+        one_unit_panics(3, true);
+    }
+
+    #[test]
+    #[should_panic(expected = "a unit failed")]
+    fn a_panicking_unit_on_a_worker_fails_the_call() {
+        one_unit_panics(3, false);
     }
 }

@@ -41,7 +41,7 @@
 //!   guards from worker threads accumulate into the same stage
 //!   concurrently.
 //! * **Watermarks** — [`watermark`] max-folds named `u64` levels: event
-//!   queue depths, flight-ring occupancy, fleet shard backlogs. These
+//!   queue depths, flight-ring occupancy, fleet reports pending. These
 //!   mirror deterministic simulator state, so they land in the
 //!   sidecar's `deterministic` section.
 //!
@@ -152,7 +152,7 @@ pub fn span(stage: &str) -> WallSpan {
 }
 
 /// Max-fold a named high-watermark. Watermarks mirror deterministic
-/// simulator state (queue depths, ring occupancy, shard backlogs), so
+/// simulator state (queue depths, ring occupancy, reports pending), so
 /// they serialize into the sidecar's `deterministic` section and CI
 /// byte-compares them across double runs.
 pub fn watermark(name: &str, value: u64) {

@@ -157,7 +157,7 @@ fi
 echo "=== less code (ROADMAP item 4's number may only go down) ==="
 # Raising the ceiling is a deliberate, reviewed edit of this line: say
 # in CHANGES.md what the new lines bought. Lower it when a PR deletes.
-loc_ceiling=39875
+loc_ceiling=39986
 loc="$(find crates tests examples -name '*.rs' -print0 | xargs -0 cat | wc -l)"
 (( loc <= loc_ceiling )) \
   || { echo "workspace Rust is $loc lines, over the $loc_ceiling ceiling in scripts/ci.sh: delete something, or raise the ceiling on purpose and defend it in review"; exit 1; }
